@@ -527,6 +527,7 @@ class TestRuntimeBench:
         assert runtime_record["graphs_match_seed"]
         assert runtime_record["deterministic"]
 
+    @pytest.mark.bench_gate
     def test_engine_beats_seed_path(self, runtime_record):
         """≥1.5x over the seed path at the default workload scale (the
         JSON records the exact figure; smaller smoke-scale runs only need
@@ -561,6 +562,7 @@ class TestRuntimeBench:
         else:
             assert runtime_record["fork_waves"] == 0, runtime_record
 
+    @pytest.mark.bench_gate
     def test_parallel_speedup_on_multicore_hosts(self, runtime_record):
         """≥3x at 4 workers on a ≥4-core host at the default bench scale.
         Hosts with fewer cores scale the floor to what the hardware can
@@ -578,15 +580,17 @@ class TestRuntimeBench:
         else:
             assert ratio >= 0.85, runtime_record
 
-    def test_numpy_backend_accelerates_graphs_stage(self, runtime_record):
-        """The vectorized backend must deliver ≥2x on the graphs stage at
-        the default workload scale while staying bit-identical.  Below
-        that scale the per-block matrix materialization can legitimately
-        outweigh the vectorization win (docs/performance.md documents
-        the crossover), so small runs only record the ratio and keep the
-        bit-identity gate."""
+    def test_numpy_backend_is_bit_identical(self, runtime_record):
         assert runtime_record["backends_bit_identical"]
         assert runtime_record["backend_speedup_ratio"] > 0.0
+
+    @pytest.mark.bench_gate
+    def test_numpy_backend_accelerates_graphs_stage(self, runtime_record):
+        """The vectorized backend must deliver ≥2x on the graphs stage at
+        the default workload scale.  Below that scale the per-block
+        matrix materialization can legitimately outweigh the
+        vectorization win (docs/performance.md documents the crossover),
+        so small runs only record the ratio."""
         if runtime_record["pages_per_name"] >= 40:
             assert runtime_record["backend_speedup_ratio"] >= 2.0, \
                 runtime_record
@@ -605,6 +609,7 @@ class TestRuntimeBench:
         assert runtime_record["prepare_reused_pairs"] > 0
         assert runtime_record["prepared_serve_seconds"] > 0.0
 
+    @pytest.mark.bench_gate
     def test_pipeline_overhead_within_5_percent(self, runtime_record):
         """The stage-plan drivers do the identical work of the direct
         loops; the abstraction may cost at most 5% at the default scale
@@ -617,14 +622,18 @@ class TestRuntimeBench:
         """On the flat (not pre-grouped) universe the query-name blocker
         is lossless and reduces ≥ half the pairs; masked scoring of the
         merged universe must be bit-identical to dense scoring restricted
-        to the candidates, and ≥1.5x faster at the default scale (smaller
-        smoke runs only record the ratio)."""
+        to the candidates."""
         assert runtime_record["blocking_pair_completeness"] == 1.0
         assert runtime_record["blocking_reduction_ratio"] >= 0.5
         assert 0.0 <= runtime_record["token_blocking_reduction_ratio"] <= 1.0
         assert 0.0 <= runtime_record["token_blocking_pair_completeness"] <= 1.0
         assert runtime_record["masked_matches_dense"]
         assert runtime_record["masked_speedup_ratio"] > 0.0
+
+    @pytest.mark.bench_gate
+    def test_masked_scoring_beats_dense(self, runtime_record):
+        """≥1.5x over dense scoring of the merged universe at the default
+        scale (smaller smoke runs only record the ratio)."""
         if runtime_record["pages_per_name"] >= 40:
             assert runtime_record["masked_speedup_ratio"] >= 1.5, \
                 runtime_record
@@ -634,10 +643,8 @@ class TestRuntimeBench:
         """On a multi-core host the predict fan-out must ship its numeric
         bulk as raw plane arrays: every payload planed, zero fallbacks,
         the pickled residual a fraction of the pickle-everything wire
-        format, and both legs bit-identical.  The speedup ratio is
-        recorded at every scale; at the default scale the plane leg must
-        not be dramatically slower (timing noise gets slack — the byte
-        accounting is the hard gate)."""
+        format, and both legs bit-identical (the byte accounting is the
+        hard gate; the speedup ratio is recorded at every scale)."""
         assert runtime_record["zero_copy_bit_identical"]
         assert runtime_record["plane_fallback_payloads"] == 0
         if runtime_record["effective_workers"] <= 1:
@@ -647,7 +654,14 @@ class TestRuntimeBench:
         assert runtime_record["plane_pickled_bytes"] < \
             runtime_record["pickled_payload_bytes"], runtime_record
         assert runtime_record["zero_copy_speedup_ratio"] > 0.0
-        if runtime_record["pages_per_name"] >= 40:
+
+    @pytest.mark.bench_gate
+    def test_zero_copy_planes_are_not_dramatically_slower(
+            self, runtime_record):
+        """At the default scale the plane leg must stay within timing
+        noise of the pickled leg."""
+        if (runtime_record["effective_workers"] > 1
+                and runtime_record["pages_per_name"] >= 40):
             assert runtime_record["zero_copy_speedup_ratio"] >= 0.7, \
                 runtime_record
 

@@ -9,8 +9,11 @@ re-uses as edge weights when combining functions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 from repro.core.regions import Regions, regions_from_dict
 
@@ -41,27 +44,31 @@ class RegionAccuracyProfile:
                  labeled_values: Sequence[tuple[float, bool]],
                  smoothing: float = 1.0):
         self.regions = regions
-        n_regions = regions.n_regions
-        counts = [0] * n_regions
-        links = [0] * n_regions
-        for value, label in labeled_values:
-            region = regions.assign(value)
-            counts[region] += 1
-            if label:
-                links[region] += 1
+        assigned = list(regions.assign_all(
+            [value for value, _ in labeled_values]))
+        counts = Counter(assigned)
+        links = Counter(compress(
+            assigned, (label for _, label in labeled_values)))
 
         total = len(labeled_values)
-        total_links = sum(links)
+        total_links = sum(links.values())
         self._prior = (total_links + smoothing) / (total + 2 * smoothing)
 
-        self._stats: list[RegionStats] = []
-        for region in range(n_regions):
+        stats = []
+        for region in range(regions.n_regions):
             if counts[region] == 0:
                 accuracy = self._prior
             else:
                 accuracy = (links[region] + smoothing) / (counts[region] + 2 * smoothing)
-            self._stats.append(RegionStats(
+            stats.append(RegionStats(
                 n_pairs=counts[region], n_links=links[region], accuracy=accuracy))
+        self._compile(stats)
+
+    def _compile(self, stats: Sequence[RegionStats]) -> None:
+        """Freeze the per-region lookup tables every query indexes."""
+        self._stats = list(stats)
+        self._accuracies = tuple(entry.accuracy for entry in stats)
+        self._links = tuple(accuracy > 0.5 for accuracy in self._accuracies)
 
     @classmethod
     def from_stats(cls, regions: Regions, stats: Sequence[RegionStats],
@@ -79,7 +86,7 @@ class RegionAccuracyProfile:
         profile = cls.__new__(cls)
         profile.regions = regions
         profile._prior = prior
-        profile._stats = list(stats)
+        profile._compile(stats)
         return profile
 
     def to_dict(self) -> dict[str, object]:
@@ -119,15 +126,24 @@ class RegionAccuracyProfile:
 
     def region_accuracy(self, region: int) -> float:
         """Estimated P(link | region)."""
-        return self._stats[region].accuracy
+        return self._accuracies[region]
 
     def link_probability(self, value: float) -> float:
         """Estimated P(link) for a pair with similarity ``value``."""
-        return self._stats[self.regions.assign(value)].accuracy
+        return self._accuracies[self.regions.assign(value)]
 
     def decide(self, value: float) -> bool:
         """Majority decision of the value's region (accuracy > 0.5 → link)."""
-        return self.link_probability(value) > 0.5
+        return self._links[self.regions.assign(value)]
+
+    def link_probabilities(self, values: Collection[float]) -> Iterable[float]:
+        """:meth:`link_probability` of every value, in order (one-shot)."""
+        return map(self._accuracies.__getitem__,
+                   self.regions.assign_all(values))
+
+    def decide_all(self, values: Collection[float]) -> Iterable[bool]:
+        """:meth:`decide` of every value, in order (one-shot)."""
+        return map(self._links.__getitem__, self.regions.assign_all(values))
 
     def accuracy_series(self) -> list[tuple[float, float, float]]:
         """(low, high, accuracy) per region — the paper's Figure 1 data."""
@@ -148,6 +164,4 @@ def overall_accuracy(decisions: Sequence[bool], labels: Sequence[bool]) -> float
         raise ValueError("decisions and labels differ in length")
     if not decisions:
         raise ValueError("cannot score zero decisions")
-    correct = sum(1 for decision, label in zip(decisions, labels)
-                  if decision == label)
-    return correct / len(decisions)
+    return sum(map(eq, decisions, labels)) / len(decisions)

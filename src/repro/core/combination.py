@@ -20,6 +20,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import TypeVar
 
 from repro.core.decisions import FittedDecision
 from repro.core.labels import TrainingSample
@@ -38,7 +40,9 @@ class DecisionLayer:
         graph: the layer's decision graph G_Dj.
         probabilities: per-pair link-probability estimates (every scored
             pair, not only asserted edges — negative evidence matters for
-            averaging).
+            averaging).  ``None`` defers them: they are computed from
+            ``similarity`` on first read, so layers a combiner never
+            consults never pay for their quadratic dict.
         fitted: the fitted decision backing this layer.
         graph_accuracy: acc(G_Dj) — the fraction of training pairs whose
             label matches the equivalence the graph *implies* (i.e. after
@@ -46,14 +50,18 @@ class DecisionLayer:
             This is the selection signal of best-graph combination: it
             punishes over-linking layers whose chains merge everything,
             which raw per-pair accuracy cannot see.
+        similarity: the weighted graph the layer was decided over — the
+            source of deferred ``probabilities`` (unused otherwise).
     """
 
     function_name: str
     criterion_name: str
     graph: DecisionGraph
-    probabilities: dict[PairKey, float]
+    probabilities: dict[PairKey, float] | None
     fitted: FittedDecision
     graph_accuracy: float = 0.0
+    similarity: WeightedPairGraph | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def label(self) -> str:
@@ -63,6 +71,62 @@ class DecisionLayer:
     def training_accuracy(self) -> float:
         """Per-pair decision accuracy on the training sample."""
         return self.fitted.training_accuracy
+
+
+def decided_edges(fitted: FittedDecision,
+                  graph: WeightedPairGraph) -> set[PairKey]:
+    """The pairs ``fitted`` links, inserted in the graph's pair order.
+
+    The single definition of the edge rule, shared by fit-time layer
+    building and predict-time re-application — which keeps fit/predict
+    bit-identical by construction.
+    """
+    weights = graph.weights
+    return set(compress(weights, fitted.decide_all(weights.values())))
+
+
+def decided_probabilities(fitted: FittedDecision,
+                          graph: WeightedPairGraph) -> dict[PairKey, float]:
+    """``fitted``'s link probability of every pair, in the graph's order."""
+    weights = graph.weights
+    return dict(zip(weights, fitted.link_probabilities(weights.values())))
+
+
+def _layer_probabilities(layer: DecisionLayer) -> dict[PairKey, float]:
+    if layer._probabilities is None:
+        layer._probabilities = decided_probabilities(layer.fitted,
+                                                     layer.similarity)
+    return layer._probabilities
+
+
+def _set_layer_probabilities(layer: DecisionLayer,
+                             probabilities: dict[PairKey, float] | None,
+                             ) -> None:
+    layer._probabilities = probabilities
+
+
+# Installed after @dataclass ran, so the generated __init__ assigns the
+# constructor argument through the setter instead of taking the property
+# object for a field default.
+DecisionLayer.probabilities = property(_layer_probabilities,
+                                       _set_layer_probabilities)
+
+
+def decide_layer(function_name: str, criterion_name: str,
+                 fitted: FittedDecision, graph: WeightedPairGraph,
+                 graph_accuracy: float = 0.0) -> DecisionLayer:
+    """One fitted decision applied to one similarity graph: the layer's
+    edges now, its probabilities on first read."""
+    return DecisionLayer(
+        function_name=function_name,
+        criterion_name=criterion_name,
+        graph=DecisionGraph(nodes=list(graph.nodes),
+                            edges=decided_edges(fitted, graph)),
+        probabilities=None,
+        fitted=fitted,
+        graph_accuracy=graph_accuracy,
+        similarity=graph,
+    )
 
 
 @dataclass
@@ -82,6 +146,11 @@ class CombinationResult:
     chosen_layer: str | None = None
     threshold: float | None = None
     diagnostics: dict[str, float] = field(default_factory=dict)
+
+
+#: A fitted or decision layer — the combiner rules that only read
+#: ``label`` / ``function_name`` / the accuracy estimates take either.
+Layer = TypeVar("Layer")
 
 
 class Combiner(ABC):
@@ -124,6 +193,25 @@ class Combiner(ABC):
         raise NotImplementedError(
             f"combiner {self.name!r} does not support label-free application")
 
+    def consulted_layers(self, layers: Sequence[Layer],
+                         params: dict[str, object]) -> list[Layer]:
+        """The layers :meth:`apply` reads, given the stored ``params``.
+
+        ``apply`` over just these must equal ``apply`` over all of
+        ``layers``.  Every label-free path derives from this one rule
+        which similarity functions to score and which decision layers to
+        build, so whatever a combiner ignores is never computed.  Works
+        on fitted layers and decision layers alike (anything carrying
+        ``label`` and ``graph_accuracy``).  Default: every layer.
+        """
+        return list(layers)
+
+
+def consulted_function_names(layers: Sequence[Layer]) -> list[str]:
+    """Names of the similarity functions ``layers`` decide over, in
+    first-appearance order."""
+    return list(dict.fromkeys(layer.function_name for layer in layers))
+
 
 def _require_layers(layers: Sequence[DecisionLayer]) -> None:
     if not layers:
@@ -152,6 +240,10 @@ class BestGraphSelector(Combiner):
 
     def apply(self, layers: Sequence[DecisionLayer],
               params: dict[str, object]) -> CombinationResult:
+        return self._select(self.consulted_layers(layers, params)[0])
+
+    def consulted_layers(self, layers: Sequence[Layer],
+                         params: dict[str, object]) -> list[Layer]:
         _require_layers(layers)
         chosen_label = params.get("chosen_layer")
         best = next((layer for layer in layers if layer.label == chosen_label),
@@ -161,7 +253,7 @@ class BestGraphSelector(Combiner):
             # subset); re-select on the stored accuracy estimates, which
             # uses the same tie-breaking as fit-time selection.
             best = max(layers, key=lambda layer: layer.graph_accuracy)
-        return self._select(best)
+        return [best]
 
     def _select(self, best: DecisionLayer) -> CombinationResult:
         probabilities = WeightedPairGraph(
@@ -220,14 +312,16 @@ class WeightedAverageCombiner(Combiner):
 
     name = "weighted_average"
 
-    def _weights(self, layers: Sequence[DecisionLayer]) -> list[float]:
+    def layer_weights(self, layers: Sequence[Layer]) -> list[float]:
+        """Each layer's weight in the average: its training accuracy
+        (floored so an all-wrong layer cannot zero the denominator)."""
         return [max(layer.training_accuracy, 1e-9) for layer in layers]
 
     def combine(self, layers: Sequence[DecisionLayer],
                 training: TrainingSample) -> CombinationResult:
         _require_layers(layers)
         nodes = list(layers[0].graph.nodes)
-        combined = average_probabilities(layers, self._weights(layers))
+        combined = average_probabilities(layers, self.layer_weights(layers))
         labeled = [(combined.get(pair, 0.0), label) for pair, label in training.pairs]
         threshold = learn_threshold(labeled)
         return thresholded_result(
@@ -246,7 +340,7 @@ class WeightedAverageCombiner(Combiner):
             raise ValueError(
                 "weighted_average needs a stored 'threshold' to apply")
         nodes = list(layers[0].graph.nodes)
-        combined = average_probabilities(layers, self._weights(layers))
+        combined = average_probabilities(layers, self.layer_weights(layers))
         return thresholded_result(
             nodes, combined, float(threshold),
             diagnostics=dict(params.get("diagnostics") or {}))

@@ -16,8 +16,8 @@ two-region partition whose region accuracies are learned the same way.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Sequence
+from dataclasses import dataclass, replace
 
 from repro.core.accuracy import RegionAccuracyProfile, overall_accuracy
 from repro.core.registry import CRITERIA, register_criterion
@@ -52,6 +52,22 @@ class FittedDecision:
         """Estimated P(link) for the value (the §IV-B edge weight)."""
         return self.profile.link_probability(value)
 
+    def decide_all(self, values: Collection[float]) -> Iterable[bool]:
+        """:meth:`decide` of every value, in order (a one-shot iterable).
+
+        This and :meth:`link_probabilities` are how decision layers sweep
+        a whole similarity graph: the per-region tables the profile froze
+        at fit time are indexed from C-level loops, with outcomes
+        identical to the scalar methods value by value.
+        """
+        if self.threshold is not None:
+            return map(float(self.threshold.threshold).__le__, values)
+        return self.profile.decide_all(values)
+
+    def link_probabilities(self, values: Collection[float]) -> Iterable[float]:
+        """:meth:`link_probability` of every value, in order (one-shot)."""
+        return self.profile.link_probabilities(values)
+
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable snapshot of the fitted state."""
         return {
@@ -85,6 +101,20 @@ class DecisionCriterion(ABC):
         """Fit on training (similarity value, is-link) pairs."""
 
 
+def _fitted(criterion_name: str, profile: RegionAccuracyProfile,
+            threshold: LearnedThreshold | None,
+            labeled_values: Sequence[tuple[float, bool]]) -> FittedDecision:
+    """The fitted decision, scored on the sample it was fitted on."""
+    fitted = FittedDecision(criterion_name=criterion_name, profile=profile,
+                            threshold=threshold, training_accuracy=0.0)
+    if not labeled_values:
+        return fitted
+    decisions = list(fitted.decide_all([value for value, _ in labeled_values]))
+    labels = [label for _, label in labeled_values]
+    return replace(fitted,
+                   training_accuracy=overall_accuracy(decisions, labels))
+
+
 class ThresholdDecision(DecisionCriterion):
     """Link iff value ≥ the accuracy-maximizing learned threshold."""
 
@@ -93,16 +123,8 @@ class ThresholdDecision(DecisionCriterion):
     def fit(self, labeled_values: Sequence[tuple[float, bool]]) -> FittedDecision:
         threshold = learn_threshold(labeled_values)
         regions = ThresholdRegions(threshold.threshold)
-        profile = RegionAccuracyProfile(regions, labeled_values)
-        decisions = [threshold.decide(value) for value, _ in labeled_values]
-        labels = [label for _, label in labeled_values]
-        accuracy = overall_accuracy(decisions, labels) if labels else 0.0
-        return FittedDecision(
-            criterion_name=self.name,
-            profile=profile,
-            threshold=threshold,
-            training_accuracy=accuracy,
-        )
+        return _fitted(self.name, RegionAccuracyProfile(regions, labeled_values),
+                       threshold, labeled_values)
 
 
 class RegionAccuracyDecision(DecisionCriterion):
@@ -127,16 +149,8 @@ class RegionAccuracyDecision(DecisionCriterion):
             regions = ThresholdRegions(threshold=1.1)
         else:
             regions = fit_regions(self.method, values, k=self.k)
-        profile = RegionAccuracyProfile(regions, labeled_values)
-        decisions = [profile.decide(value) for value, _ in labeled_values]
-        labels = [label for _, label in labeled_values]
-        accuracy = overall_accuracy(decisions, labels) if labels else 0.0
-        return FittedDecision(
-            criterion_name=self.name,
-            profile=profile,
-            threshold=None,
-            training_accuracy=accuracy,
-        )
+        return _fitted(self.name, RegionAccuracyProfile(regions, labeled_values),
+                       None, labeled_values)
 
 
 @register_criterion("threshold")

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.combination import build_combiner, consulted_function_names
 from repro.core.config import ResolverConfig
 from repro.graph.entity_graph import PairKey, pair_key
 from repro.core.model import (
-    BlockPrediction,
     FittedBlock,
     FittedLayer,
     ResolverModel,
@@ -55,7 +55,12 @@ class Assignment:
 
 @dataclass
 class _FittedState:
-    """Everything the fitted model provides that assignment needs."""
+    """Everything the fitted model provides that assignment needs.
+
+    ``layers`` are the ones the combiner consults
+    (:meth:`~repro.core.combination.Combiner.consulted_layers`) and
+    ``functions`` the similarity functions those layers decide over.
+    """
 
     layers: list[FittedLayer]
     functions: dict[str, SimilarityFunction]
@@ -86,6 +91,7 @@ class IncrementalResolver:
         # one-vs-many call per similarity function); backends are
         # bit-identical, so assignments never depend on the choice.
         self._backend = resolve_backend(self.config.backend)
+        self._combiner = build_combiner(self.config.combiner)
         self._state: _FittedState | None = None
         self._features: dict[str, PageFeatures] = {}
         self._clusters: list[set[str]] = []
@@ -111,8 +117,8 @@ class IncrementalResolver:
             features: extracted features for every page of the block.
             model_block: reuse another name's fitted state (for names the
                 model was never fitted on).
-            graphs: precomputed similarity graphs for the block; pass the
-                same object ``fit`` ran on to skip the quadratic
+            graphs: precomputed similarity graphs for the block (at least
+                the functions the combiner consults); skips the quadratic
                 similarity step entirely.
 
         Raises:
@@ -120,14 +126,11 @@ class IncrementalResolver:
             KeyError: when the model has no state for the block's name.
         """
         resolver = cls(model.config)
-        if graphs is None:
-            graphs = compute_similarity_graphs(
-                block, features, list(resolver._build_functions().values()),
-                backend=model.config.backend)
-        prediction = model.predict_block(block, graphs=graphs,
+        prediction = model.predict_block(block, features=features,
+                                         graphs=graphs,
                                          model_block=model_block)
-        fitted = model.blocks[model_block or block.query_name]
-        resolver._adopt(fitted, prediction, features)
+        resolver._adopt(model.blocks[model_block or block.query_name],
+                        features, prediction.predicted)
         return resolver
 
     @classmethod
@@ -164,29 +167,7 @@ class IncrementalResolver:
             ValueError: for unsupported combiners.
         """
         resolver = cls(config)
-        chosen = None
-        weights: list[float] = []
-        if config.combiner == "best_graph":
-            label = fitted.combiner_params.get("chosen_layer")
-            chosen = next((layer for layer in fitted.layers
-                           if layer.label == label), None)
-            if chosen is None:
-                chosen = max(fitted.layers,
-                             key=lambda layer: layer.graph_accuracy)
-        else:
-            weights = [max(layer.training_accuracy, 1e-9)
-                       for layer in fitted.layers]
-        threshold = fitted.combiner_params.get("threshold")
-        resolver._state = _FittedState(
-            layers=list(fitted.layers),
-            functions=resolver._build_functions(),
-            chosen_layer=chosen,
-            combination_threshold=(float(threshold)
-                                   if threshold is not None else None),
-            layer_weights=weights,
-        )
-        resolver._features = dict(features or {})
-        resolver._clusters = [set(cluster) for cluster in (clusters or [])]
+        resolver._adopt(fitted, features or {}, clusters or [])
         return resolver
 
     @property
@@ -223,33 +204,30 @@ class IncrementalResolver:
         model = resolver.fit(block, training_seed=training_seed,
                              graphs=graphs)
         prediction = model.predict_block(block, graphs=graphs)
-        self._adopt(model.blocks[block.query_name], prediction, features)
+        self._adopt(model.blocks[block.query_name], features,
+                    prediction.predicted)
         return prediction.predicted
 
-    def _build_functions(self) -> dict[str, SimilarityFunction]:
-        return {name: function_by_name(name)
-                for name in self.config.function_names}
-
-    def _adopt(self, fitted: FittedBlock, prediction: BlockPrediction,
-               features: dict[str, PageFeatures]) -> None:
-        """Freeze fitted state and the initial partition."""
-        chosen = None
-        weights: list[float] = []
-        if self.config.combiner == "best_graph":
-            chosen = next(layer for layer in fitted.layers
-                          if layer.label == prediction.chosen_layer)
-        else:
-            weights = [max(layer.training_accuracy, 1e-9)
-                       for layer in fitted.layers]
+    def _adopt(self, fitted: FittedBlock, features: dict[str, PageFeatures],
+               clusters) -> None:
+        """Freeze what the combiner consults of ``fitted``, and the
+        initial partition."""
+        layers = self._combiner.consulted_layers(fitted.layers,
+                                                 fitted.combiner_params)
+        best_graph = self.config.combiner == "best_graph"
+        threshold = fitted.combiner_params.get("threshold")
         self._state = _FittedState(
-            layers=list(fitted.layers),
-            functions=self._build_functions(),
-            chosen_layer=chosen,
-            combination_threshold=prediction.combination.threshold,
-            layer_weights=weights,
+            layers=layers,
+            functions={name: function_by_name(name)
+                       for name in consulted_function_names(layers)},
+            chosen_layer=layers[0] if best_graph else None,
+            combination_threshold=(float(threshold)
+                                   if threshold is not None else None),
+            layer_weights=([] if best_graph
+                           else self._combiner.layer_weights(layers)),
         )
         self._features = dict(features)
-        self._clusters = [set(cluster) for cluster in prediction.predicted]
+        self._clusters = [set(cluster) for cluster in clusters]
 
     def indexed_features(self) -> list[PageFeatures]:
         """Features of every indexed page, in the order they were added.
@@ -266,16 +244,14 @@ class IncrementalResolver:
     def scoring_function_names(self) -> list[str]:
         """Similarity functions a link decision actually consults.
 
-        Best-graph selection decides with the chosen layer's function
-        alone; weighted averaging folds every layer, so it needs the
-        whole battery.  Batched scorers use this to avoid computing
-        functions whose scores the combiner would ignore.
+        The functions of the layers the combiner consults: best-graph
+        selection decides with the chosen layer's function alone;
+        weighted averaging folds every layer, so it needs the whole
+        battery.  Batched scorers use this to avoid computing functions
+        whose scores the combiner would ignore.
         """
         self._require_fitted()
-        state = self._state
-        if state.chosen_layer is not None:
-            return [state.chosen_layer.function_name]
-        return list(state.functions)
+        return list(self._state.functions)
 
     def link_probability(self, new: PageFeatures,
                          existing: PageFeatures) -> float:

@@ -28,6 +28,10 @@ from repro.core.combination import (
     CombinationResult,
     DecisionLayer,
     build_combiner,
+    consulted_function_names,
+    decide_layer,
+    decided_edges,
+    decided_probabilities,
 )
 from repro.core.config import ResolverConfig
 from repro.core.decisions import FittedDecision
@@ -184,13 +188,16 @@ class FittedBlock:
         self._layer_cache: tuple[dict, list[DecisionLayer]] | None = None
 
     def decision_layers(
-        self, graphs: dict[str, WeightedPairGraph],
+        self, consulted: Sequence[FittedLayer],
+        graphs: dict[str, WeightedPairGraph],
     ) -> list[DecisionLayer]:
-        """Decision layers over ``graphs`` (consumes the fit-time cache)."""
+        """Decision layers of the ``consulted`` fitted layers over
+        ``graphs`` (consumes the fit-time cache)."""
         cache, self._layer_cache = self._layer_cache, None
         if cache is not None and cache[0] is graphs:
-            return cache[1]
-        return build_decision_layers(self.layers, graphs)
+            cached = {layer.label: layer for layer in cache[1]}
+            return [cached[layer.label] for layer in consulted]
+        return build_decision_layers(consulted, graphs)
 
     def layer_accuracies(self) -> dict[str, float]:
         """Per-layer training accuracy, keyed by layer label."""
@@ -234,84 +241,38 @@ def apply_fitted_decisions(
     decisions: Sequence[FittedDecision],
     graph: WeightedPairGraph,
 ) -> list[tuple[DecisionGraph, dict]]:
-    """Several fitted decisions over one similarity graph, in one pass.
+    """Several fitted decisions over one similarity graph: per decision,
+    the decision graph and the per-pair link probabilities.
 
-    The function × criterion grid applies every criterion of a function to
-    the *same* weighted graph; materializing all of them in a single pair
-    sweep avoids re-iterating the quadratic pair set per layer.  Decision
-    outcomes are memoized per distinct similarity value (decisions are
-    pure functions of the value, and blocks repeat values heavily — every
-    no-evidence pair scores 0.0), which cuts the per-pair criterion cost
-    without changing any outcome.
-
-    Per decision, edges and probabilities are inserted in the graph's pair
-    order — exactly the order a one-decision loop would produce, which
-    keeps this path bit-identical to the seed implementation.
+    The eager form of what a :class:`DecisionLayer` computes (edges up
+    front, probabilities on first read).  Per decision, edges and
+    probabilities are inserted in the graph's pair order — exactly the
+    order a pair-by-pair loop over ``decide`` / ``link_probability``
+    produces, which keeps this path bit-identical to the seed
+    implementation.
     """
-    results = [(DecisionGraph(nodes=list(graph.nodes)), {})
-               for _ in decisions]
-    memo: list[dict[float, tuple[float, bool]]] = [{} for _ in decisions]
-    for pair, value in graph.pairs():
-        for index, decision in enumerate(decisions):
-            outcome = memo[index].get(value)
-            if outcome is None:
-                outcome = (decision.link_probability(value),
-                           decision.decide(value))
-                memo[index][value] = outcome
-            decision_graph, probabilities = results[index]
-            probabilities[pair] = outcome[0]
-            if outcome[1]:
-                decision_graph.edges.add(pair)
-    return results
-
-
-def apply_fitted_decision(
-    decision: FittedDecision,
-    graph: WeightedPairGraph,
-) -> tuple[DecisionGraph, dict]:
-    """One fitted decision over one similarity graph: edges + probabilities.
-
-    The single definition of the edge rule shared by fit-time layer
-    building (:meth:`EntityResolver.build_layers`) and predict-time
-    re-application, which keeps fit/predict bit-identical by construction.
-    Grid callers batch several decisions per graph with
-    :func:`apply_fitted_decisions`.
-    """
-    return apply_fitted_decisions([decision], graph)[0]
+    return [(DecisionGraph(nodes=list(graph.nodes),
+                           edges=decided_edges(decision, graph)),
+             decided_probabilities(decision, graph))
+            for decision in decisions]
 
 
 def build_decision_layers(
-    fitted_layers: list[FittedLayer],
+    fitted_layers: Sequence[FittedLayer],
     graphs: dict[str, WeightedPairGraph],
 ) -> list[DecisionLayer]:
     """Apply fitted decisions to similarity graphs, yielding decision layers.
 
     This is the label-free half of :meth:`EntityResolver.build_layers`:
-    edges and probabilities come from the stored fitted decisions, and the
-    accuracy estimates are the stored training-time values.  Layers
-    sharing a function are applied to that function's graph in one batched
-    pair sweep; output order matches ``fitted_layers`` exactly.
+    edges and (deferred) probabilities come from the stored fitted
+    decisions, and the accuracy estimates are the stored training-time
+    values.  ``graphs`` need only cover the functions ``fitted_layers``
+    name; output order matches ``fitted_layers`` exactly.
     """
-    grouped: dict[str, list[int]] = {}
-    for index, fitted_layer in enumerate(fitted_layers):
-        grouped.setdefault(fitted_layer.function_name, []).append(index)
-
-    layers: list[DecisionLayer | None] = [None] * len(fitted_layers)
-    for function_name, indices in grouped.items():
-        graph = graphs[function_name]
-        applied = apply_fitted_decisions(
-            [fitted_layers[index].fitted for index in indices], graph)
-        for index, (decision_graph, probabilities) in zip(indices, applied):
-            fitted_layer = fitted_layers[index]
-            layers[index] = DecisionLayer(
-                function_name=fitted_layer.function_name,
-                criterion_name=fitted_layer.criterion_name,
-                graph=decision_graph,
-                probabilities=probabilities,
-                fitted=fitted_layer.fitted,
-                graph_accuracy=fitted_layer.graph_accuracy,
-            )
-    return layers
+    return [decide_layer(layer.function_name, layer.criterion_name,
+                         layer.fitted, graphs[layer.function_name],
+                         graph_accuracy=layer.graph_accuracy)
+            for layer in fitted_layers]
 
 
 @dataclass
@@ -523,6 +484,24 @@ class ResolverModel:
         """
         self._similarity_cache = cache
 
+    def consulted_layers(self, fitted: FittedBlock) -> list[FittedLayer]:
+        """The fitted layers the model's combiner reads for ``fitted``
+        (:meth:`Combiner.consulted_layers` over the stored parameters)."""
+        return self._combiner.consulted_layers(fitted.layers,
+                                               fitted.combiner_params)
+
+    def scoring_functions(
+        self, fitted: FittedBlock,
+        functions: Sequence[SimilarityFunction] | None = None,
+    ) -> list[SimilarityFunction]:
+        """The similarity functions a label-free pass over ``fitted``
+        needs: those of ``functions`` (default: the model's battery) that
+        a consulted layer decides over."""
+        names = set(consulted_function_names(self.consulted_layers(fitted)))
+        return [function for function in (self._functions if functions is None
+                                          else functions)
+                if function.name in names]
+
     def __contains__(self, query_name: object) -> bool:
         return query_name in self.blocks
 
@@ -560,7 +539,8 @@ class ResolverModel:
             pipeline: extraction pipeline (defaults to the model's).
             features: precomputed page features (skips extraction).
             graphs: precomputed weighted graphs (skips extraction and
-                similarity computation).
+                similarity computation); must cover at least the
+                functions the combiner consults.
             model_block: reuse the fitted state of a *different* name —
                 how a model serves names it was never fitted on.
             mask: candidate-pair mask restricting similarity computation
@@ -593,6 +573,11 @@ class ResolverModel:
         ``mask`` restricts the similarity computation when graphs are
         computed here (callers supplying ``graphs`` pre-masked pass
         none).
+
+        Only what the combiner consults (:meth:`consulted_layers`) is
+        scored and decided: under ``best_graph`` that is one similarity
+        function and one layer, whatever the size of the fitted grid.
+        ``layer_accuracies`` still reports every fitted layer.
         """
         if graphs is None:
             # The similarity cache is keyed by block content (and mask)
@@ -611,10 +596,10 @@ class ResolverModel:
                 else:
                     features = pipeline.extract_block(block)
             graphs = compute_similarity_graphs(
-                block, features, self._functions, cache=cache,
+                block, features, self.scoring_functions(fitted), cache=cache,
                 backend=self.config.backend, mask=mask)
 
-        layers = fitted.decision_layers(graphs)
+        layers = fitted.decision_layers(self.consulted_layers(fitted), graphs)
         combination = self._combiner.apply(layers, fitted.combiner_params)
         predicted = cluster_combination(
             self.config.clusterer, combination,
@@ -623,8 +608,7 @@ class ResolverModel:
             query_name=block.query_name,
             predicted=predicted,
             combination=combination,
-            layer_accuracies={layer.label: layer.training_accuracy
-                              for layer in layers},
+            layer_accuracies=fitted.layer_accuracies(),
         )
 
     def predict_collection(

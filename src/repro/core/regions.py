@@ -15,9 +15,19 @@ is "regions + per-region accuracy" (see :mod:`repro.core.decisions`).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Collection, Iterable, Sequence
+from functools import partial
+from itertools import repeat
 
 from repro.ml.kmeans import KMeans1D, kmeans_1d
+
+
+def _clamped(values: Collection[float]) -> Collection[float]:
+    """``values`` clamped into [0, 1] — the input itself when none stray."""
+    if values and (min(values) < 0.0 or max(values) > 1.0):
+        return [min(1.0, max(0.0, value)) for value in values]
+    return values
 
 
 class Regions(ABC):
@@ -31,6 +41,18 @@ class Regions(ABC):
     @abstractmethod
     def assign(self, value: float) -> int:
         """Region index of ``value`` (values outside [0, 1] are clamped)."""
+
+    def assign_all(self, values: Collection[float]) -> Iterable[int]:
+        """Region index of every value, in order (a one-shot iterable).
+
+        The bulk form of :meth:`assign` that decision layers sweep whole
+        similarity graphs with.  The built-in schemes override it with
+        loops that stay inside the interpreter's C code; this default
+        serves registered custom schemes through :meth:`assign`, once per
+        distinct value.
+        """
+        memo = {value: self.assign(value) for value in set(values)}
+        return map(memo.__getitem__, values)
 
     @abstractmethod
     def bounds(self, region: int) -> tuple[float, float]:
@@ -68,6 +90,13 @@ class EqualWidthRegions(Regions):
         value = min(1.0, max(0.0, value))
         index = int(value * self.n_bins)
         return min(index, self.n_bins - 1)  # value 1.0 joins the last bin
+
+    def assign_all(self, values: Collection[float]) -> Iterable[int]:
+        # int(v * n) as in assign (comparing v against k / n would round
+        # differently); index n, reached by 1.0 alone, joins the last bin.
+        bins = (*range(self.n_bins), self.n_bins - 1)
+        scaled = map(float(self.n_bins).__mul__, _clamped(values))
+        return map(bins.__getitem__, map(int, scaled))
 
     def bounds(self, region: int) -> tuple[float, float]:
         width = 1.0 / self.n_bins
@@ -111,6 +140,10 @@ class KMeansRegions(Regions):
     def assign(self, value: float) -> int:
         return self._model.assign(min(1.0, max(0.0, value)))
 
+    def assign_all(self, values: Collection[float]) -> Iterable[int]:
+        return map(partial(bisect_right, self._model.boundaries),
+                   _clamped(values))
+
     def bounds(self, region: int) -> tuple[float, float]:
         boundaries = self._model.boundaries
         low = 0.0 if region == 0 else boundaries[region - 1]
@@ -134,18 +167,24 @@ class ThresholdRegions(Regions):
 
     def __init__(self, threshold: float):
         self.threshold = threshold
+        self._n_regions = 1 if threshold > 1.0 or threshold <= 0.0 else 2
 
     @property
     def n_regions(self) -> int:
-        return 1 if self.threshold > 1.0 or self.threshold <= 0.0 else 2
+        return self._n_regions
 
     def assign(self, value: float) -> int:
-        if self.n_regions == 1:
+        if self._n_regions == 1:
             return 0
         return 1 if value >= self.threshold else 0
 
+    def assign_all(self, values: Collection[float]) -> Iterable[int]:
+        if self._n_regions == 1:
+            return repeat(0, len(values))
+        return map(float(self.threshold).__le__, values)  # False/True: 0/1
+
     def bounds(self, region: int) -> tuple[float, float]:
-        if self.n_regions == 1:
+        if self._n_regions == 1:
             return (0.0, 1.0)
         return (0.0, self.threshold) if region == 0 else (self.threshold, 1.0)
 

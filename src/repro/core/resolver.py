@@ -26,7 +26,11 @@ from __future__ import annotations
 import time
 import warnings
 
-from repro.core.combination import DecisionLayer, build_combiner
+from repro.core.combination import (
+    DecisionLayer,
+    build_combiner,
+    decide_layer,
+)
 from repro.core.config import ResolverConfig
 from repro.core.decisions import build_criteria
 from repro.core.labels import TrainingSample
@@ -36,8 +40,6 @@ from repro.core.model import (
     FittedBlock,
     FittedLayer,
     ResolverModel,
-    apply_fitted_decision,
-    apply_fitted_decisions,
     compute_similarity_graphs,
     resolve_extraction_pipeline,
 )
@@ -292,28 +294,20 @@ class EntityResolver:
         """Fit every (function, criterion) decision layer.
 
         Exposed for experiments that inspect or recombine layers directly
-        (Figure 1, the combiner ablation).  All criteria of one function
-        are applied to its graph in a single batched pair sweep
-        (:func:`~repro.core.model.apply_fitted_decisions`); layer order
-        stays function-outer, criterion-inner.
+        (Figure 1, the combiner ablation).  Every layer's edges are
+        decided here — acc(G_Dj) over them is the selection signal — while
+        its per-pair probabilities are computed when first read; layer
+        order stays function-outer, criterion-inner.
         """
         layers: list[DecisionLayer] = []
         for function in self._functions:
             graph = graphs[function.name]
             labeled_values = training.labeled_values(graph)
-            fitted_criteria = [criterion.fit(labeled_values)
-                               for criterion in self._criteria]
-            applied = apply_fitted_decisions(fitted_criteria, graph)
-            for criterion, fitted, (decision_graph, probabilities) in zip(
-                    self._criteria, fitted_criteria, applied):
-                layers.append(DecisionLayer(
-                    function_name=function.name,
-                    criterion_name=criterion.name,
-                    graph=decision_graph,
-                    probabilities=probabilities,
-                    fitted=fitted,
-                    graph_accuracy=_graph_accuracy(decision_graph, training),
-                ))
+            for criterion in self._criteria:
+                layer = decide_layer(function.name, criterion.name,
+                                     criterion.fit(labeled_values), graph)
+                layer.graph_accuracy = _graph_accuracy(layer.graph, training)
+                layers.append(layer)
         return layers
 
     # -- deprecated labeled-workflow wrappers ---------------------------

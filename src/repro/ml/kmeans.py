@@ -9,6 +9,7 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -33,14 +34,7 @@ class KMeans1D:
 
     def assign(self, value: float) -> int:
         """Index of the cluster ``value`` falls into (binary search)."""
-        low, high = 0, len(self.boundaries)
-        while low < high:
-            mid = (low + high) // 2
-            if value < self.boundaries[mid]:
-                high = mid
-            else:
-                low = mid + 1
-        return low
+        return bisect_right(self.boundaries, value)
 
 
 def kmeans_1d(values: Sequence[float], k: int, max_iterations: int = 100) -> KMeans1D:

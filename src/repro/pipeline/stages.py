@@ -153,14 +153,15 @@ class SimilarityStage(Stage):
 
 
 def _graphs_for_block(block, graphs: SimilarityGraphs, ctx: PipelineContext,
-                      cache: SimilarityCache):
+                      cache: SimilarityCache, functions=None):
     """One block's similarity graphs: materialized, or computed now.
 
     Features come from the feature artifact when materialized, else the
     block is extracted with the lazily resolved pipeline.  Fresh graphs
     run through ``cache`` for pair-granular accounting and reuse, and
     honor the block's candidate mask: a masked block's graphs carry
-    candidate edges only.
+    candidate edges only.  ``functions`` narrows a fresh computation to
+    the functions the consumer reads (default: the bound battery).
     """
     from repro.core.model import compute_similarity_graphs
 
@@ -171,7 +172,9 @@ def _graphs_for_block(block, graphs: SimilarityGraphs, ctx: PipelineContext,
     if features is None:
         pipeline = ctx.require_extraction(graphs.blocks.source)
         features = cache.features_for(block, pipeline.extract_block)
-    return compute_similarity_graphs(block, features, graphs.functions,
+    if functions is None:
+        functions = graphs.functions
+    return compute_similarity_graphs(block, features, functions,
                                      cache=cache, backend=graphs.backend,
                                      mask=graphs.blocks.mask_for(
                                          block.query_name))
@@ -347,9 +350,12 @@ class ClusterStage(Stage):
             block_started = time.perf_counter()
             hits_before = cache.pair_hits
             misses_before = cache.pair_misses
-            block_graphs = _graphs_for_block(block, graphs, ctx, cache)
-            results.append(serve(decisions.fitted[block.query_name], block,
-                                 graphs=block_graphs))
+            fitted = decisions.fitted[block.query_name]
+            # Only what the combiner consults is scored (and counted).
+            block_graphs = _graphs_for_block(
+                block, graphs, ctx, cache,
+                functions=model.scoring_functions(fitted, graphs.functions))
+            results.append(serve(fitted, block, graphs=block_graphs))
             stats.add_task(TaskStats(
                 query_name=block.query_name,
                 seconds=time.perf_counter() - block_started,

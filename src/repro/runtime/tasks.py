@@ -200,6 +200,8 @@ def run_predict_block(payload: PredictBlockTask) -> tuple[str, Any, TaskStats]:
     Rebuilds a single-block :class:`~repro.core.model.ResolverModel` in
     the worker and serves the payload block through the shipped fitted
     state (``model_block`` handles serving under a different name).
+    Graphs computed here cover only the functions the combiner consults
+    (see :meth:`~repro.core.model.ResolverModel.predict_fitted`).
     """
     from repro.core.model import ResolverModel
 

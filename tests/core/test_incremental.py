@@ -72,6 +72,33 @@ class TestFit:
         assignments = served.add_pages(held_features)
         assert len(assignments) == len(held_features)
 
+    def test_stored_winner_gone_falls_back_like_the_combiner(
+            self, split_block):
+        """from_model, from_fitted and batch predict agree on the layer
+        that decides once the stored winner left ``fitted.layers``."""
+        base, base_features, _, held_features = split_block
+        model = EntityResolver(ResolverConfig()).fit(
+            base, training_seed=0, features=base_features)
+        fitted = model.blocks[base.query_name]
+        winner = fitted.combiner_params["chosen_layer"]
+        fitted.layers = [layer for layer in fitted.layers
+                         if layer.label != winner]
+        runner_up = max(fitted.layers,
+                        key=lambda layer: layer.graph_accuracy)
+
+        prediction = model.predict_block(base, features=base_features)
+        assert prediction.chosen_layer == runner_up.label != winner
+
+        adopted = IncrementalResolver.from_model(model, base, base_features)
+        cold = IncrementalResolver.from_fitted(
+            model.config, fitted, base_features, prediction.predicted)
+        for resolver in (adopted, cold):
+            assert resolver.scoring_function_names() == [
+                runner_up.function_name]
+            assert resolver.clusters() == prediction.predicted
+        assert ([a.cluster_index for a in adopted.add_pages(held_features)]
+                == [a.cluster_index for a in cold.add_pages(held_features)])
+
     def test_use_before_fit(self):
         resolver = IncrementalResolver()
         with pytest.raises(RuntimeError, match="before fit"):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.model import (
-    apply_fitted_decision,
     apply_fitted_decisions,
     build_decision_layers,
     compute_similarity_graphs,
@@ -108,13 +107,13 @@ class TestBatchedDecisions:
             fitted_layer.label for fitted_layer in fitted.layers]
         for fitted_layer, layer in zip(fitted.layers, layers):
             graph = block_graphs[fitted_layer.function_name]
-            expected_graph, expected_probabilities = apply_fitted_decision(
-                fitted_layer.fitted, graph)
+            (expected_graph, expected_probabilities), = (
+                apply_fitted_decisions([fitted_layer.fitted], graph))
             assert layer.graph.edges == expected_graph.edges
             assert layer.probabilities == expected_probabilities
             assert list(layer.probabilities) == list(expected_probabilities)
 
-    def test_apply_fitted_decisions_memo_changes_nothing(self, small_block,
+    def test_apply_fitted_decisions_matches_scalar_rules(self, small_block,
                                                          block_graphs):
         from repro.core.config import ResolverConfig
         from repro.core.resolver import EntityResolver
