@@ -7,7 +7,8 @@
 # (serve --threads 4, with a mid-stream hot swap).  Exercise the
 # generic blocking path (--blocker token) with serial/parallel fit
 # parity.  Round-trip a streamed scale corpus (generate --dataset scale
-# -> jsonl -> fit -> predict).  Then run the runtime, serving and
+# -> jsonl -> fit -> predict).  Regenerate the golden fixtures and fail
+# on any diff.  Then run the runtime, serving and
 # scaling benchmarks at smoke scale and verify they emit well-formed
 # BENCH_runtime.json / BENCH_scaling.json.  Exercises the
 # full fit -> save -> predict -> serve lifecycle plus the execution
@@ -137,6 +138,14 @@ assert all(name.startswith("~block:") for name in serial["blocks"]), \
     "token blocking did not produce synthetic candidate components"
 print("--blocker token fitted state identical across executors")
 PY
+
+echo "== golden fixtures regenerate with no diff =="
+# The goldens freeze similarity values computed from extracted features;
+# an extraction or scoring change that moves a single bit shows up here
+# as a diff (an intentional one is committed with its change).
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/regenerate_goldens.py
+git diff --exit-code tests/data/golden || {
+    echo "regenerated goldens differ from the committed ones" >&2; exit 1; }
 
 echo "== runtime benchmark emits BENCH_runtime.json =="
 REPRO_BENCH_PAGES=16 REPRO_BENCH_RUNS=2 \

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from repro.blocking.base import Blocker, BlockingResult
 from repro.core.registry import register_blocker
 from repro.corpus.documents import WebPage
-from repro.extraction.tokenizer import is_capitalized, tokenize
+from repro.extraction.tokenizer import is_capitalized, page_tokens
 from repro.graph.entity_graph import pair_key
 
 
@@ -42,7 +42,7 @@ class TokenBlocker(Blocker):
         page_list = list(pages)
         index: dict[str, set[str]] = {}
         for page in page_list:
-            for token in set(self._keys(page)):
+            for token in self._keys(page):
                 index.setdefault(token, set()).add(page.doc_id)
 
         result = BlockingResult(pages=page_list)
@@ -56,13 +56,10 @@ class TokenBlocker(Blocker):
                     result.candidate_pairs.add(pair_key(left, right))
         return result
 
-    def _keys(self, page: WebPage) -> list[str]:
-        tokens = tokenize(f"{page.title}. {page.text}")
-        keys = []
-        for token in tokens:
-            if len(token) < self.min_token_length:
-                continue
-            if self.entity_tokens_only and not is_capitalized(token):
-                continue
-            keys.append(token.lower())
-        return keys
+    def _keys(self, page: WebPage) -> set[str]:
+        """The page's distinct blocking keys, from one pass over its text."""
+        shortest = self.min_token_length
+        entity_only = self.entity_tokens_only
+        return {token.lower() for token in set(page_tokens(page))
+                if len(token) >= shortest
+                and (not entity_only or is_capitalized(token))}

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Iterable
+from itertools import chain
 
 from repro.core.combination import (
     DecisionLayer,
@@ -46,7 +48,6 @@ from repro.core.model import (
 from repro.corpus.documents import DocumentCollection, NameCollection
 from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
-from repro.graph.components import UnionFind
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.ml.sampling import sample_training_pairs
 from repro.runtime.executor import BlockExecutor, executor_from_config
@@ -61,7 +62,19 @@ __all__ = [
 ]
 
 
-def _graph_accuracy(graph: DecisionGraph, training: TrainingSample) -> float:
+def _node_numbers(nodes: Iterable[str],
+                  training: TrainingSample) -> dict[str, int]:
+    """Dense integer ids for a block's pages, in block order (pages only
+    the training sample names come after)."""
+    numbers: dict[str, int] = {}
+    for node in chain(nodes, chain.from_iterable(
+            pair for pair, _ in training.pairs)):
+        numbers.setdefault(node, len(numbers))
+    return numbers
+
+
+def _graph_accuracy(graph: DecisionGraph, training: TrainingSample,
+                    numbers: dict[str, int] | None = None) -> float:
     """acc(G_Dj): agreement of the graph's *implied* equivalence with the
     training labels.
 
@@ -69,15 +82,36 @@ def _graph_accuracy(graph: DecisionGraph, training: TrainingSample) -> float:
     is the closure, §IV-C), so an over-linking graph whose chains merge
     distinct persons scores poorly even if its individual edge decisions
     looked fine in isolation.
+
+    Args:
+        numbers: :func:`_node_numbers` of the graph's nodes, for callers
+            scoring many graphs over the same block.
     """
     if not training.pairs:
         return 0.0
-    forest = UnionFind(graph.nodes)
+    if numbers is None:
+        numbers = _node_numbers(graph.nodes, training)
+    # Union-find over the integer ids; find() halves paths as it climbs.
+    parent = list(range(len(numbers)))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
     for left, right in graph.edges:
-        forest.union(left, right)
+        left, right = numbers[left], numbers[right]
+        # find(), inlined twice: this loop runs once per decided edge of
+        # every (function x criterion) layer.
+        while parent[left] != left:
+            parent[left] = left = parent[parent[left]]
+        while parent[right] != right:
+            parent[right] = right = parent[parent[right]]
+        parent[left] = right
+    roots = [find(node) for node in range(len(parent))]
     correct = sum(
         1 for (left, right), label in training.pairs
-        if forest.connected(left, right) == label
+        if (roots[numbers[left]] == roots[numbers[right]]) == label
     )
     return correct / len(training.pairs)
 
@@ -300,13 +334,17 @@ class EntityResolver:
         order stays function-outer, criterion-inner.
         """
         layers: list[DecisionLayer] = []
+        numbers = _node_numbers(
+            chain.from_iterable(graphs[function.name].nodes
+                                for function in self._functions), training)
         for function in self._functions:
             graph = graphs[function.name]
             labeled_values = training.labeled_values(graph)
             for criterion in self._criteria:
                 layer = decide_layer(function.name, criterion.name,
                                      criterion.fit(labeled_values), graph)
-                layer.graph_accuracy = _graph_accuracy(layer.graph, training)
+                layer.graph_accuracy = _graph_accuracy(layer.graph, training,
+                                                       numbers)
                 layers.append(layer)
         return layers
 

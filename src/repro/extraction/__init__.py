@@ -4,7 +4,7 @@ The paper preprocesses every page with third-party IE services (AlchemyAPI,
 GATE, OpenCalais, SemanticHacker, Lucene).  This package implements the
 same capabilities from scratch: tokenization, dictionary-based named-entity
 recognition, concept spotting with weighted concept vectors, and TF-IDF
-document vectors.  Similarity functions consume the resulting
+document vectors — all from one read of each page.  Similarity functions consume the resulting
 :class:`~repro.extraction.features.PageFeatures`, never raw pages —
 matching the paper's architecture.
 """
@@ -15,7 +15,7 @@ from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.concepts import ConceptExtractor
 from repro.extraction.tfidf import TfidfVectorizer
 from repro.extraction.features import PageFeatures
-from repro.extraction.pipeline import ExtractionPipeline
+from repro.extraction.pipeline import BlockContext, ExtractionPipeline
 
 __all__ = [
     "tokenize",
@@ -28,5 +28,6 @@ __all__ = [
     "ConceptExtractor",
     "TfidfVectorizer",
     "PageFeatures",
+    "BlockContext",
     "ExtractionPipeline",
 ]

@@ -11,6 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 
+from repro.extraction.phrases import PhraseMatcher
+from repro.extraction.tokenizer import lower_all
+
 
 class ConceptExtractor:
     """Spots known concept phrases in page text.
@@ -20,14 +23,7 @@ class ConceptExtractor:
     """
 
     def __init__(self, concepts: Iterable[str]):
-        self._index: dict[str, set[tuple[str, ...]]] = {}
-        self.max_len = 1
-        for concept in concepts:
-            tokens = tuple(concept.lower().split())
-            if not tokens:
-                continue
-            self._index.setdefault(tokens[0], set()).add(tokens)
-            self.max_len = max(self.max_len, len(tokens))
+        self._matcher = PhraseMatcher(concept.lower() for concept in concepts)
 
     def extract_counts(self, tokens: list[str]) -> Counter:
         """Concept phrase -> occurrence count for a page.
@@ -35,24 +31,24 @@ class ConceptExtractor:
         Args:
             tokens: the page's tokens (any case; matching is lowercased).
         """
-        lowered = [token.lower() for token in tokens]
+        return self.spot(lower_all(tokens))
+
+    def spot(self, lowered: list[str]) -> Counter:
+        """:meth:`extract_counts` over already lower-cased tokens.
+
+        Only positions whose token begins a concept are visited; a match
+        consumes its span, so concepts never overlap.
+        """
+        matcher = self._matcher
         counts: Counter = Counter()
-        position = 0
-        n_tokens = len(lowered)
-        while position < n_tokens:
-            candidates = self._index.get(lowered[position])
-            matched = False
-            if candidates:
-                limit = min(self.max_len, n_tokens - position)
-                for length in range(limit, 0, -1):
-                    window = tuple(lowered[position:position + length])
-                    if window in candidates:
-                        counts[" ".join(window)] += 1
-                        position += length
-                        matched = True
-                        break
-            if not matched:
-                position += 1
+        free = 0  # first position no earlier match has consumed
+        for position in matcher.starts(lowered):
+            if position < free:
+                continue
+            match = matcher.match_at(lowered, position)
+            if match is not None:
+                counts[" ".join(match)] += 1
+                free = position + len(match)
         return counts
 
     @staticmethod

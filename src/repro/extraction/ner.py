@@ -18,7 +18,13 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.extraction.tokenizer import is_capitalized, is_initial, tokenize
+from repro.extraction.phrases import PhraseMatcher
+from repro.extraction.tokenizer import (
+    capitalized_positions,
+    is_capitalized,
+    is_initial,
+    tokenize,
+)
 
 
 @dataclass(frozen=True)
@@ -48,34 +54,6 @@ class NerResult:
         return Counter(mention.surface for mention in self.persons)
 
 
-class _PhraseMatcher:
-    """Greedy longest-match phrase matcher over token sequences."""
-
-    def __init__(self, phrases: Iterable[str]):
-        self._index: dict[str, set[tuple[str, ...]]] = {}
-        self.max_len = 1
-        for phrase in phrases:
-            tokens = tuple(phrase.split())
-            if not tokens:
-                continue
-            self._index.setdefault(tokens[0], set()).add(tokens)
-            self.max_len = max(self.max_len, len(tokens))
-
-    def match_at(self, tokens: list[str], position: int) -> tuple[str, ...] | None:
-        """Longest phrase starting at ``position``, or None."""
-        candidates = self._index.get(tokens[position])
-        if not candidates:
-            return None
-        best: tuple[str, ...] | None = None
-        limit = min(self.max_len, len(tokens) - position)
-        for length in range(limit, 0, -1):
-            window = tuple(tokens[position:position + length])
-            if window in candidates:
-                best = window
-                break
-        return best
-
-
 class DictionaryNer:
     """Gazetteer + pattern NER over tokenized page text.
 
@@ -94,8 +72,8 @@ class DictionaryNer:
         first_names: Iterable[str] = (),
         known_surnames: Iterable[str] = (),
     ):
-        self._org_matcher = _PhraseMatcher(organizations)
-        self._loc_matcher = _PhraseMatcher(locations)
+        self._org_matcher = PhraseMatcher(organizations)
+        self._loc_matcher = PhraseMatcher(locations)
         self._first_names = set(first_names)
         self._known_surnames = set(known_surnames)
 
@@ -106,38 +84,33 @@ class DictionaryNer:
     def extract_tokens(self, tokens: list[str]) -> NerResult:
         """Run NER over an already tokenized page.
 
-        Matching priority at each position: organizations, then locations,
-        then person patterns.  Matched spans are consumed so one token never
-        contributes to two entities.
+        Every entity starts on a capitalized token, so only those
+        positions are visited.  Matching priority at each: organizations,
+        then locations, then person patterns.  Matched spans are consumed
+        so one token never contributes to two entities.
         """
         result = NerResult()
-        position = 0
-        n_tokens = len(tokens)
-        while position < n_tokens:
-            token = tokens[position]
-            if not is_capitalized(token):
-                position += 1
+        free = 0  # first position no earlier match has consumed
+        for position in capitalized_positions(tokens):
+            if position < free:
                 continue
 
             org = self._org_matcher.match_at(tokens, position)
             if org is not None:
                 result.organizations[" ".join(org)] += 1
-                position += len(org)
+                free = position + len(org)
                 continue
 
             loc = self._loc_matcher.match_at(tokens, position)
             if loc is not None:
                 result.locations[" ".join(loc)] += 1
-                position += len(loc)
+                free = position + len(loc)
                 continue
 
             mention, consumed = self._match_person(tokens, position)
             if mention is not None:
                 result.persons.append(mention)
-                position += consumed
-                continue
-
-            position += 1
+                free = position + consumed
         return result
 
     def _match_person(self, tokens: list[str],

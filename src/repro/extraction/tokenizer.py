@@ -30,9 +30,34 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
+def page_tokens(page) -> list[str]:
+    """Tokens of a page's title and body, the text every extractor reads.
+
+    ``page`` is anything with ``title`` and ``text`` strings.  The
+    separator keeps the last title word and the first body word apart.
+    """
+    return _TOKEN.findall(f"{page.title}. {page.text}")
+
+
+def lower_all(tokens: list[str]) -> list[str]:
+    """``tokens`` lower-cased one by one, positions preserved.
+
+    Per token and never over joined or raw text: ``str.lower`` can change
+    a string's length (``'İ'``) or turn a non-letter into an ASCII letter
+    (the Kelvin sign), which would shift token boundaries.
+    """
+    return list(map(str.lower, tokens))
+
+
 def lower_tokens(text: str) -> list[str]:
     """Lowercased tokens, for term-frequency style processing."""
-    return [token.lower() for token in tokenize(text)]
+    return lower_all(tokenize(text))
+
+
+def capitalized_positions(tokens: list[str]) -> list[int]:
+    """Indices of the tokens :func:`is_capitalized` accepts."""
+    return [position for position, token in enumerate(tokens)
+            if token[:1].isupper()]
 
 
 def is_capitalized(token: str) -> bool:

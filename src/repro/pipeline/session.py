@@ -53,7 +53,7 @@ from repro.core.incremental import (
 from repro.core.model import ResolverModel
 from repro.corpus.documents import NameCollection, WebPage
 from repro.extraction.features import PageFeatures
-from repro.extraction.pipeline import ExtractionPipeline
+from repro.extraction.pipeline import BlockContext, ExtractionPipeline
 from repro.metrics.clusterings import Clustering
 from repro.runtime.stats import LatencyReservoir
 
@@ -145,9 +145,14 @@ class _PreparedBlock:
 
     query_name: str
     incremental: IncrementalResolver | None = None
-    #: raw pages seen so far — the extraction context for new pages
-    #: (TF-IDF is fit per block, so a page is extracted among its block).
+    #: raw pages seen so far, in joining order.
     pages: list[WebPage] = field(default_factory=list)
+    #: extraction context of the first ``context.n_pages`` of ``pages``
+    #: (TF-IDF is weighed per block, so a new page is extracted among
+    #: its block).  Pages that joined with precomputed features are
+    #: folded in when a raw page next needs it; ``None`` is the context
+    #: that trails by every page.
+    context: BlockContext | None = None
 
 
 def assignments_from_partition(
@@ -272,8 +277,10 @@ class ResolutionSession:
         started = time.perf_counter()
         page_list = self._normalize(pages)
         grouped: OrderedDict[str, list[WebPage]] = OrderedDict()
+        routed_keys: dict[str, set[str]] = {}
         for page in page_list:
-            grouped.setdefault(self._route(page), []).append(page)
+            grouped.setdefault(self._route(page, routed_keys),
+                               []).append(page)
 
         # Fail atomically: an unknown name must reject the request
         # before any page is assigned, or a retry of the same request
@@ -293,7 +300,8 @@ class ResolutionSession:
             if prepared is None:
                 prepared = self._bootstrap_empty(query_name)
             for page in group:
-                assignment = self._assign(prepared, page, features)
+                assignment = self._assign(prepared, page, features,
+                                          routed_keys)
                 by_doc[assignment.doc_id] = assignment
 
         self.stats.record_request(time.perf_counter() - started,
@@ -323,12 +331,14 @@ class ResolutionSession:
         prepared = self._lookup(block.query_name)
         if prepared is not None and prepared.incremental is not None:
             return prepared.incremental.clusters()
-        incremental = self._build_incremental(
-            block, self._block_features(block, features), graphs=graphs)
+        block_features, context = self._block_features(block, features)
+        incremental = self._build_incremental(block, block_features,
+                                              graphs=graphs)
         self._store(_PreparedBlock(
             query_name=block.query_name,
             incremental=incremental,
             pages=list(block.pages),
+            context=context,
         ))
         return incremental.clusters()
 
@@ -369,11 +379,17 @@ class ResolutionSession:
             return list(pages.pages)
         return list(pages)
 
-    def _route(self, page: WebPage) -> str:
-        """The block name serving ``page`` (its own, or a routed one)."""
+    def _route(self, page: WebPage, routed_keys: dict[str, set[str]]) -> str:
+        """The block name serving ``page`` (its own, or a routed one).
+
+        A nameless page's blocking keys are left in ``routed_keys`` (by
+        doc id) for :meth:`_index_pages`, which would otherwise tokenise
+        the page a second time.
+        """
         if page.query_name:
             return page.query_name
-        routed = self._route_unnamed(page)
+        keys = routed_keys[page.doc_id] = self._token_blocker._keys(page)
+        routed = self._route_unnamed(keys)
         if routed is None:
             raise KeyError(
                 f"page {page.doc_id!r} has no query name and shares no "
@@ -383,8 +399,8 @@ class ResolutionSession:
         self.stats.routed_pages += 1
         return routed
 
-    def _route_unnamed(self, page: WebPage) -> str | None:
-        """Best token-blocking candidate name for a nameless page.
+    def _route_unnamed(self, keys: set[str]) -> str | None:
+        """Best token-blocking candidate name for a nameless page's keys.
 
         Keys appearing under more than ``max_block_fraction`` of the
         indexed names are stop-keys (the session analogue of
@@ -395,7 +411,7 @@ class ResolutionSession:
         stop = max(1, int(self._token_blocker.max_block_fraction
                           * len(self._keys_by_name)))
         votes: dict[str, int] = {}
-        for key in set(self._token_blocker._keys(page)):
+        for key in keys:
             names = self._token_index.get(key, ())
             if len(names) > stop:
                 continue
@@ -407,12 +423,18 @@ class ResolutionSession:
         # routing deterministic.
         return min(votes, key=lambda name: (-votes[name], name))
 
-    def _index_pages(self, query_name: str,
-                     pages: Iterable[WebPage]) -> None:
+    def _index_pages(self, query_name: str, pages: Iterable[WebPage],
+                     routed_keys: dict[str, set[str]] | None = None) -> None:
+        """Index ``pages`` under ``query_name``; ``routed_keys`` holds the
+        keys :meth:`_route` already computed, by doc id."""
+        known = routed_keys or {}
         keys = self._keys_by_name.setdefault(query_name, set())
         for page in pages:
-            for key in set(self._token_blocker._keys(page)):
-                keys.add(key)
+            page_keys = known.get(page.doc_id)
+            if page_keys is None:
+                page_keys = self._token_blocker._keys(page)
+            keys.update(page_keys)
+            for key in page_keys:
                 self._token_index.setdefault(key, set()).add(query_name)
 
     def _unindex(self, query_name: str) -> None:
@@ -504,44 +526,69 @@ class ResolutionSession:
         return prepared
 
     def _assign(self, prepared: _PreparedBlock, page: WebPage,
-                features: dict[str, PageFeatures] | None) -> Assignment:
-        page_features = (features or {}).get(page.doc_id)
-        if page_features is None:
-            page_features = self._extract_page(prepared, page)
-        assignment = prepared.incremental.add_page(page_features)
-        prepared.pages.append(page)
-        self._index_pages(prepared.query_name, [page])
+                features: dict[str, PageFeatures] | None,
+                routed_keys: dict[str, set[str]]) -> Assignment:
+        assignment = self._add_page(prepared, page,
+                                    (features or {}).get(page.doc_id))
+        self._index_pages(prepared.query_name, [page], routed_keys)
         self.stats.incremental_assignments += 1
         if assignment.created_new_cluster:
             self.stats.new_entities += 1
+        return assignment
+
+    def _add_page(self, prepared: _PreparedBlock, page: WebPage,
+                  page_features: PageFeatures | None,
+                  scores: dict | None = None) -> Assignment:
+        """Add ``page`` to a prepared block: extract (unless it came with
+        features), assign, record.  ``scores`` as for ``add_page``."""
+        try:
+            if page_features is None:
+                page_features = self._extract_page(prepared, page)
+            assignment = prepared.incremental.add_page(page_features,
+                                                       scores=scores)
+        except BaseException:
+            # Extraction counted the page into the context, but it never
+            # joined ``pages``; rebuild the context on next use.
+            prepared.context = None
+            raise
+        prepared.pages.append(page)
         return assignment
 
     def _extract_page(self, prepared: _PreparedBlock,
                       page: WebPage) -> PageFeatures:
         """Extract one new page in the context of its current block.
 
-        TF-IDF is fit per block, so the page is extracted together with
-        the pages already served for the name.
+        TF-IDF is weighed per block, so the page is extracted among the
+        pages already served for the name.  Only the new page is read:
+        the earlier ones are in ``prepared.context`` already, bar those
+        that joined with precomputed features since it was last used.
         """
         if self.extraction is None:
             raise ValueError(
                 "session has no extraction pipeline; pass pipeline= at "
                 "construction or precomputed features to resolve()")
-        block = NameCollection(query_name=prepared.query_name,
-                               pages=prepared.pages + [page])
-        return self.extraction.extract_block(block)[page.doc_id]
+        context = prepared.context
+        if context is None:
+            context = prepared.context = self.extraction.block_context(
+                prepared.query_name)
+        self.extraction.fold(prepared.pages[context.n_pages:], context)
+        block = NameCollection(query_name=prepared.query_name, pages=[page])
+        return self.extraction.extract_block(block, context)[page.doc_id]
 
     def _block_features(
         self, block: NameCollection,
         features: dict[str, PageFeatures] | None,
-    ) -> dict[str, PageFeatures]:
+    ) -> tuple[dict[str, PageFeatures], BlockContext | None]:
+        """A bootstrap block's features, and the extraction context they
+        were weighed in (``None`` when they came precomputed)."""
         if features is not None:
             covered = {page.doc_id: features[page.doc_id]
                        for page in block.pages if page.doc_id in features}
             if len(covered) == len(block.pages):
-                return covered
+                return covered, None
         if self.extraction is None:
             raise ValueError(
                 "session has no extraction pipeline; pass pipeline= at "
                 "construction or features covering the whole block")
-        return self.extraction.extract_block(block)
+        context = self.extraction.block_context(block.query_name)
+        return self.extraction.extract_block(block, context), context

@@ -461,8 +461,10 @@ class ServingEngine:
         snapshot = self._snapshot
         session = snapshot.session
         grouped: "OrderedDict[str, list[WebPage]]" = OrderedDict()
+        routed_keys: dict[str, set[str]] = {}
         for page in page_list:
-            grouped.setdefault(session._route(page), []).append(page)
+            grouped.setdefault(session._route(page, routed_keys),
+                               []).append(page)
         # Atomic rejection, exactly like the session: an unknown name
         # fails the whole request before any admission effect.
         for query_name in grouped:
@@ -480,7 +482,7 @@ class ServingEngine:
                 self.stats.lru_misses += 1
             else:
                 self.stats.lru_hits += 1
-            session._index_pages(query_name, group)
+            session._index_pages(query_name, group, routed_keys)
             self._seq += 1
             lane = self._lanes.get(query_name)
             if lane is None:
@@ -595,11 +597,12 @@ class ServingEngine:
                 if mode == "batch":
                     block = NameCollection(query_name=prepared.query_name,
                                            pages=list(first.pages))
-                    block_features = session._block_features(block,
-                                                             first.features)
+                    block_features, context = session._block_features(
+                        block, first.features)
                     prepared.incremental = session._build_incremental(
                         block, block_features)
                     prepared.pages.extend(first.pages)
+                    prepared.context = context
                     assignments, new_entities = assignments_from_partition(
                         prepared.incremental.clusters(), first.pages)
                     with self._stats_lock:
@@ -629,7 +632,8 @@ class ServingEngine:
         # Coalesce only when the whole batch arrives with features; a
         # page needing extraction must be extracted *after* its
         # predecessors joined the block (TF-IDF context), which forces
-        # the sequential path.
+        # the sequential path — one page's work each, the context grows
+        # with the block.
         scores = None
         if work and all(page is not None for page in provided):
             scores = coalesced_pair_scores(incremental,
@@ -645,10 +649,8 @@ class ServingEngine:
         by_unit: dict[int, list[Assignment]] = {
             id(unit): [] for unit in units}
         for (unit, page), page_features in zip(work, provided):
-            if page_features is None:
-                page_features = session._extract_page(prepared, page)
-            assignment = incremental.add_page(page_features, scores=scores)
-            prepared.pages.append(page)
+            assignment = session._add_page(prepared, page, page_features,
+                                           scores)
             by_unit[id(unit)].append(assignment)
             with self._stats_lock:
                 session.stats.incremental_assignments += 1

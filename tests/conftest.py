@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.extraction.pipeline as extraction_pipeline
 from repro.core.resolver import compute_similarity_graphs
 from repro.corpus.datasets import www05_like
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
@@ -63,3 +64,18 @@ def block_graphs(small_block, block_features):
 def tiny_generator():
     """A generator with a tiny page budget for structure-level tests."""
     return CorpusGenerator(GeneratorConfig(pages_per_name=12, max_clusters=4))
+
+
+@pytest.fixture()
+def page_reads(monkeypatch):
+    """Doc ids of the pages the extraction pipeline tokenises, in order,
+    from the moment the fixture is requested."""
+    reads: list[str] = []
+    page_tokens = extraction_pipeline.page_tokens
+
+    def counting(page):
+        reads.append(page.doc_id)
+        return page_tokens(page)
+
+    monkeypatch.setattr(extraction_pipeline, "page_tokens", counting)
+    return reads

@@ -1,15 +1,19 @@
 """End-to-end resolver tests (Algorithm 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ResolverConfig
 from repro.core.labels import TrainingSample
 from repro.core.resolver import (
     EntityResolver,
     _graph_accuracy,
+    _node_numbers,
     compute_similarity_graphs,
 )
-from repro.graph.entity_graph import DecisionGraph
+from repro.graph.components import UnionFind
+from repro.graph.entity_graph import DecisionGraph, pair_key
 from repro.graph.validation import is_partition
 from repro.metrics.clusterings import clustering_from_assignments
 from repro.similarity.functions import default_functions
@@ -45,6 +49,33 @@ class TestGraphAccuracy:
     def test_empty_training(self):
         graph = DecisionGraph(nodes=["a"])
         assert _graph_accuracy(graph, TrainingSample.from_pairs([])) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_closure_equals_string_union_find(self, data):
+        """The closure on integer parent arrays — with or without a
+        shared numbering — gives the accuracy of the seed's per-layer
+        string-keyed ``UnionFind``."""
+        nodes = [f"n{index}" for index in range(
+            data.draw(st.integers(min_value=2, max_value=9)))]
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)) \
+            .filter(lambda pair: pair[0] != pair[1]) \
+            .map(lambda pair: pair_key(*pair))
+        graph = DecisionGraph.from_pairs(
+            nodes, data.draw(st.sets(pairs, max_size=12)))
+        training = TrainingSample.from_pairs(data.draw(st.lists(
+            st.tuples(pairs, st.booleans()), min_size=1, max_size=10)))
+
+        forest = UnionFind(graph.nodes)
+        for left, right in graph.edges:
+            forest.union(left, right)
+        expected = sum(forest.connected(left, right) == label
+                       for (left, right), label in training.pairs) \
+            / len(training.pairs)
+
+        assert _graph_accuracy(graph, training) == expected
+        numbers = _node_numbers(reversed(nodes), training)
+        assert _graph_accuracy(graph, training, numbers) == expected
 
 
 class TestResolveBlock:

@@ -83,6 +83,30 @@ class TestEdgeCases:
         assert bundle.closest_name_to_query == ""
         assert bundle.organizations == Counter()
 
+    def test_page_without_tokens(self):
+        page = WebPage(doc_id="x/0", query_name="Jane Roe", url="u",
+                       title="", text="")
+        block = NameCollection(query_name="Jane Roe", pages=[page])
+        bundle = ExtractionPipeline().extract_block(block)["x/0"]
+        assert bundle.n_tokens == 0
+        assert bundle.tfidf == {} and bundle.concept_vector == {}
+
+    def test_all_stopword_page_has_empty_tfidf(self):
+        pipeline = ExtractionPipeline(extra_stopwords=["filler"])
+        bundle = pipeline.extract_block(
+            self.make_block("the and of Filler a I"))["x/0"]
+        assert bundle.tfidf == {}
+        assert bundle.n_tokens == 7  # the title "t" included
+
+    def test_non_ascii_text_is_never_lowercased_raw(self):
+        # str.lower() would make "i" + combining dot of 'İ' and an ASCII
+        # "k" of the Kelvin sign; neither is a token of this page.
+        pipeline = ExtractionPipeline()
+        bundle = pipeline.extract_block(
+            self.make_block("\u0130stanbul 300 \u212a"))["x/0"]
+        assert bundle.n_tokens == 2
+        assert set(bundle.tfidf) == {"stanbul"}  # title "t" is too short
+
     def test_full_form_preferred_over_bare_surname(self):
         pipeline = ExtractionPipeline(first_names=["Jane"],
                                       known_surnames=["Roe"])

@@ -1,6 +1,7 @@
 """TF-IDF vectorizer tests."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -87,3 +88,36 @@ class TestFitTransform:
         vectors = first.fit_transform(DOCS)
         second = TfidfVectorizer().fit(DOCS)
         assert vectors == [second.transform(doc) for doc in DOCS]
+
+
+class TestRunningStatistics:
+    def test_observing_one_by_one_equals_fit(self):
+        fitted = TfidfVectorizer().fit(DOCS)
+        running = TfidfVectorizer()
+        for doc in DOCS:
+            running.observe(running.count_terms(doc))
+        assert running.n_documents == len(DOCS)
+        for doc in DOCS + [["alpha", "brandnew"]]:
+            ours, expected = running.transform(doc), fitted.transform(doc)
+            assert list(ours.items()) == list(expected.items())
+
+    def test_weights_follow_the_running_counts(self):
+        vectorizer = TfidfVectorizer()
+        counts = vectorizer.count_terms(["alpha", "beta", "beta"])
+        vectorizer.observe(counts)
+        alone = vectorizer.weigh(counts)
+        vectorizer.observe(vectorizer.count_terms(["alpha"]))
+        # "alpha" is now in both documents, "beta" in one of two
+        assert vectorizer.weigh(counts)["alpha"] < alone["alpha"]
+
+    def test_refit_forgets_earlier_documents(self):
+        vectorizer = TfidfVectorizer().fit(DOCS)
+        vectorizer.fit(DOCS[:1])
+        assert vectorizer.n_documents == 1
+        assert vectorizer.vocabulary_size == 3
+
+    def test_count_terms_filters_once_for_both_uses(self):
+        vectorizer = TfidfVectorizer(stopwords=frozenset({"the"}))
+        counts = vectorizer.count_terms(["the", "a", "acme", "acme", "labs"])
+        assert counts == {"acme": 2, "labs": 1}
+        assert vectorizer.weigh(Counter()) == {}

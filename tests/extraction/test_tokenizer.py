@@ -1,9 +1,14 @@
 """Tokenizer tests."""
 
+from types import SimpleNamespace
+
 from repro.extraction.tokenizer import (
+    capitalized_positions,
     is_capitalized,
     is_initial,
+    lower_all,
     lower_tokens,
+    page_tokens,
     sentences,
     tokenize,
 )
@@ -52,6 +57,49 @@ class TestSentences:
 class TestLowerTokens:
     def test_lowercases(self):
         assert lower_tokens("Acme Labs") == ["acme", "labs"]
+
+
+class TestLowerAll:
+    def test_no_tokens(self):
+        # not [''], which joining, lowering and re-splitting would give
+        assert lower_all([]) == []
+
+    def test_positions_survive_length_changing_lowercase(self):
+        # 'İ'.lower() is two code points; each token is lowered alone
+        tokens = ["\u0130stanbul", "Acme", "\u212a", "O'Neil", "x-Ray"]
+        assert lower_all(tokens) == [token.lower() for token in tokens]
+        assert len(lower_all(tokens)) == len(tokens)
+
+
+class TestPageTokens:
+    def page(self, title, text):
+        return SimpleNamespace(title=title, text=text)
+
+    def test_title_and_text_do_not_merge(self):
+        assert page_tokens(self.page("Acme", "Labs")) == ["Acme", "Labs"]
+
+    def test_empty_title_or_text(self):
+        assert page_tokens(self.page("", "")) == []
+        assert page_tokens(self.page("", "body")) == ["body"]
+        assert page_tokens(self.page("Title", "")) == ["Title"]
+
+    def test_case_is_read_from_the_raw_text(self):
+        # Lower-casing the raw text first would turn the Kelvin sign into
+        # the ASCII letter 'k' and 'İ' into 'i' + a combining dot: two
+        # tokens that are not on the page.
+        page = self.page("\u0130stanbul", "300 \u212a")
+        assert page_tokens(page) == ["stanbul"]
+
+
+class TestCapitalizedPositions:
+    def test_matches_is_capitalized(self):
+        tokens = ["Acme", "labs", "J", "", "\u00c9cole", "x-Ray", "'s", "B"]
+        assert capitalized_positions(tokens) == [
+            position for position, token in enumerate(tokens)
+            if is_capitalized(token)]
+
+    def test_no_tokens(self):
+        assert capitalized_positions([]) == []
 
 
 class TestPredicates:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.blocking.base import Blocker, BlockingResult, pairs_within
+from repro.blocking.token_blocking import TokenBlocker
 from repro.core.config import ResolverConfig
 from repro.core.registry import BLOCKERS, register_blocker
 from repro.core.resolver import EntityResolver
@@ -18,6 +19,7 @@ from repro.pipeline.session import ResolutionSession
 from repro.pipeline.stage import PipelineContext
 from repro.pipeline.stages import BlockingStage
 from repro.runtime.executor import executor_for_workers
+from repro.serving.engine import ServingEngine
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +177,36 @@ class TestSessionRouting:
         assert nameless.doc_id in {
             doc_id for cluster in session.clusters(block.query_name)
             for doc_id in cluster}
+
+    def test_nameless_page_is_tokenised_once_per_request(self, dataset,
+                                                         monkeypatch):
+        """Routing hands its blocking keys to the index; neither the
+        session nor the engine's admission reads the page a second time,
+        and the index ends up as if the page had arrived named."""
+        model = EntityResolver(ResolverConfig()).fit(dataset,
+                                                     training_seed=0)
+        pipeline = EntityResolver().pipeline_for(dataset)
+        block = dataset.collections[0]
+        pages = list(block.pages)
+        nameless = replace(pages[-1], query_name="")
+        keyed = []
+        keys_of = TokenBlocker._keys
+        monkeypatch.setattr(
+            TokenBlocker, "_keys",
+            lambda self, page: keyed.append(page.doc_id) or keys_of(self,
+                                                                    page))
+        named = ResolutionSession(model, pipeline=pipeline)
+        named.resolve(pages)
+        for front in (ResolutionSession(model, pipeline=pipeline),
+                      ServingEngine(model, pipeline=pipeline)):
+            front.resolve(pages[:-1])
+            del keyed[:]
+            front.resolve(nameless)
+            assert keyed == [nameless.doc_id]
+            session = (front.snapshot.session
+                       if isinstance(front, ServingEngine) else front)
+            assert session._keys_by_name == named._keys_by_name
+            assert session._token_index == named._token_index
 
     def test_boilerplate_stop_keys_do_not_vote(self, dataset):
         """A key shared by (more than max_block_fraction of) all indexed

@@ -16,7 +16,7 @@ from repro.core.model import ResolverModel
 from repro.core.resolver import EntityResolver
 from repro.corpus.documents import NameCollection
 from repro.pipeline import ResolutionSession
-from repro.pipeline.session import SessionStats
+from repro.pipeline.session import SessionStats, _PreparedBlock
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +259,128 @@ class TestLruAndStats:
             small_block, training_seed=0, graphs=block_graphs)
         with pytest.raises(ValueError, match="combiner"):
             ResolutionSession(model)
+
+
+class TestExtractionContext:
+    """A served raw page is read once: the block's TF-IDF statistics
+    grow with the block instead of being rebuilt per request."""
+
+    @pytest.fixture()
+    def raw_session(self, fitted_model, pipeline):
+        return ResolutionSession(fitted_model, pipeline=pipeline)
+
+    @staticmethod
+    def in_block(pipeline, query_name, pages):
+        """The page's features as the last page of the block ``pages``."""
+        block = NameCollection(query_name=query_name, pages=list(pages))
+        return pipeline.extract_block(block)[pages[-1].doc_id]
+
+    @staticmethod
+    def same(got, expected):
+        assert got == expected
+        assert list(got.tfidf.items()) == list(expected.tfidf.items())
+
+    def test_every_prefix_extracts_as_in_its_block(self, raw_session,
+                                                   pipeline, small_block):
+        pages = list(small_block.pages)[:14]
+        prepared = _PreparedBlock(query_name=small_block.query_name)
+        for index, page in enumerate(pages):
+            got = raw_session._extract_page(prepared, page)
+            prepared.pages.append(page)
+            self.same(got, self.in_block(pipeline, small_block.query_name,
+                                         pages[:index + 1]))
+        assert prepared.context.n_pages == len(pages)
+
+    def test_precomputed_pages_are_folded_in_when_next_needed(
+            self, raw_session, pipeline, small_block):
+        """Interleaved traffic: pages that joined with features are
+        caught up on lazily, by the next raw page."""
+        pages = list(small_block.pages)[:12]
+        prepared = _PreparedBlock(query_name=small_block.query_name)
+        for index, page in enumerate(pages):
+            if index % 3:  # joined with precomputed features: not read
+                prepared.pages.append(page)
+                continue
+            got = raw_session._extract_page(prepared, page)
+            prepared.pages.append(page)
+            assert prepared.context.n_pages == index + 1
+            self.same(got, self.in_block(pipeline, small_block.query_name,
+                                         pages[:index + 1]))
+        # the trailing precomputed pages are still pending
+        assert prepared.context.n_pages == len(pages) - 2
+
+    def test_interleaved_requests_resolve_like_all_raw(self, fitted_model,
+                                                       pipeline, split_block):
+        base, _, held_out = split_block
+        pages = list(base.pages)[:8] + held_out
+        name = base.query_name
+        raw = ResolutionSession(fitted_model, pipeline=pipeline)
+        mixed = ResolutionSession(fitted_model, pipeline=pipeline)
+        for index, page in enumerate(pages):
+            features = None
+            if index % 2:
+                features = {page.doc_id: self.in_block(pipeline, name,
+                                                       pages[:index + 1])}
+            assert (mixed.resolve(page, features=features)
+                    == raw.resolve(page))
+        assert mixed.clusters(name) == raw.clusters(name)
+
+    def test_batch_bootstrap_hands_its_context_over(self, raw_session,
+                                                    pipeline, split_block,
+                                                    page_reads):
+        base, _, held_out = split_block
+        head = list(base.pages)[:10]
+        raw_session.resolve(head)
+        assert page_reads == [page.doc_id for page in head]
+        prepared = raw_session._prepared[base.query_name]
+        assert prepared.context.n_pages == len(head)
+        # one raw single-page request analyses exactly one page
+        raw_session.resolve(held_out[0])
+        assert page_reads[len(head):] == [held_out[0].doc_id]
+        expected = self.in_block(pipeline, base.query_name,
+                                 head + held_out[:1])
+        self.same(prepared.incremental.indexed_features()[-1], expected)
+
+    def test_precomputed_traffic_never_reads_a_page(self, raw_session,
+                                                    split_block,
+                                                    block_features,
+                                                    page_reads):
+        base, base_features, held_out = split_block
+        raw_session.resolve(list(base.pages), features=base_features)
+        page = held_out[0]
+        raw_session.resolve(
+            page, features={page.doc_id: block_features[page.doc_id]})
+        assert page_reads == []
+        assert raw_session._prepared[base.query_name].context is None
+
+    def test_rebootstrap_after_eviction_starts_from_an_empty_context(
+            self, small_dataset, pipeline):
+        model = EntityResolver(ResolverConfig()).fit(small_dataset,
+                                                     training_seed=0)
+        session = ResolutionSession(model, pipeline=pipeline, max_blocks=1)
+        first, second = small_dataset.collections[:2]
+        for page in first.pages[:5]:
+            session.resolve(page)
+        session.resolve(second.pages[0])  # evicts the first name
+        assert first.query_name not in session
+        page = first.pages[5]
+        session.resolve(page)
+        prepared = session._prepared[first.query_name]
+        assert prepared.context.n_pages == 1
+        self.same(prepared.incremental.indexed_features()[-1],
+                  self.in_block(pipeline, first.query_name, [page]))
+
+    def test_failed_page_does_not_stay_in_the_context(self, raw_session,
+                                                      pipeline, split_block):
+        base, _, held_out = split_block
+        head = list(base.pages)[:6]
+        raw_session.resolve(head)
+        with pytest.raises(ValueError, match="already resolved"):
+            raw_session.resolve(head[0])  # raw, so it is read before failing
+        raw_session.resolve(held_out[0])
+        prepared = raw_session._prepared[base.query_name]
+        assert prepared.context.n_pages == len(prepared.pages) == 7
+        self.same(prepared.incremental.indexed_features()[-1],
+                  self.in_block(pipeline, base.query_name,
+                                head + held_out[:1]))
+

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.corpus.documents import NameCollection
 from repro.pipeline.session import ResolutionSession
 from repro.serving import ServingEngine, verify_serial_equivalence
 
@@ -151,3 +152,93 @@ class TestSwap:
                                                    second_model):
         replacement = engine.swap(second_model)
         assert replacement.pipeline is engine.snapshots[1].pipeline
+
+
+class TestRawPageStream:
+    """Raw pages through the engine: one page read per request, the same
+    features as the serial session, replay-identical with the journal on."""
+
+    @staticmethod
+    def features_of(session, name):
+        return session._prepared[name].incremental.indexed_features()
+
+    def test_one_raw_request_reads_exactly_one_page(self, engine,
+                                                    small_block,
+                                                    page_reads):
+        pages = list(small_block.pages)
+        engine.resolve(pages[:10])
+        del page_reads[:]
+        engine.resolve(pages[10])
+        assert page_reads == [pages[10].doc_id]
+
+    def test_interleaved_raw_and_precomputed_match_serial_session(
+            self, engine, serving_model, pipeline, small_dataset):
+        session = ResolutionSession(serving_model, pipeline=pipeline)
+        for block in small_dataset:
+            pages = list(block.pages)[:16]
+            engine.resolve(pages[:6])
+            session.resolve(pages[:6])
+            for index, page in enumerate(pages[6:], start=6):
+                features = None
+                if index % 2:  # this one arrives with its features
+                    in_block = pipeline.extract_block(NameCollection(
+                        query_name=block.query_name,
+                        pages=pages[:index + 1]))
+                    features = {page.doc_id: in_block[page.doc_id]}
+                assert (engine.resolve(page, features=features)
+                        == session.resolve(page))
+        for name in small_dataset.query_names():
+            ours = self.features_of(engine.snapshot.session, name)
+            assert ours == self.features_of(session, name)
+            assert ([list(f.tfidf.items()) for f in ours] ==
+                    [list(f.tfidf.items())
+                     for f in self.features_of(session, name)])
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+    def test_evict_and_rebootstrap_replays_identically(self, serving_model,
+                                                       pipeline,
+                                                       small_dataset):
+        engine = ServingEngine(serving_model, pipeline=pipeline,
+                               max_blocks=1, record_journal=True)
+        first, second = small_dataset.collections[:2]
+        for page in first.pages[:4]:
+            engine.resolve(page)
+        engine.resolve(second.pages[0])  # evicts the first name
+        engine.resolve(first.pages[4])
+        prepared = engine.snapshot.session._prepared[first.query_name]
+        assert prepared.context.n_pages == len(prepared.pages) == 1
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+    def test_swap_mid_stream_starts_fresh_contexts(self, engine,
+                                                   second_model,
+                                                   small_block):
+        pages = list(small_block.pages)
+        name = small_block.query_name
+        engine.resolve(pages[:8])
+        for page in pages[8:12]:
+            engine.resolve(page)
+        old = engine.snapshot.session._prepared[name]
+        engine.swap(second_model)
+        for page in pages[:5]:  # fresh doc ids to the new generation
+            engine.resolve(page)
+        new = engine.snapshot.session._prepared[name]
+        assert new is not old
+        assert old.context.n_pages == len(old.pages) == 12
+        assert new.context.n_pages == len(new.pages) == 5
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+        assert report["versions"] == [1, 2]
+
+    def test_failed_raw_page_leaves_later_requests_identical(self, engine,
+                                                             small_block):
+        pages = list(small_block.pages)
+        engine.resolve(pages[:6])
+        with pytest.raises(ValueError):
+            engine.resolve(pages[0])  # duplicate, read before it fails
+        engine.resolve(pages[6])
+        prepared = engine.snapshot.session._prepared[small_block.query_name]
+        assert prepared.context.n_pages == len(prepared.pages) == 7
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
