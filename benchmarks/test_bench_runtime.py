@@ -33,8 +33,8 @@ merged universe (``masked_speedup_ratio``, asserted ≥ 1.5 at a
 reduction ratio ≥ 0.5 at default scale, with masked weights verified
 bit-identical to the dense weights of the same pairs).
 
-Each run appends a record to ``BENCH_runtime.json`` at the repo root so
-future revisions can track the trajectory; ``docs/performance.md``
+Each run appends a record to the git-ignored
+``benchmarks/out/BENCH_runtime.json``; ``docs/performance.md``
 documents the format.  Scale knobs: ``REPRO_BENCH_PAGES`` /
 ``REPRO_BENCH_RUNS`` (see ``benchmarks/conftest.py``).
 """
@@ -60,7 +60,7 @@ from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import default_functions
 from repro.similarity.urls import parse_url
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
+BENCH_PATH = Path(__file__).resolve().parent / "out" / "BENCH_runtime.json"
 REQUESTED_WORKERS = 4
 
 
@@ -515,6 +515,7 @@ def _append_trajectory(record: dict) -> None:
         except (json.JSONDecodeError, OSError):
             pass  # start a fresh trajectory over a corrupt file
     payload["runs"].append(record)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -25,7 +25,7 @@ records, per size:
 * **quality-at-scale** — mean B-cubed F1 across blocks; the sweep raises
   the collision rate with size and the score must not collapse.
 
-Each run appends a record to ``BENCH_scaling.json`` at the repo root
+Each run appends a record to ``benchmarks/out/BENCH_scaling.json``
 (same trajectory convention as ``BENCH_runtime.json``).
 
 Scale knobs::
@@ -66,7 +66,7 @@ from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.backends import default_backend
 from repro.similarity.functions import default_functions
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_scaling.json"
+BENCH_PATH = Path(__file__).resolve().parent / "out" / "BENCH_scaling.json"
 CORPUS_SEED = 13
 TRAINING_SEED = 0
 
@@ -246,6 +246,7 @@ def _append_trajectory(record: dict) -> None:
         except (json.JSONDecodeError, OSError):
             pass  # start a fresh trajectory over a corrupt file
     payload["runs"].append(record)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -32,7 +32,8 @@ properties, matching the engine's contract:
    serially replayable.
 
 Each run appends a ``"scenario": "serving"`` record to
-``BENCH_runtime.json``; ``docs/performance.md`` documents the format.
+``benchmarks/out/BENCH_runtime.json``; ``docs/performance.md`` documents
+the format.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.serving import (
     verify_serial_equivalence,
 )
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
+BENCH_PATH = Path(__file__).resolve().parent / "out" / "BENCH_runtime.json"
 
 #: The QPS comparison uses one deep block: scaling is about same-name
 #: contention (stampedes that coalesce), not about fanning out names.
@@ -228,6 +229,7 @@ def _append_trajectory(record: dict) -> None:
         except (json.JSONDecodeError, OSError):
             pass  # start a fresh trajectory over a corrupt file
     payload["runs"].append(record)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -10,7 +10,7 @@
 # -> jsonl -> fit -> predict).  Regenerate the golden fixtures and fail
 # on any diff.  Then run the runtime, serving and
 # scaling benchmarks at smoke scale and verify they emit well-formed
-# BENCH_runtime.json / BENCH_scaling.json.  Exercises the
+# benchmarks/out/BENCH_runtime.json / BENCH_scaling.json.  Exercises the
 # full fit -> save -> predict -> serve lifecycle plus the execution
 # engine through the CLI in under a minute.
 #
@@ -25,6 +25,13 @@ run() {
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
         --pages 12 --seed 3 "$@"
 }
+
+echo "== serving/ reads no session internals =="
+# The engine only schedules ResolutionSession.admit / process; a private
+# access from serving/ means the request path is forking again.
+if grep -rnE "session\._[a-z]|ResolutionSession\._" src/repro/serving; then
+    echo "serving/ reaches into ResolutionSession privates" >&2; exit 1
+fi
 
 echo "== generate =="
 run generate --out "$workdir/data.json"
@@ -154,7 +161,7 @@ REPRO_BENCH_PAGES=16 REPRO_BENCH_RUNS=2 \
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
 import json, sys
 try:
-    payload = json.load(open("BENCH_runtime.json"))
+    payload = json.load(open("benchmarks/out/BENCH_runtime.json"))
 except (OSError, json.JSONDecodeError) as error:
     sys.exit(f"BENCH_runtime.json missing or malformed: {error}")
 runs = payload.get("runs")
@@ -203,7 +210,7 @@ REPRO_BENCH_SERVING_PAGES=24 REPRO_BENCH_SERVING_REPS=1 \
     python -m pytest benchmarks/test_bench_serving.py -q
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
 import json, sys
-payload = json.load(open("BENCH_runtime.json"))
+payload = json.load(open("benchmarks/out/BENCH_runtime.json"))
 serving = [run for run in payload.get("runs", [])
            if run.get("scenario") == "serving"]
 if not serving:
@@ -231,7 +238,7 @@ REPRO_BENCH_SCALE_SIZES=120,240,480 REPRO_BENCH_SCALE_PPN=8 \
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
 import json, sys
 try:
-    payload = json.load(open("BENCH_scaling.json"))
+    payload = json.load(open("benchmarks/out/BENCH_scaling.json"))
 except (OSError, json.JSONDecodeError) as error:
     sys.exit(f"BENCH_scaling.json missing or malformed: {error}")
 runs = payload.get("runs")

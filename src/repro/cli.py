@@ -438,11 +438,38 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_traffic(server, collection, limit: int) -> tuple[int, list]:
+    """Warm ``server`` and build the demo's request stream.
+
+    Every block's first half goes through ``server.resolve`` as one
+    batch (the "initial crawl"); up to ``limit`` of the remaining pages
+    come back round-robin over the names — the shape of live traffic
+    over an existing index.  ``server`` is anything with ``.resolve``.
+
+    Returns the number of blocks warmed and the stream.
+    """
+    queues: list[list] = []
+    for block in collection:
+        pages = list(block.pages)
+        warm_count = max(1, len(pages) // 2)
+        server.resolve(pages[:warm_count])
+        queues.append(pages[warm_count:])
+    stream = []
+    position = 0
+    while len(stream) < limit and any(queues):
+        queue = queues[position % len(queues)]
+        position += 1
+        if queue:
+            stream.append(queue.pop(0))
+    return len(queues), stream
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.model import resolve_extraction_pipeline
     from repro.pipeline.session import ResolutionSession
+    from repro.serving import ServingEngine
 
     model = ResolverModel.load(args.model)
     model.config = _apply_overrides(model.config, args)
@@ -456,40 +483,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"cannot serve: threads must be >= 1, got {args.threads}",
               file=sys.stderr)
         return 2
-    if args.threads > 1 or args.swap_model:
-        return _serve_concurrently(args, model, collection, pipeline)
-    session = ResolutionSession(model, pipeline=pipeline,
-                                max_blocks=args.max_blocks,
-                                model_block=args.model_block)
-
-    # Warm every block with the first half of its pages (the "initial
-    # crawl"), then stream the rest as single-page requests round-robin
-    # — the shape of live traffic over an existing index.
-    streams: list[list] = []
+    concurrent = args.threads > 1 or args.swap_model
+    knobs = dict(pipeline=pipeline, max_blocks=args.max_blocks,
+                 model_block=args.model_block)
+    if concurrent:
+        server = ServingEngine(
+            model, batch_window=max(0.0, args.batch_window) / 1000.0, **knobs)
+    else:
+        server = ResolutionSession(model, **knobs)
     try:
-        for block in collection:
-            pages = list(block.pages)
-            warm_count = max(1, len(pages) // 2)
-            session.resolve(pages[:warm_count])
-            streams.append(pages[warm_count:])
+        blocks, stream = _serve_traffic(server, collection, args.requests)
     except KeyError as error:
         print(f"cannot serve: {error.args[0]}", file=sys.stderr)
         return 2
+    if concurrent:
+        return _serve_concurrently(args, server, blocks, stream)
 
-    print(f"warmed {len(streams)} blocks "
-          f"({session.stats.pages} pages); streaming up to "
+    print(f"warmed {blocks} blocks "
+          f"({server.stats.pages} pages); streaming up to "
           f"{args.requests} single-page requests")
     rows = []
-    served = 0
-    position = 0
-    while served < args.requests and any(streams):
-        stream = streams[position % len(streams)]
-        position += 1
-        if not stream:
-            continue
-        page = stream.pop(0)
+    for page in stream:
         started = time.perf_counter()
-        assignment = session.resolve(page)[0]
+        assignment = server.resolve(page)[0]
         latency_ms = (time.perf_counter() - started) * 1000
         rows.append([
             surname(page.query_name), page.doc_id,
@@ -497,47 +513,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
             else f"entity #{assignment.cluster_index}",
             f"{assignment.link_probability:.3f}", f"{latency_ms:.1f}",
         ])
-        served += 1
     print(format_table(
         ["name", "page", "decision", "P(link)", "ms"], rows,
-        title=f"Served {served} requests"))
-    print(session.stats.summary())
+        title=f"Served {len(rows)} requests"))
+    print(server.stats.summary())
     return 0
 
 
-def _serve_concurrently(args: argparse.Namespace, model, collection,
-                        pipeline) -> int:
+def _serve_concurrently(args: argparse.Namespace, engine, blocks: int,
+                        stream: list) -> int:
     """``serve --threads N``: drive a ServingEngine with closed-loop load."""
-    from repro.serving import LoadRequest, ServingEngine, run_load
+    from repro.serving import LoadRequest, run_load
 
-    engine = ServingEngine(model, pipeline=pipeline,
-                           max_blocks=args.max_blocks,
-                           model_block=args.model_block,
-                           batch_window=max(0.0, args.batch_window) / 1000.0)
-    streams: list[list] = []
-    try:
-        for block in collection:
-            pages = list(block.pages)
-            warm_count = max(1, len(pages) // 2)
-            engine.resolve(pages[:warm_count])
-            streams.append(pages[warm_count:])
-    except KeyError as error:
-        print(f"cannot serve: {error.args[0]}", file=sys.stderr)
-        return 2
-
-    requests = []
-    position = 0
-    while len(requests) < args.requests and any(streams):
-        stream = streams[position % len(streams)]
-        position += 1
-        if stream:
-            requests.append(LoadRequest(pages=[stream.pop(0)]))
-
+    requests = [LoadRequest(pages=[page]) for page in stream]
     swap_plan = None
     if args.swap_model:
         swap_plan = {max(1, len(requests) // 2):
                      ResolverModel.load(args.swap_model)}
-    print(f"warmed {len(streams)} blocks ({engine.stats.pages} pages); "
+    print(f"warmed {blocks} blocks ({engine.stats.pages} pages); "
           f"offering {len(requests)} single-page requests from "
           f"{args.threads} closed-loop threads "
           f"(batch window {args.batch_window:.1f}ms"

@@ -229,14 +229,17 @@ class IncrementalResolver:
         self._features = dict(features)
         self._clusters = [set(cluster) for cluster in clusters]
 
+    def __contains__(self, doc_id: object) -> bool:
+        """Whether a page with this doc id is in the entity index."""
+        return doc_id in self._features
+
     def indexed_features(self) -> list[PageFeatures]:
         """Features of every indexed page, in the order they were added.
 
-        The request-coalescing layer scores a whole micro-batch of new
+        :meth:`coalesced_pair_scores` scores a whole micro-batch of new
         pages against exactly this ordered set in one masked backend
-        call; exposing it (rather than the raw dict) keeps the add order
-        — which fixes the scoring block's page positions — part of the
-        contract.
+        call; the add order fixes the scoring block's page positions, so
+        it is part of the contract.
         """
         self._require_fitted()
         return list(self._features.values())
@@ -276,8 +279,8 @@ class IncrementalResolver:
         probabilities exactly as the one-pair path always has.
 
         ``scores`` (``function name -> {pair_key: score}``) substitutes
-        precomputed pair scores for the backend calls — the coalescing
-        path of :mod:`repro.serving` scores a whole micro-batch in one
+        precomputed pair scores for the backend calls —
+        :meth:`coalesced_pair_scores` scores a whole micro-batch in one
         masked pass and feeds the values through here.  Precomputed
         scores must be bit-identical to what ``pair_scores`` would
         return (the backends' masked block sweep guarantees this), so
@@ -314,6 +317,62 @@ class IncrementalResolver:
                 numerator += weight * probability
             probabilities.append(numerator / total)
         return probabilities
+
+    def coalesced_pair_scores(
+        self, new_features: list[PageFeatures],
+    ) -> dict[str, dict[PairKey, float]] | None:
+        """Pair scores for adding ``new_features`` in order, in one sweep.
+
+        One masked block sweep (:meth:`~repro.similarity.backends.
+        ScoringBackend.block_scores` with a candidate-pair mask) prepares
+        every page's inputs — vector norms, parsed URLs, key sets — once
+        per batch, where a chain of :meth:`add_page` calls re-derives
+        them once per page.  Per similarity function the combiner
+        consults, only the pairs that chain would request are computed:
+        new page *k* against all indexed pages plus new pages
+        ``0..k-1``.  The result feeds ``add_page(features, scores=...)``.
+
+        **Bit-identity.**  The sequential path calls
+        ``function(new, other)`` with the new page as the *left*
+        argument; the block sweep scores pair ``(i, j)`` with the earlier
+        block position on the left.  Most of the battery is
+        argument-order symmetric to the last bit, but not all of it
+        (F9's fold can differ in the final ulp), so the block lays pages
+        out in **reverse add order** — each new page occupies an earlier
+        position than every page it is scored against, existing pages
+        come last.  Every masked score is then produced by
+        ``scorer(new, other)`` with exactly the sequential argument
+        order, and the prepared-scorer / kernel contracts make those
+        bytes equal to ``pair_scores``.
+        ``tests/core/test_coalescing.py`` enforces equality at tolerance
+        zero on both backends.
+
+        Returns ``None`` when coalescing cannot apply: a doc id
+        duplicated within the batch or against the index (the sequential
+        path owns the error), or an empty batch.  Callers fall back to
+        sequential adds.
+        """
+        self._require_fitted()
+        if not new_features:
+            return None
+        features = dict(self._features)
+        existing_ids = list(features)
+        new_ids = []
+        for page in new_features:
+            if page.doc_id in features:
+                return None  # duplicate — let add_page raise its ValueError
+            features[page.doc_id] = page
+            new_ids.append(page.doc_id)
+        # Reverse add order puts every new page at an earlier block
+        # position than all of its scoring partners.
+        ids = list(reversed(new_ids)) + existing_ids
+        mask = frozenset(
+            pair_key(new_id, other_id)
+            for index, new_id in enumerate(new_ids)
+            for other_id in existing_ids + new_ids[:index]
+        )
+        return self._backend.block_scores(
+            ids, features, list(self._state.functions.values()), mask=mask)
 
     def _link_decision_threshold(self) -> float:
         """The probability cut-off that asserts a link."""

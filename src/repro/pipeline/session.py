@@ -33,12 +33,18 @@ Typical deployment loop::
     for request in traffic:                    # single pages or batches
         assignments = session.resolve(request.pages)
 
+Two phases serve every page: :meth:`ResolutionSession.admit`
+(bookkeeping) and :meth:`ResolutionSession.process` (scoring).
+``resolve`` runs one after the other; the threaded
+:class:`~repro.serving.engine.ServingEngine` schedules the same two.
+
 ``repro pipeline explain`` shows the batch plans; ``repro serve`` runs a
 demo loop over this class.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -57,7 +63,8 @@ from repro.extraction.pipeline import BlockContext, ExtractionPipeline
 from repro.metrics.clusterings import Clustering
 from repro.runtime.stats import LatencyReservoir
 
-__all__ = ["ResolutionSession", "SessionStats"]
+__all__ = ["AdmittedUnit", "Processed", "ResolutionSession",
+           "SessionStats", "as_page_list"]
 
 
 @dataclass
@@ -72,14 +79,18 @@ class SessionStats:
         routed_pages: pages without a usable query name routed through
             the token-blocking candidate index.
         new_entities: assignments that founded a new entity.
-        prepared_blocks: per-name prepared states built (bootstraps,
-            including rebuilds after eviction).
+        prepared_blocks: per-name prepared slots reserved (first
+            contacts, including rebuilds after eviction).
         evicted_blocks: prepared states dropped by the LRU bound.
         seconds_total: wall time spent inside ``resolve``.
         latency: bounded reservoir of per-request latencies (seconds);
             feeds the ``p50/p95/p99`` properties.  A serial mean hides
             tail behavior — the percentiles are what a deployment's SLO
             is written against.
+
+    ``process`` and ``record_request`` run concurrently for different
+    names and fold their counters in under the stats' own lock; the
+    other three are written by ``admit``, which its caller serialises.
     """
 
     requests: int = 0
@@ -91,13 +102,23 @@ class SessionStats:
     evicted_blocks: int = 0
     seconds_total: float = 0.0
     latency: LatencyReservoir = field(default_factory=LatencyReservoir)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
 
     def record_request(self, seconds: float, pages: int = 0) -> None:
         """Fold one served request into the counters and the reservoir."""
-        self.requests += 1
-        self.pages += pages
-        self.seconds_total += seconds
-        self.latency.record(seconds)
+        with self._lock:
+            self.requests += 1
+            self.pages += pages
+            self.seconds_total += seconds
+            self.latency.record(seconds)
+
+    def record_assignments(self, incremental: int,
+                           new_entities: int) -> None:
+        """Fold one ``process`` call's assignments into the counters."""
+        with self._lock:
+            self.incremental_assignments += incremental
+            self.new_entities += new_entities
 
     @property
     def mean_request_seconds(self) -> float:
@@ -137,10 +158,10 @@ class SessionStats:
 class _PreparedBlock:
     """One name's request-path state: adopted layers + live entity index.
 
-    ``incremental`` may be ``None`` transiently: the serving engine
-    *reserves* a slot at request admission (so LRU accounting happens in
-    admission order) and fills the resolver in when the bootstrap pass
-    completes.  The session's own paths always store built state.
+    ``incremental`` is ``None`` while the slot is *cold*: admission
+    reserves it (so LRU accounting happens in admission order) and the
+    first unit processed for it bootstraps the resolver.  A bootstrap
+    that fails leaves the slot cold for the next unit.
     """
 
     query_name: str
@@ -153,6 +174,51 @@ class _PreparedBlock:
     #: folded in when a raw page next needs it; ``None`` is the context
     #: that trails by every page.
     context: BlockContext | None = None
+
+
+@dataclass
+class AdmittedUnit:
+    """One request's pages for one routed name — what ``admit`` hands to
+    ``process``, and the serving engine's scheduling grain."""
+
+    query_name: str
+    pages: list[WebPage]
+    features: dict[str, PageFeatures] | None
+    #: the name's slot; units sharing it are processed in admission order.
+    prepared: _PreparedBlock
+    #: admission found no prepared state and reserved the slot.
+    cold: bool
+
+
+@dataclass
+class Processed:
+    """What one :meth:`ResolutionSession.process` call did.
+
+    Attributes:
+        outcomes: per unit, in order: its assignments, or the exception
+            that failed that unit alone.
+        bootstrap: ``"batch"`` or ``"empty"`` when the call built a cold
+            block, else ``None``.
+        added_pages: pages the add phase took on (a batch bootstrap's
+            own pages are not among them).
+        swept: those pages were scored in one masked sweep.
+    """
+
+    outcomes: list[list[Assignment] | Exception] = field(
+        default_factory=list)
+    bootstrap: str | None = None
+    added_pages: int = 0
+    swept: bool = False
+
+
+def as_page_list(
+        pages: WebPage | NameCollection | Iterable[WebPage]) -> list[WebPage]:
+    """A request's pages as a list: one page, a block, or any iterable."""
+    if isinstance(pages, WebPage):
+        return [pages]
+    if isinstance(pages, NameCollection):
+        return list(pages.pages)
+    return list(pages)
 
 
 def assignments_from_partition(
@@ -248,14 +314,9 @@ class ResolutionSession:
     ) -> list[Assignment]:
         """Assign every incoming page to an entity; one request.
 
-        Pages are grouped by query name (the blocking step).  A name
-        with prepared state routes each page through incremental
-        assignment; a name seen for the first time bootstraps — a batch
-        predict pass when the request carries several of its pages, an
-        empty entity index when a single page arrives cold.  A page
-        *without* a query name is routed through the session's
-        token-blocking candidate index to the served block sharing the
-        most blocking keys.
+        :meth:`admit` groups the pages by name (the blocking step),
+        then :meth:`process` serves each name's unit; their docstrings
+        hold the routing, bootstrap and failure rules.
 
         Args:
             pages: a single page, a list of pages, or a block.
@@ -267,56 +328,162 @@ class ResolutionSession:
             input order.
 
         Raises:
-            KeyError: for a query name without fitted state when no
-                ``model_block`` fallback is configured, or for a
-                nameless page no served block shares a blocking key
-                with.
+            KeyError: from :meth:`admit`, before any page is admitted.
             ValueError: when extraction is needed but the session has no
-                pipeline, or a page was already resolved.
+                pipeline, or a page was already resolved.  Every name of
+                the request is still processed; the first failure is
+                raised afterwards.
         """
         started = time.perf_counter()
-        page_list = self._normalize(pages)
+        page_list = as_page_list(pages)
+        by_doc: dict[str, Assignment] = {}
+        failure: Exception | None = None
+        for unit in self.admit(page_list, features):
+            (outcome,) = self.process([unit]).outcomes
+            if isinstance(outcome, Exception):
+                if failure is None:
+                    failure = outcome
+                continue
+            for assignment in outcome:
+                by_doc[assignment.doc_id] = assignment
+        if failure is not None:
+            raise failure
+        self.stats.record_request(time.perf_counter() - started,
+                                  pages=len(page_list))
+        return [by_doc[page.doc_id] for page in page_list]
+
+    def admit(
+        self,
+        pages: WebPage | NameCollection | Iterable[WebPage],
+        features: dict[str, PageFeatures] | None = None,
+    ) -> list[AdmittedUnit]:
+        """Phase one of a request: pure bookkeeping, no scoring.
+
+        Routes each page (its query name, or for a nameless page the
+        served block sharing the most blocking keys), rejects the whole
+        request when any routed name cannot be served, then per routed
+        name looks up the prepared block — or *reserves* a cold slot, so
+        the LRU bookkeeping (prepared / evicted counts, eviction order)
+        happens in admission order — and indexes the pages for nameless
+        routing.
+
+        Not thread-safe: concurrent callers serialise admissions (the
+        serving engine holds its admission lock around this call).
+
+        Returns:
+            One :class:`AdmittedUnit` per routed name, in first-page
+            order, for :meth:`process`.
+
+        Raises:
+            KeyError: for a query name without fitted state when no
+                ``model_block`` fallback is configured, or a nameless
+                page no served block shares a blocking key with —
+                before any admission effect, so the corrected request
+                can be retried.
+        """
         grouped: OrderedDict[str, list[WebPage]] = OrderedDict()
         routed_keys: dict[str, set[str]] = {}
-        for page in page_list:
+        for page in as_page_list(pages):
             grouped.setdefault(self._route(page, routed_keys),
                                []).append(page)
-
-        # Fail atomically: an unknown name must reject the request
-        # before any page is assigned, or a retry of the same request
-        # would hit "already resolved" for its valid pages.
         for query_name in grouped:
             if query_name not in self._prepared:
                 self._fallback_for(query_name)
 
-        by_doc: dict[str, Assignment] = {}
+        units = []
         for query_name, group in grouped.items():
             prepared = self._lookup(query_name)
-            if prepared is None and len(group) > 1:
-                for assignment in self._bootstrap_batch(query_name, group,
-                                                        features):
-                    by_doc[assignment.doc_id] = assignment
-                continue
-            if prepared is None:
-                prepared = self._bootstrap_empty(query_name)
-            for page in group:
-                assignment = self._assign(prepared, page, features,
-                                          routed_keys)
-                by_doc[assignment.doc_id] = assignment
+            cold = prepared is None
+            if cold:
+                prepared = self._reserve(query_name)
+            self._index_pages(query_name, group, routed_keys)
+            units.append(AdmittedUnit(query_name, group, features,
+                                      prepared, cold))
+        return units
 
-        self.stats.record_request(time.perf_counter() - started,
-                                  pages=len(page_list))
-        return [by_doc[page.doc_id] for page in page_list]
+    def process(self, units: list[AdmittedUnit]) -> Processed:
+        """Phase two: score admitted units of *one* prepared block.
+
+        ``units`` are consecutive units sharing a ``prepared`` slot, in
+        admission order; callers never run two calls for the same slot
+        at once (different slots may run concurrently).  A cold slot is
+        bootstrapped from the first unit — a batch predict pass when it
+        carries several pages, an empty entity index otherwise — and a
+        bootstrap that fails leaves the slot cold for the next unit.
+        The remaining pages are then added in order: in one masked sweep
+        (:meth:`IncrementalResolver.coalesced_pair_scores`) when there
+        are two or more and all carry features, else page by page — a
+        raw page must be extracted *after* its predecessors joined the
+        block (TF-IDF context).  Both are bit-identical to one
+        ``process`` call per unit.
+
+        A unit fails alone: its exception becomes its outcome and the
+        units after it are served as if it had never been admitted.  A
+        unit with a doc id already resolved (or repeated inside the
+        unit) fails before any of its pages joins, so the corrected
+        request can be retried.
+        """
+        prepared = units[0].prepared
+        done = Processed()
+        rest = list(units)
+        added: list[Assignment] = []
+        founded = 0
+
+        while rest and prepared.incremental is None:
+            if len(rest[0].pages) == 1:
+                prepared.incremental = self._adopt_empty(prepared.query_name)
+                done.bootstrap = "empty"
+                break
+            first = rest.pop(0)
+            try:
+                self._check_unresolved(prepared, first.pages)
+                self._bootstrap(prepared, first.pages, first.features)
+            except Exception as error:
+                done.outcomes.append(error)
+            else:
+                assignments, founded = assignments_from_partition(
+                    prepared.incremental.clusters(), first.pages)
+                done.outcomes.append(assignments)
+                done.bootstrap = "batch"
+
+        work = [[(page, (unit.features or {}).get(page.doc_id))
+                 for page in unit.pages] for unit in rest]
+        provided = [page_features for pairs in work
+                    for _, page_features in pairs]
+        scores = None
+        if len(provided) > 1 and None not in provided:
+            # ``None`` back on a duplicate: the per-unit check below
+            # owns that error, page by page.
+            scores = prepared.incremental.coalesced_pair_scores(provided)
+        done.added_pages = len(provided)
+        done.swept = scores is not None
+        for unit, pairs in zip(rest, work):
+            assignments = []
+            try:
+                self._check_unresolved(prepared, unit.pages)
+                for page, page_features in pairs:
+                    assignments.append(self._add_page(
+                        prepared, page, page_features, scores))
+            except Exception as error:
+                done.outcomes.append(error)
+            else:
+                done.outcomes.append(assignments)
+            added.extend(assignments)
+
+        self.stats.record_assignments(
+            len(added),
+            founded + sum(a.created_new_cluster for a in added))
+        return done
 
     def warm(self, block: NameCollection,
              features: dict[str, PageFeatures] | None = None,
              graphs: dict | None = None) -> Clustering:
         """Explicitly bootstrap one name from an initial page batch.
 
-        Runs the pared-down predict pass (extraction → similarity →
-        fitted decisions → clustering) over ``block`` and adopts the
-        result as the name's prepared state.  ``resolve`` does this
-        implicitly for multi-page first contact; ``warm`` exposes it for
+        Reserves the name's slot and runs the batch bootstrap of
+        :meth:`process` (extraction → similarity → fitted decisions →
+        clustering) over ``block``.  ``resolve`` does this implicitly
+        for multi-page first contact; ``warm`` exposes it for
         deployments that pre-load hot names (and lets callers pass
         precomputed ``graphs``).
 
@@ -329,18 +496,13 @@ class ResolutionSession:
         Returns the block's entity partition.
         """
         prepared = self._lookup(block.query_name)
-        if prepared is not None and prepared.incremental is not None:
-            return prepared.incremental.clusters()
-        block_features, context = self._block_features(block, features)
-        incremental = self._build_incremental(block, block_features,
-                                              graphs=graphs)
-        self._store(_PreparedBlock(
-            query_name=block.query_name,
-            incremental=incremental,
-            pages=list(block.pages),
-            context=context,
-        ))
-        return incremental.clusters()
+        if prepared is None:
+            self._fallback_for(block.query_name)
+            prepared = self._reserve(block.query_name)
+        if prepared.incremental is None:
+            self._index_pages(block.query_name, block.pages)
+            self._bootstrap(prepared, block.pages, features, graphs=graphs)
+        return prepared.incremental.clusters()
 
     # -- inspection ------------------------------------------------------
 
@@ -349,17 +511,18 @@ class ResolutionSession:
 
         Raises:
             KeyError: when the name has no prepared state (never served,
-                or evicted).
+                evicted, or reserved by a bootstrap that has not
+                succeeded).
         """
         prepared = self._prepared.get(query_name)
-        if prepared is None:
+        if prepared is None or prepared.incremental is None:
             raise KeyError(
                 f"no prepared state for {query_name!r}; prepared names "
                 f"are: {', '.join(self._prepared) or '<none>'}")
         return prepared.incremental.clusters()
 
     def prepared_names(self) -> list[str]:
-        """Names with live prepared state, least recently used first."""
+        """Names with a prepared slot, least recently used first."""
         return list(self._prepared)
 
     def __contains__(self, query_name: object) -> bool:
@@ -369,15 +532,7 @@ class ResolutionSession:
         return (f"ResolutionSession({len(self._prepared)}/{self.max_blocks} "
                 f"blocks prepared, {self.stats.requests} requests)")
 
-    # -- internals -------------------------------------------------------
-
-    @staticmethod
-    def _normalize(pages) -> list[WebPage]:
-        if isinstance(pages, WebPage):
-            return [pages]
-        if isinstance(pages, NameCollection):
-            return list(pages.pages)
-        return list(pages)
+    # -- admission internals ---------------------------------------------
 
     def _route(self, page: WebPage, routed_keys: dict[str, set[str]]) -> str:
         """The block name serving ``page`` (its own, or a routed one).
@@ -461,43 +616,36 @@ class ResolutionSession:
             self._prepared.move_to_end(query_name)
         return prepared
 
-    def _store(self, prepared: _PreparedBlock) -> None:
-        self._prepared[prepared.query_name] = prepared
-        self._prepared.move_to_end(prepared.query_name)
-        self._index_pages(prepared.query_name, prepared.pages)
+    def _reserve(self, query_name: str) -> _PreparedBlock:
+        """Store a cold slot for a name, evicting past the LRU bound.
+
+        Reserving at admission — not when the bootstrap completes —
+        makes the LRU bookkeeping a function of the admission order
+        alone, whatever schedule ``process`` then runs under.
+        """
+        prepared = self._prepared[query_name] = _PreparedBlock(query_name)
         self.stats.prepared_blocks += 1
         while len(self._prepared) > self.max_blocks:
             evicted_name, _ = self._prepared.popitem(last=False)
             self._unindex(evicted_name)
             self.stats.evicted_blocks += 1
-
-    def _reserve(self, query_name: str) -> _PreparedBlock:
-        """Store an empty slot for a name whose bootstrap is in flight.
-
-        The serving engine admits requests under a lock but runs the
-        expensive bootstrap outside it; reserving at admission makes the
-        LRU bookkeeping (prepared/evicted counts, eviction *order*)
-        happen at admission time, so a serial replay of the admission
-        order reproduces it exactly.  The caller fills
-        ``prepared.incremental`` when the bootstrap completes.
-        """
-        prepared = _PreparedBlock(query_name=query_name)
-        self._store(prepared)
         return prepared
 
-    def _build_incremental(self, block: NameCollection,
-                           features: dict[str, PageFeatures],
-                           graphs: dict | None = None) -> IncrementalResolver:
-        """The batch-bootstrap predict pass, without bookkeeping.
+    # -- processing internals --------------------------------------------
 
-        Shared by :meth:`warm` and the serving engine's coalesced
-        bootstrap; resolves ``block`` once with the model and adopts the
-        result into an :class:`IncrementalResolver`.
-        """
-        fallback = self._fallback_for(block.query_name)
-        return IncrementalResolver.from_model(
-            self.model, block, features, model_block=fallback,
-            graphs=graphs)
+    def _bootstrap(self, prepared: _PreparedBlock, pages: list[WebPage],
+                   features: dict[str, PageFeatures] | None,
+                   graphs: dict | None = None) -> None:
+        """The batch bootstrap: resolve ``pages`` once with the model and
+        adopt the result as the cold slot's state."""
+        block = NameCollection(query_name=prepared.query_name,
+                               pages=list(pages))
+        block_features, context = self._block_features(block, features)
+        prepared.incremental = IncrementalResolver.from_model(
+            self.model, block, block_features,
+            model_block=self._fallback_for(block.query_name), graphs=graphs)
+        prepared.pages.extend(block.pages)
+        prepared.context = context
 
     def _adopt_empty(self, query_name: str) -> IncrementalResolver:
         """Cold-adopt fitted state for a name, with an empty entity index."""
@@ -505,36 +653,18 @@ class ResolutionSession:
         fitted = self.model.blocks[fallback or query_name]
         return IncrementalResolver.from_fitted(self.model.config, fitted)
 
-    def _bootstrap_batch(self, query_name: str, group: list[WebPage],
-                         features: dict[str, PageFeatures] | None,
-                         ) -> list[Assignment]:
-        """First contact with several pages: batch-resolve, then adopt."""
-        block = NameCollection(query_name=query_name, pages=list(group))
-        clustering = self.warm(block, features=features)
-        assignments, new_entities = assignments_from_partition(clustering,
-                                                               group)
-        self.stats.new_entities += new_entities
-        return assignments
-
-    def _bootstrap_empty(self, query_name: str) -> _PreparedBlock:
-        """First contact with a single page: adopt state, empty index."""
-        prepared = _PreparedBlock(
-            query_name=query_name,
-            incremental=self._adopt_empty(query_name),
-        )
-        self._store(prepared)
-        return prepared
-
-    def _assign(self, prepared: _PreparedBlock, page: WebPage,
-                features: dict[str, PageFeatures] | None,
-                routed_keys: dict[str, set[str]]) -> Assignment:
-        assignment = self._add_page(prepared, page,
-                                    (features or {}).get(page.doc_id))
-        self._index_pages(prepared.query_name, [page], routed_keys)
-        self.stats.incremental_assignments += 1
-        if assignment.created_new_cluster:
-            self.stats.new_entities += 1
-        return assignment
+    @staticmethod
+    def _check_unresolved(prepared: _PreparedBlock,
+                          pages: list[WebPage]) -> None:
+        """Raise before any of a unit's ``pages`` joins if one cannot:
+        its doc id is in the block's index, or earlier in the unit."""
+        seen: set[str] = set()
+        for page in pages:
+            if page.doc_id in seen or (
+                    prepared.incremental is not None
+                    and page.doc_id in prepared.incremental):
+                raise ValueError(f"page {page.doc_id!r} already resolved")
+            seen.add(page.doc_id)
 
     def _add_page(self, prepared: _PreparedBlock, page: WebPage,
                   page_features: PageFeatures | None,

@@ -2,20 +2,18 @@
 
 The pieces, bottom-up:
 
-- :mod:`repro.serving.coalescing` — one masked scoring sweep per
-  micro-batch, bit-identical to sequential per-page serving.
 - :mod:`repro.serving.snapshot` — copy-on-write model generations for
   hot swaps.
-- :mod:`repro.serving.engine` — the thread-safe engine: admission-order
-  bookkeeping under one lock, per-name FIFO lanes with leader/follower
-  batching, deterministic by serial-replay equivalence.
+- :mod:`repro.serving.engine` — the thread-safe engine: it schedules
+  the session's ``admit`` (under one lock) and ``process`` (per-name
+  FIFO lanes with leader/follower batching), deterministic by
+  serial-replay equivalence.
 - :mod:`repro.serving.replay` — the determinism oracle (journal replay
   through a serial session, bitwise diff).
 - :mod:`repro.serving.loadgen` — closed-loop multi-threaded load
   generator with exact latency percentiles.
 """
 
-from repro.serving.coalescing import coalesced_pair_scores
 from repro.serving.engine import EngineStats, ServingEngine
 from repro.serving.loadgen import LoadReport, LoadRequest, run_load
 from repro.serving.replay import replay_journal, verify_serial_equivalence
@@ -27,7 +25,6 @@ __all__ = [
     "LoadRequest",
     "ModelSnapshot",
     "ServingEngine",
-    "coalesced_pair_scores",
     "replay_journal",
     "run_load",
     "verify_serial_equivalence",

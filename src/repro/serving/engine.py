@@ -5,14 +5,14 @@ a time; a deployment facing "millions of users" needs the same request
 path under concurrent traffic.  :class:`ServingEngine` provides it with
 three mechanisms:
 
-**Two-phase execution with fine-grained locking.**  Every request passes
-an *admission* phase under one engine-wide lock: pages are routed (query
-name, or the token index for nameless pages), the per-name LRU is
-consulted — a hit refreshes recency, a miss *reserves* an empty slot so
-eviction accounting happens in admission order — the token index absorbs
-the new pages, and the request is split into per-name **units** appended
-to that name's FIFO *lane*.  All of this is pure bookkeeping (no
-scoring), so the critical section is microseconds.  The expensive work —
+**Two-phase execution with fine-grained locking.**  The engine serves
+no page itself: it schedules the session's two phases.  Every request
+passes :meth:`ResolutionSession.admit` under one engine-wide lock —
+route, reject, look up or *reserve* the name's slot (so eviction
+accounting happens in admission order), index — and the per-name
+**units** it returns are appended to that name's FIFO *lane*.  All of
+this is pure bookkeeping (no scoring), so the critical section is
+microseconds.  The expensive work — :meth:`ResolutionSession.process`:
 extraction, bootstrap predicts, incremental scoring — runs outside the
 admission lock, serialized **per name** by the lane (so two requests for
 different names score in parallel, while a same-name stampede of cold
@@ -21,17 +21,19 @@ requests triggers exactly one bootstrap).
 **Request coalescing.**  The first thread to reach an idle lane becomes
 its *leader*: it drains up to ``max_batch`` queued units (optionally
 waiting ``batch_window`` seconds for stragglers while other requests are
-in flight) and scores the whole micro-batch in one masked block sweep
-(:func:`~repro.serving.coalescing.coalesced_pair_scores`) — every page
-prepared once per batch instead of once per request.  Follower threads
-just wait on their futures.  Batches stay bit-identical to sequential
-per-page serving by construction.
+in flight) and hands the whole micro-batch to one ``process`` call,
+which scores two or more feature-carrying pages in one masked block
+sweep (:meth:`~repro.core.incremental.IncrementalResolver.
+coalesced_pair_scores`) — every page prepared once per batch instead of
+once per request.  Follower threads just wait on their futures.  Batches
+stay bit-identical to sequential per-page serving by construction.
 
 **Deterministic replay.**  Because every state decision (routing, LRU,
 eviction, bootstrap-vs-incremental) is made at admission in a single
 serialized order, and per-name processing follows lane FIFO order,
 replaying the admission journal through a plain serial
-``ResolutionSession`` reproduces the engine's clusters *bit for bit* —
+``ResolutionSession`` — the same ``admit`` / ``process`` code under the
+one-caller schedule — reproduces the engine's clusters *bit for bit*:
 any interleaving of concurrent callers is equivalent to the serial
 execution of its admission order.  Enable ``record_journal=True`` and
 check with :func:`~repro.serving.replay.verify_serial_equivalence`;
@@ -60,6 +62,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from repro.core.incremental import Assignment
 from repro.core.model import ResolverModel
@@ -67,12 +70,8 @@ from repro.corpus.documents import NameCollection, WebPage
 from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.metrics.clusterings import Clustering
-from repro.pipeline.session import (
-    ResolutionSession,
-    assignments_from_partition,
-)
+from repro.pipeline.session import AdmittedUnit, as_page_list
 from repro.runtime.stats import LatencyReservoir
-from repro.serving.coalescing import coalesced_pair_scores
 from repro.serving.snapshot import ModelSnapshot
 
 __all__ = ["EngineStats", "ServingEngine"]
@@ -222,15 +221,10 @@ class _Lane:
 
 @dataclass
 class _Unit:
-    """One request's pages for one routed name — the scheduling grain."""
+    """One admitted unit on its way through a lane — the scheduling grain."""
 
     seq: int
-    query_name: str
-    pages: list[WebPage]
-    features: dict[str, PageFeatures] | None
-    snapshot: ModelSnapshot
-    prepared: object  # _PreparedBlock (session-private type)
-    bootstrap: str | None  # "batch" | "empty" | None (incremental)
+    admitted: AdmittedUnit
     request: "_Request"
     lane: _Lane
     journal_entry: dict | None = None
@@ -354,8 +348,9 @@ class ServingEngine:
                 pipeline (surfaced through the request future).
         """
         request = self._admit(pages, features)
-        if request.units:
-            self._drive(request)
+        for unit in request.units:
+            self._run_lane(unit.admitted.query_name, unit.lane,
+                           lambda: unit.done)
         return request.future.result()
 
     def submit(
@@ -375,21 +370,8 @@ class ServingEngine:
     def flush(self) -> None:
         """Process every queued unit (completes outstanding futures)."""
         for name, lane in list(self._lanes.items()):
-            while True:
-                with lane.cond:
-                    if not lane.pending and not lane.busy:
-                        break
-                    if lane.busy:
-                        lane.cond.wait()
-                        continue
-                    lane.busy = True
-                try:
-                    self._lead(lane)
-                finally:
-                    with lane.cond:
-                        lane.busy = False
-                        lane.cond.notify_all()
-                self._maybe_drop_lane(name, lane)
+            self._run_lane(name, lane,
+                           lambda: not lane.pending and not lane.busy)
 
     def swap(self, model: ResolverModel,
              pipeline: ExtractionPipeline | None = None) -> ModelSnapshot:
@@ -444,7 +426,7 @@ class ServingEngine:
     # -- admission (phase 1: bookkeeping under one lock) -----------------
 
     def _admit(self, pages, features) -> _Request:
-        page_list = ResolutionSession._normalize(pages)
+        page_list = as_page_list(pages)
         if not page_list:
             request = _Request([], 0, self._snapshot)
             request.future.set_result([])
@@ -459,49 +441,28 @@ class ServingEngine:
 
     def _admit_locked(self, page_list, features) -> _Request:
         snapshot = self._snapshot
-        session = snapshot.session
-        grouped: "OrderedDict[str, list[WebPage]]" = OrderedDict()
-        routed_keys: dict[str, set[str]] = {}
-        for page in page_list:
-            grouped.setdefault(session._route(page, routed_keys),
-                               []).append(page)
-        # Atomic rejection, exactly like the session: an unknown name
-        # fails the whole request before any admission effect.
-        for query_name in grouped:
-            if query_name not in session._prepared:
-                session._fallback_for(query_name)
-
+        admitted = snapshot.session.admit(page_list, features)
         request = _Request([page.doc_id for page in page_list],
-                           len(grouped), snapshot)
-        for query_name, group in grouped.items():
-            prepared = session._lookup(query_name)
-            bootstrap = None
-            if prepared is None:
-                bootstrap = "batch" if len(group) > 1 else "empty"
-                prepared = session._reserve(query_name)
-                self.stats.lru_misses += 1
-            else:
-                self.stats.lru_hits += 1
-            session._index_pages(query_name, group, routed_keys)
+                           len(admitted), snapshot)
+        for work in admitted:
             self._seq += 1
-            lane = self._lanes.get(query_name)
+            lane = self._lanes.get(work.query_name)
             if lane is None:
                 lane = _Lane()
-                lane.last_batch = self._batch_memory.get(query_name, 0)
-                self._lanes[query_name] = lane
-            unit = _Unit(seq=self._seq, query_name=query_name,
-                         pages=list(group), features=features,
-                         snapshot=snapshot, prepared=prepared,
-                         bootstrap=bootstrap, request=request, lane=lane)
+                lane.last_batch = self._batch_memory.get(work.query_name, 0)
+                self._lanes[work.query_name] = lane
+            unit = _Unit(seq=self._seq, admitted=work, request=request,
+                         lane=lane)
             if self.journal is not None:
                 unit.journal_entry = {
                     "seq": unit.seq,
                     "version": snapshot.version,
-                    "query_name": query_name,
-                    "kind": {"batch": "cold-batch", "empty": "cold-empty",
-                             None: "incremental"}[bootstrap],
-                    "pages": list(group),
-                    "doc_ids": [page.doc_id for page in group],
+                    "query_name": work.query_name,
+                    "kind": ("incremental" if not work.cold
+                             else "cold-batch" if len(work.pages) > 1
+                             else "cold-empty"),
+                    "pages": list(work.pages),
+                    "doc_ids": [page.doc_id for page in work.pages],
                     "features": features,
                     "assignments": None,
                 }
@@ -512,35 +473,36 @@ class ServingEngine:
                 lane.refs += 1
                 lane.cond.notify_all()
         snapshot.requests_admitted += 1
+        misses = sum(work.cold for work in admitted)
         with self._stats_lock:
             self.stats.requests += 1
             self.stats.pages += len(page_list)
-            self.stats.units += len(request.units)
-            self._inflight += len(request.units)
+            self.stats.units += len(admitted)
+            self.stats.lru_misses += misses
+            self.stats.lru_hits += len(admitted) - misses
+            self._inflight += len(admitted)
             self.stats.max_inflight = max(self.stats.max_inflight,
                                           self._inflight)
         return request
 
     # -- processing (phase 2: scoring outside the admission lock) --------
 
-    def _drive(self, request: _Request) -> None:
-        """Run/await lane processing until every unit of ours is done."""
-        for unit in request.units:
-            lane = unit.lane
-            while True:
+    def _run_lane(self, name: str, lane: _Lane, finished) -> None:
+        """Lead ``lane``, or wait on its leader, until ``finished()``."""
+        while True:
+            with lane.cond:
+                while lane.busy and not finished():
+                    lane.cond.wait()
+                if finished():
+                    return
+                lane.busy = True
+            try:
+                self._lead(lane)
+            finally:
                 with lane.cond:
-                    while lane.busy and not unit.done:
-                        lane.cond.wait()
-                    if unit.done:
-                        break
-                    lane.busy = True
-                try:
-                    self._lead(lane)
-                finally:
-                    with lane.cond:
-                        lane.busy = False
-                        lane.cond.notify_all()
-                self._maybe_drop_lane(unit.query_name, lane)
+                    lane.busy = False
+                    lane.cond.notify_all()
+            self._maybe_drop_lane(name, lane)
 
     def _lead(self, lane: _Lane) -> None:
         """As lane leader: optionally wait the window, drain, process."""
@@ -572,148 +534,77 @@ class ServingEngine:
                 batch.append(lane.pending.popleft())
             if batch:
                 lane.last_batch = len(batch)
-        # Consecutive units sharing a prepared object form one scoring
-        # group; the object changes only across evict→rebuild or swap
+        # Consecutive units sharing a prepared slot form one ``process``
+        # call; the slot changes only across evict→rebuild or swap
         # boundaries, so runs are contiguous in admission order.
-        index = 0
-        while index < len(batch):
-            group = [batch[index]]
-            index += 1
-            while (index < len(batch)
-                   and batch[index].prepared is group[0].prepared):
-                group.append(batch[index])
-                index += 1
-            self._process_group(group)
+        for _, group in groupby(
+                batch, key=lambda unit: id(unit.admitted.prepared)):
+            self._process_group(list(group))
 
     def _process_group(self, units: list[_Unit]) -> None:
-        prepared = units[0].prepared
-        session = units[0].snapshot.session
+        session = units[0].request.snapshot.session
         try:
-            rest = units
-            if prepared.incremental is None:
-                first = units[0]
-                mode = first.bootstrap or (
-                    "batch" if len(first.pages) > 1 else "empty")
-                if mode == "batch":
-                    block = NameCollection(query_name=prepared.query_name,
-                                           pages=list(first.pages))
-                    block_features, context = session._block_features(
-                        block, first.features)
-                    prepared.incremental = session._build_incremental(
-                        block, block_features)
-                    prepared.pages.extend(first.pages)
-                    prepared.context = context
-                    assignments, new_entities = assignments_from_partition(
-                        prepared.incremental.clusters(), first.pages)
-                    with self._stats_lock:
-                        session.stats.new_entities += new_entities
-                        self.stats.bootstraps += 1
-                        self.stats.scoring_batches += 1
-                    self._complete_unit(first, assignments)
-                    rest = units[1:]
-                else:
-                    prepared.incremental = session._adopt_empty(
-                        prepared.query_name)
-                    with self._stats_lock:
-                        self.stats.bootstraps += 1
-            if rest:
-                self._assign_incremental(prepared, session, rest)
+            done = session.process([unit.admitted for unit in units])
         except BaseException as error:
+            # Nothing ``process`` foresees; no future may be left hanging.
             for unit in units:
-                self._fail_unit(unit, error)
-
-    def _assign_incremental(self, prepared, session,
-                            units: list[_Unit]) -> None:
-        incremental = prepared.incremental
-        work: list[tuple[_Unit, WebPage]] = [
-            (unit, page) for unit in units for page in unit.pages]
-        provided = [(unit.features or {}).get(page.doc_id)
-                    for unit, page in work]
-        # Coalesce only when the whole batch arrives with features; a
-        # page needing extraction must be extracted *after* its
-        # predecessors joined the block (TF-IDF context), which forces
-        # the sequential path — one page's work each, the context grows
-        # with the block.
-        scores = None
-        if work and all(page is not None for page in provided):
-            scores = coalesced_pair_scores(incremental,
-                                           list(provided))
+                self._settle(unit, error)
+            if not isinstance(error, Exception):
+                raise
+            return
         with self._stats_lock:
-            self.stats.scoring_batches += 1
-            self.stats.max_batch_pages = max(self.stats.max_batch_pages,
-                                             len(work))
-            if scores is not None and len(work) > 1:
-                self.stats.coalesced_batches += 1
-                self.stats.coalesced_pages += len(work)
+            stats = self.stats
+            stats.bootstraps += done.bootstrap is not None
+            stats.scoring_batches += ((done.bootstrap == "batch")
+                                      + (done.added_pages > 0))
+            stats.max_batch_pages = max(stats.max_batch_pages,
+                                        done.added_pages)
+            if done.swept:
+                stats.coalesced_batches += 1
+                stats.coalesced_pages += done.added_pages
+        for unit, outcome in zip(units, done.outcomes):
+            self._settle(unit, outcome)
 
-        by_unit: dict[int, list[Assignment]] = {
-            id(unit): [] for unit in units}
-        for (unit, page), page_features in zip(work, provided):
-            assignment = session._add_page(prepared, page, page_features,
-                                           scores)
-            by_unit[id(unit)].append(assignment)
-            with self._stats_lock:
-                session.stats.incremental_assignments += 1
-                if assignment.created_new_cluster:
-                    session.stats.new_entities += 1
-        for unit in units:
-            self._complete_unit(unit, by_unit[id(unit)])
-
-    # -- completion ------------------------------------------------------
-
-    def _complete_unit(self, unit: _Unit,
-                       assignments: list[Assignment]) -> None:
-        if unit.journal_entry is not None:
-            unit.journal_entry["assignments"] = list(assignments)
+    def _settle(self, unit: _Unit,
+                outcome: list[Assignment] | BaseException) -> None:
+        """Fold one unit's outcome into its request: the first failure
+        fails the future, the last unit frees the queue slot and, when
+        none failed, resolves the future in input order."""
+        failed = isinstance(outcome, BaseException)
+        if unit.journal_entry is not None and not failed:
+            unit.journal_entry["assignments"] = list(outcome)
         request = unit.request
-        finished = False
         with request.lock:
             if unit.done:
                 return
             unit.done = True
-            for assignment in assignments:
-                request.by_doc[assignment.doc_id] = assignment
+            if not failed:
+                for assignment in outcome:
+                    request.by_doc[assignment.doc_id] = assignment
+            first_failure = failed and not request.failed
+            request.failed |= failed
             request.remaining -= 1
-            finished = request.remaining == 0 and not request.failed
-        self._finish_unit(unit)
-        if finished:
+            last = request.remaining == 0
+        with self._stats_lock:
+            self._inflight -= 1
+            self.stats.failed_requests += first_failure
+        with unit.lane.cond:
+            unit.lane.refs -= 1
+            unit.lane.cond.notify_all()
+        if first_failure:
+            request.future.set_exception(outcome)
+        if not last:
+            return
+        self._queue_slots.release()
+        if not request.failed:
             elapsed = time.perf_counter() - request.started
             with self._stats_lock:
                 self.stats.seconds_total += elapsed
                 self.stats.latency.record(elapsed)
-                request.snapshot.session.stats.record_request(
-                    elapsed, pages=len(request.order))
-            self._queue_slots.release()
+            request.snapshot.session.stats.record_request(
+                elapsed, pages=len(request.order))
             request.future.set_result(
                 [request.by_doc[doc_id] for doc_id in request.order])
-
-    def _fail_unit(self, unit: _Unit, error: BaseException) -> None:
-        request = unit.request
-        first_failure = False
-        last = False
-        with request.lock:
-            if unit.done:
-                return
-            unit.done = True
-            request.remaining -= 1
-            first_failure = not request.failed
-            request.failed = True
-            last = request.remaining == 0
-        self._finish_unit(unit)
-        if first_failure:
-            with self._stats_lock:
-                self.stats.failed_requests += 1
-            request.future.set_exception(error)
-        if last:
-            self._queue_slots.release()
-
-    def _finish_unit(self, unit: _Unit) -> None:
-        with self._stats_lock:
-            self._inflight -= 1
-        lane = unit.lane
-        with lane.cond:
-            lane.refs -= 1
-            lane.cond.notify_all()
 
     def _maybe_drop_lane(self, name: str, lane: _Lane) -> None:
         """Garbage-collect an idle lane (names are unbounded)."""

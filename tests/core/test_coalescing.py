@@ -1,12 +1,12 @@
-"""coalesced_pair_scores — bit-identity with sequential adds.
+"""IncrementalResolver.coalesced_pair_scores — bit-identity with
+sequential adds.
 
 The coalescing sweep's contract is tolerance-zero: feeding its scores
 into ``add_page(..., scores=...)`` must reproduce, to the last bit, the
 assignments and partitions of adding the same pages one at a time with
 no precomputed scores — on every scoring backend (the reverse-add-order
 block layout exists precisely so argument-order-asymmetric functions
-like F9 stay bitwise equal; see the module docstring of
-:mod:`repro.serving.coalescing`).
+like F9 stay bitwise equal; see the method's docstring).
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ResolverConfig
+from repro.core.incremental import IncrementalResolver
 from repro.core.resolver import EntityResolver
-from repro.pipeline.session import ResolutionSession
-from repro.serving import coalesced_pair_scores
+from repro.corpus.documents import NameCollection
 
 
 @pytest.fixture(scope="module", params=["python", "numpy"])
@@ -27,24 +27,13 @@ def backend_model(request, small_block, block_features):
 
 
 @pytest.fixture()
-def backend_session_pair(backend_model, small_block, block_features,
-                         pipeline):
-    """Two identically bootstrapped fresh sessions on one backend."""
-    base = list(small_block.pages)[:20]
-    feats = {p.doc_id: block_features[p.doc_id] for p in base}
-    sessions = []
-    for _ in range(2):
-        session = ResolutionSession(backend_model, pipeline=pipeline)
-        session.resolve(base, features=feats)
-        sessions.append(session)
-    return sessions
-
-
-@pytest.fixture()
-def incrementals(backend_session_pair, small_block):
-    name = small_block.query_name
-    return [session._prepared[name].incremental
-            for session in backend_session_pair]
+def incrementals(backend_model, small_block, block_features):
+    """Two identically bootstrapped fresh resolvers on one backend."""
+    base = NameCollection(query_name=small_block.query_name,
+                          pages=list(small_block.pages)[:20])
+    feats = {p.doc_id: block_features[p.doc_id] for p in base.pages}
+    return [IncrementalResolver.from_model(backend_model, base, feats)
+            for _ in range(2)]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +45,7 @@ class TestBitIdentity:
     def test_coalesced_adds_match_sequential_adds(self, incrementals,
                                                   tail_features):
         sequential, coalesced = incrementals
-        scores = coalesced_pair_scores(coalesced, tail_features)
+        scores = coalesced.coalesced_pair_scores(tail_features)
         assert scores is not None
         for features in tail_features:
             a = sequential.add_page(features)
@@ -72,7 +61,7 @@ class TestBitIdentity:
         incremental = incrementals[1]
         existing = [page.doc_id for page in incremental.indexed_features()]
         new_ids = [page.doc_id for page in tail_features]
-        scores = coalesced_pair_scores(incremental, tail_features)
+        scores = incremental.coalesced_pair_scores(tail_features)
         expected = {
             pair_key(new_id, other)
             for index, new_id in enumerate(new_ids)
@@ -84,12 +73,12 @@ class TestBitIdentity:
 
 class TestFallbacks:
     def test_empty_batch_returns_none(self, incrementals):
-        assert coalesced_pair_scores(incrementals[1], []) is None
+        assert incrementals[1].coalesced_pair_scores([]) is None
 
     def test_duplicate_within_batch_returns_none(self, incrementals,
                                                  tail_features):
         batch = [tail_features[0], tail_features[1], tail_features[0]]
-        assert coalesced_pair_scores(incrementals[1], batch) is None
+        assert incrementals[1].coalesced_pair_scores(batch) is None
 
     def test_duplicate_against_index_returns_none(self, incrementals,
                                                   tail_features,
@@ -97,4 +86,4 @@ class TestFallbacks:
                                                   small_block):
         indexed = block_features[list(small_block.pages)[0].doc_id]
         batch = [tail_features[0], indexed]
-        assert coalesced_pair_scores(incrementals[1], batch) is None
+        assert incrementals[1].coalesced_pair_scores(batch) is None

@@ -11,6 +11,7 @@ what they assert.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -113,6 +114,32 @@ class TestConcurrentDeterminism:
         assert report.failed == 0, report.errors
         assert report.completed == len(requests)
         _assert_serial_equivalent(engine)
+
+    def test_session_counters_lose_no_update(self, serving_model, pipeline,
+                                             warm_requests,
+                                             single_page_requests):
+        """``process`` runs for different names at once and folds its
+        counts into one ``SessionStats`` behind the stats' own lock;
+        more threads than cores at a tiny switch interval is where an
+        unguarded read-modify-write would drop one."""
+        engine = ServingEngine(serving_model, pipeline=pipeline)
+        warm = warm_requests(head=10)
+        for request in warm:
+            engine.resolve(request.pages, features=request.features)
+        requests = single_page_requests(skip=10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_load(engine, requests, threads=2 * THREADS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.failed == 0, report.errors
+        stats = engine.snapshot.session.stats
+        assert stats.incremental_assignments == len(requests)
+        assert stats.requests == len(warm) + len(requests)
+        assert stats.pages == engine.stats.pages
+        assert stats.new_entities == sum(
+            len(engine.clusters(name)) for name in engine.prepared_names())
 
     @pytest.mark.parametrize("batch_window", [0.0, 0.002])
     def test_window_setting_never_changes_results(self, serving_model,

@@ -8,11 +8,20 @@ Concurrency is exercised separately in ``test_concurrency.py``.
 
 from __future__ import annotations
 
+import threading
+from dataclasses import replace
+
 import pytest
 
+from repro.core.model import ResolverModel
 from repro.corpus.documents import NameCollection
 from repro.pipeline.session import ResolutionSession
 from repro.serving import ServingEngine, verify_serial_equivalence
+from repro.similarity.backends import (
+    BACKENDS,
+    ScoringBackend,
+    resolve_backend,
+)
 
 
 @pytest.fixture()
@@ -82,7 +91,6 @@ class TestValidation:
 
     def test_unknown_name_rejected_atomically(self, engine, small_block,
                                               all_features):
-        from dataclasses import replace
         pages = list(small_block.pages)
         feats = {p.doc_id: all_features[p.doc_id] for p in pages}
         stranger = replace(pages[0], query_name="No Such Person")
@@ -108,6 +116,157 @@ class TestValidation:
         # The failed unit fails identically under serial replay.
         report = verify_serial_equivalence(engine)
         assert report["identical"], report["diffs"]
+
+    def test_duplicate_inside_a_burst_fails_alone(self, engine, small_block,
+                                                  all_features):
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        engine.resolve(pages[:10], features=feats)
+        burst = [pages[10], pages[11], pages[0], pages[12]]
+        futures = [engine.submit(page, features=feats) for page in burst]
+        engine.flush()
+        errors = [future.exception(timeout=5) for future in futures]
+        assert [error is not None for error in errors] \
+            == [False, False, True, False]
+        assert isinstance(errors[2], ValueError)
+        assert pages[0].doc_id in str(errors[2])
+        assert [future.result()[0].doc_id
+                for future in futures if future is not futures[2]] \
+            == [page.doc_id for page in pages[10:13]]
+        assert engine.stats.failed_requests == 1
+        assert engine.clusters(small_block.query_name).n_items() == 13
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+    def test_partly_failed_request_frees_its_queue_slot(
+            self, serving_model, pipeline, small_dataset, all_features):
+        engine = ServingEngine(serving_model, pipeline=pipeline,
+                               queue_depth=1, record_journal=True)
+        first, second = small_dataset.collections[:2]
+        engine.resolve(first.pages[:5], features=all_features)
+        with pytest.raises(ValueError, match="already resolved"):
+            engine.resolve([first.pages[0], second.pages[0]],
+                           features=all_features)
+        # the other name's unit was served all the same
+        assert engine.clusters(second.query_name).n_items() == 1
+        caller = threading.Thread(
+            target=engine.resolve, args=(first.pages[5],),
+            kwargs={"features": all_features}, daemon=True)
+        caller.start()
+        caller.join(timeout=5)
+        assert not caller.is_alive(), "the failed request kept its slot"
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+
+class _CountingBackend(ScoringBackend):
+    """Delegates to ``inner``, counting the whole-block sweeps."""
+
+    name = "counting-test"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.block_calls = 0
+
+    def block_scores(self, ids, features, functions, mask=None):
+        self.block_calls += 1
+        return self.inner.block_scores(ids, features, functions, mask=mask)
+
+    def pair_scores(self, function, new, others):
+        return self.inner.pair_scores(function, new, others)
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_one_page_for_a_hot_name_never_sweeps_the_block(
+            self, backend, monkeypatch, serving_model, pipeline,
+            small_block, all_features):
+        counting = _CountingBackend(resolve_backend(backend))
+        monkeypatch.setitem(BACKENDS._entries, counting.name, counting)
+        model = ResolverModel(
+            replace(serving_model.config, backend=counting.name),
+            serving_model.blocks, pipeline=pipeline)
+        engine = ServingEngine(model, pipeline=pipeline)
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        engine.resolve(pages[:10], features=feats)
+        counting.block_calls = 0
+        engine.resolve(pages[10], features=feats)
+        assert counting.block_calls == 0
+        assert engine.stats.coalesced_batches == 0
+        # two queued pages are a batch: one sweep
+        futures = [engine.submit(page, features=feats)
+                   for page in pages[11:13]]
+        engine.flush()
+        assert all(future.result(timeout=5) for future in futures)
+        assert counting.block_calls == 1
+        assert engine.stats.coalesced_batches == 1
+
+
+@pytest.fixture(params=["session", "engine"])
+def serve(request):
+    """Either API over ``model``: the outcomes below must not depend on
+    which one served the page.  Every engine built is replayed when the
+    test ends."""
+    engines = []
+
+    def build(model, **kwargs):
+        if request.param == "session":
+            return ResolutionSession(model, **kwargs)
+        engines.append(ServingEngine(model, record_journal=True, **kwargs))
+        return engines[-1]
+    yield build
+    for engine in engines:
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+
+class TestFailureLeavesDefinedState:
+    def test_unit_with_a_duplicate_applies_nothing(self, serve, serving_model,
+                                                   small_block, all_features):
+        server = serve(serving_model)
+        name = small_block.query_name
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        server.resolve(pages[:10], features=feats)
+        before = server.clusters(name)
+        for bad in ([pages[10], pages[0]], [pages[10], pages[10]]):
+            with pytest.raises(ValueError, match="already resolved"):
+                server.resolve(bad, features=feats)
+            assert server.clusters(name) == before
+        # the corrected request is not "already resolved"
+        assert [a.doc_id for a in
+                server.resolve(pages[10:12], features=feats)] \
+            == [page.doc_id for page in pages[10:12]]
+
+    def test_cold_unit_with_a_duplicate_stays_cold(self, serve, serving_model,
+                                                   small_block, all_features):
+        server = serve(serving_model)
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        with pytest.raises(ValueError, match="already resolved"):
+            server.resolve([pages[0], pages[1], pages[0]], features=feats)
+        with pytest.raises(KeyError, match="no prepared state"):
+            server.clusters(small_block.query_name)
+        assert len(server.resolve(pages[:2], features=feats)) == 2
+
+    def test_clusters_of_a_reserved_slot_is_a_keyerror(self, serve,
+                                                       serving_model,
+                                                       small_block,
+                                                       all_features):
+        bare = ResolverModel(serving_model.config, serving_model.blocks)
+        server = serve(bare)
+        pages = list(small_block.pages)[:3]
+        with pytest.raises(ValueError, match="no extraction pipeline"):
+            server.resolve(pages)  # raw, no pipeline
+        assert server.prepared_names() == [small_block.query_name]
+        with pytest.raises(KeyError, match="no prepared state"):
+            server.clusters(small_block.query_name)
+        with pytest.raises(KeyError, match="no prepared state"):
+            server.clusters("Never Served")
+        # the next request for the name bootstraps the reserved slot
+        server.resolve(pages, features=all_features)
+        assert server.clusters(small_block.query_name).n_items() == 3
 
 
 class TestSubmitFlush:
@@ -240,5 +399,20 @@ class TestRawPageStream:
         engine.resolve(pages[6])
         prepared = engine.snapshot.session._prepared[small_block.query_name]
         assert prepared.context.n_pages == len(prepared.pages) == 7
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+    @pytest.mark.parametrize("cold_pages", [1, 3])
+    def test_failed_bootstrap_leaves_later_requests_identical(
+            self, cold_pages, serving_model, small_dataset, all_features):
+        bare = ResolverModel(serving_model.config, serving_model.blocks)
+        engine = ServingEngine(bare, max_blocks=1, record_journal=True)
+        first, second = small_dataset.collections[:2]
+        feats = {p.doc_id: all_features[p.doc_id] for p in first.pages}
+        engine.resolve(first.pages[:10], features=feats)
+        with pytest.raises(ValueError, match="no extraction pipeline"):
+            engine.resolve(second.pages[:cold_pages])  # raw, no pipeline
+        engine.resolve(first.pages[10], features=feats)
+        # prepared_blocks / evicted_blocks are among what the replay diffs
         report = verify_serial_equivalence(engine)
         assert report["identical"], report["diffs"]
