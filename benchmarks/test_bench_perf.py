@@ -10,7 +10,8 @@ import pytest
 
 from repro.blocking import QueryNameBlocker, SortedNeighborhoodBlocker, TokenBlocker
 from repro.core.config import ResolverConfig
-from repro.core.resolver import EntityResolver, compute_similarity_graphs
+from repro.core.resolver import EntityResolver
+from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.functions import default_functions
 
 
@@ -28,7 +29,7 @@ def one_block_features(www_context, one_block):
 def test_perf_similarity_graphs(benchmark, one_block, one_block_features):
     """Quadratic similarity computation for one block, all ten functions."""
     functions = default_functions()
-    graphs = benchmark(compute_similarity_graphs, one_block,
+    graphs = benchmark(batched_similarity_graphs, one_block,
                        one_block_features, functions)
     assert graphs["F8"].is_complete()
 
@@ -45,8 +46,12 @@ def test_perf_resolver_pass(benchmark, www_context, one_block):
     """One full Algorithm 1 pass given precomputed graphs."""
     resolver = EntityResolver(ResolverConfig())
     graphs = www_context.graphs_by_name[one_block.query_name]
-    result = benchmark(resolver.resolve_block, one_block, 0, None, None,
-                       graphs)
+
+    def fit_evaluate():
+        model = resolver.fit(one_block, training_seed=0, graphs=graphs)
+        return model.evaluate(one_block, graphs=graphs)
+
+    result = benchmark(fit_evaluate)
     assert result.report.fp > 0.0
 
 

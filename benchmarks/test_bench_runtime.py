@@ -245,7 +245,6 @@ def runtime_record():
     # through the worker attach path — exactly what production steady
     # state pays.  Interleaved best-of-two decorrelates clock noise; the
     # two legs must produce identical results.
-    from repro.core.model import detach_fitted
     from repro.runtime.stats import RunStats
     from repro.runtime.tasks import PredictBlockTask, run_block_tasks
 
@@ -255,7 +254,7 @@ def runtime_record():
     predict_payloads = [
         PredictBlockTask(
             config=config,
-            fitted=detach_fitted(plane_model.blocks[block.query_name]),
+            fitted=plane_model.blocks[block.query_name],
             block=block, graphs=None, pipeline=None, evaluate=False,
             features=features_by_name[block.query_name])
         for block in collection

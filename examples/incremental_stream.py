@@ -40,10 +40,10 @@ def main() -> None:
     # could run in a separate serving process via model.save()/load().
     # Sharing the graphs object between fit and adoption skips the
     # quadratic similarity step the second time.
-    from repro.core import compute_similarity_graphs
+    from repro.runtime import batched_similarity_graphs
     from repro.similarity.functions import default_functions
 
-    base_graphs = compute_similarity_graphs(base, base_features,
+    base_graphs = batched_similarity_graphs(base, base_features,
                                             default_functions())
     model = batch_resolver.fit(base, training_seed=0, graphs=base_graphs)
     resolver = IncrementalResolver.from_model(model, base, base_features,

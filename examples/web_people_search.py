@@ -14,13 +14,13 @@ Run:
 
 from repro import EntityResolver, ResolverConfig, www05_like
 from repro.core.labels import TrainingSample
-from repro.core.resolver import compute_similarity_graphs
 from repro.core.thresholds import learn_threshold
 from repro.experiments.figures import figure1_series
 from repro.experiments.reporting import format_region_series
 from repro.experiments.runner import ExperimentContext
 from repro.metrics.clusterings import clustering_from_assignments
 from repro.ml.sampling import sample_training_pairs
+from repro.runtime import batched_similarity_graphs
 from repro.similarity.functions import ALL_FUNCTION_NAMES, default_functions
 
 QUERY = "William Cohen"
@@ -46,7 +46,7 @@ def main() -> None:
     print(f"  concepts           : {sorted(bundle.concept_set)[:4]}...")
     print(f"  TF-IDF terms       : {len(bundle.tfidf)}\n")
 
-    graphs = compute_similarity_graphs(block, features, default_functions())
+    graphs = batched_similarity_graphs(block, features, default_functions())
     training = TrainingSample.from_pairs(
         sample_training_pairs(block, fraction=0.1, seed=0))
 

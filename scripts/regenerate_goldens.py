@@ -67,8 +67,8 @@ def build_golden(backend: str = "python") -> dict:
     graphs = {}
     for block in collection:
         features = pipeline.extract_block(block)
-        from repro.core.model import compute_similarity_graphs
-        block_graphs = compute_similarity_graphs(
+        from repro.runtime.batch import batched_similarity_graphs
+        block_graphs = batched_similarity_graphs(
             block, features, full_battery(), backend=backend)
         graphs[block.query_name] = {
             name: [[left, right, value]

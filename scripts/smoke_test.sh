@@ -33,6 +33,14 @@ if grep -rnE "session\._[a-z]|ResolutionSession\._" src/repro/serving; then
     echo "serving/ reaches into ResolutionSession privates" >&2; exit 1
 fi
 
+echo "== pipeline/ schedules nothing itself =="
+# Stages build block payloads and hand them to run_block_tasks; a stage
+# that asks whether the executor is serial is growing a second copy of
+# a task body.
+if grep -rnE "is_serial|_run_serial|_run_parallel" src/repro/pipeline; then
+    echo "pipeline/ forks on the schedule again" >&2; exit 1
+fi
+
 echo "== generate =="
 run generate --out "$workdir/data.json"
 

@@ -24,8 +24,7 @@ serialize an extraction pipeline — supply one for raw pages)::
     assignments = session.resolve(list(pages))  # incremental, per request
 
 See README.md for the fit → save → predict lifecycle, the stage/plan
-API, the registry extension points, and migration notes from
-``resolve_collection``.
+API and the registry extension points.
 """
 
 from repro.corpus import weps2_like, www05_like

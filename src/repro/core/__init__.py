@@ -73,7 +73,6 @@ from repro.core.model import (
     FittedBlock,
     FittedLayer,
     ResolverModel,
-    compute_similarity_graphs,
 )
 from repro.core.resolver import EntityResolver
 from repro.core.incremental import Assignment, IncrementalResolver
@@ -117,7 +116,6 @@ __all__ = [
     "CollectionPrediction",
     "BlockResolution",
     "CollectionResolution",
-    "compute_similarity_graphs",
     "cluster_combination",
     "Registry",
     "BLOCKERS",

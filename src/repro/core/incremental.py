@@ -26,12 +26,12 @@ from repro.core.model import (
     FittedBlock,
     FittedLayer,
     ResolverModel,
-    compute_similarity_graphs,
 )
 from repro.core.resolver import EntityResolver
 from repro.corpus.documents import NameCollection
 from repro.extraction.features import PageFeatures
 from repro.metrics.clusterings import Clustering
+from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.backends import resolve_backend
 from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import function_by_name
@@ -198,7 +198,7 @@ class IncrementalResolver:
             training_seed: training-sample seed.
         """
         resolver = EntityResolver(self.config)
-        graphs = compute_similarity_graphs(
+        graphs = batched_similarity_graphs(
             block, features, resolver._functions,
             backend=self.config.backend)
         model = resolver.fit(block, training_seed=training_seed,

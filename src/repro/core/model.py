@@ -10,15 +10,12 @@ combiner/clusterer parameters of every block.  The model then serves
 the model is reused across processes.
 
 Evaluation against ground truth is a separate, explicit path
-(:meth:`ResolverModel.evaluate`), which the legacy
-``EntityResolver.resolve_block`` / ``resolve_collection`` wrappers build
-on.
+(:meth:`ResolverModel.evaluate`).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +27,6 @@ from repro.core.combination import (
     build_combiner,
     consulted_function_names,
     decide_layer,
-    decided_edges,
-    decided_probabilities,
 )
 from repro.core.config import ResolverConfig
 from repro.core.decisions import FittedDecision
@@ -43,51 +38,18 @@ from repro.corpus.documents import (
 from repro.corpus.vocabulary import build_vocabulary
 from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
-from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
+from repro.graph.entity_graph import WeightedPairGraph
 from repro.metrics.clusterings import Clustering, clustering_from_assignments
 from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
-from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
-from repro.runtime.executor import BlockExecutor, executor_from_config
+from repro.runtime.executor import BlockExecutor
 from repro.runtime.stats import RunStats
+from repro.runtime.tasks import block_graphs
 from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import functions_subset
 
 #: On-disk model format version.
 MODEL_FORMAT_VERSION = 1
-
-
-def compute_similarity_graphs(
-    block: NameCollection,
-    features: dict[str, PageFeatures],
-    functions: list[SimilarityFunction],
-    cache: SimilarityCache | None = None,
-    backend: str | None = None,
-    mask: frozenset | None = None,
-) -> dict[str, WeightedPairGraph]:
-    """The weighted graph ``G_w^fi`` for every function.
-
-    This is the quadratic step; experiments precompute and cache these
-    graphs per dataset because similarity values do not depend on the
-    training sample.  Delegates to the runtime engine's batched builder
-    (:func:`~repro.runtime.batch.batched_similarity_graphs`): one pass
-    over the block's pairs fills every function's graph through the
-    selected scoring backend, with identical values to scoring each pair
-    naively.
-
-    Args:
-        cache: optional :class:`~repro.runtime.cache.SimilarityCache`;
-            (block, mask, function) graphs already stored there are
-            reused and fresh ones stored back.
-        backend: scoring-backend name
-            (:data:`~repro.similarity.backends.BACKENDS`); ``None`` uses
-            the ambient default.  Bit-identical across backends.
-        mask: optional candidate-pair mask from a blocker; only masked
-            pairs are scored, so the graphs carry candidate edges only.
-            ``None`` (default): the complete graph.
-    """
-    return batched_similarity_graphs(block, features, functions, cache=cache,
-                                     backend=backend, mask=mask)
 
 
 def resolve_extraction_pipeline(
@@ -178,14 +140,19 @@ class FittedBlock:
 
     def __post_init__(self) -> None:
         # Decision layers are a pure function of (fitted decisions,
-        # similarity graphs); fitting seeds this one-shot hand-off so the
-        # immediate fit → predict pass (the resolve_* wrappers, the
-        # experiment runner) applies them once.  Identity-keyed with a
-        # strong reference — a recycled id can never alias a different
-        # graphs dict — and *consumed* on first use, so a model kept
-        # alive for serving does not pin the training dataset's quadratic
-        # similarity graphs in memory.
+        # similarity graphs); fitting on caller-supplied graphs seeds
+        # this one-shot hand-off so an immediate predict pass over the
+        # same graphs (the experiment runner) applies them once.
+        # Identity-keyed with a strong reference — a recycled id can
+        # never alias a different graphs dict — and *consumed* on first
+        # use, so a model kept alive for serving does not pin the
+        # training dataset's quadratic similarity graphs in memory.
         self._layer_cache: tuple[dict, list[DecisionLayer]] | None = None
+
+    def __getstate__(self) -> dict[str, object]:
+        # The hand-off holds the block's graphs and only ever matches by
+        # identity, so it never crosses a process boundary (or a copy).
+        return {**self.__dict__, "_layer_cache": None}
 
     def decision_layers(
         self, consulted: Sequence[FittedLayer],
@@ -220,41 +187,6 @@ class FittedBlock:
             combiner_params=dict(payload["combiner_params"]),
             n_training=int(payload["n_training"]),
         )
-
-
-def detach_fitted(fitted: FittedBlock) -> FittedBlock:
-    """A copy of ``fitted`` without the fit-time layer cache.
-
-    Executor payloads pickle the fitted state into worker processes; the
-    one-shot layer cache pins the training block's quadratic similarity
-    graphs and must never ride along.  Layers are immutable and shared.
-    """
-    return FittedBlock(
-        query_name=fitted.query_name,
-        layers=list(fitted.layers),
-        combiner_params=dict(fitted.combiner_params),
-        n_training=fitted.n_training,
-    )
-
-
-def apply_fitted_decisions(
-    decisions: Sequence[FittedDecision],
-    graph: WeightedPairGraph,
-) -> list[tuple[DecisionGraph, dict]]:
-    """Several fitted decisions over one similarity graph: per decision,
-    the decision graph and the per-pair link probabilities.
-
-    The eager form of what a :class:`DecisionLayer` computes (edges up
-    front, probabilities on first read).  Per decision, edges and
-    probabilities are inserted in the graph's pair order — exactly the
-    order a pair-by-pair loop over ``decide`` / ``link_probability``
-    produces, which keeps this path bit-identical to the seed
-    implementation.
-    """
-    return [(DecisionGraph(nodes=list(graph.nodes),
-                           edges=decided_edges(decision, graph)),
-             decided_probabilities(decision, graph))
-            for decision in decisions]
 
 
 def build_decision_layers(
@@ -398,12 +330,14 @@ class ResolverModel:
        :meth:`predict_collection`) resolves pages *without reading
        labels*; ``person_id`` may be absent.  Collection passes are
        scheduled by the runtime engine: the config's executor (or an
-       explicit ``executor=`` argument) fans blocks out, a shared
-       :class:`~repro.runtime.cache.SimilarityCache` reuses features and
-       pairwise similarity values across passes, and the resulting
+       explicit ``executor=`` argument) runs one task per block, each
+       scoring through a cache of its own — a collection pass never
+       touches the model's
+       :class:`~repro.runtime.cache.SimilarityCache`, which serves
+       repeated single-block calls — and the resulting
        :class:`~repro.runtime.stats.RunStats` is attached to the returned
-       collection result.  Serial and parallel execution produce
-       bit-identical predictions at fixed seeds.
+       collection result.  Serial and parallel execution run the same
+       task body, so predictions are bit-identical at fixed seeds.
     4. **evaluate** — :meth:`evaluate` predicts and then scores against
        ground truth (which must be present); it shares every serving code
        path with predict, so reported metrics measure exactly what
@@ -445,16 +379,16 @@ class ResolverModel:
     def release_fit_caches(self) -> None:
         """Drop every block's fit-time layer cache and the similarity cache.
 
-        Fitting seeds a one-shot cache per block so the immediate
-        fit → predict pass reuses the fit-time layers, and serving fills
-        the model's :class:`~repro.runtime.cache.SimilarityCache` with
-        per-block features and pairwise values; both are quadratic in
-        block size.  The collection predict/evaluate paths call this
-        afterwards so a long-lived process does not retain per-block
-        state for blocks it already served.  Call it yourself when
-        keeping a directly-fitted model alive without predicting, or
-        between serving bursts.  Cache hit/miss counters survive, so
-        :class:`~repro.runtime.stats.RunStats` stays meaningful.
+        Fitting on caller-supplied graphs seeds a one-shot cache per
+        block so an immediate predict pass over the same graphs reuses
+        the fit-time layers, and single-block serving fills the model's
+        :class:`~repro.runtime.cache.SimilarityCache` with per-block
+        features and pairwise values; both are quadratic in block size.
+        The collection predict/evaluate paths call this afterwards so a
+        long-lived process does not retain per-block state for blocks it
+        already served.  Call it yourself when keeping a model fitted on
+        supplied graphs alive without predicting, or between serving
+        bursts.  Cache hit/miss counters survive.
         """
         for fitted in self.blocks.values():
             fitted._layer_cache = None
@@ -490,16 +424,13 @@ class ResolverModel:
         return self._combiner.consulted_layers(fitted.layers,
                                                fitted.combiner_params)
 
-    def scoring_functions(
-        self, fitted: FittedBlock,
-        functions: Sequence[SimilarityFunction] | None = None,
-    ) -> list[SimilarityFunction]:
+    def scoring_functions(self,
+                          fitted: FittedBlock) -> list[SimilarityFunction]:
         """The similarity functions a label-free pass over ``fitted``
-        needs: those of ``functions`` (default: the model's battery) that
-        a consulted layer decides over."""
+        needs: those of the model's battery that a consulted layer
+        decides over."""
         names = set(consulted_function_names(self.consulted_layers(fitted)))
-        return [function for function in (self._functions if functions is None
-                                          else functions)
+        return [function for function in self._functions
                 if function.name in names]
 
     def __contains__(self, query_name: object) -> bool:
@@ -586,17 +517,9 @@ class ResolverModel:
             # the model's defaults that populated the cache.
             cache = (self._similarity_cache
                      if features is None and pipeline is None else None)
-            if features is None:
-                pipeline = pipeline or self.pipeline
-                if pipeline is None:
-                    raise ValueError("need a pipeline, features, or graphs")
-                if cache is not None:
-                    features = cache.features_for(block,
-                                                  pipeline.extract_block)
-                else:
-                    features = pipeline.extract_block(block)
-            graphs = compute_similarity_graphs(
-                block, features, self.scoring_functions(fitted), cache=cache,
+            graphs = block_graphs(
+                block, None, pipeline or self.pipeline,
+                self.scoring_functions(fitted), cache, features=features,
                 backend=self.config.backend, mask=mask)
 
         layers = fitted.decision_layers(self.consulted_layers(fitted), graphs)
@@ -732,42 +655,20 @@ class ResolverModel:
         :class:`~repro.runtime.stats.RunStats`, and the per-stage
         :class:`~repro.pipeline.stage.StageStats` records.
         """
-        from repro.pipeline.artifacts import Corpus, Resolution
-        from repro.pipeline.plan import predict_plan
-        from repro.pipeline.stage import PipelineContext
+        from repro.pipeline.artifacts import Resolution
+        from repro.pipeline.plan import predict_plan, run_pass
 
-        owns_executor = executor is None
-        executor = executor or executor_from_config(self.config)
-        plan = plan or predict_plan(self.config, evaluate=evaluate)
-        started = time.perf_counter()
-        ctx = PipelineContext(
-            config=self.config,
+        resolution, stats, ctx = run_pass(
+            plan or predict_plan(self.config, evaluate=evaluate), collection,
+            Resolution, self.config, "evaluate" if evaluate else "predict",
             executor=executor,
-            phase="evaluate" if evaluate else "predict",
             model=self,
             extraction=pipeline or self.pipeline,
-            explicit_extraction=pipeline is not None,
             graphs_by_name=graphs_by_name,
             model_block=model_block,
             evaluate=evaluate,
         )
-        try:
-            resolution = plan.run(Corpus(collection=collection), ctx)
-        finally:
-            # Close only pools this call created from the config; a
-            # caller-provided executor persists across its runs.
-            if owns_executor:
-                executor.close()
-        if not isinstance(resolution, Resolution):
-            raise TypeError(
-                f"predict plan {plan.name!r} produced "
-                f"{type(resolution).__name__}, expected Resolution")
         self.release_fit_caches()
-        stats = ctx.engine_stats() or RunStats.for_executor(
-            "evaluate" if evaluate else "predict", executor)
-        # The pass's wall clock covers the whole plan, not just the
-        # cluster stage (matching the pre-pipeline accounting).
-        stats.wall_seconds = time.perf_counter() - started
         return resolution.results, stats, list(ctx.stage_stats)
 
     # -- persistence -----------------------------------------------------

@@ -16,15 +16,11 @@ The public API splits this into train and serve:
 :meth:`EntityResolver.fit` runs steps 1–4's *learning* on labeled data and
 returns a :class:`~repro.core.model.ResolverModel`, whose ``predict``
 re-applies the fitted machinery to unlabeled pages and ``evaluate`` scores
-predictions against ground truth.  ``resolve_block`` /
-``resolve_collection`` remain as deprecated fit+predict+evaluate wrappers
-for the paper's fully-labeled workflow.
+predictions against ground truth.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
 from collections.abc import Iterable
 from itertools import chain
 
@@ -37,12 +33,9 @@ from repro.core.config import ResolverConfig
 from repro.core.decisions import build_criteria
 from repro.core.labels import TrainingSample
 from repro.core.model import (
-    BlockResolution,
-    CollectionResolution,
     FittedBlock,
     FittedLayer,
     ResolverModel,
-    compute_similarity_graphs,
     resolve_extraction_pipeline,
 )
 from repro.corpus.documents import DocumentCollection, NameCollection
@@ -50,16 +43,11 @@ from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.ml.sampling import sample_training_pairs
-from repro.runtime.executor import BlockExecutor, executor_from_config
-from repro.runtime.stats import RunStats
+from repro.runtime.executor import BlockExecutor
+from repro.runtime.tasks import block_graphs
 from repro.similarity.functions import functions_subset
 
-__all__ = [
-    "BlockResolution",
-    "CollectionResolution",
-    "EntityResolver",
-    "compute_similarity_graphs",
-]
+__all__ = ["EntityResolver"]
 
 
 def _node_numbers(nodes: Iterable[str],
@@ -177,11 +165,13 @@ class EntityResolver:
         without touching this method.  The run's per-stage timings land
         on the returned model's ``fit_stage_stats``.
 
-        Fitting also seeds a one-shot per-block layer cache (holding the
-        block's similarity graphs) for the immediate fit → predict pass;
-        when keeping a directly-fitted model alive and serving only
-        selected blocks, call ``model.release_fit_caches()`` to drop the
-        unconsumed ones.
+        Fitting on graphs the caller supplied (``graphs=`` /
+        ``graphs_by_name=``) also seeds a one-shot per-block layer cache
+        holding those graphs, so an immediate predict pass over the same
+        graphs applies the decisions once; when keeping such a model
+        alive and serving only selected blocks, call
+        ``model.release_fit_caches()`` to drop the unconsumed ones.
+        Blocks whose graphs fitting computed itself keep nothing.
 
         Args:
             data: a labeled dataset, or a single labeled block.
@@ -216,8 +206,13 @@ class EntityResolver:
                 raise ValueError(
                     "graphs_by_name applies to collection fitting; "
                     "pass graphs= for a single block")
-            graphs = self._block_graphs(data, pipeline, features, graphs)
+            supplied = graphs is not None
+            graphs = block_graphs(data, graphs, pipeline or self._pipeline,
+                                  self._functions, None, features=features,
+                                  backend=self.config.backend)
             fitted = self.fit_block(data, graphs, training_seed)
+            if not supplied:
+                fitted._layer_cache = None
             return ResolverModel(
                 config=self.config,
                 blocks={data.query_name: fitted},
@@ -228,66 +223,22 @@ class EntityResolver:
             raise ValueError(
                 "features/graphs apply to single-block fitting; "
                 "pass graphs_by_name= for a collection")
-        from repro.pipeline.artifacts import Corpus, Decisions
-        from repro.pipeline.plan import fit_plan
-        from repro.pipeline.stage import PipelineContext
+        from repro.pipeline.artifacts import Decisions
+        from repro.pipeline.plan import fit_plan, run_pass
 
-        owns_executor = executor is None
-        executor = executor or executor_from_config(self.config)
-        plan = plan or fit_plan(self.config)
-        started = time.perf_counter()
-        ctx = PipelineContext(
-            config=self.config,
+        decisions, stats, ctx = run_pass(
+            plan or fit_plan(self.config), data, Decisions, self.config,
+            "fit",
             executor=executor,
-            phase="fit",
-            resolver=self,
             extraction=pipeline or self._pipeline,
             graphs_by_name=graphs_by_name,
             training_seed=training_seed,
         )
-        try:
-            decisions = plan.run(Corpus(collection=data), ctx)
-        finally:
-            # Close only pools this call created from the config; a
-            # caller-provided executor persists across its runs.
-            if owns_executor:
-                executor.close()
-        if not isinstance(decisions, Decisions):
-            raise TypeError(
-                f"fit plan {plan.name!r} produced "
-                f"{type(decisions).__name__}, expected Decisions")
-        stats = ctx.engine_stats() or RunStats.for_executor("fit", executor)
-        # The pass's wall clock covers the whole plan, not just the fit
-        # stage (matching the pre-pipeline accounting).
-        stats.wall_seconds = time.perf_counter() - started
         model = ResolverModel(config=self.config, blocks=decisions.fitted,
                               pipeline=ctx.extraction)
         model.fit_stats = stats
         model.fit_stage_stats = list(ctx.stage_stats)
         return model
-
-    def _block_graphs(
-        self,
-        block: NameCollection,
-        pipeline: ExtractionPipeline | None,
-        features: dict[str, PageFeatures] | None,
-        graphs: dict[str, WeightedPairGraph] | None,
-    ) -> dict[str, WeightedPairGraph]:
-        """Similarity graphs for one block, computing what is missing.
-
-        Raises:
-            ValueError: when neither graphs, features nor a pipeline are
-                available.
-        """
-        if graphs is not None:
-            return graphs
-        if features is None:
-            pipeline = pipeline or self._pipeline
-            if pipeline is None:
-                raise ValueError("need a pipeline, features, or graphs")
-            features = pipeline.extract_block(block)
-        return compute_similarity_graphs(block, features, self._functions,
-                                         backend=self.config.backend)
 
     def fit_block(self, block: NameCollection,
                   graphs: dict[str, WeightedPairGraph],
@@ -347,77 +298,3 @@ class EntityResolver:
                                                        numbers)
                 layers.append(layer)
         return layers
-
-    # -- deprecated labeled-workflow wrappers ---------------------------
-
-    def resolve_collection(
-        self,
-        collection: DocumentCollection,
-        training_seed: int = 0,
-        graphs_by_name: dict[str, dict[str, WeightedPairGraph]] | None = None,
-    ) -> CollectionResolution:
-        """Resolve every block of a fully labeled dataset.
-
-        .. deprecated:: 1.1
-            Thin wrapper over ``fit(...)`` + ``ResolverModel.evaluate``;
-            prefer those directly — they separate the label-consuming
-            training step from label-free prediction.
-
-        Args:
-            collection: the dataset (every page labeled).
-            training_seed: seed of the per-block training-sample draw.
-            graphs_by_name: optional precomputed similarity graphs
-                (``query name -> function name -> graph``) to skip the
-                quadratic similarity step.
-        """
-        warnings.warn(
-            "EntityResolver.resolve_collection is deprecated; use "
-            "fit(...) and ResolverModel.evaluate/predict instead",
-            DeprecationWarning, stacklevel=2)
-        pipeline = self.pipeline_for(collection)
-        # Streamed per block: fitting is per-block, so fit + evaluate one
-        # block at a time — each block's graphs are computed once, shared
-        # between the two passes, and released before the next block
-        # (the legacy loop's memory profile).
-        blocks = []
-        for block in collection:
-            graphs = (graphs_by_name or {}).get(block.query_name)
-            if graphs is None:
-                graphs = compute_similarity_graphs(
-                    block, pipeline.extract_block(block), self._functions,
-                    backend=self.config.backend)
-            model = self.fit(block, training_seed=training_seed,
-                             graphs=graphs)
-            blocks.append(model.evaluate_block(block, graphs=graphs))
-        return CollectionResolution(dataset=collection.name, blocks=blocks)
-
-    def resolve_block(
-        self,
-        block: NameCollection,
-        training_seed: int = 0,
-        pipeline: ExtractionPipeline | None = None,
-        features: dict[str, PageFeatures] | None = None,
-        graphs: dict[str, WeightedPairGraph] | None = None,
-    ) -> BlockResolution:
-        """Run Algorithm 1 on one fully labeled block.
-
-        .. deprecated:: 1.1
-            Thin wrapper over ``fit(...)`` + ``ResolverModel.evaluate``;
-            prefer those directly.
-
-        Args:
-            block: the name's page collection (fully labeled).
-            training_seed: training-sample seed for this run.
-            pipeline: extraction pipeline (required unless ``features`` or
-                ``graphs`` already cover the block).
-            features: precomputed page features (skips extraction).
-            graphs: precomputed weighted graphs (skips extraction *and*
-                similarity computation).
-        """
-        warnings.warn(
-            "EntityResolver.resolve_block is deprecated; use fit(...) "
-            "and ResolverModel.evaluate/predict instead",
-            DeprecationWarning, stacklevel=2)
-        graphs = self._block_graphs(block, pipeline, features, graphs)
-        model = self.fit(block, training_seed=training_seed, graphs=graphs)
-        return model.evaluate_block(block, graphs=graphs)

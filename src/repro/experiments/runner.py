@@ -7,10 +7,10 @@ dataset and shared across configurations, runs and baselines — they do not
 depend on the training sample.
 
 Preparation and the per-run fit/evaluate passes are scheduled by the
-runtime engine (:mod:`repro.runtime`): ``prepare(..., workers=4)`` fans
-the per-block extraction + similarity step out to a process pool, and
-every pass reports a :class:`~repro.runtime.stats.RunStats` — see
-``docs/performance.md``.
+runtime engine (:mod:`repro.runtime`): every pass is one task per block
+(:mod:`repro.runtime.tasks`), ``prepare(..., workers=4)`` runs those
+tasks on a process pool instead of inline, and every pass reports a
+:class:`~repro.runtime.stats.RunStats` — see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.baselines.base import PairwiseBaseline
 from repro.core.config import ResolverConfig
 from repro.core.labels import TrainingSample
-from repro.core.resolver import EntityResolver, compute_similarity_graphs
+from repro.core.resolver import EntityResolver
 from repro.corpus.documents import DocumentCollection
 from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
@@ -32,7 +32,8 @@ from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.ml.sampling import sample_training_pairs, training_runs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.executor import BlockExecutor, executor_for_workers
-from repro.runtime.stats import RunStats, TaskStats
+from repro.runtime.stats import RunStats
+from repro.runtime.tasks import PrepareBlockTask, run_block_tasks
 from repro.similarity.functions import default_functions
 
 
@@ -77,10 +78,11 @@ class ExperimentContext:
         backend for the quadratic step (``None``: ambient default;
         bit-identical either way).
 
-        By default the serial path streams: each block's cache entries
-        are dropped before the next block is touched.  Pass an external
-        ``cache`` (serial only) to *retain* the prepared features and
-        pair weights instead — hand it to
+        Every block is scored through a transient cache of its task's
+        own, so the pass keeps one block's quadratic state at a time
+        beyond the graphs it returns.  Pass an external ``cache``
+        (serial only) to *retain* the prepared features and pair
+        weights instead — hand it to
         :meth:`~repro.core.model.ResolverModel.adopt_similarity_cache`
         and subsequent predict calls serve from the prepared state
         rather than recomputing the quadratic step.
@@ -99,52 +101,23 @@ class ExperimentContext:
         stats = RunStats.for_executor("prepare", executor)
         features_by_name = {}
         graphs_by_name = {}
-        if executor.is_serial:
-            retain = cache is not None
-            cache = cache if retain else SimilarityCache()
-            for block in collection:
-                block_started = time.perf_counter()
-                misses_before = cache.pair_misses
-                hits_before = cache.pair_hits
-                if retain:
-                    # Through the cache, so the retained entries serve
-                    # later predict calls feature-for-feature.
-                    features = cache.features_for(block,
-                                                  pipeline.extract_block)
-                else:
-                    features = pipeline.extract_block(block)
-                features_by_name[block.query_name] = features
-                graphs_by_name[block.query_name] = compute_similarity_graphs(
-                    block, features, functions, cache=cache, backend=backend)
-                stats.add_task(TaskStats(
-                    query_name=block.query_name,
-                    seconds=time.perf_counter() - block_started,
-                    pairs_scored=cache.pair_misses - misses_before,
-                    cache_hits=cache.pair_hits - hits_before,
-                    cache_misses=cache.pair_misses - misses_before,
-                ))
-                if not retain:
-                    cache.drop_block(block)
-        else:
-            from repro.runtime.tasks import PrepareBlockTask, run_block_tasks
-
-            try:
-                payloads = [PrepareBlockTask(pipeline=pipeline, block=block,
-                                             functions=tuple(functions),
-                                             backend=backend)
-                            for block in collection]
-                weights = [len(block) for block in collection]
-                for name, features, graphs, task_stats in run_block_tasks(
-                        executor, "prepare", payloads, weights=weights,
-                        stats=stats):
-                    features_by_name[name] = features
-                    graphs_by_name[name] = graphs
-                    stats.add_task(task_stats)
-            finally:
-                # The pool is ours only if we built it from `workers=`;
-                # caller-provided executors stay open for reuse.
-                if owns_executor:
-                    executor.close()
+        payloads = [PrepareBlockTask(pipeline=pipeline, block=block,
+                                     functions=tuple(functions),
+                                     backend=backend, cache=cache)
+                    for block in collection]
+        try:
+            for name, features, graphs, task_stats in run_block_tasks(
+                    executor, "prepare", payloads,
+                    weights=[len(block) for block in collection],
+                    stats=stats):
+                features_by_name[name] = features
+                graphs_by_name[name] = graphs
+                stats.add_task(task_stats)
+        finally:
+            # The pool is ours only if we built it from `workers=`;
+            # caller-provided executors stay open for reuse.
+            if owns_executor:
+                executor.close()
         stats.wall_seconds = time.perf_counter() - started
         stats.finish_executor(executor)
         return cls(collection=collection,

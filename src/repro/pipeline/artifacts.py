@@ -7,11 +7,11 @@ paper's dataflow explicit and composable::
 
 Artifacts are deliberately *carriers*, not computations: the per-name
 maps may be partially (or not at all) materialized, and the heavy stages
-pull what is missing per block through the shared
-:class:`~repro.runtime.cache.SimilarityCache`.  That streaming contract
-is what lets the default plans keep the engine's one-block-resident
-memory profile and its bit-identical serial/parallel guarantee, while a
-custom stage that *does* materialize an entry (say, sparsified graphs)
+compute what is missing inside each block's task
+(:mod:`repro.runtime.tasks`), where it lives only as long as the task.
+That streaming contract is what lets the default plans keep the
+engine's one-block-resident memory profile under either schedule, while
+a custom stage that *does* materialize an entry (say, sparsified graphs)
 transparently overrides the downstream computation for that block.
 
 This module only depends on data-model packages (corpus, extraction,
@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
         BlockResolution,
         FittedBlock,
     )
-    from repro.similarity.base import SimilarityFunction
 
 __all__ = [
     "Corpus",
@@ -109,8 +108,8 @@ class FeatureSet:
 
     ``by_name`` holds only the materialized entries (``query name ->
     doc id -> PageFeatures``).  Blocks absent from the map are extracted
-    on demand by the consuming stage through the pass's cache, keeping
-    the streaming memory profile; an eager extraction stage can instead
+    on demand inside the consuming stage's block task, keeping the
+    streaming memory profile; an eager extraction stage can instead
     fill the map up front and downstream stages will use it as-is.
     """
 
@@ -125,17 +124,13 @@ class SimilarityGraphs:
     ``by_name`` maps ``query name -> function name -> graph`` for the
     materialized entries (e.g. an experiment context's precomputed
     graphs); missing blocks are computed on demand from ``features`` by
-    the consuming stage.  ``functions`` is the battery the plan's config
-    selected, in config order; ``backend`` is the config's scoring
-    backend for on-demand computation (``None``: ambient default —
-    backends are bit-identical, so this only affects speed).
+    the consuming stage, with the battery and scoring backend of the
+    run's config.
     """
 
     features: FeatureSet
     by_name: dict[str, dict[str, WeightedPairGraph]] = field(
         default_factory=dict)
-    functions: "list[SimilarityFunction]" = field(default_factory=list)
-    backend: str | None = None
 
     @property
     def blocks(self) -> Blocks:

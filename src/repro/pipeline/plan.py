@@ -27,15 +27,17 @@ and serving without touching ``repro.core``.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from typing import Any
 
 from repro.core.registry import STAGES
+from repro.pipeline.artifacts import Corpus
 from repro.pipeline.stage import PipelineContext, Stage, StageStats
+from repro.runtime.executor import BlockExecutor, executor_from_config
+from repro.runtime.stats import RunStats
 
-import time
-
-__all__ = ["Pipeline", "PlanError", "fit_plan", "predict_plan"]
+__all__ = ["Pipeline", "PlanError", "fit_plan", "predict_plan", "run_pass"]
 
 
 class PlanError(ValueError):
@@ -148,6 +150,47 @@ class Pipeline:
     def __repr__(self) -> str:
         chain = " -> ".join(self.stage_names())
         return f"Pipeline({self.name!r}: {chain})"
+
+
+def run_pass(plan: Pipeline, collection, produces: type, config, phase: str,
+             executor: BlockExecutor | None = None,
+             **context) -> tuple[Any, RunStats, PipelineContext]:
+    """Drive ``plan`` over a whole collection as one ``phase`` pass.
+
+    The sequence ``EntityResolver.fit`` and the model's collection
+    predict / evaluate share: borrow ``executor`` or build the one
+    ``config`` selects (closing only a pool built here — a
+    caller-provided executor persists across its runs), thread a
+    :class:`PipelineContext` (``context`` are its remaining fields)
+    through the plan, and take the engine pass's stats with the wall
+    clock of the whole plan, not just the stage that fanned out.
+
+    Returns the terminal artifact, the pass's
+    :class:`~repro.runtime.stats.RunStats`, and the context (resolved
+    extraction pipeline, per-stage records).
+
+    Raises:
+        TypeError: when the plan's terminal artifact is not a
+            ``produces``.
+    """
+    owns_executor = executor is None
+    executor = executor or executor_from_config(config)
+    started = time.perf_counter()
+    ctx = PipelineContext(config=config, executor=executor, phase=phase,
+                          **context)
+    try:
+        artifact = plan.run(Corpus(collection=collection), ctx)
+    finally:
+        if owns_executor:
+            executor.close()
+    if not isinstance(artifact, produces):
+        raise TypeError(
+            f"{'fit' if phase == 'fit' else 'predict'} plan {plan.name!r} "
+            f"produced {type(artifact).__name__}, "
+            f"expected {produces.__name__}")
+    stats = ctx.engine_stats() or RunStats.for_executor(phase, executor)
+    stats.wall_seconds = time.perf_counter() - started
+    return artifact, stats, ctx
 
 
 def fit_plan(config=None) -> Pipeline:

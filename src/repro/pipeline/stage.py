@@ -6,7 +6,7 @@ declares the artifact type it consumes and the one it produces, and its
 :class:`~repro.pipeline.plan.Pipeline` validates that adjacent stages
 chain (``produces`` feeds ``consumes``), times every stage into a
 :class:`StageStats`, and threads a single :class:`PipelineContext`
-carrying the run's configuration, executor, caches and lazily resolved
+carrying the run's configuration, executor and lazily resolved
 extraction pipeline.
 
 Stages must be no-arg constructible so plans can be composed from
@@ -20,13 +20,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.runtime.cache import SimilarityCache
 from repro.runtime.stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.config import ResolverConfig
     from repro.core.model import ResolverModel
-    from repro.core.resolver import EntityResolver
     from repro.corpus.documents import DocumentCollection
     from repro.extraction.pipeline import ExtractionPipeline
     from repro.graph.entity_graph import WeightedPairGraph
@@ -81,16 +79,11 @@ class PipelineContext:
         config: the resolver configuration the plan runs under.
         executor: block executor scheduling per-block fan-out.
         phase: ``"fit"``, ``"predict"`` or ``"evaluate"``.
-        resolver: the fitting :class:`EntityResolver` (fit plans only).
         model: the serving :class:`ResolverModel` (predict plans only).
         extraction: the extraction pipeline, possibly still unresolved —
             stages call :meth:`require_extraction` which resolves it
             lazily from collection metadata exactly when (and only when)
             a block actually needs extracting.
-        explicit_extraction: true when the caller passed the pipeline
-            explicitly; the cluster stage then uses a pass-local cache
-            so the model's content-keyed cache is never served values
-            another pipeline produced.
         graphs_by_name: caller-precomputed similarity graphs, seeded
             into the similarity stage's artifact.
         features_by_name: caller-precomputed features, seeded into the
@@ -105,10 +98,8 @@ class PipelineContext:
     config: "ResolverConfig"
     executor: "BlockExecutor"
     phase: str = "fit"
-    resolver: "EntityResolver | None" = None
     model: "ResolverModel | None" = None
     extraction: "ExtractionPipeline | None" = None
-    explicit_extraction: bool = False
     graphs_by_name: "dict[str, dict[str, WeightedPairGraph]] | None" = None
     features_by_name: "dict[str, dict[str, Any]] | None" = None
     training_seed: int = 0
@@ -153,10 +144,6 @@ class PipelineContext:
             if entry.run_stats is not None:
                 return entry.run_stats
         return self.pending_run_stats
-
-    def fresh_cache(self) -> SimilarityCache:
-        """A pass-local similarity cache (streaming accounting)."""
-        return SimilarityCache()
 
 
 class Stage(ABC):

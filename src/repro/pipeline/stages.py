@@ -21,14 +21,14 @@ These six stages carry the dataflow that used to be hard-wired inside
 * ``cluster`` — :class:`ClusterStage`: applies fitted decisions, combines
   and clusters every block into the final :class:`Resolution`.
 
-The ``fit`` and ``cluster`` stages are executor-aware: serial runs
-stream block-by-block through a pass-local
-:class:`~repro.runtime.cache.SimilarityCache` (dropping each block's
-quadratic state before the next), parallel runs fan the same work out
-through :mod:`repro.runtime.tasks` payloads.  Both report a
-:class:`~repro.runtime.stats.RunStats` on the context.  Serial and
-parallel stage execution are bit-identical at fixed seeds, exactly as
-the pre-pipeline code paths were.
+The ``fit`` and ``cluster`` stages work on blocks only through
+:mod:`repro.runtime.tasks`: they build one payload per block and hand
+the list to :func:`~repro.runtime.tasks.run_block_tasks`, which runs the
+task bodies inline under a serial executor and in pool workers under a
+parallel one.  One body under two schedules, so the passes are
+bit-identical at fixed seeds by construction, and either way a block's
+quadratic state lives only as long as its task.  Both stages report a
+:class:`~repro.runtime.stats.RunStats` on the context.
 
 ``repro.core`` modules are imported inside stage bodies: the registry's
 lazy built-in loading imports this module, which must therefore never
@@ -49,12 +49,11 @@ from repro.pipeline.artifacts import (
     SimilarityGraphs,
 )
 from repro.pipeline.stage import PipelineContext, Stage
-from repro.runtime.cache import SimilarityCache
-from repro.runtime.stats import RunStats, TaskStats
+from repro.runtime.stats import RunStats
+from repro.runtime.tasks import FitBlockTask, PredictBlockTask, run_block_tasks
 
 __all__ = [
     "BlockingStage",
-    "QueryNameBlockingStage",
     "ExtractionStage",
     "SimilarityStage",
     "FitDecisionsStage",
@@ -99,20 +98,14 @@ class BlockingStage(Stage):
         return Blocks(blocks=blocks, source=corpus.collection, masks=masks)
 
 
-#: Backwards-compatible alias: the stage predates the blocker registry,
-#: when it implemented only the paper's query-name scheme.
-QueryNameBlockingStage = BlockingStage
-
-
 @register_stage("extract")
 class ExtractionStage(Stage):
     """Bind page features to the blocks.
 
     The default stage materializes nothing: caller-precomputed features
     (``ctx.features_by_name``) pass through, and everything else is
-    extracted per block by the consuming stage through the pass's cache
-    — the streaming profile that keeps collection passes one-block
-    resident.  A custom eager stage can fill ``by_name`` up front and
+    extracted inside the consuming stage's block task — the streaming
+    profile that keeps collection passes one-block resident.  A custom eager stage can fill ``by_name`` up front and
     downstream stages use those entries as-is.
     """
 
@@ -127,7 +120,7 @@ class ExtractionStage(Stage):
 
 @register_stage("similarity")
 class SimilarityStage(Stage):
-    """Bind the function battery and any precomputed similarity graphs.
+    """Bind any precomputed similarity graphs.
 
     Precomputed graphs (``ctx.graphs_by_name``, e.g. an
     :class:`~repro.experiments.runner.ExperimentContext`'s) pass through
@@ -143,41 +136,47 @@ class SimilarityStage(Stage):
 
     def run(self, features: FeatureSet,
             ctx: PipelineContext) -> SimilarityGraphs:
-        from repro.similarity.functions import functions_subset
-
-        return SimilarityGraphs(
-            features=features,
-            by_name=dict(ctx.graphs_by_name or {}),
-            functions=functions_subset(ctx.config.function_names),
-            backend=ctx.config.backend)
+        return SimilarityGraphs(features=features,
+                                by_name=dict(ctx.graphs_by_name or {}))
 
 
-def _graphs_for_block(block, graphs: SimilarityGraphs, ctx: PipelineContext,
-                      cache: SimilarityCache, functions=None):
-    """One block's similarity graphs: materialized, or computed now.
+def _run_block_pass(kind: str, phase: str, graphs: SimilarityGraphs,
+                    ctx: PipelineContext, payload_for) -> list:
+    """One engine pass: a ``kind`` task per block, results in block order.
 
-    Features come from the feature artifact when materialized, else the
-    block is extracted with the lazily resolved pipeline.  Fresh graphs
-    run through ``cache`` for pair-granular accounting and reuse, and
-    honor the block's candidate mask: a masked block's graphs carry
-    candidate edges only.  ``functions`` narrows a fresh computation to
-    the functions the consumer reads (default: the bound battery).
+    ``payload_for(shipped)`` builds a block's task payload around the
+    fields every kind ships: the block, its mask, and what its artifacts
+    hold — materialized graphs, else materialized features, else the
+    lazily resolved extraction pipeline.  The pass's :class:`RunStats`
+    is left on the context for the plan runner.
     """
-    from repro.core.model import compute_similarity_graphs
-
-    block_graphs = graphs.by_name.get(block.query_name)
-    if block_graphs is not None:
-        return block_graphs
-    features = graphs.features.by_name.get(block.query_name)
-    if features is None:
-        pipeline = ctx.require_extraction(graphs.blocks.source)
-        features = cache.features_for(block, pipeline.extract_block)
-    if functions is None:
-        functions = graphs.functions
-    return compute_similarity_graphs(block, features, functions,
-                                     cache=cache, backend=graphs.backend,
-                                     mask=graphs.blocks.mask_for(
-                                         block.query_name))
+    started = time.perf_counter()
+    stats = RunStats.for_executor(phase, ctx.executor)
+    payloads = []
+    for block in graphs.blocks:
+        block_graphs = graphs.by_name.get(block.query_name)
+        features = graphs.features.by_name.get(block.query_name)
+        pipeline = None
+        if block_graphs is None and features is None:
+            pipeline = ctx.require_extraction(graphs.blocks.source)
+        payloads.append(payload_for(dict(
+            config=ctx.config,
+            block=block,
+            graphs=block_graphs,
+            pipeline=pipeline,
+            features=features,
+            mask=graphs.blocks.mask_for(block.query_name),
+        )))
+    results = []
+    for _, result, task_stats in run_block_tasks(
+            ctx.executor, kind, payloads,
+            weights=[len(block) for block in graphs.blocks], stats=stats):
+        results.append(result)
+        stats.add_task(task_stats)
+    stats.wall_seconds = time.perf_counter() - started
+    stats.finish_executor(ctx.executor)
+    ctx.pending_run_stats = stats
+    return results
 
 
 @register_stage("fit")
@@ -186,10 +185,9 @@ class FitDecisionsStage(Stage):
 
     The only label-consuming stage: per block it draws the training
     sample, fits the (function × criterion) decision grid, estimates
-    layer accuracies and freezes the combiner's parameters — by calling
-    :meth:`EntityResolver.fit_block`, the same per-block unit the
-    executors schedule.  Serial and parallel execution produce identical
-    fitted state.
+    layer accuracies and freezes the combiner's parameters — one
+    :func:`~repro.runtime.tasks.run_fit_block` task per block, wherever
+    the executor runs it.
     """
 
     name = "fit"
@@ -198,76 +196,12 @@ class FitDecisionsStage(Stage):
 
     def run(self, graphs: SimilarityGraphs,
             ctx: PipelineContext) -> Decisions:
-        started = time.perf_counter()
-        stats = RunStats.for_executor("fit", ctx.executor)
-        if ctx.executor.is_serial:
-            fitted = self._run_serial(graphs, ctx, stats)
-        else:
-            fitted = self._run_parallel(graphs, ctx, stats)
-        stats.wall_seconds = time.perf_counter() - started
-        stats.finish_executor(ctx.executor)
-        ctx.pending_run_stats = stats
-        return Decisions(graphs=graphs, fitted=fitted)
-
-    def _resolver(self, ctx: PipelineContext):
-        from repro.core.resolver import EntityResolver
-
-        return ctx.resolver or EntityResolver(ctx.config)
-
-    def _run_serial(self, graphs: SimilarityGraphs, ctx: PipelineContext,
-                    stats: RunStats):
-        resolver = self._resolver(ctx)
-        # The cache lives for this stage only: it counts scored pairs for
-        # RunStats and dedups graph work, without retaining quadratic
-        # state past the pass.
-        cache = ctx.fresh_cache()
-        fitted = {}
-        for block in graphs.blocks:
-            block_started = time.perf_counter()
-            misses_before = cache.pair_misses
-            hits_before = cache.pair_hits
-            block_graphs = _graphs_for_block(block, graphs, ctx, cache)
-            fitted[block.query_name] = resolver.fit_block(
-                block, block_graphs, ctx.training_seed)
-            stats.add_task(TaskStats(
-                query_name=block.query_name,
-                seconds=time.perf_counter() - block_started,
-                pairs_scored=cache.pair_misses - misses_before,
-                cache_hits=cache.pair_hits - hits_before,
-                cache_misses=cache.pair_misses - misses_before,
-            ))
-            cache.drop_block(block)
-        return fitted
-
-    def _run_parallel(self, graphs: SimilarityGraphs, ctx: PipelineContext,
-                      stats: RunStats):
-        from repro.runtime.tasks import FitBlockTask, run_block_tasks
-
-        payloads = []
-        weights = []
-        for block in graphs.blocks:
-            block_graphs = graphs.by_name.get(block.query_name)
-            features = graphs.features.by_name.get(block.query_name)
-            pipeline = None
-            if block_graphs is None and features is None:
-                pipeline = ctx.require_extraction(graphs.blocks.source)
-            payloads.append(FitBlockTask(
-                config=ctx.config,
-                block=block,
-                graphs=block_graphs,
-                pipeline=pipeline,
-                training_seed=ctx.training_seed,
-                features=features,
-                mask=graphs.blocks.mask_for(block.query_name),
-            ))
-            weights.append(len(block))
-        fitted = {}
-        for query_name, fitted_block, task_stats in run_block_tasks(
-                ctx.executor, "fit", payloads, weights=weights,
-                stats=stats):
-            fitted[query_name] = fitted_block
-            stats.add_task(task_stats)
-        return fitted
+        fitted = _run_block_pass(
+            "fit", "fit", graphs, ctx,
+            lambda shipped: FitBlockTask(training_seed=ctx.training_seed,
+                                         **shipped))
+        return Decisions(graphs=graphs,
+                         fitted=dict(zip(graphs.blocks.names(), fitted)))
 
 
 @register_stage("decide")
@@ -307,8 +241,10 @@ class ClusterStage(Stage):
     The label-free serving stage: per block it re-applies the fitted
     decision grid to the block's similarity graphs, combines the layers,
     clusters the combined graph, and (on evaluate plans) scores against
-    ground truth.  Serial runs stream; parallel runs ship detached
-    fitted state to workers.  Bit-identical across executors.
+    ground truth — one :func:`~repro.runtime.tasks.run_predict_block`
+    task per block, wherever the executor runs it.  The fitted blocks
+    ship as they are: pickling leaves a fit-time hand-off behind, and
+    the inline schedule gets to consume it.
     """
 
     name = "cluster"
@@ -316,87 +252,10 @@ class ClusterStage(Stage):
     produces = Resolution
 
     def run(self, decisions: Decisions, ctx: PipelineContext) -> Resolution:
-        model = ctx.model
-        if model is None:
-            raise ValueError(
-                "the cluster stage serves a fitted model; run it through "
-                "ResolverModel.predict/evaluate or set ctx.model")
-        started = time.perf_counter()
-        stats = RunStats.for_executor(
-            "evaluate" if ctx.evaluate else "predict", ctx.executor)
-        if ctx.executor.is_serial:
-            results = self._run_serial(decisions, ctx, stats)
-        else:
-            results = self._run_parallel(decisions, ctx, stats)
-        stats.wall_seconds = time.perf_counter() - started
-        stats.finish_executor(ctx.executor)
-        ctx.pending_run_stats = stats
+        results = _run_block_pass(
+            "predict", "evaluate" if ctx.evaluate else "predict",
+            decisions.graphs, ctx,
+            lambda shipped: PredictBlockTask(
+                fitted=decisions.fitted[shipped["block"].query_name],
+                evaluate=ctx.evaluate, **shipped))
         return Resolution(dataset=decisions.blocks.dataset, results=results)
-
-    def _run_serial(self, decisions: Decisions, ctx: PipelineContext,
-                    stats: RunStats):
-        model = ctx.model
-        graphs = decisions.graphs
-        serve = (model.evaluate_fitted if ctx.evaluate
-                 else model.predict_fitted)
-        # An explicit pipeline= must never be served stale values another
-        # pipeline put into the model's content-keyed cache; a pass-local
-        # cache keeps the accounting and streaming behavior without that
-        # risk.
-        cache = (ctx.fresh_cache() if ctx.explicit_extraction
-                 else model._similarity_cache)
-        results = []
-        for block in graphs.blocks:
-            block_started = time.perf_counter()
-            hits_before = cache.pair_hits
-            misses_before = cache.pair_misses
-            fitted = decisions.fitted[block.query_name]
-            # Only what the combiner consults is scored (and counted).
-            block_graphs = _graphs_for_block(
-                block, graphs, ctx, cache,
-                functions=model.scoring_functions(fitted, graphs.functions))
-            results.append(serve(fitted, block, graphs=block_graphs))
-            stats.add_task(TaskStats(
-                query_name=block.query_name,
-                seconds=time.perf_counter() - block_started,
-                pairs_scored=cache.pair_misses - misses_before,
-                cache_hits=cache.pair_hits - hits_before,
-                cache_misses=cache.pair_misses - misses_before,
-            ))
-            # Streamed memory profile: a served block's quadratic cache
-            # entries are dropped before the next block is touched.
-            cache.drop_block(block)
-        return results
-
-    def _run_parallel(self, decisions: Decisions, ctx: PipelineContext,
-                      stats: RunStats):
-        from repro.core.model import detach_fitted
-        from repro.runtime.tasks import PredictBlockTask, run_block_tasks
-
-        graphs = decisions.graphs
-        payloads = []
-        weights = []
-        for block in graphs.blocks:
-            block_graphs = graphs.by_name.get(block.query_name)
-            features = graphs.features.by_name.get(block.query_name)
-            pipeline = None
-            if block_graphs is None and features is None:
-                pipeline = ctx.require_extraction(graphs.blocks.source)
-            payloads.append(PredictBlockTask(
-                config=ctx.config,
-                fitted=detach_fitted(decisions.fitted[block.query_name]),
-                block=block,
-                graphs=block_graphs,
-                pipeline=pipeline,
-                evaluate=ctx.evaluate,
-                features=features,
-                mask=graphs.blocks.mask_for(block.query_name),
-            ))
-            weights.append(len(block))
-        results = []
-        for _, result, task_stats in run_block_tasks(
-                ctx.executor, "predict", payloads, weights=weights,
-                stats=stats):
-            results.append(result)
-            stats.add_task(task_stats)
-        return results

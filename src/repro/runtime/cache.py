@@ -11,13 +11,14 @@ Where hits actually occur: repeated serving of a hot block through
 ``ResolverModel.predict_block`` / ``evaluate_block`` (the second and
 later serves cost zero similarity computations — the benchmark's
 ``serving_cache_hit_rate`` case), and any caller that keeps one cache
-across several ``compute_similarity_graphs`` calls for the same block.
-The *collection* passes intentionally do not accumulate entries: they
-run each block once, use the cache for pair-granular accounting (feeding
-:class:`~repro.runtime.stats.RunStats`), and drop the block's entries
-before the next block — the quadratic reuse across a single pass's
-function × criterion grid comes from batched one-sweep construction
-(:mod:`repro.runtime.batch`), not from cache round-trips.
+across several ``batched_similarity_graphs`` calls for the same block.
+The *collection* passes intentionally do not accumulate entries: every
+block task (:mod:`repro.runtime.tasks`) scores through a transient cache
+of its own, used for pair-granular accounting (feeding
+:class:`~repro.runtime.stats.RunStats`) and gone with the task — the
+quadratic reuse across a single pass's function × criterion grid comes
+from batched one-sweep construction (:mod:`repro.runtime.batch`), not
+from cache round-trips.
 
 Entries are dropped per block (:meth:`SimilarityCache.drop_block`) or
 wholesale (:meth:`clear`) — ``ResolverModel.release_fit_caches`` clears

@@ -1,29 +1,32 @@
-"""Picklable block-level task functions for the executors.
+"""Block-level units of work, and the one way to schedule them.
 
-Process-pool workers can only run module-level functions over picklable
-payloads, so every parallelizable pass (context preparation, fitting,
-prediction, evaluation) has its payload dataclass and task function here.
-Each task measures itself and returns a
-:class:`~repro.runtime.stats.TaskStats` alongside its result — worker
-processes cannot touch the parent's caches or counters.
+Algorithm 1 is defined per block, so "prepare one block", "fit one
+block" and "predict one block" are the system's units of work.  Each has
+a payload dataclass and a module-level task function here, and these
+bodies are the only code that works on a block in a collection pass:
+:func:`run_block_tasks` runs them inline for a serial executor and in
+pool workers for a parallel one, so which process runs a unit changes
+nothing but the schedule.  Process-pool workers can only run
+module-level functions over picklable payloads, and cannot touch the
+parent's caches or counters — which is why every task measures itself
+and returns a :class:`~repro.runtime.stats.TaskStats` alongside its
+result, under both schedules.
 
 ``repro.core`` modules are imported inside the task bodies: the core
 imports the runtime package, so importing it back at module level would
 cycle.
 
-Fan-outs should go through :func:`run_block_tasks` rather than handing
-payload lists to ``executor.run`` directly: for parallel executors it
-publishes the whole payload list **once** as a shared-memory shard and
-dispatches :class:`ShardedBlockTask` descriptors of a few dozen bytes;
-for serial executors it degrades to the plain loop with zero shard
-overhead.  Before publishing, each payload's numeric bulk — eager
-feature dicts and precomputed graphs — is stripped out of the pickle
-stream and written into the segment as raw columnar planes
-(:mod:`repro.runtime.planes`); the pickled residual carries only slot
-markers (:class:`FeaturePlaneSlot` / :class:`GraphPlaneSlot`) that
-workers rebind to zero-copy views on attach.  ``REPRO_SHARD_PLANES=0``
-disables the stripping (everything pickles, as before PR 10), which the
-runtime benchmark uses to measure the zero-copy speedup.
+For parallel executors :func:`run_block_tasks` publishes the whole
+payload list **once** as a shared-memory shard and dispatches
+:class:`ShardedBlockTask` descriptors of a few dozen bytes.  Before
+publishing, each payload's numeric bulk — eager feature dicts and
+precomputed graphs — is stripped out of the pickle stream and written
+into the segment as raw columnar planes (:mod:`repro.runtime.planes`);
+the pickled residual carries only slot markers
+(:class:`FeaturePlaneSlot` / :class:`GraphPlaneSlot`) that workers
+rebind to zero-copy views on attach.  ``REPRO_SHARD_PLANES=0`` disables
+the stripping (everything pickles, as before PR 10), which the runtime
+benchmark uses to measure the zero-copy speedup.
 """
 
 from __future__ import annotations
@@ -76,17 +79,30 @@ def planes_enabled() -> bool:
     return _PLANES_IMPORTABLE
 
 
-def _block_graphs(
+def block_graphs(
     block: NameCollection,
     graphs: dict[str, "WeightedPairGraph"] | None,
     pipeline: "ExtractionPipeline | None",
-    functions: list[SimilarityFunction],
-    cache: SimilarityCache,
+    functions: Sequence[SimilarityFunction],
+    cache: SimilarityCache | None,
     features: dict | None = None,
     backend: str | None = None,
     mask: frozenset | None = None,
 ) -> dict[str, "WeightedPairGraph"]:
-    """Shipped graphs, or a fresh cached computation in this worker."""
+    """One block's similarity graphs: supplied, or computed now.
+
+    The one rule every path follows: supplied ``graphs`` are returned as
+    they are (identity included — the fit → predict hand-off keys on
+    it); else supplied ``features`` are scored; else the block is
+    extracted with ``pipeline`` first.  Extraction and scoring go
+    through ``cache`` when one is given (pair-granular accounting, and
+    reuse across calls that share it), and honor the block's candidate
+    ``mask``: a masked block's graphs carry candidate edges only.
+
+    Raises:
+        ValueError: when neither graphs, features nor a pipeline are
+            available.
+    """
     if graphs is not None:
         return graphs
     if features is None:
@@ -94,20 +110,26 @@ def _block_graphs(
             raise ValueError(
                 f"block {block.query_name!r} has neither precomputed graphs, "
                 f"features, nor a pipeline to extract with")
-        features = cache.features_for(block, pipeline.extract_block)
+        features = (pipeline.extract_block(block) if cache is None
+                    else cache.features_for(block, pipeline.extract_block))
     return batched_similarity_graphs(block, features, functions, cache=cache,
                                      backend=backend, mask=mask)
 
 
-def _task_stats(query_name: str, seconds: float,
-                cache: SimilarityCache) -> TaskStats:
-    snapshot = cache.stats()
+def _task_stats(query_name: str, started: float, cache: SimilarityCache,
+                before: tuple[int, int] = (0, 0)) -> TaskStats:
+    """One block task's cost record: wall time since ``started``, and
+    what it scored through ``cache`` since the cache's ``(pair_hits,
+    pair_misses)`` read ``before`` (default: a cache the task created)
+    — a delta, so a cache shared across tasks (a retained prepare
+    cache) is attributed block by block."""
+    misses = cache.pair_misses - before[1]
     return TaskStats(
         query_name=query_name,
-        seconds=seconds,
-        pairs_scored=snapshot.pair_misses,
-        cache_hits=snapshot.pair_hits,
-        cache_misses=snapshot.pair_misses,
+        seconds=time.perf_counter() - started,
+        pairs_scored=misses,
+        cache_hits=cache.pair_hits - before[0],
+        cache_misses=misses,
     )
 
 
@@ -120,19 +142,23 @@ class PrepareBlockTask:
     functions: tuple[SimilarityFunction, ...]
     #: scoring-backend name (``None``: the worker's ambient default).
     backend: str | None = None
+    #: a cache that outlives the task and keeps the block's entries (the
+    #: prepare-once / serve-many hand-off).  Inline schedule only: a
+    #: worker process would fill a copy.  ``None``: a transient one.
+    cache: SimilarityCache | None = None
 
 
 def run_prepare_block(payload: PrepareBlockTask) -> tuple[str, Any, Any, TaskStats]:
-    """Worker body for :meth:`ExperimentContext.prepare` fan-out."""
+    """One block of :meth:`ExperimentContext.prepare`."""
     started = time.perf_counter()
-    cache = SimilarityCache()
+    cache = SimilarityCache() if payload.cache is None else payload.cache
+    before = (cache.pair_hits, cache.pair_misses)
     features = cache.features_for(payload.block,
                                   payload.pipeline.extract_block)
     graphs = batched_similarity_graphs(payload.block, features,
-                                       list(payload.functions), cache=cache,
+                                       payload.functions, cache=cache,
                                        backend=payload.backend)
-    stats = _task_stats(payload.block.query_name,
-                        time.perf_counter() - started, cache)
+    stats = _task_stats(payload.block.query_name, started, cache, before)
     return (payload.block.query_name, features, graphs, stats)
 
 
@@ -153,27 +179,29 @@ class FitBlockTask:
 
 
 def run_fit_block(payload: FitBlockTask) -> tuple[str, Any, TaskStats]:
-    """Worker body for parallel :meth:`EntityResolver.fit`.
+    """One block of a collection :meth:`EntityResolver.fit`.
 
-    The fit-time layer cache is dropped before returning: the hand-off
-    only pays off inside one process, and shipping the quadratic graphs
-    back to the parent would dwarf the fitted state.
+    The fitted block keeps its fit-time layer hand-off only when the
+    payload shipped the graphs: the caller then holds the same dict and
+    can present it to the predict pass.  Graphs computed here are
+    referenced by nobody else, so a hand-off over them could never match
+    and would only pin the block's quadratic state.
     """
     from repro.core.resolver import EntityResolver
 
     started = time.perf_counter()
     cache = SimilarityCache()
     resolver = EntityResolver(payload.config)
-    graphs = _block_graphs(payload.block, payload.graphs, payload.pipeline,
-                           resolver.functions, cache,
-                           features=payload.features,
-                           backend=payload.config.backend,
-                           mask=payload.mask)
+    graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
+                          resolver.functions, cache,
+                          features=payload.features,
+                          backend=payload.config.backend,
+                          mask=payload.mask)
     fitted = resolver.fit_block(payload.block, graphs,
                                 training_seed=payload.training_seed)
-    fitted._layer_cache = None
-    stats = _task_stats(payload.block.query_name,
-                        time.perf_counter() - started, cache)
+    if payload.graphs is None:
+        fitted._layer_cache = None
+    stats = _task_stats(payload.block.query_name, started, cache)
     return (payload.block.query_name, fitted, stats)
 
 
@@ -195,32 +223,28 @@ class PredictBlockTask:
 
 
 def run_predict_block(payload: PredictBlockTask) -> tuple[str, Any, TaskStats]:
-    """Worker body for parallel predict/evaluate over a collection.
+    """One block of a collection predict / evaluate pass.
 
-    Rebuilds a single-block :class:`~repro.core.model.ResolverModel` in
-    the worker and serves the payload block through the shipped fitted
-    state (``model_block`` handles serving under a different name).
+    Serves the payload block through the shipped fitted state, which
+    need not carry the block's name (a ``model_block`` fallback).
     Graphs computed here cover only the functions the combiner consults
-    (see :meth:`~repro.core.model.ResolverModel.predict_fitted`).
+    (:meth:`~repro.core.model.ResolverModel.scoring_functions`), and are
+    scored through a cache of the task's own — a collection pass never
+    touches a long-lived model's cache.
     """
     from repro.core.model import ResolverModel
 
     started = time.perf_counter()
-    model = ResolverModel(config=payload.config,
-                          blocks={payload.fitted.query_name: payload.fitted},
-                          pipeline=payload.pipeline)
-    kwargs = {"graphs": payload.graphs,
-              "model_block": payload.fitted.query_name,
-              "mask": payload.mask}
-    if payload.graphs is None and payload.features is not None:
-        kwargs["features"] = payload.features
-    if payload.evaluate:
-        result = model.evaluate_block(payload.block, **kwargs)
-    else:
-        result = model.predict_block(payload.block, **kwargs)
-    stats = _task_stats(payload.block.query_name,
-                        time.perf_counter() - started,
-                        model._similarity_cache)
+    cache = SimilarityCache()
+    model = ResolverModel(config=payload.config, blocks={})
+    graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
+                          model.scoring_functions(payload.fitted), cache,
+                          features=payload.features,
+                          backend=payload.config.backend,
+                          mask=payload.mask)
+    serve = model.evaluate_fitted if payload.evaluate else model.predict_fitted
+    result = serve(payload.fitted, payload.block, graphs=graphs)
+    stats = _task_stats(payload.block.query_name, started, cache)
     return (payload.block.query_name, result, stats)
 
 
@@ -367,9 +391,10 @@ def run_block_tasks(executor: "BlockExecutor", kind: str,
                     stats: "RunStats | None" = None) -> list[Any]:
     """Run one fan-out of block tasks, results in payload order.
 
-    The scheduling entry point stages should use.  Serial executors run
-    the plain loop directly — no shard is published, so degraded and
-    single-payload paths never touch shared memory.  Parallel executors
+    The scheduling entry point of every collection pass.  Serial
+    executors run the task bodies inline, in payload order — no shard is
+    published, so degraded and single-payload paths never touch shared
+    memory.  Parallel executors
     get the shard treatment: each payload's numeric bulk is packed into
     raw plane arrays (see :func:`planes_enabled`), the skeleton payload
     list is published once (:class:`BlockShard`), tasks shrink to

@@ -10,11 +10,11 @@ from __future__ import annotations
 import pytest
 
 import repro.extraction.pipeline as extraction_pipeline
-from repro.core.resolver import compute_similarity_graphs
 from repro.corpus.datasets import www05_like
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.corpus.vocabulary import build_vocabulary
 from repro.extraction.pipeline import ExtractionPipeline
+from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.functions import default_functions
 
 
@@ -56,8 +56,20 @@ def block_features(pipeline, small_block):
 @pytest.fixture(scope="session")
 def block_graphs(small_block, block_features):
     """Weighted similarity graphs (all ten functions) for the Cohen block."""
-    return compute_similarity_graphs(
+    return batched_similarity_graphs(
         small_block, block_features, default_functions())
+
+
+@pytest.fixture(scope="session")
+def fit_evaluate():
+    """Algorithm 1 on fully labeled data: ``fit``, then ``evaluate`` the
+    same data with the same inputs (``graphs=`` hands the very object to
+    both passes)."""
+    def run(resolver, data, training_seed=0, **inputs):
+        model = resolver.fit(data, training_seed=training_seed, **inputs)
+        return model.evaluate(data, **inputs)
+
+    return run
 
 
 @pytest.fixture(scope="session")

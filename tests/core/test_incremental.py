@@ -29,12 +29,12 @@ class TestFit:
         assert is_partition([set(c) for c in predicted], base.page_ids())
         assert resolver.is_fitted
 
-    def test_fit_matches_batch_resolver(self, split_block):
+    def test_fit_matches_batch_resolver(self, split_block, fit_evaluate):
         base, base_features, _, _ = split_block
         incremental = IncrementalResolver(ResolverConfig())
         predicted = incremental.fit(base, base_features, training_seed=0)
-        batch = EntityResolver(ResolverConfig()).resolve_block(
-            base, training_seed=0, features=base_features)
+        batch = fit_evaluate(EntityResolver(ResolverConfig()), base,
+                             training_seed=0, features=base_features)
         assert predicted == batch.predicted
 
     def test_unsupported_combiner(self):

@@ -5,8 +5,11 @@ matches the legacy labeled workflow, save/load round-trips bit-identical
 predictions, and registry-registered backends work end to end.
 """
 
+import pickle
+
 import pytest
 
+import repro.core.model as model_module
 from repro.core.config import ResolverConfig
 from repro.core.model import FittedBlock, FittedLayer, ResolverModel
 from repro.core.resolver import EntityResolver
@@ -15,7 +18,11 @@ from repro.corpus.documents import (
     NameCollection,
     WebPage,
 )
+from repro.experiments.runner import ExperimentContext
 from repro.graph.validation import is_partition
+from repro.metrics.report import mean_report
+from repro.runtime.batch import batched_similarity_graphs
+from repro.runtime.executor import executor_for_workers
 
 
 def strip_labels(block: NameCollection) -> NameCollection:
@@ -71,13 +78,13 @@ class TestPredictUnlabeled:
         assert is_partition([set(c) for c in prediction.predicted],
                             small_block.page_ids())
 
-    def test_matches_legacy_resolve_block(self, fitted, small_block,
-                                          block_graphs):
+    def test_matches_labeled_evaluate(self, fitted, small_block,
+                                      block_graphs, fit_evaluate):
         config, _, prediction = fitted
-        legacy = EntityResolver(config).resolve_block(
-            small_block, training_seed=0, graphs=block_graphs)
-        assert prediction.predicted == legacy.predicted
-        assert prediction.chosen_layer == legacy.chosen_layer
+        labeled = fit_evaluate(EntityResolver(config), small_block,
+                               training_seed=0, graphs=block_graphs)
+        assert prediction.predicted == labeled.predicted
+        assert prediction.chosen_layer == labeled.chosen_layer
 
     def test_unknown_block_lists_fitted_names(self, fitted):
         _, model, _ = fitted
@@ -118,33 +125,80 @@ class TestPredictUnlabeled:
         prediction = model.predict(renamed, model_block="William Cohen")
         assert prediction.by_name("Brand New Name").n_entities() >= 1
 
-    def test_weighted_average_diagnostics_survive_apply(self, small_block,
-                                                        block_graphs):
-        """resolve_block's combination diagnostics match the v1.0 contract."""
+    def test_weighted_average_diagnostics_survive_apply(
+            self, small_block, block_graphs, fit_evaluate):
+        """An evaluated block's combination diagnostics match the v1.0
+        contract."""
         config = ResolverConfig(combiner="weighted_average")
-        result = EntityResolver(config).resolve_block(
-            small_block, training_seed=0, graphs=block_graphs)
+        result = fit_evaluate(EntityResolver(config), small_block,
+                              training_seed=0, graphs=block_graphs)
         assert "training_accuracy" in result.combination.diagnostics
 
-    def test_collection_predict_releases_fit_caches(self, small_dataset):
+    def test_collection_predict_releases_fit_caches(self, small_dataset,
+                                                    monkeypatch):
+        """The fit → predict hand-off exists only over graphs the caller
+        supplied, and the pass that presents them again consumes it."""
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        model = resolver.fit(small_dataset, training_seed=0)
-        assert any(fitted._layer_cache is not None
-                   for fitted in model.blocks.values())
-        model.predict(small_dataset)
+        inline = executor_for_workers(1)  # whatever REPRO_WORKERS says
+        model = resolver.fit(small_dataset, training_seed=0, executor=inline)
         assert all(fitted._layer_cache is None
                    for fitted in model.blocks.values())
 
+        graphs = ExperimentContext.prepare(small_dataset).graphs_by_name
+        model = resolver.fit(small_dataset, training_seed=0,
+                             graphs_by_name=graphs, executor=inline)
+        assert all(fitted._layer_cache[0] is graphs[name]
+                   for name, fitted in model.blocks.items())
+        rebuilds = []
+        build = model_module.build_decision_layers
+        monkeypatch.setattr(
+            model_module, "build_decision_layers",
+            lambda *args: rebuilds.append(args) or build(*args))
+        model.evaluate_collection(small_dataset, graphs_by_name=graphs,
+                                  executor=inline)
+        assert rebuilds == []
+        assert all(fitted._layer_cache is None
+                   for fitted in model.blocks.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hand_off_changes_no_result(self, small_dataset, workers):
+        """Graphs supplied (hand-off) or computed per block (none), on
+        either schedule: the same evaluation."""
+        resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
+        reference = resolver.fit(small_dataset, training_seed=0).evaluate(
+            small_dataset)
+        graphs = ExperimentContext.prepare(small_dataset).graphs_by_name
+        with executor_for_workers(workers, oversubscribe=True) as executor:
+            model = resolver.fit(small_dataset, training_seed=0,
+                                 graphs_by_name=graphs, executor=executor)
+            handed = model.evaluate_collection(
+                small_dataset, graphs_by_name=graphs, executor=executor)
+        for left, right in zip(handed.blocks, reference.blocks):
+            assert left.predicted == right.predicted
+            assert left.report == right.report
+            assert (left.combination.probabilities.weights
+                    == right.combination.probabilities.weights)
+
 
 class TestEvaluate:
-    def test_evaluate_matches_legacy_collection(self, small_dataset):
-        config = ResolverConfig(function_names=("F8", "F2"))
-        legacy = EntityResolver(config).resolve_collection(
-            small_dataset, training_seed=0)
-        model = EntityResolver(config).fit(small_dataset, training_seed=0)
-        scored = model.evaluate(small_dataset)
-        assert scored.mean_report().fp == legacy.mean_report().fp
-        for block in legacy.blocks:
+    def test_evaluate_matches_legacy_collection(self, small_dataset,
+                                                fit_evaluate):
+        """The collection passes against the per-block loop they
+        replaced: whole-battery graphs, computed once, handed to both
+        the block's fit and its evaluation."""
+        resolver = EntityResolver(ResolverConfig(function_names=("F8", "F2")))
+        pipeline = resolver.pipeline_for(small_dataset)
+        legacy = [
+            fit_evaluate(resolver, block, training_seed=0,
+                         graphs=batched_similarity_graphs(
+                             block, pipeline.extract_block(block),
+                             resolver.functions))
+            for block in small_dataset]
+        scored = resolver.fit(small_dataset, training_seed=0).evaluate(
+            small_dataset)
+        assert scored.mean_report().fp == mean_report(
+            [block.report for block in legacy]).fp
+        for block in legacy:
             assert scored.by_name(block.query_name).predicted == block.predicted
 
     def test_evaluate_requires_labels(self, fitted, small_block,
@@ -201,6 +255,24 @@ class TestFittedBlockSerialization:
         assert rebuilt.query_name == fitted_block.query_name
         assert rebuilt.layer_accuracies() == fitted_block.layer_accuracies()
         assert isinstance(rebuilt.layers[0], FittedLayer)
+
+    def test_pickle_leaves_the_hand_off_behind(self, small_block,
+                                               block_graphs):
+        """Graphs can never ride a task payload or result: a pickled
+        block carries no hand-off, seeded or not."""
+        seeded = EntityResolver(ResolverConfig()).fit(
+            small_block, training_seed=3,
+            graphs=block_graphs).blocks[small_block.query_name]
+        assert seeded._layer_cache[0] is block_graphs
+        bare = FittedBlock.from_dict(seeded.to_dict())
+        assert bare._layer_cache is None
+
+        wire = pickle.dumps(seeded)
+        assert len(wire) <= len(pickle.dumps(bare))
+        shipped = pickle.loads(wire)
+        assert shipped._layer_cache is None
+        assert shipped.to_dict() == seeded.to_dict()
+        assert seeded._layer_cache[0] is block_graphs  # sender keeps its own
 
 
 class TestDocumentCollectionIndex:

@@ -10,19 +10,19 @@ from repro.core.resolver import (
     EntityResolver,
     _graph_accuracy,
     _node_numbers,
-    compute_similarity_graphs,
 )
 from repro.graph.components import UnionFind
 from repro.graph.entity_graph import DecisionGraph, pair_key
 from repro.graph.validation import is_partition
 from repro.metrics.clusterings import clustering_from_assignments
+from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.functions import default_functions
 
 
 class TestComputeSimilarityGraphs:
     def test_complete_graphs_for_all_functions(self, small_block,
                                                block_features):
-        graphs = compute_similarity_graphs(
+        graphs = batched_similarity_graphs(
             small_block, block_features, default_functions())
         assert set(graphs) == {f"F{i}" for i in range(1, 11)}
         for graph in graphs.values():
@@ -79,130 +79,126 @@ class TestGraphAccuracy:
 
 
 class TestResolveBlock:
-    def test_output_is_partition(self, small_block, block_graphs):
+    def test_output_is_partition(
+            self, small_block, block_graphs, fit_evaluate):
         resolver = EntityResolver(ResolverConfig())
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert is_partition([set(c) for c in result.predicted],
                             small_block.page_ids())
 
-    def test_report_metrics_present(self, small_block, block_graphs):
+    def test_report_metrics_present(self, small_block, block_graphs,
+                                    fit_evaluate):
         resolver = EntityResolver(ResolverConfig())
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert 0.0 <= result.report.fp <= 1.0
         assert 0.0 <= result.report.f1 <= 1.0
 
     def test_chosen_layer_reported_for_best_graph(self, small_block,
-                                                  block_graphs):
+                                                  block_graphs, fit_evaluate):
         resolver = EntityResolver(ResolverConfig(combiner="best_graph"))
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert result.chosen_layer in result.layer_accuracies
 
-    def test_no_chosen_layer_for_weighted(self, small_block, block_graphs):
+    def test_no_chosen_layer_for_weighted(self, small_block, block_graphs,
+                                          fit_evaluate):
         resolver = EntityResolver(ResolverConfig(combiner="weighted_average"))
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert result.chosen_layer is None
         assert result.combination.threshold is not None
 
-    def test_layer_count(self, small_block, block_graphs):
+    def test_layer_count(self, small_block, block_graphs, fit_evaluate):
         config = ResolverConfig(criteria=("threshold", "kmeans"))
         resolver = EntityResolver(config)
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert len(result.layer_accuracies) == 10 * 2
 
-    def test_deterministic_given_seed(self, small_block, block_graphs):
+    def test_deterministic_given_seed(self, small_block, block_graphs,
+                                      fit_evaluate):
         resolver = EntityResolver(ResolverConfig())
-        first = resolver.resolve_block(small_block, training_seed=7,
-                                       graphs=block_graphs)
-        second = resolver.resolve_block(small_block, training_seed=7,
-                                        graphs=block_graphs)
+        first = fit_evaluate(resolver, small_block, training_seed=7,
+                             graphs=block_graphs)
+        second = fit_evaluate(resolver, small_block, training_seed=7,
+                              graphs=block_graphs)
         assert first.predicted == second.predicted
 
     def test_different_seeds_may_differ_but_stay_valid(self, small_block,
-                                                       block_graphs):
+                                                       block_graphs,
+                                                       fit_evaluate):
         resolver = EntityResolver(ResolverConfig())
         for seed in range(3):
-            result = resolver.resolve_block(small_block, training_seed=seed,
-                                            graphs=block_graphs)
+            result = fit_evaluate(resolver, small_block, training_seed=seed,
+                                  graphs=block_graphs)
             assert is_partition([set(c) for c in result.predicted],
                                 small_block.page_ids())
 
-    def test_correlation_clusterer(self, small_block, block_graphs):
+    def test_correlation_clusterer(self, small_block, block_graphs,
+                                   fit_evaluate):
         resolver = EntityResolver(ResolverConfig(clusterer="correlation"))
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert is_partition([set(c) for c in result.predicted],
                             small_block.page_ids())
 
-    def test_needs_inputs(self, small_block):
+    def test_needs_inputs(self, small_block, fit_evaluate):
         resolver = EntityResolver(ResolverConfig())
         with pytest.raises(ValueError, match="pipeline"):
-            resolver.resolve_block(small_block)
+            fit_evaluate(resolver, small_block)
 
-    def test_features_path(self, small_block, block_features):
+    def test_features_path(self, small_block, block_features, fit_evaluate):
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        features=block_features)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              features=block_features)
         assert result.report.fp > 0.0
 
 
 class TestResolveCollection:
-    def test_all_blocks_resolved(self, small_dataset):
+    def test_all_blocks_resolved(self, small_dataset, fit_evaluate):
         resolver = EntityResolver(ResolverConfig(function_names=("F8", "F2")))
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         assert len(result.blocks) == len(small_dataset)
         assert result.dataset == small_dataset.name
 
-    def test_mean_report(self, small_dataset):
+    def test_mean_report(self, small_dataset, fit_evaluate):
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         mean = result.mean_report()
         per_name = [block.report.fp for block in result.blocks]
         assert mean.fp == pytest.approx(sum(per_name) / len(per_name))
 
-    def test_by_name(self, small_dataset):
+    def test_by_name(self, small_dataset, fit_evaluate):
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         block = result.by_name("William Cohen")
         assert block.query_name == "William Cohen"
         with pytest.raises(KeyError):
             result.by_name("Nobody")
 
-    def test_predictions_match_truth_universe(self, small_dataset):
+    def test_predictions_match_truth_universe(self, small_dataset,
+                                              fit_evaluate):
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         for block_result, block in zip(result.blocks, small_dataset):
             truth = clustering_from_assignments(block.ground_truth())
             assert block_result.predicted.items == truth.items
 
-    def test_pipeline_required_without_metadata(self, small_dataset):
+    def test_pipeline_required_without_metadata(self, small_dataset,
+                                                fit_evaluate):
         from repro.corpus.documents import DocumentCollection
         stripped = DocumentCollection(name="x",
                                       collections=small_dataset.collections)
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
         with pytest.raises(ValueError, match="vocabulary metadata"):
-            resolver.resolve_collection(stripped)
+            fit_evaluate(resolver, stripped)
 
 
 class TestDeprecatedWrappers:
-    """The docstrings said "deprecated:: 1.1" — the runtime now agrees."""
-
-    def test_resolve_block_warns(self, small_block, block_graphs):
-        resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        with pytest.warns(DeprecationWarning,
-                          match="resolve_block is deprecated"):
-            resolver.resolve_block(small_block, training_seed=0,
-                                   graphs=block_graphs)
-
-    def test_resolve_collection_warns(self, small_dataset):
-        resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        with pytest.warns(DeprecationWarning,
-                          match="resolve_collection is deprecated"):
-            resolver.resolve_collection(small_dataset, training_seed=0)
+    """The deprecated fit+evaluate wrappers are deleted; the API that
+    replaced them never warned."""
 
     def test_fit_predict_does_not_warn(self, small_block, block_graphs):
         import warnings

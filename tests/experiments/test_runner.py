@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import TrainedBestFunctionBaseline
 from repro.core.config import ResolverConfig
+from repro.core.resolver import EntityResolver
 from repro.experiments.runner import (
     ExperimentContext,
     RunResult,
@@ -11,6 +12,7 @@ from repro.experiments.runner import (
     run_config,
 )
 from repro.metrics.report import MetricReport
+from repro.runtime.cache import SimilarityCache
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,29 @@ class TestExperimentContext:
     def test_graphs_cover_all_functions(self, context):
         for graphs in context.graphs_by_name.values():
             assert set(graphs) == {f"F{i}" for i in range(1, 11)}
+
+    def test_retained_cache_serves_an_adopting_model(self, context,
+                                                     small_dataset, pipeline):
+        """prepare(cache=) → adopt_similarity_cache → predict_block: the
+        prepared features and pair weights are served, nothing is
+        extracted or scored a second time."""
+        cache = SimilarityCache()
+        prepared = ExperimentContext.prepare(small_dataset, pipeline=pipeline,
+                                             cache=cache)
+        assert len(cache) == len(small_dataset)
+        # One cache shared by every block task, attributed block by block.
+        assert prepared.stats.pairs_scored == cache.pair_misses
+        assert prepared.stats.pairs_scored == context.stats.pairs_scored
+
+        model = EntityResolver(ResolverConfig(), pipeline=pipeline).fit(
+            small_dataset, training_seed=0,
+            graphs_by_name=prepared.graphs_by_name)
+        model.adopt_similarity_cache(cache)
+        scored, extracted = cache.pair_misses, cache.feature_misses
+        for block in small_dataset:
+            model.predict_block(block)
+        assert (cache.pair_misses, cache.feature_misses) == (scored, extracted)
+        assert cache.pair_hits > 0
 
     def test_seeds_protocol(self, context):
         seeds = context.seeds(n_runs=5, base_seed=0)

@@ -67,10 +67,11 @@ class TestStarCluster:
 
 
 class TestStarInResolver:
-    def test_star_clusterer_end_to_end(self, small_block, block_graphs):
+    def test_star_clusterer_end_to_end(self, small_block, block_graphs,
+                                       fit_evaluate):
         from repro.core import EntityResolver, ResolverConfig
         resolver = EntityResolver(ResolverConfig(clusterer="star"))
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=block_graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=block_graphs)
         assert is_partition([set(c) for c in result.predicted],
                             small_block.page_ids())

@@ -28,10 +28,10 @@ class TestCorpusDeterminism:
 
 
 class TestResolutionDeterminism:
-    def test_identical_resolutions(self, small_dataset):
+    def test_identical_resolutions(self, small_dataset, fit_evaluate):
         resolver = EntityResolver(ResolverConfig())
-        first = resolver.resolve_collection(small_dataset, training_seed=3)
-        second = resolver.resolve_collection(small_dataset, training_seed=3)
+        first = fit_evaluate(resolver, small_dataset, training_seed=3)
+        second = fit_evaluate(resolver, small_dataset, training_seed=3)
         for left, right in zip(first.blocks, second.blocks):
             assert left.predicted == right.predicted
             assert left.report == right.report
@@ -51,12 +51,13 @@ class TestResolutionDeterminism:
 
 
 class TestGlobalRngIsolation:
-    def test_pipeline_does_not_touch_global_random(self, small_dataset):
+    def test_pipeline_does_not_touch_global_random(self, small_dataset,
+                                                   fit_evaluate):
         random.seed(1234)
         baseline = random.random()
 
         random.seed(1234)
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        resolver.resolve_collection(small_dataset, training_seed=0)
+        fit_evaluate(resolver, small_dataset, training_seed=0)
         www05_like(seed=1, pages_per_name=10, names=["Andrew Ng"])
         assert random.random() == baseline

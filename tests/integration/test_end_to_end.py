@@ -13,11 +13,11 @@ from repro.graph.validation import is_partition
 
 
 class TestPublicApi:
-    def test_quickstart_path(self):
+    def test_quickstart_path(self, fit_evaluate):
         dataset = www05_like(seed=3, pages_per_name=24,
                              names=["William Cohen", "Adam Cheyer"])
         resolver = EntityResolver(ResolverConfig())
-        result = resolver.resolve_collection(dataset, training_seed=0)
+        result = fit_evaluate(resolver, dataset, training_seed=0)
         assert len(result.blocks) == 2
         assert 0.0 <= result.mean_report().fp <= 1.0
 
@@ -27,7 +27,8 @@ class TestPublicApi:
 
 
 class TestFullPipeline:
-    def test_resolution_beats_degenerate_baselines(self, small_dataset):
+    def test_resolution_beats_degenerate_baselines(self, small_dataset,
+                                                   fit_evaluate):
         """The resolver must beat both all-singletons and all-merged."""
         from repro.metrics.clusterings import (
             Clustering,
@@ -36,7 +37,7 @@ class TestFullPipeline:
         from repro.metrics.purity import fp_measure
 
         resolver = EntityResolver(ResolverConfig())
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         for block_result, block in zip(result.blocks, small_dataset):
             truth = clustering_from_assignments(block.ground_truth())
             singletons = Clustering([{doc} for doc in block.page_ids()])
@@ -49,27 +50,30 @@ class TestFullPipeline:
         mean_fp = result.mean_report().fp
         assert mean_fp > 0.6
 
-    def test_round_trip_through_serialization(self, small_dataset, tmp_path):
+    def test_round_trip_through_serialization(self, small_dataset, tmp_path,
+                                              fit_evaluate):
         """Resolving a reloaded dataset gives identical results."""
         path = tmp_path / "data.json"
         save_collection(small_dataset, path)
         reloaded = load_collection(path)
         resolver = EntityResolver(ResolverConfig(function_names=("F8",)))
-        original = resolver.resolve_collection(small_dataset, training_seed=1)
-        repeated = resolver.resolve_collection(reloaded, training_seed=1)
+        original = fit_evaluate(resolver, small_dataset, training_seed=1)
+        repeated = fit_evaluate(resolver, reloaded, training_seed=1)
         for first, second in zip(original.blocks, repeated.blocks):
             assert first.predicted == second.predicted
 
     @pytest.mark.parametrize("column", ["I4", "C10", "W"])
-    def test_table2_configs_run_end_to_end(self, small_dataset, column):
+    def test_table2_configs_run_end_to_end(self, small_dataset, column,
+                                           fit_evaluate):
         resolver = EntityResolver(table2_config(column))
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         for block_result, block in zip(result.blocks, small_dataset):
             assert is_partition(
                 [set(c) for c in block_result.predicted], block.page_ids())
 
-    def test_correlation_clustering_end_to_end(self, small_dataset):
+    def test_correlation_clustering_end_to_end(self, small_dataset,
+                                               fit_evaluate):
         config = ResolverConfig(clusterer="correlation")
         resolver = EntityResolver(config)
-        result = resolver.resolve_collection(small_dataset, training_seed=0)
+        result = fit_evaluate(resolver, small_dataset, training_seed=0)
         assert result.mean_report().fp > 0.4

@@ -48,13 +48,13 @@ class TestShapeClaims:
         weighted = run_config(context, table2_config("W"), seeds).mean().fp
         assert c10 >= weighted - 0.02
 
-    def test_s5_winning_layer_varies(self, context, seeds):
+    def test_s5_winning_layer_varies(self, context, seeds, fit_evaluate):
         from repro.core.resolver import EntityResolver
         resolver = EntityResolver(table2_config("C10"))
         chosen = set()
         for block in context.collection:
-            resolution = resolver.resolve_block(
-                block, training_seed=seeds[0],
+            resolution = fit_evaluate(
+                resolver, block, training_seed=seeds[0],
                 graphs=context.graphs_by_name[block.query_name])
             chosen.add(resolution.chosen_layer)
         assert len(chosen) >= 2

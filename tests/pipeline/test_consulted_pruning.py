@@ -25,7 +25,6 @@ from repro.core.model import (
     FittedBlock,
     ResolverModel,
     build_decision_layers,
-    compute_similarity_graphs,
 )
 from repro.core.registry import register_combiner
 from repro.core.resolver import EntityResolver
@@ -34,6 +33,7 @@ from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.pipeline.artifacts import Corpus
 from repro.pipeline.stage import PipelineContext
 from repro.pipeline.stages import BlockingStage
+from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.executor import executor_for_workers
 from repro.similarity.functions import functions_subset
 
@@ -118,7 +118,7 @@ def unpruned_oracle(model: ResolverModel, dataset):
     oracle = {}
     for block in blocks:
         fitted = model.blocks[block.query_name]
-        graphs = compute_similarity_graphs(
+        graphs = batched_similarity_graphs(
             block, model.pipeline.extract_block(block), battery,
             backend=config.backend, mask=blocks.mask_for(block.query_name))
         combination = combiner.apply(
@@ -177,7 +177,7 @@ class TestCallerSuppliedGraphs:
         model = fitted_models(combiner, "numpy", "query_name")
         block = dataset.collections[0]
         fitted = model.blocks[block.query_name]
-        graphs = compute_similarity_graphs(
+        graphs = batched_similarity_graphs(
             block, model.pipeline.extract_block(block),
             functions_subset(model.config.function_names))
         consulted = consulted_function_names(model.consulted_layers(fitted))

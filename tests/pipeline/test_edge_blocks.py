@@ -12,11 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ResolverConfig
-from repro.core.model import compute_similarity_graphs
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import www05_like
 from repro.corpus.documents import DocumentCollection, NameCollection, WebPage
 from repro.pipeline.session import ResolutionSession
+from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.extended import full_battery
 
 BACKENDS = ("python", "numpy")
@@ -62,7 +62,7 @@ class TestSimilarityGraphsEdgeBlocks:
         _, _, pipeline = fitted
         block = block_builder()
         features = pipeline.extract_block(block)
-        graphs = compute_similarity_graphs(block, features, full_battery(),
+        graphs = batched_similarity_graphs(block, features, full_battery(),
                                            backend=backend)
         assert set(graphs) == {function.name
                                for function in full_battery()}

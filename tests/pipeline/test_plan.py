@@ -22,9 +22,9 @@ from repro.pipeline import (
     predict_plan,
 )
 from repro.pipeline.stages import (
+    BlockingStage,
     ClusterStage,
     ExtractionStage,
-    QueryNameBlockingStage,
 )
 from repro.runtime.executor import executor_for_workers
 
@@ -48,7 +48,7 @@ class TestPlanConstruction:
 
     def test_mismatched_chain_rejected(self):
         with pytest.raises(PlanError, match="consumes"):
-            Pipeline([QueryNameBlockingStage(), ClusterStage()])
+            Pipeline([BlockingStage(), ClusterStage()])
 
     def test_wrong_initial_artifact_rejected(self):
         plan = fit_plan(ResolverConfig())
@@ -72,7 +72,7 @@ class TestPlanConstruction:
             assert name in STAGES
 
     def test_replace_swaps_one_stage(self):
-        class OtherBlocker(QueryNameBlockingStage):
+        class OtherBlocker(BlockingStage):
             name = "other"
 
         plan = fit_plan(ResolverConfig()).replace("block", OtherBlocker())
@@ -114,7 +114,7 @@ class TestRegisterStage:
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_stage("block")(QueryNameBlockingStage)
+            register_stage("block")(BlockingStage)
 
 
 class TestStageStats:

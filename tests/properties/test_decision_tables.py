@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.accuracy import RegionAccuracyProfile
+from repro.core.combination import decided_edges, decided_probabilities
 from repro.core.decisions import FittedDecision, build_criteria
-from repro.core.model import apply_fitted_decisions
 from repro.core.regions import Regions
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.ml.kmeans import KMeans1D
@@ -59,7 +59,7 @@ def probes_for(fitted: FittedDecision, extra):
 
 
 def seed_loop(decisions, graph):
-    """The seed's ``apply_fitted_decisions``: one scalar call per pair."""
+    """The seed's eager application: one scalar call per pair."""
     results = [(DecisionGraph(nodes=list(graph.nodes)), {})
                for _ in decisions]
     for pair, value in graph.pairs():
@@ -85,11 +85,11 @@ def assert_bulk_matches_scalar(fitted, probes):
             == [fitted.link_probability(value) for value in probes])
 
     graph = graph_over(probes)
-    (decision_graph, probabilities), = apply_fitted_decisions([fitted], graph)
+    edges = decided_edges(fitted, graph)
+    probabilities = decided_probabilities(fitted, graph)
     (expected_graph, expected), = seed_loop([fitted], graph)
-    assert decision_graph.nodes == expected_graph.nodes
-    assert decision_graph.edges == expected_graph.edges
-    assert list(decision_graph.edges) == list(expected_graph.edges)
+    assert edges == expected_graph.edges
+    assert list(edges) == list(expected_graph.edges)
     assert probabilities == expected
     assert list(probabilities) == list(expected)
 
@@ -135,9 +135,8 @@ class TestBulkDecisions:
         for criterion in build_criteria(CRITERIA, k=10):
             fitted = criterion.fit([(0.2, False), (0.8, True)])
             graph = WeightedPairGraph(nodes=["a"], weights={})
-            (decision_graph, probabilities), = apply_fitted_decisions(
-                [fitted], graph)
-            assert decision_graph.edges == set() and probabilities == {}
+            assert decided_edges(fitted, graph) == set()
+            assert decided_probabilities(fitted, graph) == {}
 
 
 class TestKMeansAssign:

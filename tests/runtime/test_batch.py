@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.model import (
-    apply_fitted_decisions,
-    build_decision_layers,
-    compute_similarity_graphs,
-)
+from repro.core.combination import decided_edges, decided_probabilities
+from repro.core.model import build_decision_layers
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
@@ -83,10 +80,10 @@ class TestBatchedGraphs:
             assert (second[function.name].weights
                     == first[function.name].weights)
 
-    def test_compute_similarity_graphs_delegates_to_batched(self, small_block,
-                                                            block_features,
-                                                            block_graphs):
-        graphs = compute_similarity_graphs(small_block, block_features,
+    def test_fresh_graphs_match_the_shared_fixture(self, small_block,
+                                                   block_features,
+                                                   block_graphs):
+        graphs = batched_similarity_graphs(small_block, block_features,
                                            default_functions())
         for name, graph in block_graphs.items():
             assert graphs[name].weights == graph.weights
@@ -107,14 +104,15 @@ class TestBatchedDecisions:
             fitted_layer.label for fitted_layer in fitted.layers]
         for fitted_layer, layer in zip(fitted.layers, layers):
             graph = block_graphs[fitted_layer.function_name]
-            (expected_graph, expected_probabilities), = (
-                apply_fitted_decisions([fitted_layer.fitted], graph))
-            assert layer.graph.edges == expected_graph.edges
+            expected_probabilities = decided_probabilities(
+                fitted_layer.fitted, graph)
+            assert layer.graph.edges == decided_edges(fitted_layer.fitted,
+                                                      graph)
             assert layer.probabilities == expected_probabilities
             assert list(layer.probabilities) == list(expected_probabilities)
 
-    def test_apply_fitted_decisions_matches_scalar_rules(self, small_block,
-                                                         block_graphs):
+    def test_decided_edges_and_probabilities_match_scalar_rules(
+            self, small_block, block_graphs):
         from repro.core.config import ResolverConfig
         from repro.core.resolver import EntityResolver
 
@@ -124,9 +122,9 @@ class TestBatchedDecisions:
         decisions = [layer.fitted for layer in fitted.layers[:3]]
         graph = block_graphs[fitted.layers[0].function_name]
 
-        batched = apply_fitted_decisions(decisions, graph)
-        for decision, (decision_graph, probabilities) in zip(decisions,
-                                                             batched):
+        for decision in decisions:
+            edges = decided_edges(decision, graph)
+            probabilities = decided_probabilities(decision, graph)
             for pair, value in graph.pairs():
                 assert probabilities[pair] == decision.link_probability(value)
-                assert (pair in decision_graph.edges) == decision.decide(value)
+                assert (pair in edges) == decision.decide(value)

@@ -14,7 +14,10 @@ import pytest
 from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
 from repro.experiments.runner import ExperimentContext, run_config
-from repro.runtime.executor import ProcessPoolBlockExecutor
+from repro.runtime.executor import (
+    ProcessPoolBlockExecutor,
+    executor_for_workers,
+)
 
 SEEDS = [0, 1, 2]
 
@@ -124,6 +127,43 @@ class TestEndToEndDeterminism:
                         == graph.weights)
         assert pooled.stats.executor == "process"
         assert pooled.stats.pairs_scored == context.stats.pairs_scored
+
+
+class TestOneBodyTwoSchedules:
+    """A collection pass is one task body, run inline or in workers: the
+    accounting must agree, not only the values, and neither schedule
+    goes through the model's own similarity cache."""
+
+    @pytest.mark.parametrize("supplied", [False, True],
+                             ids=["graphs-computed", "graphs-supplied"])
+    def test_fit_and_evaluate_account_alike(self, context, pipeline,
+                                            parallel, supplied):
+        graphs = context.graphs_by_name if supplied else None
+        resolver = EntityResolver(ResolverConfig(), pipeline=pipeline)
+        accounts = []
+        for executor in (executor_for_workers(1), parallel):
+            model = resolver.fit(context.collection, training_seed=0,
+                                 graphs_by_name=graphs, executor=executor)
+            # Warm the model's cache through a single-block call: a
+            # collection pass must neither hit these entries nor count.
+            model.predict_block(context.collection.collections[0])
+            before = model.cache_stats()
+            resolution = model.evaluate_collection(
+                context.collection, graphs_by_name=graphs, executor=executor)
+            after = model.cache_stats()
+            assert ((after.pair_hits, after.pair_misses,
+                     after.feature_hits, after.feature_misses)
+                    == (before.pair_hits, before.pair_misses,
+                        before.feature_hits, before.feature_misses))
+            accounts.append([
+                (stats.pairs_scored, stats.cache_hits,
+                 list(stats.per_block_seconds))
+                for stats in (model.fit_stats, resolution.stats)])
+        serial, pooled = accounts
+        assert serial == pooled
+        names = context.collection.query_names()
+        assert [account[2] for account in serial] == [names, names]
+        assert (serial[0][0] == 0) == supplied  # fit scores unless handed graphs
 
 
 class TestPoolAccounting:

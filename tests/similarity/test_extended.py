@@ -101,12 +101,12 @@ class TestBehaviour:
 
 class TestResolverIntegration:
     def test_resolver_runs_with_extended_battery(self, small_block,
-                                                 block_features):
+                                                 block_features, fit_evaluate):
         from repro.core import EntityResolver, ResolverConfig
-        from repro.core.resolver import compute_similarity_graphs
-        graphs = compute_similarity_graphs(small_block, block_features,
+        from repro.runtime.batch import batched_similarity_graphs
+        graphs = batched_similarity_graphs(small_block, block_features,
                                            full_battery())
         resolver = EntityResolver(ResolverConfig(function_names=SUBSET_I14))
-        result = resolver.resolve_block(small_block, training_seed=0,
-                                        graphs=graphs)
+        result = fit_evaluate(resolver, small_block, training_seed=0,
+                              graphs=graphs)
         assert len(result.layer_accuracies) == 14 * 3
