@@ -330,7 +330,9 @@ class IncrementalResolver:
         them once per page.  Per similarity function the combiner
         consults, only the pairs that chain would request are computed:
         new page *k* against all indexed pages plus new pages
-        ``0..k-1``.  The result feeds ``add_page(features, scores=...)``.
+        ``0..k-1`` — on the numpy backend a ``k``-row rectangle of the
+        block, not its square (:class:`~repro.similarity.batch.
+        BlockState`).  The result feeds ``add_page(features, scores=...)``.
 
         **Bit-identity.**  The sequential path calls
         ``function(new, other)`` with the new page as the *left*

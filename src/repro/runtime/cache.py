@@ -20,10 +20,10 @@ quadratic reuse across a single pass's function × criterion grid comes
 from batched one-sweep construction (:mod:`repro.runtime.batch`), not
 from cache round-trips.
 
-Entries are dropped per block (:meth:`SimilarityCache.drop_block`) or
-wholesale (:meth:`clear`) — ``ResolverModel.release_fit_caches`` clears
-the model's cache so long-lived serving processes do not retain
-quadratic per-block state.  Counters survive eviction.
+Entries are dropped wholesale (:meth:`SimilarityCache.clear`) —
+``ResolverModel.release_fit_caches`` clears the model's cache so
+long-lived serving processes do not retain quadratic per-block state.
+Counters survive eviction.
 """
 
 from __future__ import annotations
@@ -129,15 +129,6 @@ class SimilarityCache:
             dict(weights)
 
     # -- lifecycle -------------------------------------------------------
-
-    def drop_block(self, block: NameCollection) -> None:
-        """Drop one block's entries, under every mask (counters are kept)."""
-        prefix = block_fingerprint(block)[:2]
-        for store in (self._features, self._weights):
-            stale = [fingerprint for fingerprint in store
-                     if fingerprint[:2] == prefix]
-            for fingerprint in stale:
-                del store[fingerprint]
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -1,10 +1,12 @@
 """Pluggable pairwise-scoring backends — the similarity hot path.
 
 Scoring every in-block page pair under the similarity battery is the
-pipeline's dominant cost (the ``BENCH_runtime.json`` graphs stage).  A
+pipeline's dominant cost (``similarity.graphs_s`` in a traced
+``bench/run.py`` run; see ``docs/performance.md``).  A
 :class:`ScoringBackend` owns exactly that step: given one block's
-extracted features and a function battery, produce every function's full
-pair-score matrix.  Three built-ins are registered in :data:`BACKENDS`:
+extracted features and a function battery, produce every function's
+pair scores — all pairs, or the pairs of a candidate mask.  Three
+built-ins are registered in :data:`BACKENDS`:
 
 * ``"python"`` — today's prepared scalar scorers
   (:meth:`~repro.similarity.base.SimilarityFunction.prepared`), swept
@@ -193,14 +195,21 @@ class NumpyBackend(ScoringBackend):
     registry — fall back per-function to the scalar sweep, so arbitrary
     batteries keep working.
 
-    Under a candidate-pair ``mask`` the block state gathers the
-    candidate rows (pages appearing in at least one candidate pair),
-    fills the kernels' matrices over that reduced page set, and reads
-    only the masked entries — so isolated pages cost nothing and a
-    dense-ish mask degrades gracefully to "fill and mask".  Reducing
-    the page set only removes exact no-op fold steps (columns zero on
-    both sides), so masked scores stay bit-identical to the dense
-    scores of the same pairs.
+    Every kernel fills a ``left × right`` rectangle of (earlier page,
+    later page) scores; dense scoring is the square where both sides
+    are all pages.  Under a candidate-pair ``mask`` the block state
+    keeps the pages that appear in a candidate pair, takes ``left`` as
+    the rows that occur as a pair's earlier member and ``right`` as the
+    later members, and fills only that rectangle — so isolated pages
+    cost nothing, and a burst of ``k`` new pages against ``n`` resident
+    ones (:meth:`~repro.core.incremental.IncrementalResolver.
+    coalesced_pair_scores`) costs ``k × n`` cells over the vocabulary
+    the new pages share with the resident ones, not an ``(n + k)²``
+    sweep over the block's.  A mask whose pairs run all over the block
+    has nearly every page on both sides and pays one row gather over
+    the dense cost.  Dropping pages, and columns absent from a whole
+    side, only removes exact no-op fold steps, so masked scores stay
+    bit-identical to the dense scores of the same pairs.
 
     The request path (:meth:`pair_scores`) vectorizes the sparse
     one-vs-many folds where that is exact and cheap (the vector, set and

@@ -1,8 +1,9 @@
 """Vectorized batch-scoring kernels for the ``numpy`` backend.
 
-Each kernel fills one similarity function's *whole* block score matrix
-from dense per-block feature matrices, instead of calling a scalar
-scorer per pair.  The point is speed on the quadratic hot path; the
+Each kernel fills one similarity function's block score matrix — the
+whole square, or the ``left × right`` rectangle a candidate mask reads
+(see :class:`BlockState`) — from dense per-block feature matrices,
+instead of calling a scalar scorer per pair.  The point is speed on the quadratic hot path; the
 constraint is the backend bit-identity contract
 (:mod:`repro.similarity.backends`): every kernel must reproduce the
 scalar scorers' floats exactly, not approximately.
@@ -93,6 +94,13 @@ class _VectorFamily:
     already ascending, so the fancy assignment and the per-page scalar
     folds replay the exact same float operations.
 
+    ``sides`` — a masked block's ``(left, right)`` row positions —
+    narrows the dict path's vocabulary to the keys present on *both*
+    sides of the rectangle.  A column absent from a whole side is zero
+    for one member of every pair the rectangle holds: an exact no-op
+    step of every fold and no contribution to any key intersection.
+    The per-page moments still come from the whole vectors.
+
     ``approx`` switches the family to the opt-in float32 mode of the
     ``numpy32`` backend: values are downcast to a float32 matrix (from
     an optional :class:`PlaneArena` scratch) and the per-page moments
@@ -101,12 +109,16 @@ class _VectorFamily:
     """
 
     def __init__(self, vectors: list[dict[str, float]],
+                 sides: "tuple[np.ndarray, np.ndarray] | None" = None,
                  approx: bool = False, arena: "PlaneArena | None" = None):
         self.vectors = vectors
         n = len(vectors)
-        vocab: set[str] = set()
-        for vector in vectors:
-            vocab.update(vector)
+        if sides is None:
+            vocab: set[str] = set().union(*vectors)
+        else:
+            left, right = sides
+            vocab = set().union(*[vectors[row] for row in left.tolist()])
+            vocab &= set().union(*[vectors[row] for row in right.tolist()])
         self.index = {key: column for column, key in enumerate(sorted(vocab))}
         # Explicit C-contiguous float64 buffers, filled with one fancy
         # assignment over the flattened (row, column) coordinates: one
@@ -116,18 +128,23 @@ class _VectorFamily:
         self.values = np.zeros((n, len(self.index)), dtype=np.float64,
                                order="C")
         self.presence = np.zeros((n, len(self.index)), dtype=bool, order="C")
-        total = sum(len(vector) for vector in vectors)
-        if total:
-            rows = np.empty(total, dtype=np.intp)
-            columns = np.empty(total, dtype=np.intp)
-            entries = np.empty(total, dtype=np.float64)
-            cursor = 0
-            for row, vector in enumerate(vectors):
-                for key, value in vector.items():
-                    rows[cursor] = row
-                    columns[cursor] = self.index[key]
-                    entries[cursor] = value
-                    cursor += 1
+        counts: list[int] = []
+        columns: list[int] = []
+        entries: list[float] = []
+        column_of = self.index.__getitem__
+        for vector in vectors:
+            if sides is None:
+                keys = vector
+                entries.extend(vector.values())
+            else:
+                # Only the page's entries on a kept column — a set
+                # intersection, not a walk of every entry.
+                keys = self.index.keys() & vector.keys()
+                entries.extend(map(vector.__getitem__, keys))
+            columns.extend(map(column_of, keys))
+            counts.append(len(keys))
+        if columns:
+            rows = np.repeat(np.arange(n, dtype=np.intp), counts)
             self.values[rows, columns] = entries
             self.presence[rows, columns] = True
         self.nnz = np.asarray([len(vector) for vector in vectors],
@@ -149,10 +166,10 @@ class _VectorFamily:
         """Build the family from a shard's CSR views, no dicts touched.
 
         ``n_columns`` is the plane's full-block vocabulary width.  Under
-        a mask this can be wider than the dict path's selected-page
-        vocabulary, but only by columns that are zero on every selected
-        row — exact no-op fold steps for every kernel (the hapax filter
-        in :func:`_pair_dot_fold` even drops them before folding), so
+        a mask this is wider than the dict path's vocabulary (the keys
+        present on both sides of the rectangle), but only by columns
+        that are zero on a whole side — exact no-op fold steps for every
+        kernel (:func:`_pair_dot_fold` drops them before folding), so
         scores stay bit-identical.
         """
         family = cls.__new__(cls)
@@ -204,11 +221,6 @@ class _VectorFamily:
         self.squared_norms = (self.values * self.values).sum(
             axis=1, dtype=np.float64)
         self.norms = np.sqrt(self.squared_norms)
-
-    def nonempty_pairs(self) -> np.ndarray:
-        """Mask of pairs where both pages carry evidence."""
-        nonempty = self.nnz > 0
-        return nonempty[:, None] & nonempty[None, :]
 
 
 class _SetFamily:
@@ -320,14 +332,23 @@ class BlockState:
     pairwise dot fold) is built once and reused by F8, F9 and F10; the
     concept family by F1 and F14; and so on.
 
-    A candidate-pair ``mask`` gathers the candidate rows — matrices are
-    built only over pages that appear in at least one candidate pair —
-    and restricts ``pair_weights`` to the masked entries.  Dropping
-    non-candidate pages only removes columns that are zero on both
-    sides of every surviving pair (exact no-op fold steps), so each
+    **Shape.**  Every kernel fills a ``left × right`` rectangle of
+    (earlier page, later page) scores.  Dense scoring is the square
+    special case — ``left`` and ``right`` are both all rows, and
+    :meth:`sides` hands each kernel the very same array twice, no copy.
+    A candidate-pair ``mask`` keeps only the pages that occur in a
+    candidate pair (rows preserve block order), and derives ``left`` —
+    the rows that occur as the *earlier* member of a masked pair — and
+    ``right``, the later members; pair keys are enumerated from the
+    mask itself, O(candidates), in the dense sweep's row-major order.
+    A burst of ``k`` new pages against ``n`` resident ones is thus a
+    ``k × (n + k - 1)`` rectangle, not an ``(n + k)²`` square.
+
+    Dropping pages, and (in a masked dict-backed vector family) the
+    vocabulary columns absent from a whole side, only removes fold
+    steps that are exact no-ops for every surviving pair, so each
     masked entry's float-operation sequence — and hence its bits — is
-    unchanged.  Pair order stays the scalar sweep's row-major order
-    restricted to the mask.
+    unchanged.
 
     When ``features`` is a :class:`~repro.runtime.planes.
     PlaneFeatureMap` (detected via its ``planes`` attribute), families
@@ -350,11 +371,41 @@ class BlockState:
                  approx32: bool = False,
                  arena: PlaneArena | None = None):
         ids = list(ids)
-        if mask is not None:
-            candidates = {doc_id for pair in mask for doc_id in pair}
-            ids = [doc_id for doc_id in ids if doc_id in candidates]
+        #: Dense scoring: both sides are all rows, no gather needed.
+        self.square = mask is None
+        if self.square:
+            # Row-major upper triangle == the scalar sweep's pair order.
+            earlier, later = np.triu_indices(len(ids), k=1)
+            self.left = self.right = np.arange(len(ids), dtype=np.intp)
+            self.cells = (earlier, later)
+            pair_keys = [pair_key(ids[i], ids[j])
+                         for i, j in zip(earlier.tolist(), later.tolist())]
+        else:
+            # O(candidates): place each masked pair at its (earlier,
+            # later) block positions and sort — the dense sweep's order
+            # restricted to the mask.
+            position = {doc_id: index for index, doc_id in enumerate(ids)}
+            pair_keys = [key for key in mask
+                         if key[0] in position and key[1] in position]
+            placed = np.asarray(
+                [(position[first], position[second])
+                 for first, second in pair_keys], dtype=np.intp).reshape(-1, 2)
+            placed.sort(axis=1)
+            order = np.lexsort((placed[:, 1], placed[:, 0]))
+            pair_keys = [pair_keys[index] for index in order.tolist()]
+            # Rows are the pages in a masked pair, in block order.
+            kept, rows = np.unique(placed[order], return_inverse=True)
+            ids = [ids[index] for index in kept.tolist()]
+            earlier, later = rows.reshape(-1, 2).T
+            self.left, left_cell = np.unique(earlier, return_inverse=True)
+            self.right, right_cell = np.unique(later, return_inverse=True)
+            self.cells = (left_cell, right_cell)
         self.ids = ids
-        self.n = len(self.ids)
+        #: Row positions (earlier, later) of the scored pairs and their
+        #: keys, in canonical pair order; ``cells`` are the same pairs
+        #: as rectangle coordinates.
+        self.pairs = (earlier, later)
+        self._pair_keys: list[PairKey] = pair_keys
         self._features = features
         self._pages: list[PageFeatures] | None = None
         self._approx = approx32
@@ -374,29 +425,39 @@ class BlockState:
         self._set_families: dict[str, _SetFamily] = {}
         self._counter_families: dict[str, _CounterFamily] = {}
         self._dots: dict[str, np.ndarray] = {}
-        if self.n >= 2:
-            rows, cols = np.triu_indices(self.n, k=1)
-            # Row-major upper triangle == the scalar sweep's pair order
-            # (a mask keeps the relative order: candidate rows preserve
-            # block order, so the restricted triangles coincide).
-            pair_keys: list[PairKey] = [
-                pair_key(self.ids[i], self.ids[j])
-                for i, j in zip(rows.tolist(), cols.tolist())
-            ]
-            if mask is not None:
-                keep = [index for index, key in enumerate(pair_keys)
-                        if key in mask]
-                rows, cols = rows[keep], cols[keep]
-                pair_keys = [pair_keys[index] for index in keep]
-            self._triu = (rows, cols)
-            self._pair_keys = pair_keys
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The rectangle every kernel fills."""
+        return len(self.left), len(self.right)
+
+    def sides(self, per_page: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A per-page array's rows on the rectangle's two sides.
+
+        The dense square gets the array itself back, twice — no copy,
+        and ``left is right`` tells a fold it is symmetric.
+        """
+        if self.square:
+            return per_page, per_page
+        return per_page[self.left], per_page[self.right]
+
+    def outer(self, per_page: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A per-page vector as the rectangle's column and row operands,
+        broadcasting to one value per (left, right) pair."""
+        left, right = self.sides(per_page)
+        return left[:, None], right[None, :]
+
+    def both(self, per_page: np.ndarray) -> np.ndarray:
+        """Rectangle of pairs where a per-page flag holds on both sides."""
+        left, right = self.outer(per_page)
+        return left & right
 
     def pair_weights(self, kernel: "Kernel") -> dict[PairKey, float]:
         """One kernel's scores as a canonical pair-ordered weights dict."""
-        if self.n < 2:
+        if not self._pair_keys:
             return {}
         matrix = kernel.matrix(self)
-        return dict(zip(self._pair_keys, matrix[self._triu].tolist()))
+        return dict(zip(self._pair_keys, matrix[self.cells].tolist()))
 
     @property
     def pages(self) -> list[PageFeatures]:
@@ -440,8 +501,12 @@ class BlockState:
                     counts, cols, entries, plane.n_columns,
                     approx=self._approx, arena=self._arena)
             else:
+                # The float32 mode derives its moments from the dense
+                # rows, so it keeps the whole vocabulary.
+                narrow = not self.square and not self._approx
                 family = _VectorFamily(
                     [extract(page) for page in self.pages],
+                    sides=(self.left, self.right) if narrow else None,
                     approx=self._approx, arena=self._arena)
             self._vector_families[name] = family
         return family
@@ -473,7 +538,7 @@ class BlockState:
         return family
 
     def pair_dot(self, name: str, extract: Callable) -> np.ndarray:
-        """Pairwise dot matrix of one vector family (cached).
+        """Left × right dot rectangle of one vector family (cached).
 
         Exact sequential fold by default; the ``numpy32`` mode hands the
         float32 plane to BLAS and widens the result to float64 — the one
@@ -481,11 +546,11 @@ class BlockState:
         """
         dots = self._dots.get(name)
         if dots is None:
-            values = self.vector_family(name, extract).values
+            left, right = self.sides(self.vector_family(name, extract).values)
             if self._approx:
-                dots = (values @ values.T).astype(np.float64)
+                dots = (left @ right.T).astype(np.float64)
             else:
-                dots = _pair_dot_fold(values)
+                dots = _pair_dot_fold(left, right)
             self._dots[name] = dots
         return dots
 
@@ -493,29 +558,36 @@ class BlockState:
 # -- exact folds -----------------------------------------------------------
 
 
-def _pair_dot_fold(values: np.ndarray) -> np.ndarray:
-    """All-pairs dot products via a sequential ascending-column fold.
+def _pair_dot_fold(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Left × right dot products via a sequential ascending-column fold.
 
-    Per pair this performs ``acc += v[i, d] * v[j, d]`` for ``d``
+    Per pair this performs ``acc += left[i, d] * right[j, d]`` for ``d``
     ascending — exactly the scalar ``dot``'s fold over the sorted
     intersection, with implicit zeros as exact no-ops.
 
-    Columns nonzero on at most one page produce a zero product for
-    *every* pair — exact no-ops — and are dropped before folding
+    Columns that are zero on a whole side produce a zero product for
+    *every* pair — exact no-ops — and are dropped before folding; in the
+    symmetric square (``left is right``, the dense case) so are columns
+    nonzero on a single page, which only reach the never-read diagonal
     (roughly half a real block's TF-IDF vocabulary is hapax terms).
     Dropping them, like folding them, leaves every pair's operation
     sequence unchanged.
     """
-    n, dims = values.shape
-    acc = np.zeros((n, n))
-    if n < 2 or dims == 0:
+    acc = np.zeros((len(left), len(right)))
+    if not acc.size or left.shape[1] == 0:
         return acc
-    shared = values[:, (values != 0.0).sum(axis=0) >= 2]
-    for start in range(0, shared.shape[1], _CHUNK):
-        chunk = np.ascontiguousarray(shared[:, start:start + _CHUNK].T)
-        terms = chunk[:, :, None] * chunk[:, None, :]
-        for k in range(terms.shape[0]):
-            acc += terms[k]
+    if left is right:
+        live = (left != 0.0).sum(axis=0) >= 2
+        left = right = np.ascontiguousarray(left[:, live].T)
+    else:
+        live = (left != 0.0).any(axis=0) & (right != 0.0).any(axis=0)
+        left = np.ascontiguousarray(left[:, live].T)
+        right = np.ascontiguousarray(right[:, live].T)
+    for start in range(0, len(left), _CHUNK):
+        terms = (left[start:start + _CHUNK, :, None]
+                 * right[start:start + _CHUNK, None, :])
+        for term in terms:
+            acc += term
     return acc
 
 
@@ -529,8 +601,9 @@ def _cosine_matrix(state: BlockState, name: str,
                    extract: Callable) -> np.ndarray:
     family = state.vector_family(name, extract)
     dots = state.pair_dot(name, extract)
-    denominator = family.norms[:, None] * family.norms[None, :]
-    valid = family.nonempty_pairs() & (denominator != 0.0)
+    norm_left, norm_right = state.outer(family.norms)
+    denominator = norm_left * norm_right
+    valid = state.both(family.nnz > 0) & (denominator != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = dots / denominator
     return np.where(valid, _clamp_unit(value), 0.0)
@@ -540,9 +613,9 @@ def _extended_jaccard_matrix(state: BlockState, name: str,
                              extract: Callable) -> np.ndarray:
     family = state.vector_family(name, extract)
     product = state.pair_dot(name, extract)
-    squared = family.squared_norms
-    denominator = (squared[:, None] + squared[None, :]) - product
-    valid = family.nonempty_pairs() & (denominator > 0.0)
+    squared_left, squared_right = state.outer(family.squared_norms)
+    denominator = (squared_left + squared_right) - product
+    valid = state.both(family.nnz > 0) & (denominator > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = product / denominator
     return np.where(valid, _clamp_unit(value), 0.0)
@@ -566,18 +639,16 @@ def _pearson_matrix(state: BlockState, name: str,
     # Float BLAS matmul of the 0/1 indicator is exact: every partial sum
     # is an integer far below 2**53, so no rounding can occur regardless
     # of accumulation order.
-    indicator = family.presence.astype(float)
-    intersection = indicator @ indicator.T
-    nnz = family.nnz.astype(float)
-    dimension = (nnz[:, None] + nnz[None, :]) - intersection
-    valid = family.nonempty_pairs() & (dimension >= 2)
+    present_left, present_right = state.sides(family.presence.astype(float))
+    intersection = present_left @ present_right.T
+    nnz_left, nnz_right = state.outer(family.nnz.astype(float))
+    dimension = (nnz_left + nnz_right) - intersection
+    valid = state.both(family.nnz > 0) & (dimension >= 2)
     # Masked-out pairs flow through with a harmless dimension of 1; their
     # garbage values are discarded by the final mask.
     dimension = np.where(dimension > 0, dimension, 1.0)
-    sum_left = family.sums[:, None]
-    sum_right = family.sums[None, :]
-    squared_left = family.squared_norms[:, None]
-    squared_right = family.squared_norms[None, :]
+    sum_left, sum_right = state.outer(family.sums)
+    squared_left, squared_right = state.outer(family.squared_norms)
     mean_left = sum_left / dimension
     mean_right = sum_right / dimension
     covariance = ((product - mean_right * sum_left)
@@ -598,9 +669,10 @@ def _pearson_matrix(state: BlockState, name: str,
 def _overlap_matrix(state: BlockState, name: str,
                     extract: Callable) -> np.ndarray:
     family = state.set_family(name, extract)
-    intersection = family.indicator @ family.indicator.T
-    smaller = np.minimum(family.sizes[:, None], family.sizes[None, :])
-    valid = (family.sizes[:, None] > 0) & (family.sizes[None, :] > 0)
+    members_left, members_right = state.sides(family.indicator)
+    intersection = members_left @ members_right.T
+    smaller = np.minimum(*state.outer(family.sizes))
+    valid = state.both(family.sizes > 0)
     value = intersection / np.where(smaller > 0, smaller, 1)
     return np.where(valid, value, 0.0)
 
@@ -608,18 +680,18 @@ def _overlap_matrix(state: BlockState, name: str,
 def _weighted_jaccard_matrix(state: BlockState, name: str,
                              extract: Callable) -> np.ndarray:
     family = state.counter_family(name, extract)
-    n, vocab = family.counts.shape
+    counts_left, counts_right = state.sides(family.counts)
     # Chunked over the vocabulary axis to bound the broadcast tensor at
-    # O(n² · _CHUNK); integer sums are exact under any grouping, so this
-    # is bit-identical to the single-tensor form.
-    minima = np.zeros((n, n), dtype=np.int64)
-    for start in range(0, vocab, _CHUNK):
-        chunk = family.counts[:, start:start + _CHUNK]
-        minima += np.minimum(chunk[:, None, :],
-                             chunk[None, :, :]).sum(axis=2)
-    maxima = (family.totals[:, None] + family.totals[None, :]) - minima
-    valid = ((family.sizes[:, None] > 0) & (family.sizes[None, :] > 0)
-             & (maxima > 0))
+    # O(rectangle · _CHUNK); integer sums are exact under any grouping,
+    # so this is bit-identical to the single-tensor form.
+    minima = np.zeros(state.shape, dtype=np.int64)
+    for start in range(0, counts_left.shape[1], _CHUNK):
+        minima += np.minimum(counts_left[:, None, start:start + _CHUNK],
+                             counts_right[None, :, start:start + _CHUNK]
+                             ).sum(axis=2)
+    total_left, total_right = state.outer(family.totals)
+    maxima = (total_left + total_right) - minima
+    valid = state.both(family.sizes > 0) & (maxima > 0)
     value = minima / np.where(maxima > 0, maxima, 1)
     return np.where(valid, value, 0.0)
 
@@ -642,25 +714,21 @@ def _weighted_jaccard_matrix(state: BlockState, name: str,
 _MAX_BITPARALLEL_LENGTH = 63
 
 
-def _pairwise_path_distances(paths: list[str]) -> np.ndarray:
-    """Levenshtein distance for every unordered path pair (int64 matrix).
+def _path_distances(paths: list[str], rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """Levenshtein distance of ``(paths[i], paths[j])`` per index pair.
 
     Batched Myers/Hyyrö bit-parallel: one DP column per pair packed in a
     uint64, all pairs advanced together one text character per step.
     """
-    n = len(paths)
     lengths = np.asarray([len(path) for path in paths], dtype=np.int64)
-    distances = np.zeros((n, n), dtype=np.int64)
-    if n < 2:
-        return distances
-
-    rows, cols = np.triu_indices(n, k=1)
     # Pattern = the shorter side (fewer bits), text = the longer.
     swap = lengths[rows] > lengths[cols]
     pattern_idx = np.where(swap, cols, rows)
     text_idx = np.where(swap, rows, cols)
     equal = np.asarray([paths[i] == paths[j]
-                        for i, j in zip(rows.tolist(), cols.tolist())])
+                        for i, j in zip(rows.tolist(), cols.tolist())],
+                       dtype=bool)
     pattern_len = lengths[pattern_idx]
     text_len = lengths[text_idx]
     scores = np.where(pattern_len == 0, text_len, 0).astype(np.int64)
@@ -678,15 +746,18 @@ def _pairwise_path_distances(paths: list[str]) -> np.ndarray:
             for char in path:
                 alphabet.setdefault(char, len(alphabet))
         max_len = int(lengths.max())
-        codes = np.zeros((n, max_len), dtype=np.int64)
+        codes = np.zeros((len(paths), max_len), dtype=np.int64)
         for row, path in enumerate(paths):
             codes[row, :len(path)] = [alphabet[char] for char in path]
-        bitmaps = np.zeros((n, len(alphabet)), dtype=np.uint64)
+        bitmaps = np.zeros((len(paths), len(alphabet)), dtype=np.uint64)
         for row, path in enumerate(paths):
-            bit = np.uint64(1)
-            for char in path:
-                bitmaps[row, alphabet[char]] |= bit
-                bit = np.uint64(bit << np.uint64(1))
+            # Python-int bit sets, one array store per path; only
+            # patterns (at most 63 characters) ever read their bitmaps.
+            bits: dict[int, int] = {}
+            for offset, char in enumerate(path[:_MAX_BITPARALLEL_LENGTH]):
+                code = alphabet[char]
+                bits[code] = bits.get(code, 0) | (1 << offset)
+            bitmaps[row, list(bits)] = list(bits.values())
 
         p_idx = pattern_idx[live]
         t_idx = text_idx[live]
@@ -719,38 +790,66 @@ def _pairwise_path_distances(paths: list[str]) -> np.ndarray:
             vp = np.where(active, new_vp, vp)
             vn = np.where(active, new_vn, vn)
         scores[live] = score
+    return scores
 
-    distances[rows, cols] = scores
-    distances[cols, rows] = scores
+
+def _pairwise_path_distances(paths: list[str]) -> np.ndarray:
+    """Levenshtein distance for every unordered path pair (the square,
+    symmetric int64 matrix over :func:`_path_distances`)."""
+    distances = np.zeros((len(paths), len(paths)), dtype=np.int64)
+    rows, cols = np.triu_indices(len(paths), k=1)
+    if rows.size:
+        scores = _path_distances(paths, rows, cols)
+        distances[rows, cols] = scores
+        distances[cols, rows] = scores
     return distances
 
 
 def _url_matrix(state: BlockState) -> np.ndarray:
+    """F2 over exactly the pairs the state reads.
+
+    Domain scores and path distances are per-pair quantities with no
+    shared fold, so nothing but the read pairs is computed — the
+    distinct (earlier domain, later domain) combinations among them, and
+    one Myers lane per pair — and the values are scattered into the
+    rectangle.
+    """
     parsed = [parse_url(url) if url else None for url in state.urls()]
     domains = [entry.domain if entry is not None else "" for entry in parsed]
     paths = [entry.path if entry is not None else "" for entry in parsed]
+    earlier, later = state.pairs
 
-    distinct = {domain: index
-                for index, domain in enumerate(dict.fromkeys(domains))}
-    table = np.zeros((len(distinct), len(distinct)))
-    for left, i in distinct.items():
-        for right, j in distinct.items():
-            if j < i:
-                continue
-            table[i, j] = table[j, i] = domain_similarity(left, right)
-    ids = np.asarray([distinct[domain] for domain in domains], dtype=np.int64)
-    domain_scores = table[ids[:, None], ids[None, :]]
+    # Scalar domain_similarity once per distinct domain pair, called —
+    # like the dense table always was — with the domain first seen in
+    # the block on the left.
+    distinct = list(dict.fromkeys(domains))
+    column = {domain: index for index, domain in enumerate(distinct)}
+    domain_ids = np.asarray([column[domain] for domain in domains],
+                            dtype=np.int64)
+    domain_earlier, domain_later = domain_ids[earlier], domain_ids[later]
+    first = np.minimum(domain_earlier, domain_later)
+    second = np.maximum(domain_earlier, domain_later)
+    combos, combo_of_pair = np.unique(first * len(distinct) + second,
+                                      return_inverse=True)
+    domain_scores = np.asarray(
+        [domain_similarity(distinct[left], distinct[right])
+         for left, right in (divmod(combo, len(distinct))
+                             for combo in combos.tolist())],
+        dtype=float)[combo_of_pair]
 
     path_lengths = np.asarray([len(path) for path in paths], dtype=np.int64)
-    longest = np.maximum(path_lengths[:, None], path_lengths[None, :])
-    distances = _pairwise_path_distances(paths)
+    longest = np.maximum(path_lengths[earlier], path_lengths[later])
+    distances = _path_distances(paths, earlier, later)
     with np.errstate(divide="ignore", invalid="ignore"):
         path_scores = 1.0 - distances / np.where(longest > 0, longest, 1)
     path_scores = np.where(longest > 0, path_scores, 1.0)
 
     value = 0.8 * domain_scores + (1.0 - 0.8) * path_scores
-    has_url = np.asarray([entry is not None for entry in parsed])
-    return np.where(has_url[:, None] & has_url[None, :], value, 0.0)
+    has_url = np.asarray([entry is not None for entry in parsed], dtype=bool)
+    matrix = np.zeros(state.shape)
+    matrix[state.cells] = np.where(has_url[earlier] & has_url[later],
+                                   value, 0.0)
+    return matrix
 
 
 # -- one-vs-many folds (the incremental request path) ----------------------

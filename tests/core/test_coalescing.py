@@ -87,3 +87,59 @@ class TestFallbacks:
         indexed = block_features[list(small_block.pages)[0].doc_id]
         batch = [tail_features[0], indexed]
         assert incrementals[1].coalesced_pair_scores(batch) is None
+
+
+class TestSweepCost:
+    """What a burst's sweep builds, by count — no wall clock.
+
+    ``k`` new pages on an ``n``-page index score a ``k``-row rectangle:
+    the numpy block state must not grow an ``(n + k)²`` Gram matrix or
+    densify the resident pages over the whole block vocabulary to read
+    ``k`` of its rows.
+    """
+
+    def test_burst_state_is_a_k_row_rectangle(self, small_block,
+                                              block_features, tail_features,
+                                              monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.similarity.backends import NumpyBackend
+
+        model = EntityResolver(ResolverConfig(
+            backend="numpy", combiner="weighted_average")).fit(
+                small_block, training_seed=0, features=block_features)
+        base = NameCollection(query_name=small_block.query_name,
+                              pages=list(small_block.pages)[:20])
+        resident = {p.doc_id: block_features[p.doc_id] for p in base.pages}
+        incremental = IncrementalResolver.from_model(model, base, resident)
+
+        states = []
+        build = NumpyBackend._block_state
+
+        def spy(self, *args):
+            states.append(build(self, *args))
+            return states[-1]
+
+        monkeypatch.setattr(NumpyBackend, "_block_state", spy)
+        scores = incremental.coalesced_pair_scores(tail_features)
+        [state] = states
+        n, k = len(resident), len(tail_features)
+
+        assert state.left.size == k
+        assert state.right.size == n + k - 1
+        expected_pairs = k * n + k * (k - 1) // 2
+        assert len(state._pair_keys) == expected_pairs
+        assert all(len(weights) == expected_pairs
+                   for weights in scores.values())
+
+        # The weighted-average combiner consults the TF-IDF measures, so
+        # the sweep built their shared Gram block and family.
+        assert state._dots["tfidf"].shape == (k, n + k - 1)
+        family = state._vector_families["tfidf"]
+        block_vocabulary = set().union(
+            *(page.tfidf for page in resident.values()),
+            *(page.tfidf for page in tail_features))
+        burst_vocabulary = set().union(
+            *(page.tfidf for page in tail_features))
+        assert family.values.shape == (n + k, len(family.index))
+        assert set(family.index) <= burst_vocabulary
+        assert len(family.index) < len(block_vocabulary)

@@ -6,6 +6,13 @@ threads through the similarity backends: for any mask, masked scoring
 must be IEEE-byte-identical across backends *and* equal to dense scoring
 restricted to the candidate pairs — in the dense sweep's pair order.
 Tolerance is zero everywhere.
+
+Three mask shapes are drawn: an arbitrary subset of the block's pairs
+(a blocker's output), the request-coalescing layout (``k`` new pages in
+reverse add order, each against every resident page and the new pages
+added before it) and a one-sided mask (few left rows against many right
+rows) — the numpy kernels fill a ``left × right`` rectangle, so the
+shapes that make it narrow are the ones worth pinning.
 """
 
 from __future__ import annotations
@@ -61,28 +68,71 @@ def masked_inputs(draw):
     return block, features, mask
 
 
+@st.composite
+def burst_inputs(draw):
+    """The coalescing sweep's block: the last ``k`` pages arrive on the
+    rest, laid out in reverse add order."""
+    seed = draw(st.integers(0, 10_000))
+    pages = draw(st.integers(2, 10))
+    block, features = generated_block(seed, pages)
+    ids = block.page_ids()
+    new = draw(st.integers(1, pages - 1))
+    resident, arriving = ids[:-new], ids[-new:]
+    mask = frozenset(pair_key(page, other)
+                     for index, page in enumerate(arriving)
+                     for other in resident + arriving[:index])
+    return list(reversed(arriving)) + resident, features, mask
+
+
+@st.composite
+def one_sided_inputs(draw):
+    """One or two left pages against a drawn subset of the later ones."""
+    seed = draw(st.integers(0, 10_000))
+    pages = draw(st.integers(3, 10))
+    block, features = generated_block(seed, pages)
+    ids = block.page_ids()
+    few = draw(st.integers(1, 2))
+    mask = frozenset(
+        pair_key(left, right) for left in ids[:few]
+        for right in draw(st.lists(st.sampled_from(ids[few:]), unique=True)))
+    return ids, features, mask
+
+
+def assert_masked_parity(ids, features, mask):
+    """masked ≡ dense-restricted ≡ ``python`` backend, byte for byte and
+    in the dense sweep's pair order, over the whole F1–F14 battery."""
+    battery = full_battery()
+    dense = PYTHON.block_scores(ids, features, battery)
+    masked_python = PYTHON.block_scores(ids, features, battery, mask=mask)
+    masked_numpy = NUMPY.block_scores(ids, features, battery, mask=mask)
+    assert dense.keys() == masked_python.keys() == masked_numpy.keys()
+    for name in dense:
+        # Exactly the candidate pairs, in the dense sweep's order.
+        expected_keys = [key for key in dense[name] if key in mask]
+        assert list(masked_python[name]) == expected_keys
+        assert list(masked_numpy[name]) == expected_keys
+        for key in expected_keys:
+            reference = bits(dense[name][key])
+            assert bits(masked_python[name][key]) == reference, (name, key)
+            assert bits(masked_numpy[name][key]) == reference, (name, key)
+
+
 class TestMaskedScoringParity:
     @settings(max_examples=15, deadline=None)
     @given(masked_inputs())
     def test_masked_equals_dense_restricted_and_backends_agree(self, inputs):
         block, features, mask = inputs
-        ids = block.page_ids()
-        battery = full_battery()
-        dense = PYTHON.block_scores(ids, features, battery)
-        masked_python = PYTHON.block_scores(ids, features, battery, mask=mask)
-        masked_numpy = NUMPY.block_scores(ids, features, battery, mask=mask)
-        assert dense.keys() == masked_python.keys() == masked_numpy.keys()
-        for name in dense:
-            # Exactly the candidate pairs, in the dense sweep's order.
-            expected_keys = [key for key in dense[name] if key in mask]
-            assert list(masked_python[name]) == expected_keys
-            assert list(masked_numpy[name]) == expected_keys
-            for key in expected_keys:
-                reference = bits(dense[name][key])
-                assert bits(masked_python[name][key]) == reference, \
-                    (name, key)
-                assert bits(masked_numpy[name][key]) == reference, \
-                    (name, key)
+        assert_masked_parity(block.page_ids(), features, mask)
+
+    @settings(max_examples=15, deadline=None)
+    @given(burst_inputs())
+    def test_coalesced_burst_layout_matches_dense(self, inputs):
+        assert_masked_parity(*inputs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(one_sided_inputs())
+    def test_one_sided_mask_matches_dense(self, inputs):
+        assert_masked_parity(*inputs)
 
     @settings(max_examples=8, deadline=None)
     @given(masked_inputs())

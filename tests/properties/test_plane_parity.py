@@ -119,16 +119,22 @@ class TestShardViewBitIdentity:
         block, features = generated_block(seed, pages, alpha)
         ids = block.page_ids()
         span = min(mask_span, len(ids))
-        mask = frozenset(pair_key(ids[i], ids[j])
-                         for i in range(span) for j in range(i + 1, span))
+        square = frozenset(pair_key(ids[i], ids[j])
+                           for i in range(span) for j in range(i + 1, span))
+        # Few left rows against every later page: the rectangle a
+        # coalesced burst scores.
+        rectangle = frozenset(pair_key(left, right)
+                              for left in ids[:span - 1]
+                              for right in ids[span - 1:])
         battery = full_battery()
-        reference = NUMPY.block_scores(ids, features, battery, mask=mask)
-        candidate = NUMPY.block_scores(ids, plane_view(features), battery,
-                                       mask=mask)
-        for name in reference:
-            assert list(reference[name]) == list(candidate[name])
-            for key, value in reference[name].items():
-                assert bits(value) == bits(candidate[name][key])
+        views = plane_view(features)
+        for mask in (square, rectangle):
+            reference = NUMPY.block_scores(ids, features, battery, mask=mask)
+            candidate = NUMPY.block_scores(ids, views, battery, mask=mask)
+            for name in reference:
+                assert list(reference[name]) == list(candidate[name])
+                for key, value in reference[name].items():
+                    assert bits(value) == bits(candidate[name][key])
 
 
 class TestNumpy32Tolerance:

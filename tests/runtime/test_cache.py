@@ -7,9 +7,28 @@ import pytest
 from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
 from repro.graph.entity_graph import pair_key
-from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache, block_fingerprint
-from repro.similarity.functions import default_functions
+
+
+class SpyPipeline:
+    """Logs which blocks were extracted through it.
+
+    Module-level, and logging to a file rather than to itself, so the
+    record survives a fan-out (``REPRO_WORKERS=2``): the workers extract
+    through pickled copies.
+    """
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def extract_block(self, target):
+        with open(self.log, "a") as handle:
+            handle.write(target.query_name + "\n")
+        return self.inner.extract_block(target)
+
+    def extracted(self):
+        return sorted(self.log.read_text().splitlines())
 
 
 class TestAccounting:
@@ -79,22 +98,6 @@ class TestLifecycle:
                           tuple(small_block.page_ids()), mask)
         assert masked != fingerprint
 
-    def test_drop_block_evicts_entries_but_keeps_counters(self, small_block,
-                                                          block_features):
-        cache = SimilarityCache()
-        functions = default_functions()[:2]
-        batched_similarity_graphs(small_block, block_features, functions,
-                                  cache=cache)
-        assert len(cache) == 1
-        misses = cache.pair_misses
-        assert misses > 0
-
-        cache.drop_block(small_block)
-        assert len(cache) == 0
-        assert cache.pair_misses == misses
-        assert cache.get_weights(block_fingerprint(small_block),
-                                 functions[0].name) is None
-
     def test_clear_evicts_everything_but_keeps_counters(self):
         cache = SimilarityCache()
         cache.put_weights(("Alice", ("a", "b")), "F8",
@@ -153,7 +156,7 @@ class TestModelIntegration:
         assert (cache.pair_misses, cache.pair_hits) == (misses, hits)
 
     def test_collection_with_explicit_pipeline_skips_warm_model_cache(
-            self, small_dataset, pipeline):
+            self, small_dataset, pipeline, tmp_path):
         """A pipeline= override on the collection paths must not be
         served features another pipeline put into the model's cache."""
         resolver = EntityResolver(ResolverConfig())
@@ -162,22 +165,14 @@ class TestModelIntegration:
         model.predict_block(block, pipeline=resolver.pipeline_for(
             small_dataset))  # explicit call leaves no cache entries
 
-        class SpyPipeline:
-            def __init__(self, inner):
-                self.inner = inner
-                self.extracted = []
-
-            def extract_block(self, target):
-                self.extracted.append(target.query_name)
-                return self.inner.extract_block(target)
-
         # Warm the model cache through the default path, then request a
         # collection pass with an explicit (spy) pipeline: every block,
         # including the warm one, must be extracted through the spy.
         model.predict_block(block)
-        spy = SpyPipeline(resolver.pipeline_for(small_dataset))
+        spy = SpyPipeline(resolver.pipeline_for(small_dataset),
+                          tmp_path / "extracted.log")
         model.predict_collection(small_dataset, pipeline=spy)
-        assert spy.extracted == small_dataset.query_names()
+        assert spy.extracted() == sorted(small_dataset.query_names())
 
     def test_cache_stats_is_the_public_snapshot(self, fitted_model,
                                                 small_block):

@@ -204,8 +204,11 @@ class TestPoolAccounting:
             assert key in payload
 
     def test_serial_stats_report_no_fork_waves(self, context):
+        # An explicit serial executor: a config at its serial defaults
+        # still fans out under an ambient REPRO_WORKERS (CI sets 2).
         resolver = EntityResolver(ResolverConfig())
         model = resolver.fit(context.collection, training_seed=0,
-                             graphs_by_name=context.graphs_by_name)
+                             graphs_by_name=context.graphs_by_name,
+                             executor=executor_for_workers(1))
         assert model.fit_stats.effective_workers == 1
         assert model.fit_stats.fork_waves == 0
