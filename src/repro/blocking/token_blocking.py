@@ -58,8 +58,13 @@ class TokenBlocker(Blocker):
 
     def _keys(self, page: WebPage) -> set[str]:
         """The page's distinct blocking keys, from one pass over its text."""
+        return self.token_keys(page_tokens(page))
+
+    def token_keys(self, tokens: list[str]) -> set[str]:
+        """The distinct blocking keys among a page's ``page_tokens`` —
+        for callers that tokenised the page already."""
         shortest = self.min_token_length
         entity_only = self.entity_tokens_only
-        return {token.lower() for token in set(page_tokens(page))
+        return {token.lower() for token in set(tokens)
                 if len(token) >= shortest
                 and (not entity_only or is_capitalized(token))}

@@ -33,7 +33,7 @@ from repro.extraction.features import PageFeatures
 from repro.metrics.clusterings import Clustering
 from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.backends import resolve_backend
-from repro.similarity.base import SimilarityFunction
+from repro.similarity.base import SimilarityFunction, require_covered
 from repro.similarity.functions import function_by_name
 
 
@@ -226,6 +226,7 @@ class IncrementalResolver:
             layer_weights=([] if best_graph
                            else self._combiner.layer_weights(layers)),
         )
+        require_covered(features.values(), self._state.functions.values())
         self._features = dict(features)
         self._clusters = [set(cluster) for cluster in clusters]
 
@@ -262,8 +263,11 @@ class IncrementalResolver:
 
         Raises:
             RuntimeError: before :meth:`fit`.
+            ValueError: when either page's features leave out a field
+                the consulted functions read.
         """
         self._require_fitted()
+        require_covered((new, existing), self._state.functions.values())
         return self._pair_probabilities(new, [existing])[0]
 
     def _pair_probabilities(
@@ -353,10 +357,15 @@ class IncrementalResolver:
         duplicated within the batch or against the index (the sequential
         path owns the error), or an empty batch.  Callers fall back to
         sequential adds.
+
+        Raises:
+            ValueError: when a page was extracted for a read set that
+                leaves out a field the consulted functions read.
         """
         self._require_fitted()
         if not new_features:
             return None
+        require_covered(new_features, self._state.functions.values())
         features = dict(self._features)
         existing_ids = list(features)
         new_ids = []
@@ -402,11 +411,14 @@ class IncrementalResolver:
 
         Raises:
             RuntimeError: before :meth:`fit`.
-            ValueError: if the doc id already exists.
+            ValueError: if the doc id already exists, or the features
+                were extracted for a read set that leaves out a field
+                the consulted functions read.
         """
         self._require_fitted()
         if features.doc_id in self._features:
             raise ValueError(f"page {features.doc_id!r} already resolved")
+        require_covered((features,), self._state.functions.values())
 
         # One batched scoring pass over every indexed page; the
         # per-cluster means then fold exactly as the pairwise loop did.

@@ -50,7 +50,8 @@ complete, runnable plugin module::
     register_similarity("F_url_tokens")(SimilarityFunction(
         "F_url_tokens", "URL tokens", "jaccard",
         lambda left, right: jaccard(set(left.url.split("/")),
-                                    set(right.url.split("/")))))
+                                    set(right.url.split("/"))),
+        reads=frozenset({"url"})))
 
 Then ``ResolverConfig(combiner="union")`` or
 ``ResolverConfig(function_names=(..., "F_url_tokens"))`` validates, fitting
@@ -61,7 +62,8 @@ must implement ``apply`` (label-free re-combination from stored
 :class:`~repro.core.combination.Combiner` for the contract.  Similarity
 functions may additionally carry a ``preparer`` for the batched engine
 path (see :mod:`repro.similarity.base`) — optional, the plain scorer is
-used otherwise.
+used otherwise — and should declare the ``PageFeatures`` fields they
+read (``reads``; see :func:`register_similarity`).
 
 Executor backends (the ``EXECUTORS`` axis) are factories
 ``(workers: int) -> BlockExecutor``; see :mod:`repro.runtime.executor`
@@ -279,7 +281,18 @@ def register_clusterer(name: str | None = None, replace: bool = False):
 
 
 def register_similarity(name: str | None = None, replace: bool = False):
-    """Decorator registering a :class:`SimilarityFunction` by name."""
+    """Decorator registering a :class:`SimilarityFunction` by name.
+
+    Label-free passes extract only the ``PageFeatures`` fields the
+    functions they score declare, so give a custom function its
+    ``reads`` (the fields its scorer and preparer touch) to let a pass
+    that consults it alone skip the other extractors (the module
+    docstring's ``F_url_tokens`` declares ``reads=frozenset({"url"})``).
+    Left undeclared (``reads=None``) the function is assumed to read
+    everything and pages are extracted whole whenever it is scored —
+    slower, never wrong.  Under-declaring is the one way to be wrong: an
+    undeclared field reads as its empty default.
+    """
     return SIMILARITIES.register(name, replace=replace)
 
 

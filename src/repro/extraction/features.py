@@ -5,6 +5,14 @@ URLs, the most frequent name on the page, raw concept sets, organization
 entities, co-occurring person names, the name closest to the search
 keyword, and TF-IDF word vectors.  :class:`PageFeatures` carries exactly
 those fields.
+
+A resolve pass reads few of them — under best-graph selection the one
+feature its chosen function compares — so extraction can be *narrowed*
+to a read set (:meth:`~repro.extraction.pipeline.ExtractionPipeline.
+extract_block`'s ``reads``).  The fields come in the groups one
+extractor fills together (:data:`NER_FIELDS`, :data:`CONCEPT_FIELDS`,
+:data:`TFIDF_FIELDS`; ``url`` is copied from the page), and a narrowed
+bundle records which it holds in :attr:`PageFeatures.reads`.
 """
 
 from __future__ import annotations
@@ -12,10 +20,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+#: Fields the dictionary NER (plus name ranking) fills from a page's tokens.
+NER_FIELDS = frozenset({"most_frequent_name", "closest_name_to_query",
+                        "organizations", "other_persons", "locations"})
+#: Fields the concept spotter fills from the lower-cased tokens.
+CONCEPT_FIELDS = frozenset({"concept_vector", "concept_set"})
+#: Fields weighed from the block's running term statistics.
+TFIDF_FIELDS = frozenset({"tfidf"})
+
 
 @dataclass
 class PageFeatures:
     """All features extracted from one web page.
+
+    A bundle extracted for a read set is valid for exactly the fields
+    ``reads`` names: every other field holds its empty default, which a
+    similarity function would score as "no evidence".  Scoring therefore
+    checks :meth:`covers` first and raises rather than return zeros.
 
     Attributes:
         doc_id: the page's identifier.
@@ -31,7 +52,11 @@ class PageFeatures:
             person's own mentions (F6).
         locations: location mention counts (auxiliary).
         tfidf: TF-IDF body vector (F8, F9, F10).
-        n_tokens: page length in tokens (diagnostics).
+        n_tokens: page length in tokens (diagnostics); 0 when no
+            extractor that reads tokens ran.
+        reads: the fields this bundle was extracted for — whole
+            extractor groups, see the module docstring; ``None`` (the
+            default, and what hand-built bundles are) means all of them.
     """
 
     doc_id: str
@@ -45,6 +70,13 @@ class PageFeatures:
     locations: Counter = field(default_factory=Counter)
     tfidf: dict[str, float] = field(default_factory=dict)
     n_tokens: int = 0
+    reads: frozenset[str] | None = None
+
+    def covers(self, fields: frozenset[str] | None) -> bool:
+        """Whether this bundle holds every field of ``fields`` (``None``:
+        all of them)."""
+        return self.reads is None or (fields is not None
+                                      and fields <= self.reads)
 
     def has_feature(self, feature: str) -> bool:
         """True when the named feature carries any evidence on this page."""

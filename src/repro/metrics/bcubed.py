@@ -9,6 +9,7 @@ both are averaged over items.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.metrics.clusterings import Clustering, check_same_universe
@@ -37,15 +38,18 @@ def bcubed_scores(predicted: Clustering, truth: Clustering) -> BCubedScores:
     if n_items == 0:
         return BCubedScores(precision=1.0, recall=1.0)
 
-    precision_sum = 0.0
-    recall_sum = 0.0
+    # ``items`` is a frozenset of strings, iterated in hash order: an
+    # exactly rounded sum is the same in every process, a running float
+    # sum is not.
+    precisions = []
+    recalls = []
     for item in predicted.items:
         predicted_cluster = predicted.cluster_of(item)
         true_cluster = truth.cluster_of(item)
         correct = len(predicted_cluster & true_cluster)
-        precision_sum += correct / len(predicted_cluster)
-        recall_sum += correct / len(true_cluster)
+        precisions.append(correct / len(predicted_cluster))
+        recalls.append(correct / len(true_cluster))
     return BCubedScores(
-        precision=precision_sum / n_items,
-        recall=recall_sum / n_items,
+        precision=math.fsum(precisions) / n_items,
+        recall=math.fsum(recalls) / n_items,
     )

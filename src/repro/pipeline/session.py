@@ -33,6 +33,17 @@ Typical deployment loop::
     for request in traffic:                    # single pages or batches
         assignments = session.resolve(request.pages)
 
+A raw page is read once and extracted for what its slot reads.
+Admission tokenises the page — for the routing index — and the unit
+carries the tokens to extraction; each slot holds the read set of the
+fitted state it serves (the ``PageFeatures`` fields the functions its
+combiner consults declare — under best-graph selection one function's),
+and only the extractor groups behind those fields run: a TF-IDF slot
+runs no NER and no concept spotter, a slot that reads no ``tfidf``
+counts no terms and never catches its context up.  The features a slot
+indexes record that read set, and scoring them under any other function
+raises.  Precomputed features a request carries are taken as they are.
+
 Two phases serve every page: :meth:`ResolutionSession.admit`
 (bookkeeping) and :meth:`ResolutionSession.process` (scoring).
 ``resolve`` runs one after the other; the threaded
@@ -60,8 +71,10 @@ from repro.core.model import ResolverModel
 from repro.corpus.documents import NameCollection, WebPage
 from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import BlockContext, ExtractionPipeline
+from repro.extraction.tokenizer import page_tokens
 from repro.metrics.clusterings import Clustering
 from repro.runtime.stats import LatencyReservoir
+from repro.similarity.base import read_fields
 
 __all__ = ["AdmittedUnit", "Processed", "ResolutionSession",
            "SessionStats", "as_page_list"]
@@ -166,13 +179,18 @@ class _PreparedBlock:
 
     query_name: str
     incremental: IncrementalResolver | None = None
+    #: the ``PageFeatures`` fields the slot's fitted state consults
+    #: (``None``: all of them) — what its raw pages are extracted for.
+    #: Fixed for the slot's life: a session's model never changes.
+    reads: frozenset[str] | None = None
     #: raw pages seen so far, in joining order.
     pages: list[WebPage] = field(default_factory=list)
     #: extraction context of the first ``context.n_pages`` of ``pages``
     #: (TF-IDF is weighed per block, so a new page is extracted among
     #: its block).  Pages that joined with precomputed features are
     #: folded in when a raw page next needs it; ``None`` is the context
-    #: that trails by every page.
+    #: that trails by every page.  A slot that does not read ``tfidf``
+    #: counts no page, ever.
     context: BlockContext | None = None
 
 
@@ -188,6 +206,9 @@ class AdmittedUnit:
     prepared: _PreparedBlock
     #: admission found no prepared state and reserved the slot.
     cold: bool
+    #: ``page_tokens`` of ``pages``, in order — admission's one pass over
+    #: each page's text, handed on to extraction.
+    tokens: list[list[str]]
 
 
 @dataclass
@@ -321,7 +342,8 @@ class ResolutionSession:
         Args:
             pages: a single page, a list of pages, or a block.
             features: optional precomputed features by doc id — pages
-                not covered are extracted with the session's pipeline.
+                not covered are extracted with the session's pipeline,
+                for the fields their name's fitted state consults.
 
         Returns:
             One :class:`~repro.core.incremental.Assignment` per page, in
@@ -381,11 +403,15 @@ class ResolutionSession:
                 before any admission effect, so the corrected request
                 can be retried.
         """
-        grouped: OrderedDict[str, list[WebPage]] = OrderedDict()
-        routed_keys: dict[str, set[str]] = {}
+        # One pass over each page's text serves routing, the index and
+        # (through the unit) extraction.
+        token_keys = self._token_blocker.token_keys
+        grouped: OrderedDict[str, list[tuple]] = OrderedDict()
         for page in as_page_list(pages):
-            grouped.setdefault(self._route(page, routed_keys),
-                               []).append(page)
+            tokens = page_tokens(page)
+            keys = token_keys(tokens)
+            grouped.setdefault(self._route(page, keys),
+                               []).append((page, tokens, keys))
         for query_name in grouped:
             if query_name not in self._prepared:
                 self._fallback_for(query_name)
@@ -396,9 +422,10 @@ class ResolutionSession:
             cold = prepared is None
             if cold:
                 prepared = self._reserve(query_name)
-            self._index_pages(query_name, group, routed_keys)
-            units.append(AdmittedUnit(query_name, group, features,
-                                      prepared, cold))
+            group_pages, group_tokens, group_keys = map(list, zip(*group))
+            self._index_keys(query_name, group_keys)
+            units.append(AdmittedUnit(query_name, group_pages, features,
+                                      prepared, cold, group_tokens))
         return units
 
     def process(self, units: list[AdmittedUnit]) -> Processed:
@@ -437,7 +464,8 @@ class ResolutionSession:
             first = rest.pop(0)
             try:
                 self._check_unresolved(prepared, first.pages)
-                self._bootstrap(prepared, first.pages, first.features)
+                self._bootstrap(prepared, first.pages, first.features,
+                                tokens=first.tokens)
             except Exception as error:
                 done.outcomes.append(error)
             else:
@@ -446,10 +474,11 @@ class ResolutionSession:
                 done.outcomes.append(assignments)
                 done.bootstrap = "batch"
 
-        work = [[(page, (unit.features or {}).get(page.doc_id))
-                 for page in unit.pages] for unit in rest]
-        provided = [page_features for pairs in work
-                    for _, page_features in pairs]
+        work = [[(page, (unit.features or {}).get(page.doc_id), tokens)
+                 for page, tokens in zip(unit.pages, unit.tokens)]
+                for unit in rest]
+        provided = [page_features for triples in work
+                    for _, page_features, _ in triples]
         scores = None
         if len(provided) > 1 and None not in provided:
             # ``None`` back on a duplicate: the per-unit check below
@@ -457,13 +486,13 @@ class ResolutionSession:
             scores = prepared.incremental.coalesced_pair_scores(provided)
         done.added_pages = len(provided)
         done.swept = scores is not None
-        for unit, pairs in zip(rest, work):
+        for unit, triples in zip(rest, work):
             assignments = []
             try:
                 self._check_unresolved(prepared, unit.pages)
-                for page, page_features in pairs:
+                for page, page_features, tokens in triples:
                     assignments.append(self._add_page(
-                        prepared, page, page_features, scores))
+                        prepared, page, page_features, scores, tokens))
             except Exception as error:
                 done.outcomes.append(error)
             else:
@@ -500,8 +529,11 @@ class ResolutionSession:
             self._fallback_for(block.query_name)
             prepared = self._reserve(block.query_name)
         if prepared.incremental is None:
-            self._index_pages(block.query_name, block.pages)
-            self._bootstrap(prepared, block.pages, features, graphs=graphs)
+            tokens = list(map(page_tokens, block.pages))
+            self._index_keys(block.query_name,
+                             map(self._token_blocker.token_keys, tokens))
+            self._bootstrap(prepared, block.pages, features, graphs=graphs,
+                            tokens=tokens)
         return prepared.incremental.clusters()
 
     # -- inspection ------------------------------------------------------
@@ -534,16 +566,11 @@ class ResolutionSession:
 
     # -- admission internals ---------------------------------------------
 
-    def _route(self, page: WebPage, routed_keys: dict[str, set[str]]) -> str:
-        """The block name serving ``page`` (its own, or a routed one).
-
-        A nameless page's blocking keys are left in ``routed_keys`` (by
-        doc id) for :meth:`_index_pages`, which would otherwise tokenise
-        the page a second time.
-        """
+    def _route(self, page: WebPage, keys: set[str]) -> str:
+        """The block name serving ``page``: its own, or for a nameless
+        page the one its blocking ``keys`` route it to."""
         if page.query_name:
             return page.query_name
-        keys = routed_keys[page.doc_id] = self._token_blocker._keys(page)
         routed = self._route_unnamed(keys)
         if routed is None:
             raise KeyError(
@@ -578,16 +605,11 @@ class ResolutionSession:
         # routing deterministic.
         return min(votes, key=lambda name: (-votes[name], name))
 
-    def _index_pages(self, query_name: str, pages: Iterable[WebPage],
-                     routed_keys: dict[str, set[str]] | None = None) -> None:
-        """Index ``pages`` under ``query_name``; ``routed_keys`` holds the
-        keys :meth:`_route` already computed, by doc id."""
-        known = routed_keys or {}
+    def _index_keys(self, query_name: str,
+                    keys_by_page: Iterable[set[str]]) -> None:
+        """Index pages' blocking keys under ``query_name``."""
         keys = self._keys_by_name.setdefault(query_name, set())
-        for page in pages:
-            page_keys = known.get(page.doc_id)
-            if page_keys is None:
-                page_keys = self._token_blocker._keys(page)
+        for page_keys in keys_by_page:
             keys.update(page_keys)
             for key in page_keys:
                 self._token_index.setdefault(key, set()).add(query_name)
@@ -610,6 +632,12 @@ class ResolutionSession:
             self.model._fitted_for(query_name)
         return self.model_block
 
+    def _fitted_state(self, query_name: str):
+        """The fitted block a name is served by: its own, else the
+        ``model_block`` fallback's."""
+        return self.model.blocks[self._fallback_for(query_name)
+                                 or query_name]
+
     def _lookup(self, query_name: str) -> _PreparedBlock | None:
         prepared = self._prepared.get(query_name)
         if prepared is not None:
@@ -623,7 +651,9 @@ class ResolutionSession:
         makes the LRU bookkeeping a function of the admission order
         alone, whatever schedule ``process`` then runs under.
         """
-        prepared = self._prepared[query_name] = _PreparedBlock(query_name)
+        prepared = self._prepared[query_name] = _PreparedBlock(
+            query_name, reads=read_fields(self.model.scoring_functions(
+                self._fitted_state(query_name))))
         self.stats.prepared_blocks += 1
         while len(self._prepared) > self.max_blocks:
             evicted_name, _ = self._prepared.popitem(last=False)
@@ -635,12 +665,14 @@ class ResolutionSession:
 
     def _bootstrap(self, prepared: _PreparedBlock, pages: list[WebPage],
                    features: dict[str, PageFeatures] | None,
-                   graphs: dict | None = None) -> None:
+                   graphs: dict | None = None,
+                   tokens: list[list[str]] | None = None) -> None:
         """The batch bootstrap: resolve ``pages`` once with the model and
         adopt the result as the cold slot's state."""
         block = NameCollection(query_name=prepared.query_name,
                                pages=list(pages))
-        block_features, context = self._block_features(block, features)
+        block_features, context = self._block_features(
+            block, features, prepared.reads, tokens)
         prepared.incremental = IncrementalResolver.from_model(
             self.model, block, block_features,
             model_block=self._fallback_for(block.query_name), graphs=graphs)
@@ -649,9 +681,8 @@ class ResolutionSession:
 
     def _adopt_empty(self, query_name: str) -> IncrementalResolver:
         """Cold-adopt fitted state for a name, with an empty entity index."""
-        fallback = self._fallback_for(query_name)
-        fitted = self.model.blocks[fallback or query_name]
-        return IncrementalResolver.from_fitted(self.model.config, fitted)
+        return IncrementalResolver.from_fitted(
+            self.model.config, self._fitted_state(query_name))
 
     @staticmethod
     def _check_unresolved(prepared: _PreparedBlock,
@@ -668,12 +699,14 @@ class ResolutionSession:
 
     def _add_page(self, prepared: _PreparedBlock, page: WebPage,
                   page_features: PageFeatures | None,
-                  scores: dict | None = None) -> Assignment:
+                  scores: dict | None = None,
+                  tokens: list[str] | None = None) -> Assignment:
         """Add ``page`` to a prepared block: extract (unless it came with
-        features), assign, record.  ``scores`` as for ``add_page``."""
+        features), assign, record.  ``scores`` as for ``add_page``;
+        ``tokens`` are the page's, when admission read it."""
         try:
             if page_features is None:
-                page_features = self._extract_page(prepared, page)
+                page_features = self._extract_page(prepared, page, tokens)
             assignment = prepared.incremental.add_page(page_features,
                                                        scores=scores)
         except BaseException:
@@ -684,9 +717,10 @@ class ResolutionSession:
         prepared.pages.append(page)
         return assignment
 
-    def _extract_page(self, prepared: _PreparedBlock,
-                      page: WebPage) -> PageFeatures:
-        """Extract one new page in the context of its current block.
+    def _extract_page(self, prepared: _PreparedBlock, page: WebPage,
+                      tokens: list[str] | None = None) -> PageFeatures:
+        """Extract one new page in the context of its current block, for
+        the fields the slot reads.
 
         TF-IDF is weighed per block, so the page is extracted among the
         pages already served for the name.  Only the new page is read:
@@ -700,17 +734,22 @@ class ResolutionSession:
         context = prepared.context
         if context is None:
             context = prepared.context = self.extraction.block_context(
-                prepared.query_name)
+                prepared.query_name, prepared.reads)
         self.extraction.fold(prepared.pages[context.n_pages:], context)
         block = NameCollection(query_name=prepared.query_name, pages=[page])
-        return self.extraction.extract_block(block, context)[page.doc_id]
+        return self.extraction.extract_block(
+            block, context,
+            tokens=None if tokens is None else [tokens])[page.doc_id]
 
     def _block_features(
         self, block: NameCollection,
         features: dict[str, PageFeatures] | None,
+        reads: frozenset[str] | None,
+        tokens: list[list[str]] | None,
     ) -> tuple[dict[str, PageFeatures], BlockContext | None]:
-        """A bootstrap block's features, and the extraction context they
-        were weighed in (``None`` when they came precomputed)."""
+        """A bootstrap block's features — supplied, or extracted for
+        ``reads`` from the pages' ``tokens`` — and the extraction context
+        they were weighed in (``None`` when they came precomputed)."""
         if features is not None:
             covered = {page.doc_id: features[page.doc_id]
                        for page in block.pages if page.doc_id in features}
@@ -720,5 +759,6 @@ class ResolutionSession:
             raise ValueError(
                 "session has no extraction pipeline; pass pipeline= at "
                 "construction or features covering the whole block")
-        context = self.extraction.block_context(block.query_name)
-        return self.extraction.extract_block(block, context), context
+        context = self.extraction.block_context(block.query_name, reads)
+        return (self.extraction.extract_block(block, context, tokens=tokens),
+                context)

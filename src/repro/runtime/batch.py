@@ -28,7 +28,7 @@ from repro.extraction.features import PageFeatures
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.runtime.cache import SimilarityCache, block_fingerprint
 from repro.similarity.backends import ScoringBackend, resolve_backend
-from repro.similarity.base import SimilarityFunction
+from repro.similarity.base import SimilarityFunction, require_covered
 
 
 def batched_similarity_graphs(
@@ -48,7 +48,9 @@ def batched_similarity_graphs(
 
     Args:
         block: the pages to score (the blocking unit).
-        features: extracted features per ``doc_id``; must cover the block.
+        features: extracted features per ``doc_id``; must cover the
+            block, and hold every field ``functions`` read (features
+            narrowed to a read set that leaves one out raise).
         functions: the similarity battery; graphs keep its order.
         cache: optional shared cache — functions whose graph for this
             (block, mask) is already stored are reused, freshly scored
@@ -62,6 +64,10 @@ def batched_similarity_graphs(
             (non-candidate pairs read as 0.0, per
             :class:`~repro.graph.entity_graph.WeightedPairGraph`
             semantics).  ``None`` (default) scores the complete graph.
+
+    Raises:
+        ValueError: when a function to score reads a field the features
+            were not extracted for.
     """
     ids = block.page_ids()
     graphs: dict[str, WeightedPairGraph] = {}
@@ -78,6 +84,11 @@ def batched_similarity_graphs(
             pending.append(function)
 
     if pending:
+        # Plane-backed features are whole by construction (narrowed
+        # bundles never take the plane path), and checking them would
+        # materialize every page.
+        if getattr(features, "planes", None) is None:
+            require_covered(map(features.__getitem__, ids), pending)
         scores = resolve_backend(backend).block_scores(ids, features, pending,
                                                        mask=mask)
         for function in pending:

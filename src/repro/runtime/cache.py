@@ -4,7 +4,7 @@ The quadratic pairwise-similarity step is the pipeline's dominant cost.
 :class:`SimilarityCache` memoizes, per block fingerprint,
 
 * the extracted :class:`~repro.extraction.features.PageFeatures` (so
-  tokenization/NER/TF-IDF run once per block), and
+  tokenization/NER/TF-IDF run once per block and read set), and
 * the pairwise similarity values of every function's weighted graph.
 
 Where hits actually occur: repeated serving of a hot block through
@@ -76,7 +76,11 @@ class SimilarityCache:
     """
 
     def __init__(self) -> None:
-        self._features: dict[BlockFingerprint, dict[str, PageFeatures]] = {}
+        # Per block, the feature dicts extracted so far — more than one
+        # only when the block was asked for under read sets none of
+        # which covers the others.
+        self._features: dict[BlockFingerprint,
+                             list[dict[str, PageFeatures]]] = {}
         self._weights: dict[BlockFingerprint,
                             dict[str, dict[PairKey, float]]] = {}
         self.pair_hits = 0
@@ -90,16 +94,25 @@ class SimilarityCache:
         self,
         block: NameCollection,
         compute: Callable[[NameCollection], dict[str, PageFeatures]],
+        reads: frozenset[str] | None = None,
     ) -> dict[str, PageFeatures]:
-        """The block's extracted features, computing them on first miss."""
+        """The block's extracted features, computing them on first miss.
+
+        ``reads`` names the fields the caller will read (``None``: all);
+        ``compute`` must return features that hold them.  A stored entry
+        serves the call only if every page of it
+        :meth:`~repro.extraction.features.PageFeatures.covers` ``reads``
+        — a narrower one never does, and the wider result is stored
+        beside it.
+        """
         fingerprint = block_fingerprint(block)
-        features = self._features.get(fingerprint)
-        if features is not None:
-            self.feature_hits += 1
-            return features
+        for features in self._features.get(fingerprint, ()):
+            if all(page.covers(reads) for page in features.values()):
+                self.feature_hits += 1
+                return features
         self.feature_misses += 1
         features = compute(block)
-        self._features[fingerprint] = features
+        self._features.setdefault(fingerprint, []).append(features)
         return features
 
     # -- pairwise weights ------------------------------------------------

@@ -305,13 +305,17 @@ def _encode_mapping_family(kind: str, maps: list, writer: PlaneWriter,
 def features_eligible(features) -> bool:
     """Whether a payload's ``features`` can take the plane path.
 
-    Only plain ``dict[str, PageFeatures]`` with stock pages qualifies —
-    a subclass could carry behavior the columnar layout cannot
-    represent, and an already-plane-backed mapping needs no re-encoding.
+    Only plain ``dict[str, PageFeatures]`` with stock, whole pages
+    qualifies — a subclass could carry behavior the columnar layout
+    cannot represent, the layout has no column for a narrowed page's
+    read set (which must survive the trip: it is what stops a scorer
+    reading fields that were never extracted), and an
+    already-plane-backed mapping needs no re-encoding.
     """
     if type(features) is not dict or not features:
         return False
     return all(type(key) is str and type(page) is PageFeatures
+               and page.reads is None
                for key, page in features.items())
 
 

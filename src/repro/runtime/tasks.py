@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.corpus.documents import NameCollection
@@ -41,7 +42,7 @@ from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
 from repro.runtime.stats import TaskStats
-from repro.similarity.base import SimilarityFunction
+from repro.similarity.base import SimilarityFunction, read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.runtime.executor import BlockExecutor
@@ -94,10 +95,13 @@ def block_graphs(
     The one rule every path follows: supplied ``graphs`` are returned as
     they are (identity included — the fit → predict hand-off keys on
     it); else supplied ``features`` are scored; else the block is
-    extracted with ``pipeline`` first.  Extraction and scoring go
-    through ``cache`` when one is given (pair-granular accounting, and
-    reuse across calls that share it), and honor the block's candidate
-    ``mask``: a masked block's graphs carry candidate edges only.
+    extracted with ``pipeline`` first — for the fields ``functions``
+    read between them (:func:`~repro.similarity.base.read_fields`), so a
+    pass that scores one function runs one extractor group.  Extraction
+    and scoring go through ``cache`` when one is given (pair-granular
+    accounting, and reuse across calls that share it), and honor the
+    block's candidate ``mask``: a masked block's graphs carry candidate
+    edges only.
 
     Raises:
         ValueError: when neither graphs, features nor a pipeline are
@@ -110,8 +114,10 @@ def block_graphs(
             raise ValueError(
                 f"block {block.query_name!r} has neither precomputed graphs, "
                 f"features, nor a pipeline to extract with")
-        features = (pipeline.extract_block(block) if cache is None
-                    else cache.features_for(block, pipeline.extract_block))
+        reads = read_fields(functions)
+        extract = partial(pipeline.extract_block, reads=reads)
+        features = (extract(block) if cache is None
+                    else cache.features_for(block, extract, reads))
     return batched_similarity_graphs(block, features, functions, cache=cache,
                                      backend=backend, mask=mask)
 

@@ -8,7 +8,7 @@ layers accuracy estimation and graph clustering on top.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.extraction.features import PageFeatures
@@ -35,6 +35,16 @@ class SimilarityFunction:
         preparer: optional block-level fast path (see :data:`Preparer`);
             batched graph construction uses it when present, per-pair
             callers are unaffected.
+        reads: names of the :class:`PageFeatures` fields the scorer,
+            the preparer and any backend kernel touch (``doc_id`` goes
+            without saying).  A label-free pass extracts only what the
+            functions it scores read, so a declared set is a promise:
+            reading an undeclared field scores empty defaults.  ``None``
+            (the default) reads everything — always safe, and what a
+            custom function gets unless it declares otherwise::
+
+                SimilarityFunction("F42", "page URL", "same host", score,
+                                   reads=frozenset({"url"}))
     """
 
     name: str
@@ -42,6 +52,7 @@ class SimilarityFunction:
     measure: str
     scorer: PairScorer
     preparer: Preparer | None = None
+    reads: frozenset[str] | None = None
 
     def __call__(self, left: PageFeatures, right: PageFeatures) -> float:
         """Score a pair; result is clamped to [0, 1]."""
@@ -75,3 +86,39 @@ class SimilarityFunction:
 
     def __repr__(self) -> str:  # concise in experiment logs
         return f"SimilarityFunction({self.name}: {self.feature} / {self.measure})"
+
+
+def read_fields(
+        functions: Iterable[SimilarityFunction]) -> frozenset[str] | None:
+    """The fields ``functions`` read between them; ``None`` (everything)
+    as soon as one of them declares nothing."""
+    fields: set[str] = set()
+    for function in functions:
+        if function.reads is None:
+            return None
+        fields |= function.reads
+    return frozenset(fields)
+
+
+def require_covered(pages: Iterable[PageFeatures],
+                    functions: Iterable[SimilarityFunction]) -> None:
+    """Refuse to score ``functions`` over features narrowed past them.
+
+    Raises:
+        ValueError: when a page was extracted for a read set that leaves
+            out a field one of ``functions`` reads — its score would be
+            that of empty defaults, silently.
+    """
+    narrowed = [page for page in pages if page.reads is not None]
+    if not narrowed:  # whole features cover anything
+        return
+    functions = list(functions)
+    fields = read_fields(functions)
+    for page in narrowed:
+        if not page.covers(fields):
+            names = ", ".join(function.name for function in functions)
+            wanted = "every field" if fields is None else sorted(fields)
+            raise ValueError(
+                f"page {page.doc_id!r} was extracted for "
+                f"{sorted(page.reads)} only; scoring {names} reads "
+                f"{wanted}")

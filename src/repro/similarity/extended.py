@@ -79,11 +79,17 @@ def _f14(left: PageFeatures, right: PageFeatures) -> float:
 
 
 EXTENDED_REGISTRY: dict[str, SimilarityFunction] = {
-    "F11": SimilarityFunction("F11", "locations", "overlap", _f11),
-    "F12": SimilarityFunction("F12", "top TF-IDF terms", "cosine", _f12),
-    "F13": SimilarityFunction("F13", "entity context", "weighted Jaccard", _f13),
+    "F11": SimilarityFunction("F11", "locations", "overlap", _f11,
+                              reads=frozenset({"locations"})),
+    "F12": SimilarityFunction("F12", "top TF-IDF terms", "cosine", _f12,
+                              reads=frozenset({"tfidf"})),
+    "F13": SimilarityFunction("F13", "entity context", "weighted Jaccard", _f13,
+                              reads=frozenset({"organizations",
+                                               "other_persons",
+                                               "locations"})),
     "F14": SimilarityFunction("F14", "weighted concept vector",
-                              "extended Jaccard", _f14),
+                              "extended Jaccard", _f14,
+                              reads=frozenset({"concept_vector"})),
 }
 
 #: Names of the extended functions, in order.

@@ -257,23 +257,27 @@ def _prepare_f10(features: dict[str, PageFeatures]) -> PairScorer:
 
 _REGISTRY: dict[str, SimilarityFunction] = {
     "F1": SimilarityFunction("F1", "weighted concept vector", "cosine", _f1,
-                             _prepare_f1),
+                             _prepare_f1, reads=frozenset({"concept_vector"})),
     "F2": SimilarityFunction("F2", "page URL", "string similarity", _f2,
-                             _prepare_f2),
+                             _prepare_f2, reads=frozenset({"url"})),
     "F3": SimilarityFunction("F3", "most frequent name", "string similarity",
-                             _f3, _prepare_f3),
-    "F4": SimilarityFunction("F4", "concept set", "overlap", _f4, _prepare_f4),
+                             _f3, _prepare_f3,
+                             reads=frozenset({"most_frequent_name"})),
+    "F4": SimilarityFunction("F4", "concept set", "overlap", _f4, _prepare_f4,
+                             reads=frozenset({"concept_set"})),
     "F5": SimilarityFunction("F5", "organizations", "overlap", _f5,
-                             _prepare_f5),
+                             _prepare_f5, reads=frozenset({"organizations"})),
     "F6": SimilarityFunction("F6", "other person names", "overlap", _f6,
-                             _prepare_f6),
+                             _prepare_f6, reads=frozenset({"other_persons"})),
     "F7": SimilarityFunction("F7", "name closest to query", "string similarity",
-                             _f7, _prepare_f7),
-    "F8": SimilarityFunction("F8", "TF-IDF vector", "cosine", _f8, _prepare_f8),
+                             _f7, _prepare_f7,
+                             reads=frozenset({"closest_name_to_query"})),
+    "F8": SimilarityFunction("F8", "TF-IDF vector", "cosine", _f8, _prepare_f8,
+                             reads=frozenset({"tfidf"})),
     "F9": SimilarityFunction("F9", "TF-IDF vector", "Pearson correlation", _f9,
-                             _prepare_f9),
+                             _prepare_f9, reads=frozenset({"tfidf"})),
     "F10": SimilarityFunction("F10", "TF-IDF vector", "extended Jaccard", _f10,
-                              _prepare_f10),
+                              _prepare_f10, reads=frozenset({"tfidf"})),
 }
 
 #: All function names in Table I order.

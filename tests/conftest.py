@@ -7,12 +7,18 @@ on training seeds, so every test can reuse them.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
+import repro.blocking.token_blocking as token_blocking
 import repro.extraction.pipeline as extraction_pipeline
+import repro.pipeline.session as pipeline_session
+from repro.core.model import ResolverModel
 from repro.corpus.datasets import www05_like
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.corpus.vocabulary import build_vocabulary
+from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.functions import default_functions
@@ -80,8 +86,9 @@ def tiny_generator():
 
 @pytest.fixture()
 def page_reads(monkeypatch):
-    """Doc ids of the pages the extraction pipeline tokenises, in order,
-    from the moment the fixture is requested."""
+    """Doc ids of the pages anything tokenises (``page_tokens`` calls from
+    admission, blocking or extraction), in order, from the moment the
+    fixture is requested."""
     reads: list[str] = []
     page_tokens = extraction_pipeline.page_tokens
 
@@ -89,5 +96,46 @@ def page_reads(monkeypatch):
         reads.append(page.doc_id)
         return page_tokens(page)
 
-    monkeypatch.setattr(extraction_pipeline, "page_tokens", counting)
+    for module in (extraction_pipeline, pipeline_session, token_blocking):
+        monkeypatch.setattr(module, "page_tokens", counting)
     return reads
+
+
+@pytest.fixture(scope="session")
+def assert_narrowed():
+    """``check(got, whole)``: a bundle extracted for a read set equals the
+    whole extraction of the same page on the fields it records
+    (mapping order included) and holds the empty default elsewhere."""
+    def check(got: PageFeatures, whole: PageFeatures) -> None:
+        assert whole.reads is None
+        blank = PageFeatures(doc_id=whole.doc_id)
+        for spec in fields(PageFeatures):
+            if spec.name == "reads":
+                continue
+            held = (got.reads is None or spec.name in got.reads
+                    or spec.name == "doc_id")
+            if spec.name == "n_tokens":  # set iff the page was tokenised
+                held = got.reads != frozenset({"url"})
+            value = getattr(got, spec.name)
+            expected = getattr(whole if held else blank, spec.name)
+            assert value == expected, (got.doc_id, spec.name)
+            if hasattr(value, "items"):
+                assert list(value.items()) == list(expected.items()), (
+                    got.doc_id, spec.name)
+    return check
+
+
+@pytest.fixture(scope="session")
+def consulting():
+    """``build(model, "F5")``: a copy of a best-graph ``model`` whose every
+    block consults the named function (its first fitted layer wins)."""
+    def build(model: ResolverModel, function_name: str) -> ResolverModel:
+        blocks = {}
+        for name, fitted in model.blocks.items():
+            winner = next(layer.label for layer in fitted.layers
+                          if layer.function_name == function_name)
+            blocks[name] = replace(
+                fitted, combiner_params={**fitted.combiner_params,
+                                         "chosen_layer": winner})
+        return ResolverModel(model.config, blocks, pipeline=model.pipeline)
+    return build

@@ -4,6 +4,7 @@ from collections import Counter
 
 from repro.corpus.documents import NameCollection, WebPage
 from repro.extraction.pipeline import ExtractionPipeline
+from repro.extraction.tokenizer import page_tokens
 
 
 class TestExtractBlock:
@@ -59,6 +60,26 @@ class TestExtractBlock:
 
     def test_n_tokens_positive(self, block_features):
         assert all(f.n_tokens > 0 for f in block_features.values())
+
+
+class TestHandedTokens:
+    def test_tokens_in_hand_are_not_read_again(self, pipeline, small_block,
+                                               block_features, page_reads):
+        """A caller that tokenised the pages already (the session's
+        admission) hands the tokens over: same features, no second pass
+        over the text."""
+        tokens = [page_tokens(page) for page in small_block.pages]
+        assert pipeline.extract_block(small_block,
+                                      tokens=tokens) == block_features
+        assert page_reads == []
+
+    def test_a_url_only_read_set_never_tokenises(self, pipeline, small_block,
+                                                 page_reads):
+        features = pipeline.extract_block(small_block,
+                                          reads=frozenset({"url"}))
+        assert page_reads == []
+        assert all(page.n_tokens == 0 and page.reads == {"url"}
+                   for page in features.values())
 
 
 class TestExtractCollection:

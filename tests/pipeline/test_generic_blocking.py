@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 from repro.blocking.base import Blocker, BlockingResult, pairs_within
-from repro.blocking.token_blocking import TokenBlocker
 from repro.core.config import ResolverConfig
 from repro.core.registry import BLOCKERS, register_blocker
 from repro.core.resolver import EntityResolver
@@ -179,30 +178,25 @@ class TestSessionRouting:
             for doc_id in cluster}
 
     def test_nameless_page_is_tokenised_once_per_request(self, dataset,
-                                                         monkeypatch):
-        """Routing hands its blocking keys to the index; neither the
-        session nor the engine's admission reads the page a second time,
-        and the index ends up as if the page had arrived named."""
+                                                         page_reads):
+        """Admission reads a raw page's text once — routing, the index
+        and extraction all work from that pass, in the session and
+        behind the engine — and the index ends up as if the page had
+        arrived named."""
         model = EntityResolver(ResolverConfig()).fit(dataset,
                                                      training_seed=0)
         pipeline = EntityResolver().pipeline_for(dataset)
         block = dataset.collections[0]
         pages = list(block.pages)
         nameless = replace(pages[-1], query_name="")
-        keyed = []
-        keys_of = TokenBlocker._keys
-        monkeypatch.setattr(
-            TokenBlocker, "_keys",
-            lambda self, page: keyed.append(page.doc_id) or keys_of(self,
-                                                                    page))
         named = ResolutionSession(model, pipeline=pipeline)
         named.resolve(pages)
         for front in (ResolutionSession(model, pipeline=pipeline),
                       ServingEngine(model, pipeline=pipeline)):
             front.resolve(pages[:-1])
-            del keyed[:]
+            del page_reads[:]
             front.resolve(nameless)
-            assert keyed == [nameless.doc_id]
+            assert page_reads == [nameless.doc_id]
             session = (front.snapshot.session
                        if isinstance(front, ServingEngine) else front)
             assert session._keys_by_name == named._keys_by_name

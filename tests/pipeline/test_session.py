@@ -8,6 +8,8 @@ the same fitted model.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.config import ResolverConfig
@@ -15,6 +17,9 @@ from repro.core.incremental import IncrementalResolver
 from repro.core.model import ResolverModel
 from repro.core.resolver import EntityResolver
 from repro.corpus.documents import NameCollection
+from repro.extraction.concepts import ConceptExtractor
+from repro.extraction.ner import DictionaryNer
+from repro.extraction.tfidf import TfidfVectorizer
 from repro.pipeline import ResolutionSession
 from repro.pipeline.session import SessionStats, _PreparedBlock
 
@@ -327,34 +332,38 @@ class TestExtractionContext:
 
     def test_batch_bootstrap_hands_its_context_over(self, raw_session,
                                                     pipeline, split_block,
-                                                    page_reads):
+                                                    page_reads,
+                                                    assert_narrowed):
         base, _, held_out = split_block
         head = list(base.pages)[:10]
         raw_session.resolve(head)
         assert page_reads == [page.doc_id for page in head]
         prepared = raw_session._prepared[base.query_name]
+        assert "tfidf" in prepared.reads
         assert prepared.context.n_pages == len(head)
-        # one raw single-page request analyses exactly one page
+        # one raw single-page request reads exactly one page, once —
+        # admission's pass is the one extraction uses
         raw_session.resolve(held_out[0])
         assert page_reads[len(head):] == [held_out[0].doc_id]
         expected = self.in_block(pipeline, base.query_name,
                                  head + held_out[:1])
-        self.same(prepared.incremental.indexed_features()[-1], expected)
+        assert_narrowed(prepared.incremental.indexed_features()[-1], expected)
 
     def test_precomputed_traffic_never_reads_a_page(self, raw_session,
                                                     split_block,
                                                     block_features,
                                                     page_reads):
+        """Beyond admission's one pass for the routing index."""
         base, base_features, held_out = split_block
         raw_session.resolve(list(base.pages), features=base_features)
         page = held_out[0]
         raw_session.resolve(
             page, features={page.doc_id: block_features[page.doc_id]})
-        assert page_reads == []
+        assert page_reads == base.page_ids() + [page.doc_id]
         assert raw_session._prepared[base.query_name].context is None
 
     def test_rebootstrap_after_eviction_starts_from_an_empty_context(
-            self, small_dataset, pipeline):
+            self, small_dataset, pipeline, assert_narrowed):
         model = EntityResolver(ResolverConfig()).fit(small_dataset,
                                                      training_seed=0)
         session = ResolutionSession(model, pipeline=pipeline, max_blocks=1)
@@ -366,12 +375,14 @@ class TestExtractionContext:
         page = first.pages[5]
         session.resolve(page)
         prepared = session._prepared[first.query_name]
+        assert "tfidf" in prepared.reads
         assert prepared.context.n_pages == 1
-        self.same(prepared.incremental.indexed_features()[-1],
-                  self.in_block(pipeline, first.query_name, [page]))
+        assert_narrowed(prepared.incremental.indexed_features()[-1],
+                        self.in_block(pipeline, first.query_name, [page]))
 
     def test_failed_page_does_not_stay_in_the_context(self, raw_session,
-                                                      pipeline, split_block):
+                                                      pipeline, split_block,
+                                                      assert_narrowed):
         base, _, held_out = split_block
         head = list(base.pages)[:6]
         raw_session.resolve(head)
@@ -380,7 +391,101 @@ class TestExtractionContext:
         raw_session.resolve(held_out[0])
         prepared = raw_session._prepared[base.query_name]
         assert prepared.context.n_pages == len(prepared.pages) == 7
-        self.same(prepared.incremental.indexed_features()[-1],
-                  self.in_block(pipeline, base.query_name,
-                                head + held_out[:1]))
+        assert_narrowed(prepared.incremental.indexed_features()[-1],
+                        self.in_block(pipeline, base.query_name,
+                                      head + held_out[:1]))
+
+
+class TestReadSets:
+    """A slot extracts what its consulted function reads, and nothing
+    else runs: the extractor groups are counted, not timed."""
+
+    EXTRACTORS = ((DictionaryNer, "extract_tokens"),
+                  (ConceptExtractor, "spot"),
+                  (TfidfVectorizer, "count_terms"),
+                  (TfidfVectorizer, "observe"),
+                  (TfidfVectorizer, "weigh"))
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts: Counter = Counter()
+        for owner, method in self.EXTRACTORS:
+            def counting(self, *args, _run=getattr(owner, method),
+                         _key=method, **kwargs):
+                counts[_key] += 1
+                return _run(self, *args, **kwargs)
+            monkeypatch.setattr(owner, method, counting)
+        return counts
+
+    @pytest.mark.parametrize("function, ran", [
+        ("F8", {"count_terms", "observe", "weigh"}),
+        ("F5", {"extract_tokens"}),
+        ("F7", {"extract_tokens"}),
+        ("F1", {"spot"}),
+        ("F2", set()),
+    ])
+    def test_only_the_read_group_runs(self, function, ran, fitted_model,
+                                      consulting, pipeline, split_block,
+                                      calls, page_reads, assert_narrowed):
+        base, _, held_out = split_block
+        head = list(base.pages)[:8]
+        session = ResolutionSession(consulting(fitted_model, function),
+                                    pipeline=pipeline)
+        session.resolve(head)  # raw batch bootstrap
+        for page in held_out:
+            session.resolve(page)
+        served = head + held_out
+        assert {key for key, count in calls.items() if count} == ran
+        assert all(calls[key] == len(served) for key in ran)
+        # one pass over each page's text — admission's, for the routing
+        # index; an F2 slot's extraction needs none
+        assert page_reads == [page.doc_id for page in served]
+        prepared = session._prepared[base.query_name]
+        assert prepared.context.n_pages == (len(served) if function == "F8"
+                                            else 0)
+        whole = pipeline.extract_block(
+            NameCollection(query_name=base.query_name, pages=head))
+        got = prepared.incremental.indexed_features()
+        for index, (page, features) in enumerate(zip(served, got)):
+            if index >= len(head):
+                whole = pipeline.extract_block(NameCollection(
+                    query_name=base.query_name, pages=served[:index + 1]))
+            assert features.reads is not None
+            assert_narrowed(features, whole[page.doc_id])
+
+    def test_a_slot_that_reads_no_tfidf_never_folds(self, fitted_model,
+                                                    consulting, pipeline,
+                                                    split_block,
+                                                    block_features, calls,
+                                                    page_reads):
+        """Pages that joined with precomputed features are caught up on
+        only for the TF-IDF statistics; an F5 slot has none."""
+        base, _, held_out = split_block
+        session = ResolutionSession(consulting(fitted_model, "F5"),
+                                    pipeline=pipeline)
+        for index, page in enumerate(held_out):
+            features = ({page.doc_id: block_features[page.doc_id]}
+                        if index % 2 else None)
+            session.resolve(page, features=features)
+        assert page_reads == [page.doc_id for page in held_out]
+        assert calls["observe"] == calls["count_terms"] == 0
+        assert calls["extract_tokens"] == len(held_out[::2])
+
+    def test_raw_pages_resolve_like_whole_features(self, fitted_model,
+                                                   consulting, pipeline,
+                                                   split_block):
+        """Narrowing changes what is extracted, never an assignment."""
+        base, _, held_out = split_block
+        pages = list(base.pages)[:8] + held_out
+        for function in ("F10", "F6", "F4", "F2"):
+            model = consulting(fitted_model, function)
+            raw = ResolutionSession(model, pipeline=pipeline)
+            whole = ResolutionSession(model)
+            for index, page in enumerate(pages):
+                in_block = pipeline.extract_block(NameCollection(
+                    query_name=base.query_name, pages=pages[:index + 1]))
+                assert raw.resolve(page) == whole.resolve(
+                    page, features={page.doc_id: in_block[page.doc_id]})
+            assert raw.clusters(base.query_name) == whole.clusters(
+                base.query_name)
 

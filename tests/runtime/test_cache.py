@@ -22,10 +22,10 @@ class SpyPipeline:
         self.inner = inner
         self.log = log
 
-    def extract_block(self, target):
+    def extract_block(self, target, **kwargs):
         with open(self.log, "a") as handle:
             handle.write(target.query_name + "\n")
-        return self.inner.extract_block(target)
+        return self.inner.extract_block(target, **kwargs)
 
     def extracted(self):
         return sorted(self.log.read_text().splitlines())

@@ -8,6 +8,7 @@ Concurrency is exercised separately in ``test_concurrency.py``.
 
 from __future__ import annotations
 
+import random
 import threading
 from dataclasses import replace
 
@@ -331,7 +332,8 @@ class TestRawPageStream:
         assert page_reads == [pages[10].doc_id]
 
     def test_interleaved_raw_and_precomputed_match_serial_session(
-            self, engine, serving_model, pipeline, small_dataset):
+            self, engine, serving_model, pipeline, small_dataset,
+            assert_narrowed):
         session = ResolutionSession(serving_model, pipeline=pipeline)
         for block in small_dataset:
             pages = list(block.pages)[:16]
@@ -347,13 +349,64 @@ class TestRawPageStream:
                 assert (engine.resolve(page, features=features)
                         == session.resolve(page))
         for name in small_dataset.query_names():
-            ours = self.features_of(engine.snapshot.session, name)
-            assert ours == self.features_of(session, name)
-            assert ([list(f.tfidf.items()) for f in ours] ==
-                    [list(f.tfidf.items())
-                     for f in self.features_of(session, name)])
+            # The session extracted every page for its slot's read set;
+            # the engine holds the same, or the whole bundle a request
+            # carried: equal on what the slot reads either way.
+            for ours, theirs in zip(
+                    self.features_of(engine.snapshot.session, name),
+                    self.features_of(session, name), strict=True):
+                assert theirs.reads is not None
+                if ours.reads is None:
+                    assert_narrowed(theirs, ours)
+                else:
+                    assert ours == theirs
+                    assert (list(ours.tfidf.items())
+                            == list(theirs.tfidf.items()))
         report = verify_serial_equivalence(engine)
         assert report["identical"], report["diffs"]
+
+    def test_raw_stream_matches_precomputed_whole_features(
+            self, serving_model, second_model, consulting, pipeline,
+            small_dataset):
+        """Single raw pages over more names than the LRU holds, with a
+        mid-stream swap to a model that consults other functions: every
+        assignment and every final partition equals the same stream
+        served with whole features, and both engines replay serially."""
+        queues = [list(block.pages)[:14] for block in small_dataset]
+        order = [index for index, queue in enumerate(queues)
+                 for _ in queue]
+        random.Random(5).shuffle(order)
+        stream = [queues[index].pop(0) for index in order]
+
+        def build():
+            return ServingEngine(serving_model, pipeline=pipeline,
+                                 max_blocks=2, record_journal=True)
+
+        raw, whole = build(), build()
+        reads_seen = set()
+        for position, page in enumerate(stream):
+            if position == len(stream) // 2:
+                for engine in (raw, whole):
+                    engine.swap(consulting(second_model, "F6"))
+            assigned = raw.resolve(page)
+            # The page as the last of its slot's block, extracted whole.
+            prepared = raw.snapshot.session._prepared[page.query_name]
+            reads_seen.add(prepared.reads)
+            in_block = pipeline.extract_block(NameCollection(
+                query_name=page.query_name, pages=list(prepared.pages)))
+            assert whole.resolve(
+                page, features={page.doc_id: in_block[page.doc_id]}
+            ) == assigned
+        # the three fitted winners' read sets, then F6's
+        assert len(reads_seen) == 3 and None not in reads_seen
+        assert raw.stats.bootstraps == whole.stats.bootstraps > 6
+        assert raw.prepared_names() == whole.prepared_names()
+        for name in raw.prepared_names():
+            assert raw.clusters(name) == whole.clusters(name)
+        for engine in (raw, whole):
+            report = verify_serial_equivalence(engine)
+            assert report["identical"], report["diffs"]
+            assert report["versions"] == [1, 2]
 
     def test_evict_and_rebootstrap_replays_identically(self, serving_model,
                                                        pipeline,
