@@ -13,15 +13,22 @@ The incremental decision reuses whatever combiner the base configuration
 chose: under best-graph selection the winning layer decides; under
 (entropy-)weighted averaging the stored layer weights and learned
 combination threshold decide.
+
+Every add — one page, or a :class:`Burst` of several scored at once —
+is one :meth:`~repro.similarity.backends.ScoringBackend.rectangle` call:
+the new pages against the indexed ones and each other.  The index keeps
+the backend's resident record (on ``numpy``, each page's interned
+vectors, sets and moments), appended as pages join; a page's dicts are
+walked into it once, the first time a rectangle reads them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.combination import build_combiner, consulted_function_names
 from repro.core.config import ResolverConfig
-from repro.graph.entity_graph import PairKey, pair_key
 from repro.core.model import (
     FittedBlock,
     FittedLayer,
@@ -32,7 +39,7 @@ from repro.corpus.documents import NameCollection
 from repro.extraction.features import PageFeatures
 from repro.metrics.clusterings import Clustering
 from repro.runtime.batch import batched_similarity_graphs
-from repro.similarity.backends import resolve_backend
+from repro.similarity.backends import Rectangle, resolve_backend
 from repro.similarity.base import SimilarityFunction, require_covered
 from repro.similarity.functions import function_by_name
 
@@ -51,6 +58,45 @@ class Assignment:
     cluster_index: int
     created_new_cluster: bool
     link_probability: float  # best cluster's mean link probability
+
+
+@dataclass
+class Burst:
+    """New pages scored against the entity index and each other, for
+    adding in order (:meth:`IncrementalResolver.score_burst`).
+
+    ``positions`` maps each page's doc id to its row of ``rectangle``,
+    scored when the index held ``residents`` pages; ``joined`` lists the
+    positions of the pages that have joined since, in order.
+    """
+
+    positions: dict[str, int]
+    residents: int
+    rectangle: Rectangle
+    joined: list[int] = field(default_factory=list)
+
+    def position(self, doc_id: str, indexed: int) -> int | None:
+        """``doc_id``'s row while it still lines up with an index of
+        ``indexed`` pages — the residents, then earlier pages of this
+        burst — else ``None``."""
+        position = self.positions.get(doc_id)
+        if (position is None
+                or indexed != self.residents + len(self.joined)
+                or (self.joined and self.joined[-1] >= position)):
+            return None
+        return position
+
+    def scores(self, position: int) -> dict[str, list[float]]:
+        """The page's scores per function, one per index row."""
+        rows = {name: rows[position]
+                for name, rows in self.rectangle.rows.items()}
+        if len(self.joined) == position:
+            return rows
+        # An earlier page of the burst never joined: drop its column.
+        kept = [*range(self.residents),
+                *(self.residents + joined for joined in self.joined)]
+        return {name: [row[column] for column in kept]
+                for name, row in rows.items()}
 
 
 @dataclass
@@ -86,15 +132,18 @@ class IncrementalResolver:
             raise ValueError(
                 f"incremental mode does not support combiner "
                 f"{self.config.combiner!r}")
-        # The request path scores one new page against every indexed
-        # page through the config's scoring backend (one batched
-        # one-vs-many call per similarity function); backends are
-        # bit-identical, so assignments never depend on the choice.
+        # The request path scores new pages against every indexed page
+        # through the config's scoring backend (one rectangle call per
+        # add or burst); backends are bit-identical, so assignments
+        # never depend on the choice.
         self._backend = resolve_backend(self.config.backend)
         self._combiner = build_combiner(self.config.combiner)
         self._state: _FittedState | None = None
+        # Indexed pages in add order — a page's position is its row —
+        # and each entity's rows.
         self._features: dict[str, PageFeatures] = {}
-        self._clusters: list[set[str]] = []
+        self._clusters: list[list[int]] = []
+        self._record = None
 
     @classmethod
     def from_model(
@@ -181,7 +230,9 @@ class IncrementalResolver:
             RuntimeError: before :meth:`fit`.
         """
         self._require_fitted()
-        return Clustering(self._clusters)
+        ids = list(self._features)
+        return Clustering([[ids[row] for row in rows]
+                           for rows in self._clusters])
 
     def fit(self, block: NameCollection,
             features: dict[str, PageFeatures],
@@ -228,20 +279,20 @@ class IncrementalResolver:
         )
         require_covered(features.values(), self._state.functions.values())
         self._features = dict(features)
-        self._clusters = [set(cluster) for cluster in clusters]
+        row_of = {doc_id: row for row, doc_id in enumerate(self._features)}
+        self._clusters = [[row_of[doc_id] for doc_id in cluster]
+                          for cluster in clusters]
+        self._record = self._backend.resident_record(
+            list(self._state.functions.values()),
+            list(self._features.values()))
 
     def __contains__(self, doc_id: object) -> bool:
         """Whether a page with this doc id is in the entity index."""
         return doc_id in self._features
 
     def indexed_features(self) -> list[PageFeatures]:
-        """Features of every indexed page, in the order they were added.
-
-        :meth:`coalesced_pair_scores` scores a whole micro-batch of new
-        pages against exactly this ordered set in one masked backend
-        call; the add order fixes the scoring block's page positions, so
-        it is part of the contract.
-        """
+        """Features of every indexed page, in the order they were added
+        — the rows every score list of a :class:`Burst` lines up with."""
         self._require_fitted()
         return list(self._features.values())
 
@@ -268,95 +319,51 @@ class IncrementalResolver:
         """
         self._require_fitted()
         require_covered((new, existing), self._state.functions.values())
-        return self._pair_probabilities(new, [existing])[0]
+        return self._link_probabilities({
+            name: self._backend.pair_scores(function, new, [existing])
+            for name, function in self._state.functions.items()})[0]
 
-    def _pair_probabilities(
-        self, new: PageFeatures, existing: list[PageFeatures],
-        scores: dict[str, dict[PairKey, float]] | None = None,
-    ) -> list[float]:
-        """Combined link probabilities of ``new`` against many pages.
+    def _link_probabilities(
+            self, scores: dict[str, list[float]]) -> list[float]:
+        """Combined link probabilities from each function's scores.
 
-        One batched :meth:`~repro.similarity.backends.ScoringBackend.
-        pair_scores` call per similarity function (layers sharing a
-        function reuse its scores — the values are pure per pair), then
-        the combiner's stored parameters fold the per-layer
-        probabilities exactly as the one-pair path always has.
-
-        ``scores`` (``function name -> {pair_key: score}``) substitutes
-        precomputed pair scores for the backend calls —
-        :meth:`coalesced_pair_scores` scores a whole micro-batch in one
-        masked pass and feeds the values through here.  Precomputed
-        scores must be bit-identical to what ``pair_scores`` would
-        return (the backends' masked block sweep guarantees this), so
-        the fold below never knows the difference.
+        One bulk region-table lookup per consulted layer
+        (:meth:`~repro.core.decisions.FittedDecision.link_probabilities`,
+        value-by-value identical to the scalar one), then the combiner's
+        stored parameters fold the layers per pair, in layer order.
         """
         state = self._state
         if state.chosen_layer is not None:
             layer = state.chosen_layer
-            function = state.functions[layer.function_name]
-            link = layer.fitted.link_probability
-            if scores is not None:
-                table = scores[layer.function_name]
-                return [link(table[pair_key(new.doc_id, other.doc_id)])
-                        for other in existing]
-            return [link(score)
-                    for score in self._backend.pair_scores(function, new,
-                                                           existing)]
-        if scores is not None:
-            scores_by_function = {
-                name: [scores[name][pair_key(new.doc_id, other.doc_id)]
-                       for other in existing]
-                for name in state.functions}
-        else:
-            scores_by_function = {
-                name: self._backend.pair_scores(function, new, existing)
-                for name, function in state.functions.items()}
+            return list(layer.fitted.link_probabilities(
+                scores[layer.function_name]))
         total = sum(state.layer_weights)
         probabilities = []
-        for index in range(len(existing)):
+        for column in zip(*(layer.fitted.link_probabilities(
+                scores[layer.function_name]) for layer in state.layers)):
             numerator = 0.0
-            for layer, weight in zip(state.layers, state.layer_weights):
-                probability = layer.fitted.link_probability(
-                    scores_by_function[layer.function_name][index])
+            for weight, probability in zip(state.layer_weights, column):
                 numerator += weight * probability
             probabilities.append(numerator / total)
         return probabilities
 
-    def coalesced_pair_scores(
-        self, new_features: list[PageFeatures],
-    ) -> dict[str, dict[PairKey, float]] | None:
-        """Pair scores for adding ``new_features`` in order, in one sweep.
+    def score_burst(self, new_features: list[PageFeatures]) -> Burst | None:
+        """Score adding ``new_features`` in order, in one backend call.
 
-        One masked block sweep (:meth:`~repro.similarity.backends.
-        ScoringBackend.block_scores` with a candidate-pair mask) prepares
-        every page's inputs — vector norms, parsed URLs, key sets — once
-        per batch, where a chain of :meth:`add_page` calls re-derives
-        them once per page.  Per similarity function the combiner
-        consults, only the pairs that chain would request are computed:
-        new page *k* against all indexed pages plus new pages
-        ``0..k-1`` — on the numpy backend a ``k``-row rectangle of the
-        block, not its square (:class:`~repro.similarity.batch.
-        BlockState`).  The result feeds ``add_page(features, scores=...)``.
+        New page ``k`` is scored against every indexed page plus new
+        pages ``0..k-1`` — exactly the pairs a chain of :meth:`add_page`
+        calls would score, with the same argument order, so feeding the
+        result to ``add_page(features, burst=...)`` page by page gives
+        the chain's assignments bit for bit (``tests/core/
+        test_coalescing.py``, tolerance zero on every backend).  Each
+        page's inputs are prepared once per burst instead of once per
+        add; on ``numpy`` the burst walks only its own pages and reads
+        the indexed ones from the resident record.
 
-        **Bit-identity.**  The sequential path calls
-        ``function(new, other)`` with the new page as the *left*
-        argument; the block sweep scores pair ``(i, j)`` with the earlier
-        block position on the left.  Most of the battery is
-        argument-order symmetric to the last bit, but not all of it
-        (F9's fold can differ in the final ulp), so the block lays pages
-        out in **reverse add order** — each new page occupies an earlier
-        position than every page it is scored against, existing pages
-        come last.  Every masked score is then produced by
-        ``scorer(new, other)`` with exactly the sequential argument
-        order, and the prepared-scorer / kernel contracts make those
-        bytes equal to ``pair_scores``.
-        ``tests/core/test_coalescing.py`` enforces equality at tolerance
-        zero on both backends.
-
-        Returns ``None`` when coalescing cannot apply: a doc id
-        duplicated within the batch or against the index (the sequential
-        path owns the error), or an empty batch.  Callers fall back to
-        sequential adds.
+        A page whose add fails is simply not added: the pages after it
+        use the burst without its column.  Returns ``None`` when a burst
+        cannot apply — an empty batch, or a doc id duplicated within the
+        batch or against the index (the sequential path owns the error).
 
         Raises:
             ValueError: when a page was extracted for a read set that
@@ -366,24 +373,20 @@ class IncrementalResolver:
         if not new_features:
             return None
         require_covered(new_features, self._state.functions.values())
-        features = dict(self._features)
-        existing_ids = list(features)
-        new_ids = []
-        for page in new_features:
-            if page.doc_id in features:
+        positions: dict[str, int] = {}
+        for position, page in enumerate(new_features):
+            if page.doc_id in self._features or page.doc_id in positions:
                 return None  # duplicate — let add_page raise its ValueError
-            features[page.doc_id] = page
-            new_ids.append(page.doc_id)
-        # Reverse add order puts every new page at an earlier block
-        # position than all of its scoring partners.
-        ids = list(reversed(new_ids)) + existing_ids
-        mask = frozenset(
-            pair_key(new_id, other_id)
-            for index, new_id in enumerate(new_ids)
-            for other_id in existing_ids + new_ids[:index]
-        )
-        return self._backend.block_scores(
-            ids, features, list(self._state.functions.values()), mask=mask)
+            positions[page.doc_id] = position
+        return self._score(list(new_features), positions)
+
+    def _score(self, pages: list[PageFeatures],
+               positions: dict[str, int]) -> Burst:
+        """The backend rectangle of ``pages`` against the index."""
+        residents = list(self._features.values())
+        return Burst(positions, len(residents), self._backend.rectangle(
+            list(self._state.functions.values()), residents, pages,
+            self._record))
 
     def _link_decision_threshold(self) -> float:
         """The probability cut-off that asserts a link."""
@@ -394,8 +397,7 @@ class IncrementalResolver:
             state.combination_threshold is not None) else 0.5
 
     def add_page(self, features: PageFeatures,
-                 scores: dict[str, dict[PairKey, float]] | None = None,
-                 ) -> Assignment:
+                 burst: Burst | None = None) -> Assignment:
         """Assign one new page to an entity (or create a new one).
 
         The page joins the cluster with the highest *mean* link probability
@@ -404,10 +406,9 @@ class IncrementalResolver:
 
         Args:
             features: the new page's extracted features.
-            scores: optional precomputed pair scores (``function name ->
-                {pair_key: score}``) covering this page against every
-                indexed page — the request-coalescing fast path; must be
-                bit-identical to backend ``pair_scores`` values.
+            burst: a :meth:`score_burst` result holding this page, whose
+                scores are used instead of scoring it afresh (it is
+                scored afresh if the index no longer lines up with it).
 
         Raises:
             RuntimeError: before :meth:`fit`.
@@ -419,26 +420,28 @@ class IncrementalResolver:
         if features.doc_id in self._features:
             raise ValueError(f"page {features.doc_id!r} already resolved")
         require_covered((features,), self._state.functions.values())
+        position = (None if burst is None
+                    else burst.position(features.doc_id, len(self._features)))
+        if position is None:
+            burst, position = self._score([features],
+                                          {features.doc_id: 0}), 0
 
-        # One batched scoring pass over every indexed page; the
-        # per-cluster means then fold exactly as the pairwise loop did.
-        members = [member for cluster in self._clusters
-                   for member in cluster]
-        probabilities = dict(zip(members, self._pair_probabilities(
-            features, [self._features[member] for member in members],
-            scores=scores)))
+        probabilities = self._link_probabilities(burst.scores(position))
         best_index = -1
         best_probability = -1.0
-        for index, cluster in enumerate(self._clusters):
-            total = sum(probabilities[member] for member in cluster)
-            mean_probability = total / len(cluster)
+        for index, rows in enumerate(self._clusters):
+            # Exactly rounded, so the mean does not depend on the order
+            # the members are summed in.
+            mean_probability = (math.fsum(map(probabilities.__getitem__,
+                                              rows)) / len(rows))
             if mean_probability > best_probability:
                 best_probability = mean_probability
                 best_index = index
 
+        row = len(self._features)
         threshold = self._link_decision_threshold()
         if best_index >= 0 and best_probability > threshold:
-            self._clusters[best_index].add(features.doc_id)
+            self._clusters[best_index].append(row)
             assignment = Assignment(
                 doc_id=features.doc_id,
                 cluster_index=best_index,
@@ -446,7 +449,7 @@ class IncrementalResolver:
                 link_probability=best_probability,
             )
         else:
-            self._clusters.append({features.doc_id})
+            self._clusters.append([row])
             assignment = Assignment(
                 doc_id=features.doc_id,
                 cluster_index=len(self._clusters) - 1,
@@ -454,6 +457,11 @@ class IncrementalResolver:
                 link_probability=max(best_probability, 0.0),
             )
         self._features[features.doc_id] = features
+        burst.joined.append(position)
+        if self._record is not None:
+            entries = burst.rectangle.entries
+            self._record.append(features,
+                                None if entries is None else entries[position])
         return assignment
 
     def add_pages(self, pages: list[PageFeatures]) -> list[Assignment]:

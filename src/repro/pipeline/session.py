@@ -65,6 +65,7 @@ from repro.blocking.token_blocking import TokenBlocker
 from repro.core.incremental import (
     INCREMENTAL_COMBINERS,
     Assignment,
+    Burst,
     IncrementalResolver,
 )
 from repro.core.model import ResolverModel
@@ -222,7 +223,7 @@ class Processed:
             block, else ``None``.
         added_pages: pages the add phase took on (a batch bootstrap's
             own pages are not among them).
-        swept: those pages were scored in one masked sweep.
+        swept: those pages were scored as one burst.
     """
 
     outcomes: list[list[Assignment] | Exception] = field(
@@ -312,6 +313,10 @@ class ResolutionSession:
         self._token_blocker = TokenBlocker()
         self._token_index: dict[str, set[str]] = {}
         self._keys_by_name: dict[str, set[str]] = {}
+        # Fitted-state name -> the fields its consulted functions read.
+        # The model never changes (``swap`` builds a new session), so
+        # each is derived once.
+        self._reads: dict[str, frozenset[str] | None] = {}
         self.stats = SessionStats()
 
     @classmethod
@@ -437,12 +442,12 @@ class ResolutionSession:
         bootstrapped from the first unit — a batch predict pass when it
         carries several pages, an empty entity index otherwise — and a
         bootstrap that fails leaves the slot cold for the next unit.
-        The remaining pages are then added in order: in one masked sweep
-        (:meth:`IncrementalResolver.coalesced_pair_scores`) when there
-        are two or more and all carry features, else page by page — a
-        raw page must be extracted *after* its predecessors joined the
-        block (TF-IDF context).  Both are bit-identical to one
-        ``process`` call per unit.
+        The remaining pages are then added in order: scored as one burst
+        (:meth:`IncrementalResolver.score_burst`) when there are two or
+        more and all carry features, else page by page — a raw page must
+        be extracted *after* its predecessors joined the block (TF-IDF
+        context).  Both are bit-identical to one ``process`` call per
+        unit.
 
         A unit fails alone: its exception becomes its outcome and the
         units after it are served as if it had never been admitted.  A
@@ -479,20 +484,20 @@ class ResolutionSession:
                 for unit in rest]
         provided = [page_features for triples in work
                     for _, page_features, _ in triples]
-        scores = None
+        burst = None
         if len(provided) > 1 and None not in provided:
             # ``None`` back on a duplicate: the per-unit check below
             # owns that error, page by page.
-            scores = prepared.incremental.coalesced_pair_scores(provided)
+            burst = prepared.incremental.score_burst(provided)
         done.added_pages = len(provided)
-        done.swept = scores is not None
+        done.swept = burst is not None
         for unit, triples in zip(rest, work):
             assignments = []
             try:
                 self._check_unresolved(prepared, unit.pages)
                 for page, page_features, tokens in triples:
                     assignments.append(self._add_page(
-                        prepared, page, page_features, scores, tokens))
+                        prepared, page, page_features, burst, tokens))
             except Exception as error:
                 done.outcomes.append(error)
             else:
@@ -638,6 +643,14 @@ class ResolutionSession:
         return self.model.blocks[self._fallback_for(query_name)
                                  or query_name]
 
+    def _reads_for(self, query_name: str) -> frozenset[str] | None:
+        """The fields the fitted state serving ``query_name`` consults."""
+        state = self._fallback_for(query_name) or query_name
+        if state not in self._reads:
+            self._reads[state] = read_fields(self.model.scoring_functions(
+                self.model.blocks[state]))
+        return self._reads[state]
+
     def _lookup(self, query_name: str) -> _PreparedBlock | None:
         prepared = self._prepared.get(query_name)
         if prepared is not None:
@@ -652,8 +665,7 @@ class ResolutionSession:
         alone, whatever schedule ``process`` then runs under.
         """
         prepared = self._prepared[query_name] = _PreparedBlock(
-            query_name, reads=read_fields(self.model.scoring_functions(
-                self._fitted_state(query_name))))
+            query_name, reads=self._reads_for(query_name))
         self.stats.prepared_blocks += 1
         while len(self._prepared) > self.max_blocks:
             evicted_name, _ = self._prepared.popitem(last=False)
@@ -699,16 +711,16 @@ class ResolutionSession:
 
     def _add_page(self, prepared: _PreparedBlock, page: WebPage,
                   page_features: PageFeatures | None,
-                  scores: dict | None = None,
+                  burst: Burst | None = None,
                   tokens: list[str] | None = None) -> Assignment:
         """Add ``page`` to a prepared block: extract (unless it came with
-        features), assign, record.  ``scores`` as for ``add_page``;
+        features), assign, record.  ``burst`` as for ``add_page``;
         ``tokens`` are the page's, when admission read it."""
         try:
             if page_features is None:
                 page_features = self._extract_page(prepared, page, tokens)
             assignment = prepared.incremental.add_page(page_features,
-                                                       scores=scores)
+                                                       burst=burst)
         except BaseException:
             # Extraction counted the page into the context, but it never
             # joined ``pages``; rebuild the context on next use.

@@ -22,11 +22,11 @@ requests triggers exactly one bootstrap).
 its *leader*: it drains up to ``max_batch`` queued units (optionally
 waiting ``batch_window`` seconds for stragglers while other requests are
 in flight) and hands the whole micro-batch to one ``process`` call,
-which scores two or more feature-carrying pages in one masked block
-sweep (:meth:`~repro.core.incremental.IncrementalResolver.
-coalesced_pair_scores`) — every page prepared once per batch instead of
-once per request.  Follower threads just wait on their futures.  Batches
-stay bit-identical to sequential per-page serving by construction.
+which scores two or more feature-carrying pages as one burst
+(:meth:`~repro.core.incremental.IncrementalResolver.score_burst`) —
+every page prepared once per batch instead of once per request.
+Follower threads just wait on their futures.  Batches stay
+bit-identical to sequential per-page serving by construction.
 
 **Deterministic replay.**  Because every state decision (routing, LRU,
 eviction, bootstrap-vs-incremental) is made at admission in a single

@@ -5,8 +5,10 @@ pipeline's dominant cost (``similarity.graphs_s`` in a traced
 ``bench/run.py`` run; see ``docs/performance.md``).  A
 :class:`ScoringBackend` owns exactly that step: given one block's
 extracted features and a function battery, produce every function's
-pair scores — all pairs, or the pairs of a candidate mask.  Three
-built-ins are registered in :data:`BACKENDS`:
+pair scores — all pairs, or the pairs of a candidate mask — and, on the
+incremental request path, the :class:`Rectangle` of ``k`` new pages
+against a served block's ``n`` resident ones.  Three built-ins are
+registered in :data:`BACKENDS`:
 
 * ``"python"`` — today's prepared scalar scorers
   (:meth:`~repro.similarity.base.SimilarityFunction.prepared`), swept
@@ -50,6 +52,7 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.core.registry import Registry
 from repro.extraction.features import PageFeatures
@@ -62,6 +65,7 @@ __all__ = [
     "Numpy32Backend",
     "NumpyBackend",
     "PythonBackend",
+    "Rectangle",
     "ScoringBackend",
     "default_backend",
     "register_backend",
@@ -70,6 +74,11 @@ __all__ = [
 
 #: The backend used when neither config nor environment select one.
 DEFAULT_BACKEND = "python"
+
+#: A request-path rectangle of at most this many pairs is scored by the
+#: scalar scorers on the ``numpy`` backend (:meth:`NumpyBackend.
+#: rectangle`): below it numpy's per-call cost exceeds the scalar work.
+_FEW_CELLS = 8
 
 
 def default_backend() -> str:
@@ -80,6 +89,24 @@ def default_backend() -> str:
     ``ResolverConfig``'s ``backend`` field defaults through this.
     """
     return os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
+
+
+@dataclass
+class Rectangle:
+    """``k`` new pages scored against ``n`` resident pages and each other
+    — the scores a chain of ``k`` single adds reads, in one call.
+
+    Attributes:
+        rows: ``function name -> k lists``; list ``i`` holds
+            ``function(pages[i], other)`` for every resident, in record
+            row order, then for ``pages[0..i-1]``.
+        entries: page ``i``'s record entry, appended to the resident
+            record when the page joins (``None``: none was made — the
+            backend keeps no record, or the record makes it later).
+    """
+
+    rows: dict[str, list[list[float]]]
+    entries: list | None = None
 
 
 class ScoringBackend(ABC):
@@ -134,6 +161,45 @@ class ScoringBackend(ABC):
         ``function``, clamped to [0, 1] exactly like
         ``function(new, other)``.
         """
+
+    def resident_record(self, functions: Sequence[SimilarityFunction],
+                        residents: Sequence[PageFeatures]):
+        """A record of the ``residents``' inputs to ``functions`` that
+        :meth:`rectangle` reads instead of the pages, or ``None`` — this
+        default: the backend reads the pages themselves."""
+        return None
+
+    def rectangle(self, functions: Sequence[SimilarityFunction],
+                  residents: list[PageFeatures], pages: list[PageFeatures],
+                  record=None) -> Rectangle:
+        """``pages`` against ``residents`` and each other, in add order
+        — the incremental request path, one page or a burst.
+
+        Every score must be bit-identical to ``function(new, other)``
+        with the new page on the left, as a chain of single adds scores
+        it.  This default, which every backend without a record uses,
+        asks :meth:`pair_scores` for one page and one masked
+        :meth:`block_scores` call for a burst, laid out in **reverse add
+        order**: each new page takes an earlier block position than
+        every page it is scored against, so the sweep's earlier-page-
+        on-the-left argument order is the sequential one even for an
+        argument-order-asymmetric function (F9's fold can differ in the
+        last ulp).
+        """
+        if len(pages) == 1:
+            return Rectangle({function.name: [self.pair_scores(
+                function, pages[0], residents)] for function in functions})
+        keys = [[pair_key(page.doc_id, other.doc_id)
+                 for other in residents + pages[:index]]
+                for index, page in enumerate(pages)]
+        scores = self.block_scores(
+            [page.doc_id for page in reversed(pages)]
+            + [page.doc_id for page in residents],
+            {page.doc_id: page for page in residents + pages}, functions,
+            mask=frozenset(key for row in keys for key in row))
+        return Rectangle({name: [[weights[key] for key in row]
+                                 for row in keys]
+                          for name, weights in scores.items()})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -202,19 +268,24 @@ class NumpyBackend(ScoringBackend):
     the rows that occur as a pair's earlier member and ``right`` as the
     later members, and fills only that rectangle — so isolated pages
     cost nothing, and a burst of ``k`` new pages against ``n`` resident
-    ones (:meth:`~repro.core.incremental.IncrementalResolver.
-    coalesced_pair_scores`) costs ``k × n`` cells over the vocabulary
-    the new pages share with the resident ones, not an ``(n + k)²``
-    sweep over the block's.  A mask whose pairs run all over the block
-    has nearly every page on both sides and pays one row gather over
-    the dense cost.  Dropping pages, and columns absent from a whole
-    side, only removes exact no-op fold steps, so masked scores stay
-    bit-identical to the dense scores of the same pairs.
+    ones costs ``k × n`` cells over the vocabulary the new pages share
+    with the resident ones, not an ``(n + k)²`` sweep over the block's.
+    A mask whose pairs run all over the block has nearly every page on
+    both sides and pays one row gather over the dense cost.  Dropping
+    pages, and columns absent from a whole side, only removes exact
+    no-op fold steps, so masked scores stay bit-identical to the dense
+    scores of the same pairs.
 
-    The request path (:meth:`pair_scores`) vectorizes the sparse
-    one-vs-many folds where that is exact and cheap (the vector, set and
-    count measures, Pearson included) and delegates the rest — F2, F3,
-    F7 and custom functions — to the scalar scorer; see
+    The incremental request path (:meth:`rectangle`) keeps a
+    :class:`~repro.similarity.batch.ResidentRecord` per served block, so
+    an add — one page or a burst — reads each resident page's vectors
+    and sets from the record, never from its dicts again, and needs no
+    mask: :meth:`~repro.similarity.batch.BlockState.burst` lays the
+    ``k × (n + k - 1)`` rectangle out directly.  :meth:`pair_scores` is
+    the one-page case over a record of ``others``.  A rectangle of at
+    most ``_FEW_CELLS`` pairs (a single add on a shallow block) costs
+    less through the scalar scorers than numpy's per-call overhead, and
+    the functions whose kernels read pages keep the default path; see
     ``docs/performance.md`` for when each backend wins.
 
     The backend registers unconditionally so config validation (and
@@ -267,14 +338,43 @@ class NumpyBackend(ScoringBackend):
         return scores
 
     def pair_scores(self, function, new, others):
-        batch = self._kernels()
         others = list(others)
-        if batch is None:
+        record = self.resident_record([function], others)
+        if record is None:
             return _PYTHON.pair_scores(function, new, others)
-        kernel = batch.kernel_for(function)
-        if kernel is None or kernel.one_vs_many is None or not others:
-            return _PYTHON.pair_scores(function, new, others)
-        return kernel.one_vs_many(new, others)
+        return self.rectangle([function], others, [new],
+                              record).rows[function.name][0]
+
+    def resident_record(self, functions, residents):
+        batch = self._kernels()
+        if batch is None or not any(map(batch.recorded_family, functions)):
+            return None
+        return batch.ResidentRecord(functions, residents)
+
+    def rectangle(self, functions, residents, pages, record=None):
+        """Functions whose kernel reads a record family score on one
+        :meth:`~repro.similarity.batch.BlockState.burst` state over
+        ``record``; the rest (F2, F3, F7, F13, custom) take the default
+        path — their scalar scorer for one page, the masked block sweep
+        for a burst."""
+        if record is None:
+            return super().rectangle(functions, residents, pages)
+        if len(pages) * (len(residents) + len(pages) - 1) <= _FEW_CELLS:
+            # Too few pairs to pay numpy's fixed cost: the scalar
+            # scorers, and the record walks these pages once they are
+            # read as residents.
+            return _PYTHON.rectangle(functions, residents, pages)
+        batch = self._kernels()
+        recorded = [function for function in functions
+                    if batch.recorded_family(function) is not None]
+        rest = [function for function in functions
+                if batch.recorded_family(function) is None]
+        rows = super().rectangle(rest, residents, pages).rows if rest else {}
+        entries = [record.entry(page) for page in pages]
+        state = batch.BlockState.burst(pages, residents, record, entries)
+        for function in recorded:
+            rows[function.name] = state.burst_rows(batch.kernel_for(function))
+        return Rectangle(rows, entries)
 
 
 class Numpy32Backend(NumpyBackend):
@@ -301,9 +401,9 @@ class Numpy32Backend(NumpyBackend):
     Opt-in only: never a default, and a model's config never serializes
     a backend name (``ResolverConfig.to_dict`` skips host-local fields),
     so fitted models saved under ``numpy32`` load everywhere and score
-    exactly under the default backend.  The one-vs-many request path
-    inherits the exact ``numpy`` implementation — single requests are
-    never approximated.
+    exactly under the default backend.  It keeps no resident record: a
+    burst takes the masked float32 block sweep, and a single request
+    the exact scalar scorers — single requests are never approximated.
     """
 
     name = "numpy32"
@@ -311,6 +411,9 @@ class Numpy32Backend(NumpyBackend):
     def __init__(self) -> None:
         import threading
         self._scratch = threading.local()
+
+    def resident_record(self, functions, residents):
+        return None
 
     def _block_state(self, batch, ids, features, mask):
         arena = getattr(self._scratch, "arena", None)

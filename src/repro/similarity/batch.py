@@ -37,8 +37,24 @@ The Jaro-based string measures (F3, F7) have no kernel and fall back to
 the scalar sweep, memoization intact.  F2 *does* have a block kernel —
 its expensive part is an integer edit distance, exact under any
 implementation, batched here as a pair-vectorized Myers bit-parallel DP
-(see the URL-similarity section below); its one-vs-many request path
-stays scalar.
+(see the URL-similarity section below).
+
+The incremental request path
+----------------------------
+
+A served block grows page by page, and every add — one page or a burst
+of ``k`` — scores the new pages against the ``n`` resident ones and
+each other: :meth:`BlockState.burst` lays that ``k × (n + k - 1)``
+rectangle out with the new pages in reverse add order on the left, so
+every score is ``scorer(new, other)`` exactly as a chain of single adds
+calls it.  A :class:`ResidentRecord` keeps the resident side's inputs
+for the record families (the vector families of F1, F8–F10, F12, F14
+and the set families of F4–F6, F11): per page, the keys interned in a
+block-wide, append-only vocabulary, the values and the moments, made by
+one walk of the page's dicts and appended when it joins.  A burst walks
+only its own pages and gathers the residents with numpy, over the
+burst's keys sorted — the fold order above — so the interned order
+never reaches a score.
 
 Kernels are dispatched per :class:`~repro.similarity.base.
 SimilarityFunction` by :func:`kernel_for`, which also checks the
@@ -56,6 +72,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -67,7 +84,8 @@ from repro.similarity.strings import levenshtein
 from repro.similarity.urls import domain_similarity, parse_url
 from repro.similarity.vectors import norm, norm_squared
 
-__all__ = ["BlockState", "Kernel", "PlaneArena", "kernel_for"]
+__all__ = ["BlockState", "Kernel", "PlaneArena", "ResidentRecord",
+           "kernel_for", "recorded_family"]
 
 #: Columns folded per vectorized step.  Folding stays sequential per
 #: column (exactness); chunking only amortizes Python-loop overhead and
@@ -206,6 +224,33 @@ class _VectorFamily:
         family.squared_norms = np.asarray(squares, dtype=float)
         return family
 
+    @classmethod
+    def from_record(cls, record: "_FamilyRecord",
+                    entries: list[tuple]) -> "_VectorFamily":
+        """A burst's rows (its ``entries``) stacked on the record's
+        residents, over the burst's keys in ascending order.
+
+        A key no new page holds is zero on the whole left side — an
+        exact no-op step of every fold — so the columns a burst reads
+        are its own keys, and the values and moments are the ones the
+        dict path assigns and computes.
+        """
+        rows, columns, values, width, moments = record.stack(entries)
+        family = cls.__new__(cls)
+        family.vectors = None
+        family.index = None
+        family.values = np.zeros((len(moments), width), dtype=np.float64,
+                                 order="C")
+        family.presence = np.zeros((len(moments), width), dtype=bool,
+                                   order="C")
+        family.values[rows, columns] = values
+        family.presence[rows, columns] = True
+        family.nnz = moments[:, 0].astype(np.int64)
+        family.sums = moments[:, 1]
+        family.norms = moments[:, 2]
+        family.squared_norms = moments[:, 3]
+        return family
+
     def _to_approx(self, arena: "PlaneArena | None") -> None:
         shape = self.values.shape
         if arena is not None:
@@ -251,6 +296,18 @@ class _SetFamily:
             rows = np.repeat(np.arange(n, dtype=np.intp), counts)
             family.indicator[rows, cols] = 1
         family.sizes = counts.astype(np.int64)
+        return family
+
+    @classmethod
+    def from_record(cls, record: "_FamilyRecord",
+                    entries: list[tuple]) -> "_SetFamily":
+        """A burst's rows stacked on the record's residents, over the
+        burst's members (integer overlaps: any column order is exact)."""
+        rows, columns, _, width, moments = record.stack(entries)
+        family = cls.__new__(cls)
+        family.indicator = np.zeros((len(moments), width), dtype=np.int64)
+        family.indicator[rows, columns] = 1
+        family.sizes = moments[:, 0].astype(np.int64)
         return family
 
 
@@ -325,6 +382,151 @@ class PlaneArena:
         return view
 
 
+# -- the resident record (the incremental request path) --------------------
+
+
+class _FamilyRecord:
+    """One family's inputs for a block's resident pages, row by row.
+
+    Row ``r`` is the ``r``-th page to join.  Keys are interned in
+    first-seen order into an append-only vocabulary: an id names a key
+    and is never a fold position (:meth:`stack` orders a burst's vector
+    columns by key).  The rows are kept flat — (column, value) per
+    entry with the row it came from — plus one moments row per page:
+    ``nnz``, ``sum``, ``norm``, ``norm_squared`` of a vector, from the
+    scalar helpers the dict path calls; the size of a set.
+    """
+
+    def __init__(self, kind: str, extract: Callable):
+        self.kind = kind  # "vector" or "set"
+        self.extract = extract
+        self.column_of: dict = {}
+        self.keys: list = []
+        self.columns = np.zeros(0, dtype=np.intp)
+        self.values = np.zeros(0)
+        self.owners = np.zeros(0, dtype=np.intp)
+        self.moments = np.zeros((0, 4 if kind == "vector" else 1))
+        #: ``(page, entry or None)`` of the rows joined since the last
+        #: :meth:`stack`; a page that joined with no entry is walked there.
+        self._joined: list[tuple] = []
+
+    def entry(self, page: PageFeatures) -> tuple:
+        """``page``'s interned columns, values (``None`` for a set) and
+        moments — the one walk of its dict or set."""
+        data = self.extract(page)
+        column_of = self.column_of
+        fresh = [key for key in data if key not in column_of]
+        if fresh:
+            start = len(self.keys)
+            column_of.update(zip(fresh, range(start, start + len(fresh))))
+            self.keys.extend(fresh)
+        columns = list(map(column_of.__getitem__, data))
+        if self.kind == "set":
+            return columns, None, (len(data),)
+        # ``norm`` is the square root of ``norm_squared``'s fold.
+        square = norm_squared(data)
+        return (columns, list(data.values()),
+                (len(data), sum(data.values()), math.sqrt(square), square))
+
+    def append(self, page: PageFeatures, entry: tuple | None) -> None:
+        """``page`` joined: it is the next row (its ``entry``, made when
+        it was scored, or made from it on the next :meth:`stack`)."""
+        self._joined.append((page, entry))
+
+    def _flat(self, entries: list[tuple]):
+        """``entries``' columns, row offsets, values and moments as
+        arrays (one conversion each)."""
+        columns = np.fromiter(chain.from_iterable(
+            entry[0] for entry in entries), np.intp)
+        rows = np.repeat(np.arange(len(entries)),
+                         [len(entry[0]) for entry in entries])
+        values = None if self.kind == "set" else np.fromiter(
+            chain.from_iterable(entry[1] for entry in entries), float)
+        moments = np.asarray([entry[2] for entry in entries], dtype=float)
+        return columns, rows, values, moments
+
+    def stack(self, entries: list[tuple]):
+        """A burst's rows (``0..k-1``, one per entry) stacked on the
+        residents' (``k..k+n-1``), over the keys the burst holds.
+
+        Returns ``(rows, columns, values, width, moments)``: fill
+        coordinates and values (``None`` for a set), the column count,
+        and one moments row per stacked row.  Vector columns are the
+        burst's keys in ascending order — the scalar fold order.
+        """
+        if self._joined:  # fold in the rows joined since the last call
+            columns, rows, values, moments = self._flat([
+                self.entry(page) if entry is None else entry
+                for page, entry in self._joined])
+            self.owners = np.concatenate([self.owners, rows + len(
+                self.moments)])
+            self.columns = np.concatenate([self.columns, columns])
+            if values is not None:
+                self.values = np.concatenate([self.values, values])
+            self.moments = np.concatenate([self.moments, moments])
+            self._joined = []
+        ids = (entries[0][0] if len(entries) == 1
+               else list(set().union(*(entry[0] for entry in entries))))
+        if self.kind == "vector":
+            ids = sorted(ids, key=self.keys.__getitem__)
+        position = np.full(len(self.keys), -1, dtype=np.intp)
+        position[ids] = np.arange(len(ids))
+        resident = position[self.columns]
+        kept = resident >= 0
+        columns, rows, values, moments = self._flat(entries)
+        rows = np.concatenate([rows, self.owners[kept] + len(entries)])
+        columns = np.concatenate([position[columns], resident[kept]])
+        if values is not None:
+            values = np.concatenate([values, self.values[kept]])
+        return (rows, columns, values, len(ids),
+                np.concatenate([moments, self.moments]))
+
+
+def recorded_family(function) -> tuple[str, str, Callable] | None:
+    """``(kind, family, extract)`` of the input a :class:`ResidentRecord`
+    keeps for ``function``'s kernel, or ``None``: it has no kernel, or
+    its kernel reads the pages (F2, F13)."""
+    kernel = kernel_for(function)
+    return None if kernel is None else kernel.recorded
+
+
+class ResidentRecord:
+    """A served block's resident pages, as the inputs of the record
+    families the kernels of ``functions`` read.
+
+    Made when a block is adopted, over the pages resident then.  A
+    page's :meth:`entry` — the one walk of its dicts — is made when a
+    burst rectangle scores it, or, for a page that joined without one
+    (resident at adoption, or scored by the scalar scorers), the first
+    time a rectangle reads it as a resident.  A page is
+    :meth:`append`-ed when it joins; one that never joins leaves no row,
+    so record rows are the block's rows.  A block is scored by one
+    thread at a time, so the record takes no lock.
+    """
+
+    def __init__(self, functions: Sequence, residents: Sequence = ()):
+        self.families: dict[str, _FamilyRecord] = {}
+        for function in functions:
+            recorded = recorded_family(function)
+            if recorded is not None and recorded[1] not in self.families:
+                kind, name, extract = recorded
+                self.families[name] = _FamilyRecord(kind, extract)
+        for page in residents:
+            self.append(page)
+
+    def entry(self, page: PageFeatures) -> dict[str, tuple]:
+        """``page``'s inputs in every record family."""
+        return {name: family.entry(page)
+                for name, family in self.families.items()}
+
+    def append(self, page: PageFeatures,
+               entry: dict[str, tuple] | None = None) -> None:
+        """``page`` joined the block, with the :meth:`entry` made when
+        it was scored (``None``: made when first needed)."""
+        for name, family in self.families.items():
+            family.append(page, None if entry is None else entry[name])
+
+
 class BlockState:
     """Lazily materialized matrices shared by every kernel of one block.
 
@@ -342,7 +544,9 @@ class BlockState:
     ``right``, the later members; pair keys are enumerated from the
     mask itself, O(candidates), in the dense sweep's row-major order.
     A burst of ``k`` new pages against ``n`` resident ones is thus a
-    ``k × (n + k - 1)`` rectangle, not an ``(n + k)²`` square.
+    ``k × (n + k - 1)`` rectangle, not an ``(n + k)²`` square; the
+    incremental request path knows that layout by construction and
+    builds it with :meth:`burst`, no mask and no pair keys.
 
     Dropping pages, and (in a masked dict-backed vector family) the
     vocabulary columns absent from a whole side, only removes fold
@@ -400,12 +604,54 @@ class BlockState:
             self.left, left_cell = np.unique(earlier, return_inverse=True)
             self.right, right_cell = np.unique(later, return_inverse=True)
             self.cells = (left_cell, right_cell)
-        self.ids = ids
         #: Row positions (earlier, later) of the scored pairs and their
         #: keys, in canonical pair order; ``cells`` are the same pairs
         #: as rectangle coordinates.
         self.pairs = (earlier, later)
         self._pair_keys: list[PairKey] = pair_keys
+        self._bind(ids, features, approx32, arena)
+
+    @classmethod
+    def burst(cls, pages: list[PageFeatures], residents: list[PageFeatures],
+              record: ResidentRecord | None = None,
+              entries: list[dict] | None = None) -> "BlockState":
+        """The rectangle a chain of single adds scores, as one state.
+
+        Rows are the ``k`` new ``pages`` in **reverse** add order, then
+        the ``n`` ``residents``: every new page sits before all the
+        pages it is scored against — the residents and the pages added
+        before it — so each read cell is (earlier row, later row) with
+        the new page on the left, its single add's argument order.
+        ``left`` is rows ``0..k-1`` and ``right`` rows ``1..k+n-1``,
+        both views; :meth:`burst_rows` reads the ``k × (k + n - 1)``
+        matrices back in add order.  Families ``record`` keeps come
+        from it and the new pages' ``entries`` (in add order, like
+        ``pages``), every other family from the pages.  The state
+        serves the vector, set and count kernels, which fill the whole
+        rectangle; it lists no pairs, so F2's kernel does not run on it.
+        """
+        k, n = len(pages), len(residents)
+        state = cls.__new__(cls)
+        state.square = False
+        state.left = np.arange(k, dtype=np.intp)
+        state.right = np.arange(1, k + n, dtype=np.intp)
+        state.pairs = state.cells = None
+        state._pair_keys = []
+        rows = list(reversed(pages)) + list(residents)
+        state._bind([page.doc_id for page in rows], None, False, None)
+        state._pages = rows
+        state._burst = True
+        state._record = record
+        state._entries = None if entries is None else entries[::-1]
+        return state
+
+    def _bind(self, ids: list[str], features, approx32: bool,
+              arena: PlaneArena | None) -> None:
+        """The state every layout shares: rows, inputs, family caches."""
+        self.ids = ids
+        self._burst = False
+        self._record: ResidentRecord | None = None
+        self._entries: list[dict] | None = None
         self._features = features
         self._pages: list[PageFeatures] | None = None
         self._approx = approx32
@@ -435,10 +681,13 @@ class BlockState:
         """A per-page array's rows on the rectangle's two sides.
 
         The dense square gets the array itself back, twice — no copy,
-        and ``left is right`` tells a fold it is symmetric.
+        and ``left is right`` tells a fold it is symmetric; a burst gets
+        two views.
         """
         if self.square:
             return per_page, per_page
+        if self._burst:
+            return per_page[:len(self.left)], per_page[1:]
         return per_page[self.left], per_page[self.right]
 
     def outer(self, per_page: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -458,6 +707,15 @@ class BlockState:
             return {}
         matrix = kernel.matrix(self)
         return dict(zip(self._pair_keys, matrix[self.cells].tolist()))
+
+    def burst_rows(self, kernel: "Kernel") -> list[list[float]]:
+        """One kernel's scores on a :meth:`burst` state, one list per
+        new page in add order: against the residents in row order, then
+        against the pages added before it, in add order."""
+        k = len(self.left)
+        rows = kernel.matrix(self).tolist()
+        return [rows[row][k - 1:] + rows[row][row:k - 1][::-1]
+                for row in range(k - 1, -1, -1)]
 
     @property
     def pages(self) -> list[PageFeatures]:
@@ -481,7 +739,8 @@ class BlockState:
     # "concept_set", "organizations", "other_persons", "locations",
     # "entity_context"), so a plane-backed block resolves every built-in
     # family from CSR views and only unknown (custom) families fall back
-    # to extracting from materialized pages.
+    # to extracting from materialized pages.  A burst state resolves the
+    # families its resident record keeps from the record.
 
     def _plane_family(self, name: str, kinds: tuple):
         if self._planes is None:
@@ -491,11 +750,22 @@ class BlockState:
             return None
         return family
 
+    def _recorded(self, name: str):
+        """The record family ``name`` and the new pages' entries in it,
+        or ``None`` when no record keeps it."""
+        if self._record is None or name not in self._record.families:
+            return None
+        return (self._record.families[name],
+                [entry[name] for entry in self._entries])
+
     def vector_family(self, name: str, extract: Callable) -> _VectorFamily:
         family = self._vector_families.get(name)
         if family is None:
             plane = self._plane_family(name, ("vector",))
-            if plane is not None:
+            recorded = self._recorded(name)
+            if recorded is not None:
+                family = _VectorFamily.from_record(*recorded)
+            elif plane is not None:
                 counts, cols, entries = plane.select(self._rows)
                 family = _VectorFamily.from_plane(
                     counts, cols, entries, plane.n_columns,
@@ -515,7 +785,10 @@ class BlockState:
         family = self._set_families.get(name)
         if family is None:
             plane = self._plane_family(name, ("set", "counter"))
-            if plane is not None:
+            recorded = self._recorded(name)
+            if recorded is not None:
+                family = _SetFamily.from_record(*recorded)
+            elif plane is not None:
                 counts, cols, _ = plane.select(self._rows)
                 family = _SetFamily.from_plane(counts, cols, plane.n_columns)
             else:
@@ -546,43 +819,56 @@ class BlockState:
         """
         dots = self._dots.get(name)
         if dots is None:
-            left, right = self.sides(self.vector_family(name, extract).values)
+            values = self.vector_family(name, extract).values
+            left, right = self.sides(values)
             if self._approx:
                 dots = (left @ right.T).astype(np.float64)
             else:
-                dots = _pair_dot_fold(left, right)
+                dots = _pair_dot_fold(left, right,
+                                      self._live(values, left, right))
             self._dots[name] = dots
         return dots
+
+    def _live(self, values: np.ndarray, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+        """The columns a dot fold visits: every other column's products
+        are zero for every pair this state reads — exact no-op steps.
+
+        That is a column zero on a whole side; and where the read pairs
+        are (earlier row, later row) over all rows — the square, a
+        burst — also one nonzero on a single row, which never meets
+        another nonzero (roughly half a real block's TF-IDF vocabulary
+        is hapax terms).
+        """
+        if self.square or self._burst:
+            nonzero = values != 0.0
+            live = nonzero.sum(axis=0) >= 2
+            if self.square:
+                return live
+            return live & nonzero[:len(left)].any(axis=0)
+        return (left != 0.0).any(axis=0) & (right != 0.0).any(axis=0)
 
 
 # -- exact folds -----------------------------------------------------------
 
 
-def _pair_dot_fold(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Left × right dot products via a sequential ascending-column fold.
+def _pair_dot_fold(left: np.ndarray, right: np.ndarray,
+                   live: np.ndarray) -> np.ndarray:
+    """Left × right dot products via a sequential ascending-column fold
+    over the ``live`` columns.
 
     Per pair this performs ``acc += left[i, d] * right[j, d]`` for ``d``
     ascending — exactly the scalar ``dot``'s fold over the sorted
-    intersection, with implicit zeros as exact no-ops.
-
-    Columns that are zero on a whole side produce a zero product for
-    *every* pair — exact no-ops — and are dropped before folding; in the
-    symmetric square (``left is right``, the dense case) so are columns
-    nonzero on a single page, which only reach the never-read diagonal
-    (roughly half a real block's TF-IDF vocabulary is hapax terms).
-    Dropping them, like folding them, leaves every pair's operation
-    sequence unchanged.
+    intersection, with implicit zeros as exact no-ops.  Dropping the
+    columns :meth:`BlockState._live` rules out, like folding them,
+    leaves every read pair's operation sequence unchanged.
     """
     acc = np.zeros((len(left), len(right)))
-    if not acc.size or left.shape[1] == 0:
+    if not acc.size or not live.any():
         return acc
-    if left is right:
-        live = (left != 0.0).sum(axis=0) >= 2
-        left = right = np.ascontiguousarray(left[:, live].T)
-    else:
-        live = (left != 0.0).any(axis=0) & (right != 0.0).any(axis=0)
-        left = np.ascontiguousarray(left[:, live].T)
-        right = np.ascontiguousarray(right[:, live].T)
+    symmetric = left is right
+    left = np.ascontiguousarray(left[:, live].T)
+    right = left if symmetric else np.ascontiguousarray(right[:, live].T)
     for start in range(0, len(left), _CHUNK):
         terms = (left[start:start + _CHUNK, :, None]
                  * right[start:start + _CHUNK, None, :])
@@ -631,8 +917,8 @@ def _pearson_matrix(state: BlockState, name: str,
     per-page scalar broadcast, so each pair evaluates exactly the
     operation sequence of the scalar expression.  The arithmetic below
     must stay operation-for-operation in sync with
-    ``pearson_from_moments`` and ``_ovm_pearson`` — edit all three
-    together (the parity and golden suites catch any divergence).
+    ``pearson_from_moments`` — edit both together (the parity and
+    golden suites catch any divergence).
     """
     family = state.vector_family(name, extract)
     product = state.pair_dot(name, extract)
@@ -852,147 +1138,6 @@ def _url_matrix(state: BlockState) -> np.ndarray:
     return matrix
 
 
-# -- one-vs-many folds (the incremental request path) ----------------------
-
-
-def _gather_matrix(vectors: list[dict[str, float]]):
-    """Column index + dense matrix over a small page set's vocabulary."""
-    index: dict[str, int] = {}
-    for vector in vectors:
-        for key in vector:
-            index.setdefault(key, len(index))
-    values = np.zeros((len(vectors), len(index)))
-    for row, vector in enumerate(vectors):
-        if vector:
-            values[row, [index[key] for key in vector]] = \
-                list(vector.values())
-    return index, values
-
-
-def _one_vs_many_dot(new_vector: dict[str, float],
-                     vectors: list[dict[str, float]]):
-    """Exact dots of one sparse vector against many (ascending-key fold)."""
-    index, values = _gather_matrix(vectors)
-    acc = np.zeros(len(vectors))
-    for key, value in sorted(new_vector.items()):
-        column = index.get(key)
-        if column is not None:
-            acc += value * values[:, column]
-    return acc
-
-
-def _finalize_scalars(valid: np.ndarray, value: np.ndarray) -> list[float]:
-    return np.where(valid, value, 0.0).tolist()
-
-
-def _ovm_cosine(extract: Callable):
-    def score(new: PageFeatures, others: Sequence[PageFeatures]):
-        new_vector = extract(new)
-        vectors = [extract(other) for other in others]
-        dots = _one_vs_many_dot(new_vector, vectors)
-        norms = np.asarray([norm(vector) for vector in vectors], dtype=float)
-        denominator = norm(new_vector) * norms
-        valid = (bool(new_vector)
-                 & np.asarray([bool(vector) for vector in vectors])
-                 & (denominator != 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = dots / denominator
-        return _finalize_scalars(valid, _clamp_unit(value))
-    return score
-
-
-def _ovm_extended_jaccard(extract: Callable):
-    def score(new: PageFeatures, others: Sequence[PageFeatures]):
-        new_vector = extract(new)
-        vectors = [extract(other) for other in others]
-        product = _one_vs_many_dot(new_vector, vectors)
-        squared = np.asarray([norm_squared(vector) for vector in vectors],
-                             dtype=float)
-        denominator = (norm_squared(new_vector) + squared) - product
-        valid = (bool(new_vector)
-                 & np.asarray([bool(vector) for vector in vectors])
-                 & (denominator > 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = product / denominator
-        return _finalize_scalars(valid, _clamp_unit(value))
-    return score
-
-
-def _ovm_pearson(extract: Callable):
-    # One-vs-many mirror of pearson_from_moments — the arithmetic must
-    # stay operation-for-operation in sync with it and _pearson_matrix;
-    # edit all three together (parity/golden suites enforce it).
-    def score(new: PageFeatures, others: Sequence[PageFeatures]):
-        new_vector = extract(new)
-        vectors = [extract(other) for other in others]
-        product = _one_vs_many_dot(new_vector, vectors)
-        new_keys = set(new_vector)
-        key_sets = [set(vector) for vector in vectors]
-        dimension = np.asarray(
-            [len(new_keys) + len(keys) - len(new_keys & keys)
-             for keys in key_sets], dtype=np.int64)
-        valid = (bool(new_vector)
-                 & np.asarray([bool(vector) for vector in vectors])
-                 & (dimension >= 2))
-        dimension = np.where(dimension > 0, dimension, 1)
-        sum_left = sum(new_vector.values())
-        sum_right = np.asarray([sum(vector.values()) for vector in vectors],
-                               dtype=float)
-        squared_left = norm_squared(new_vector)
-        squared_right = np.asarray(
-            [norm_squared(vector) for vector in vectors], dtype=float)
-        mean_left = sum_left / dimension
-        mean_right = sum_right / dimension
-        covariance = ((product - mean_right * sum_left)
-                      - mean_left * sum_right) \
-            + dimension * (mean_left * mean_right)
-        variance_left = ((squared_left - (2.0 * mean_left) * sum_left)
-                         + dimension * (mean_left * mean_left))
-        variance_right = ((squared_right - (2.0 * mean_right) * sum_right)
-                          + dimension * (mean_right * mean_right))
-        valid = valid & (variance_left > 0.0) & (variance_right > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            correlation = covariance / (np.sqrt(variance_left)
-                                        * np.sqrt(variance_right))
-        correlation = np.minimum(1.0, np.maximum(-1.0, correlation))
-        return _finalize_scalars(valid, (correlation + 1.0) / 2.0)
-    return score
-
-
-def _ovm_overlap(extract: Callable):
-    def score(new: PageFeatures, others: Sequence[PageFeatures]):
-        new_set = extract(new)
-        sets = [extract(other) for other in others]
-        intersection = np.asarray(
-            [len(new_set & members) for members in sets], dtype=np.int64)
-        sizes = np.asarray([len(members) for members in sets],
-                           dtype=np.int64)
-        smaller = np.minimum(len(new_set), sizes)
-        valid = (len(new_set) > 0) & (sizes > 0)
-        value = intersection / np.where(smaller > 0, smaller, 1)
-        return _finalize_scalars(valid, value)
-    return score
-
-
-def _ovm_weighted_jaccard(extract: Callable):
-    def score(new: PageFeatures, others: Sequence[PageFeatures]):
-        new_counter = extract(new)
-        counters = [extract(other) for other in others]
-        minima = np.asarray(
-            [sum(min(count, counter[key])
-                 for key, count in new_counter.items())
-             for counter in counters], dtype=np.int64)
-        totals = np.asarray(
-            [sum(counter.values()) for counter in counters], dtype=np.int64)
-        maxima = (sum(new_counter.values()) + totals) - minima
-        valid = ((len(new_counter) > 0)
-                 & np.asarray([len(counter) > 0 for counter in counters])
-                 & (maxima > 0))
-        value = minima / np.where(maxima > 0, maxima, 1)
-        return _finalize_scalars(valid, value)
-    return score
-
-
 # -- kernel dispatch -------------------------------------------------------
 
 
@@ -1005,16 +1150,16 @@ class Kernel:
         expected_scorer: identity of the built-in scalar scorer; a
             function carrying any other scorer (registry override) gets
             no kernel.
-        matrix: full-block kernel ``(BlockState) -> (n, n) ndarray``.
-        one_vs_many: optional request-path kernel
-            ``(new, others) -> list[float]``; ``None`` falls back to the
-            scalar scorer.
+        matrix: block kernel ``(BlockState) -> (left, right) ndarray``.
+        recorded: ``(kind, family, extract)`` of the input a
+            :class:`ResidentRecord` keeps for this kernel — ``kind`` is
+            ``"vector"`` or ``"set"`` — or ``None``: it reads the pages.
     """
 
     name: str
     expected_scorer: Callable
     matrix: Callable[[BlockState], np.ndarray]
-    one_vs_many: Callable | None = None
+    recorded: tuple[str, str, Callable] | None = None
 
 
 def _tfidf(page: PageFeatures) -> dict[str, float]:
@@ -1029,58 +1174,44 @@ def _top_tfidf(page: PageFeatures) -> dict[str, float]:
     return _extended._top_terms(page.tfidf)
 
 
-def _vector_kernel(builder, family: str, extract: Callable):
-    return lambda state: builder(state, family, extract)
-
-
-def _set_kernel(family: str, extract: Callable):
-    return lambda state: _overlap_matrix(state, family, extract)
-
-
 _KERNELS: dict[str, Kernel] = {}
 
 
-def _register(name: str, expected_scorer: Callable, matrix: Callable,
-              one_vs_many: Callable | None = None) -> None:
-    _KERNELS[name] = Kernel(name=name, expected_scorer=expected_scorer,
-                            matrix=matrix, one_vs_many=one_vs_many)
+def _vector_kernel(name: str, expected_scorer: Callable, builder,
+                   family: str, extract: Callable) -> None:
+    _KERNELS[name] = Kernel(name, expected_scorer,
+                            lambda state: builder(state, family, extract),
+                            ("vector", family, extract))
 
 
-_register("F1", _base._f1,
-          _vector_kernel(_cosine_matrix, "concept", _concepts),
-          _ovm_cosine(_concepts))
-_register("F2", _base._f2, _url_matrix)
-_register("F4", _base._f4,
-          _set_kernel("concept_set", lambda page: set(page.concept_set)),
-          _ovm_overlap(lambda page: set(page.concept_set)))
-_register("F5", _base._f5,
-          _set_kernel("organizations", lambda page: set(page.organizations)),
-          _ovm_overlap(lambda page: set(page.organizations)))
-_register("F6", _base._f6,
-          _set_kernel("other_persons", lambda page: set(page.other_persons)),
-          _ovm_overlap(lambda page: set(page.other_persons)))
-_register("F8", _base._f8,
-          _vector_kernel(_cosine_matrix, "tfidf", _tfidf),
-          _ovm_cosine(_tfidf))
-_register("F9", _base._f9,
-          _vector_kernel(_pearson_matrix, "tfidf", _tfidf),
-          _ovm_pearson(_tfidf))
-_register("F10", _base._f10,
-          _vector_kernel(_extended_jaccard_matrix, "tfidf", _tfidf),
-          _ovm_extended_jaccard(_tfidf))
-_register("F11", _extended._f11,
-          _set_kernel("locations", lambda page: set(page.locations)),
-          _ovm_overlap(lambda page: set(page.locations)))
-_register("F12", _extended._f12,
-          _vector_kernel(_cosine_matrix, "top_tfidf", _top_tfidf),
-          _ovm_cosine(_top_tfidf))
-_register("F13", _extended._f13,
-          _vector_kernel(_weighted_jaccard_matrix, "entity_context",
-                         _extended._entity_context),
-          _ovm_weighted_jaccard(_extended._entity_context))
-_register("F14", _extended._f14,
-          _vector_kernel(_extended_jaccard_matrix, "concept", _concepts),
-          _ovm_extended_jaccard(_concepts))
+def _set_kernel(name: str, expected_scorer: Callable, family: str) -> None:
+    """An overlap kernel over the set of the ``PageFeatures`` field the
+    family is named after."""
+    def extract(page: PageFeatures) -> set:
+        return set(getattr(page, family))
+    _KERNELS[name] = Kernel(name, expected_scorer,
+                            lambda state: _overlap_matrix(state, family,
+                                                          extract),
+                            ("set", family, extract))
+
+
+_vector_kernel("F1", _base._f1, _cosine_matrix, "concept", _concepts)
+_KERNELS["F2"] = Kernel("F2", _base._f2, _url_matrix)
+_set_kernel("F4", _base._f4, "concept_set")
+_set_kernel("F5", _base._f5, "organizations")
+_set_kernel("F6", _base._f6, "other_persons")
+_vector_kernel("F8", _base._f8, _cosine_matrix, "tfidf", _tfidf)
+_vector_kernel("F9", _base._f9, _pearson_matrix, "tfidf", _tfidf)
+_vector_kernel("F10", _base._f10, _extended_jaccard_matrix, "tfidf", _tfidf)
+_set_kernel("F11", _extended._f11, "locations")
+_vector_kernel("F12", _extended._f12, _cosine_matrix, "top_tfidf",
+               _top_tfidf)
+_KERNELS["F13"] = Kernel(
+    "F13", _extended._f13,
+    lambda state: _weighted_jaccard_matrix(state, "entity_context",
+                                           _extended._entity_context))
+_vector_kernel("F14", _extended._f14, _extended_jaccard_matrix, "concept",
+               _concepts)
 
 
 def kernel_for(function) -> Kernel | None:

@@ -71,13 +71,13 @@ def pearson_from_moments(product: float, sum_left: float, sum_right: float,
     The reference definition of the arithmetic shared by the plain
     scorer, the prepared block scorer
     (:func:`repro.similarity.functions._prepare_f9`), and — operation
-    for operation, applied elementwise — the vectorized backend kernels
-    (``_pearson_matrix`` / ``_ovm_pearson`` in
-    :mod:`repro.similarity.batch`).  Bit-identity across all of them
-    rests on evaluating exactly this expression sequence: **any change
-    here must be mirrored in those two kernels in the same commit** (the
-    cross-backend parity suite and the golden fixtures fail loudly on
-    any divergence, so an unsynchronized edit cannot land green).
+    for operation, applied elementwise — the vectorized backend kernel
+    (``_pearson_matrix`` in :mod:`repro.similarity.batch`).
+    Bit-identity across all of them rests on evaluating exactly this
+    expression sequence: **any change here must be mirrored in that
+    kernel in the same commit** (the cross-backend parity suite and the
+    golden fixtures fail loudly on any divergence, so an unsynchronized
+    edit cannot land green).
     ``product`` is the pair's sparse dot product; the sums and squared
     norms are per-vector moments; ``dimension`` is the union support
     size.

@@ -125,6 +125,28 @@ def assert_narrowed():
     return check
 
 
+class Recording:
+    """A ``PageFeatures`` stand-in that reports every attribute read to
+    ``touched.add(name)``."""
+
+    __slots__ = ("_page", "_touched")
+
+    def __init__(self, page: PageFeatures, touched):
+        object.__setattr__(self, "_page", page)
+        object.__setattr__(self, "_touched", touched)
+
+    def __getattr__(self, name):
+        self._touched.add(name)
+        return getattr(self._page, name)
+
+
+@pytest.fixture(scope="session")
+def recording():
+    """``Recording(page, touched)``: a stand-in logging what scoring
+    reads of ``page``."""
+    return Recording
+
+
 @pytest.fixture(scope="session")
 def consulting():
     """``build(model, "F5")``: a copy of a best-graph ``model`` whose every

@@ -12,12 +12,15 @@ Three mask shapes are drawn: an arbitrary subset of the block's pairs
 reverse add order, each against every resident page and the new pages
 added before it) and a one-sided mask (few left rows against many right
 rows) — the numpy kernels fill a ``left × right`` rectangle, so the
-shapes that make it narrow are the ones worth pinning.
+shapes that make it narrow are the ones worth pinning.  The request
+path lays the coalescing rectangle out with no mask at all, over a
+resident record grown page by page; it must give the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from repro.corpus.datasets import custom_dataset
 from repro.corpus.generator import GeneratorConfig
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
+from repro.similarity import backends
 from repro.similarity.backends import NumpyBackend, PythonBackend
 from repro.similarity.extended import full_battery
 from repro.similarity.functions import default_functions
@@ -85,6 +89,20 @@ def burst_inputs(draw):
 
 
 @st.composite
+def record_inputs(draw):
+    """A resident record grown in two steps — some pages resident when
+    it is made, the rest joining after — and a burst on top of it."""
+    seed = draw(st.integers(0, 10_000))
+    pages = draw(st.integers(2, 10))
+    block, features = generated_block(seed, pages)
+    ids = block.page_ids()
+    new = draw(st.integers(1, pages - 1))
+    resident, arriving = ids[:-new], ids[-new:]
+    made = draw(st.integers(0, len(resident)))
+    return resident, arriving, made, features
+
+
+@st.composite
 def one_sided_inputs(draw):
     """One or two left pages against a drawn subset of the later ones."""
     seed = draw(st.integers(0, 10_000))
@@ -133,6 +151,34 @@ class TestMaskedScoringParity:
     @given(one_sided_inputs())
     def test_one_sided_mask_matches_dense(self, inputs):
         assert_masked_parity(*inputs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(record_inputs())
+    def test_burst_rectangle_over_a_record_matches_dense(self, inputs):
+        """Every burst row from the resident record — each page walked
+        once, whether it was resident when the record was made, joined
+        after, or arrives now — equals the dense sweep byte for byte,
+        however small the rectangle."""
+        resident, arriving, made, features = inputs
+        battery = full_battery()
+        dense = PYTHON.block_scores(list(reversed(arriving)) + resident,
+                                    features, battery)
+        record = NUMPY.resident_record(
+            battery, [features[doc_id] for doc_id in resident[:made]])
+        for doc_id in resident[made:]:
+            page = features[doc_id]
+            record.append(page, record.entry(page))
+        with mock.patch.object(backends, "_FEW_CELLS", 0):
+            rectangle = NUMPY.rectangle(
+                battery, [features[doc_id] for doc_id in resident],
+                [features[doc_id] for doc_id in arriving], record)
+        assert rectangle.rows.keys() == dense.keys()
+        for name, rows in rectangle.rows.items():
+            for index, new in enumerate(arriving):
+                expected = [dense[name][pair_key(new, other)]
+                            for other in resident + arriving[:index]]
+                assert ([bits(value) for value in rows[index]]
+                        == [bits(value) for value in expected]), (name, index)
 
     @settings(max_examples=8, deadline=None)
     @given(masked_inputs())

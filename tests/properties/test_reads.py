@@ -5,7 +5,7 @@ it scores declare (``SimilarityFunction.reads``).  That is sound iff
 
 * **parity** — scoring narrowed features gives the bytes whole features
   give, on every backend, dense and masked, however the block was grown;
-* **honesty** — no scorer, preparer, kernel or one-vs-many fold touches
+* **honesty** — no scorer, preparer, kernel or resident record touches
   a field its function does not declare (an under-declaring function
   fails here, not in production as silent zeros);
 * **the guard** — features narrowed past a function raise when scored,
@@ -140,24 +140,13 @@ class TestNarrowedScoresEqualWhole:
 
 # -- (b) honesty ---------------------------------------------------------------
 
-class Recording:
-    """A ``PageFeatures`` stand-in that logs every attribute read."""
-
-    __slots__ = ("_page", "_touched")
-
-    def __init__(self, page: PageFeatures, touched: set):
-        object.__setattr__(self, "_page", page)
-        object.__setattr__(self, "_touched", touched)
-
-    def __getattr__(self, name):
-        self._touched.add(name)
-        return getattr(self._page, name)
-
-
-def touched_by(function, features: dict[str, PageFeatures]) -> set[str]:
-    """Every field any scoring surface of ``function`` reads."""
+def touched_by(function, features: dict[str, PageFeatures],
+               recording) -> set[str]:
+    """Every field any scoring surface of ``function`` reads: scalar,
+    prepared, block sweeps, and the request path's rectangle of two new
+    pages over a resident record."""
     touched: set[str] = set()
-    pages = {doc_id: Recording(page, touched)
+    pages = {doc_id: recording(page, touched)
              for doc_id, page in features.items()}
     ids = list(pages)
     first, second, *others = pages.values()
@@ -169,6 +158,8 @@ def touched_by(function, features: dict[str, PageFeatures]) -> set[str]:
         scorer.block_scores(ids, pages, [function],
                             mask=every_third_pair(ids))
         scorer.pair_scores(function, first, others)
+        scorer.rectangle([function], others, [first, second],
+                         scorer.resident_record([function], others))
     return touched - {"doc_id"}
 
 
@@ -176,18 +167,20 @@ class TestDeclaredReadsAreHonest:
     @pytest.mark.parametrize("function", full_battery(),
                              ids=lambda function: function.name)
     def test_builtin_touches_only_what_it_declares(self, function,
-                                                   block_features):
+                                                   block_features,
+                                                   recording):
         features = dict(list(block_features.items())[:9])
-        touched = touched_by(function, features)
+        touched = touched_by(function, features, recording)
         assert touched and touched <= function.reads, (
             f"{function.name} declares {sorted(function.reads)} but "
             f"reads {sorted(touched)}")
 
-    def test_an_under_declaring_function_is_caught(self, block_features):
+    def test_an_under_declaring_function_is_caught(self, block_features,
+                                                   recording):
         features = dict(list(block_features.items())[:9])
         f13 = extended_function_by_name("F13")
         liar = replace(f13, reads=frozenset({"organizations"}))
-        assert not touched_by(liar, features) <= liar.reads
+        assert not touched_by(liar, features, recording) <= liar.reads
 
     def test_every_builtin_declares(self):
         for function in full_battery():
@@ -241,7 +234,7 @@ class TestNarrowedFeaturesFailLoudly:
         resolver.add_page(block_features[ids[0]])
         for refused in (
                 lambda: resolver.add_page(tfidf_only[ids[1]]),
-                lambda: resolver.coalesced_pair_scores(
+                lambda: resolver.score_burst(
                     [block_features[ids[1]], tfidf_only[ids[2]]]),
                 lambda: resolver.link_probability(tfidf_only[ids[1]],
                                                   block_features[ids[0]])):

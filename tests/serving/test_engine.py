@@ -313,6 +313,39 @@ class TestSwap:
         replacement = engine.swap(second_model)
         assert replacement.pipeline is engine.snapshots[1].pipeline
 
+    def test_swapped_in_model_gets_its_own_read_set(
+            self, serving_model, consulting, pipeline, small_dataset,
+            monkeypatch):
+        """A session derives each fitted state's read set once, however
+        often its slot is evicted and reserved again; the session a swap
+        builds derives its own model's."""
+        import repro.pipeline.session as session_module
+        read_fields = session_module.read_fields
+        derived = []
+
+        def counting(functions):
+            derived.append(functions)
+            return read_fields(functions)
+
+        monkeypatch.setattr(session_module, "read_fields", counting)
+        first, second = small_dataset.collections[:2]
+        engine = ServingEngine(serving_model, pipeline=pipeline,
+                               max_blocks=1, record_journal=True)
+        for index in range(3):  # each name evicts the other
+            engine.resolve(first.pages[index])
+            engine.resolve(second.pages[index])
+        assert engine.snapshot.session.stats.evicted_blocks == 5
+        assert len(derived) == 2
+        before = read_fields(serving_model.scoring_functions(
+            serving_model.blocks[first.query_name]))
+        engine.swap(consulting(serving_model, "F5"))
+        engine.resolve(first.pages[3])
+        after = engine.snapshot.session._prepared[first.query_name].reads
+        assert after == frozenset({"organizations"}) != before
+        assert len(derived) == 3
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
 
 class TestRawPageStream:
     """Raw pages through the engine: one page read per request, the same

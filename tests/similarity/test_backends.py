@@ -112,7 +112,8 @@ class TestKernelDispatch:
         for name in ("F3", "F7"):
             assert batch.kernel_for(function_by_name(name)) is None
         f2 = batch.kernel_for(function_by_name("F2"))
-        assert f2 is not None and f2.one_vs_many is None
+        # F2's kernel reads the pages: no resident record keeps URLs.
+        assert f2 is not None and f2.recorded is None
 
     def test_replaced_builtin_scorer_disables_kernel(self):
         from repro.similarity import batch
