@@ -8,11 +8,8 @@
 # generic blocking path (--blocker token) with serial/parallel fit
 # parity.  Round-trip a streamed scale corpus (generate --dataset scale
 # -> jsonl -> fit -> predict).  Regenerate the golden fixtures and fail
-# on any diff.  Then run the runtime, serving and
-# scaling benchmarks at smoke scale and verify they emit well-formed
-# benchmarks/out/BENCH_runtime.json / BENCH_scaling.json.  Exercises the
-# full fit -> save -> predict -> serve lifecycle plus the execution
-# engine through the CLI in under a minute.
+# on any diff.  Exercises the full fit -> save -> predict -> serve
+# lifecycle plus the execution engine through the CLI in under a minute.
 #
 # Usage: sh scripts/smoke_test.sh
 set -eu
@@ -39,6 +36,14 @@ echo "== pipeline/ schedules nothing itself =="
 # a task body.
 if grep -rnE "is_serial|_run_serial|_run_parallel" src/repro/pipeline; then
     echo "pipeline/ forks on the schedule again" >&2; exit 1
+fi
+
+echo "== one clock reader =="
+# Every measurement goes through repro.runtime.stats (clock / Timer); a
+# perf_counter anywhere else is a second, untracked stats surface.
+if grep -rn --include='*.py' perf_counter src \
+        | grep -v '^src/repro/runtime/stats\.py:'; then
+    echo "perf_counter read outside src/repro/runtime/stats.py" >&2; exit 1
 fi
 
 echo "== generate =="
@@ -161,112 +166,5 @@ echo "== golden fixtures regenerate with no diff =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/regenerate_goldens.py
 git diff --exit-code tests/data/golden || {
     echo "regenerated goldens differ from the committed ones" >&2; exit 1; }
-
-echo "== runtime benchmark emits BENCH_runtime.json =="
-REPRO_BENCH_PAGES=16 REPRO_BENCH_RUNS=2 \
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest benchmarks/test_bench_runtime.py -q
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
-import json, sys
-try:
-    payload = json.load(open("benchmarks/out/BENCH_runtime.json"))
-except (OSError, json.JSONDecodeError) as error:
-    sys.exit(f"BENCH_runtime.json missing or malformed: {error}")
-runs = payload.get("runs")
-if payload.get("benchmark") != "runtime" or not runs:
-    sys.exit("BENCH_runtime.json has no runtime runs")
-last = runs[-1]
-for key in ("speedup_vs_seed", "seed_path_seconds",
-            "engine_parallel_seconds", "serving_cache_hit_rate",
-            "deterministic", "backend_speedup_ratio",
-            "backends_bit_identical", "blocking_reduction_ratio",
-            "blocking_pair_completeness", "masked_speedup_ratio",
-            "masked_matches_dense", "prepare_cache_hit_rate",
-            "requested_workers", "effective_workers", "available_cores",
-            "host_cores", "cpuset_limited", "fork_waves",
-            "parallel_speedup_ratio"):
-    if key not in last:
-        sys.exit(f"BENCH_runtime.json record lacks {key!r}")
-if not last["deterministic"]:
-    sys.exit("runtime bench recorded a non-deterministic run")
-if last["effective_workers"] != min(last["requested_workers"],
-                                    last["available_cores"]):
-    sys.exit("effective_workers does not honor the core cap")
-if last["available_cores"] > 1 and last["effective_workers"] == 1:
-    sys.exit(f"--workers {last['requested_workers']} degraded to serial "
-             f"with {last['available_cores']} cores available")
-if not last["prepare_cache_hit_rate"] > 0.0:
-    sys.exit("retained prepare cache served no predict calls")
-if not last["backends_bit_identical"]:
-    sys.exit("runtime bench recorded diverging scoring backends")
-if last["blocking_pair_completeness"] != 1.0:
-    sys.exit("query-name blocking lost true pairs on the mixed universe")
-if not last["masked_matches_dense"]:
-    sys.exit("masked scoring diverged from dense scoring")
-print(f"BENCH_runtime.json OK: {len(runs)} run(s), last speedup "
-      f"{last['speedup_vs_seed']:.2f}x, backend ratio "
-      f"{last['backend_speedup_ratio']:.2f}x, masked ratio "
-      f"{last['masked_speedup_ratio']:.2f}x")
-PY
-
-echo "== serving benchmark records a serving scenario =="
-# Smoke scale gates the QPS comparison off (needs scoring-bound
-# requests); serial-replay bit-identity and the hot swap still assert.
-REPRO_BENCH_SERVING_PAGES=24 REPRO_BENCH_SERVING_REPS=1 \
-    REPRO_BENCH_SERVING_THREADS=4 \
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest benchmarks/test_bench_serving.py -q
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
-import json, sys
-payload = json.load(open("benchmarks/out/BENCH_runtime.json"))
-serving = [run for run in payload.get("runs", [])
-           if run.get("scenario") == "serving"]
-if not serving:
-    sys.exit("BENCH_runtime.json has no serving scenario record")
-last = serving[-1]
-for key in ("single_thread_qps", "best_multi_thread_qps",
-            "multi_over_single_qps_ratio", "runs", "mixed", "swap"):
-    if key not in last:
-        sys.exit(f"serving record lacks {key!r}")
-for label, run in last["runs"].items():
-    if not run["replay_identical"]:
-        sys.exit(f"serving run {label} diverged from serial replay")
-if last["swap"]["failed"] or not last["swap"]["replay_identical"]:
-    sys.exit("hot swap lost requests or diverged from serial replay")
-print(f"serving scenario OK: {len(last['runs'])} configs, "
-      f"multi/single QPS ratio {last['multi_over_single_qps_ratio']:.2f}, "
-      f"swap stall {last['swap']['swap_stall_seconds'] * 1000:.2f}ms")
-PY
-
-echo "== scaling benchmark emits BENCH_scaling.json =="
-REPRO_BENCH_SCALE_SIZES=120,240,480 REPRO_BENCH_SCALE_PPN=8 \
-    REPRO_BENCH_SCALE_BLOCKING_PAGES=120 \
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest benchmarks/test_bench_scaling.py -q
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY'
-import json, sys
-try:
-    payload = json.load(open("benchmarks/out/BENCH_scaling.json"))
-except (OSError, json.JSONDecodeError) as error:
-    sys.exit(f"BENCH_scaling.json missing or malformed: {error}")
-runs = payload.get("runs")
-if payload.get("benchmark") != "scaling" or not runs:
-    sys.exit("BENCH_scaling.json has no scaling runs")
-sizes = runs[-1]["sizes"]
-if len(sizes) < 3:
-    sys.exit("scaling sweep recorded fewer than 3 sizes")
-for entry in sizes:
-    for key in ("n_pages", "throughput_pages_per_second", "stage_seconds",
-                "generation_stream_peak_bytes", "bcubed_f1_mean",
-                "blocking"):
-        if key not in entry:
-            sys.exit(f"BENCH_scaling.json size entry lacks {key!r}")
-peaks = [entry["generation_stream_peak_bytes"] for entry in sizes]
-if max(peaks) > 2.5 * min(peaks):
-    sys.exit(f"streaming generation peak memory grew with N: {peaks}")
-print(f"BENCH_scaling.json OK: {len(sizes)} sizes up to "
-      f"{sizes[-1]['n_pages']} pages, throughput "
-      f"{sizes[-1]['throughput_pages_per_second']:.0f} pages/s")
-PY
 
 echo "smoke test OK"

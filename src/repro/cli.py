@@ -465,10 +465,9 @@ def _serve_traffic(server, collection, limit: int) -> tuple[int, list]:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     from repro.core.model import resolve_extraction_pipeline
     from repro.pipeline.session import ResolutionSession
+    from repro.runtime.stats import Timer
     from repro.serving import ServingEngine
 
     model = ResolverModel.load(args.model)
@@ -504,14 +503,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{args.requests} single-page requests")
     rows = []
     for page in stream:
-        started = time.perf_counter()
-        assignment = server.resolve(page)[0]
-        latency_ms = (time.perf_counter() - started) * 1000
+        with Timer() as timer:
+            assignment = server.resolve(page)[0]
         rows.append([
             surname(page.query_name), page.doc_id,
             "new entity" if assignment.created_new_cluster
             else f"entity #{assignment.cluster_index}",
-            f"{assignment.link_probability:.3f}", f"{latency_ms:.1f}",
+            f"{assignment.link_probability:.3f}",
+            f"{timer.seconds * 1000:.1f}",
         ])
     print(format_table(
         ["name", "page", "decision", "P(link)", "ms"], rows,

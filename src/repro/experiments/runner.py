@@ -15,7 +15,6 @@ tasks on a process pool instead of inline, and every pass reports a
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -32,7 +31,7 @@ from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.ml.sampling import sample_training_pairs, training_runs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.executor import BlockExecutor, executor_for_workers
-from repro.runtime.stats import RunStats
+from repro.runtime.stats import RunStats, Timer
 from repro.runtime.tasks import PrepareBlockTask, run_block_tasks
 from repro.similarity.functions import default_functions
 
@@ -97,7 +96,6 @@ class ExperimentContext:
             raise ValueError(
                 "a retained prepare cache requires serial execution; "
                 "parallel workers fill transient per-process caches")
-        started = time.perf_counter()
         stats = RunStats.for_executor("prepare", executor)
         features_by_name = {}
         graphs_by_name = {}
@@ -105,20 +103,21 @@ class ExperimentContext:
                                      functions=tuple(functions),
                                      backend=backend, cache=cache)
                     for block in collection]
-        try:
-            for name, features, graphs, task_stats in run_block_tasks(
-                    executor, "prepare", payloads,
-                    weights=[len(block) for block in collection],
-                    stats=stats):
-                features_by_name[name] = features
-                graphs_by_name[name] = graphs
-                stats.add_task(task_stats)
-        finally:
-            # The pool is ours only if we built it from `workers=`;
-            # caller-provided executors stay open for reuse.
-            if owns_executor:
-                executor.close()
-        stats.wall_seconds = time.perf_counter() - started
+        with Timer() as timer:
+            try:
+                for name, features, graphs, task_stats in run_block_tasks(
+                        executor, "prepare", payloads,
+                        weights=[len(block) for block in collection],
+                        stats=stats):
+                    features_by_name[name] = features
+                    graphs_by_name[name] = graphs
+                    stats.add_task(task_stats)
+            finally:
+                # The pool is ours only if we built it from `workers=`;
+                # caller-provided executors stay open for reuse.
+                if owns_executor:
+                    executor.close()
+        stats.wall_seconds = timer.seconds
         stats.finish_executor(executor)
         return cls(collection=collection,
                    features_by_name=features_by_name,

@@ -27,15 +27,15 @@ and serving without touching ``repro.core``.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
+from dataclasses import replace
 from typing import Any
 
 from repro.core.registry import STAGES
 from repro.pipeline.artifacts import Corpus
 from repro.pipeline.stage import PipelineContext, Stage, StageStats
 from repro.runtime.executor import BlockExecutor, executor_from_config
-from repro.runtime.stats import RunStats
+from repro.runtime.stats import RunStats, Timer
 
 __all__ = ["Pipeline", "PlanError", "fit_plan", "predict_plan", "run_pass"]
 
@@ -104,8 +104,9 @@ class Pipeline:
         """Thread ``artifact`` through every stage; returns the final one.
 
         Each stage is timed into a :class:`StageStats` appended to
-        ``ctx.stage_stats``; a stage that ran an engine pass has its
-        :class:`~repro.runtime.stats.RunStats` attached to its record.
+        ``ctx.stage_stats`` as it starts; a stage that runs an engine
+        pass attaches its :class:`~repro.runtime.stats.RunStats` to that
+        record.
 
         Every stage schedules through the *same* ``ctx.executor``: a
         parallel run's persistent worker pool forks once, on the first
@@ -124,15 +125,13 @@ class Pipeline:
                     f"stage {stage.name!r} consumes "
                     f"{stage.consumes.__name__}, got "
                     f"{type(artifact).__name__}")
-            started = time.perf_counter()
-            artifact = stage.run(artifact, ctx)
-            ctx.stage_stats.append(StageStats(
-                stage=stage.name,
-                seconds=time.perf_counter() - started,
-                consumes=stage.consumes.__name__,
-                produces=stage.produces.__name__,
-                run_stats=ctx.take_run_stats(),
-            ))
+            entry = StageStats(stage=stage.name, seconds=0.0,
+                               consumes=stage.consumes.__name__,
+                               produces=stage.produces.__name__)
+            ctx.stage_stats.append(entry)
+            with Timer() as timer:
+                artifact = stage.run(artifact, ctx)
+            entry.seconds = timer.seconds
         return artifact
 
     def explain(self) -> str:
@@ -162,8 +161,9 @@ def run_pass(plan: Pipeline, collection, produces: type, config, phase: str,
     ``config`` selects (closing only a pool built here — a
     caller-provided executor persists across its runs), thread a
     :class:`PipelineContext` (``context`` are its remaining fields)
-    through the plan, and take the engine pass's stats with the wall
-    clock of the whole plan, not just the stage that fanned out.
+    through the plan, and report the pass: a copy of the last fan-out
+    stage's record, on the wall clock of the whole plan (the stage's
+    own record keeps the fan-out's clock).
 
     Returns the terminal artifact, the pass's
     :class:`~repro.runtime.stats.RunStats`, and the context (resolved
@@ -175,21 +175,25 @@ def run_pass(plan: Pipeline, collection, produces: type, config, phase: str,
     """
     owns_executor = executor is None
     executor = executor or executor_from_config(config)
-    started = time.perf_counter()
     ctx = PipelineContext(config=config, executor=executor, phase=phase,
                           **context)
-    try:
-        artifact = plan.run(Corpus(collection=collection), ctx)
-    finally:
-        if owns_executor:
-            executor.close()
+    with Timer() as timer:
+        try:
+            artifact = plan.run(Corpus(collection=collection), ctx)
+        finally:
+            if owns_executor:
+                executor.close()
     if not isinstance(artifact, produces):
         raise TypeError(
             f"{'fit' if phase == 'fit' else 'predict'} plan {plan.name!r} "
             f"produced {type(artifact).__name__}, "
             f"expected {produces.__name__}")
-    stats = ctx.engine_stats() or RunStats.for_executor(phase, executor)
-    stats.wall_seconds = time.perf_counter() - started
+    fanout = next((entry.run_stats for entry in reversed(ctx.stage_stats)
+                   if entry.run_stats is not None), None)
+    stats = (RunStats.for_executor(phase, executor) if fanout is None
+             else replace(fanout,
+                          per_block_seconds=dict(fanout.per_block_seconds)))
+    stats.wall_seconds = timer.seconds
     return artifact, stats, ctx
 
 

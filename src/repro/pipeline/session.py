@@ -55,8 +55,6 @@ demo loop over this class.
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -74,7 +72,8 @@ from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import BlockContext, ExtractionPipeline
 from repro.extraction.tokenizer import page_tokens
 from repro.metrics.clusterings import Clustering
-from repro.runtime.stats import LatencyReservoir
+from repro.runtime.stats import (HIDDEN, LatencyReservoir, LatencyView,
+                                 StatsRecord, clock)
 from repro.similarity.base import read_fields
 
 __all__ = ["AdmittedUnit", "Processed", "ResolutionSession",
@@ -82,7 +81,7 @@ __all__ = ["AdmittedUnit", "Processed", "ResolutionSession",
 
 
 @dataclass
-class SessionStats:
+class SessionStats(LatencyView, StatsRecord):
     """Lifetime counters of one serving session.
 
     Attributes:
@@ -96,14 +95,14 @@ class SessionStats:
         prepared_blocks: per-name prepared slots reserved (first
             contacts, including rebuilds after eviction).
         evicted_blocks: prepared states dropped by the LRU bound.
-        seconds_total: wall time spent inside ``resolve``.
         latency: bounded reservoir of per-request latencies (seconds);
-            feeds the ``p50/p95/p99`` properties.  A serial mean hides
-            tail behavior — the percentiles are what a deployment's SLO
-            is written against.
+            feeds ``seconds_total`` (wall time spent inside ``resolve``)
+            and the mean and ``p50/p95/p99`` properties.  A serial mean
+            hides tail behavior — the percentiles are what a
+            deployment's SLO is written against.
 
     ``process`` and ``record_request`` run concurrently for different
-    names and fold their counters in under the stats' own lock; the
+    names and fold their counters in under the record's own lock; the
     other three are written by ``admit``, which its caller serialises.
     """
 
@@ -114,17 +113,14 @@ class SessionStats:
     new_entities: int = 0
     prepared_blocks: int = 0
     evicted_blocks: int = 0
-    seconds_total: float = 0.0
-    latency: LatencyReservoir = field(default_factory=LatencyReservoir)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+    latency: LatencyReservoir = field(default_factory=LatencyReservoir,
+                                      metadata=HIDDEN)
 
     def record_request(self, seconds: float, pages: int = 0) -> None:
         """Fold one served request into the counters and the reservoir."""
         with self._lock:
             self.requests += 1
             self.pages += pages
-            self.seconds_total += seconds
             self.latency.record(seconds)
 
     def record_assignments(self, incremental: int,
@@ -133,28 +129,6 @@ class SessionStats:
         with self._lock:
             self.incremental_assignments += incremental
             self.new_entities += new_entities
-
-    @property
-    def mean_request_seconds(self) -> float:
-        """Mean ``resolve`` latency (0.0 before the first request)."""
-        if self.requests == 0:
-            return 0.0
-        return self.seconds_total / self.requests
-
-    @property
-    def p50_request_seconds(self) -> float:
-        """Median ``resolve`` latency over the reservoir sample."""
-        return self.latency.percentile(50)
-
-    @property
-    def p95_request_seconds(self) -> float:
-        """95th-percentile ``resolve`` latency over the reservoir sample."""
-        return self.latency.percentile(95)
-
-    @property
-    def p99_request_seconds(self) -> float:
-        """99th-percentile ``resolve`` latency over the reservoir sample."""
-        return self.latency.percentile(99)
 
     def summary(self) -> str:
         """One line for CLI output."""
@@ -361,7 +335,7 @@ class ResolutionSession:
                 the request is still processed; the first failure is
                 raised afterwards.
         """
-        started = time.perf_counter()
+        started = clock()
         page_list = as_page_list(pages)
         by_doc: dict[str, Assignment] = {}
         failure: Exception | None = None
@@ -375,8 +349,7 @@ class ResolutionSession:
                 by_doc[assignment.doc_id] = assignment
         if failure is not None:
             raise failure
-        self.stats.record_request(time.perf_counter() - started,
-                                  pages=len(page_list))
+        self.stats.record_request(clock() - started, pages=len(page_list))
         return [by_doc[page.doc_id] for page in page_list]
 
     def admit(

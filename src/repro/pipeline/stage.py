@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.runtime.stats import RunStats
+from repro.runtime.stats import RunStats, StatsRecord
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.config import ResolverConfig
@@ -34,7 +34,7 @@ __all__ = ["Stage", "StageStats", "PipelineContext"]
 
 
 @dataclass
-class StageStats:
+class StageStats(StatsRecord):
     """Cost record of one stage execution within a pipeline run.
 
     Attributes:
@@ -52,17 +52,6 @@ class StageStats:
     consumes: str
     produces: str
     run_stats: RunStats | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable snapshot (benchmarks, the CLI)."""
-        return {
-            "stage": self.stage,
-            "seconds": self.seconds,
-            "consumes": self.consumes,
-            "produces": self.produces,
-            "run_stats": (self.run_stats.to_dict()
-                          if self.run_stats is not None else None),
-        }
 
 
 def format_stage_stats(stats: list[StageStats]) -> str:
@@ -92,7 +81,10 @@ class PipelineContext:
         model_block: fitted block serving names the model was never
             fitted on (predict plans).
         evaluate: score predictions against ground truth (predict plans).
-        stage_stats: per-stage records, appended by the pipeline runner.
+        stage_stats: per-stage records, appended by the pipeline runner
+            as each stage starts: the running stage's record is the
+            last, and a stage that fans block work out attaches its
+            :class:`~repro.runtime.stats.RunStats` there.
     """
 
     config: "ResolverConfig"
@@ -106,9 +98,6 @@ class PipelineContext:
     model_block: str | None = None
     evaluate: bool = False
     stage_stats: list[StageStats] = field(default_factory=list)
-    #: set by a stage that ran an engine pass; the runner pops it onto
-    #: the stage's :class:`StageStats` record.
-    pending_run_stats: RunStats | None = None
 
     def require_extraction(
         self, source: "DocumentCollection | None",
@@ -132,18 +121,6 @@ class PipelineContext:
                     "no source collection to resolve one from")
             self.extraction = resolve_extraction_pipeline(source)
         return self.extraction
-
-    def take_run_stats(self) -> RunStats | None:
-        """Pop the pending engine stats (the pipeline runner's hook)."""
-        stats, self.pending_run_stats = self.pending_run_stats, None
-        return stats
-
-    def engine_stats(self) -> RunStats | None:
-        """The last engine pass recorded by any stage of this run."""
-        for entry in reversed(self.stage_stats):
-            if entry.run_stats is not None:
-                return entry.run_stats
-        return self.pending_run_stats
 
 
 class Stage(ABC):

@@ -28,7 +28,7 @@ task bodies inline under a serial executor and in pool workers under a
 parallel one.  One body under two schedules, so the passes are
 bit-identical at fixed seeds by construction, and either way a block's
 quadratic state lives only as long as its task.  Both stages report a
-:class:`~repro.runtime.stats.RunStats` on the context.
+:class:`~repro.runtime.stats.RunStats` on their stage's record.
 
 ``repro.core`` modules are imported inside stage bodies: the registry's
 lazy built-in loading imports this module, which must therefore never
@@ -36,8 +36,6 @@ touch a core module at import time (it may still be initializing).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.registry import BLOCKERS, register_stage
 from repro.pipeline.artifacts import (
@@ -49,7 +47,7 @@ from repro.pipeline.artifacts import (
     SimilarityGraphs,
 )
 from repro.pipeline.stage import PipelineContext, Stage
-from repro.runtime.stats import RunStats
+from repro.runtime.stats import RunStats, Timer
 from repro.runtime.tasks import FitBlockTask, PredictBlockTask, run_block_tasks
 
 __all__ = [
@@ -148,34 +146,37 @@ def _run_block_pass(kind: str, phase: str, graphs: SimilarityGraphs,
     fields every kind ships: the block, its mask, and what its artifacts
     hold — materialized graphs, else materialized features, else the
     lazily resolved extraction pipeline.  The pass's :class:`RunStats`
-    is left on the context for the plan runner.
+    goes on the running stage's record — the last of ``ctx.stage_stats``,
+    which a stage run outside a plan does not have.
     """
-    started = time.perf_counter()
     stats = RunStats.for_executor(phase, ctx.executor)
-    payloads = []
-    for block in graphs.blocks:
-        block_graphs = graphs.by_name.get(block.query_name)
-        features = graphs.features.by_name.get(block.query_name)
-        pipeline = None
-        if block_graphs is None and features is None:
-            pipeline = ctx.require_extraction(graphs.blocks.source)
-        payloads.append(payload_for(dict(
-            config=ctx.config,
-            block=block,
-            graphs=block_graphs,
-            pipeline=pipeline,
-            features=features,
-            mask=graphs.blocks.mask_for(block.query_name),
-        )))
     results = []
-    for _, result, task_stats in run_block_tasks(
-            ctx.executor, kind, payloads,
-            weights=[len(block) for block in graphs.blocks], stats=stats):
-        results.append(result)
-        stats.add_task(task_stats)
-    stats.wall_seconds = time.perf_counter() - started
+    with Timer() as timer:
+        payloads = []
+        for block in graphs.blocks:
+            block_graphs = graphs.by_name.get(block.query_name)
+            features = graphs.features.by_name.get(block.query_name)
+            pipeline = None
+            if block_graphs is None and features is None:
+                pipeline = ctx.require_extraction(graphs.blocks.source)
+            payloads.append(payload_for(dict(
+                config=ctx.config,
+                block=block,
+                graphs=block_graphs,
+                pipeline=pipeline,
+                features=features,
+                mask=graphs.blocks.mask_for(block.query_name),
+            )))
+        for _, result, task_stats in run_block_tasks(
+                ctx.executor, kind, payloads,
+                weights=[len(block) for block in graphs.blocks],
+                stats=stats):
+            results.append(result)
+            stats.add_task(task_stats)
+    stats.wall_seconds = timer.seconds
     stats.finish_executor(ctx.executor)
-    ctx.pending_run_stats = stats
+    if ctx.stage_stats:
+        ctx.stage_stats[-1].run_stats = stats
     return results
 
 

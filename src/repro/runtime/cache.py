@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from repro.corpus.documents import NameCollection
 from repro.extraction.features import PageFeatures
 from repro.graph.entity_graph import PairKey
+from repro.runtime.stats import StatsRecord, rate
 
 #: A block's cache identity: the query name plus the exact page-id tuple
 #: (so two different page sets for the same name never alias) plus the
@@ -49,8 +50,10 @@ def block_fingerprint(block: NameCollection,
 
 
 @dataclass(frozen=True)
-class CacheStats:
+class CacheStats(StatsRecord):
     """Counter snapshot (hit/miss totals survive entry eviction)."""
+
+    derived = ("hit_rate",)
 
     pair_hits: int
     pair_misses: int
@@ -61,10 +64,7 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         """Fraction of pair-value lookups served from the cache."""
-        total = self.pair_hits + self.pair_misses
-        if total == 0:
-            return 0.0
-        return self.pair_hits / total
+        return rate(self.pair_hits, self.pair_hits + self.pair_misses)
 
 
 class SimilarityCache:

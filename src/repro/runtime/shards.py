@@ -63,7 +63,6 @@ import mmap
 import os
 import pickle
 import tempfile
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -308,15 +307,13 @@ class _AttachedShard:
     numpy views still export the buffer.
     """
 
-    __slots__ = ("shard_id", "nbytes", "payload", "attach_seconds",
-                 "_view", "_closers")
+    __slots__ = ("shard_id", "nbytes", "payload", "_view", "_closers")
 
     def __init__(self, shard_id: str, nbytes: int, payload: Any,
-                 attach_seconds: float, view, closers):
+                 view, closers):
         self.shard_id = shard_id
         self.nbytes = nbytes
         self.payload = payload
-        self.attach_seconds = attach_seconds
         self._view = view
         self._closers = closers
 
@@ -396,7 +393,6 @@ def _evict_over_budget(keep: str) -> None:
 
 
 def _attach(handle: ShardHandle) -> _AttachedShard:
-    started = time.perf_counter()
     closers: list = []
     if handle.via == "shm":
         shared_memory = _shared_memory_module()
@@ -428,9 +424,7 @@ def _attach(handle: ShardHandle) -> _AttachedShard:
     if binder is not None and handle.nbytes > plane_base:
         payload = binder(view, plane_base)
     return _AttachedShard(shard_id=handle.shard_id, nbytes=handle.nbytes,
-                          payload=payload,
-                          attach_seconds=time.perf_counter() - started,
-                          view=view, closers=closers)
+                          payload=payload, view=view, closers=closers)
 
 
 def load_shard(handle: ShardHandle) -> Any:

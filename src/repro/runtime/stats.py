@@ -1,18 +1,68 @@
-"""Observability records for the block execution engine.
+"""The package's one telemetry core.
 
-Every engine-driven pass (context preparation, fitting, prediction,
-evaluation) produces a :class:`RunStats`: wall time, pairs scored, cache
-hit/miss counts and per-block timings.  The record is JSON-serializable so
-the experiments runner, the CLI and ``benchmarks/test_bench_runtime.py``
-can all surface the same numbers, and ``BENCH_runtime.json`` can track
-them across revisions.
+:data:`clock` is the one clock every measurement reads (:class:`Timer`
+measures a block with it); :func:`rate` is the zero-safe ratio behind
+every hit rate and mean; :class:`LatencyReservoir` keeps bounded request
+latencies with their total.  :class:`StatsRecord` is the base of the six
+stats records — :class:`TaskStats` and :class:`RunStats` here,
+:class:`~repro.runtime.cache.CacheStats`,
+:class:`~repro.pipeline.stage.StageStats`,
+:class:`~repro.pipeline.session.SessionStats` and
+:class:`~repro.serving.engine.EngineStats` — whose fields stay plain
+attributes, so a reader polls a live record without a call.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+import threading
+import time
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
+
+#: The clock every measurement reads: monotonic seconds at the finest
+#: resolution the platform offers.  :class:`Timer` reads it around a
+#: ``with`` block; code whose start and end live apart (a request's
+#: admission and completion, a task body) reads it directly.
+clock = time.perf_counter
+
+
+def _keep(mine, theirs):
+    return mine
+
+
+def _add(mine, theirs):
+    if isinstance(mine, dict):
+        return {**mine, **{key: mine.get(key, 0) + value
+                           for key, value in theirs.items()}}
+    return mine + theirs
+
+
+#: ``field(metadata=...)`` markers for :meth:`StatsRecord.merged` and
+#: :meth:`StatsRecord.to_dict`.
+KEEP = {"merge": _keep}
+MAX = {"merge": max}
+HIDDEN = {"export": False}
+
+
+class Timer:
+    """``with Timer() as timer: ...`` leaves the block's wall time on
+    ``timer.seconds``."""
+
+    __slots__ = ("started", "seconds")
+
+    def __enter__(self) -> "Timer":
+        self.started = clock()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.seconds = clock() - self.started
+
+
+def rate(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``, or 0.0 when nothing was counted."""
+    return numerator / denominator if denominator else 0.0
 
 
 def percentile(samples: "list[float]", q: float) -> float:
@@ -30,30 +80,34 @@ def percentile(samples: "list[float]", q: float) -> float:
 
 
 class LatencyReservoir:
-    """Bounded uniform sample of per-request latencies.
+    """Bounded uniform sample of per-request latencies, plus their total.
 
     A serving process must answer "what is p99 right now?" without
     holding every latency it ever measured; Vitter's Algorithm R keeps a
     fixed-size uniform sample of the stream so percentiles stay
-    representative at O(capacity) memory.  The replacement choices come
-    from a private seeded :class:`random.Random`, so two sessions fed the
-    identical latency stream report identical percentiles — benchmark
-    records stay reproducible.
+    representative at O(capacity) memory, while the total and mean cover
+    every observation.  The replacement choices come from a private
+    seeded :class:`random.Random`, so two sessions fed the identical
+    latency stream report identical percentiles — benchmark records stay
+    reproducible.
     """
 
-    __slots__ = ("capacity", "_samples", "_seen", "_random")
+    __slots__ = ("capacity", "total", "_samples", "_seen", "_random")
 
     def __init__(self, capacity: int = 2048, seed: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        #: sum of every recorded observation.
+        self.total = 0.0
         self._samples: list[float] = []
         self._seen = 0
         self._random = random.Random(seed)
 
     def record(self, value: float) -> None:
-        """Fold one observation into the reservoir."""
+        """Fold one observation into the total and the reservoir."""
         self._seen += 1
+        self.total += value
         if len(self._samples) < self.capacity:
             self._samples.append(value)
             return
@@ -70,6 +124,11 @@ class LatencyReservoir:
         """Observations recorded over the reservoir's lifetime."""
         return self._seen
 
+    @property
+    def mean(self) -> float:
+        """Mean of every observation (0.0 before the first)."""
+        return rate(self.total, self._seen)
+
     def samples(self) -> list[float]:
         """A copy of the current sample (at most ``capacity`` values)."""
         return list(self._samples)
@@ -82,8 +141,71 @@ class LatencyReservoir:
                 f"samples, {self._seen} seen)")
 
 
+class StatsRecord:
+    """Base of the stats records (each a dataclass).
+
+    ``to_dict`` exports every field not marked :data:`HIDDEN`, then the
+    properties a record names in ``derived``.  ``merged`` combines two
+    records field by field: numbers add, dicts add per key, fields marked
+    :data:`KEEP` and anything else keep this record's value, and a
+    :data:`MAX` field keeps the larger.  ``fold`` adds counter deltas
+    under the record's own lock; a record's hot paths take that lock
+    (``_lock``) directly to fold several counters in one acquisition.
+    """
+
+    #: properties ``to_dict`` exports after the fields.
+    derived: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    # A lock does not pickle: a record crossing a process boundary (a
+    # worker's TaskStats) arrives with a fresh one.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def fold(self, **deltas: float) -> None:
+        """Add each delta to its counter, atomically."""
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
+
+    def to_dict(self) -> dict[str, object]:
+        """JSON-serializable snapshot (benchmarks, the CLI)."""
+        payload: dict[str, object] = {}
+        for entry in fields(self):
+            if entry.metadata.get("export", True):
+                value = getattr(self, entry.name)
+                if isinstance(value, StatsRecord):
+                    value = value.to_dict()
+                elif isinstance(value, dict):
+                    value = dict(value)
+                payload[entry.name] = value
+        for name in self.derived:
+            payload[name] = getattr(self, name)
+        return payload
+
+    def merged(self, other, **overrides):
+        """A new record combining this one and ``other`` (see the class
+        docstring for the rules); ``overrides`` set fields outright."""
+        values = {}
+        for entry in fields(self):
+            mine = getattr(self, entry.name)
+            counts = (isinstance(mine, (int, float, dict))
+                      and not isinstance(mine, bool))
+            rule = entry.metadata.get("merge", _add if counts else _keep)
+            values[entry.name] = rule(mine, getattr(other, entry.name))
+        return type(self)(**{**values, **overrides})
+
+
 @dataclass
-class TaskStats:
+class TaskStats(StatsRecord):
     """Cost of one block-level task, reported by executor workers.
 
     Worker processes cannot update the parent's caches or counters, so
@@ -103,7 +225,7 @@ class TaskStats:
 
 
 @dataclass
-class RunStats:
+class RunStats(StatsRecord):
     """Aggregate cost of one engine pass over a collection's blocks.
 
     Attributes:
@@ -140,19 +262,20 @@ class RunStats:
         plane_payloads: payload fields (features/graphs) shipped as
             planes instead of pickle.
         plane_fallback_payloads: plane-eligible fields that failed to
-            encode and were pickled anyway (should stay 0; the CI bench
-            validation fails when it is not).
+            encode and were pickled anyway (should stay 0).
         attach_unpickle_seconds: summed worker time spent attaching
             segments and unpickling residuals (near zero once the
             per-process shard cache is warm).
     """
 
+    derived = ("requested_workers", "cache_hit_rate")
+
     phase: str
     executor: str = "serial"
-    workers: int = 1
-    effective_workers: int = 1
-    available_cores: int = 1
-    host_cores: int = 1
+    workers: int = field(default=1, metadata=KEEP)
+    effective_workers: int = field(default=1, metadata=MAX)
+    available_cores: int = field(default=1, metadata=KEEP)
+    host_cores: int = field(default=1, metadata=KEEP)
     cpuset_limited: bool = False
     fork_waves: int = 0
     wall_seconds: float = 0.0
@@ -210,10 +333,7 @@ class RunStats:
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of pair lookups served from cache (0.0 when unused)."""
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return 0.0
-        return self.cache_hits / total
+        return rate(self.cache_hits, self.cache_hits + self.cache_misses)
 
     def add_task(self, task: TaskStats) -> None:
         """Fold one block task's numbers into the aggregate."""
@@ -221,70 +341,9 @@ class RunStats:
         self.pairs_scored += task.pairs_scored
         self.cache_hits += task.cache_hits
         self.cache_misses += task.cache_misses
-        self.attach_unpickle_seconds += getattr(
-            task, "attach_unpickle_seconds", 0.0)
+        self.attach_unpickle_seconds += task.attach_unpickle_seconds
         self.per_block_seconds[task.query_name] = (
             self.per_block_seconds.get(task.query_name, 0.0) + task.seconds)
-
-    def merged(self, other: "RunStats", phase: str | None = None) -> "RunStats":
-        """A new record combining two passes (wall times and counters add)."""
-        combined = RunStats(
-            phase=phase or self.phase,
-            executor=self.executor,
-            workers=self.workers,
-            effective_workers=max(self.effective_workers,
-                                  other.effective_workers),
-            available_cores=self.available_cores,
-            host_cores=self.host_cores,
-            cpuset_limited=self.cpuset_limited,
-            fork_waves=self.fork_waves + other.fork_waves,
-            wall_seconds=self.wall_seconds + other.wall_seconds,
-            n_blocks=self.n_blocks + other.n_blocks,
-            pairs_scored=self.pairs_scored + other.pairs_scored,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            per_block_seconds=dict(self.per_block_seconds),
-            shard_bytes_published=(self.shard_bytes_published
-                                   + other.shard_bytes_published),
-            pickled_bytes=self.pickled_bytes + other.pickled_bytes,
-            plane_bytes=self.plane_bytes + other.plane_bytes,
-            plane_payloads=self.plane_payloads + other.plane_payloads,
-            plane_fallback_payloads=(self.plane_fallback_payloads
-                                     + other.plane_fallback_payloads),
-            attach_unpickle_seconds=(self.attach_unpickle_seconds
-                                     + other.attach_unpickle_seconds),
-        )
-        for name, seconds in other.per_block_seconds.items():
-            combined.per_block_seconds[name] = (
-                combined.per_block_seconds.get(name, 0.0) + seconds)
-        return combined
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable snapshot (used by benchmarks and the CLI)."""
-        return {
-            "phase": self.phase,
-            "executor": self.executor,
-            "workers": self.workers,
-            "requested_workers": self.requested_workers,
-            "effective_workers": self.effective_workers,
-            "available_cores": self.available_cores,
-            "host_cores": self.host_cores,
-            "cpuset_limited": self.cpuset_limited,
-            "fork_waves": self.fork_waves,
-            "wall_seconds": self.wall_seconds,
-            "n_blocks": self.n_blocks,
-            "pairs_scored": self.pairs_scored,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "per_block_seconds": dict(self.per_block_seconds),
-            "shard_bytes_published": self.shard_bytes_published,
-            "pickled_bytes": self.pickled_bytes,
-            "plane_bytes": self.plane_bytes,
-            "plane_payloads": self.plane_payloads,
-            "plane_fallback_payloads": self.plane_fallback_payloads,
-            "attach_unpickle_seconds": self.attach_unpickle_seconds,
-        }
 
     def summary(self) -> str:
         """One line for CLI output."""
@@ -296,3 +355,30 @@ class RunStats:
                 f"({workers}); "
                 f"{self.pairs_scored} pairs scored, "
                 f"cache hit rate {self.cache_hit_rate:.0%}")
+
+
+def _latency_percentile(q: int) -> property:
+    return property(lambda self: self.latency.percentile(q),
+                    doc=f"p{q} request latency over the reservoir sample.")
+
+
+class LatencyView:
+    """Request-latency properties of a record whose ``latency`` field is
+    a :class:`LatencyReservoir`."""
+
+    derived = ("mean_request_seconds", "p50_request_seconds",
+               "p95_request_seconds", "p99_request_seconds")
+
+    @property
+    def seconds_total(self) -> float:
+        """Summed latency of every completed request."""
+        return self.latency.total
+
+    @property
+    def mean_request_seconds(self) -> float:
+        """Mean latency of completed requests (0.0 before the first)."""
+        return self.latency.mean
+
+    p50_request_seconds = _latency_percentile(50)
+    p95_request_seconds = _latency_percentile(95)
+    p99_request_seconds = _latency_percentile(99)

@@ -32,7 +32,6 @@ benchmark uses to measure the zero-copy speedup.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -41,7 +40,7 @@ from repro.corpus.documents import NameCollection
 from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
-from repro.runtime.stats import TaskStats
+from repro.runtime.stats import TaskStats, Timer, clock
 from repro.similarity.base import SimilarityFunction, read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -123,19 +122,22 @@ def block_graphs(
 
 
 def _task_stats(query_name: str, started: float, cache: SimilarityCache,
-                before: tuple[int, int] = (0, 0)) -> TaskStats:
-    """One block task's cost record: wall time since ``started``, and
-    what it scored through ``cache`` since the cache's ``(pair_hits,
-    pair_misses)`` read ``before`` (default: a cache the task created)
-    — a delta, so a cache shared across tasks (a retained prepare
-    cache) is attributed block by block."""
+                before: tuple[int, int] = (0, 0),
+                attach_seconds: float = 0.0) -> TaskStats:
+    """One block task's cost record: wall time since ``started``, the
+    shard ``attach_seconds`` spent before it, and what it scored through
+    ``cache`` since the cache's ``(pair_hits, pair_misses)`` read
+    ``before`` (default: a cache the task created) — a delta, so a cache
+    shared across tasks (a retained prepare cache) is attributed block
+    by block."""
     misses = cache.pair_misses - before[1]
     return TaskStats(
         query_name=query_name,
-        seconds=time.perf_counter() - started,
+        seconds=clock() - started,
         pairs_scored=misses,
         cache_hits=cache.pair_hits - before[0],
         cache_misses=misses,
+        attach_unpickle_seconds=attach_seconds,
     )
 
 
@@ -154,9 +156,11 @@ class PrepareBlockTask:
     cache: SimilarityCache | None = None
 
 
-def run_prepare_block(payload: PrepareBlockTask) -> tuple[str, Any, Any, TaskStats]:
+def run_prepare_block(
+    payload: PrepareBlockTask, attach_seconds: float = 0.0,
+) -> tuple[str, Any, Any, TaskStats]:
     """One block of :meth:`ExperimentContext.prepare`."""
-    started = time.perf_counter()
+    started = clock()
     cache = SimilarityCache() if payload.cache is None else payload.cache
     before = (cache.pair_hits, cache.pair_misses)
     features = cache.features_for(payload.block,
@@ -164,7 +168,8 @@ def run_prepare_block(payload: PrepareBlockTask) -> tuple[str, Any, Any, TaskSta
     graphs = batched_similarity_graphs(payload.block, features,
                                        payload.functions, cache=cache,
                                        backend=payload.backend)
-    stats = _task_stats(payload.block.query_name, started, cache, before)
+    stats = _task_stats(payload.block.query_name, started, cache, before,
+                        attach_seconds)
     return (payload.block.query_name, features, graphs, stats)
 
 
@@ -184,7 +189,9 @@ class FitBlockTask:
     mask: frozenset | None = None
 
 
-def run_fit_block(payload: FitBlockTask) -> tuple[str, Any, TaskStats]:
+def run_fit_block(
+    payload: FitBlockTask, attach_seconds: float = 0.0,
+) -> tuple[str, Any, TaskStats]:
     """One block of a collection :meth:`EntityResolver.fit`.
 
     The fitted block keeps its fit-time layer hand-off only when the
@@ -195,7 +202,7 @@ def run_fit_block(payload: FitBlockTask) -> tuple[str, Any, TaskStats]:
     """
     from repro.core.resolver import EntityResolver
 
-    started = time.perf_counter()
+    started = clock()
     cache = SimilarityCache()
     resolver = EntityResolver(payload.config)
     graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
@@ -207,7 +214,8 @@ def run_fit_block(payload: FitBlockTask) -> tuple[str, Any, TaskStats]:
                                 training_seed=payload.training_seed)
     if payload.graphs is None:
         fitted._layer_cache = None
-    stats = _task_stats(payload.block.query_name, started, cache)
+    stats = _task_stats(payload.block.query_name, started, cache,
+                        attach_seconds=attach_seconds)
     return (payload.block.query_name, fitted, stats)
 
 
@@ -228,7 +236,9 @@ class PredictBlockTask:
     mask: frozenset | None = None
 
 
-def run_predict_block(payload: PredictBlockTask) -> tuple[str, Any, TaskStats]:
+def run_predict_block(
+    payload: PredictBlockTask, attach_seconds: float = 0.0,
+) -> tuple[str, Any, TaskStats]:
     """One block of a collection predict / evaluate pass.
 
     Serves the payload block through the shipped fitted state, which
@@ -240,7 +250,7 @@ def run_predict_block(payload: PredictBlockTask) -> tuple[str, Any, TaskStats]:
     """
     from repro.core.model import ResolverModel
 
-    started = time.perf_counter()
+    started = clock()
     cache = SimilarityCache()
     model = ResolverModel(config=payload.config, blocks={})
     graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
@@ -250,12 +260,14 @@ def run_predict_block(payload: PredictBlockTask) -> tuple[str, Any, TaskStats]:
                           mask=payload.mask)
     serve = model.evaluate_fitted if payload.evaluate else model.predict_fitted
     result = serve(payload.fitted, payload.block, graphs=graphs)
-    stats = _task_stats(payload.block.query_name, started, cache)
+    stats = _task_stats(payload.block.query_name, started, cache,
+                        attach_seconds=attach_seconds)
     return (payload.block.query_name, result, stats)
 
 
-#: Task kinds dispatchable through a shard (name -> worker body).
-TASK_KINDS: dict[str, Callable[[Any], Any]] = {
+#: Task kinds dispatchable through a shard (name -> worker body, called
+#: as ``body(payload, attach_seconds)``).
+TASK_KINDS: dict[str, Callable[[Any, float], Any]] = {
     "prepare": run_prepare_block,
     "fit": run_fit_block,
     "predict": run_predict_block,
@@ -378,17 +390,13 @@ def run_sharded_block(task: ShardedBlockTask) -> Any:
     """Worker body: resolve the shard (cached per process) and run one task.
 
     The time spent resolving the shard — attach, residual unpickle,
-    plane binding; near zero on cache hits — is recorded on the task's
-    :class:`TaskStats` so the scheduling side can report it.
+    plane binding; near zero on cache hits — is handed to the task body,
+    which records it on its :class:`TaskStats` so the scheduling side
+    can report it.
     """
-    started = time.perf_counter()
-    shard: BlockShard = load_shard(task.handle)
-    attach_seconds = time.perf_counter() - started
-    result = TASK_KINDS[shard.kind](shard.payloads[task.index])
-    stats = result[-1] if isinstance(result, tuple) and result else None
-    if isinstance(stats, TaskStats):
-        stats.attach_unpickle_seconds = attach_seconds
-    return result
+    with Timer() as attach:
+        shard: BlockShard = load_shard(task.handle)
+    return TASK_KINDS[shard.kind](shard.payloads[task.index], attach.seconds)
 
 
 def run_block_tasks(executor: "BlockExecutor", kind: str,

@@ -37,8 +37,7 @@ one-caller schedule — reproduces the engine's clusters *bit for bit*:
 any interleaving of concurrent callers is equivalent to the serial
 execution of its admission order.  Enable ``record_journal=True`` and
 check with :func:`~repro.serving.replay.verify_serial_equivalence`;
-``tests/serving/`` and ``benchmarks/test_bench_serving.py`` assert it
-under thread-pool hammering.
+``tests/serving/`` asserts it under thread-pool hammering.
 
 Model hot-swap is a pointer move: :meth:`ServingEngine.swap` builds the
 next :class:`~repro.serving.snapshot.ModelSnapshot` off-line and
@@ -71,14 +70,15 @@ from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.metrics.clusterings import Clustering
 from repro.pipeline.session import AdmittedUnit, as_page_list
-from repro.runtime.stats import LatencyReservoir
+from repro.runtime.stats import (HIDDEN, MAX, LatencyReservoir, LatencyView,
+                                 StatsRecord, Timer, clock, rate)
 from repro.serving.snapshot import ModelSnapshot
 
 __all__ = ["EngineStats", "ServingEngine"]
 
 
 @dataclass
-class EngineStats:
+class EngineStats(LatencyView, StatsRecord):
     """Lifetime counters of one serving engine.
 
     Attributes:
@@ -98,9 +98,12 @@ class EngineStats:
         swap_stall_seconds: total time swaps held the admission lock —
             the only moment a swap can stall traffic.
         max_inflight: high-watermark of concurrently in-flight units.
-        seconds_total: summed request latencies (admission → future).
-        latency: bounded reservoir feeding the percentile properties.
+        latency: bounded reservoir of completed request latencies
+            (admission → future), feeding ``seconds_total`` and the mean
+            and percentile properties.
     """
+
+    derived = ("mean_coalesced_pages", "lru_hit_rate") + LatencyView.derived
 
     requests: int = 0
     pages: int = 0
@@ -109,76 +112,25 @@ class EngineStats:
     scoring_batches: int = 0
     coalesced_batches: int = 0
     coalesced_pages: int = 0
-    max_batch_pages: int = 0
+    max_batch_pages: int = field(default=0, metadata=MAX)
     bootstraps: int = 0
-    lru_hits: int = 0
-    lru_misses: int = 0
+    lru_hits: int = field(default=0, metadata=HIDDEN)
+    lru_misses: int = field(default=0, metadata=HIDDEN)
     swaps: int = 0
     swap_stall_seconds: float = 0.0
-    max_inflight: int = 0
-    seconds_total: float = 0.0
-    latency: LatencyReservoir = field(default_factory=LatencyReservoir)
-
-    @property
-    def mean_request_seconds(self) -> float:
-        """Mean request latency (0.0 before the first completion)."""
-        completed = self.requests - self.failed_requests
-        if completed <= 0:
-            return 0.0
-        return self.seconds_total / completed
-
-    @property
-    def p50_request_seconds(self) -> float:
-        """Median request latency over the reservoir sample."""
-        return self.latency.percentile(50)
-
-    @property
-    def p95_request_seconds(self) -> float:
-        """95th-percentile request latency over the reservoir sample."""
-        return self.latency.percentile(95)
-
-    @property
-    def p99_request_seconds(self) -> float:
-        """99th-percentile request latency over the reservoir sample."""
-        return self.latency.percentile(99)
+    max_inflight: int = field(default=0, metadata=MAX)
+    latency: LatencyReservoir = field(default_factory=LatencyReservoir,
+                                      metadata=HIDDEN)
 
     @property
     def lru_hit_rate(self) -> float:
         """Fraction of admissions served from live prepared state."""
-        total = self.lru_hits + self.lru_misses
-        if total == 0:
-            return 0.0
-        return self.lru_hits / total
+        return rate(self.lru_hits, self.lru_hits + self.lru_misses)
 
     @property
     def mean_coalesced_pages(self) -> float:
         """Mean pages per multi-page batch (0.0 when none coalesced)."""
-        if self.coalesced_batches == 0:
-            return 0.0
-        return self.coalesced_pages / self.coalesced_batches
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable snapshot (benchmarks and the CLI)."""
-        return {
-            "requests": self.requests,
-            "pages": self.pages,
-            "units": self.units,
-            "failed_requests": self.failed_requests,
-            "scoring_batches": self.scoring_batches,
-            "coalesced_batches": self.coalesced_batches,
-            "coalesced_pages": self.coalesced_pages,
-            "mean_coalesced_pages": self.mean_coalesced_pages,
-            "max_batch_pages": self.max_batch_pages,
-            "bootstraps": self.bootstraps,
-            "lru_hit_rate": self.lru_hit_rate,
-            "swaps": self.swaps,
-            "swap_stall_seconds": self.swap_stall_seconds,
-            "max_inflight": self.max_inflight,
-            "mean_request_seconds": self.mean_request_seconds,
-            "p50_request_seconds": self.p50_request_seconds,
-            "p95_request_seconds": self.p95_request_seconds,
-            "p99_request_seconds": self.p99_request_seconds,
-        }
+        return rate(self.coalesced_pages, self.coalesced_batches)
 
     def summary(self) -> str:
         """One line for CLI output."""
@@ -245,7 +197,7 @@ class _Request:
         self.remaining = n_units
         self.failed = False
         self.lock = threading.Lock()
-        self.started = time.perf_counter()
+        self.started = clock()
         self.snapshot = snapshot
         self.units: list[_Unit] = []
 
@@ -303,7 +255,6 @@ class ServingEngine:
         self.batch_window = batch_window
         self._admission = threading.Lock()
         self._swap_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         self._queue_slots = threading.BoundedSemaphore(queue_depth)
         self._lanes: dict[str, _Lane] = {}
         # Batch-size memory surviving lane garbage collection: lanes die
@@ -398,14 +349,10 @@ class ServingEngine:
                 current.version + 1, model,
                 pipeline=pipeline or current.pipeline,
                 max_blocks=self.max_blocks, model_block=self.model_block)
-            started = time.perf_counter()
-            with self._admission:
+            with Timer() as stall, self._admission:
                 self._snapshot = replacement
                 self.snapshots[replacement.version] = replacement
-            stall = time.perf_counter() - started
-        with self._stats_lock:
-            self.stats.swaps += 1
-            self.stats.swap_stall_seconds += stall
+        self.stats.fold(swaps=1, swap_stall_seconds=stall.seconds)
         return replacement
 
     def clusters(self, query_name: str) -> Clustering:
@@ -474,15 +421,15 @@ class ServingEngine:
                 lane.cond.notify_all()
         snapshot.requests_admitted += 1
         misses = sum(work.cold for work in admitted)
-        with self._stats_lock:
-            self.stats.requests += 1
-            self.stats.pages += len(page_list)
-            self.stats.units += len(admitted)
-            self.stats.lru_misses += misses
-            self.stats.lru_hits += len(admitted) - misses
+        stats = self.stats
+        with stats._lock:
+            stats.requests += 1
+            stats.pages += len(page_list)
+            stats.units += len(admitted)
+            stats.lru_misses += misses
+            stats.lru_hits += len(admitted) - misses
             self._inflight += len(admitted)
-            self.stats.max_inflight = max(self.stats.max_inflight,
-                                          self._inflight)
+            stats.max_inflight = max(stats.max_inflight, self._inflight)
         return request
 
     # -- processing (phase 2: scoring outside the admission lock) --------
@@ -507,7 +454,7 @@ class ServingEngine:
     def _lead(self, lane: _Lane) -> None:
         """As lane leader: optionally wait the window, drain, process."""
         if self.batch_window > 0:
-            deadline = time.perf_counter() + self.batch_window
+            deadline = time.monotonic() + self.batch_window
             with lane.cond:
                 # Hold the batch open for the callers the lane just
                 # served: after an N-unit batch completes, its N
@@ -524,7 +471,7 @@ class ServingEngine:
                 floor = 2 if self._inflight > 1 else 1
                 target = min(self.max_batch, max(lane.last_batch, floor))
                 while len(lane.pending) < target:
-                    remaining = deadline - time.perf_counter()
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     lane.cond.wait(remaining)
@@ -552,8 +499,8 @@ class ServingEngine:
             if not isinstance(error, Exception):
                 raise
             return
-        with self._stats_lock:
-            stats = self.stats
+        stats = self.stats
+        with stats._lock:
             stats.bootstraps += done.bootstrap is not None
             stats.scoring_batches += ((done.bootstrap == "batch")
                                       + (done.added_pages > 0))
@@ -585,9 +532,14 @@ class ServingEngine:
             request.failed |= failed
             request.remaining -= 1
             last = request.remaining == 0
-        with self._stats_lock:
+            completed = last and not request.failed
+        elapsed = clock() - request.started if completed else 0.0
+        stats = self.stats
+        with stats._lock:
             self._inflight -= 1
-            self.stats.failed_requests += first_failure
+            stats.failed_requests += first_failure
+            if completed:
+                stats.latency.record(elapsed)
         with unit.lane.cond:
             unit.lane.refs -= 1
             unit.lane.cond.notify_all()
@@ -596,11 +548,7 @@ class ServingEngine:
         if not last:
             return
         self._queue_slots.release()
-        if not request.failed:
-            elapsed = time.perf_counter() - request.started
-            with self._stats_lock:
-                self.stats.seconds_total += elapsed
-                self.stats.latency.record(elapsed)
+        if completed:
             request.snapshot.session.stats.record_request(
                 elapsed, pages=len(request.order))
             request.future.set_result(

@@ -14,20 +14,19 @@ hot-swaps at deterministic points in the run: the worker whose
 completion crosses the threshold performs the swap inline, so "swap
 under live traffic" is exercised with the remaining workers mid-flight.
 
-Used by ``benchmarks/test_bench_serving.py`` and the ``serve --threads``
-CLI path; import from :mod:`repro.serving`.
+Used by the ``serve --threads`` CLI path and the serving tests; import
+from :mod:`repro.serving`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.core.model import ResolverModel
 from repro.corpus.documents import WebPage
 from repro.extraction.features import PageFeatures
-from repro.runtime.stats import percentile
+from repro.runtime.stats import Timer, clock, percentile, rate
 
 __all__ = ["LoadReport", "LoadRequest", "run_load"]
 
@@ -68,15 +67,11 @@ class LoadReport:
     @property
     def qps(self) -> float:
         """Sustained completed-requests-per-second over the run."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.completed / self.wall_seconds
+        return rate(self.completed, self.wall_seconds)
 
     @property
     def mean_seconds(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
+        return rate(sum(self.latencies), len(self.latencies))
 
     @property
     def p50_seconds(self) -> float:
@@ -125,13 +120,13 @@ def _worker(engine, share: list[LoadRequest], progress: _Progress,
             latencies: list[float], errors: list[Exception],
             pages: list[int]) -> None:
     for request in share:
-        started = time.perf_counter()
+        started = clock()
         try:
             engine.resolve(request.pages, features=request.features)
         except Exception as error:  # the report decides what failure means
             errors.append(error)
         else:
-            latencies.append(time.perf_counter() - started)
+            latencies.append(clock() - started)
             pages[0] += len(request.pages)
         crossed = progress.advance()
         model = swap_plan.pop(crossed, None)
@@ -174,12 +169,11 @@ def run_load(engine, requests: list[LoadRequest], threads: int = 1,
             name=f"loadgen-{index}")
         for index in range(threads)
     ]
-    started = time.perf_counter()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    wall = time.perf_counter() - started
+    with Timer() as wall:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
     merged = [sample for share in latencies for sample in share]
     failed = [error for share in errors for error in share]
     return LoadReport(
@@ -188,7 +182,7 @@ def run_load(engine, requests: list[LoadRequest], threads: int = 1,
         completed=len(merged),
         failed=len(failed),
         pages=sum(share[0] for share in pages),
-        wall_seconds=wall,
+        wall_seconds=wall.seconds,
         latencies=merged,
         errors=failed,
     )

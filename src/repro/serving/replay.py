@@ -12,11 +12,11 @@ two executions **bit for bit**: per-unit assignments (doc ids, entity
 ids, link probabilities as exact floats), the final partition of every
 prepared name, LRU order and eviction counts, and the session counters.
 
-Both the concurrency test-suite (``tests/serving/``) and the serving
-benchmark (``benchmarks/test_bench_serving.py``) call the verifier after
-hammering an engine from a thread pool; a failure report names every
-divergent sequence number, so scheduler-dependent bugs surface with the
-unit that exposed them rather than as a vague mismatch.
+The concurrency test-suite (``tests/serving/``) and the benchmark
+harness (``bench/``) call the verifier after driving an engine; a
+failure report names every divergent sequence number, so
+scheduler-dependent bugs surface with the unit that exposed them rather
+than as a vague mismatch.
 """
 
 from __future__ import annotations

@@ -141,6 +141,19 @@ class TestStageStats:
             "block", "extract", "similarity", "decide", "cluster"]
         assert prediction.stage_stats[-1].run_stats is not None
 
+    def test_fanout_record_keeps_its_own_clock(self, small_dataset):
+        """The fan-out stage's record times the fan-out and the pass's
+        record times the whole plan: two records, nested clocks."""
+        model = EntityResolver(ResolverConfig()).fit(small_dataset,
+                                                     training_seed=0)
+        prediction = model.predict_collection(small_dataset)
+        for entry, stats in ((model.fit_stage_stats[-1], model.fit_stats),
+                             (prediction.stage_stats[-1], prediction.stats)):
+            assert entry.run_stats is not stats
+            assert (entry.run_stats.wall_seconds <= entry.seconds
+                    <= stats.wall_seconds)
+            assert entry.run_stats.n_blocks == stats.n_blocks
+
     def test_stage_stats_serialize(self, small_dataset):
         import json
 

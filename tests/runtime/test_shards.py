@@ -7,19 +7,23 @@ import pickle
 
 import pytest
 
+from repro.core.config import ResolverConfig
+from repro.core.resolver import EntityResolver
 from repro.runtime import shards as shards_module
 from repro.runtime.executor import ProcessPoolBlockExecutor
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
+from repro.runtime.stats import RunStats
 from repro.runtime.tasks import (
     TASK_KINDS,
     BlockShard,
+    PredictBlockTask,
     ShardedBlockTask,
     run_block_tasks,
     run_sharded_block,
 )
 
 
-def _echo(payload):
+def _echo(payload, attach_seconds=0.0):
     """Module-level task body for the dispatch tests."""
     return ("echo", payload, os.getpid())
 
@@ -234,6 +238,43 @@ class TestShardedDispatch:
             assert results[0][:2] == ("echo", "solo")
             assert results[0][2] == os.getpid()
             assert executor.fork_waves == 0
+
+    def test_predict_fanout_ships_features_as_planes(self, small_dataset,
+                                                     pipeline, monkeypatch):
+        """A predict fan-out carrying features: with planes on, every
+        payload's features leave the pickle stream (no fallback), the
+        residual shrinks below the pickle-everything wire format, the
+        workers report their attach time, and both formats give the
+        same predictions."""
+        config = ResolverConfig()
+        model = EntityResolver(config).fit(small_dataset, training_seed=0,
+                                           pipeline=pipeline)
+        payloads = [PredictBlockTask(
+            config=config, fitted=model.blocks[block.query_name],
+            block=block, graphs=None, pipeline=None, evaluate=False,
+            features=pipeline.extract_block(block))
+            for block in small_dataset]
+        runs = {}
+        with ProcessPoolBlockExecutor(workers=2,
+                                      oversubscribe=True) as executor:
+            # Pickled first: the pool it forks then attaches the plane
+            # leg's segment, the steady state of a persistent pool.
+            for planes in ("0", "1"):
+                monkeypatch.setenv("REPRO_SHARD_PLANES", planes)
+                stats = RunStats(phase="predict")
+                results = run_block_tasks(executor, "predict", payloads,
+                                          stats=stats)
+                for *_, task_stats in results:
+                    stats.add_task(task_stats)
+                runs[planes] = ([result[:2] for result in results], stats)
+        (pickled, pickle_stats), (planed, plane_stats) = runs["0"], runs["1"]
+        assert planed == pickled
+        assert plane_stats.plane_fallback_payloads == 0
+        assert plane_stats.plane_payloads == len(payloads)
+        assert plane_stats.plane_bytes > 0
+        assert plane_stats.pickled_bytes < pickle_stats.pickled_bytes
+        assert pickle_stats.plane_payloads == 0
+        assert plane_stats.attach_unpickle_seconds > 0.0
 
     def test_handle_dataclass_shape(self):
         handle = ShardHandle(shard_id="s", via="shm", location="loc",

@@ -1,13 +1,16 @@
-"""RunStats aggregation and serialization."""
+"""The telemetry core and RunStats aggregation and serialization."""
 
 from __future__ import annotations
 
 import json
+import pickle
+import sys
+import threading
 
 import pytest
 
-from repro.runtime.stats import (LatencyReservoir, RunStats,
-                                 TaskStats, percentile)
+from repro.runtime.stats import (LatencyReservoir, RunStats, TaskStats,
+                                 Timer, percentile, rate)
 
 
 class TestRunStats:
@@ -174,3 +177,48 @@ class TestLatencyReservoir:
     def test_invalid_capacity_raises(self):
         with pytest.raises(ValueError, match="capacity"):
             LatencyReservoir(capacity=0)
+
+    def test_total_and_mean_cover_every_observation(self):
+        reservoir = LatencyReservoir(capacity=4)
+        assert reservoir.mean == 0.0
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            reservoir.record(value)
+        assert len(reservoir) == 4
+        assert reservoir.total == 21.0
+        assert reservoir.mean == 3.5
+
+
+class TestCore:
+    def test_rate_is_zero_safe(self):
+        assert rate(1, 4) == 0.25
+        assert rate(0, 0) == 0.0
+
+    def test_timer_measures_its_block(self):
+        with Timer() as timer:
+            pass
+        assert timer.seconds >= 0.0
+
+    def test_records_pickle_with_a_fresh_lock(self):
+        task = TaskStats("Alice", seconds=0.5, pairs_scored=3)
+        copy = pickle.loads(pickle.dumps(task))
+        assert copy == task
+        assert copy._lock is not task._lock
+        copy.fold(pairs_scored=1)
+        assert copy.pairs_scored == 4
+
+    def test_fold_loses_no_update_under_threads(self):
+        stats = TaskStats("Alice")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: [
+                stats.fold(pairs_scored=1, seconds=1.0)
+                for _ in range(500)]) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (stats.pairs_scored, stats.seconds) == (4000, 4000.0)

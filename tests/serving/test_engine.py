@@ -79,6 +79,17 @@ class TestSingleThreadParity:
         assert stats.latency.count == 5
         assert 0.0 < stats.p50_request_seconds <= stats.p99_request_seconds
 
+    def test_mean_latency_is_over_completed_requests(self, engine,
+                                                      small_dataset):
+        """A submitted request still queued has no latency yet: it must
+        not dilute the mean of the ones that completed."""
+        queued = engine.submit([small_dataset.by_name("Adam Cheyer").pages[0]])
+        engine.resolve([small_dataset.by_name("Lynn Voss").pages[0]])
+        stats = engine.stats
+        assert not queued.done()
+        assert (stats.requests, stats.latency.count) == (2, 1)
+        assert stats.mean_request_seconds == stats.latency.samples()[0]
+
 
 class TestValidation:
     @pytest.mark.parametrize("knobs", [
