@@ -46,6 +46,15 @@ if grep -rn --include='*.py' perf_counter src \
     echo "perf_counter read outside src/repro/runtime/stats.py" >&2; exit 1
 fi
 
+echo "== one family constructor =="
+# Every kernel input is a _FamilyRecord stacked by one _Family fill; a
+# per-source constructor or a per-kind family class is a second path.
+if grep -nE 'def from_plane|def from_record|class _(Vector|Set|Counter)Family' \
+        src/repro/similarity/batch.py; then
+    echo "a second family constructor in src/repro/similarity/batch.py" >&2
+    exit 1
+fi
+
 echo "== generate =="
 run generate --out "$workdir/data.json"
 

@@ -18,8 +18,9 @@ Every add — one page, or a :class:`Burst` of several scored at once —
 is one :meth:`~repro.similarity.backends.ScoringBackend.rectangle` call:
 the new pages against the indexed ones and each other.  The index keeps
 the backend's resident record (on ``numpy``, each page's interned
-vectors, sets and moments), appended as pages join; a page's dicts are
-walked into it once, the first time a rectangle reads them.
+vectors, sets, entity counts and moments), appended as pages join; a
+page's dicts are walked into it once, the first time a rectangle reads
+them.
 """
 
 from __future__ import annotations

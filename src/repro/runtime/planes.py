@@ -30,8 +30,8 @@ objects: :class:`PlaneFeatureMap` (``Mapping[str, PageFeatures]``, pages
 materialized only if a scalar fallback asks) and :class:`GraphPlaneMap`
 (``Mapping[str, WeightedPairGraph]``).  The numpy backend never touches
 the mapping: :class:`~repro.similarity.batch.BlockState` detects the
-``planes`` attribute and builds its families straight from the CSR
-views.
+``planes`` attribute and reads each family record straight from the
+block's whole CSR views.
 
 Bit-identity: values are stored as the exact float64/int64 bits of the
 source dicts, entries in dict iteration order (extraction emits
@@ -382,12 +382,11 @@ def encode_features(features: dict[str, PageFeatures],
 class PlaneFamily:
     """Worker-side view of one family's CSR triple."""
 
-    __slots__ = ("kind", "n_columns", "indptr", "cols", "values",
-                 "_vocab_ids", "_strings", "_vocab")
+    __slots__ = ("n_columns", "indptr", "cols", "values", "_vocab_ids",
+                 "_strings", "_vocab")
 
     def __init__(self, spec: FamilySpec, buffer: PlaneBuffer,
                  strings: _Strings):
-        self.kind = spec.kind
         self.n_columns = spec.n_columns
         self.indptr = buffer.array(spec.indptr)
         self.cols = buffer.array(spec.cols)
@@ -403,34 +402,6 @@ class PlaneFamily:
             get = self._strings.get
             self._vocab = [get(index) for index in self._vocab_ids.tolist()]
         return self._vocab
-
-    def select(self, rows: list[int]):
-        """CSR slice for ``rows``: ``(counts, cols, values)``.
-
-        The full-range identity selection returns the stored views
-        untouched (zero copy); arbitrary row subsets gather — the
-        gathered arrays are tiny next to the matrices built from them.
-        """
-        n = len(self.indptr) - 1
-        if len(rows) == n and rows == list(range(n)):
-            counts = np.diff(self.indptr)
-            return counts, self.cols, self.values
-        counts = np.empty(len(rows), dtype=np.int64)
-        pieces: list[np.ndarray] = []
-        for out, row in enumerate(rows):
-            start = int(self.indptr[row])
-            end = int(self.indptr[row + 1])
-            counts[out] = end - start
-            if end > start:
-                pieces.append(np.arange(start, end, dtype=np.int64))
-        if pieces:
-            take = np.concatenate(pieces)
-            return (counts, self.cols[take],
-                    self.values[take] if self.values is not None else None)
-        empty = np.empty(0, dtype=np.int64)
-        return (counts, empty,
-                np.empty(0, dtype=self.values.dtype)
-                if self.values is not None else None)
 
 
 class FeaturePlanes:

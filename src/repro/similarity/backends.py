@@ -253,40 +253,37 @@ class PythonBackend(ScoringBackend):
 class NumpyBackend(ScoringBackend):
     """Vectorized backend: per-block feature matrices, batched kernels.
 
-    Block scoring materializes dense per-block matrices (TF-IDF and
-    concept vectors over the block vocabulary, set-indicator matrices,
-    entity-count matrices) once and fills each function's whole score
-    matrix with the exact-fold kernels of :mod:`repro.similarity.batch`.
-    Functions without a kernel — or whose scorer was replaced in the
-    registry — fall back per-function to the scalar sweep, so arbitrary
-    batteries keep working.
+    Every kernel reads its inputs from one record per family (TF-IDF
+    and concept vectors, set memberships, entity counts — see
+    :mod:`repro.similarity.batch`) and fills a ``left × right``
+    rectangle of (earlier page, later page) scores with the exact-fold
+    kernels; dense scoring is the square where both sides are all pages.
+    Functions without a kernel — the Jaro-based F3/F7, or a scorer
+    replaced in the registry — fall back per-function to the scalar
+    sweep, so arbitrary batteries keep working.
 
-    Every kernel fills a ``left × right`` rectangle of (earlier page,
-    later page) scores; dense scoring is the square where both sides
-    are all pages.  Under a candidate-pair ``mask`` the block state
-    keeps the pages that appear in a candidate pair, takes ``left`` as
-    the rows that occur as a pair's earlier member and ``right`` as the
-    later members, and fills only that rectangle — so isolated pages
-    cost nothing, and a burst of ``k`` new pages against ``n`` resident
-    ones costs ``k × n`` cells over the vocabulary the new pages share
-    with the resident ones, not an ``(n + k)²`` sweep over the block's.
-    A mask whose pairs run all over the block has nearly every page on
-    both sides and pays one row gather over the dense cost.  Dropping
-    pages, and columns absent from a whole side, only removes exact
-    no-op fold steps, so masked scores stay bit-identical to the dense
-    scores of the same pairs.
+    Under a candidate-pair ``mask`` the block state keeps the pages that
+    appear in a candidate pair, takes ``left`` as the rows that occur as
+    a pair's earlier member and ``right`` as the later members, and
+    stacks only the keys held on both sides — so isolated pages cost
+    nothing.  A mask whose pairs run all over the block has nearly every
+    page on both sides and pays one row gather over the dense cost.
+    Dropping pages, and keys absent from a whole side, only removes
+    exact no-op fold steps, so masked scores stay bit-identical to the
+    dense scores of the same pairs.
 
     The incremental request path (:meth:`rectangle`) keeps a
     :class:`~repro.similarity.batch.ResidentRecord` per served block, so
-    an add — one page or a burst — reads each resident page's vectors
-    and sets from the record, never from its dicts again, and needs no
-    mask: :meth:`~repro.similarity.batch.BlockState.burst` lays the
-    ``k × (n + k - 1)`` rectangle out directly.  :meth:`pair_scores` is
-    the one-page case over a record of ``others``.  A rectangle of at
-    most ``_FEW_CELLS`` pairs (a single add on a shallow block) costs
-    less through the scalar scorers than numpy's per-call overhead, and
-    the functions whose kernels read pages keep the default path; see
-    ``docs/performance.md`` for when each backend wins.
+    an add — one page or a burst — reads each resident page's inputs
+    from the record, never from its dicts again, and needs no mask:
+    :meth:`~repro.similarity.batch.BlockState.burst` lays the
+    ``k × (n + k - 1)`` rectangle out directly, over the burst's own
+    keys.  :meth:`pair_scores` is the one-page case over a record of
+    ``others``.  A rectangle of at most ``_FEW_CELLS`` pairs (a single
+    add on a shallow block) costs less through the scalar scorers than
+    numpy's per-call overhead; functions with no record family (F2, F3,
+    F7, custom) keep the default path.  See ``docs/performance.md`` for
+    when each backend wins.
 
     The backend registers unconditionally so config validation (and
     loading a model fitted elsewhere with ``backend="numpy"``) works on
@@ -352,11 +349,11 @@ class NumpyBackend(ScoringBackend):
         return batch.ResidentRecord(functions, residents)
 
     def rectangle(self, functions, residents, pages, record=None):
-        """Functions whose kernel reads a record family score on one
-        :meth:`~repro.similarity.batch.BlockState.burst` state over
-        ``record``; the rest (F2, F3, F7, F13, custom) take the default
-        path — their scalar scorer for one page, the masked block sweep
-        for a burst."""
+        """Functions whose kernel reads a record family (every kernel
+        but F2's) score on one :meth:`~repro.similarity.batch.
+        BlockState.burst` state over ``record``; the rest (F2, F3, F7,
+        custom) take the default path — their scalar scorer for one
+        page, the masked block sweep for a burst."""
         if record is None:
             return super().rectangle(functions, residents, pages)
         if len(pages) * (len(residents) + len(pages) - 1) <= _FEW_CELLS:
@@ -371,7 +368,7 @@ class NumpyBackend(ScoringBackend):
                 if batch.recorded_family(function) is None]
         rows = super().rectangle(rest, residents, pages).rows if rest else {}
         entries = [record.entry(page) for page in pages]
-        state = batch.BlockState.burst(pages, residents, record, entries)
+        state = batch.BlockState.burst(record, entries, len(residents))
         for function in recorded:
             rows[function.name] = state.burst_rows(batch.kernel_for(function))
         return Rectangle(rows, entries)

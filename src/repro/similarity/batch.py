@@ -1,12 +1,12 @@
 """Vectorized batch-scoring kernels for the ``numpy`` backend.
 
-Each kernel fills one similarity function's block score matrix — the
-whole square, or the ``left × right`` rectangle a candidate mask reads
-(see :class:`BlockState`) — from dense per-block feature matrices,
-instead of calling a scalar scorer per pair.  The point is speed on the quadratic hot path; the
-constraint is the backend bit-identity contract
-(:mod:`repro.similarity.backends`): every kernel must reproduce the
-scalar scorers' floats exactly, not approximately.
+Each kernel fills one similarity function's score rectangle — the
+whole square, a candidate mask's ``left × right`` rectangle, or a
+burst's (see :class:`BlockState`) — from dense per-family matrices,
+instead of calling a scalar scorer per pair.  The point is speed on
+the quadratic hot path; the constraint is the backend bit-identity
+contract (:mod:`repro.similarity.backends`): every kernel must
+reproduce the scalar scorers' floats exactly, not approximately.
 
 How exactness is achieved
 -------------------------
@@ -26,9 +26,10 @@ sums).  Instead:
   scalar loop.  Implicit-zero columns contribute exact no-ops
   (``x + ±0.0 == x``), so folding the full vocabulary equals folding
   each pair's sparse intersection/union.
-* **Scalar per-page inputs.**  Per-page quantities the scalar scorers
-  derive themselves (norms, value sums) are computed with the *same
-  scalar functions* and broadcast, so their bits match by construction.
+* **Scalar per-page inputs.**  Per-page moments the scalar scorers
+  derive themselves (norms, value sums) are the *same scalar folds*,
+  over the page's whole entry in dict order, broadcast — so their bits
+  match by construction.
 * **Integer arithmetic.**  Set overlaps and entity-count folds are
   exact in int64 regardless of order and only meet floats in the final
   division, with identical operands.
@@ -39,22 +40,25 @@ its expensive part is an integer edit distance, exact under any
 implementation, batched here as a pair-vectorized Myers bit-parallel DP
 (see the URL-similarity section below).
 
-The incremental request path
-----------------------------
+One record, three layouts
+-------------------------
 
-A served block grows page by page, and every add — one page or a burst
-of ``k`` — scores the new pages against the ``n`` resident ones and
-each other: :meth:`BlockState.burst` lays that ``k × (n + k - 1)``
-rectangle out with the new pages in reverse add order on the left, so
-every score is ``scorer(new, other)`` exactly as a chain of single adds
-calls it.  A :class:`ResidentRecord` keeps the resident side's inputs
-for the record families (the vector families of F1, F8–F10, F12, F14
-and the set families of F4–F6, F11): per page, the keys interned in a
-block-wide, append-only vocabulary, the values and the moments, made by
-one walk of the page's dicts and appended when it joins.  A burst walks
-only its own pages and gathers the residents with numpy, over the
-burst's keys sorted — the fold order above — so the interned order
-never reaches a score.
+Every kernel input comes from one place: a :class:`_FamilyRecord` per
+family (the vectors of F1, F8–F10, F12, F14; the sets of F4–F6, F11;
+F13's entity counter), rows of flat (column, value) entries plus each
+row's moments.  A record gets its rows from pages (one walk per page,
+keys interned in an append-only vocabulary), from a shard plane's
+whole-block CSR views (zero copy), or by appending as a served page
+joins.  A :class:`BlockState` picks which record to read and its
+layout picks the rows and columns to stack — the dense square, a
+candidate mask, or a burst of ``k`` new pages on a served block's
+``n`` residents (:meth:`BlockState.burst`: the ``k × (n + k - 1)``
+rectangle with the new pages in reverse add order on the left, so
+every score is ``scorer(new, other)`` exactly as a chain of single
+adds calls it).  Columns are always stacked in ascending key order —
+the fold order above — so the interned order never reaches a score.
+A served block keeps its record (:class:`ResidentRecord`): each page's
+dicts are walked once, and a burst walks only its own pages.
 
 Kernels are dispatched per :class:`~repro.similarity.base.
 SimilarityFunction` by :func:`kernel_for`, which also checks the
@@ -73,6 +77,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,7 +87,6 @@ from repro.similarity import extended as _extended
 from repro.similarity import functions as _base
 from repro.similarity.strings import levenshtein
 from repro.similarity.urls import domain_similarity, parse_url
-from repro.similarity.vectors import norm, norm_squared
 
 __all__ = ["BlockState", "Kernel", "PlaneArena", "ResidentRecord",
            "kernel_for", "recorded_family"]
@@ -93,254 +97,71 @@ __all__ = ["BlockState", "Kernel", "PlaneArena", "ResidentRecord",
 _CHUNK = 32
 
 
-# -- materialized per-block families ---------------------------------------
+# -- one family's dense inputs ---------------------------------------------
 
 
-class _VectorFamily:
-    """Dense matrices for one sparse-vector page attribute.
+def _moments(kind: str, count: int, values: list | None) -> tuple:
+    """One row's ``(nnz, sum, norm, norm_squared)``.
 
-    Columns are the block vocabulary in ascending key order — the same
-    order the scalar folds iterate.  ``presence`` records dict
-    membership (not value truthiness), matching ``key in vector``
-    semantics; per-page norms and sums come from the scalar helpers so
-    their bits match the scalar scorers'.
+    The scalar helpers' folds (``sum``, ``norm_squared``, and ``norm``
+    as the square root of that fold), replayed over the row's values in
+    the stored order — the dicts' iteration order — so the broadcast
+    moments keep the scalar scorers' bits.  A counter's sum is its
+    total; a set has only its size.
+    """
+    if kind == "set":
+        return count, 0.0, 0.0, 0.0
+    square = sum(value * value for value in values)
+    return count, sum(values), math.sqrt(square), square
 
-    Two construction paths produce identical matrices: the dict path
-    below, and :meth:`from_plane`, which fills the same (row, column,
-    entry) triples straight from a shard's CSR views — the stored entry
-    order is the dicts' iteration order and the stored vocabulary is
-    already ascending, so the fancy assignment and the per-page scalar
-    folds replay the exact same float operations.
 
-    ``sides`` — a masked block's ``(left, right)`` row positions —
-    narrows the dict path's vocabulary to the keys present on *both*
-    sides of the rectangle.  A column absent from a whole side is zero
-    for one member of every pair the rectangle holds: an exact no-op
-    step of every fold and no contribution to any key intersection.
-    The per-page moments still come from the whole vectors.
+class _Family:
+    """One family's dense kernel inputs over a layout's rows and columns.
 
-    ``approx`` switches the family to the opt-in float32 mode of the
-    ``numpy32`` backend: values are downcast to a float32 matrix (from
-    an optional :class:`PlaneArena` scratch) and the per-page moments
-    are recomputed as float64 numpy reductions over it — deterministic,
-    but *not* bit-identical to the scalar path.
+    ``presence`` records membership (``key in vector`` semantics, not
+    value truthiness) and is what the set kernels read; ``values`` holds
+    the entries — float64 for a vector, int64 for a counter, ``None``
+    for a set.  ``nnz``, ``sums``, ``norms`` and ``squared_norms`` are
+    the rows' moments, always of the *whole* entry: a layout that reads
+    fewer columns never changes a page's norm or total.
+
+    The one function that fills a family's dense arrays: every record
+    reaches it as flat (row, column, value) coordinates, filled with one
+    fancy assignment — one numpy dispatch for the whole family instead
+    of two per page.  Values are assigned, never accumulated, so the
+    bits match a per-row fill exactly.
+
+    ``approx`` switches a vector family to the opt-in float32 mode of
+    the ``numpy32`` backend: values are downcast to a float32 matrix
+    (from an optional :class:`PlaneArena` scratch) and the moments are
+    recomputed as float64 numpy reductions over it — deterministic, but
+    *not* bit-identical to the scalar path.
     """
 
-    def __init__(self, vectors: list[dict[str, float]],
-                 sides: "tuple[np.ndarray, np.ndarray] | None" = None,
+    def __init__(self, kind: str, rows: np.ndarray, columns: np.ndarray,
+                 values: np.ndarray | None, moments: np.ndarray, width: int,
                  approx: bool = False, arena: "PlaneArena | None" = None):
-        self.vectors = vectors
-        n = len(vectors)
-        if sides is None:
-            vocab: set[str] = set().union(*vectors)
-        else:
-            left, right = sides
-            vocab = set().union(*[vectors[row] for row in left.tolist()])
-            vocab &= set().union(*[vectors[row] for row in right.tolist()])
-        self.index = {key: column for column, key in enumerate(sorted(vocab))}
-        # Explicit C-contiguous float64 buffers, filled with one fancy
-        # assignment over the flattened (row, column) coordinates: one
-        # numpy dispatch for the whole family instead of two per page.
-        # Values are assigned, never accumulated, so the bits match the
-        # per-row fill exactly.
-        self.values = np.zeros((n, len(self.index)), dtype=np.float64,
-                               order="C")
-        self.presence = np.zeros((n, len(self.index)), dtype=bool, order="C")
-        counts: list[int] = []
-        columns: list[int] = []
-        entries: list[float] = []
-        column_of = self.index.__getitem__
-        for vector in vectors:
-            if sides is None:
-                keys = vector
-                entries.extend(vector.values())
-            else:
-                # Only the page's entries on a kept column — a set
-                # intersection, not a walk of every entry.
-                keys = self.index.keys() & vector.keys()
-                entries.extend(map(vector.__getitem__, keys))
-            columns.extend(map(column_of, keys))
-            counts.append(len(keys))
-        if columns:
-            rows = np.repeat(np.arange(n, dtype=np.intp), counts)
-            self.values[rows, columns] = entries
-            self.presence[rows, columns] = True
-        self.nnz = np.asarray([len(vector) for vector in vectors],
-                              dtype=np.int64)
-        self.sums = np.asarray([sum(vector.values()) for vector in vectors],
-                               dtype=float)
-        self.norms = np.asarray([norm(vector) for vector in vectors],
-                                dtype=float)
-        self.squared_norms = np.asarray(
-            [norm_squared(vector) for vector in vectors], dtype=float)
-        if approx:
-            self._to_approx(arena)
-
-    @classmethod
-    def from_plane(cls, counts: np.ndarray, cols: np.ndarray,
-                   entries: np.ndarray, n_columns: int,
-                   approx: bool = False,
-                   arena: "PlaneArena | None" = None) -> "_VectorFamily":
-        """Build the family from a shard's CSR views, no dicts touched.
-
-        ``n_columns`` is the plane's full-block vocabulary width.  Under
-        a mask this is wider than the dict path's vocabulary (the keys
-        present on both sides of the rectangle), but only by columns
-        that are zero on a whole side — exact no-op fold steps for every
-        kernel (:func:`_pair_dot_fold` drops them before folding), so
-        scores stay bit-identical.
-        """
-        family = cls.__new__(cls)
-        family.vectors = None
-        family.index = None
-        n = len(counts)
-        family.values = np.zeros((n, n_columns), dtype=np.float64, order="C")
-        family.presence = np.zeros((n, n_columns), dtype=bool, order="C")
-        if cols.size:
-            rows = np.repeat(np.arange(n, dtype=np.intp), counts)
-            family.values[rows, cols] = entries
-            family.presence[rows, cols] = True
-        family.nnz = counts.astype(np.int64)
-        if approx:
-            family._to_approx(arena)
-            return family
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        scalars = entries.tolist()
-        sums: list[float] = []
-        norms: list[float] = []
-        squares: list[float] = []
-        for row in range(n):
-            chunk = scalars[bounds[row]:bounds[row + 1]]
-            # The scalar helpers' folds (sum / norm / norm_squared),
-            # replayed over the stored order — the dicts' iteration
-            # order — so the broadcast moments keep their exact bits.
-            sums.append(sum(chunk))
-            square = sum(value * value for value in chunk)
-            squares.append(square)
-            norms.append(math.sqrt(square))
-        family.sums = np.asarray(sums, dtype=float)
-        family.norms = np.asarray(norms, dtype=float)
-        family.squared_norms = np.asarray(squares, dtype=float)
-        return family
-
-    @classmethod
-    def from_record(cls, record: "_FamilyRecord",
-                    entries: list[tuple]) -> "_VectorFamily":
-        """A burst's rows (its ``entries``) stacked on the record's
-        residents, over the burst's keys in ascending order.
-
-        A key no new page holds is zero on the whole left side — an
-        exact no-op step of every fold — so the columns a burst reads
-        are its own keys, and the values and moments are the ones the
-        dict path assigns and computes.
-        """
-        rows, columns, values, width, moments = record.stack(entries)
-        family = cls.__new__(cls)
-        family.vectors = None
-        family.index = None
-        family.values = np.zeros((len(moments), width), dtype=np.float64,
-                                 order="C")
-        family.presence = np.zeros((len(moments), width), dtype=bool,
-                                   order="C")
-        family.values[rows, columns] = values
-        family.presence[rows, columns] = True
-        family.nnz = moments[:, 0].astype(np.int64)
-        family.sums = moments[:, 1]
-        family.norms = moments[:, 2]
-        family.squared_norms = moments[:, 3]
-        return family
-
-    def _to_approx(self, arena: "PlaneArena | None") -> None:
-        shape = self.values.shape
-        if arena is not None:
-            values32 = arena.take(shape, np.float32)
-        else:
-            values32 = np.zeros(shape, dtype=np.float32)
-        np.copyto(values32, self.values, casting="unsafe")
-        self.values = values32
-        # Moments in float64 over the rounded float32 values: cheap
-        # O(n·d) reductions whose error stays ~1e-7 relative, keeping
-        # the expensive approximation confined to the O(n²·d) dots.
-        self.sums = self.values.sum(axis=1, dtype=np.float64)
-        self.squared_norms = (self.values * self.values).sum(
-            axis=1, dtype=np.float64)
-        self.norms = np.sqrt(self.squared_norms)
-
-
-class _SetFamily:
-    """Indicator matrix for one set-valued page attribute."""
-
-    def __init__(self, sets: list[set]):
-        n = len(sets)
-        vocab: set = set()
-        for members in sets:
-            vocab.update(members)
-        index = {key: column for column, key in enumerate(sorted(vocab))}
-        self.indicator = np.zeros((n, len(index)), dtype=np.int64)
-        for row, members in enumerate(sets):
-            if members:
-                self.indicator[row, [index[key] for key in members]] = 1
-        self.sizes = np.asarray([len(members) for members in sets],
-                                dtype=np.int64)
-
-    @classmethod
-    def from_plane(cls, counts: np.ndarray, cols: np.ndarray,
-                   n_columns: int) -> "_SetFamily":
-        """Build the indicator from CSR views (set or counter planes —
-        a counter's columns are exactly its key set)."""
-        family = cls.__new__(cls)
-        n = len(counts)
-        family.indicator = np.zeros((n, n_columns), dtype=np.int64)
-        if cols.size:
-            rows = np.repeat(np.arange(n, dtype=np.intp), counts)
-            family.indicator[rows, cols] = 1
-        family.sizes = counts.astype(np.int64)
-        return family
-
-    @classmethod
-    def from_record(cls, record: "_FamilyRecord",
-                    entries: list[tuple]) -> "_SetFamily":
-        """A burst's rows stacked on the record's residents, over the
-        burst's members (integer overlaps: any column order is exact)."""
-        rows, columns, _, width, moments = record.stack(entries)
-        family = cls.__new__(cls)
-        family.indicator = np.zeros((len(moments), width), dtype=np.int64)
-        family.indicator[rows, columns] = 1
-        family.sizes = moments[:, 0].astype(np.int64)
-        return family
-
-
-class _CounterFamily:
-    """Count matrix for one multiset (Counter) page attribute."""
-
-    def __init__(self, counters: list):
-        n = len(counters)
-        vocab: set = set()
-        for counter in counters:
-            vocab.update(counter)
-        index = {key: column for column, key in enumerate(sorted(vocab))}
-        self.counts = np.zeros((n, len(index)), dtype=np.int64)
-        for row, counter in enumerate(counters):
-            for key, count in counter.items():
-                self.counts[row, index[key]] = count
-        self.sizes = np.asarray([len(counter) for counter in counters],
-                                dtype=np.int64)
-        self.totals = self.counts.sum(axis=1)
-
-    @classmethod
-    def from_plane(cls, counts_per_row: np.ndarray, cols: np.ndarray,
-                   entries: np.ndarray, n_columns: int) -> "_CounterFamily":
-        """Build the count matrix from CSR views (all-integer, exact)."""
-        family = cls.__new__(cls)
-        n = len(counts_per_row)
-        family.counts = np.zeros((n, n_columns), dtype=np.int64)
-        if cols.size:
-            rows = np.repeat(np.arange(n, dtype=np.intp), counts_per_row)
-            family.counts[rows, cols] = entries
-        family.sizes = counts_per_row.astype(np.int64)
-        family.totals = family.counts.sum(axis=1)
-        return family
+        shape = (len(moments), width)
+        self.presence = np.zeros(shape, dtype=bool)
+        self.presence[rows, columns] = True
+        self.values = None
+        if values is not None:
+            self.values = np.zeros(shape, dtype=values.dtype)
+            self.values[rows, columns] = values
+        self.nnz = moments[:, 0].astype(np.int64)
+        self.sums, self.norms, self.squared_norms = moments[:, 1:].T
+        if approx and kind == "vector":
+            values32 = (np.zeros(shape, dtype=np.float32) if arena is None
+                        else arena.take(shape, np.float32))
+            np.copyto(values32, self.values, casting="unsafe")
+            self.values = values32
+            # Moments in float64 over the rounded float32 values: cheap
+            # O(n·d) reductions whose error stays ~1e-7 relative, keeping
+            # the expensive approximation confined to the O(n²·d) dots.
+            self.sums = values32.sum(axis=1, dtype=np.float64)
+            self.squared_norms = (values32 * values32).sum(
+                axis=1, dtype=np.float64)
+            self.norms = np.sqrt(self.squared_norms)
 
 
 class PlaneArena:
@@ -382,37 +203,61 @@ class PlaneArena:
         return view
 
 
-# -- the resident record (the incremental request path) --------------------
+# -- the record: every family's one source ---------------------------------
 
 
 class _FamilyRecord:
-    """One family's inputs for a block's resident pages, row by row.
+    """One family's kernel inputs, row by row.
 
-    Row ``r`` is the ``r``-th page to join.  Keys are interned in
-    first-seen order into an append-only vocabulary: an id names a key
-    and is never a fold position (:meth:`stack` orders a burst's vector
-    columns by key).  The rows are kept flat — (column, value) per
-    entry with the row it came from — plus one moments row per page:
-    ``nnz``, ``sum``, ``norm``, ``norm_squared`` of a vector, from the
-    scalar helpers the dict path calls; the size of a set.
+    Rows are kept flat — per entry its column id, its value and the row
+    that owns it — plus one :func:`_moments` row per row.  A record gets
+    its rows in one of three ways:
+
+    * from pages (``pages``), one :meth:`entry` walk each: keys are
+      interned in first-seen order into an append-only vocabulary, so an
+      id names a key and is never a fold position;
+    * from a shard plane's whole-block CSR views (``plane``), zero copy:
+      the plane's vocabulary is already ascending, so its column ids are
+      the keys' ranks, and the moments are replayed over the stored
+      entry order (a counter plane serves a set family as its key set);
+    * by :meth:`append`, as a served page joins.
+
+    :meth:`family` stacks the rows a layout asks for over the columns it
+    reads, in ascending key order — the scalar fold order.
     """
 
-    def __init__(self, kind: str, extract: Callable):
-        self.kind = kind  # "vector" or "set"
+    def __init__(self, kind: str, extract: Callable,
+                 pages: Sequence[PageFeatures] = (), plane=None):
+        self.kind = kind  # "vector", "set" or "counter"
         self.extract = extract
         self.column_of: dict = {}
-        self.keys: list = []
-        self.columns = np.zeros(0, dtype=np.intp)
-        self.values = np.zeros(0)
-        self.owners = np.zeros(0, dtype=np.intp)
-        self.moments = np.zeros((0, 4 if kind == "vector" else 1))
         #: ``(page, entry or None)`` of the rows joined since the last
-        #: :meth:`stack`; a page that joined with no entry is walked there.
-        self._joined: list[tuple] = []
+        #: read; a page that joined with no entry is walked then.
+        self._joined: list[tuple] = [(page, None) for page in pages]
+        if plane is None:
+            self.keys: Sequence = []
+            self.columns = np.zeros(0, dtype=np.intp)
+            self.values = None if kind == "set" else np.zeros(
+                0, dtype=np.int64 if kind == "counter" else np.float64)
+            self.owners = np.zeros(0, dtype=np.intp)
+            self.moments = np.zeros((0, 4))
+            return
+        self.keys = range(plane.n_columns)
+        counts = np.diff(plane.indptr)
+        self.columns = plane.cols
+        self.values = None if kind == "set" else plane.values
+        self.owners = np.repeat(np.arange(len(counts)), counts)
+        bounds = plane.indptr.tolist()
+        scalars = None if self.values is None else self.values.tolist()
+        self.moments = np.asarray([_moments(
+            kind, count, None if scalars is None
+            else scalars[bounds[row]:bounds[row + 1]])
+            for row, count in enumerate(counts.tolist())],
+            dtype=float).reshape(-1, 4)
 
     def entry(self, page: PageFeatures) -> tuple:
         """``page``'s interned columns, values (``None`` for a set) and
-        moments — the one walk of its dict or set."""
+        moments — the one walk of its dict, set or counter."""
         data = self.extract(page)
         column_of = self.column_of
         fresh = [key for key in data if key not in column_of]
@@ -420,79 +265,98 @@ class _FamilyRecord:
             start = len(self.keys)
             column_of.update(zip(fresh, range(start, start + len(fresh))))
             self.keys.extend(fresh)
-        columns = list(map(column_of.__getitem__, data))
-        if self.kind == "set":
-            return columns, None, (len(data),)
-        # ``norm`` is the square root of ``norm_squared``'s fold.
-        square = norm_squared(data)
-        return (columns, list(data.values()),
-                (len(data), sum(data.values()), math.sqrt(square), square))
+        values = None if self.kind == "set" else list(data.values())
+        return (list(map(column_of.__getitem__, data)), values,
+                _moments(self.kind, len(data), values))
 
     def append(self, page: PageFeatures, entry: tuple | None) -> None:
         """``page`` joined: it is the next row (its ``entry``, made when
-        it was scored, or made from it on the next :meth:`stack`)."""
+        it was scored, or made from it on the next read)."""
         self._joined.append((page, entry))
 
     def _flat(self, entries: list[tuple]):
-        """``entries``' columns, row offsets, values and moments as
+        """``entries``' row offsets, columns, values and moments as
         arrays (one conversion each)."""
-        columns = np.fromiter(chain.from_iterable(
-            entry[0] for entry in entries), np.intp)
         rows = np.repeat(np.arange(len(entries)),
                          [len(entry[0]) for entry in entries])
-        values = None if self.kind == "set" else np.fromiter(
-            chain.from_iterable(entry[1] for entry in entries), float)
+        columns = np.fromiter(chain.from_iterable(
+            entry[0] for entry in entries), np.intp)
+        values = None if self.values is None else np.fromiter(
+            chain.from_iterable(entry[1] for entry in entries),
+            self.values.dtype)
         moments = np.asarray([entry[2] for entry in entries], dtype=float)
-        return columns, rows, values, moments
+        return rows, columns, values, moments
 
-    def stack(self, entries: list[tuple]):
-        """A burst's rows (``0..k-1``, one per entry) stacked on the
-        residents' (``k..k+n-1``), over the keys the burst holds.
+    def _fold(self) -> None:
+        """Fold in the rows joined since the last read."""
+        if not self._joined:
+            return
+        rows, columns, values, moments = self._flat([
+            self.entry(page) if entry is None else entry
+            for page, entry in self._joined])
+        self.owners = np.concatenate([self.owners, rows + len(self.moments)])
+        self.columns = np.concatenate([self.columns, columns])
+        if values is not None:
+            self.values = np.concatenate([self.values, values])
+        self.moments = np.concatenate([self.moments, moments])
+        self._joined = []
 
-        Returns ``(rows, columns, values, width, moments)``: fill
-        coordinates and values (``None`` for a set), the column count,
-        and one moments row per stacked row.  Vector columns are the
-        burst's keys in ascending order — the scalar fold order.
-        """
-        if self._joined:  # fold in the rows joined since the last call
-            columns, rows, values, moments = self._flat([
-                self.entry(page) if entry is None else entry
-                for page, entry in self._joined])
-            self.owners = np.concatenate([self.owners, rows + len(
-                self.moments)])
-            self.columns = np.concatenate([self.columns, columns])
-            if values is not None:
-                self.values = np.concatenate([self.values, values])
-            self.moments = np.concatenate([self.moments, moments])
-            self._joined = []
-        ids = (entries[0][0] if len(entries) == 1
-               else list(set().union(*(entry[0] for entry in entries))))
-        if self.kind == "vector":
-            ids = sorted(ids, key=self.keys.__getitem__)
+    def held(self, rows: np.ndarray) -> np.ndarray:
+        """Per column id, whether one of ``rows`` holds the key."""
+        self._fold()
+        member = np.zeros(len(self.moments), dtype=bool)
+        member[rows] = True
+        held = np.zeros(len(self.keys), dtype=bool)
+        held[self.columns[member[self.owners]]] = True
+        return held
+
+    def family(self, rows: np.ndarray | None, ids, new: list[tuple] = (),
+               approx: bool = False,
+               arena: "PlaneArena | None" = None) -> _Family:
+        """The dense family of ``new`` entries (rows ``0..k-1``, not yet
+        joined) stacked on the record's ``rows`` (``None``: every row, in
+        row order), over column ids ``ids`` (``None``: every key) in
+        ascending key order."""
+        self._fold()
+        ids = sorted(range(len(self.keys)) if ids is None else ids,
+                     key=self.keys.__getitem__)
         position = np.full(len(self.keys), -1, dtype=np.intp)
         position[ids] = np.arange(len(ids))
-        resident = position[self.columns]
-        kept = resident >= 0
-        columns, rows, values, moments = self._flat(entries)
-        rows = np.concatenate([rows, self.owners[kept] + len(entries)])
-        columns = np.concatenate([position[columns], resident[kept]])
-        if values is not None:
-            values = np.concatenate([values, self.values[kept]])
-        return (rows, columns, values, len(ids),
-                np.concatenate([moments, self.moments]))
+        k = len(new)
+        columns = position[self.columns]
+        if rows is None:
+            kept = columns >= 0
+            owners, moments = self.owners[kept] + k, self.moments
+        else:
+            row_of = np.full(len(self.moments), -1, dtype=np.intp)
+            row_of[rows] = np.arange(k, k + len(rows))
+            owners = row_of[self.owners]
+            kept = (owners >= 0) & (columns >= 0)
+            owners, moments = owners[kept], self.moments[rows]
+        columns = columns[kept]
+        values = None if self.values is None else self.values[kept]
+        if new:
+            new_rows, new_columns, new_values, new_moments = self._flat(new)
+            owners = np.concatenate([new_rows, owners])
+            columns = np.concatenate([position[new_columns], columns])
+            if values is not None:
+                values = np.concatenate([new_values, values])
+            moments = np.concatenate([new_moments, moments])
+        return _Family(self.kind, owners, columns, values, moments, len(ids),
+                       approx, arena)
 
 
 def recorded_family(function) -> tuple[str, str, Callable] | None:
-    """``(kind, family, extract)`` of the input a :class:`ResidentRecord`
-    keeps for ``function``'s kernel, or ``None``: it has no kernel, or
-    its kernel reads the pages (F2, F13)."""
+    """``(family, kind, extract)`` of the record ``function``'s kernel
+    reads, or ``None``: it has no kernel, or its kernel reads the pages'
+    URLs (F2)."""
     kernel = kernel_for(function)
     return None if kernel is None else kernel.recorded
 
 
 class ResidentRecord:
-    """A served block's resident pages, as the inputs of the record
-    families the kernels of ``functions`` read.
+    """A served block's resident pages, as the records of the families
+    the kernels of ``functions`` read.
 
     Made when a block is adopted, over the pages resident then.  A
     page's :meth:`entry` — the one walk of its dicts — is made when a
@@ -508,11 +372,9 @@ class ResidentRecord:
         self.families: dict[str, _FamilyRecord] = {}
         for function in functions:
             recorded = recorded_family(function)
-            if recorded is not None and recorded[1] not in self.families:
-                kind, name, extract = recorded
-                self.families[name] = _FamilyRecord(kind, extract)
-        for page in residents:
-            self.append(page)
+            if recorded is not None and recorded[0] not in self.families:
+                name, kind, extract = recorded
+                self.families[name] = _FamilyRecord(kind, extract, residents)
 
     def entry(self, page: PageFeatures) -> dict[str, tuple]:
         """``page``'s inputs in every record family."""
@@ -528,43 +390,42 @@ class ResidentRecord:
 
 
 class BlockState:
-    """Lazily materialized matrices shared by every kernel of one block.
+    """One layout of a block's pages, and the families every kernel of
+    one ``block_scores`` call (or one burst) shares.
 
-    One instance per ``block_scores`` call: the TF-IDF family (and its
-    pairwise dot fold) is built once and reused by F8, F9 and F10; the
-    concept family by F1 and F14; and so on.
+    The TF-IDF family (and its pairwise dot fold) is built once and
+    reused by F8, F9 and F10; the concept family by F1 and F14; and so
+    on.  Every kernel fills a ``left × right`` rectangle of (earlier
+    page, later page) scores, and the layout says which:
 
-    **Shape.**  Every kernel fills a ``left × right`` rectangle of
-    (earlier page, later page) scores.  Dense scoring is the square
-    special case — ``left`` and ``right`` are both all rows, and
-    :meth:`sides` hands each kernel the very same array twice, no copy.
-    A candidate-pair ``mask`` keeps only the pages that occur in a
-    candidate pair (rows preserve block order), and derives ``left`` —
-    the rows that occur as the *earlier* member of a masked pair — and
-    ``right``, the later members; pair keys are enumerated from the
-    mask itself, O(candidates), in the dense sweep's row-major order.
-    A burst of ``k`` new pages against ``n`` resident ones is thus a
-    ``k × (n + k - 1)`` rectangle, not an ``(n + k)²`` square; the
-    incremental request path knows that layout by construction and
-    builds it with :meth:`burst`, no mask and no pair keys.
+    * **the square** — dense scoring: ``left`` and ``right`` are both
+      all rows, and :meth:`sides` hands each kernel the very same array
+      twice, no copy;
+    * **a candidate mask** — rows are the pages that occur in a
+      candidate pair (in block order), ``left`` the rows that occur as a
+      pair's *earlier* member and ``right`` the later members; pair keys
+      are enumerated from the mask itself, O(candidates), in the dense
+      sweep's row-major order;
+    * **a burst** of ``k`` new pages against ``n`` resident ones — the
+      ``k × (n + k - 1)`` rectangle :meth:`burst` lays out by
+      construction, no mask and no pair keys.
 
-    Dropping pages, and (in a masked dict-backed vector family) the
-    vocabulary columns absent from a whole side, only removes fold
-    steps that are exact no-ops for every surviving pair, so each
-    masked entry's float-operation sequence — and hence its bits — is
-    unchanged.
-
-    When ``features`` is a :class:`~repro.runtime.planes.
-    PlaneFeatureMap` (detected via its ``planes`` attribute), families
-    are built straight from the shard's CSR views — no ``PageFeatures``
-    is ever materialized on the kernel path, and ``pages`` stays
-    untouched unless a scalar fallback asks for it.  Plane-backed and
-    dict-backed construction are bit-identical (see
-    :meth:`_VectorFamily.from_plane`).
+    :meth:`family` reads one record per family — the resident record on
+    a burst, a shard's planes when ``features`` is a
+    :class:`~repro.runtime.planes.PlaneFeatureMap` (detected via its
+    ``planes`` attribute; no ``PageFeatures`` is materialized on the
+    kernel path), else a record of the pages — and stacks the layout's
+    rows over its columns: every key for the square, the keys held on
+    both sides for a mask, the burst's own keys for a burst.  A key
+    absent from a whole side is zero for one member of every pair read:
+    dropping it, like dropping pages, only removes fold steps that are
+    exact no-ops for every surviving pair, so each entry's
+    float-operation sequence — and hence its bits — is unchanged.
 
     ``approx32=True`` selects the ``numpy32`` backend's float32 mode:
     vector families downcast to float32 (allocated from ``arena`` when
     given) and pairwise dots go through BLAS instead of the exact fold.
+    It keeps every key, since its moments come from the float32 rows.
     Integer kernels (F4–F6, F11, F13) and string kernels (F2) remain
     exact; only the float-vector measures are approximate.
     """
@@ -612,37 +473,33 @@ class BlockState:
         self._bind(ids, features, approx32, arena)
 
     @classmethod
-    def burst(cls, pages: list[PageFeatures], residents: list[PageFeatures],
-              record: ResidentRecord | None = None,
-              entries: list[dict] | None = None) -> "BlockState":
+    def burst(cls, record: ResidentRecord, entries: list[dict],
+              residents: int) -> "BlockState":
         """The rectangle a chain of single adds scores, as one state.
 
-        Rows are the ``k`` new ``pages`` in **reverse** add order, then
-        the ``n`` ``residents``: every new page sits before all the
-        pages it is scored against — the residents and the pages added
-        before it — so each read cell is (earlier row, later row) with
-        the new page on the left, its single add's argument order.
-        ``left`` is rows ``0..k-1`` and ``right`` rows ``1..k+n-1``,
-        both views; :meth:`burst_rows` reads the ``k × (k + n - 1)``
-        matrices back in add order.  Families ``record`` keeps come
-        from it and the new pages' ``entries`` (in add order, like
-        ``pages``), every other family from the pages.  The state
-        serves the vector, set and count kernels, which fill the whole
-        rectangle; it lists no pairs, so F2's kernel does not run on it.
+        Rows are the ``k`` new pages (``entries``, given in add order)
+        in **reverse** add order, then ``record``'s ``residents`` rows:
+        every new page sits before all the pages it is scored against —
+        the residents and the pages added before it — so each read cell
+        is (earlier row, later row) with the new page on the left, its
+        single add's argument order.  ``left`` is rows ``0..k-1`` and
+        ``right`` rows ``1..k+n-1``, both views; :meth:`burst_rows`
+        reads the ``k × (k + n - 1)`` matrices back in add order.  The
+        state serves the kernels of the record's families, which fill
+        the whole rectangle; it lists no pairs, so F2's kernel does not
+        run on it.
         """
-        k, n = len(pages), len(residents)
+        k = len(entries)
         state = cls.__new__(cls)
         state.square = False
         state.left = np.arange(k, dtype=np.intp)
-        state.right = np.arange(1, k + n, dtype=np.intp)
+        state.right = np.arange(1, k + residents, dtype=np.intp)
         state.pairs = state.cells = None
         state._pair_keys = []
-        rows = list(reversed(pages)) + list(residents)
-        state._bind([page.doc_id for page in rows], None, False, None)
-        state._pages = rows
+        state._bind([], None, False, None)
         state._burst = True
         state._record = record
-        state._entries = None if entries is None else entries[::-1]
+        state._entries = entries[::-1]
         return state
 
     def _bind(self, ids: list[str], features, approx32: bool,
@@ -659,17 +516,17 @@ class BlockState:
         if self._arena is not None:
             self._arena.reset()
         planes = getattr(features, "planes", None)
-        self._rows: list[int] | None = None
+        #: The plane row of each state row (plane-backed blocks only).
+        self._rows: np.ndarray | None = None
         if planes is not None:
             row_of = planes.row_index()
             try:
-                self._rows = [row_of[doc_id] for doc_id in self.ids]
+                self._rows = np.asarray([row_of[doc_id] for doc_id in ids],
+                                        dtype=np.intp)
             except KeyError:  # pragma: no cover - planes missing a page
                 planes = None
         self._planes = planes
-        self._vector_families: dict[str, _VectorFamily] = {}
-        self._set_families: dict[str, _SetFamily] = {}
-        self._counter_families: dict[str, _CounterFamily] = {}
+        self._families: dict[str, _Family] = {}
         self._dots: dict[str, np.ndarray] = {}
 
     @property
@@ -719,8 +576,8 @@ class BlockState:
 
     @property
     def pages(self) -> list[PageFeatures]:
-        """Materialized pages, built lazily (scalar fallbacks only —
-        the plane path never touches this)."""
+        """Materialized pages, built lazily (page records and the F2
+        kernel only — the plane path never touches this)."""
         if self._pages is None:
             self._pages = [self._features[doc_id] for doc_id in self.ids]
         return self._pages
@@ -729,104 +586,60 @@ class BlockState:
         """Page URLs in row order, straight from planes when available."""
         if self._planes is not None:
             decoded = self._planes.urls()
-            return [decoded[row] for row in self._rows]
+            return [decoded[row] for row in self._rows.tolist()]
         return [page.url for page in self.pages]
 
-    # -- family accessors (built once, shared across kernels) ------------
-    #
-    # Kernel family names coincide with the plane family names
-    # encode_features stores ("concept", "tfidf", "top_tfidf",
-    # "concept_set", "organizations", "other_persons", "locations",
-    # "entity_context"), so a plane-backed block resolves every built-in
-    # family from CSR views and only unknown (custom) families fall back
-    # to extracting from materialized pages.  A burst state resolves the
-    # families its resident record keeps from the record.
+    def family(self, name: str, kind: str, extract: Callable) -> _Family:
+        """Family ``name`` over this layout (built once, shared across
+        kernels).
 
-    def _plane_family(self, name: str, kinds: tuple):
-        if self._planes is None:
-            return None
-        family = self._planes.family(name)
-        if family is None or family.kind not in kinds:
-            return None
-        return family
-
-    def _recorded(self, name: str):
-        """The record family ``name`` and the new pages' entries in it,
-        or ``None`` when no record keeps it."""
-        if self._record is None or name not in self._record.families:
-            return None
-        return (self._record.families[name],
-                [entry[name] for entry in self._entries])
-
-    def vector_family(self, name: str, extract: Callable) -> _VectorFamily:
-        family = self._vector_families.get(name)
-        if family is None:
-            plane = self._plane_family(name, ("vector",))
-            recorded = self._recorded(name)
-            if recorded is not None:
-                family = _VectorFamily.from_record(*recorded)
-            elif plane is not None:
-                counts, cols, entries = plane.select(self._rows)
-                family = _VectorFamily.from_plane(
-                    counts, cols, entries, plane.n_columns,
-                    approx=self._approx, arena=self._arena)
+        Kernel family names coincide with the plane family names
+        ``encode_features`` stores, so a plane-backed block reads every
+        built-in family from its CSR views.
+        """
+        family = self._families.get(name)
+        if family is not None:
+            return family
+        rows = ids = None
+        new: list[tuple] = []
+        if self._record is not None:
+            record = self._record.families[name]
+            new = [entry[name] for entry in self._entries]
+            ids = set().union(*(entry[0] for entry in new))
+        else:
+            plane = (None if self._planes is None
+                     else self._planes.family(name))
+            if plane is None:
+                record = _FamilyRecord(kind, extract, self.pages)
             else:
-                # The float32 mode derives its moments from the dense
-                # rows, so it keeps the whole vocabulary.
-                narrow = not self.square and not self._approx
-                family = _VectorFamily(
-                    [extract(page) for page in self.pages],
-                    sides=(self.left, self.right) if narrow else None,
-                    approx=self._approx, arena=self._arena)
-            self._vector_families[name] = family
+                record = _FamilyRecord(kind, extract, plane=plane)
+                rows = self._rows
+            if not (self.square or self._approx):
+                def held(side: np.ndarray) -> np.ndarray:
+                    return record.held(side if rows is None else rows[side])
+                ids = np.flatnonzero(held(self.left)
+                                     & held(self.right)).tolist()
+        family = record.family(rows, ids, new, self._approx, self._arena)
+        self._families[name] = family
         return family
 
-    def set_family(self, name: str, extract: Callable) -> _SetFamily:
-        family = self._set_families.get(name)
-        if family is None:
-            plane = self._plane_family(name, ("set", "counter"))
-            recorded = self._recorded(name)
-            if recorded is not None:
-                family = _SetFamily.from_record(*recorded)
-            elif plane is not None:
-                counts, cols, _ = plane.select(self._rows)
-                family = _SetFamily.from_plane(counts, cols, plane.n_columns)
-            else:
-                family = _SetFamily([extract(page) for page in self.pages])
-            self._set_families[name] = family
-        return family
-
-    def counter_family(self, name: str, extract: Callable) -> _CounterFamily:
-        family = self._counter_families.get(name)
-        if family is None:
-            plane = self._plane_family(name, ("counter",))
-            if plane is not None:
-                counts, cols, entries = plane.select(self._rows)
-                family = _CounterFamily.from_plane(counts, cols, entries,
-                                                   plane.n_columns)
-            else:
-                family = _CounterFamily(
-                    [extract(page) for page in self.pages])
-            self._counter_families[name] = family
-        return family
-
-    def pair_dot(self, name: str, extract: Callable) -> np.ndarray:
+    def pair_dot(self, spec: tuple) -> np.ndarray:
         """Left × right dot rectangle of one vector family (cached).
 
         Exact sequential fold by default; the ``numpy32`` mode hands the
         float32 plane to BLAS and widens the result to float64 — the one
         deliberate approximation that backend makes.
         """
-        dots = self._dots.get(name)
+        dots = self._dots.get(spec[0])
         if dots is None:
-            values = self.vector_family(name, extract).values
+            values = self.family(*spec).values
             left, right = self.sides(values)
             if self._approx:
                 dots = (left @ right.T).astype(np.float64)
             else:
                 dots = _pair_dot_fold(left, right,
                                       self._live(values, left, right))
-            self._dots[name] = dots
+            self._dots[spec[0]] = dots
         return dots
 
     def _live(self, values: np.ndarray, left: np.ndarray,
@@ -883,10 +696,9 @@ def _clamp_unit(matrix: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.maximum(0.0, matrix))
 
 
-def _cosine_matrix(state: BlockState, name: str,
-                   extract: Callable) -> np.ndarray:
-    family = state.vector_family(name, extract)
-    dots = state.pair_dot(name, extract)
+def _cosine_matrix(state: BlockState, spec: tuple) -> np.ndarray:
+    family = state.family(*spec)
+    dots = state.pair_dot(spec)
     norm_left, norm_right = state.outer(family.norms)
     denominator = norm_left * norm_right
     valid = state.both(family.nnz > 0) & (denominator != 0.0)
@@ -895,10 +707,9 @@ def _cosine_matrix(state: BlockState, name: str,
     return np.where(valid, _clamp_unit(value), 0.0)
 
 
-def _extended_jaccard_matrix(state: BlockState, name: str,
-                             extract: Callable) -> np.ndarray:
-    family = state.vector_family(name, extract)
-    product = state.pair_dot(name, extract)
+def _extended_jaccard_matrix(state: BlockState, spec: tuple) -> np.ndarray:
+    family = state.family(*spec)
+    product = state.pair_dot(spec)
     squared_left, squared_right = state.outer(family.squared_norms)
     denominator = (squared_left + squared_right) - product
     valid = state.both(family.nnz > 0) & (denominator > 0.0)
@@ -907,8 +718,7 @@ def _extended_jaccard_matrix(state: BlockState, name: str,
     return np.where(valid, _clamp_unit(value), 0.0)
 
 
-def _pearson_matrix(state: BlockState, name: str,
-                    extract: Callable) -> np.ndarray:
+def _pearson_matrix(state: BlockState, spec: tuple) -> np.ndarray:
     """Elementwise mirror of
     :func:`~repro.similarity.measures.pearson_from_moments` over all
     pairs.
@@ -920,8 +730,8 @@ def _pearson_matrix(state: BlockState, name: str,
     ``pearson_from_moments`` — edit both together (the parity and
     golden suites catch any divergence).
     """
-    family = state.vector_family(name, extract)
-    product = state.pair_dot(name, extract)
+    family = state.family(*spec)
+    product = state.pair_dot(spec)
     # Float BLAS matmul of the 0/1 indicator is exact: every partial sum
     # is an integer far below 2**53, so no rounding can occur regardless
     # of accumulation order.
@@ -952,21 +762,20 @@ def _pearson_matrix(state: BlockState, name: str,
     return np.where(valid, (correlation + 1.0) / 2.0, 0.0)
 
 
-def _overlap_matrix(state: BlockState, name: str,
-                    extract: Callable) -> np.ndarray:
-    family = state.set_family(name, extract)
-    members_left, members_right = state.sides(family.indicator)
+def _overlap_matrix(state: BlockState, spec: tuple) -> np.ndarray:
+    family = state.family(*spec)
+    members_left, members_right = state.sides(
+        family.presence.astype(np.int64))
     intersection = members_left @ members_right.T
-    smaller = np.minimum(*state.outer(family.sizes))
-    valid = state.both(family.sizes > 0)
+    smaller = np.minimum(*state.outer(family.nnz))
+    valid = state.both(family.nnz > 0)
     value = intersection / np.where(smaller > 0, smaller, 1)
     return np.where(valid, value, 0.0)
 
 
-def _weighted_jaccard_matrix(state: BlockState, name: str,
-                             extract: Callable) -> np.ndarray:
-    family = state.counter_family(name, extract)
-    counts_left, counts_right = state.sides(family.counts)
+def _weighted_jaccard_matrix(state: BlockState, spec: tuple) -> np.ndarray:
+    family = state.family(*spec)
+    counts_left, counts_right = state.sides(family.values)
     # Chunked over the vocabulary axis to bound the broadcast tensor at
     # O(rectangle · _CHUNK); integer sums are exact under any grouping,
     # so this is bit-identical to the single-tensor form.
@@ -975,9 +784,9 @@ def _weighted_jaccard_matrix(state: BlockState, name: str,
         minima += np.minimum(counts_left[:, None, start:start + _CHUNK],
                              counts_right[None, :, start:start + _CHUNK]
                              ).sum(axis=2)
-    total_left, total_right = state.outer(family.totals)
+    total_left, total_right = state.outer(family.sums)
     maxima = (total_left + total_right) - minima
-    valid = state.both(family.sizes > 0) & (maxima > 0)
+    valid = state.both(family.nnz > 0) & (maxima > 0)
     value = minima / np.where(maxima > 0, maxima, 1)
     return np.where(valid, value, 0.0)
 
@@ -1151,9 +960,9 @@ class Kernel:
             function carrying any other scorer (registry override) gets
             no kernel.
         matrix: block kernel ``(BlockState) -> (left, right) ndarray``.
-        recorded: ``(kind, family, extract)`` of the input a
-            :class:`ResidentRecord` keeps for this kernel — ``kind`` is
-            ``"vector"`` or ``"set"`` — or ``None``: it reads the pages.
+        recorded: ``(family, kind, extract)`` of the record this
+            kernel reads — ``kind`` is ``"vector"``, ``"set"`` or
+            ``"counter"`` — or ``None``: it reads the pages' URLs (F2).
     """
 
     name: str
@@ -1177,41 +986,33 @@ def _top_tfidf(page: PageFeatures) -> dict[str, float]:
 _KERNELS: dict[str, Kernel] = {}
 
 
-def _vector_kernel(name: str, expected_scorer: Callable, builder,
-                   family: str, extract: Callable) -> None:
+def _family_kernel(name: str, expected_scorer: Callable, builder,
+                   family: str, kind: str,
+                   extract: Callable | None = None) -> None:
+    """A kernel over one record family; a set family's keys are the
+    ``PageFeatures`` field it is named after."""
+    spec = (family, kind, extract or attrgetter(family))
     _KERNELS[name] = Kernel(name, expected_scorer,
-                            lambda state: builder(state, family, extract),
-                            ("vector", family, extract))
+                            lambda state: builder(state, spec), spec)
 
 
-def _set_kernel(name: str, expected_scorer: Callable, family: str) -> None:
-    """An overlap kernel over the set of the ``PageFeatures`` field the
-    family is named after."""
-    def extract(page: PageFeatures) -> set:
-        return set(getattr(page, family))
-    _KERNELS[name] = Kernel(name, expected_scorer,
-                            lambda state: _overlap_matrix(state, family,
-                                                          extract),
-                            ("set", family, extract))
-
-
-_vector_kernel("F1", _base._f1, _cosine_matrix, "concept", _concepts)
-_KERNELS["F2"] = Kernel("F2", _base._f2, _url_matrix)
-_set_kernel("F4", _base._f4, "concept_set")
-_set_kernel("F5", _base._f5, "organizations")
-_set_kernel("F6", _base._f6, "other_persons")
-_vector_kernel("F8", _base._f8, _cosine_matrix, "tfidf", _tfidf)
-_vector_kernel("F9", _base._f9, _pearson_matrix, "tfidf", _tfidf)
-_vector_kernel("F10", _base._f10, _extended_jaccard_matrix, "tfidf", _tfidf)
-_set_kernel("F11", _extended._f11, "locations")
-_vector_kernel("F12", _extended._f12, _cosine_matrix, "top_tfidf",
-               _top_tfidf)
-_KERNELS["F13"] = Kernel(
-    "F13", _extended._f13,
-    lambda state: _weighted_jaccard_matrix(state, "entity_context",
-                                           _extended._entity_context))
-_vector_kernel("F14", _extended._f14, _extended_jaccard_matrix, "concept",
+_family_kernel("F1", _base._f1, _cosine_matrix, "concept", "vector",
                _concepts)
+_KERNELS["F2"] = Kernel("F2", _base._f2, _url_matrix)
+_family_kernel("F4", _base._f4, _overlap_matrix, "concept_set", "set")
+_family_kernel("F5", _base._f5, _overlap_matrix, "organizations", "set")
+_family_kernel("F6", _base._f6, _overlap_matrix, "other_persons", "set")
+_family_kernel("F8", _base._f8, _cosine_matrix, "tfidf", "vector", _tfidf)
+_family_kernel("F9", _base._f9, _pearson_matrix, "tfidf", "vector", _tfidf)
+_family_kernel("F10", _base._f10, _extended_jaccard_matrix, "tfidf",
+               "vector", _tfidf)
+_family_kernel("F11", _extended._f11, _overlap_matrix, "locations", "set")
+_family_kernel("F12", _extended._f12, _cosine_matrix, "top_tfidf",
+               "vector", _top_tfidf)
+_family_kernel("F13", _extended._f13, _weighted_jaccard_matrix,
+               "entity_context", "counter", _extended._entity_context)
+_family_kernel("F14", _extended._f14, _extended_jaccard_matrix, "concept",
+               "vector", _concepts)
 
 
 def kernel_for(function) -> Kernel | None:

@@ -418,7 +418,7 @@ class TestSweepCost:
         # the burst built their shared Gram block and family — over the
         # burst's own keys.
         assert state._dots["tfidf"].shape == (k, n + k - 1)
-        family = state._vector_families["tfidf"]
+        family = state._families["tfidf"]
         block_vocabulary = set().union(
             *(page.tfidf for page in resident.values()),
             *(page.tfidf for page in tail_features))
@@ -426,6 +426,40 @@ class TestSweepCost:
             *(page.tfidf for page in tail_features))
         assert family.values.shape == (n + k, len(burst_vocabulary))
         assert len(burst_vocabulary) < len(block_vocabulary)
+
+    def test_f13_burst_reads_the_record(self, small_block, block_features,
+                                        monkeypatch):
+        """F13's entity counts come from the resident record like every
+        other kernel family's: a k = 8 burst on a whole-battery model
+        (less the page readers F2, F3, F7) sweeps no masked block."""
+        pytest.importorskip("numpy")
+        from repro.similarity.backends import NumpyBackend
+
+        names = tuple(name for name in SUBSET_I14
+                      if name not in ("F2", "F3", "F7"))
+        model = EntityResolver(ResolverConfig(
+            backend="numpy", combiner="weighted_average",
+            function_names=names)).fit(small_block, training_seed=0,
+                                       features=block_features)
+        pages = [block_features[page.doc_id] for page in small_block.pages]
+        resident = {page.doc_id: page for page in pages[:20]}
+        incremental = IncrementalResolver.from_fitted(
+            model.config, model.blocks[small_block.query_name], resident,
+            [[doc_id] for doc_id in resident])
+        assert "F13" in incremental.scoring_function_names()
+
+        swept = []
+        block_scores = NumpyBackend.block_scores
+
+        def spy(self, ids, features, functions, mask=None):
+            swept.append([function.name for function in functions])
+            return block_scores(self, ids, features, functions, mask=mask)
+
+        monkeypatch.setattr(NumpyBackend, "block_scores", spy)
+        burst = incremental.score_burst(pages[20:28])
+        assert swept == []
+        assert [len(row) for row in burst.rectangle.rows["F13"]] \
+            == list(range(20, 28))
 
     def test_a_joined_page_is_never_walked_again(self, weighted, small_block,
                                                  block_features, recording):

@@ -14,14 +14,19 @@ added before it) and a one-sided mask (few left rows against many right
 rows) — the numpy kernels fill a ``left × right`` rectangle, so the
 shapes that make it narrow are the ones worth pinning.  The request
 path lays the coalescing rectangle out with no mask at all, over a
-resident record grown page by page; it must give the same bytes.
+resident record grown page by page; it must give the same bytes.  And
+however a block's record is built — from its pages in any join order,
+or from a shard's plane views — every layout stacks the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,10 +36,17 @@ from repro.corpus.datasets import custom_dataset
 from repro.corpus.generator import GeneratorConfig
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
+from repro.runtime.planes import (
+    FeaturePlanes,
+    PlaneBuffer,
+    PlaneWriter,
+    encode_features,
+)
 from repro.similarity import backends
 from repro.similarity.backends import NumpyBackend, PythonBackend
 from repro.similarity.extended import full_battery
 from repro.similarity.functions import default_functions
+from repro.similarity.vectors import norm, norm_squared
 
 PYTHON = PythonBackend()
 NUMPY = NumpyBackend()
@@ -114,6 +126,73 @@ def one_sided_inputs(draw):
         pair_key(left, right) for left in ids[:few]
         for right in draw(st.lists(st.sampled_from(ids[few:]), unique=True)))
     return ids, features, mask
+
+
+@st.composite
+def interning_inputs(draw):
+    """A block with an empty page and a key only its first page holds, a
+    second join order, a mask and the number of pages a burst adds."""
+    seed = draw(st.integers(0, 10_000))
+    pages = draw(st.integers(3, 9))
+    block, features = generated_block(seed, pages)
+    ids = block.page_ids()
+    blank = features[draw(st.sampled_from(ids[1:]))]
+    features[blank.doc_id] = replace(
+        blank, concept_vector={}, concept_set=frozenset(),
+        organizations=Counter(), other_persons=Counter(),
+        locations=Counter(), tfidf={})
+    # "~" sorts after every generated key, so the dicts stay key-sorted.
+    lone = features[ids[0]]
+    features[lone.doc_id] = replace(
+        lone, concept_vector={**lone.concept_vector, "~lone": 0.375},
+        concept_set=lone.concept_set | {"~lone"},
+        organizations=lone.organizations + Counter({"~lone": 3}),
+        tfidf={**lone.tfidf, "~lone": 0.625})
+    return (ids, features, draw(st.permutations(ids)),
+            drawn_mask(draw, ids), draw(st.integers(1, pages - 1)))
+
+
+def plane_families(features):
+    """The shard planes a worker would see for ``features``."""
+    writer = PlaneWriter()
+    header = encode_features(features, writer)
+    buffer = bytearray(writer.nbytes + 64)
+    writer.write_into(memoryview(buffer), 64)
+    return FeaturePlanes(header,
+                         PlaneBuffer(memoryview(buffer).toreadonly(), 64))
+
+
+def assert_whole_entry_moments(family, kind, extract, pages):
+    """Per-page moments are the scalar helpers' over the whole entry,
+    whatever columns the layout stacks."""
+    import numpy as np
+
+    data = [extract(page) for page in pages]
+    assert family.nnz.tolist() == [len(entry) for entry in data]
+    if kind == "set":
+        return
+    expected = [[sum(entry.values()) for entry in data]]
+    actual = [family.sums]
+    if kind == "vector":
+        expected += [[norm(entry) for entry in data],
+                     [norm_squared(entry) for entry in data]]
+        actual += [family.norms, family.squared_norms]
+    for want, got in zip(expected, actual):
+        assert np.asarray(want, dtype=float).tobytes() == got.tobytes()
+
+
+def assert_same_stack(first, other):
+    """Byte-identical values, presence and moments."""
+    assert first.presence.shape == other.presence.shape
+    assert first.presence.tobytes() == other.presence.tobytes()
+    if first.values is None:
+        assert other.values is None
+    else:
+        assert first.values.dtype == other.values.dtype
+        assert first.values.tobytes() == other.values.tobytes()
+    for moment in ("nnz", "sums", "norms", "squared_norms"):
+        assert (getattr(first, moment).tobytes()
+                == getattr(other, moment).tobytes()), moment
 
 
 def assert_masked_parity(ids, features, mask):
@@ -219,3 +298,67 @@ class TestMaskedScoringParity:
             scores = backend.block_scores(ids, features, full_battery(),
                                           mask=frozenset())
             assert all(weights == {} for weights in scores.values())
+
+
+class TestInterningOrder:
+    @settings(max_examples=15, deadline=None)
+    @given(interning_inputs())
+    def test_record_builds_stack_the_same_bytes(self, inputs):
+        """A block's record from its pages in block order, from its pages
+        in another join order, and from its plane views stacks the
+        square, a mask and a burst to the same bytes, with every moment
+        taken from the whole entry."""
+        np = pytest.importorskip("numpy")
+        from repro.similarity.batch import BlockState, _FamilyRecord, \
+            _KERNELS
+
+        ids, features, join, mask, new = inputs
+        planes = plane_families(features)
+        masked = BlockState(ids, features, mask)
+        resident, arriving = ids[:-new], ids[-new:]
+        burst_ids = list(reversed(arriving)) + resident
+        specs = {kernel.recorded[0]: kernel.recorded
+                 for kernel in _KERNELS.values() if kernel.recorded}
+
+        def rows(order, wanted):
+            return np.asarray([order.index(doc_id) for doc_id in wanted],
+                              dtype=np.intp)
+
+        for name, kind, extract in specs.values():
+            def of_pages(order):
+                return _FamilyRecord(kind, extract,
+                                     [features[doc_id] for doc_id in order])
+            builds = [(of_pages(ids), ids), (of_pages(join), join),
+                      (_FamilyRecord(kind, extract,
+                                     plane=planes.family(name)), ids)]
+            square = [record.family(rows(order, ids), None)
+                      for record, order in builds]
+            square[0] = builds[0][0].family(None, None)
+            sides = []
+            for record, order in builds:
+                at = rows(order, masked.ids)
+                held = (record.held(at[masked.left])
+                        & record.held(at[masked.right]))
+                sides.append(record.family(at, np.flatnonzero(held).tolist()))
+            # Page records hold the residents and take the new pages'
+            # entries on top; the plane stacks the same rows over the
+            # new pages' keys.
+            bursts = []
+            for order in (resident, [doc_id for doc_id in join
+                                     if doc_id in resident]):
+                record = of_pages(order)
+                entries = [record.entry(features[doc_id])
+                           for doc_id in reversed(arriving)]
+                keys = set().union(*(entry[0] for entry in entries))
+                bursts.append(record.family(rows(order, resident), keys,
+                                            entries))
+            plane, at = builds[2][0], rows(ids, burst_ids)
+            bursts.append(plane.family(
+                at, np.flatnonzero(plane.held(at[:new])).tolist()))
+            for layout_ids, stacks in ((ids, square), (masked.ids, sides),
+                                       (burst_ids, bursts)):
+                for stack in stacks:
+                    assert_same_stack(stacks[0], stack)
+                    assert_whole_entry_moments(
+                        stack, kind, extract,
+                        [features[doc_id] for doc_id in layout_ids])

@@ -118,34 +118,45 @@ class TestFeatureRoundTrip:
             _drain()
 
 
-class TestPlaneFamilySelect:
-    def test_full_range_select_is_zero_copy(self):
+class TestPlaneRecord:
+    """A plane record holds the block's whole CSR views; the layout, not
+    the plane, picks the rows it stacks."""
+
+    @staticmethod
+    def record(rebuilt, name="tfidf"):
+        from repro.similarity.batch import _FamilyRecord
+        return _FamilyRecord("vector", None,
+                             plane=rebuilt.planes.family(name))
+
+    def test_plane_record_holds_the_views_zero_copy(self):
         rebuilt = roundtrip_features(make_features(6))
         family = rebuilt.planes.family("tfidf")
-        counts, cols, values = family.select(list(range(6)))
-        assert cols is family.cols
-        assert values is family.values
-        assert counts.tolist() == np.diff(family.indptr).tolist()
+        record = self.record(rebuilt)
+        assert record.columns is family.cols
+        assert record.values is family.values
+        assert record.moments[:, 0].tolist() == np.diff(
+            family.indptr).tolist()
 
-    def test_subset_select_gathers_matching_rows(self):
+    def test_stacked_rows_are_the_matching_pages(self):
+        from repro.similarity.vectors import norm
         features = make_features(6)
         rebuilt = roundtrip_features(features)
-        family = rebuilt.planes.family("tfidf")
+        vocab = rebuilt.planes.family("tfidf").vocab()
         rows = [4, 1]
-        counts, cols, values = family.select(rows)
-        vocab = family.vocab()
-        cursor = 0
+        stacked = self.record(rebuilt).family(np.asarray(rows), None)
+        assert stacked.values.shape == (len(rows), len(vocab))
         for out, row in enumerate(rows):
             page = features[f"doc-{row}"]
-            span = slice(cursor, cursor + int(counts[out]))
-            keys = [vocab[c] for c in cols[span].tolist()]
-            assert dict(zip(keys, values[span].tolist())) == page.tfidf
-            cursor += int(counts[out])
+            held = np.flatnonzero(stacked.presence[out]).tolist()
+            assert {vocab[column]: stacked.values[out, column]
+                    for column in held} == page.tfidf
+            assert stacked.norms[out] == norm(page.tfidf)
 
-    def test_empty_select(self):
+    def test_no_rows_stack_an_empty_family(self):
         rebuilt = roundtrip_features(make_features(4))
-        counts, cols, values = rebuilt.planes.family("tfidf").select([])
-        assert counts.size == 0 and cols.size == 0 and values.size == 0
+        stacked = self.record(rebuilt).family(np.zeros(0, dtype=np.intp),
+                                              None)
+        assert stacked.values.shape[0] == 0 and stacked.nnz.size == 0
 
     def test_views_are_read_only(self):
         rebuilt = roundtrip_features(make_features(4))
