@@ -46,6 +46,13 @@ if grep -rn --include='*.py' perf_counter src \
     echo "perf_counter read outside src/repro/runtime/stats.py" >&2; exit 1
 fi
 
+echo "== one consumer =="
+# The engine drains one admission-ordered queue; a per-name lane, a
+# batch window or a lane-GC memory of batch sizes is a second scheduler.
+if grep -rnE 'class _Lane|_batch_memory|batch_window' src/repro; then
+    echo "a second serving scheduler in src/repro" >&2; exit 1
+fi
+
 echo "== one family constructor =="
 # Every kernel input is a _FamilyRecord stacked by one _Family fill; a
 # per-source constructor or a per-kind family class is a second path.
@@ -98,7 +105,7 @@ echo "== serve --threads 4 (concurrent ServingEngine) =="
 # perform exactly one swap.
 run --seed 4 fit --in "$workdir/data.json" --model "$workdir/model_b.json"
 run serve --in "$workdir/data.json" --model "$workdir/model.json" \
-    --requests 16 --threads 4 --batch-window 2 \
+    --requests 16 --threads 4 \
     --swap-model "$workdir/model_b.json" | tee "$workdir/serve_mt.out"
 grep -q "Load report (4 threads)" "$workdir/serve_mt.out" || {
     echo "concurrent serve did not print a load report" >&2; exit 1; }

@@ -8,7 +8,7 @@ Subcommands::
     python -m repro.cli fit      --model model.json [--in data.json]
     python -m repro.cli predict  --model model.json [--in data.json]
     python -m repro.cli serve    --model model.json [--requests 20] \
-        [--threads 4 --batch-window 2 --swap-model model2.json]
+        [--threads 4 --swap-model model2.json]
     python -m repro.cli pipeline explain [--column C10]
     python -m repro.cli resolve  --dataset www05 [--in data.json]
     python -m repro.cli figure1  [--function F3] [--name Cohen]
@@ -199,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop load-generator threads; > 1 "
                             "serves through the concurrent ServingEngine "
                             "(default 1: the serial demo loop)")
-    serve.add_argument("--batch-window", type=float, default=2.0,
-                       help="milliseconds a lane leader holds a "
-                            "non-full batch open for coalescing "
-                            "(engine mode only; default 2.0)")
     serve.add_argument("--swap-model", default=None,
                        help="second fitted model hot-swapped in halfway "
                             "through the request stream (engine mode)")
@@ -485,11 +481,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     concurrent = args.threads > 1 or args.swap_model
     knobs = dict(pipeline=pipeline, max_blocks=args.max_blocks,
                  model_block=args.model_block)
-    if concurrent:
-        server = ServingEngine(
-            model, batch_window=max(0.0, args.batch_window) / 1000.0, **knobs)
-    else:
-        server = ResolutionSession(model, **knobs)
+    server = (ServingEngine if concurrent else ResolutionSession)(
+        model, **knobs)
     try:
         blocks, stream = _serve_traffic(server, collection, args.requests)
     except KeyError as error:
@@ -531,9 +524,8 @@ def _serve_concurrently(args: argparse.Namespace, engine, blocks: int,
                      ResolverModel.load(args.swap_model)}
     print(f"warmed {blocks} blocks ({engine.stats.pages} pages); "
           f"offering {len(requests)} single-page requests from "
-          f"{args.threads} closed-loop threads "
-          f"(batch window {args.batch_window:.1f}ms"
-          + (", hot swap at halfway)" if swap_plan else ")"))
+          f"{args.threads} closed-loop threads"
+          + (" (hot swap at halfway)" if swap_plan else ""))
     report = run_load(engine, requests, threads=args.threads,
                       swap_plan=swap_plan)
     print(format_table(

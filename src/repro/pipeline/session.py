@@ -101,9 +101,10 @@ class SessionStats(LatencyView, StatsRecord):
             hides tail behavior — the percentiles are what a
             deployment's SLO is written against.
 
-    ``process`` and ``record_request`` run concurrently for different
-    names and fold their counters in under the record's own lock; the
-    other three are written by ``admit``, which its caller serialises.
+    ``process`` and ``record_request`` fold their counters in under the
+    record's own lock: a serving engine runs them on whichever thread
+    takes a batch while other threads admit and read.  The other three
+    are written by ``admit``, which its caller serialises.
     """
 
     requests: int = 0

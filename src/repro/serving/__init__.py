@@ -5,9 +5,9 @@ The pieces, bottom-up:
 - :mod:`repro.serving.snapshot` — copy-on-write model generations for
   hot swaps.
 - :mod:`repro.serving.engine` — the thread-safe engine: it schedules
-  the session's ``admit`` (under one lock) and ``process`` (per-name
-  FIFO lanes with leader/follower batching), deterministic by
-  serial-replay equivalence.
+  the session's ``admit`` (under one lock) and ``process`` (one
+  admission-ordered queue, drained a same-slot batch at a time by the
+  calling threads), deterministic by serial-replay equivalence.
 - :mod:`repro.serving.replay` — the determinism oracle (journal replay
   through a serial session, bitwise diff).
 - :mod:`repro.serving.loadgen` — closed-loop multi-threaded load

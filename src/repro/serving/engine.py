@@ -1,67 +1,57 @@
 """Thread-safe serving engine — the concurrent online request path.
 
 :class:`~repro.pipeline.session.ResolutionSession` serves one request at
-a time; a deployment facing "millions of users" needs the same request
-path under concurrent traffic.  :class:`ServingEngine` provides it with
-three mechanisms:
+a time; :class:`ServingEngine` serves the same request path to any
+number of threads.  It serves no page itself: it schedules the
+session's two phases.
 
-**Two-phase execution with fine-grained locking.**  The engine serves
-no page itself: it schedules the session's two phases.  Every request
-passes :meth:`ResolutionSession.admit` under one engine-wide lock —
-route, reject, look up or *reserve* the name's slot (so eviction
-accounting happens in admission order), index — and the per-name
-**units** it returns are appended to that name's FIFO *lane*.  All of
-this is pure bookkeeping (no scoring), so the critical section is
-microseconds.  The expensive work — :meth:`ResolutionSession.process`:
-extraction, bootstrap predicts, incremental scoring — runs outside the
-admission lock, serialized **per name** by the lane (so two requests for
-different names score in parallel, while a same-name stampede of cold
-requests triggers exactly one bootstrap).
+**Two phases, one queue.**  Every request passes
+:meth:`ResolutionSession.admit` under one engine-wide lock — route,
+reject, look up or *reserve* the name's slot (so eviction accounting
+happens in admission order), index — and the per-name **units** it
+returns join one queue in admission order.  That is microseconds of
+bookkeeping.  The expensive work, :meth:`ResolutionSession.process`
+(extraction, bootstrap predicts, incremental scoring), runs outside the
+admission lock, one batch at a time, on a calling thread: ``resolve``
+drains the queue until its own units are settled, ``flush`` until the
+queue is empty, and no background thread exists.  Scoring is CPU-bound
+under the GIL, so a second concurrent scorer would only add switches.
 
-**Request coalescing.**  The first thread to reach an idle lane becomes
-its *leader*: it drains up to ``max_batch`` queued units (optionally
-waiting ``batch_window`` seconds for stragglers while other requests are
-in flight) and hands the whole micro-batch to one ``process`` call,
-which scores two or more feature-carrying pages as one burst
-(:meth:`~repro.core.incremental.IncrementalResolver.score_burst`) —
-every page prepared once per batch instead of once per request.
-Follower threads just wait on their futures.  Batches stay
-bit-identical to sequential per-page serving by construction.
+**Request coalescing.**  A batch is the queue head plus every later
+queued unit for the same prepared slot, in order, up to ``max_batch``;
+the other units keep their places.  One ``process`` call serves it,
+scoring two or more feature-carrying pages as one burst
+(:meth:`~repro.core.incremental.IncrementalResolver.score_burst`).
+Units queue while a batch is scored, so a same-name stampede coalesces
+by itself, bit-identical to sequential per-page serving.
 
-**Deterministic replay.**  Because every state decision (routing, LRU,
-eviction, bootstrap-vs-incremental) is made at admission in a single
-serialized order, and per-name processing follows lane FIFO order,
+**Deterministic replay.**  Every state decision (routing, LRU,
+eviction, bootstrap-vs-incremental) is made at admission in one
+serialized order, and each slot's units are processed in that order, so
 replaying the admission journal through a plain serial
 ``ResolutionSession`` — the same ``admit`` / ``process`` code under the
-one-caller schedule — reproduces the engine's clusters *bit for bit*:
-any interleaving of concurrent callers is equivalent to the serial
-execution of its admission order.  Enable ``record_journal=True`` and
-check with :func:`~repro.serving.replay.verify_serial_equivalence`;
-``tests/serving/`` asserts it under thread-pool hammering.
+one-caller schedule — reproduces the engine's clusters *bit for bit*.
+Enable ``record_journal=True`` and check with
+:func:`~repro.serving.replay.verify_serial_equivalence`.
 
-Model hot-swap is a pointer move: :meth:`ServingEngine.swap` builds the
-next :class:`~repro.serving.snapshot.ModelSnapshot` off-line and
-publishes it under the admission lock — in-flight requests finish on the
-snapshot they were admitted under, new requests land on the replacement,
-and prepared state rebuilds lazily per name.
+Model hot-swap is a pointer move: :meth:`ServingEngine.swap` publishes
+a :class:`~repro.serving.snapshot.ModelSnapshot` built off-line, and
+in-flight requests finish on the snapshot they were admitted under.
 
 Typical deployment::
 
     engine = ServingEngine(model, pipeline=pipeline, max_batch=16)
-    # any number of threads:
-    assignments = engine.resolve(request.pages)
-    # control plane, any time, without draining traffic:
-    engine.swap(refit_model)
+    assignments = engine.resolve(request.pages)   # from any thread
+    engine.swap(refit_model)                      # any time, no drain
 """
 
 from __future__ import annotations
 
+import logging
 import threading
-import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from repro.core.incremental import Assignment
 from repro.core.model import ResolverModel
@@ -75,6 +65,9 @@ from repro.runtime.stats import (HIDDEN, MAX, LatencyReservoir, LatencyView,
 from repro.serving.snapshot import ModelSnapshot
 
 __all__ = ["EngineStats", "ServingEngine"]
+
+#: one ``DEBUG`` record per processed batch; silent unless configured.
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -146,60 +139,28 @@ class EngineStats(LatencyView, StatsRecord):
                 f"p99 {self.p99_request_seconds * 1000:.2f}ms")
 
 
-class _Lane:
-    """One name's FIFO unit queue plus its processing mutex.
-
-    ``busy`` is the per-name lock: the thread that flips it becomes the
-    lane's *leader* and processes queued units in admission order;
-    everyone else waits on ``cond``.  ``refs`` counts admitted units not
-    yet completed, so idle lanes can be dropped (names are unbounded in
-    a long-lived process; lanes must not leak).
-    """
-
-    __slots__ = ("cond", "pending", "busy", "refs", "last_batch")
-
-    def __init__(self):
-        self.cond = threading.Condition()
-        self.pending: deque[_Unit] = deque()
-        self.busy = False
-        self.refs = 0
-        #: size of the last drained batch — the window wait's target.
-        #: A closed-loop stampede that just produced an N-unit batch is
-        #: about to produce another; one caller (last_batch <= 1) never
-        #: waits.  Adapts both ways: organic queueing grows it, a
-        #: window expiry with fewer arrivals shrinks it.
-        self.last_batch = 0
-
-
 @dataclass
 class _Unit:
-    """One admitted unit on its way through a lane — the scheduling grain."""
+    """One admitted unit on its way through the queue."""
 
     seq: int
     admitted: AdmittedUnit
     request: "_Request"
-    lane: _Lane
     journal_entry: dict | None = None
-    done: bool = False
 
 
+@dataclass(eq=False)
 class _Request:
-    """Aggregates a submit call's units back into one ordered future."""
+    """Aggregates a submit call's units back into one ordered future.
+    Only the thread running a batch settles units, so it takes no lock."""
 
-    __slots__ = ("future", "order", "by_doc", "remaining", "failed",
-                 "lock", "started", "snapshot", "units")
-
-    def __init__(self, order: list[str], n_units: int,
-                 snapshot: ModelSnapshot):
-        self.future: Future = Future()
-        self.order = order
-        self.by_doc: dict[str, Assignment] = {}
-        self.remaining = n_units
-        self.failed = False
-        self.lock = threading.Lock()
-        self.started = clock()
-        self.snapshot = snapshot
-        self.units: list[_Unit] = []
+    order: list[str]
+    remaining: int
+    snapshot: ModelSnapshot
+    future: Future = field(default_factory=Future)
+    by_doc: dict[str, Assignment] = field(default_factory=dict)
+    failed: bool = False
+    started: float = field(default_factory=clock)
 
 
 class ServingEngine:
@@ -212,15 +173,9 @@ class ServingEngine:
         max_blocks: per-snapshot LRU bound on prepared name blocks.
         model_block: fitted block serving names the model was never
             fitted on (as for :class:`ResolutionSession`).
-        max_batch: most units one leader merges into a scoring batch.
-        batch_window: seconds a leader waits for stragglers before
-            flushing a non-full batch.  The wait targets the lane's
-            *recent* batch size — a lane that just served N concurrent
-            requests expects the same closed-loop callers to return, so
-            it holds the batch open (up to the window) until N queue
-            again; a lane serving one caller never waits.  0.0
-            (default) disables the wait entirely; queued units still
-            coalesce naturally while a leader is busy.
+        max_batch: most units of one prepared slot merged into one
+            scoring batch; the queue head's slot takes its queued units
+            in order up to this bound, and the rest wait their turn.
         queue_depth: bound on concurrently admitted requests — further
             ``resolve``/``submit`` calls block (backpressure) until a
             slot frees.
@@ -239,29 +194,23 @@ class ServingEngine:
                  max_blocks: int = 32,
                  model_block: str | None = None,
                  max_batch: int = 16,
-                 batch_window: float = 0.0,
                  queue_depth: int = 1024,
                  record_journal: bool = False):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {batch_window}")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.max_blocks = max_blocks
         self.model_block = model_block
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self._admission = threading.Lock()
         self._swap_lock = threading.Lock()
         self._queue_slots = threading.BoundedSemaphore(queue_depth)
-        self._lanes: dict[str, _Lane] = {}
-        # Batch-size memory surviving lane garbage collection: lanes die
-        # the moment a round of closed-loop callers completes, which is
-        # exactly when the next round is about to stampede the same
-        # name.  Bounded LRU so dead names cannot accumulate.
-        self._batch_memory: "OrderedDict[str, int]" = OrderedDict()
+        # Admitted units in admission order, and whether a batch is
+        # running; both under ``_idle``, taken after ``_admission``.
+        self._queue: deque[_Unit] = deque()
+        self._busy = False
+        self._idle = threading.Condition()
         self._inflight = 0
         self._seq = 0
         self._snapshot = ModelSnapshot.create(
@@ -287,9 +236,10 @@ class ServingEngine:
         """Assign every incoming page to an entity; one request.
 
         Same contract as :meth:`ResolutionSession.resolve`, safe to call
-        from any number of threads.  The calling thread participates in
-        lane processing (leader/follower), so throughput scales with
-        callers and no background threads exist to manage.
+        from any number of threads.  The calling thread processes queued
+        batches — its own units and every unit admitted before them,
+        whatever the name — until its request is settled, or waits while
+        another caller's batch runs; no background thread exists.
 
         Raises:
             KeyError: unknown query name / unroutable nameless page —
@@ -299,9 +249,7 @@ class ServingEngine:
                 pipeline (surfaced through the request future).
         """
         request = self._admit(pages, features)
-        for unit in request.units:
-            self._run_lane(unit.admitted.query_name, unit.lane,
-                           lambda: unit.done)
+        self._drain(lambda: request.remaining == 0)
         return request.future.result()
 
     def submit(
@@ -311,18 +259,17 @@ class ServingEngine:
     ) -> Future:
         """Admit a request and return its future without processing it.
 
-        The work executes when any thread next drives the name's lane —
-        a concurrent :meth:`resolve` caller, or an explicit
-        :meth:`flush`.  Admission errors (unknown name, backpressure)
-        raise synchronously, exactly like :meth:`resolve`.
+        The work executes when any thread next drains the queue: an
+        explicit :meth:`flush`, or the next :meth:`resolve` for any name
+        — the queue is served in admission order, so a ``resolve`` also
+        completes every unit admitted before it.  Admission errors
+        (unknown name, backpressure) raise synchronously, as there.
         """
         return self._admit(pages, features).future
 
     def flush(self) -> None:
         """Process every queued unit (completes outstanding futures)."""
-        for name, lane in list(self._lanes.items()):
-            self._run_lane(name, lane,
-                           lambda: not lane.pending and not lane.busy)
+        self._drain(lambda: not self._queue and not self._busy)
 
     def swap(self, model: ResolverModel,
              pipeline: ExtractionPipeline | None = None) -> ModelSnapshot:
@@ -356,8 +303,11 @@ class ServingEngine:
         return replacement
 
     def clusters(self, query_name: str) -> Clustering:
-        """The live snapshot's current partition of a prepared name."""
-        with self._admission:
+        """The live snapshot's current partition of a prepared name,
+        read between batches (a running batch is mutating its slot)."""
+        with self._admission, self._idle:
+            while self._busy:
+                self._idle.wait()
             return self._snapshot.session.clusters(query_name)
 
     def prepared_names(self) -> list[str]:
@@ -391,15 +341,10 @@ class ServingEngine:
         admitted = snapshot.session.admit(page_list, features)
         request = _Request([page.doc_id for page in page_list],
                            len(admitted), snapshot)
+        units = []
         for work in admitted:
             self._seq += 1
-            lane = self._lanes.get(work.query_name)
-            if lane is None:
-                lane = _Lane()
-                lane.last_batch = self._batch_memory.get(work.query_name, 0)
-                self._lanes[work.query_name] = lane
-            unit = _Unit(seq=self._seq, admitted=work, request=request,
-                         lane=lane)
+            unit = _Unit(seq=self._seq, admitted=work, request=request)
             if self.journal is not None:
                 unit.journal_entry = {
                     "seq": unit.seq,
@@ -414,11 +359,9 @@ class ServingEngine:
                     "assignments": None,
                 }
                 self.journal.append(unit.journal_entry)
-            request.units.append(unit)
-            with lane.cond:
-                lane.pending.append(unit)
-                lane.refs += 1
-                lane.cond.notify_all()
+            units.append(unit)
+        with self._idle:
+            self._queue.extend(units)
         snapshot.requests_admitted += 1
         misses = sum(work.cold for work in admitted)
         stats = self.stats
@@ -434,64 +377,43 @@ class ServingEngine:
 
     # -- processing (phase 2: scoring outside the admission lock) --------
 
-    def _run_lane(self, name: str, lane: _Lane, finished) -> None:
-        """Lead ``lane``, or wait on its leader, until ``finished()``."""
+    def _drain(self, finished) -> None:
+        """Run queued batches, one at a time across callers, until
+        ``finished()``; wait while another caller's batch runs."""
         while True:
-            with lane.cond:
-                while lane.busy and not finished():
-                    lane.cond.wait()
+            with self._idle:
+                while self._busy and not finished():
+                    self._idle.wait()
                 if finished():
                     return
-                lane.busy = True
+                batch = self._take_batch()
+                self._busy = True
             try:
-                self._lead(lane)
+                self._process_group(batch)
             finally:
-                with lane.cond:
-                    lane.busy = False
-                    lane.cond.notify_all()
-            self._maybe_drop_lane(name, lane)
+                with self._idle:
+                    self._busy = False
+                    self._idle.notify_all()
 
-    def _lead(self, lane: _Lane) -> None:
-        """As lane leader: optionally wait the window, drain, process."""
-        if self.batch_window > 0:
-            deadline = time.monotonic() + self.batch_window
-            with lane.cond:
-                # Hold the batch open for the callers the lane just
-                # served: after an N-unit batch completes, its N
-                # closed-loop callers are re-admitting *right now*, but
-                # the instantaneous queue can look empty before their
-                # threads get scheduled.  Waiting for the recent batch
-                # size (never past the window) turns those would-be
-                # singleton flushes into full coalesced batches; a lane
-                # with one caller has last_batch <= 1 and never waits.
-                # The floor of 2 whenever anything else is in flight
-                # keeps a fresh lane from locking into singleton service
-                # under lock-step scheduling before any batch has formed
-                # to seed last_batch.
-                floor = 2 if self._inflight > 1 else 1
-                target = min(self.max_batch, max(lane.last_batch, floor))
-                while len(lane.pending) < target:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    lane.cond.wait(remaining)
-        with lane.cond:
-            batch: list[_Unit] = []
-            while lane.pending and len(batch) < self.max_batch:
-                batch.append(lane.pending.popleft())
-            if batch:
-                lane.last_batch = len(batch)
-        # Consecutive units sharing a prepared slot form one ``process``
-        # call; the slot changes only across evict→rebuild or swap
-        # boundaries, so runs are contiguous in admission order.
-        for _, group in groupby(
-                batch, key=lambda unit: id(unit.admitted.prepared)):
-            self._process_group(list(group))
+    def _take_batch(self) -> list[_Unit]:
+        """Pop the head and the later queued units for its slot, in
+        order, up to ``max_batch``; the others keep their places (under
+        ``_idle``).  Each slot's units leave in admission order."""
+        queue = self._queue
+        batch = [queue.popleft()]
+        slot = batch[0].admitted.prepared
+        skipped: list[_Unit] = []
+        while queue and len(batch) < self.max_batch:
+            unit = queue.popleft()
+            (batch if unit.admitted.prepared is slot else skipped).append(
+                unit)
+        queue.extendleft(reversed(skipped))
+        return batch
 
     def _process_group(self, units: list[_Unit]) -> None:
-        session = units[0].request.snapshot.session
+        snapshot = units[0].request.snapshot
         try:
-            done = session.process([unit.admitted for unit in units])
+            done = snapshot.session.process([unit.admitted for unit in units])
         except BaseException as error:
             # Nothing ``process`` foresees; no future may be left hanging.
             for unit in units:
@@ -509,6 +431,15 @@ class ServingEngine:
             if done.swept:
                 stats.coalesced_batches += 1
                 stats.coalesced_pages += done.added_pages
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("v%(version)d %(query_name)r: %(units)d units, "
+                         "%(pages)d pages, bootstrap %(bootstrap)s, swept "
+                         "%(swept)s", dict(
+                             version=snapshot.version,
+                             query_name=units[0].admitted.query_name,
+                             units=len(units),
+                             pages=sum(len(u.admitted.pages) for u in units),
+                             bootstrap=done.bootstrap, swept=done.swept))
         for unit, outcome in zip(units, done.outcomes):
             self._settle(unit, outcome)
 
@@ -518,21 +449,16 @@ class ServingEngine:
         fails the future, the last unit frees the queue slot and, when
         none failed, resolves the future in input order."""
         failed = isinstance(outcome, BaseException)
-        if unit.journal_entry is not None and not failed:
-            unit.journal_entry["assignments"] = list(outcome)
         request = unit.request
-        with request.lock:
-            if unit.done:
-                return
-            unit.done = True
-            if not failed:
-                for assignment in outcome:
-                    request.by_doc[assignment.doc_id] = assignment
-            first_failure = failed and not request.failed
-            request.failed |= failed
-            request.remaining -= 1
-            last = request.remaining == 0
-            completed = last and not request.failed
+        if not failed:
+            if unit.journal_entry is not None:
+                unit.journal_entry["assignments"] = list(outcome)
+            request.by_doc.update((a.doc_id, a) for a in outcome)
+        first_failure = failed and not request.failed
+        request.failed |= failed
+        request.remaining -= 1
+        last = request.remaining == 0
+        completed = last and not request.failed
         elapsed = clock() - request.started if completed else 0.0
         stats = self.stats
         with stats._lock:
@@ -540,9 +466,6 @@ class ServingEngine:
             stats.failed_requests += first_failure
             if completed:
                 stats.latency.record(elapsed)
-        with unit.lane.cond:
-            unit.lane.refs -= 1
-            unit.lane.cond.notify_all()
         if first_failure:
             request.future.set_exception(outcome)
         if not last:
@@ -553,18 +476,3 @@ class ServingEngine:
                 elapsed, pages=len(request.order))
             request.future.set_result(
                 [request.by_doc[doc_id] for doc_id in request.order])
-
-    def _maybe_drop_lane(self, name: str, lane: _Lane) -> None:
-        """Garbage-collect an idle lane (names are unbounded)."""
-        with self._admission:
-            with lane.cond:
-                if (not lane.busy and not lane.pending and lane.refs == 0
-                        and self._lanes.get(name) is lane):
-                    del self._lanes[name]
-                    if lane.last_batch > 1:
-                        self._batch_memory[name] = lane.last_batch
-                        self._batch_memory.move_to_end(name)
-                        while len(self._batch_memory) > 4 * self.max_blocks:
-                            self._batch_memory.popitem(last=False)
-                    else:
-                        self._batch_memory.pop(name, None)

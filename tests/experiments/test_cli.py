@@ -175,8 +175,7 @@ class TestServe:
         data, model, _ = artifacts
         assert main(FAST + ["serve", "--in", str(data),
                             "--model", str(model), "--requests", "16",
-                            "--threads", "4",
-                            "--batch-window", "2"]) == 0
+                            "--threads", "4"]) == 0
         captured = capsys.readouterr()
         assert "4 closed-loop threads" in captured.out
         assert "Load report (4 threads)" in captured.out

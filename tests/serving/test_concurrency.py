@@ -37,8 +37,7 @@ class TestConcurrentDeterminism:
                                 all_features):
         """All workers hit one hot name: the coalescing fast path."""
         engine = ServingEngine(serving_model, pipeline=pipeline,
-                               max_batch=8, batch_window=0.002,
-                               record_journal=True)
+                               max_batch=8, record_journal=True)
         pages = list(small_block.pages)
         feats = {p.doc_id: all_features[p.doc_id] for p in pages}
         engine.resolve(pages[:10], features=feats)
@@ -118,10 +117,11 @@ class TestConcurrentDeterminism:
     def test_session_counters_lose_no_update(self, serving_model, pipeline,
                                              warm_requests,
                                              single_page_requests):
-        """``process`` runs for different names at once and folds its
-        counts into one ``SessionStats`` behind the stats' own lock;
-        more threads than cores at a tiny switch interval is where an
-        unguarded read-modify-write would drop one."""
+        """``process`` folds its counts into one ``SessionStats`` behind
+        the stats' own lock while admission and request completion write
+        the same record from other threads; more threads than cores at a
+        tiny switch interval is where an unguarded read-modify-write
+        would drop one."""
         engine = ServingEngine(serving_model, pipeline=pipeline)
         warm = warm_requests(head=10)
         for request in warm:
@@ -141,17 +141,16 @@ class TestConcurrentDeterminism:
         assert stats.new_entities == sum(
             len(engine.clusters(name)) for name in engine.prepared_names())
 
-    @pytest.mark.parametrize("batch_window", [0.0, 0.002])
+    @pytest.mark.parametrize("max_batch", [1, 4])
     def test_window_setting_never_changes_results(self, serving_model,
                                                   pipeline, warm_requests,
                                                   single_page_requests,
-                                                  batch_window):
-        """The batching knobs trade latency, never correctness: the
-        final partitions depend only on admission order, which replay
+                                                  max_batch):
+        """The batch bound trades latency, never correctness: the final
+        partitions depend only on admission order, which replay
         normalizes away."""
         engine = ServingEngine(serving_model, pipeline=pipeline,
-                               batch_window=batch_window, max_batch=4,
-                               record_journal=True)
+                               max_batch=max_batch, record_journal=True)
         requests = warm_requests(head=10) + single_page_requests(skip=10)
         report = run_load(engine, requests, threads=THREADS)
         assert report.failed == 0, report.errors

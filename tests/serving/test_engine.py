@@ -8,12 +8,15 @@ Concurrency is exercised separately in ``test_concurrency.py``.
 
 from __future__ import annotations
 
+import logging
 import random
 import threading
 from dataclasses import replace
 
 import pytest
 
+import repro.core.incremental as incremental
+from repro.core.incremental import IncrementalResolver
 from repro.core.model import ResolverModel
 from repro.corpus.documents import NameCollection
 from repro.pipeline.session import ResolutionSession
@@ -83,8 +86,8 @@ class TestSingleThreadParity:
                                                       small_dataset):
         """A submitted request still queued has no latency yet: it must
         not dilute the mean of the ones that completed."""
-        queued = engine.submit([small_dataset.by_name("Adam Cheyer").pages[0]])
         engine.resolve([small_dataset.by_name("Lynn Voss").pages[0]])
+        queued = engine.submit([small_dataset.by_name("Adam Cheyer").pages[0]])
         stats = engine.stats
         assert not queued.done()
         assert (stats.requests, stats.latency.count) == (2, 1)
@@ -94,7 +97,6 @@ class TestSingleThreadParity:
 class TestValidation:
     @pytest.mark.parametrize("knobs", [
         {"max_batch": 0},
-        {"batch_window": -0.001},
         {"queue_depth": 0},
     ])
     def test_invalid_knobs_raise(self, serving_model, pipeline, knobs):
@@ -296,6 +298,202 @@ class TestSubmitFlush:
             == [page.doc_id for page in pages[10:14]]
         report = verify_serial_equivalence(engine)
         assert report["identical"], report["diffs"]
+
+
+class TestBatchRule:
+    """A batch is the queue head plus the later queued units for its
+    slot, in order, up to ``max_batch``; the rest keep their places."""
+
+    @pytest.mark.parametrize("max_batch, batches, largest",
+                             [(16, 2, 3), (2, 3, 2)])
+    def test_a_batch_is_the_heads_slot_in_admission_order(
+            self, serving_model, pipeline, small_dataset, all_features,
+            max_batch, batches, largest):
+        engine = ServingEngine(serving_model, pipeline=pipeline,
+                               max_batch=max_batch, record_journal=True)
+        first, second = small_dataset.collections[:2]
+        for block in (first, second):
+            engine.resolve(block.pages[:10], features=all_features)
+        a, b = first.pages[10:13], second.pages[10:12]
+        order = [a[0], b[0], a[1], b[1], a[2]]
+        futures = [engine.submit(page, features=all_features)
+                   for page in order]
+        engine.flush()
+        assert [future.result(timeout=5)[0].doc_id for future in futures] \
+            == [page.doc_id for page in order]
+        stats = engine.stats
+        # A's three units as one burst (or 2 + 1), B's two as one
+        assert stats.coalesced_batches == 2
+        assert stats.max_batch_pages == largest
+        assert stats.scoring_batches == 2 + batches  # two warm bootstraps
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+
+    def test_resolve_serves_the_requests_queued_before_it(
+            self, engine, small_dataset, all_features):
+        first, second = small_dataset.collections[:2]
+        queued = engine.submit(first.pages[0], features=all_features)
+        engine.resolve(second.pages[0], features=all_features)
+        assert queued.done()
+        assert queued.result()[0].doc_id == first.pages[0].doc_id
+
+    def test_one_debug_event_per_batch(self, engine, small_block,
+                                       all_features, caplog):
+        caplog.set_level(logging.DEBUG, logger="repro.serving.engine")
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        engine.resolve(pages[:10], features=feats)
+        for page in pages[10:13]:
+            engine.submit(page, features=feats)
+        engine.flush()
+        events = [record for record in caplog.records
+                  if record.name == "repro.serving.engine"]
+        assert [record.args for record in events] == [
+            {"version": 1, "query_name": small_block.query_name,
+             "units": 1, "pages": 10, "bootstrap": "batch", "swept": False},
+            {"version": 1, "query_name": small_block.query_name,
+             "units": 3, "pages": 3, "bootstrap": None, "swept": True},
+        ]
+        assert {record.levelno for record in events} == {logging.DEBUG}
+        # silent by default: the library installs no handler
+        assert not logging.getLogger("repro.serving.engine").handlers
+
+
+class TestInspection:
+    def test_clusters_waits_for_the_add_in_progress(
+            self, engine, small_block, all_features, monkeypatch):
+        """``add_page`` files the new row into a cluster before it
+        indexes the page; a ``clusters`` read in between would index
+        past the end.  The read waits for the batch instead."""
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        name = small_block.query_name
+        engine.resolve(pages[:10], features=feats)
+        entered, release = threading.Event(), threading.Event()
+        real = incremental.Assignment
+
+        def pausing(**fields):
+            if fields["doc_id"] == pages[10].doc_id:
+                entered.set()
+                assert release.wait(timeout=10)
+            return real(**fields)
+
+        monkeypatch.setattr(incremental, "Assignment", pausing)
+        adder = threading.Thread(target=engine.resolve, args=(pages[10],),
+                                 kwargs={"features": feats}, daemon=True)
+        adder.start()
+        assert entered.wait(timeout=10)
+        seen = []
+
+        def read():
+            try:
+                seen.append(engine.clusters(name))
+            except Exception as error:  # e.g. an index read mid-add
+                seen.append(error)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=0.2)
+        release.set()
+        for thread in (adder, reader):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        (partition,) = seen
+        assert not isinstance(partition, Exception), partition
+        assert partition.n_items() == 11
+        assert partition == engine.clusters(name)
+
+
+class TestFailurePathsEnd:
+    """An error inside processing ends in a defined state: the units it
+    hit fail, their queue slots free, and traffic continues."""
+
+    def test_error_inside_a_burst_fails_exactly_its_units(
+            self, serving_model, pipeline, small_block, all_features,
+            monkeypatch):
+        engine = ServingEngine(serving_model, pipeline=pipeline,
+                               queue_depth=4)
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        name = small_block.query_name
+        engine.resolve(pages[:10], features=feats)
+        before = engine.clusters(name)
+        boom = RuntimeError("burst scorer failed")
+        real = IncrementalResolver.score_burst
+        calls = []
+
+        def failing_once(self, new_features):
+            calls.append(len(new_features))
+            if len(calls) == 1:
+                raise boom
+            return real(self, new_features)
+
+        monkeypatch.setattr(IncrementalResolver, "score_burst", failing_once)
+        futures = [engine.submit(page, features=feats)
+                   for page in pages[10:14]]
+        engine.flush()
+        assert [future.exception(timeout=5) for future in futures] \
+            == [boom] * 4
+        assert engine.stats.failed_requests == 4
+        assert engine.clusters(name) == before
+        # With a leaked slot the next burst's submits would block.
+        retried = []
+
+        def burst():
+            retried.extend(engine.submit(page, features=feats)
+                           for page in pages[10:14])
+            engine.flush()
+
+        driver = threading.Thread(target=burst, daemon=True)
+        driver.start()
+        driver.join(timeout=10)
+        assert not driver.is_alive(), "the failed burst kept its slots"
+        assert [future.result(timeout=5)[0].doc_id for future in retried] \
+            == [page.doc_id for page in pages[10:14]]
+        assert calls == [4, 4]
+        assert engine.stats.coalesced_batches == 1
+        assert engine.clusters(name).n_items() == 14
+
+    def test_keyboard_interrupt_reaches_the_caller(
+            self, engine, small_block, all_features, monkeypatch):
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        engine.resolve(pages[:10], features=feats)
+        real = ResolutionSession.process
+
+        def interrupted(self, units):
+            monkeypatch.setattr(ResolutionSession, "process", real)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ResolutionSession, "process", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            engine.resolve(pages[10], features=feats)
+        assert engine.stats.failed_requests == 1
+        caller = threading.Thread(target=engine.resolve, args=(pages[11],),
+                                  kwargs={"features": feats}, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "the interrupted batch stayed busy"
+        assert engine.clusters(small_block.query_name).n_items() == 11
+
+    def test_swap_to_an_unservable_model_changes_nothing(
+            self, engine, serving_model, small_block, all_features):
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        engine.resolve(pages[:10], features=feats)
+        unservable = ResolverModel(
+            replace(serving_model.config, combiner="majority"),
+            serving_model.blocks)
+        with pytest.raises(ValueError, match="does not support combiner"):
+            engine.swap(unservable)
+        assert engine.snapshot.version == 1
+        assert list(engine.snapshots) == [1]
+        assert engine.stats.swaps == 0
+        for page in pages[10:13]:
+            engine.resolve(page, features=feats)
+        report = verify_serial_equivalence(engine)
+        assert report["identical"], report["diffs"]
+        assert report["versions"] == [1]
 
 
 class TestSwap:
