@@ -16,8 +16,13 @@ prepared blocks' pages — the same entity-token keys
 :class:`~repro.blocking.token_blocking.TokenBlocker` blocks on, with
 boilerplate keys shared across most names excluded as stop-keys — and
 routes a nameless page to the prepared block sharing the most blocking
-keys, where it is assigned incrementally like any other request.  The
-index is evicted with its blocks, so memory stays bounded by the LRU.
+keys, where it is assigned incrementally like any other request.  Named
+traffic never reads that index, so it is built when a nameless page
+first needs it: until then a named page is queued by reference at
+admission, and the first nameless route tokenises the queued pages for
+their keys.  From that route on, admission indexes every page as it
+reads it.  The index and the queue are evicted with their blocks, so
+memory stays bounded by the LRU.
 
 Prepared state is built through a pared-down predict pass on first
 contact with a name — extraction → similarity graphs → fitted decisions
@@ -34,11 +39,13 @@ Typical deployment loop::
         assignments = session.resolve(request.pages)
 
 A raw page is read once and extracted for what its slot reads.
-Admission tokenises the page — for the routing index — and the unit
-carries the tokens to extraction; each slot holds the read set of the
-fitted state it serves (the ``PageFeatures`` fields the functions its
-combiner consults declare — under best-graph selection one function's),
-and only the extractor groups behind those fields run: a TF-IDF slot
+Admission tokenises a raw page and the unit carries the tokens to
+extraction; until the first nameless route, a page whose features the
+request carries is not read at admission (only by that route's
+indexing).  Each slot holds the read set of the fitted state it serves
+(the ``PageFeatures`` fields the functions its combiner consults
+declare — under best-graph selection one function's), and only the
+extractor groups behind those fields run: a TF-IDF slot
 runs no NER and no concept spotter, a slot that reads no ``tfidf``
 counts no terms and never catches its context up.  The features a slot
 indexes record that read set, and scoring them under any other function
@@ -55,6 +62,7 @@ demo loop over this class.
 
 from __future__ import annotations
 
+import logging
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -78,6 +86,8 @@ from repro.similarity.base import read_fields
 
 __all__ = ["AdmittedUnit", "Processed", "ResolutionSession",
            "SessionStats", "as_page_list"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -183,8 +193,10 @@ class AdmittedUnit:
     #: admission found no prepared state and reserved the slot.
     cold: bool
     #: ``page_tokens`` of ``pages``, in order — admission's one pass over
-    #: each page's text, handed on to extraction.
-    tokens: list[list[str]]
+    #: each page's text, handed on to extraction.  An entry is ``None``
+    #: when admission did not read the page: it is named, the request
+    #: carries its features and no nameless page has been routed yet.
+    tokens: list[list[str] | None]
 
 
 @dataclass
@@ -282,12 +294,18 @@ class ResolutionSession:
         self._prepared: OrderedDict[str, _PreparedBlock] = OrderedDict()
         # Token-blocking candidate index over served pages: blocking key
         # -> prepared names it appeared under (with the reverse map for
-        # eviction).  Routes pages without a usable query name; entries
+        # eviction).  Routes pages without a usable query name.  Until
+        # the first nameless route, named pages wait in ``_unindexed``
+        # (by reference: the queue keeps no tokens) for a route to index
+        # them; from then on ``_index_on_admit`` is set and admission
+        # indexes every page as it reads it.  Entries and queued pages
         # are dropped with their block's LRU eviction, so index memory
         # stays bounded by ``max_blocks``.
         self._token_blocker = TokenBlocker()
         self._token_index: dict[str, set[str]] = {}
         self._keys_by_name: dict[str, set[str]] = {}
+        self._unindexed: dict[str, list[WebPage]] = {}
+        self._index_on_admit = False
         # Fitted-state name -> the fields its consulted functions read.
         # The model never changes (``swap`` builds a new session), so
         # each is derived once.
@@ -366,7 +384,10 @@ class ResolutionSession:
         name looks up the prepared block — or *reserves* a cold slot, so
         the LRU bookkeeping (prepared / evicted counts, eviction order)
         happens in admission order — and indexes the pages for nameless
-        routing.
+        routing.  Until the session routes its first nameless page, a
+        named page is only queued for the index and read only when
+        extraction will read it, i.e. unless ``features`` carries it;
+        from then on every page is read and indexed here.
 
         Not thread-safe: concurrent callers serialise admissions (the
         serving engine holds its admission lock around this call).
@@ -382,15 +403,20 @@ class ResolutionSession:
                 before any admission effect, so the corrected request
                 can be retried.
         """
-        # One pass over each page's text serves routing, the index and
-        # (through the unit) extraction.
-        token_keys = self._token_blocker.token_keys
+        # At most one pass over each page's text serves routing, the
+        # index and (through the unit) extraction.
+        carried = features or {}
+        index_now = self._index_on_admit
         grouped: OrderedDict[str, list[tuple]] = OrderedDict()
         for page in as_page_list(pages):
-            tokens = page_tokens(page)
-            keys = token_keys(tokens)
-            grouped.setdefault(self._route(page, keys),
-                               []).append((page, tokens, keys))
+            if page.query_name and not index_now:
+                tokens = None if page.doc_id in carried else page_tokens(page)
+                keys = None
+            else:
+                tokens = page_tokens(page)
+                keys = self._token_blocker.token_keys(tokens)
+            query_name = page.query_name or self._route_unnamed(page, keys)
+            grouped.setdefault(query_name, []).append((page, tokens, keys))
         for query_name in grouped:
             if query_name not in self._prepared:
                 self._fallback_for(query_name)
@@ -402,7 +428,10 @@ class ResolutionSession:
             if cold:
                 prepared = self._reserve(query_name)
             group_pages, group_tokens, group_keys = map(list, zip(*group))
-            self._index_keys(query_name, group_keys)
+            self._index_keys(query_name, filter(None, group_keys))
+            for page, keys in zip(group_pages, group_keys):
+                if keys is None:
+                    self._unindexed.setdefault(query_name, []).append(page)
             units.append(AdmittedUnit(query_name, group_pages, features,
                                       prepared, cold, group_tokens))
         return units
@@ -508,11 +537,9 @@ class ResolutionSession:
             self._fallback_for(block.query_name)
             prepared = self._reserve(block.query_name)
         if prepared.incremental is None:
-            tokens = list(map(page_tokens, block.pages))
-            self._index_keys(block.query_name,
-                             map(self._token_blocker.token_keys, tokens))
-            self._bootstrap(prepared, block.pages, features, graphs=graphs,
-                            tokens=tokens)
+            self._unindexed.setdefault(block.query_name,
+                                       []).extend(block.pages)
+            self._bootstrap(prepared, block.pages, features, graphs=graphs)
         return prepared.incremental.clusters()
 
     # -- inspection ------------------------------------------------------
@@ -532,6 +559,20 @@ class ResolutionSession:
                 f"are: {', '.join(self._prepared) or '<none>'}")
         return prepared.incremental.clusters()
 
+    def routing_keys(self) -> dict[str, frozenset[str]]:
+        """The nameless-routing index: each indexed name's blocking keys.
+
+        Indexes the queued pages first, so this is the index the next
+        nameless page would be routed on, read from the key -> names map
+        the vote reads.  Like :meth:`admit`, not thread-safe.
+        """
+        self._index_queued()
+        index: dict[str, set[str]] = {}
+        for key, names in self._token_index.items():
+            for name in names:
+                index.setdefault(name, set()).add(key)
+        return {name: frozenset(keys) for name, keys in index.items()}
+
     def prepared_names(self) -> list[str]:
         """Names with a prepared slot, least recently used first."""
         return list(self._prepared)
@@ -545,30 +586,21 @@ class ResolutionSession:
 
     # -- admission internals ---------------------------------------------
 
-    def _route(self, page: WebPage, keys: set[str]) -> str:
-        """The block name serving ``page``: its own, or for a nameless
-        page the one its blocking ``keys`` route it to."""
-        if page.query_name:
-            return page.query_name
-        routed = self._route_unnamed(keys)
-        if routed is None:
-            raise KeyError(
-                f"page {page.doc_id!r} has no query name and shares no "
-                f"blocking key with any served block; serve some named "
-                f"traffic first (the token index grows with every "
-                f"resolved page)")
-        self.stats.routed_pages += 1
-        return routed
+    def _route_unnamed(self, page: WebPage, keys: set[str]) -> str:
+        """The block a nameless page's blocking ``keys`` route it to:
+        the indexed name sharing the most of them.
 
-    def _route_unnamed(self, keys: set[str]) -> str | None:
-        """Best token-blocking candidate name for a nameless page's keys.
-
-        Keys appearing under more than ``max_block_fraction`` of the
-        indexed names are stop-keys (the session analogue of
-        :class:`TokenBlocker`'s stop-blocks): boilerplate shared by
-        every name must not vote, or it would route arbitrary pages to
-        the lexicographically first name.
+        Indexes the queued named pages first, so the vote runs on the
+        index eager admission would have built, and has admission index
+        every page from then on: a session that sees one nameless page
+        will see more.  Keys appearing under more than
+        ``max_block_fraction`` of the indexed names are stop-keys (the
+        session analogue of :class:`TokenBlocker`'s stop-blocks):
+        boilerplate shared by every name must not vote, or it would
+        route arbitrary pages to the lexicographically first name.
         """
+        indexed = self._index_queued()
+        self._index_on_admit = True
         stop = max(1, int(self._token_blocker.max_block_fraction
                           * len(self._keys_by_name)))
         votes: dict[str, int] = {}
@@ -579,10 +611,34 @@ class ResolutionSession:
             for name in names:
                 votes[name] = votes.get(name, 0) + 1
         if not votes:
-            return None
+            raise KeyError(
+                f"page {page.doc_id!r} has no query name and shares no "
+                f"blocking key with any served block; serve some named "
+                f"traffic first (the token index grows with every "
+                f"resolved page)")
         # Most shared blocking keys wins; lexicographic tie-break keeps
         # routing deterministic.
-        return min(votes, key=lambda name: (-votes[name], name))
+        routed = min(votes, key=lambda name: (-votes[name], name))
+        self.stats.routed_pages += 1
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("route %(doc_id)r -> %(query_name)r: %(votes)d "
+                         "shared keys among %(candidates)s; %(indexed)d "
+                         "queued pages indexed", dict(
+                             doc_id=page.doc_id, query_name=routed,
+                             votes=votes[routed],
+                             candidates=sorted(votes), indexed=indexed))
+        return routed
+
+    def _index_queued(self) -> int:
+        """Index the queued named pages — admitted before the first
+        nameless route, or warmed — reading each one's text again;
+        returns how many."""
+        queued, self._unindexed = self._unindexed, {}
+        token_keys = self._token_blocker.token_keys
+        for query_name, pages in queued.items():
+            self._index_keys(query_name, (token_keys(page_tokens(page))
+                                          for page in pages))
+        return sum(map(len, queued.values()))
 
     def _index_keys(self, query_name: str,
                     keys_by_page: Iterable[set[str]]) -> None:
@@ -594,7 +650,9 @@ class ResolutionSession:
                 self._token_index.setdefault(key, set()).add(query_name)
 
     def _unindex(self, query_name: str) -> None:
-        """Drop an evicted name's keys (bounds index memory to the LRU)."""
+        """Drop an evicted name's keys and queued pages (bounds index
+        memory to the LRU)."""
+        self._unindexed.pop(query_name, None)
         for key in self._keys_by_name.pop(query_name, ()):
             names = self._token_index.get(key)
             if names is not None:

@@ -3,15 +3,18 @@ fit, predict, serving and the session — candidate masks included.
 """
 
 import json
+import logging
 from dataclasses import replace
 
 import pytest
 
 from repro.blocking.base import Blocker, BlockingResult, pairs_within
+from repro.blocking.token_blocking import TokenBlocker
 from repro.core.config import ResolverConfig
 from repro.core.registry import BLOCKERS, register_blocker
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import www05_like
+from repro.extraction.tokenizer import page_tokens
 from repro.pipeline.artifacts import Blocks, Corpus
 from repro.pipeline.plan import fit_plan
 from repro.pipeline.session import ResolutionSession
@@ -179,10 +182,11 @@ class TestSessionRouting:
 
     def test_nameless_page_is_tokenised_once_per_request(self, dataset,
                                                          page_reads):
-        """Admission reads a raw page's text once — routing, the index
-        and extraction all work from that pass, in the session and
-        behind the engine — and the index ends up as if the page had
-        arrived named."""
+        """Admission reads a nameless raw page's text once — routing, the
+        index and extraction all work from that pass, in the session and
+        behind the engine.  The route first indexes the named pages
+        queued before it (their second read: the queue keeps no tokens),
+        and the index ends up as if the page had arrived named."""
         model = EntityResolver(ResolverConfig()).fit(dataset,
                                                      training_seed=0)
         pipeline = EntityResolver().pipeline_for(dataset)
@@ -196,11 +200,11 @@ class TestSessionRouting:
             front.resolve(pages[:-1])
             del page_reads[:]
             front.resolve(nameless)
-            assert page_reads == [nameless.doc_id]
+            assert page_reads == [nameless.doc_id] + [
+                page.doc_id for page in pages[:-1]]
             session = (front.snapshot.session
                        if isinstance(front, ServingEngine) else front)
-            assert session._keys_by_name == named._keys_by_name
-            assert session._token_index == named._token_index
+            assert session.routing_keys() == named.routing_keys()
 
     def test_boilerplate_stop_keys_do_not_vote(self, dataset):
         """A key shared by (more than max_block_fraction of) all indexed
@@ -225,13 +229,19 @@ class TestSessionRouting:
                                                      training_seed=0)
         pipeline = EntityResolver().pipeline_for(dataset)
         session = ResolutionSession(model, pipeline=pipeline, max_blocks=1)
-        for block in dataset.collections:
+        first, *rest = dataset.collections
+        pages = list(first.pages)
+        session.resolve(pages[:-1])
+        # A nameless route indexes the block, so its eviction must
+        # unindex it.
+        session.resolve(replace(pages[-1], query_name=""))
+        for block in rest:
             session.resolve(list(block.pages))
         assert session.stats.evicted_blocks >= 1
         # Only the surviving prepared block may hold index entries.
-        assert set(session._keys_by_name) == set(session.prepared_names())
-        indexed = set().union(*session._token_index.values())
-        assert indexed == set(session.prepared_names())
+        index = session.routing_keys()
+        assert set(index) == set(session.prepared_names())
+        assert all(index.values())
 
     def test_unroutable_nameless_page_raises_keyerror(self, dataset):
         model = EntityResolver(ResolverConfig()).fit(dataset,
@@ -243,3 +253,108 @@ class TestSessionRouting:
                          title="", text="nothing shared here at all")
         with pytest.raises(KeyError, match="no query name"):
             session.resolve(orphan)
+
+
+class TestOnDemandIndex:
+    """Named traffic queues its pages; the first nameless route indexes
+    them — and only the pages of names still prepared — and from then on
+    admission indexes every page.  Every page here carries its features,
+    so only routing and indexing read text."""
+
+    @pytest.fixture(scope="class")
+    def model(self, dataset):
+        return EntityResolver(ResolverConfig()).fit(dataset, training_seed=0)
+
+    @pytest.fixture(scope="class")
+    def served(self, dataset, model):
+        """A session factory and every page's features."""
+        pipeline = EntityResolver().pipeline_for(dataset)
+        features = {}
+        for block in dataset:
+            features.update(pipeline.extract_block(block))
+
+        def session(**kwargs):
+            return ResolutionSession(model, pipeline=pipeline, **kwargs)
+        return session, features
+
+    @staticmethod
+    def keys(*pages):
+        blocker = TokenBlocker()
+        return set().union(*(blocker.token_keys(page_tokens(page))
+                             for page in pages))
+
+    def test_a_nameless_route_reads_the_queue_once(self, dataset, served,
+                                                   page_reads):
+        session, features = served
+        session = session()
+        pages = list(dataset.collections[0].pages)
+        named, first, second = pages[:4], pages[4], pages[5]
+        for page in named:
+            session.resolve(page, features=features)
+        assert page_reads == []
+        session.resolve(replace(first, query_name=""), features=features)
+        assert page_reads == [first.doc_id] + [page.doc_id for page in named]
+        del page_reads[:]
+        session.resolve(replace(second, query_name=""), features=features)
+        assert page_reads == [second.doc_id]
+
+    def test_after_a_nameless_route_admission_indexes_every_page(
+            self, dataset, served, page_reads):
+        """Once a session has routed a nameless page it reads and indexes
+        each named page at admission, so no queue builds up for the
+        next route to read."""
+        session, features = served
+        session = session()
+        pages = list(dataset.collections[0].pages)
+        session.resolve(pages[0], features=features)
+        session.resolve(replace(pages[1], query_name=""), features=features)
+        del page_reads[:]
+        for page in pages[2:5]:
+            session.resolve(page, features=features)
+        assert page_reads == [page.doc_id for page in pages[2:5]]
+        assert session.routing_keys() == {
+            pages[0].query_name: frozenset(self.keys(*pages[:5]))}
+        del page_reads[:]
+        session.resolve(replace(pages[5], query_name=""), features=features)
+        assert page_reads == [pages[5].doc_id]
+
+    def test_an_evicted_names_queue_is_never_read(self, dataset, served,
+                                                  page_reads):
+        session, features = served
+        session = session(max_blocks=1)
+        gone, kept = (list(block.pages) for block in dataset.collections)
+        session.resolve(gone[:3], features=features)
+        session.resolve(kept[:3], features=features)  # evicts ``gone``
+        assert page_reads == []
+        nameless = replace(kept[3], query_name="")
+        (assignment,) = session.resolve(nameless, features=features)
+        assert page_reads == [nameless.doc_id] + [
+            page.doc_id for page in kept[:3]]
+        assert set(session.routing_keys()) == {kept[0].query_name}
+        assert assignment.doc_id == nameless.doc_id
+
+    def test_one_debug_event_per_token_vote(self, dataset, served,
+                                            caplog):
+        caplog.set_level(logging.DEBUG, logger="repro.pipeline.session")
+        session, features = served
+        session = session()
+        pages = list(dataset.collections[0].pages)
+        name = pages[0].query_name
+        named, first, second = pages[:3], pages[3], pages[4]
+        for page in named:
+            session.resolve(page, features=features)
+        for page in (first, second):
+            session.resolve(replace(page, query_name=""), features=features)
+        events = [record for record in caplog.records
+                  if record.name == "repro.pipeline.session"]
+        assert [record.args for record in events] == [
+            {"doc_id": first.doc_id, "query_name": name,
+             "votes": len(self.keys(first) & self.keys(*named)),
+             "candidates": [name], "indexed": 3},
+            {"doc_id": second.doc_id, "query_name": name,
+             "votes": len(self.keys(second) & self.keys(*named, first)),
+             "candidates": [name], "indexed": 0},
+        ]
+        assert {record.levelno for record in events} == {logging.DEBUG}
+        # silent by default: the library installs no handler
+        assert not logging.getLogger("repro.pipeline.session").handlers

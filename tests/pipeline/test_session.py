@@ -353,13 +353,12 @@ class TestExtractionContext:
                                                     split_block,
                                                     block_features,
                                                     page_reads):
-        """Beyond admission's one pass for the routing index."""
         base, base_features, held_out = split_block
         raw_session.resolve(list(base.pages), features=base_features)
         page = held_out[0]
         raw_session.resolve(
             page, features={page.doc_id: block_features[page.doc_id]})
-        assert page_reads == base.page_ids() + [page.doc_id]
+        assert page_reads == []
         assert raw_session._prepared[base.query_name].context is None
 
     def test_rebootstrap_after_eviction_starts_from_an_empty_context(
@@ -467,7 +466,7 @@ class TestReadSets:
             features = ({page.doc_id: block_features[page.doc_id]}
                         if index % 2 else None)
             session.resolve(page, features=features)
-        assert page_reads == [page.doc_id for page in held_out]
+        assert page_reads == [page.doc_id for page in held_out[::2]]
         assert calls["observe"] == calls["count_terms"] == 0
         assert calls["extract_tokens"] == len(held_out[::2])
 
