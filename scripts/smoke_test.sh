@@ -62,6 +62,14 @@ if grep -nE 'def from_plane|def from_record|class _(Vector|Set|Counter)Family' \
     exit 1
 fi
 
+echo "== one wire format =="
+# A worker reads one pickled shard; a plane codec, a float32 backend, a
+# shard knob or a zombie list of open segments is a second format.
+if [ -e src/repro/runtime/planes.py ] \
+        || grep -rnE 'REPRO_SHARD_|numpy32|PlaneArena|approx32|_ZOMBIES' src; then
+    echo "a second payload format in src/" >&2; exit 1
+fi
+
 echo "== generate =="
 run generate --out "$workdir/data.json"
 

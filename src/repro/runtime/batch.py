@@ -84,11 +84,7 @@ def batched_similarity_graphs(
             pending.append(function)
 
     if pending:
-        # Plane-backed features are whole by construction (narrowed
-        # bundles never take the plane path), and checking them would
-        # materialize every page.
-        if getattr(features, "planes", None) is None:
-            require_covered(map(features.__getitem__, ids), pending)
+        require_covered(map(features.__getitem__, ids), pending)
         scores = resolve_backend(backend).block_scores(ids, features, pending,
                                                        mask=mask)
         for function in pending:

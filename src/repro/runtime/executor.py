@@ -55,6 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 from repro.core.registry import register_executor
+from repro.runtime.shards import share_tracker
 
 #: A block task: a module-level (picklable) function of one payload.
 BlockTask = Callable[[Any], Any]
@@ -161,20 +162,16 @@ def core_report() -> dict[str, object]:
     cores than the host has — the container-cpuset situation that used
     to surface only as an unexplained ``effective_workers: 1``.
 
-    ``shard_planes`` and ``shard_cache_bytes`` report the zero-copy
-    shard knobs (``REPRO_SHARD_PLANES`` / ``REPRO_SHARD_CACHE_BYTES``)
-    so a benchmark record says which payload path workers actually ran.
+    Payloads have one wire format, so the report carries no payload
+    knob; the runtime's only knobs are ``REPRO_WORKERS``
+    (:func:`env_default_workers`) and ``REPRO_BACKEND``.
     """
-    from repro.runtime.shards import shard_cache_budget
-    from repro.runtime.tasks import planes_enabled
     available = available_cores()
     host = host_cores()
     return {
         "available_cores": available,
         "host_cores": host,
         "cpuset_limited": available < host,
-        "shard_planes": planes_enabled(),
-        "shard_cache_bytes": shard_cache_budget(),
     }
 
 
@@ -299,6 +296,7 @@ class ProcessPoolBlockExecutor(BlockExecutor):
                      context: multiprocessing.context.BaseContext,
                      ) -> ProcessPoolExecutor:
         if self._pool is None:
+            share_tracker()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.effective_workers, mp_context=context)
             self.fork_waves += 1

@@ -218,9 +218,8 @@ class TaskStats(StatsRecord):
     pairs_scored: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: time this task spent resolving its shard — segment attach,
-    #: residual unpickle, plane binding (0.0 on cache hits and for
-    #: serial/local execution).
+    #: time this task spent resolving its shard — segment attach and
+    #: unpickle (0.0 on cache hits and for serial/local execution).
     attach_unpickle_seconds: float = 0.0
 
 
@@ -254,18 +253,14 @@ class RunStats(StatsRecord):
             backends this is each task's own clock, so the sum can exceed
             ``wall_seconds``).
         shard_bytes_published: total segment bytes this pass published
-            (pickled residual + raw plane region; 0 for serial passes).
-        pickled_bytes: bytes of the pickled residual inside those
-            segments — on the plane path this is config/pipeline/slot
-            headers only, never the numeric bulk.
-        plane_bytes: bytes of raw plane arrays published zero-copy.
-        plane_payloads: payload fields (features/graphs) shipped as
-            planes instead of pickle.
-        plane_fallback_payloads: plane-eligible fields that failed to
-            encode and were pickled anyway (should stay 0).
+            (the pickled payload list; 0 for serial passes).
+        plane_fallback_payloads: always 0.  Payloads have one wire
+            format, the pickled shard, so nothing can fall back; the
+            field stays only because the frozen benchmark harness
+            (``bench/layers.py``) reads it.
         attach_unpickle_seconds: summed worker time spent attaching
-            segments and unpickling residuals (near zero once the
-            per-process shard cache is warm).
+            segments and unpickling shards (near zero once a worker
+            holds the fan-out's shard).
     """
 
     derived = ("requested_workers", "cache_hit_rate")
@@ -285,9 +280,6 @@ class RunStats(StatsRecord):
     cache_misses: int = 0
     per_block_seconds: dict[str, float] = field(default_factory=dict)
     shard_bytes_published: int = 0
-    pickled_bytes: int = 0
-    plane_bytes: int = 0
-    plane_payloads: int = 0
     plane_fallback_payloads: int = 0
     attach_unpickle_seconds: float = 0.0
 

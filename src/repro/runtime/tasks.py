@@ -16,23 +16,15 @@ result, under both schedules.
 imports the runtime package, so importing it back at module level would
 cycle.
 
-For parallel executors :func:`run_block_tasks` publishes the whole
-payload list **once** as a shared-memory shard and dispatches
-:class:`ShardedBlockTask` descriptors of a few dozen bytes.  Before
-publishing, each payload's numeric bulk — eager feature dicts and
-precomputed graphs — is stripped out of the pickle stream and written
-into the segment as raw columnar planes (:mod:`repro.runtime.planes`);
-the pickled residual carries only slot markers
-(:class:`FeaturePlaneSlot` / :class:`GraphPlaneSlot`) that workers
-rebind to zero-copy views on attach.  ``REPRO_SHARD_PLANES=0`` disables
-the stripping (everything pickles, as before PR 10), which the runtime
-benchmark uses to measure the zero-copy speedup.
+For parallel executors :func:`run_block_tasks` pickles the whole
+payload list **once** into a shared-memory shard and dispatches
+:class:`ShardedBlockTask` descriptors of a few dozen bytes; a worker
+unpickles the shard once per fan-out.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -44,39 +36,12 @@ from repro.runtime.stats import TaskStats, Timer, clock
 from repro.similarity.base import SimilarityFunction, read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.runtime.executor import BlockExecutor
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.config import ResolverConfig
     from repro.core.model import FittedBlock
     from repro.extraction.pipeline import ExtractionPipeline
     from repro.graph.entity_graph import WeightedPairGraph
+    from repro.runtime.executor import BlockExecutor
     from repro.runtime.stats import RunStats
-
-#: Tri-state import probe for the plane codec (needs numpy); resolved on
-#: first use so plane-free serial runs never pay the import.
-_PLANES_IMPORTABLE: bool | None = None
-
-
-def planes_enabled() -> bool:
-    """Whether fan-outs strip numeric bulk into zero-copy planes.
-
-    On by default; ``REPRO_SHARD_PLANES=0`` (or ``false``/``off``/``no``)
-    forces the legacy pickle-everything path, and hosts without numpy
-    degrade to it automatically.
-    """
-    raw = os.environ.get("REPRO_SHARD_PLANES", "").strip().lower()
-    if raw in ("0", "false", "off", "no"):
-        return False
-    global _PLANES_IMPORTABLE
-    if _PLANES_IMPORTABLE is None:
-        try:
-            import repro.runtime.planes  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy-free host
-            _PLANES_IMPORTABLE = False
-        else:
-            _PLANES_IMPORTABLE = True
-    return _PLANES_IMPORTABLE
 
 
 def block_graphs(
@@ -275,107 +240,17 @@ TASK_KINDS: dict[str, Callable[[Any, float], Any]] = {
 
 
 @dataclass(frozen=True)
-class FeaturePlaneSlot:
-    """Marks a payload's ``features`` as living in the shard's plane
-    region; workers rebind it to a zero-copy ``PlaneFeatureMap``."""
-
-    header: Any
-
-
-@dataclass(frozen=True)
-class GraphPlaneSlot:
-    """Marks a payload's ``graphs`` as living in the shard's plane
-    region; workers rebind it to a zero-copy ``GraphPlaneMap``."""
-
-    header: Any
-
-
-@dataclass(frozen=True)
 class BlockShard:
     """One fan-out's full payload list, published as a single shard.
 
     Pickling the list in one buffer lets the pickle memo deduplicate
     everything the payloads share — the config, the extraction pipeline,
     the similarity functions — so shared state crosses the process
-    boundary exactly once per run instead of once per block.  On the
-    plane path the payloads here are *skeletons*: their feature dicts
-    and graphs are plane slots, and the numeric bulk never enters the
-    pickle stream at all.
+    boundary exactly once per run instead of once per block.
     """
 
     kind: str
     payloads: tuple
-
-    def _bind_planes(self, view, base: int) -> "BlockShard":
-        """Rebind plane slots to views over the attached segment.
-
-        Called by :func:`~repro.runtime.shards.load_shard` right after
-        the residual unpickles; a shard without slots returns itself.
-        """
-        if not any(isinstance(getattr(payload, "features", None),
-                              FeaturePlaneSlot)
-                   or isinstance(getattr(payload, "graphs", None),
-                                 GraphPlaneSlot)
-                   for payload in self.payloads):
-            return self
-        from repro.runtime import planes
-        buffer = planes.PlaneBuffer(view, base)
-        bound = []
-        for payload in self.payloads:
-            patch = {}
-            features = getattr(payload, "features", None)
-            if isinstance(features, FeaturePlaneSlot):
-                patch["features"] = planes.PlaneFeatureMap(
-                    planes.FeaturePlanes(features.header, buffer))
-            graphs = getattr(payload, "graphs", None)
-            if isinstance(graphs, GraphPlaneSlot):
-                patch["graphs"] = planes.GraphPlaneMap(graphs.header, buffer)
-            bound.append(replace(payload, **patch) if patch else payload)
-        return BlockShard(kind=self.kind, payloads=tuple(bound))
-
-
-def _payload_plane_eligible(payload) -> tuple[bool, bool]:
-    """(features eligible, graphs eligible) for one payload."""
-    from repro.runtime import planes
-    return (planes.features_eligible(getattr(payload, "features", None)),
-            planes.graphs_eligible(getattr(payload, "graphs", None)))
-
-
-def _pack_plane_payloads(payloads: Sequence[Any]):
-    """Strip eligible numeric bulk into a plane writer.
-
-    Returns ``(skeleton payloads, PlaneWriter | None, planed count,
-    fallback count)`` — *fallback* counts eligible fields whose encoding
-    failed and therefore stayed in the pickle stream (should be zero;
-    the CI bench validation asserts it).
-    """
-    from repro.runtime import planes
-    writer = planes.PlaneWriter()
-    skeletons = []
-    planed = fallback = 0
-    for payload in payloads:
-        features_ok, graphs_ok = _payload_plane_eligible(payload)
-        patch = {}
-        if features_ok:
-            try:
-                patch["features"] = FeaturePlaneSlot(planes.encode_features(
-                    payload.features, writer))
-            except planes.PlaneEncodeError:
-                fallback += 1
-        if graphs_ok:
-            try:
-                patch["graphs"] = GraphPlaneSlot(planes.encode_graphs(
-                    payload.graphs, writer))
-            except planes.PlaneEncodeError:
-                fallback += 1
-        if patch:
-            planed += len(patch)
-            skeletons.append(replace(payload, **patch))
-        else:
-            skeletons.append(payload)
-    if not planed:
-        return list(payloads), None, 0, fallback
-    return skeletons, writer, planed, fallback
 
 
 @dataclass(frozen=True)
@@ -389,10 +264,9 @@ class ShardedBlockTask:
 def run_sharded_block(task: ShardedBlockTask) -> Any:
     """Worker body: resolve the shard (cached per process) and run one task.
 
-    The time spent resolving the shard — attach, residual unpickle,
-    plane binding; near zero on cache hits — is handed to the task body,
-    which records it on its :class:`TaskStats` so the scheduling side
-    can report it.
+    The time spent resolving the shard — attach and unpickle; near zero
+    on cache hits — is handed to the task body, which records it on its
+    :class:`TaskStats` so the scheduling side can report it.
     """
     with Timer() as attach:
         shard: BlockShard = load_shard(task.handle)
@@ -408,9 +282,7 @@ def run_block_tasks(executor: "BlockExecutor", kind: str,
     The scheduling entry point of every collection pass.  Serial
     executors run the task bodies inline, in payload order — no shard is
     published, so degraded and single-payload paths never touch shared
-    memory.  Parallel executors
-    get the shard treatment: each payload's numeric bulk is packed into
-    raw plane arrays (see :func:`planes_enabled`), the skeleton payload
+    memory.  Parallel executors get the shard treatment: the payload
     list is published once (:class:`BlockShard`), tasks shrink to
     :class:`ShardedBlockTask` descriptors, and ``weights`` (per-payload
     cost, e.g. block page counts) drives largest-first chunk packing.
@@ -418,30 +290,17 @@ def run_block_tasks(executor: "BlockExecutor", kind: str,
     and order.
 
     ``stats`` (a :class:`~repro.runtime.stats.RunStats`) receives the
-    publication accounting: shard bytes, pickled residual bytes, plane
-    bytes, and plane/fallback payload counts.
+    published shard bytes.
     """
     task = TASK_KINDS[kind]
     if len(payloads) <= 1 or executor.is_serial:
         return executor.run(task, payloads, weights=weights)
-    writer = None
-    planed = fallback = 0
-    shipped = tuple(payloads)
-    if planes_enabled():
-        skeletons, writer, planed, fallback = _pack_plane_payloads(payloads)
-        shipped = tuple(skeletons)
     with ShardStore() as store:
-        handle = store.publish(BlockShard(kind=kind, payloads=shipped),
-                               label=kind,
-                               planes=writer,
-                               local_payload=BlockShard(
-                                   kind=kind, payloads=tuple(payloads)))
+        handle = store.publish(BlockShard(kind=kind,
+                                          payloads=tuple(payloads)),
+                               label=kind)
         if stats is not None:
             stats.shard_bytes_published += handle.nbytes
-            stats.pickled_bytes += handle.pickled_bytes
-            stats.plane_bytes += handle.plane_bytes
-            stats.plane_payloads += planed
-            stats.plane_fallback_payloads += fallback
         sharded = [ShardedBlockTask(handle=handle, index=index)
                    for index in range(len(payloads))]
         return executor.run(run_sharded_block, sharded, weights=weights)

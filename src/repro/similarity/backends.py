@@ -7,7 +7,7 @@ pipeline's dominant cost (``similarity.graphs_s`` in a traced
 extracted features and a function battery, produce every function's
 pair scores — all pairs, or the pairs of a candidate mask — and, on the
 incremental request path, the :class:`Rectangle` of ``k`` new pages
-against a served block's ``n`` resident ones.  Three built-ins are
+against a served block's ``n`` resident ones.  Two built-ins are
 registered in :data:`BACKENDS`:
 
 * ``"python"`` — today's prepared scalar scorers
@@ -19,22 +19,14 @@ registered in :data:`BACKENDS`:
   Jaro-based string measures F3/F7, plus any custom registration — fall
   back per-function to the scalar sweep (F2's integer edit distances
   batch exactly, so it has a kernel).
-* ``"numpy32"`` — opt-in float32 variant of ``numpy`` for throughput:
-  float32 value planes and float32 BLAS pair dots, float64 everywhere
-  else.  Deliberately *approximate* (≈1e-4 absolute tolerance on the
-  float-vector measures; integer kernels stay exact) — see
-  :class:`Numpy32Backend` for the accuracy contract.
 
-**Bit-identity contract.**  Every backend except ``numpy32`` must
-produce *bit-identical* scores to the ``python`` backend: the
-vectorized kernels replay the scalar fold's exact floating-point
-operation sequence (canonical ascending-key order — see
-:mod:`repro.similarity.batch` for the argument), so serial, parallel
-and session serving give the same bytes regardless of the configured
-backend.  ``tests/properties/test_backend_parity.py`` and the golden
-fixtures under ``tests/data/golden/`` enforce this at tolerance zero;
-``numpy32`` is the explicit exception, is never a default, and is
-never written into a serialized model.
+**Bit-identity contract.**  Every backend must produce *bit-identical*
+scores to the ``python`` backend: the vectorized kernels replay the
+scalar fold's exact floating-point operation sequence (canonical
+ascending-key order — see :mod:`repro.similarity.batch` for the
+argument), so serial, parallel and session serving give the same bytes
+regardless of the configured backend.  ``tests/properties/test_backend_parity.py`` and the golden
+fixtures under ``tests/data/golden/`` enforce this at tolerance zero.
 
 Select a backend with ``ResolverConfig(backend="numpy")``, the CLI's
 ``--backend`` flag, or the ``REPRO_BACKEND`` environment variable (the
@@ -62,7 +54,6 @@ from repro.similarity.base import SimilarityFunction
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "Numpy32Backend",
     "NumpyBackend",
     "PythonBackend",
     "Rectangle",
@@ -311,16 +302,12 @@ class NumpyBackend(ScoringBackend):
             return None
         return batch
 
-    def _block_state(self, batch, ids, features, mask):
-        """The per-block kernel state; ``numpy32`` overrides this."""
-        return batch.BlockState(ids, features, mask=mask)
-
     def block_scores(self, ids, features, functions, mask=None):
         batch = self._kernels()
         if batch is None:
             return _PYTHON.block_scores(ids, features, functions, mask=mask)
         ids = list(ids)
-        state = self._block_state(batch, ids, features, mask)
+        state = batch.BlockState(ids, features, mask=mask)
         scores: dict[str, dict[PairKey, float]] = {}
         fallback: list[SimilarityFunction] = []
         for function in functions:
@@ -374,53 +361,6 @@ class NumpyBackend(ScoringBackend):
         return Rectangle(rows, entries)
 
 
-class Numpy32Backend(NumpyBackend):
-    """Opt-in float32 variant of the numpy backend — fast, *approximate*.
-
-    The only backend that deliberately breaks the bit-identity contract:
-    dense vector families are stored as float32 planes bump-allocated
-    from a per-thread :class:`~repro.similarity.batch.PlaneArena`, and
-    the pairwise dot matrices — the O(n²·d) cost the exact sequential
-    fold pays for bit-identity — go through float32 BLAS instead.  All
-    moment arithmetic (means, variances, the Pearson expression) stays
-    in float64 over those slightly rounded inputs.
-
-    Accuracy: integer and string kernels (F2, F4, F5, F6, F11, F13) are
-    bit-identical to ``numpy`` — their arithmetic never leaves int64.
-    The float-vector measures (F1, F8, F9, F10, F12, F14) carry float32
-    rounding: absolute error is typically ≲1e-6 on [0, 1] scores and
-    bounded near 1e-4 in the parity suite; near-degenerate inputs
-    (variance ≈ 0 under F9's Pearson) can flip a validity threshold and
-    should not rely on this backend.  Use it where throughput beats the
-    last digits — bulk candidate generation, interactive exploration —
-    and keep ``numpy`` for anything that feeds golden comparisons.
-
-    Opt-in only: never a default, and a model's config never serializes
-    a backend name (``ResolverConfig.to_dict`` skips host-local fields),
-    so fitted models saved under ``numpy32`` load everywhere and score
-    exactly under the default backend.  It keeps no resident record: a
-    burst takes the masked float32 block sweep, and a single request
-    the exact scalar scorers — single requests are never approximated.
-    """
-
-    name = "numpy32"
-
-    def __init__(self) -> None:
-        import threading
-        self._scratch = threading.local()
-
-    def resident_record(self, functions, residents):
-        return None
-
-    def _block_state(self, batch, ids, features, mask):
-        arena = getattr(self._scratch, "arena", None)
-        if arena is None:
-            arena = batch.PlaneArena()
-            self._scratch.arena = arena
-        return batch.BlockState(ids, features, mask=mask, approx32=True,
-                                arena=arena)
-
-
 #: name -> :class:`ScoringBackend` instance.  Built-ins are seeded
 #: directly (not via :meth:`Registry.add`) so importing this module never
 #: triggers the shared registry's built-in loading mid-import.
@@ -428,7 +368,6 @@ BACKENDS = Registry("scoring backend")
 _PYTHON = PythonBackend()
 BACKENDS._entries.setdefault("python", _PYTHON)
 BACKENDS._entries.setdefault("numpy", NumpyBackend())
-BACKENDS._entries.setdefault("numpy32", Numpy32Backend())
 
 
 def register_backend(name: str | None = None, replace: bool = False):

@@ -47,10 +47,9 @@ Every kernel input comes from one place: a :class:`_FamilyRecord` per
 family (the vectors of F1, F8–F10, F12, F14; the sets of F4–F6, F11;
 F13's entity counter), rows of flat (column, value) entries plus each
 row's moments.  A record gets its rows from pages (one walk per page,
-keys interned in an append-only vocabulary), from a shard plane's
-whole-block CSR views (zero copy), or by appending as a served page
-joins.  A :class:`BlockState` picks which record to read and its
-layout picks the rows and columns to stack — the dense square, a
+keys interned in an append-only vocabulary), or by appending as a
+served page joins.  A :class:`BlockState` picks which record to read
+and its layout picks the rows and columns to stack — the dense square, a
 candidate mask, or a burst of ``k`` new pages on a served block's
 ``n`` residents (:meth:`BlockState.burst`: the ``k × (n + k - 1)``
 rectangle with the new pages in reverse add order on the left, so
@@ -88,8 +87,8 @@ from repro.similarity import functions as _base
 from repro.similarity.strings import levenshtein
 from repro.similarity.urls import domain_similarity, parse_url
 
-__all__ = ["BlockState", "Kernel", "PlaneArena", "ResidentRecord",
-           "kernel_for", "recorded_family"]
+__all__ = ["BlockState", "Kernel", "ResidentRecord", "kernel_for",
+           "recorded_family"]
 
 #: Columns folded per vectorized step.  Folding stays sequential per
 #: column (exactness); chunking only amortizes Python-loop overhead and
@@ -130,17 +129,10 @@ class _Family:
     fancy assignment — one numpy dispatch for the whole family instead
     of two per page.  Values are assigned, never accumulated, so the
     bits match a per-row fill exactly.
-
-    ``approx`` switches a vector family to the opt-in float32 mode of
-    the ``numpy32`` backend: values are downcast to a float32 matrix
-    (from an optional :class:`PlaneArena` scratch) and the moments are
-    recomputed as float64 numpy reductions over it — deterministic, but
-    *not* bit-identical to the scalar path.
     """
 
-    def __init__(self, kind: str, rows: np.ndarray, columns: np.ndarray,
-                 values: np.ndarray | None, moments: np.ndarray, width: int,
-                 approx: bool = False, arena: "PlaneArena | None" = None):
+    def __init__(self, rows: np.ndarray, columns: np.ndarray,
+                 values: np.ndarray | None, moments: np.ndarray, width: int):
         shape = (len(moments), width)
         self.presence = np.zeros(shape, dtype=bool)
         self.presence[rows, columns] = True
@@ -150,57 +142,6 @@ class _Family:
             self.values[rows, columns] = values
         self.nnz = moments[:, 0].astype(np.int64)
         self.sums, self.norms, self.squared_norms = moments[:, 1:].T
-        if approx and kind == "vector":
-            values32 = (np.zeros(shape, dtype=np.float32) if arena is None
-                        else arena.take(shape, np.float32))
-            np.copyto(values32, self.values, casting="unsafe")
-            self.values = values32
-            # Moments in float64 over the rounded float32 values: cheap
-            # O(n·d) reductions whose error stays ~1e-7 relative, keeping
-            # the expensive approximation confined to the O(n²·d) dots.
-            self.sums = values32.sum(axis=1, dtype=np.float64)
-            self.squared_norms = (values32 * values32).sum(
-                axis=1, dtype=np.float64)
-            self.norms = np.sqrt(self.squared_norms)
-
-
-class PlaneArena:
-    """Grow-only scratch buffers for the ``numpy32`` backend's planes.
-
-    The float32 backend trades exactness for speed; re-zeroing a
-    preallocated buffer is much cheaper than faulting fresh pages per
-    block, so each backend thread keeps one arena and bump-allocates
-    every block's dense family planes from it.  ``reset`` (called per
-    :class:`BlockState`) recycles the space; growth allocates a bigger
-    buffer and strands the old one with whatever views still hold it.
-    Not thread-safe by design — the backend keeps one arena per thread.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-        self._used: dict[str, int] = {}
-
-    def reset(self) -> None:
-        """Recycle all space (outstanding views keep their buffers)."""
-        for key in self._used:
-            self._used[key] = 0
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        """A zeroed C-contiguous view of ``shape`` from the scratch."""
-        dtype = np.dtype(dtype)
-        key = dtype.str
-        need = int(math.prod(shape))
-        used = self._used.get(key, 0)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < used + need:
-            size = max(used + need, 2 * (buffer.size if buffer is not None
-                                         else 0))
-            buffer = np.empty(size, dtype=dtype)
-            self._buffers[key] = buffer
-        view = buffer[used:used + need].reshape(shape)
-        self._used[key] = used + need
-        view[...] = 0
-        return view
 
 
 # -- the record: every family's one source ---------------------------------
@@ -211,49 +152,29 @@ class _FamilyRecord:
 
     Rows are kept flat — per entry its column id, its value and the row
     that owns it — plus one :func:`_moments` row per row.  A record gets
-    its rows in one of three ways:
+    its rows from pages (``pages``), one :meth:`entry` walk each, or by
+    :meth:`append`, as a served page joins.  Keys are interned in
+    first-seen order into an append-only vocabulary, so an id names a
+    key and is never a fold position.
 
-    * from pages (``pages``), one :meth:`entry` walk each: keys are
-      interned in first-seen order into an append-only vocabulary, so an
-      id names a key and is never a fold position;
-    * from a shard plane's whole-block CSR views (``plane``), zero copy:
-      the plane's vocabulary is already ascending, so its column ids are
-      the keys' ranks, and the moments are replayed over the stored
-      entry order (a counter plane serves a set family as its key set);
-    * by :meth:`append`, as a served page joins.
-
-    :meth:`family` stacks the rows a layout asks for over the columns it
-    reads, in ascending key order — the scalar fold order.
+    :meth:`family` stacks the rows over the columns a layout reads, in
+    ascending key order — the scalar fold order.
     """
 
     def __init__(self, kind: str, extract: Callable,
-                 pages: Sequence[PageFeatures] = (), plane=None):
+                 pages: Sequence[PageFeatures] = ()):
         self.kind = kind  # "vector", "set" or "counter"
         self.extract = extract
         self.column_of: dict = {}
         #: ``(page, entry or None)`` of the rows joined since the last
         #: read; a page that joined with no entry is walked then.
         self._joined: list[tuple] = [(page, None) for page in pages]
-        if plane is None:
-            self.keys: Sequence = []
-            self.columns = np.zeros(0, dtype=np.intp)
-            self.values = None if kind == "set" else np.zeros(
-                0, dtype=np.int64 if kind == "counter" else np.float64)
-            self.owners = np.zeros(0, dtype=np.intp)
-            self.moments = np.zeros((0, 4))
-            return
-        self.keys = range(plane.n_columns)
-        counts = np.diff(plane.indptr)
-        self.columns = plane.cols
-        self.values = None if kind == "set" else plane.values
-        self.owners = np.repeat(np.arange(len(counts)), counts)
-        bounds = plane.indptr.tolist()
-        scalars = None if self.values is None else self.values.tolist()
-        self.moments = np.asarray([_moments(
-            kind, count, None if scalars is None
-            else scalars[bounds[row]:bounds[row + 1]])
-            for row, count in enumerate(counts.tolist())],
-            dtype=float).reshape(-1, 4)
+        self.keys: list = []
+        self.columns = np.zeros(0, dtype=np.intp)
+        self.values = None if kind == "set" else np.zeros(
+            0, dtype=np.int64 if kind == "counter" else np.float64)
+        self.owners = np.zeros(0, dtype=np.intp)
+        self.moments = np.zeros((0, 4))
 
     def entry(self, page: PageFeatures) -> tuple:
         """``page``'s interned columns, values (``None`` for a set) and
@@ -310,13 +231,11 @@ class _FamilyRecord:
         held[self.columns[member[self.owners]]] = True
         return held
 
-    def family(self, rows: np.ndarray | None, ids, new: list[tuple] = (),
-               approx: bool = False,
-               arena: "PlaneArena | None" = None) -> _Family:
+    def family(self, ids, new: list[tuple] = ()) -> _Family:
         """The dense family of ``new`` entries (rows ``0..k-1``, not yet
-        joined) stacked on the record's ``rows`` (``None``: every row, in
-        row order), over column ids ``ids`` (``None``: every key) in
-        ascending key order."""
+        joined) stacked on every row of the record, in row order, over
+        column ids ``ids`` (``None``: every key) in ascending key
+        order."""
         self._fold()
         ids = sorted(range(len(self.keys)) if ids is None else ids,
                      key=self.keys.__getitem__)
@@ -324,15 +243,8 @@ class _FamilyRecord:
         position[ids] = np.arange(len(ids))
         k = len(new)
         columns = position[self.columns]
-        if rows is None:
-            kept = columns >= 0
-            owners, moments = self.owners[kept] + k, self.moments
-        else:
-            row_of = np.full(len(self.moments), -1, dtype=np.intp)
-            row_of[rows] = np.arange(k, k + len(rows))
-            owners = row_of[self.owners]
-            kept = (owners >= 0) & (columns >= 0)
-            owners, moments = owners[kept], self.moments[rows]
+        kept = columns >= 0
+        owners, moments = self.owners[kept] + k, self.moments
         columns = columns[kept]
         values = None if self.values is None else self.values[kept]
         if new:
@@ -342,8 +254,7 @@ class _FamilyRecord:
             if values is not None:
                 values = np.concatenate([new_values, values])
             moments = np.concatenate([new_moments, moments])
-        return _Family(self.kind, owners, columns, values, moments, len(ids),
-                       approx, arena)
+        return _Family(owners, columns, values, moments, len(ids))
 
 
 def recorded_family(function) -> tuple[str, str, Callable] | None:
@@ -411,30 +322,18 @@ class BlockState:
       construction, no mask and no pair keys.
 
     :meth:`family` reads one record per family — the resident record on
-    a burst, a shard's planes when ``features`` is a
-    :class:`~repro.runtime.planes.PlaneFeatureMap` (detected via its
-    ``planes`` attribute; no ``PageFeatures`` is materialized on the
-    kernel path), else a record of the pages — and stacks the layout's
+    a burst, else a record of the pages — and stacks the layout's
     rows over its columns: every key for the square, the keys held on
     both sides for a mask, the burst's own keys for a burst.  A key
     absent from a whole side is zero for one member of every pair read:
     dropping it, like dropping pages, only removes fold steps that are
     exact no-ops for every surviving pair, so each entry's
     float-operation sequence — and hence its bits — is unchanged.
-
-    ``approx32=True`` selects the ``numpy32`` backend's float32 mode:
-    vector families downcast to float32 (allocated from ``arena`` when
-    given) and pairwise dots go through BLAS instead of the exact fold.
-    It keeps every key, since its moments come from the float32 rows.
-    Integer kernels (F4–F6, F11, F13) and string kernels (F2) remain
-    exact; only the float-vector measures are approximate.
     """
 
     def __init__(self, ids: Sequence[str],
                  features: "dict[str, PageFeatures]",
-                 mask: "frozenset[PairKey] | None" = None,
-                 approx32: bool = False,
-                 arena: PlaneArena | None = None):
+                 mask: "frozenset[PairKey] | None" = None):
         ids = list(ids)
         #: Dense scoring: both sides are all rows, no gather needed.
         self.square = mask is None
@@ -470,7 +369,7 @@ class BlockState:
         #: as rectangle coordinates.
         self.pairs = (earlier, later)
         self._pair_keys: list[PairKey] = pair_keys
-        self._bind(ids, features, approx32, arena)
+        self._bind(ids, features)
 
     @classmethod
     def burst(cls, record: ResidentRecord, entries: list[dict],
@@ -496,14 +395,13 @@ class BlockState:
         state.right = np.arange(1, k + residents, dtype=np.intp)
         state.pairs = state.cells = None
         state._pair_keys = []
-        state._bind([], None, False, None)
+        state._bind([], None)
         state._burst = True
         state._record = record
         state._entries = entries[::-1]
         return state
 
-    def _bind(self, ids: list[str], features, approx32: bool,
-              arena: PlaneArena | None) -> None:
+    def _bind(self, ids: list[str], features) -> None:
         """The state every layout shares: rows, inputs, family caches."""
         self.ids = ids
         self._burst = False
@@ -511,21 +409,6 @@ class BlockState:
         self._entries: list[dict] | None = None
         self._features = features
         self._pages: list[PageFeatures] | None = None
-        self._approx = approx32
-        self._arena = arena if approx32 else None
-        if self._arena is not None:
-            self._arena.reset()
-        planes = getattr(features, "planes", None)
-        #: The plane row of each state row (plane-backed blocks only).
-        self._rows: np.ndarray | None = None
-        if planes is not None:
-            row_of = planes.row_index()
-            try:
-                self._rows = np.asarray([row_of[doc_id] for doc_id in ids],
-                                        dtype=np.intp)
-            except KeyError:  # pragma: no cover - planes missing a page
-                planes = None
-        self._planes = planes
         self._families: dict[str, _Family] = {}
         self._dots: dict[str, np.ndarray] = {}
 
@@ -577,68 +460,45 @@ class BlockState:
     @property
     def pages(self) -> list[PageFeatures]:
         """Materialized pages, built lazily (page records and the F2
-        kernel only — the plane path never touches this)."""
+        kernel)."""
         if self._pages is None:
             self._pages = [self._features[doc_id] for doc_id in self.ids]
         return self._pages
 
     def urls(self) -> list[str]:
-        """Page URLs in row order, straight from planes when available."""
-        if self._planes is not None:
-            decoded = self._planes.urls()
-            return [decoded[row] for row in self._rows.tolist()]
+        """Page URLs in row order."""
         return [page.url for page in self.pages]
 
     def family(self, name: str, kind: str, extract: Callable) -> _Family:
         """Family ``name`` over this layout (built once, shared across
-        kernels).
-
-        Kernel family names coincide with the plane family names
-        ``encode_features`` stores, so a plane-backed block reads every
-        built-in family from its CSR views.
-        """
+        kernels)."""
         family = self._families.get(name)
         if family is not None:
             return family
-        rows = ids = None
+        ids = None
         new: list[tuple] = []
         if self._record is not None:
             record = self._record.families[name]
             new = [entry[name] for entry in self._entries]
             ids = set().union(*(entry[0] for entry in new))
         else:
-            plane = (None if self._planes is None
-                     else self._planes.family(name))
-            if plane is None:
-                record = _FamilyRecord(kind, extract, self.pages)
-            else:
-                record = _FamilyRecord(kind, extract, plane=plane)
-                rows = self._rows
-            if not (self.square or self._approx):
-                def held(side: np.ndarray) -> np.ndarray:
-                    return record.held(side if rows is None else rows[side])
-                ids = np.flatnonzero(held(self.left)
-                                     & held(self.right)).tolist()
-        family = record.family(rows, ids, new, self._approx, self._arena)
+            record = _FamilyRecord(kind, extract, self.pages)
+            if not self.square:
+                ids = np.flatnonzero(record.held(self.left)
+                                     & record.held(self.right)).tolist()
+        family = record.family(ids, new)
         self._families[name] = family
         return family
 
     def pair_dot(self, spec: tuple) -> np.ndarray:
-        """Left × right dot rectangle of one vector family (cached).
-
-        Exact sequential fold by default; the ``numpy32`` mode hands the
-        float32 plane to BLAS and widens the result to float64 — the one
-        deliberate approximation that backend makes.
-        """
+        """Left × right dot rectangle of one vector family (cached), by
+        the exact sequential fold."""
         dots = self._dots.get(spec[0])
         if dots is None:
             values = self.family(*spec).values
             left, right = self.sides(values)
-            if self._approx:
-                dots = (left @ right.T).astype(np.float64)
-            else:
-                dots = _pair_dot_fold(left, right,
-                                      self._live(values, left, right))
+            dots = _pair_dot_fold(left, right,
+                                  self._live(values, left, right))
             self._dots[spec[0]] = dots
         return dots
 

@@ -15,8 +15,8 @@ rows) — the numpy kernels fill a ``left × right`` rectangle, so the
 shapes that make it narrow are the ones worth pinning.  The request
 path lays the coalescing rectangle out with no mask at all, over a
 resident record grown page by page; it must give the same bytes.  And
-however a block's record is built — from its pages in any join order,
-or from a shard's plane views — every layout stacks the same bytes.
+whatever order a block's record is built in from its pages, every
+layout stacks the same bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -36,12 +37,6 @@ from repro.corpus.datasets import custom_dataset
 from repro.corpus.generator import GeneratorConfig
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.planes import (
-    FeaturePlanes,
-    PlaneBuffer,
-    PlaneWriter,
-    encode_features,
-)
 from repro.similarity import backends
 from repro.similarity.backends import NumpyBackend, PythonBackend
 from repro.similarity.extended import full_battery
@@ -152,14 +147,13 @@ def interning_inputs(draw):
             drawn_mask(draw, ids), draw(st.integers(1, pages - 1)))
 
 
-def plane_families(features):
-    """The shard planes a worker would see for ``features``."""
-    writer = PlaneWriter()
-    header = encode_features(features, writer)
-    buffer = bytearray(writer.nbytes + 64)
-    writer.write_into(memoryview(buffer), 64)
-    return FeaturePlanes(header,
-                         PlaneBuffer(memoryview(buffer).toreadonly(), 64))
+def take(family, rows):
+    """``family``'s stacked ``rows``, in that order."""
+    return SimpleNamespace(
+        presence=family.presence[rows],
+        values=None if family.values is None else family.values[rows],
+        **{moment: getattr(family, moment)[rows]
+           for moment in ("nnz", "sums", "norms", "squared_norms")})
 
 
 def assert_whole_entry_moments(family, kind, extract, pages):
@@ -304,16 +298,15 @@ class TestInterningOrder:
     @settings(max_examples=15, deadline=None)
     @given(interning_inputs())
     def test_record_builds_stack_the_same_bytes(self, inputs):
-        """A block's record from its pages in block order, from its pages
-        in another join order, and from its plane views stacks the
-        square, a mask and a burst to the same bytes, with every moment
-        taken from the whole entry."""
+        """A block's record from its pages in block order and from its
+        pages in another join order stacks the square, a mask and a
+        burst to the same bytes, with every moment taken from the whole
+        entry."""
         np = pytest.importorskip("numpy")
         from repro.similarity.batch import BlockState, _FamilyRecord, \
             _KERNELS
 
         ids, features, join, mask, new = inputs
-        planes = plane_families(features)
         masked = BlockState(ids, features, mask)
         resident, arriving = ids[:-new], ids[-new:]
         burst_ids = list(reversed(arriving)) + resident
@@ -324,25 +317,22 @@ class TestInterningOrder:
             return np.asarray([order.index(doc_id) for doc_id in wanted],
                               dtype=np.intp)
 
-        for name, kind, extract in specs.values():
+        for kind, extract in (spec[1:] for spec in specs.values()):
             def of_pages(order):
                 return _FamilyRecord(kind, extract,
                                      [features[doc_id] for doc_id in order])
-            builds = [(of_pages(ids), ids), (of_pages(join), join),
-                      (_FamilyRecord(kind, extract,
-                                     plane=planes.family(name)), ids)]
-            square = [record.family(rows(order, ids), None)
+            builds = [(of_pages(ids), ids), (of_pages(join), join)]
+            square = [take(record.family(None), rows(order, ids))
                       for record, order in builds]
-            square[0] = builds[0][0].family(None, None)
             sides = []
             for record, order in builds:
                 at = rows(order, masked.ids)
                 held = (record.held(at[masked.left])
                         & record.held(at[masked.right]))
-                sides.append(record.family(at, np.flatnonzero(held).tolist()))
+                sides.append(take(record.family(
+                    np.flatnonzero(held).tolist()), at))
             # Page records hold the residents and take the new pages'
-            # entries on top; the plane stacks the same rows over the
-            # new pages' keys.
+            # entries on top.
             bursts = []
             for order in (resident, [doc_id for doc_id in join
                                      if doc_id in resident]):
@@ -350,11 +340,9 @@ class TestInterningOrder:
                 entries = [record.entry(features[doc_id])
                            for doc_id in reversed(arriving)]
                 keys = set().union(*(entry[0] for entry in entries))
-                bursts.append(record.family(rows(order, resident), keys,
-                                            entries))
-            plane, at = builds[2][0], rows(ids, burst_ids)
-            bursts.append(plane.family(
-                at, np.flatnonzero(plane.held(at[:new])).tolist()))
+                stacked = np.concatenate(
+                    [np.arange(new), new + rows(order, resident)])
+                bursts.append(take(record.family(keys, entries), stacked))
             for layout_ids, stacks in ((ids, square), (masked.ids, sides),
                                        (burst_ids, bursts)):
                 for stack in stacks:

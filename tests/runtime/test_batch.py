@@ -32,9 +32,6 @@ class TestBatchedGraphs:
     def test_bit_identical_to_naive_for_all_functions(self, small_block,
                                                       block_features,
                                                       backend):
-        # Pinned to the exact backends: the ambient default may be the
-        # opt-in approximate ``numpy32`` (the CI matrix runs it), which
-        # is exempt from the bit-identity contract.
         functions = default_functions()
         naive = _naive_graph_weights(small_block, block_features, functions)
         batched = batched_similarity_graphs(small_block, block_features,

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
 from repro.runtime import shards as shards_module
-from repro.runtime.executor import ProcessPoolBlockExecutor
+from repro.runtime.executor import ProcessPoolBlockExecutor, SerialExecutor
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
 from repro.runtime.stats import RunStats
 from repro.runtime.tasks import (
@@ -26,28 +29,6 @@ from repro.runtime.tasks import (
 def _echo(payload, attach_seconds=0.0):
     """Module-level task body for the dispatch tests."""
     return ("echo", payload, os.getpid())
-
-
-def _drain_worker_cache():
-    """Detach every cached segment so tests leave no open mappings."""
-    while shards_module._ATTACHED:
-        shard_id = next(iter(shards_module._ATTACHED))
-        shards_module._pop_detach(shard_id)
-    shards_module._reap_zombies()
-
-
-class _PlaneProbe:
-    """Minimal payload exposing one plane array via ``_bind_planes``."""
-
-    def __init__(self, spec, array=None):
-        self.spec = spec
-        self.array = array
-
-    def _bind_planes(self, view, base):
-        from repro.runtime import planes
-
-        return _PlaneProbe(self.spec,
-                           planes.PlaneBuffer(view, base).array(self.spec))
 
 
 @pytest.fixture
@@ -71,16 +52,19 @@ class TestShardStore:
             assert len(pickle.dumps(handle)) < 200
             assert handle.nbytes > 100_000
 
-    def test_segment_roundtrips_without_local_registry(self):
-        """The worker path: attach the segment and unpickle."""
+    @pytest.mark.parametrize("prefer_shm", [True, False])
+    def test_segment_roundtrips_without_local_registry(self, prefer_shm):
+        """The worker path: attach the segment and unpickle, over shared
+        memory and over the scratch file alike."""
         payload = {"values": [1.5, 2.5], "name": "roundtrip"}
-        with ShardStore() as store:
+        with ShardStore(prefer_shared_memory=prefer_shm) as store:
             handle = store.publish(payload)
+            assert handle.via == ("shm" if prefer_shm else "file")
             shards_module._LOCAL.pop(handle.shard_id)
             loaded = load_shard(handle)
             assert loaded == payload
             assert loaded is not payload
-            _drain_worker_cache()
+            shards_module._ATTACHED.clear()
 
     def test_file_fallback_roundtrips(self):
         payload = {"via": "file", "data": list(range(50))}
@@ -90,7 +74,7 @@ class TestShardStore:
             assert os.path.exists(handle.location)
             shards_module._LOCAL.pop(handle.shard_id)
             assert load_shard(handle) == payload
-            _drain_worker_cache()
+            shards_module._ATTACHED.clear()
         assert not os.path.exists(handle.location)
 
     def test_close_unlinks_segments_and_registry(self):
@@ -113,83 +97,30 @@ class TestShardStore:
         store.close()
         store.close()
 
-    def test_worker_cache_evicts_by_byte_budget(self, monkeypatch):
-        """Attached segments are evicted oldest-first past the budget."""
-        payload = {"blob": "x" * 4096}
-        with ShardStore() as store:
-            handles = [store.publish(dict(payload, index=index))
-                       for index in range(4)]
-            budget = handles[0].nbytes * 2
-            monkeypatch.setenv("REPRO_SHARD_CACHE_BYTES", str(budget))
-            for handle in handles:
+    @pytest.mark.parametrize("prefer_shm", [True, False])
+    def test_worker_cache_holds_only_the_last_attached_shard(self,
+                                                             prefer_shm):
+        """An attach unpickles and closes the segment at once: the store
+        then closes and unlinks it, nothing maps it any more, the payload
+        is intact, and the cache holds only that shard."""
+        with ShardStore(prefer_shared_memory=prefer_shm) as store:
+            first, second = (store.publish({"index": index,
+                                            "blob": "x" * 4096})
+                             for index in range(2))
+            for handle in (first, second):
                 shards_module._LOCAL.pop(handle.shard_id)
-            for index, handle in enumerate(handles):
-                assert load_shard(handle)["index"] == index
-            assert shards_module.attached_cache_bytes() <= budget
-            assert len(shards_module._ATTACHED) == 2
-            # Oldest evicted, newest kept.
-            assert handles[0].shard_id not in shards_module._ATTACHED
-            assert handles[3].shard_id in shards_module._ATTACHED
-            # Evicted shards re-attach from their segment on demand.
-            assert load_shard(handles[0])["index"] == 0
-            _drain_worker_cache()
-
-    def test_newest_shard_survives_a_zero_budget(self, monkeypatch):
-        """The shard being loaded is never evicted out from under its
-        caller, even when the budget cannot hold it."""
-        monkeypatch.setenv("REPRO_SHARD_CACHE_BYTES", "0")
-        with ShardStore() as store:
-            handle = store.publish({"kept": True})
-            shards_module._LOCAL.pop(handle.shard_id)
-            assert load_shard(handle) == {"kept": True}
-            assert list(shards_module._ATTACHED) == [handle.shard_id]
-            _drain_worker_cache()
-
-    def test_eviction_with_live_views_defers_to_zombie_list(self,
-                                                            monkeypatch):
-        """A segment whose planes are still referenced must not unmap."""
-        np = pytest.importorskip("numpy")
-        from repro.runtime import planes
-
-        writer = planes.PlaneWriter()
-        spec = writer.add(np.arange(64, dtype=np.float64))
-        monkeypatch.setenv("REPRO_SHARD_CACHE_BYTES", "0")
-        with ShardStore() as store:
-            handle = store.publish(_PlaneProbe(spec), planes=writer)
-            shards_module._LOCAL.pop(handle.shard_id)
-            probe = load_shard(handle)
-            array = probe.array  # live np.frombuffer view into the segment
-            assert array.tolist() == list(range(64))
-            # Force eviction of the only cached shard while the view is
-            # alive: it must park on the zombie list, not unmap.
-            shards_module._pop_detach(handle.shard_id)
-            assert shards_module._ZOMBIES
-            assert array.tolist() == list(range(64))  # still readable
-            del probe, array
-            shards_module._reap_zombies()
-            assert not shards_module._ZOMBIES
-
-    def test_handle_records_pickled_and_plane_bytes(self):
-        np = pytest.importorskip("numpy")
-        from repro.runtime import planes
-
-        writer = planes.PlaneWriter()
-        writer.add(np.zeros(1000, dtype=np.float64))
-        with ShardStore() as store:
-            handle = store.publish({"tiny": True}, planes=writer)
-            assert handle.plane_bytes >= 8000
-            assert handle.pickled_bytes < 100
-            assert handle.nbytes >= handle.pickled_bytes + handle.plane_bytes
-
-    def test_local_payload_overrides_same_process_loads(self):
-        original = {"original": True}
-        skeleton = {"skeleton": True}
-        with ShardStore() as store:
-            handle = store.publish(skeleton, local_payload=original)
-            assert load_shard(handle) is original
-            shards_module._LOCAL.pop(handle.shard_id)
-            assert load_shard(handle) == skeleton
-            _drain_worker_cache()
+            assert load_shard(first)["index"] == 0
+            payload = load_shard(second)
+            assert list(shards_module._ATTACHED) == [second.shard_id]
+            assert load_shard(second) is payload
+        assert payload == {"index": 1, "blob": "x" * 4096}
+        if os.path.exists("/proc/self/maps"):
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                mapped = maps.read()
+            assert second.location not in mapped
+        with pytest.raises((FileNotFoundError, OSError)):
+            shards_module._attach(second)
+        shards_module._ATTACHED.clear()
 
 
 class TestShardedDispatch:
@@ -239,13 +170,10 @@ class TestShardedDispatch:
             assert results[0][2] == os.getpid()
             assert executor.fork_waves == 0
 
-    def test_predict_fanout_ships_features_as_planes(self, small_dataset,
-                                                     pipeline, monkeypatch):
-        """A predict fan-out carrying features: with planes on, every
-        payload's features leave the pickle stream (no fallback), the
-        residual shrinks below the pickle-everything wire format, the
-        workers report their attach time, and both formats give the
-        same predictions."""
+    def test_features_predict_fanout_equals_inline(self, small_dataset,
+                                                   pipeline):
+        """A predict fan-out carrying features, attached by workers
+        forked before the publish, gives the inline run's predictions."""
         config = ResolverConfig()
         model = EntityResolver(config).fit(small_dataset, training_seed=0,
                                            pipeline=pipeline)
@@ -254,29 +182,46 @@ class TestShardedDispatch:
             block=block, graphs=None, pipeline=None, evaluate=False,
             features=pipeline.extract_block(block))
             for block in small_dataset]
-        runs = {}
+        inline = run_block_tasks(SerialExecutor(), "predict", payloads)
+        stats = RunStats(phase="predict")
         with ProcessPoolBlockExecutor(workers=2,
                                       oversubscribe=True) as executor:
-            # Pickled first: the pool it forks then attaches the plane
-            # leg's segment, the steady state of a persistent pool.
-            for planes in ("0", "1"):
-                monkeypatch.setenv("REPRO_SHARD_PLANES", planes)
-                stats = RunStats(phase="predict")
-                results = run_block_tasks(executor, "predict", payloads,
-                                          stats=stats)
-                for *_, task_stats in results:
-                    stats.add_task(task_stats)
-                runs[planes] = ([result[:2] for result in results], stats)
-        (pickled, pickle_stats), (planed, plane_stats) = runs["0"], runs["1"]
-        assert planed == pickled
-        assert plane_stats.plane_fallback_payloads == 0
-        assert plane_stats.plane_payloads == len(payloads)
-        assert plane_stats.plane_bytes > 0
-        assert plane_stats.pickled_bytes < pickle_stats.pickled_bytes
-        assert pickle_stats.plane_payloads == 0
-        assert plane_stats.attach_unpickle_seconds > 0.0
+            executor.run(abs, [0, 1])
+            results = run_block_tasks(executor, "predict", payloads,
+                                      stats=stats)
+        for *_, task_stats in results:
+            stats.add_task(task_stats)
+        assert ([result[:2] for result in results]
+                == [result[:2] for result in inline])
+        assert stats.shard_bytes_published > 0
+        assert stats.attach_unpickle_seconds > 0.0
 
     def test_handle_dataclass_shape(self):
         handle = ShardHandle(shard_id="s", via="shm", location="loc",
                              nbytes=10)
         assert (handle.shard_id, handle.via) == ("s", "shm")
+
+
+_WARM_POOL_SCRIPT = """
+from repro.runtime.executor import ProcessPoolBlockExecutor
+from repro.runtime.tasks import TASK_KINDS, run_block_tasks
+
+TASK_KINDS["echo"] = lambda payload, attach_seconds=0.0: payload
+with ProcessPoolBlockExecutor(workers=2, oversubscribe=True) as executor:
+    executor.run(abs, [0, 1])
+    assert run_block_tasks(executor, "echo", ["a", "b", "c", "d"]) == [
+        "a", "b", "c", "d"]
+"""
+
+
+def test_pool_forked_before_first_publish_leaks_no_segment():
+    """Workers forked before the process's first publish share its
+    resource tracker, so their attaches leave nothing for a tracker to
+    report or unlink again at exit."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": source_root}
+    finished = subprocess.run(
+        [sys.executable, "-c", _WARM_POOL_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert finished.returncode == 0, finished.stderr
+    assert "resource_tracker" not in finished.stderr, finished.stderr

@@ -27,8 +27,7 @@ RUN_FIELDS = {
     "phase", "executor", "workers", "effective_workers", "available_cores",
     "host_cores", "cpuset_limited", "fork_waves", "wall_seconds",
     "n_blocks", "pairs_scored", "cache_hits", "cache_misses",
-    "per_block_seconds", "shard_bytes_published", "pickled_bytes",
-    "plane_bytes", "plane_payloads", "plane_fallback_payloads",
+    "per_block_seconds", "shard_bytes_published", "plane_fallback_payloads",
     "attach_unpickle_seconds",
 }
 LATENCY_VIEW = {"seconds_total", "latency", "mean_request_seconds",
@@ -50,8 +49,7 @@ def run_stats() -> RunStats:
         available_cores=2, host_cores=8, cpuset_limited=True, fork_waves=1,
         wall_seconds=1.25, n_blocks=3, pairs_scored=90, cache_hits=30,
         cache_misses=90, per_block_seconds={"Alice": 0.5, "Bob": 0.25},
-        shard_bytes_published=4096, pickled_bytes=512, plane_bytes=3584,
-        plane_payloads=3, plane_fallback_payloads=0,
+        shard_bytes_published=4096, plane_fallback_payloads=0,
         attach_unpickle_seconds=0.125)
 
 
@@ -106,7 +104,7 @@ class TestRunStats:
         assert payload["requested_workers"] == 4
         assert payload["cache_hit_rate"] == 0.25
         assert payload["per_block_seconds"] == {"Alice": 0.5, "Bob": 0.25}
-        assert payload["plane_bytes"] == 3584
+        assert payload["shard_bytes_published"] == 4096
 
     def test_summary(self):
         assert run_stats().summary() == (
@@ -119,8 +117,7 @@ class TestRunStats:
             effective_workers=3, available_cores=1, host_cores=1,
             fork_waves=0, wall_seconds=0.75, n_blocks=2, pairs_scored=10,
             cache_hits=10, cache_misses=10, per_block_seconds={"Bob": 0.5},
-            shard_bytes_published=1, pickled_bytes=1, plane_bytes=0,
-            plane_payloads=1, plane_fallback_payloads=2,
+            shard_bytes_published=1, plane_fallback_payloads=2,
             attach_unpickle_seconds=0.125)
         first = run_stats()
         combined = first.merged(other, phase="protocol")
@@ -132,9 +129,8 @@ class TestRunStats:
             "pairs_scored": 100, "cache_hits": 40, "cache_misses": 100,
             "cache_hit_rate": 40 / 140,
             "per_block_seconds": {"Alice": 0.5, "Bob": 0.75},
-            "shard_bytes_published": 4097, "pickled_bytes": 513,
-            "plane_bytes": 3584, "plane_payloads": 4,
-            "plane_fallback_payloads": 2, "attach_unpickle_seconds": 0.25,
+            "shard_bytes_published": 4097, "plane_fallback_payloads": 2,
+            "attach_unpickle_seconds": 0.25,
         }
         assert first.per_block_seconds == {"Alice": 0.5, "Bob": 0.25}
         assert first.merged(other).phase == "fit"
