@@ -47,7 +47,7 @@ class Top3AverageCombiner(Combiner):
             raise ValueError("cannot combine zero decision layers")
         top = sorted(layers, key=lambda layer: -layer.graph_accuracy)[:3]
         combined = average_probabilities(top, [1.0] * len(top))
-        return thresholded_result(list(top[0].graph.nodes), combined, 0.5)
+        return thresholded_result(combined, 0.5)
 
 
 def main() -> None:

@@ -9,7 +9,6 @@ re-uses as edge weights when combining functions.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -44,14 +43,15 @@ class RegionAccuracyProfile:
                  labeled_values: Sequence[tuple[float, bool]],
                  smoothing: float = 1.0):
         self.regions = regions
-        assigned = list(regions.assign_all(
-            [value for value, _ in labeled_values]))
-        counts = Counter(assigned)
-        links = Counter(compress(
-            assigned, (label for _, label in labeled_values)))
+        values, labels = list(zip(*labeled_values)) or ((), ())
+        assigned = list(regions.assign_all(values))
+        linked = list(compress(assigned, labels))
+        # Integer counts per region: one C-level count pass each.
+        counts = list(map(assigned.count, range(regions.n_regions)))
+        links = list(map(linked.count, range(regions.n_regions)))
 
         total = len(labeled_values)
-        total_links = sum(links.values())
+        total_links = len(linked)
         self._prior = (total_links + smoothing) / (total + 2 * smoothing)
 
         stats = []
@@ -115,6 +115,16 @@ class RegionAccuracyProfile:
     @property
     def n_regions(self) -> int:
         return self.regions.n_regions
+
+    @property
+    def accuracies(self) -> tuple[float, ...]:
+        """Estimated P(link) per region, in region order."""
+        return self._accuracies
+
+    @property
+    def links(self) -> tuple[bool, ...]:
+        """Majority decision per region, in region order."""
+        return self._links
 
     @property
     def prior(self) -> float:

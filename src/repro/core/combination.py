@@ -20,14 +20,20 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import TypeVar
 
 from repro.core.decisions import FittedDecision
 from repro.core.labels import TrainingSample
 from repro.core.registry import COMBINERS, register_combiner
 from repro.core.thresholds import learn_threshold
-from repro.graph.entity_graph import DecisionGraph, PairKey, WeightedPairGraph
+from repro.core.sweeps import route_for
+from repro.graph.entity_graph import (
+    DecisionGraph,
+    PairKey,
+    PairLayout,
+    WeightedPairGraph,
+    as_list,
+)
 
 
 @dataclass
@@ -40,9 +46,10 @@ class DecisionLayer:
         graph: the layer's decision graph G_Dj.
         probabilities: per-pair link-probability estimates (every scored
             pair, not only asserted edges — negative evidence matters for
-            averaging).  ``None`` defers them: they are computed from
-            ``similarity`` on first read, so layers a combiner never
-            consults never pay for their quadratic dict.
+            averaging), read as a mapping.  ``None`` defers them: they
+            are computed from ``similarity`` on first read of
+            :attr:`probability_graph` (the vector the combiners use), so
+            layers a combiner never consults never pay for them.
         fitted: the fitted decision backing this layer.
         graph_accuracy: acc(G_Dj) — the fraction of training pairs whose
             label matches the equivalence the graph *implies* (i.e. after
@@ -56,7 +63,7 @@ class DecisionLayer:
 
     function_name: str
     criterion_name: str
-    graph: DecisionGraph
+    graph: DecisionGraph | None
     probabilities: dict[PairKey, float] | None
     fitted: FittedDecision
     graph_accuracy: float = 0.0
@@ -72,37 +79,30 @@ class DecisionLayer:
         """Per-pair decision accuracy on the training sample."""
         return self.fitted.training_accuracy
 
-
-def decided_edges(fitted: FittedDecision,
-                  graph: WeightedPairGraph) -> set[PairKey]:
-    """The pairs ``fitted`` links, inserted in the graph's pair order.
-
-    The single definition of the edge rule, shared by fit-time layer
-    building and predict-time re-application — which keeps fit/predict
-    bit-identical by construction.
-    """
-    weights = graph.weights
-    return set(compress(weights, fitted.decide_all(weights.values())))
-
-
-def decided_probabilities(fitted: FittedDecision,
-                          graph: WeightedPairGraph) -> dict[PairKey, float]:
-    """``fitted``'s link probability of every pair, in the graph's order."""
-    weights = graph.weights
-    return dict(zip(weights, fitted.link_probabilities(weights.values())))
+    @property
+    def probability_graph(self) -> WeightedPairGraph:
+        """The link probabilities as a graph over the layer's pages —
+        in ``similarity``'s layout when computed from it."""
+        if self._probabilities is None:
+            layout, values = self.similarity.vector()
+            route = route_for(values)
+            self._probabilities = WeightedPairGraph(
+                layout.nodes, layout=layout,
+                values=route.probabilities(self.fitted,
+                                           route.vector(values)))
+        return self._probabilities
 
 
-def _layer_probabilities(layer: DecisionLayer) -> dict[PairKey, float]:
-    if layer._probabilities is None:
-        layer._probabilities = decided_probabilities(layer.fitted,
-                                                     layer.similarity)
-    return layer._probabilities
+def _layer_probabilities(layer: DecisionLayer):
+    return layer.probability_graph.weights
 
 
 def _set_layer_probabilities(layer: DecisionLayer,
                              probabilities: dict[PairKey, float] | None,
                              ) -> None:
-    layer._probabilities = probabilities
+    layer._probabilities = (None if probabilities is None else
+                            WeightedPairGraph(layer.graph.nodes,
+                                              weights=probabilities))
 
 
 # Installed after @dataclass ran, so the generated __init__ assigns the
@@ -112,16 +112,15 @@ DecisionLayer.probabilities = property(_layer_probabilities,
                                        _set_layer_probabilities)
 
 
-def decide_layer(function_name: str, criterion_name: str,
-                 fitted: FittedDecision, graph: WeightedPairGraph,
-                 graph_accuracy: float = 0.0) -> DecisionLayer:
-    """One fitted decision applied to one similarity graph: the layer's
-    edges now, its probabilities on first read."""
+def undecided_layer(function_name: str, criterion_name: str,
+                    fitted: FittedDecision, graph: WeightedPairGraph,
+                    graph_accuracy: float = 0.0) -> DecisionLayer:
+    """A layer whose edges a :class:`~repro.core.sweeps.BlockSweep`
+    decides together with its block's other layers."""
     return DecisionLayer(
         function_name=function_name,
         criterion_name=criterion_name,
-        graph=DecisionGraph(nodes=list(graph.nodes),
-                            edges=decided_edges(fitted, graph)),
+        graph=None,
         probabilities=None,
         fitted=fitted,
         graph_accuracy=graph_accuracy,
@@ -256,46 +255,67 @@ class BestGraphSelector(Combiner):
         return [best]
 
     def _select(self, best: DecisionLayer) -> CombinationResult:
-        probabilities = WeightedPairGraph(
-            nodes=list(best.graph.nodes), weights=dict(best.probabilities))
         return CombinationResult(
-            graph=DecisionGraph(nodes=list(best.graph.nodes),
-                                edges=set(best.graph.edges)),
-            probabilities=probabilities,
+            graph=best.graph.copy(),
+            probabilities=best.probability_graph.copy(),
             chosen_layer=best.label,
             diagnostics={"chosen_accuracy": best.graph_accuracy},
         )
 
 
 def average_probabilities(layers: Sequence[DecisionLayer],
-                          weights: Sequence[float]) -> dict[PairKey, float]:
-    """Weight-averaged per-pair link probabilities across layers."""
-    total_weight = sum(weights)
-    combined: dict[PairKey, float] = {}
-    all_pairs: set[PairKey] = set()
-    for layer in layers:
-        all_pairs.update(layer.probabilities)
-    for pair in all_pairs:
-        numerator = 0.0
-        for layer, weight in zip(layers, weights):
-            numerator += weight * layer.probabilities.get(pair, 0.0)
-        combined[pair] = numerator / total_weight
-    return combined
+                          weights: Sequence[float]) -> WeightedPairGraph:
+    """Weight-averaged per-pair link probabilities across layers.
+
+    The result holds every pair some layer holds — a pair absent from
+    every layer stays absent, a stored 0.0 stays stored — and reads a
+    pair a layer lacks as 0.0.  Each pair's average is a left fold in
+    layer order, so both routes give the same bits.
+
+    Raises:
+        ValueError: when the layers span different pages.
+    """
+    graphs = [layer.probability_graph for layer in layers]
+    vectors = [graph.vector() for graph in graphs]
+    layout = _union_layout([layout for layout, _ in vectors])
+    route = route_for(vectors[0][1])
+    aligned = [route.vector(values) if layout_of == layout else
+               route.vector(route.gather(route.vector(values),
+                                         layout_of.locate(layout.keys())))
+               for layout_of, values in vectors]
+    return WeightedPairGraph(layout.nodes, layout=layout,
+                             values=route.average(aligned, weights))
 
 
-def thresholded_result(nodes: list[str], combined: dict[PairKey, float],
-                       threshold: float,
+def _union_layout(layouts: Sequence[PairLayout]) -> PairLayout:
+    """The one layout holding every pair of ``layouts``."""
+    first = layouts[0]
+    if all(layout == first for layout in layouts):
+        return first
+    if any(layout.nodes != first.nodes for layout in layouts):
+        raise ValueError("cannot combine layers over different pages")
+    full = len(PairLayout(first.nodes))
+    held = set()
+    for layout in layouts:
+        held.update(range(full) if layout.positions is None
+                    else as_list(layout.positions))
+    return PairLayout(first.nodes,
+                      None if len(held) == full else sorted(held))
+
+
+def thresholded_result(combined: WeightedPairGraph, threshold: float,
                        diagnostics: dict[str, float] | None = None,
                        ) -> CombinationResult:
     """Build a :class:`CombinationResult` by cutting averaged probabilities
     at ``threshold`` (link iff probability >= threshold)."""
-    graph = DecisionGraph(nodes=nodes)
-    for pair, probability in combined.items():
-        if probability >= threshold:
-            graph.edges.add(pair)
+    layout, values = combined.vector()
+    route = route_for(values)
+    graph = DecisionGraph(layout.nodes, layout=layout,
+                          linked=route.at_least(route.vector(values),
+                                                threshold))
     return CombinationResult(
         graph=graph,
-        probabilities=WeightedPairGraph(nodes=nodes, weights=combined),
+        probabilities=combined,
         threshold=threshold,
         diagnostics=diagnostics or {},
     )
@@ -320,12 +340,10 @@ class WeightedAverageCombiner(Combiner):
     def combine(self, layers: Sequence[DecisionLayer],
                 training: TrainingSample) -> CombinationResult:
         _require_layers(layers)
-        nodes = list(layers[0].graph.nodes)
         combined = average_probabilities(layers, self.layer_weights(layers))
-        labeled = [(combined.get(pair, 0.0), label) for pair, label in training.pairs]
-        threshold = learn_threshold(labeled)
+        threshold = learn_threshold(training.labeled_values(combined))
         return thresholded_result(
-            nodes, combined, threshold.threshold,
+            combined, threshold.threshold,
             diagnostics={"training_accuracy": threshold.training_accuracy})
 
     def fit_params(self, result: CombinationResult) -> dict[str, object]:
@@ -339,10 +357,9 @@ class WeightedAverageCombiner(Combiner):
         if threshold is None:
             raise ValueError(
                 "weighted_average needs a stored 'threshold' to apply")
-        nodes = list(layers[0].graph.nodes)
         combined = average_probabilities(layers, self.layer_weights(layers))
         return thresholded_result(
-            nodes, combined, float(threshold),
+            combined, float(threshold),
             diagnostics=dict(params.get("diagnostics") or {}))
 
 

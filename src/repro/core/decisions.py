@@ -109,8 +109,8 @@ def _fitted(criterion_name: str, profile: RegionAccuracyProfile,
                             threshold=threshold, training_accuracy=0.0)
     if not labeled_values:
         return fitted
-    decisions = list(fitted.decide_all([value for value, _ in labeled_values]))
-    labels = [label for _, label in labeled_values]
+    values, labels = zip(*labeled_values)
+    decisions = list(fitted.decide_all(values))
     return replace(fitted,
                    training_accuracy=overall_accuracy(decisions, labels))
 

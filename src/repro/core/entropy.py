@@ -27,12 +27,14 @@ from repro.core.combination import (
     Combiner,
     DecisionLayer,
     _require_layers,
+    average_probabilities,
+    thresholded_result,
 )
 from repro.core.labels import TrainingSample
 from repro.core.regions import Regions
 from repro.core.thresholds import learn_threshold
 from repro.extraction.features import PageFeatures
-from repro.graph.entity_graph import DecisionGraph, PairKey, WeightedPairGraph
+from repro.graph.entity_graph import WeightedPairGraph
 
 #: PageFeatures attributes that can be "missing" on a page.
 AVAILABILITY_FEATURES = (
@@ -146,34 +148,12 @@ class EntropyWeightedCombiner(Combiner):
     def combine(self, layers: Sequence[DecisionLayer],
                 training: TrainingSample) -> CombinationResult:
         _require_layers(layers)
-        nodes = list(layers[0].graph.nodes)
         weights = []
         for layer in layers:
             gain = layer_information_gain(
                 layer, self._graphs[layer.function_name], training)
             weights.append(gain + 1e-6)
-        total_weight = sum(weights)
-
-        combined: dict[PairKey, float] = {}
-        all_pairs: set[PairKey] = set()
-        for layer in layers:
-            all_pairs.update(layer.probabilities)
-        for pair in all_pairs:
-            numerator = 0.0
-            for layer, weight in zip(layers, weights):
-                numerator += weight * layer.probabilities.get(pair, 0.0)
-            combined[pair] = numerator / total_weight
-
-        labeled = [(combined.get(pair, 0.0), label)
-                   for pair, label in training.pairs]
-        threshold = learn_threshold(labeled)
-        graph = DecisionGraph(nodes=nodes)
-        for pair, probability in combined.items():
-            if threshold.decide(probability):
-                graph.edges.add(pair)
-        return CombinationResult(
-            graph=graph,
-            probabilities=WeightedPairGraph(nodes=nodes, weights=combined),
-            threshold=threshold.threshold,
-            diagnostics={"total_gain": total_weight},
-        )
+        combined = average_probabilities(layers, weights)
+        threshold = learn_threshold(training.labeled_values(combined))
+        return thresholded_result(combined, threshold.threshold,
+                                  diagnostics={"total_gain": sum(weights)})

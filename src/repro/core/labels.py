@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.core.sweeps import BlockSweep
 from repro.graph.entity_graph import PairKey, WeightedPairGraph
 
 
@@ -48,10 +49,12 @@ class TrainingSample:
         """Join the sample with one function's similarity values.
 
         Pairs missing from the graph read as similarity 0.0 (consistent
-        with :class:`WeightedPairGraph` semantics).
+        with :class:`WeightedPairGraph` semantics).  A gather by position
+        over the graph's pair vector; callers joining many graphs of one
+        block resolve the pairs once through a
+        :class:`~repro.core.sweeps.BlockSweep`.
         """
-        weights = graph.weights
-        return [(weights.get(pair, 0.0), label) for pair, label in self.pairs]
+        return BlockSweep(self).labeled_values(graph)
 
     def pair_keys(self) -> set[PairKey]:
         return {pair for pair, _ in self.pairs}

@@ -26,10 +26,11 @@ from repro.core.combination import (
     DecisionLayer,
     build_combiner,
     consulted_function_names,
-    decide_layer,
+    undecided_layer,
 )
 from repro.core.config import ResolverConfig
 from repro.core.decisions import FittedDecision
+from repro.core.sweeps import BlockSweep
 from repro.corpus.documents import (
     DocumentCollection,
     NameCollection,
@@ -201,10 +202,12 @@ def build_decision_layers(
     values.  ``graphs`` need only cover the functions ``fitted_layers``
     name; output order matches ``fitted_layers`` exactly.
     """
-    return [decide_layer(layer.function_name, layer.criterion_name,
-                         layer.fitted, graphs[layer.function_name],
-                         graph_accuracy=layer.graph_accuracy)
-            for layer in fitted_layers]
+    layers = [undecided_layer(layer.function_name, layer.criterion_name,
+                              layer.fitted, graphs[layer.function_name],
+                              graph_accuracy=layer.graph_accuracy)
+              for layer in fitted_layers]
+    BlockSweep().decide(layers)
+    return layers
 
 
 @dataclass
@@ -693,11 +696,16 @@ class ResolverModel:
         registered (their modules imported) before loading.
 
         Raises:
-            ValueError: for incompatible format versions or backends the
-                current process has not registered.
+            ValueError: for a file that is not JSON (e.g. truncated),
+                incompatible format versions, or backends the current
+                process has not registered.
         """
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except json.JSONDecodeError as error:
+                raise ValueError(
+                    f"{path}: not a readable model file ({error})") from None
         version = payload.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(

@@ -137,6 +137,11 @@ class KMeansRegions(Regions):
         """The cluster heads representing each region."""
         return self._model.centers
 
+    @property
+    def boundaries(self) -> tuple[float, ...]:
+        """Ascending region boundaries (midpoints between the heads)."""
+        return self._model.boundaries
+
     def assign(self, value: float) -> int:
         return self._model.assign(min(1.0, max(0.0, value)))
 

@@ -21,13 +21,10 @@ predictions against ground truth.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from itertools import chain
-
 from repro.core.combination import (
     DecisionLayer,
     build_combiner,
-    decide_layer,
+    undecided_layer,
 )
 from repro.core.config import ResolverConfig
 from repro.core.decisions import build_criteria
@@ -38,70 +35,17 @@ from repro.core.model import (
     ResolverModel,
     resolve_extraction_pipeline,
 )
+from repro.core.sweeps import BlockSweep
 from repro.corpus.documents import DocumentCollection, NameCollection
 from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
-from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
+from repro.graph.entity_graph import WeightedPairGraph
 from repro.ml.sampling import sample_training_pairs
 from repro.runtime.executor import BlockExecutor
 from repro.runtime.tasks import block_graphs
 from repro.similarity.functions import functions_subset
 
 __all__ = ["EntityResolver"]
-
-
-def _node_numbers(nodes: Iterable[str],
-                  training: TrainingSample) -> dict[str, int]:
-    """Dense integer ids for a block's pages, in block order (pages only
-    the training sample names come after)."""
-    numbers: dict[str, int] = {}
-    for node in chain(nodes, chain.from_iterable(
-            pair for pair, _ in training.pairs)):
-        numbers.setdefault(node, len(numbers))
-    return numbers
-
-
-def _graph_accuracy(graph: DecisionGraph, training: TrainingSample,
-                    numbers: dict[str, int] | None = None) -> float:
-    """acc(G_Dj): agreement of the graph's *implied* equivalence with the
-    training labels.
-
-    The implied equivalence is the transitive closure (the final clustering
-    is the closure, §IV-C), so an over-linking graph whose chains merge
-    distinct persons scores poorly even if its individual edge decisions
-    looked fine in isolation.
-
-    Args:
-        numbers: :func:`_node_numbers` of the graph's nodes, for callers
-            scoring many graphs over the same block.
-    """
-    if not training.pairs:
-        return 0.0
-    if numbers is None:
-        numbers = _node_numbers(graph.nodes, training)
-    # Union-find over the integer ids; find() halves paths as it climbs.
-    parent = list(range(len(numbers)))
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = node = parent[parent[node]]
-        return node
-
-    for left, right in graph.edges:
-        left, right = numbers[left], numbers[right]
-        # find(), inlined twice: this loop runs once per decided edge of
-        # every (function x criterion) layer.
-        while parent[left] != left:
-            parent[left] = left = parent[parent[left]]
-        while parent[right] != right:
-            parent[right] = right = parent[parent[right]]
-        parent[left] = right
-    roots = [find(node) for node in range(len(parent))]
-    correct = sum(
-        1 for (left, right), label in training.pairs
-        if (roots[numbers[left]] == roots[numbers[right]]) == label
-    )
-    return correct / len(training.pairs)
 
 
 class EntityResolver:
@@ -280,21 +224,19 @@ class EntityResolver:
 
         Exposed for experiments that inspect or recombine layers directly
         (Figure 1, the combiner ablation).  Every layer's edges are
-        decided here — acc(G_Dj) over them is the selection signal — while
-        its per-pair probabilities are computed when first read; layer
-        order stays function-outer, criterion-inner.
+        decided here — acc(G_Dj) over them is the selection signal — in
+        one :class:`~repro.core.sweeps.BlockSweep` over the block's pair
+        vectors, while per-pair probabilities are computed when first
+        read; layer order stays function-outer, criterion-inner.
         """
+        sweep = BlockSweep(training)
         layers: list[DecisionLayer] = []
-        numbers = _node_numbers(
-            chain.from_iterable(graphs[function.name].nodes
-                                for function in self._functions), training)
         for function in self._functions:
             graph = graphs[function.name]
-            labeled_values = training.labeled_values(graph)
+            labeled_values = sweep.labeled_values(graph)
             for criterion in self._criteria:
-                layer = decide_layer(function.name, criterion.name,
-                                     criterion.fit(labeled_values), graph)
-                layer.graph_accuracy = _graph_accuracy(layer.graph, training,
-                                                       numbers)
-                layers.append(layer)
+                layers.append(undecided_layer(
+                    function.name, criterion.name,
+                    criterion.fit(labeled_values), graph))
+        sweep.decide(layers)
         return layers

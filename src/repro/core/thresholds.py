@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 #: Threshold meaning "never link" (no value in [0, 1] reaches it).
 NEVER_LINK = 1.1
@@ -65,39 +66,36 @@ def learn_threshold(labeled_values: Sequence[tuple[float, bool]]) -> LearnedThre
                                 n_training=0)
 
     ordered = sorted(labeled_values)
+    values = [value for value, _ in ordered]
+    # positives[i]: links among ordered[0..i] (prefix counts).
+    positives = list(accumulate(map(int, (label for _, label in ordered))))
     n_total = len(ordered)
-    n_positives = sum(1 for _, label in ordered if label)
+    n_positives = positives[-1]
+    last = n_total - 1
 
-    # Sweep boundaries from low to high.  With threshold below everything,
-    # all pairs are predicted "link": correct = n_positives.
+    # With the boundary just above ordered[i], pairs 0..i are predicted
+    # "no link" and the rest "link": (i + 1 - positives[i]) correct
+    # negatives plus (n_positives - positives[i]) correct positives.  A
+    # boundary cannot separate equal values (score -1).  Below every
+    # value all pairs are "link": n_positives correct (ALWAYS_LINK).
+    scores = [index + 1 + n_positives - 2 * below
+              if index == last or values[index] != values[index + 1] else -1
+              for index, below in enumerate(positives)]
+    best_correct = max(n_positives, max(scores))
     best_threshold = ALWAYS_LINK
-    best_correct = n_positives
-
-    # After placing the boundary just above ordered[i], pairs 0..i are
-    # predicted "no link" and the rest "link".
-    negatives_below = 0
-    positives_below = 0
-    for index, (value, label) in enumerate(ordered):
-        if label:
-            positives_below += 1
+    if best_correct == max(scores):
+        # Ties prefer the last (highest) boundary.
+        index = last - scores[::-1].index(best_correct)
+        if index == last:
+            best_threshold = NEVER_LINK
         else:
-            negatives_below += 1
-        next_value = ordered[index + 1][0] if index + 1 < n_total else None
-        if next_value is not None and next_value == value:
-            continue  # boundary cannot separate equal values
-        correct = negatives_below + (n_positives - positives_below)
-        if correct >= best_correct:  # >= prefers the higher threshold
-            best_correct = correct
-            if next_value is None:
-                best_threshold = NEVER_LINK
-            else:
-                boundary = (value + next_value) / 2.0
-                if boundary <= value:
-                    # Float rounding collapsed the midpoint onto the lower
-                    # value (adjacent/denormal floats); the next value
-                    # itself is the smallest threshold that separates.
-                    boundary = next_value
-                best_threshold = boundary
+            value, next_value = values[index], values[index + 1]
+            best_threshold = (value + next_value) / 2.0
+            if best_threshold <= value:
+                # Float rounding collapsed the midpoint onto the lower
+                # value (adjacent/denormal floats); the next value
+                # itself is the smallest threshold that separates.
+                best_threshold = next_value
 
     return LearnedThreshold(
         threshold=best_threshold,

@@ -9,9 +9,11 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -66,19 +68,18 @@ def kmeans_1d(values: Sequence[float], k: int, max_iterations: int = 100) -> KMe
 
     for _ in range(max_iterations):
         boundaries = _midpoints(centers)
-        # Assign: data is sorted, so clusters are contiguous runs.
-        sums = [0.0] * len(centers)
-        counts = [0] * len(centers)
-        cluster_index = 0
-        for value in data:
-            while (cluster_index < len(boundaries)
-                   and value >= boundaries[cluster_index]):
-                cluster_index += 1
-            sums[cluster_index] += value
-            counts[cluster_index] += 1
+        # Assign: data is sorted, so clusters are contiguous runs; run i
+        # ends at the first value at or past boundary i (never before
+        # run i - 1 ends).  Each run's sum is a sequential left fold —
+        # ``sum()`` may compensate its rounding on newer Pythons.
+        edges = [0]
+        for boundary in boundaries:
+            edges.append(max(edges[-1], bisect_left(data, boundary)))
+        edges.append(n_values)
         new_centers = [
-            sums[i] / counts[i] if counts[i] else centers[i]
-            for i in range(len(centers))
+            reduce(add, data[start:end], 0.0) / (end - start)
+            if end > start else center
+            for start, end, center in zip(edges, edges[1:], centers)
         ]
         if new_centers == centers:
             break

@@ -15,7 +15,7 @@ and ``tests/properties/test_backend_parity.py`` enforce it.
 With a :class:`~repro.runtime.cache.SimilarityCache`, graphs already
 computed for the same (block, function) are reused instead of rescored,
 which collapses the fit → predict → evaluate flows to one quadratic pass
-per block.  Cached weights are backend-agnostic — bit-identity is what
+per block.  Cached graphs are backend-agnostic — bit-identity is what
 makes them safely shareable across backends.
 """
 
@@ -75,24 +75,20 @@ def batched_similarity_graphs(
     fingerprint = (block_fingerprint(block, mask)
                    if cache is not None else None)
     for function in functions:
-        cached = (cache.get_weights(fingerprint, function.name)
+        cached = (cache.get_graph(fingerprint, function.name)
                   if cache is not None else None)
         if cached is not None:
-            graphs[function.name] = WeightedPairGraph(nodes=list(ids),
-                                                      weights=cached)
+            graphs[function.name] = cached
         else:
             pending.append(function)
 
     if pending:
         require_covered(map(features.__getitem__, ids), pending)
-        scores = resolve_backend(backend).block_scores(ids, features, pending,
-                                                       mask=mask)
-        for function in pending:
-            graphs[function.name] = WeightedPairGraph(
-                nodes=list(ids), weights=scores[function.name])
+        graphs.update(resolve_backend(backend).block_graphs(
+            ids, features, pending, mask=mask))
         if cache is not None:
             for function in pending:
-                cache.put_weights(fingerprint, function.name,
-                                  graphs[function.name].weights)
+                cache.put_graph(fingerprint, function.name,
+                                graphs[function.name])
     # Battery order regardless of the cached/pending split.
     return {function.name: graphs[function.name] for function in functions}

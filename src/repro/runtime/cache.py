@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.corpus.documents import NameCollection
 from repro.extraction.features import PageFeatures
-from repro.graph.entity_graph import PairKey
+from repro.graph.entity_graph import WeightedPairGraph
 from repro.runtime.stats import StatsRecord, rate
 
 #: A block's cache identity: the query name plus the exact page-id tuple
@@ -81,8 +81,8 @@ class SimilarityCache:
         # which covers the others.
         self._features: dict[BlockFingerprint,
                              list[dict[str, PageFeatures]]] = {}
-        self._weights: dict[BlockFingerprint,
-                            dict[str, dict[PairKey, float]]] = {}
+        self._graphs: dict[BlockFingerprint,
+                           dict[str, WeightedPairGraph]] = {}
         self.pair_hits = 0
         self.pair_misses = 0
         self.feature_hits = 0
@@ -115,42 +115,39 @@ class SimilarityCache:
         self._features.setdefault(fingerprint, []).append(features)
         return features
 
-    # -- pairwise weights ------------------------------------------------
+    # -- similarity graphs ------------------------------------------------
 
-    def get_weights(self, fingerprint: BlockFingerprint,
-                    function_name: str) -> dict[PairKey, float] | None:
-        """Stored pair weights for one function, or ``None`` on miss.
+    def get_graph(self, fingerprint: BlockFingerprint,
+                  function_name: str) -> "WeightedPairGraph | None":
+        """Stored similarity graph for one function, or ``None`` on miss.
 
         A hit counts every stored pair as served-from-cache.  The caller
-        receives a copy, so downstream mutation (sparsification, edge
-        edits) can never corrupt cached values.
+        receives a copy (a vector graph's copy shares its read-only
+        values), so downstream edits can never corrupt cached values.
         """
-        per_function = self._weights.get(fingerprint)
-        if per_function is None:
+        graph = self._graphs.get(fingerprint, {}).get(function_name)
+        if graph is None:
             return None
-        weights = per_function.get(function_name)
-        if weights is None:
-            return None
-        self.pair_hits += len(weights)
-        return dict(weights)
+        self.pair_hits += graph.n_pairs()
+        return graph.copy()
 
-    def put_weights(self, fingerprint: BlockFingerprint, function_name: str,
-                    weights: dict[PairKey, float]) -> None:
-        """Store one function's freshly computed pair weights."""
-        self.pair_misses += len(weights)
-        self._weights.setdefault(fingerprint, {})[function_name] = \
-            dict(weights)
+    def put_graph(self, fingerprint: BlockFingerprint, function_name: str,
+                  graph: "WeightedPairGraph") -> None:
+        """Store one function's freshly computed similarity graph."""
+        self.pair_misses += graph.n_pairs()
+        self._graphs.setdefault(fingerprint, {})[function_name] = \
+            graph.copy()
 
     # -- lifecycle -------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         self._features.clear()
-        self._weights.clear()
+        self._graphs.clear()
 
     def __len__(self) -> int:
         """Number of blocks with at least one cached entry."""
-        return len(self._features.keys() | self._weights.keys())
+        return len(self._features.keys() | self._graphs.keys())
 
     def stats(self) -> CacheStats:
         """Current counter snapshot."""

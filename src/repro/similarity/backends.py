@@ -48,7 +48,14 @@ from dataclasses import dataclass
 
 from repro.core.registry import Registry
 from repro.extraction.features import PageFeatures
-from repro.graph.entity_graph import PairKey, pair_key
+from repro.graph.entity_graph import (
+    PairKey,
+    PairLayout,
+    WeightedPairGraph,
+    as_list,
+    pair_key,
+    pair_position,
+)
 from repro.similarity.base import SimilarityFunction
 
 __all__ = [
@@ -113,6 +120,36 @@ class ScoringBackend(ABC):
     name: str = "?"
 
     @abstractmethod
+    def block_graphs(
+        self,
+        ids: Sequence[str],
+        features: dict[str, PageFeatures],
+        functions: Sequence[SimilarityFunction],
+        mask: "frozenset[PairKey] | None" = None,
+    ) -> dict[str, WeightedPairGraph]:
+        """Every function's similarity graph over one block's unordered
+        pairs — the one scoring contract a backend implements.
+
+        Args:
+            ids: page ids in block order; pairs are formed ``(i, j)``
+                with ``i < j`` in this order.
+            features: extracted features covering ``ids``.
+            functions: the battery to score; one graph per entry.
+            mask: optional candidate-pair mask (a blocker's output);
+                only pairs in the mask are scored — and only they appear
+                in the returned graphs.  ``None`` (the dense default)
+                scores every pair.  Masked scores must be bit-identical
+                to the dense scores of the same pairs.
+
+        Returns:
+            ``function name -> graph``, in ``functions`` order.  The
+            built-ins emit *vector* graphs over one shared
+            :class:`~repro.graph.entity_graph.PairLayout` (``list``
+            values from ``python``, float64 arrays from ``numpy``),
+            which the decision layers sweep without building a dict
+            (:mod:`repro.core.sweeps`); a mapping-form graph works too.
+        """
+
     def block_scores(
         self,
         ids: Sequence[str],
@@ -120,24 +157,12 @@ class ScoringBackend(ABC):
         functions: Sequence[SimilarityFunction],
         mask: "frozenset[PairKey] | None" = None,
     ) -> dict[str, dict[PairKey, float]]:
-        """Every function's scores over one block's unordered pairs.
-
-        Args:
-            ids: page ids in block order; pairs are formed ``(i, j)``
-                with ``i < j`` in this order.
-            features: extracted features covering ``ids``.
-            functions: the battery to score; one weights dict per entry.
-            mask: optional candidate-pair mask (a blocker's output);
-                only pairs in the mask are scored — and only they appear
-                in the returned weights dicts.  ``None`` (the dense
-                default) scores every pair.  Masked scores must be
-                bit-identical to the dense scores of the same pairs.
-
-        Returns:
-            ``function name -> {pair_key: score}`` with each weights
-            dict inserted in canonical pair order (the nested-loop order
-            the seed implementation produced, restricted to the mask).
-        """
+        """:meth:`block_graphs` read as ``function name -> {pair_key:
+        score}``, each dict in the graph's pair order — a view for
+        callers that think in pair keys, not an extension point."""
+        return {name: dict(graph.pairs()) for name, graph in
+                self.block_graphs(ids, features, functions,
+                                  mask=mask).items()}
 
     @abstractmethod
     def pair_scores(
@@ -170,7 +195,7 @@ class ScoringBackend(ABC):
         with the new page on the left, as a chain of single adds scores
         it.  This default, which every backend without a record uses,
         asks :meth:`pair_scores` for one page and one masked
-        :meth:`block_scores` call for a burst, laid out in **reverse add
+        :meth:`block_graphs` call for a burst, laid out in **reverse add
         order**: each new page takes an earlier block position than
         every page it is scored against, so the sweep's earlier-page-
         on-the-left argument order is the sequential one even for an
@@ -180,17 +205,21 @@ class ScoringBackend(ABC):
         if len(pages) == 1:
             return Rectangle({function.name: [self.pair_scores(
                 function, pages[0], residents)] for function in functions})
-        keys = [[pair_key(page.doc_id, other.doc_id)
-                 for other in residents + pages[:index]]
-                for index, page in enumerate(pages)]
-        scores = self.block_scores(
+        keys = [pair_key(page.doc_id, other.doc_id)
+                for index, page in enumerate(pages)
+                for other in residents + pages[:index]]
+        graphs = self.block_graphs(
             [page.doc_id for page in reversed(pages)]
             + [page.doc_id for page in residents],
             {page.doc_id: page for page in residents + pages}, functions,
-            mask=frozenset(key for row in keys for key in row))
-        return Rectangle({name: [[weights[key] for key in row]
-                                 for row in keys]
-                          for name, weights in scores.items()})
+            mask=frozenset(keys))
+        rows = {}
+        for name, graph in graphs.items():
+            layout, values = graph.vector()
+            scores = map(as_list(values).__getitem__, layout.locate(keys))
+            rows[name] = [[next(scores) for _ in range(len(residents) + index)]
+                          for index in range(len(pages))]
+        return Rectangle(rows)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -205,12 +234,11 @@ class PythonBackend(ScoringBackend):
 
     name = "python"
 
-    def block_scores(self, ids, features, functions, mask=None):
-        scores: dict[str, dict[PairKey, float]] = {
-            function.name: {} for function in functions}
-        scorers = [(scores[function.name], function.prepared(features))
-                   for function in functions]
+    def block_graphs(self, ids, features, functions, mask=None):
         ids = list(ids)
+        columns = [[] for _ in functions]
+        scorers = [(column.append, function.prepared(features))
+                   for column, function in zip(columns, functions)]
         if mask is not None:
             # Iterate the candidates directly — O(candidates), not
             # O(n²) — in the dense sweep's pair order (ascending block
@@ -222,20 +250,23 @@ class PythonBackend(ScoringBackend):
                 (sorted((position[left], position[right]))
                  for left, right in mask
                  if left in position and right in position))
+            layout = PairLayout(ids, [pair_position(i, j, len(ids))
+                                      for i, j in ordered])
             for i, j in ordered:
                 left, right = features[ids[i]], features[ids[j]]
-                key = pair_key(ids[i], ids[j])
-                for weights, scorer in scorers:
-                    weights[key] = scorer(left, right)
-            return scores
-        for i, left_id in enumerate(ids):
-            left = features[left_id]
-            for right_id in ids[i + 1:]:
-                right = features[right_id]
-                key = pair_key(left_id, right_id)
-                for weights, scorer in scorers:
-                    weights[key] = scorer(left, right)
-        return scores
+                for append, scorer in scorers:
+                    append(scorer(left, right))
+        else:
+            layout = PairLayout(ids)
+            for i, left_id in enumerate(ids):
+                left = features[left_id]
+                for right_id in ids[i + 1:]:
+                    right = features[right_id]
+                    for append, scorer in scorers:
+                        append(scorer(left, right))
+        return {function.name: WeightedPairGraph(ids, layout=layout,
+                                                 values=column)
+                for function, column in zip(functions, columns)}
 
     def pair_scores(self, function, new, others):
         return [function(new, other) for other in others]
@@ -302,24 +333,32 @@ class NumpyBackend(ScoringBackend):
             return None
         return batch
 
-    def block_scores(self, ids, features, functions, mask=None):
+    def block_graphs(self, ids, features, functions, mask=None):
         batch = self._kernels()
         if batch is None:
-            return _PYTHON.block_scores(ids, features, functions, mask=mask)
+            return _PYTHON.block_graphs(ids, features, functions, mask=mask)
         ids = list(ids)
         state = batch.BlockState(ids, features, mask=mask)
-        scores: dict[str, dict[PairKey, float]] = {}
+        graphs: dict[str, WeightedPairGraph] = {}
         fallback: list[SimilarityFunction] = []
         for function in functions:
             kernel = batch.kernel_for(function)
             if kernel is None:
                 fallback.append(function)
                 continue
-            scores[function.name] = state.pair_weights(kernel)
+            graphs[function.name] = WeightedPairGraph(
+                ids, layout=state.layout, values=state.pair_values(kernel))
         if fallback:
-            scores.update(_PYTHON.block_scores(ids, features, fallback,
-                                               mask=mask))
-        return scores
+            # Scalar-swept graphs join the block's layout as arrays, so
+            # every graph of the block takes the same decision route.
+            for name, graph in _PYTHON.block_graphs(ids, features, fallback,
+                                                    mask=mask).items():
+                graphs[name] = WeightedPairGraph(
+                    ids, layout=state.layout,
+                    values=batch.np.asarray(graph.vector()[1],
+                                            dtype=batch.np.float64))
+        return {function.name: graphs[function.name]
+                for function in functions}
 
     def pair_scores(self, function, new, others):
         others = list(others)

@@ -81,7 +81,7 @@ from operator import attrgetter
 import numpy as np
 
 from repro.extraction.features import PageFeatures
-from repro.graph.entity_graph import PairKey, pair_key
+from repro.graph.entity_graph import PairKey, PairLayout, pair_position
 from repro.similarity import extended as _extended
 from repro.similarity import functions as _base
 from repro.similarity.strings import levenshtein
@@ -302,7 +302,7 @@ class ResidentRecord:
 
 class BlockState:
     """One layout of a block's pages, and the families every kernel of
-    one ``block_scores`` call (or one burst) shares.
+    one ``block_graphs`` call (or one burst) shares.
 
     The TF-IDF family (and its pairwise dot fold) is built once and
     reused by F8, F9 and F10; the concept family by F1 and F14; and so
@@ -314,12 +314,12 @@ class BlockState:
       twice, no copy;
     * **a candidate mask** — rows are the pages that occur in a
       candidate pair (in block order), ``left`` the rows that occur as a
-      pair's *earlier* member and ``right`` the later members; pair keys
-      are enumerated from the mask itself, O(candidates), in the dense
-      sweep's row-major order;
+      pair's *earlier* member and ``right`` the later members; pair
+      positions are enumerated from the mask itself, O(candidates), in
+      the dense sweep's row-major order;
     * **a burst** of ``k`` new pages against ``n`` resident ones — the
       ``k × (n + k - 1)`` rectangle :meth:`burst` lays out by
-      construction, no mask and no pair keys.
+      construction, no mask and no pair layout.
 
     :meth:`family` reads one record per family — the resident record on
     a burst, else a record of the pages — and stacks the layout's
@@ -342,33 +342,32 @@ class BlockState:
             earlier, later = np.triu_indices(len(ids), k=1)
             self.left = self.right = np.arange(len(ids), dtype=np.intp)
             self.cells = (earlier, later)
-            pair_keys = [pair_key(ids[i], ids[j])
-                         for i, j in zip(earlier.tolist(), later.tolist())]
+            self.layout = PairLayout(ids)
         else:
             # O(candidates): place each masked pair at its (earlier,
             # later) block positions and sort — the dense sweep's order
             # restricted to the mask.
             position = {doc_id: index for index, doc_id in enumerate(ids)}
-            pair_keys = [key for key in mask
-                         if key[0] in position and key[1] in position]
             placed = np.asarray(
                 [(position[first], position[second])
-                 for first, second in pair_keys], dtype=np.intp).reshape(-1, 2)
+                 for first, second in mask
+                 if first in position and second in position],
+                dtype=np.intp).reshape(-1, 2)
             placed.sort(axis=1)
-            order = np.lexsort((placed[:, 1], placed[:, 0]))
-            pair_keys = [pair_keys[index] for index in order.tolist()]
+            placed = placed[np.lexsort((placed[:, 1], placed[:, 0]))]
+            self.layout = PairLayout(ids, pair_position(
+                placed[:, 0], placed[:, 1], len(ids)).tolist())
             # Rows are the pages in a masked pair, in block order.
-            kept, rows = np.unique(placed[order], return_inverse=True)
+            kept, rows = np.unique(placed, return_inverse=True)
             ids = [ids[index] for index in kept.tolist()]
             earlier, later = rows.reshape(-1, 2).T
             self.left, left_cell = np.unique(earlier, return_inverse=True)
             self.right, right_cell = np.unique(later, return_inverse=True)
             self.cells = (left_cell, right_cell)
-        #: Row positions (earlier, later) of the scored pairs and their
-        #: keys, in canonical pair order; ``cells`` are the same pairs
-        #: as rectangle coordinates.
+        #: Row positions (earlier, later) of the scored pairs, in the
+        #: ``layout``'s order; ``cells`` are the same pairs as rectangle
+        #: coordinates.
         self.pairs = (earlier, later)
-        self._pair_keys: list[PairKey] = pair_keys
         self._bind(ids, features)
 
     @classmethod
@@ -393,8 +392,7 @@ class BlockState:
         state.square = False
         state.left = np.arange(k, dtype=np.intp)
         state.right = np.arange(1, k + residents, dtype=np.intp)
-        state.pairs = state.cells = None
-        state._pair_keys = []
+        state.pairs = state.cells = state.layout = None
         state._bind([], None)
         state._burst = True
         state._record = record
@@ -441,12 +439,11 @@ class BlockState:
         left, right = self.outer(per_page)
         return left & right
 
-    def pair_weights(self, kernel: "Kernel") -> dict[PairKey, float]:
-        """One kernel's scores as a canonical pair-ordered weights dict."""
-        if not self._pair_keys:
-            return {}
-        matrix = kernel.matrix(self)
-        return dict(zip(self._pair_keys, matrix[self.cells].tolist()))
+    def pair_values(self, kernel: "Kernel") -> np.ndarray:
+        """One kernel's scores as a float64 vector in ``layout`` order."""
+        if not len(self.layout):
+            return np.zeros(0)
+        return kernel.matrix(self)[self.cells]
 
     def burst_rows(self, kernel: "Kernel") -> list[list[float]]:
         """One kernel's scores on a :meth:`burst` state, one list per

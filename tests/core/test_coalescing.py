@@ -398,10 +398,11 @@ class TestSweepCost:
             states.append(build(cls, *args, **kwargs))
             return states[-1]
 
+        # batch.py builds no pair keys at all (block states carry a
+        # PairLayout), so only the backend's key builder needs a spy.
         keys = []
-        for module in (backends, batch):
-            monkeypatch.setattr(module, "pair_key", lambda *pair: keys.append(
-                pair) or pair_key(*pair))
+        monkeypatch.setattr(backends, "pair_key", lambda *pair: keys.append(
+            pair) or pair_key(*pair))
         monkeypatch.setattr(batch.BlockState, "burst", classmethod(spy))
         burst = incremental.score_burst(tail_features)
         [state] = states
@@ -449,13 +450,13 @@ class TestSweepCost:
         assert "F13" in incremental.scoring_function_names()
 
         swept = []
-        block_scores = NumpyBackend.block_scores
+        block_graphs = NumpyBackend.block_graphs
 
         def spy(self, ids, features, functions, mask=None):
             swept.append([function.name for function in functions])
-            return block_scores(self, ids, features, functions, mask=mask)
+            return block_graphs(self, ids, features, functions, mask=mask)
 
-        monkeypatch.setattr(NumpyBackend, "block_scores", spy)
+        monkeypatch.setattr(NumpyBackend, "block_graphs", spy)
         burst = incremental.score_burst(pages[20:28])
         assert swept == []
         assert [len(row) for row in burst.rectangle.rows["F13"]] \

@@ -57,6 +57,14 @@ class TestBestGraphSelector:
         result.graph.edges.clear()
         assert layer.graph.edges == {("a", "b")}
 
+    def test_result_probabilities_are_a_copy(self):
+        probabilities = {("a", "b"): 0.9}
+        layer = make_layer("F1", [("a", "b")], probabilities, 0.7)
+        result = BestGraphSelector().combine([layer], make_training())
+        result.probabilities.set_weight("a", "b", 0.1)
+        assert probabilities == {("a", "b"): 0.9}
+        assert layer.probabilities == {("a", "b"): 0.9}
+
     def test_empty_layers_raise(self):
         with pytest.raises(ValueError, match="zero decision layers"):
             BestGraphSelector().combine([], make_training())
@@ -128,3 +136,82 @@ class TestBuildCombiner:
     def test_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown combiner"):
             build_combiner("quantum")
+
+
+class TestMaskedGraphSemantics:
+    """What a candidate mask means to the decision layers, pinned under
+    both vector routes (``list`` from the ``python`` backend, float64
+    arrays from ``numpy``): a pair absent from every layer is absent from
+    the combined graph and from every edge set, while a stored 0.0 is a
+    stored pair like any other."""
+
+    MASKED = ["a", "b", "c", "d"]
+    #: (a, b), (a, c) and (c, d) are candidates; (a, d), (b, c) and
+    #: (b, d) are not.  (a, c) carries a stored zero in both layers.
+    STORED = [("a", "b"), ("a", "c"), ("c", "d")]
+    ABSENT = [("a", "d"), ("b", "c"), ("b", "d")]
+
+    @pytest.fixture(params=["python", "numpy"])
+    def vector(self, request):
+        if request.param == "numpy":
+            numpy = pytest.importorskip("numpy")
+            return lambda values: numpy.asarray(values, dtype=float)
+        return list
+
+    def graphs(self, vector):
+        from repro.graph.entity_graph import (
+            PairLayout,
+            WeightedPairGraph,
+            pair_position,
+        )
+        index = {node: position for position, node in enumerate(self.MASKED)}
+        layout = PairLayout(self.MASKED, [
+            pair_position(index[left], index[right], len(self.MASKED))
+            for left, right in self.STORED])
+        return [WeightedPairGraph(self.MASKED, layout=layout,
+                                  values=vector(values))
+                for values in ([0.9, 0.0, 0.4], [0.7, 0.0, 0.6])]
+
+    def layers(self, vector, fitted):
+        from repro.core.combination import undecided_layer
+        from repro.core.sweeps import BlockSweep
+        layers = [undecided_layer(f"F{index}", "threshold", fitted, graph)
+                  for index, graph in enumerate(self.graphs(vector), start=1)]
+        BlockSweep().decide(layers)
+        return layers
+
+    def test_absent_pairs_stay_absent_and_stored_zeros_stay(self, vector):
+        from repro.core.combination import average_probabilities
+        fitted = ThresholdDecision().fit([(0.2, False), (0.8, True)])
+        layers = self.layers(vector, fitted)
+        combined = average_probabilities(layers, [1.0, 1.0])
+        assert [pair for pair, _ in combined.pairs()] == self.STORED
+        # The stored zero similarity is scored like any stored pair.
+        assert combined.weight("a", "c") == fitted.link_probability(0.0)
+        for pair in self.ABSENT:
+            assert pair not in dict(combined.pairs())
+        for layer in layers:
+            assert layer.graph.edges <= set(self.STORED)
+            assert [pair for pair, _ in layer.probability_graph.pairs()] \
+                == self.STORED
+
+    def test_always_link_links_every_stored_pair_and_no_absent_one(
+            self, vector):
+        from repro.core.combination import thresholded_result
+        from repro.core.thresholds import ALWAYS_LINK
+        fitted = ThresholdDecision().fit([(0.5, True), (0.9, True)])
+        assert fitted.threshold.threshold == ALWAYS_LINK
+        layers = self.layers(vector, fitted)
+        for layer in layers:
+            assert layer.graph.edges == set(self.STORED)
+
+        training = TrainingSample.from_pairs(
+            [(pair, True) for pair in self.STORED])
+        result = WeightedAverageCombiner().combine(layers, training)
+        assert result.threshold == ALWAYS_LINK
+        assert result.graph.edges == set(self.STORED)
+        assert ("a", "c") in result.graph.edges  # the stored zero
+        assert not result.graph.edges & set(self.ABSENT)
+
+        cut = thresholded_result(result.probabilities, ALWAYS_LINK)
+        assert cut.graph.edges == set(self.STORED)

@@ -245,6 +245,26 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="format version"):
             ResolverModel.load(path)
 
+    def test_rejects_an_older_format_version(self, tmp_path):
+        assert model_module.MODEL_FORMAT_VERSION == 1
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": 0, "config": {}, "blocks": {}}')
+        with pytest.raises(ValueError,
+                           match="unsupported model format version: 0"):
+            ResolverModel.load(path)
+
+    def test_a_truncated_model_file_names_its_path(self, fitted, tmp_path):
+        _, model, _ = fitted
+        path = tmp_path / "model.json"
+        model.save(path)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(ValueError, match="not a readable model file") \
+                as raised:
+            ResolverModel.load(path)
+        assert str(path) in str(raised.value)
+        assert not isinstance(raised.value, model_module.json.JSONDecodeError)
+
 
 class TestFittedBlockSerialization:
     def test_dict_round_trip(self, small_block, block_graphs):

@@ -126,6 +126,41 @@ class TestEndToEndPlugins:
         prediction = model.predict(small_block, graphs=block_graphs)
         assert prediction.chosen_layer == "F8/threshold"
 
+    def test_documented_averaging_combiner_resolves(self, small_block,
+                                                    block_graphs):
+        """The README's custom-combiner pattern (the runnable version is
+        ``examples/fit_save_serve.py``): average the top layers' link
+        probabilities and cut them at 0.5."""
+        from repro.core.combination import (
+            Combiner,
+            average_probabilities,
+            thresholded_result,
+        )
+
+        name = "test_top2_average"
+        if name not in COMBINERS:
+            @register_combiner(name)
+            class Top2Average(Combiner):
+                name = "test_top2_average"
+
+                def combine(self, layers, training):
+                    return self.apply(layers, {})
+
+                def apply(self, layers, params):
+                    top = sorted(layers,
+                                 key=lambda layer: -layer.graph_accuracy)[:2]
+                    return thresholded_result(
+                        average_probabilities(top, [1.0] * len(top)), 0.5)
+
+        config = ResolverConfig(combiner=name, function_names=("F8", "F2"),
+                                criteria=("threshold", "kmeans"))
+        model = EntityResolver(config).fit(small_block, training_seed=0,
+                                           graphs=block_graphs)
+        prediction = model.predict(small_block, graphs=block_graphs)
+        predicted = sorted(sorted(cluster) for cluster in prediction.predicted)
+        assert sorted(page for cluster in predicted for page in cluster) == \
+            sorted(small_block.page_ids())
+
     def test_registered_clusterer_usable_via_config(self, small_block,
                                                     block_graphs):
         name = "test_singletons"

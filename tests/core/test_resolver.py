@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import ResolverConfig
 from repro.core.labels import TrainingSample
-from repro.core.resolver import (
-    EntityResolver,
-    _graph_accuracy,
-    _node_numbers,
-)
+from repro.core.combination import undecided_layer
+from repro.core.decisions import ThresholdDecision
+from repro.core.resolver import EntityResolver
+from repro.core.sweeps import BlockSweep
 from repro.graph.components import UnionFind
-from repro.graph.entity_graph import DecisionGraph, pair_key
+from repro.graph.entity_graph import PairLayout, WeightedPairGraph, pair_key
 from repro.graph.validation import is_partition
 from repro.metrics.clusterings import clustering_from_assignments
 from repro.runtime.batch import batched_similarity_graphs
@@ -33,49 +32,80 @@ class TestComputeSimilarityGraphs:
             assert all(0.0 <= value <= 1.0 for value in graph.values())
 
 
+def closure_accuracy(graphs, training, vector=list):
+    """acc(G_Dj) of each ``(nodes, edges)`` decision graph, all closed in
+    one :class:`BlockSweep`: each is the threshold-0.5 layer of a
+    similarity graph holding 1.0 on its edges and 0.0 elsewhere."""
+    fitted = ThresholdDecision().fit([(0.0, False), (1.0, True)])
+    layers = []
+    for nodes, edges in graphs:
+        layout = PairLayout(nodes)
+        values = [1.0 if key in edges else 0.0 for key in layout.keys()]
+        layers.append(undecided_layer(
+            "F1", "threshold", fitted,
+            WeightedPairGraph(nodes, layout=layout, values=vector(values))))
+    BlockSweep(training).decide(layers)
+    for layer, (_, edges) in zip(layers, graphs):
+        assert layer.graph.edges == set(edges)
+    return [layer.graph_accuracy for layer in layers]
+
+
+@pytest.fixture(params=["python", "numpy"])
+def vector(request):
+    """The pair-vector type each scoring backend emits."""
+    if request.param == "numpy":
+        numpy = pytest.importorskip("numpy")
+        return lambda values: numpy.asarray(values, dtype=float)
+    return list
+
+
 class TestGraphAccuracy:
-    def test_closure_punishes_chains(self):
+    def test_closure_punishes_chains(self, vector):
         nodes = ["a", "b", "c"]
-        chained = DecisionGraph.from_pairs(nodes, [("a", "b"), ("b", "c")])
         training = TrainingSample.from_pairs([
             (("a", "b"), True),
             (("a", "c"), False),  # chain closure gets this wrong
             (("b", "c"), False),
         ])
-        assert _graph_accuracy(chained, training) == pytest.approx(1 / 3)
-        sparse = DecisionGraph.from_pairs(nodes, [("a", "b")])
-        assert _graph_accuracy(sparse, training) == 1.0
+        chained, sparse = closure_accuracy(
+            [(nodes, {("a", "b"), ("b", "c")}), (nodes, {("a", "b")})],
+            training, vector)
+        assert chained == pytest.approx(1 / 3)
+        assert sparse == 1.0
 
-    def test_empty_training(self):
-        graph = DecisionGraph(nodes=["a"])
-        assert _graph_accuracy(graph, TrainingSample.from_pairs([])) == 0.0
+    def test_empty_training(self, vector):
+        assert closure_accuracy([(["a"], set())],
+                                TrainingSample.from_pairs([]),
+                                vector) == [0.0]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_integer_closure_equals_string_union_find(self, data):
-        """The closure on integer parent arrays — with or without a
-        shared numbering — gives the accuracy of the seed's per-layer
-        string-keyed ``UnionFind``."""
+        """The batched closure on integer ids — layers over one layout,
+        and a layout whose block order differs from the shared numbering
+        — gives the accuracy of the seed's per-layer string-keyed
+        ``UnionFind``."""
         nodes = [f"n{index}" for index in range(
             data.draw(st.integers(min_value=2, max_value=9)))]
         pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)) \
             .filter(lambda pair: pair[0] != pair[1]) \
             .map(lambda pair: pair_key(*pair))
-        graph = DecisionGraph.from_pairs(
-            nodes, data.draw(st.sets(pairs, max_size=12)))
+        edges = data.draw(st.sets(pairs, max_size=12))
         training = TrainingSample.from_pairs(data.draw(st.lists(
             st.tuples(pairs, st.booleans()), min_size=1, max_size=10)))
 
-        forest = UnionFind(graph.nodes)
-        for left, right in graph.edges:
+        forest = UnionFind(nodes)
+        for left, right in edges:
             forest.union(left, right)
         expected = sum(forest.connected(left, right) == label
                        for (left, right), label in training.pairs) \
             / len(training.pairs)
 
-        assert _graph_accuracy(graph, training) == expected
-        numbers = _node_numbers(reversed(nodes), training)
-        assert _graph_accuracy(graph, training, numbers) == expected
+        graphs = [(nodes, edges), (list(reversed(nodes)), edges)]
+        assert closure_accuracy(graphs, training) == [expected, expected]
+        numpy = pytest.importorskip("numpy")
+        assert closure_accuracy(graphs, training, numpy.asarray) \
+            == [expected, expected]
 
 
 class TestResolveBlock:
@@ -209,3 +239,40 @@ class TestDeprecatedWrappers:
             model = resolver.fit(small_block, training_seed=0,
                                  graphs=block_graphs)
             model.evaluate_block(small_block, graphs=block_graphs)
+
+
+class TestVectorPath:
+    """Between the scoring kernels and clustering, the default path
+    sweeps pair vectors: it builds no ``dict[PairKey, float]``."""
+
+    @pytest.fixture(scope="class")
+    def golden_block(self):
+        import importlib.util
+        from pathlib import Path
+        script = Path(__file__).resolve().parents[2] / "scripts" / \
+            "regenerate_goldens.py"
+        spec = importlib.util.spec_from_file_location("goldens", script)
+        goldens = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(goldens)
+        collection = goldens.golden_collection()
+        return collection, collection.collections[0]
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_default_fit_and_predict_build_no_pair_dicts(self, golden_block,
+                                                         backend):
+        from repro.graph.entity_graph import WeightedPairGraph
+        collection, block = golden_block
+        resolver = EntityResolver(ResolverConfig(backend=backend))
+        pipeline = resolver.pipeline_for(collection)
+        before = WeightedPairGraph.dict_views
+        model = resolver.fit(block, pipeline=pipeline)
+        prediction = model.predict(block.without_labels())
+        assert WeightedPairGraph.dict_views == before
+        assert is_partition(prediction.predicted.clusters,
+                            block.page_ids())
+        # The chosen layer reaches clustering as a vector graph too.
+        assert prediction.combination.graph.vector() is not None
+
+        # A mapping read of a vector graph is a counted view.
+        assert dict(prediction.combination.probabilities.weights)
+        assert WeightedPairGraph.dict_views == before + 1

@@ -50,6 +50,25 @@ class TestWeightedPairGraph:
         graph = self.build()
         assert dict(graph.pairs()) == graph.weights
 
+    def test_copy_is_independent(self):
+        graph = self.build()
+        copy = graph.copy()
+        copy.set_weight("a", "b", 0.1)
+        assert graph.weight("a", "b") == 0.9
+        assert copy == WeightedPairGraph(["a", "b", "c"], {
+            ("a", "b"): 0.1, ("b", "c"): 0.2})
+
+    def test_a_vector_graph_is_read_only(self):
+        values = [0.9, 0.0, 0.2]
+        graph = WeightedPairGraph(["a", "b", "c"], values=values)
+        with pytest.raises(TypeError, match="read-only"):
+            graph.set_weight("a", "b", 0.1)
+        with pytest.raises(TypeError):
+            graph.weights[("a", "b")] = 0.1
+        assert graph.copy() == graph
+        assert values == [0.9, 0.0, 0.2]
+        assert graph.weight("b", "a") == 0.9
+
 
 class TestDecisionGraph:
     def build(self):

@@ -35,7 +35,7 @@ from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import custom_dataset
 from repro.corpus.generator import GeneratorConfig
-from repro.graph.entity_graph import pair_key
+from repro.graph.entity_graph import WeightedPairGraph, pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity import backends
 from repro.similarity.backends import NumpyBackend, PythonBackend
@@ -252,6 +252,38 @@ class TestMaskedScoringParity:
                             for other in resident + arriving[:index]]
                 assert ([bits(value) for value in rows[index]]
                         == [bits(value) for value in expected]), (name, index)
+
+    @settings(max_examples=10, deadline=None)
+    @given(record_inputs())
+    def test_default_burst_reads_mapping_form_graphs(self, inputs):
+        """The default ``rectangle`` reads a backend's graphs whatever
+        their form: bursts from the ``python`` backend's vector graphs
+        and from a backend emitting mapping-form graphs both equal the
+        dense sweep byte for byte."""
+        resident, arriving, _, features = inputs
+        battery = default_functions()
+        if len(arriving) < 2:  # one page takes pair_scores, not a sweep
+            resident, arriving = resident[:-1], resident[-1:] + arriving
+        dense = PYTHON.block_scores(list(reversed(arriving)) + resident,
+                                    features, battery)
+
+        class MappingBackend(PythonBackend):
+            def block_graphs(self, ids, features, functions, mask=None):
+                return {name: WeightedPairGraph(ids, weights=weights)
+                        for name, weights in PYTHON.block_scores(
+                            ids, features, functions, mask=mask).items()}
+
+        for backend in (PYTHON, MappingBackend()):
+            rows = backend.rectangle(
+                battery, [features[doc_id] for doc_id in resident],
+                [features[doc_id] for doc_id in arriving]).rows
+            for name, table in rows.items():
+                for index, new in enumerate(arriving):
+                    expected = [dense[name][pair_key(new, other)]
+                                for other in resident + arriving[:index]]
+                    assert ([bits(value) for value in table[index]]
+                            == [bits(value) for value in expected]), \
+                        (backend, name, index)
 
     @settings(max_examples=8, deadline=None)
     @given(masked_inputs())

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.combination import decided_edges, decided_probabilities
+from repro.core.combination import undecided_layer
 from repro.core.model import build_decision_layers
+from repro.core.sweeps import BlockSweep
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
@@ -86,6 +87,14 @@ class TestBatchedGraphs:
             assert graphs[name].weights == graph.weights
 
 
+def decided(fitted, graph):
+    """``fitted`` applied to ``graph`` alone, as a one-layer sweep: the
+    layer's edge set and its probabilities as a mapping."""
+    layer = undecided_layer("F1", fitted.criterion_name, fitted, graph)
+    BlockSweep().decide([layer])
+    return layer.graph.edges, dict(layer.probability_graph.pairs())
+
+
 class TestBatchedDecisions:
     def test_batched_application_matches_per_layer(self, small_block,
                                                    block_graphs):
@@ -101,10 +110,9 @@ class TestBatchedDecisions:
             fitted_layer.label for fitted_layer in fitted.layers]
         for fitted_layer, layer in zip(fitted.layers, layers):
             graph = block_graphs[fitted_layer.function_name]
-            expected_probabilities = decided_probabilities(
+            expected_edges, expected_probabilities = decided(
                 fitted_layer.fitted, graph)
-            assert layer.graph.edges == decided_edges(fitted_layer.fitted,
-                                                      graph)
+            assert layer.graph.edges == expected_edges
             assert layer.probabilities == expected_probabilities
             assert list(layer.probabilities) == list(expected_probabilities)
 
@@ -120,8 +128,7 @@ class TestBatchedDecisions:
         graph = block_graphs[fitted.layers[0].function_name]
 
         for decision in decisions:
-            edges = decided_edges(decision, graph)
-            probabilities = decided_probabilities(decision, graph)
+            edges, probabilities = decided(decision, graph)
             for pair, value in graph.pairs():
                 assert probabilities[pair] == decision.link_probability(value)
                 assert (pair in edges) == decision.decide(value)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
-from repro.graph.entity_graph import pair_key
+from repro.graph.entity_graph import WeightedPairGraph, pair_key
 from repro.runtime.cache import SimilarityCache, block_fingerprint
 
 
@@ -45,30 +45,49 @@ class TestAccounting:
         fingerprint = ("Alice", ("a", "b", "c"))
         weights = {pair_key("a", "b"): 0.5, pair_key("a", "c"): 0.25,
                    pair_key("b", "c"): 1.0}
-        assert cache.get_weights(fingerprint, "F8") is None
-        cache.put_weights(fingerprint, "F8", weights)
+        assert cache.get_graph(fingerprint, "F8") is None
+        cache.put_graph(fingerprint, "F8",
+                        WeightedPairGraph(["a", "b", "c"], weights=weights))
         assert cache.pair_misses == 3
         assert cache.pair_hits == 0
 
-        served = cache.get_weights(fingerprint, "F8")
-        assert served == weights
+        served = cache.get_graph(fingerprint, "F8")
+        assert served.weights == weights
         assert cache.pair_hits == 3
         assert cache.stats().hit_rate == 0.5
 
     def test_get_returns_copy_mutation_cannot_corrupt_cache(self):
         cache = SimilarityCache()
         fingerprint = ("Alice", ("a", "b"))
-        cache.put_weights(fingerprint, "F8", {pair_key("a", "b"): 0.5})
-        served = cache.get_weights(fingerprint, "F8")
-        served[pair_key("a", "b")] = 999.0
-        assert cache.get_weights(fingerprint, "F8") == {
+        cache.put_graph(fingerprint, "F8", WeightedPairGraph(
+            ["a", "b"], weights={pair_key("a", "b"): 0.5}))
+        served = cache.get_graph(fingerprint, "F8")
+        served.weights[pair_key("a", "b")] = 999.0
+        assert cache.get_graph(fingerprint, "F8").weights == {
             pair_key("a", "b"): 0.5}
+
+    def test_a_served_vector_graph_cannot_corrupt_the_cache(self):
+        cache = SimilarityCache()
+        fingerprint = ("Alice", ("a", "b", "c"))
+        stored = {pair_key("a", "b"): 0.5, pair_key("a", "c"): 0.25,
+                  pair_key("b", "c"): 1.0}
+        cache.put_graph(fingerprint, "F8", WeightedPairGraph(
+            ["a", "b", "c"], values=[0.5, 0.25, 1.0]))
+        served = cache.get_graph(fingerprint, "F8")
+        with pytest.raises(TypeError, match="read-only"):
+            served.set_weight("a", "b", 999.0)
+        with pytest.raises(TypeError):
+            served.weights[pair_key("a", "b")] = 999.0
+        edited = WeightedPairGraph(served.nodes, weights=dict(served.pairs()))
+        edited.set_weight("a", "b", 999.0)
+        assert dict(cache.get_graph(fingerprint, "F8").pairs()) == stored
 
     def test_unknown_function_is_a_miss_even_for_known_block(self):
         cache = SimilarityCache()
         fingerprint = ("Alice", ("a", "b"))
-        cache.put_weights(fingerprint, "F8", {pair_key("a", "b"): 0.5})
-        assert cache.get_weights(fingerprint, "F9") is None
+        cache.put_graph(fingerprint, "F8", WeightedPairGraph(
+            ["a", "b"], weights={pair_key("a", "b"): 0.5}))
+        assert cache.get_graph(fingerprint, "F9") is None
 
     def test_features_memo_counts_hits_and_computes_once(self, small_block,
                                                          pipeline):
@@ -100,9 +119,9 @@ class TestLifecycle:
 
     def test_clear_evicts_everything_but_keeps_counters(self):
         cache = SimilarityCache()
-        cache.put_weights(("Alice", ("a", "b")), "F8",
-                          {pair_key("a", "b"): 0.5})
-        cache.get_weights(("Alice", ("a", "b")), "F8")
+        cache.put_graph(("Alice", ("a", "b")), "F8", WeightedPairGraph(
+            ["a", "b"], weights={pair_key("a", "b"): 0.5}))
+        cache.get_graph(("Alice", ("a", "b")), "F8")
         cache.clear()
         assert len(cache) == 0
         assert (cache.pair_hits, cache.pair_misses) == (1, 1)

@@ -17,6 +17,7 @@ from dataclasses import fields
 
 import pytest
 
+from repro.graph.entity_graph import WeightedPairGraph
 from repro.pipeline.session import SessionStats
 from repro.pipeline.stage import StageStats, format_stage_stats
 from repro.runtime.cache import CacheStats, SimilarityCache
@@ -165,9 +166,10 @@ class TestCacheStats:
     def test_snapshot_after_lookups(self):
         cache = SimilarityCache()
         key = ("Alice", ("a", "b"), None)
-        cache.put_weights(key, "F1", {("a", "b"): 0.5})
-        assert cache.get_weights(key, "F1") == {("a", "b"): 0.5}
-        assert cache.get_weights(key, "F2") is None
+        cache.put_graph(key, "F1", WeightedPairGraph(
+            ["a", "b"], weights={("a", "b"): 0.5}))
+        assert cache.get_graph(key, "F1").weights == {("a", "b"): 0.5}
+        assert cache.get_graph(key, "F2") is None
         cache.clear()
         assert cache.stats() == CacheStats(pair_hits=1, pair_misses=1,
                                            feature_hits=0, feature_misses=0,

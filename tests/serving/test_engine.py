@@ -182,9 +182,9 @@ class _CountingBackend(ScoringBackend):
         self.inner = inner
         self.block_calls = 0
 
-    def block_scores(self, ids, features, functions, mask=None):
+    def block_graphs(self, ids, features, functions, mask=None):
         self.block_calls += 1
-        return self.inner.block_scores(ids, features, functions, mask=mask)
+        return self.inner.block_graphs(ids, features, functions, mask=mask)
 
     def pair_scores(self, function, new, others):
         return self.inner.pair_scores(function, new, others)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ResolverConfig
+from repro.graph.entity_graph import WeightedPairGraph
 from repro.similarity.backends import (
     BACKENDS,
     NumpyBackend,
@@ -61,8 +62,9 @@ class TestRegistry:
         class EchoBackend(ScoringBackend):
             name = "echo-test"
 
-            def block_scores(self, ids, features, functions):
-                return {function.name: {} for function in functions}
+            def block_graphs(self, ids, features, functions, mask=None):
+                return {function.name: WeightedPairGraph(ids)
+                        for function in functions}
 
             def pair_scores(self, function, new, others):
                 return [0.0 for _ in others]
