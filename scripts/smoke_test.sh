@@ -62,6 +62,15 @@ if grep -nE 'def from_plane|def from_record|class _(Vector|Set|Counter)Family' \
     exit 1
 fi
 
+echo "== one graph form =="
+# A similarity or decision graph is a layout and one vector over it; a
+# mutator, an edge setter, a multigraph or a layer-probability setter
+# brings back a second, mapping or set, form.
+if grep -rnE 'def (set_weight|add_edge|remove_edge)\b|@edges\.setter|class DecisionMultiGraph|_set_layer_probabilities' \
+        src/repro; then
+    echo "a second graph form in src/repro" >&2; exit 1
+fi
+
 echo "== one wire format =="
 # A worker reads one pickled shard; a plane codec, a float32 backend, a
 # shard knob or a zombie list of open segments is a second format.

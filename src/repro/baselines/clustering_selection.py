@@ -15,6 +15,7 @@ each classifier measured on the training points of the region.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.baselines.base import PairwiseBaseline, baseline_layers
 from repro.core.labels import TrainingSample
@@ -47,12 +48,9 @@ class ClusteringSelectionBaseline(PairwiseBaseline):
             for layer in layers
         }
 
-        nodes = list(layers[0].graph.nodes)
-        graph = DecisionGraph(nodes=nodes)
-        all_pairs: set[tuple[str, str]] = set()
-        for layer in layers:
-            all_pairs.update(layer.probabilities)
-        for pair in all_pairs:
+        edges = []
+        for pair in dict.fromkeys(chain.from_iterable(
+                layer.probability_graph.weights for layer in layers)):
             best_accuracy = -1.0
             best_decision = False
             for layer in layers:
@@ -63,7 +61,8 @@ class ClusteringSelectionBaseline(PairwiseBaseline):
                     best_accuracy = accuracy
                     best_decision = layer.fitted.decide(value)
             if best_decision:
-                graph.edges.add(pair)
+                edges.append(pair)
+        graph = DecisionGraph.from_pairs(layers[0].graph.nodes, edges)
         return Clustering(transitive_closure_clusters(graph))
 
     def _local_accuracies(self, layer: DecisionLayer,

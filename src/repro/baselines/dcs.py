@@ -15,6 +15,7 @@ the role of the partitions.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.baselines.base import PairwiseBaseline, baseline_layers
 from repro.core.labels import TrainingSample
@@ -49,17 +50,13 @@ class DynamicSelectionBaseline(PairwiseBaseline):
         layers = baseline_layers(
             graphs, training, self.function_names,
             criteria=(self.region_method,), region_k=self.region_k)
-        nodes = list(layers[0].graph.nodes)
-
-        graph = DecisionGraph(nodes=nodes)
-        all_pairs: set[tuple[str, str]] = set()
-        for layer in layers:
-            all_pairs.update(layer.probabilities)
-        for pair in all_pairs:
+        probabilities = [layer.probability_graph.weights for layer in layers]
+        edges = []
+        for pair in dict.fromkeys(chain.from_iterable(probabilities)):
             best_confidence = -1.0
             best_decision = False
-            for layer in layers:
-                probability = layer.probabilities.get(pair)
+            for weights in probabilities:
+                probability = weights.get(pair)
                 if probability is None:
                     continue
                 confidence = max(probability, 1.0 - probability)
@@ -67,5 +64,6 @@ class DynamicSelectionBaseline(PairwiseBaseline):
                     best_confidence = confidence
                     best_decision = probability > 0.5
             if best_decision:
-                graph.edges.add(pair)
+                edges.append(pair)
+        graph = DecisionGraph.from_pairs(layers[0].graph.nodes, edges)
         return Clustering(transitive_closure_clusters(graph))

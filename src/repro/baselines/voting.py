@@ -35,9 +35,9 @@ class MajorityVoteBaseline(PairwiseBaseline):
         for layer in layers:
             for pair in layer.graph.edges:
                 votes[pair] = votes.get(pair, 0) + 1
-        graph = DecisionGraph(nodes=list(layers[0].graph.nodes))
-        graph.edges = {pair for pair, count in votes.items()
-                       if count * 2 > n_layers}
+        graph = DecisionGraph.from_pairs(
+            layers[0].graph.nodes,
+            [pair for pair, count in votes.items() if count * 2 > n_layers])
         return Clustering(transitive_closure_clusters(graph))
 
 
@@ -57,7 +57,7 @@ class WeightedVoteBaseline(PairwiseBaseline):
                       graphs: dict[str, WeightedPairGraph],
                       training: TrainingSample) -> Clustering:
         layers = baseline_layers(graphs, training, self.function_names)
-        nodes = list(layers[0].graph.nodes)
+        nodes = layers[0].graph.nodes
         link_mass: dict[tuple[str, str], float] = {}
         total_mass = 0.0
         for layer in layers:
@@ -65,7 +65,7 @@ class WeightedVoteBaseline(PairwiseBaseline):
             total_mass += weight
             for pair in layer.graph.edges:
                 link_mass[pair] = link_mass.get(pair, 0.0) + weight
-        graph = DecisionGraph(nodes=nodes)
-        graph.edges = {pair for pair, mass in link_mass.items()
-                       if mass * 2 > total_mass}
+        graph = DecisionGraph.from_pairs(
+            nodes,
+            [pair for pair, mass in link_mass.items() if mass * 2 > total_mass])
         return Clustering(transitive_closure_clusters(graph))

@@ -29,7 +29,6 @@ from repro.core.thresholds import learn_threshold
 from repro.core.sweeps import route_for
 from repro.graph.entity_graph import (
     DecisionGraph,
-    PairKey,
     PairLayout,
     WeightedPairGraph,
     as_list,
@@ -46,10 +45,10 @@ class DecisionLayer:
         graph: the layer's decision graph G_Dj.
         probabilities: per-pair link-probability estimates (every scored
             pair, not only asserted edges — negative evidence matters for
-            averaging), read as a mapping.  ``None`` defers them: they
-            are computed from ``similarity`` on first read of
-            :attr:`probability_graph` (the vector the combiners use), so
-            layers a combiner never consults never pay for them.
+            averaging) as a graph, or ``None``: then they are computed
+            from ``similarity`` on first read of
+            :attr:`probability_graph`, so layers a combiner never
+            consults never pay for them.
         fitted: the fitted decision backing this layer.
         graph_accuracy: acc(G_Dj) — the fraction of training pairs whose
             label matches the equivalence the graph *implies* (i.e. after
@@ -64,7 +63,7 @@ class DecisionLayer:
     function_name: str
     criterion_name: str
     graph: DecisionGraph | None
-    probabilities: dict[PairKey, float] | None
+    probabilities: WeightedPairGraph | None
     fitted: FittedDecision
     graph_accuracy: float = 0.0
     similarity: WeightedPairGraph | None = field(
@@ -81,35 +80,16 @@ class DecisionLayer:
 
     @property
     def probability_graph(self) -> WeightedPairGraph:
-        """The link probabilities as a graph over the layer's pages —
-        in ``similarity``'s layout when computed from it."""
-        if self._probabilities is None:
+        """:attr:`probabilities`, computed from ``similarity`` (in its
+        layout) when the layer was built without them."""
+        if self.probabilities is None:
             layout, values = self.similarity.vector()
             route = route_for(values)
-            self._probabilities = WeightedPairGraph(
+            self.probabilities = WeightedPairGraph(
                 layout.nodes, layout=layout,
                 values=route.probabilities(self.fitted,
                                            route.vector(values)))
-        return self._probabilities
-
-
-def _layer_probabilities(layer: DecisionLayer):
-    return layer.probability_graph.weights
-
-
-def _set_layer_probabilities(layer: DecisionLayer,
-                             probabilities: dict[PairKey, float] | None,
-                             ) -> None:
-    layer._probabilities = (None if probabilities is None else
-                            WeightedPairGraph(layer.graph.nodes,
-                                              weights=probabilities))
-
-
-# Installed after @dataclass ran, so the generated __init__ assigns the
-# constructor argument through the setter instead of taking the property
-# object for a field default.
-DecisionLayer.probabilities = property(_layer_probabilities,
-                                       _set_layer_probabilities)
+        return self.probabilities
 
 
 def undecided_layer(function_name: str, criterion_name: str,
@@ -256,8 +236,8 @@ class BestGraphSelector(Combiner):
 
     def _select(self, best: DecisionLayer) -> CombinationResult:
         return CombinationResult(
-            graph=best.graph.copy(),
-            probabilities=best.probability_graph.copy(),
+            graph=best.graph,
+            probabilities=best.probability_graph,
             chosen_layer=best.label,
             diagnostics={"chosen_accuracy": best.graph_accuracy},
         )
@@ -376,26 +356,27 @@ class MajorityVoteCombiner(Combiner):
 
     def combine(self, layers: Sequence[DecisionLayer],
                 training: TrainingSample) -> CombinationResult:
+        """Every pair some layer's probabilities hold carries the share
+        of layers asserting it; an edge needs a share above one half."""
         _require_layers(layers)
-        nodes = list(layers[0].graph.nodes)
-        n_layers = len(layers)
-        votes: dict[PairKey, int] = {}
-        all_pairs: set[PairKey] = set()
+        layout = _union_layout([layer.probability_graph.vector()[0]
+                                for layer in layers])
+        votes = [0] * len(layout)
         for layer in layers:
-            all_pairs.update(layer.probabilities)
-            for pair in layer.graph.edges:
-                votes[pair] = votes.get(pair, 0) + 1
-
-        graph = DecisionGraph(nodes=nodes)
-        probabilities: dict[PairKey, float] = {}
-        for pair in all_pairs:
-            fraction = votes.get(pair, 0) / n_layers
-            probabilities[pair] = fraction
-            if fraction > 0.5:
-                graph.edges.add(pair)
+            layout_of, linked = layer.graph.vector()
+            linked = as_list(linked)
+            if layout_of != layout:
+                keys = layout_of.keys()
+                linked = layout.locate(keys[entry] for entry in linked)
+            for entry in linked:
+                if entry >= 0:
+                    votes[entry] += 1
+        shares = [count / len(layers) for count in votes]
         return CombinationResult(
-            graph=graph,
-            probabilities=WeightedPairGraph(nodes=nodes, weights=probabilities),
+            graph=DecisionGraph(layout.nodes, layout=layout, linked=[
+                entry for entry, share in enumerate(shares) if share > 0.5]),
+            probabilities=WeightedPairGraph(layout.nodes, layout=layout,
+                                            values=shares),
         )
 
 

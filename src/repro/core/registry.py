@@ -39,13 +39,12 @@ complete, runnable plugin module::
 
         def apply(self, layers, params):
             # Label-free: predict-time serving re-runs this from params.
-            nodes = list(layers[0].graph.nodes)
+            nodes = layers[0].graph.nodes
             edges = set().union(*(layer.graph.edges for layer in layers))
-            probabilities = {pair: 1.0 for pair in edges}
             return CombinationResult(
-                graph=DecisionGraph(nodes=nodes, edges=edges),
-                probabilities=WeightedPairGraph(nodes=nodes,
-                                                weights=probabilities))
+                graph=DecisionGraph.from_pairs(nodes, edges),
+                probabilities=WeightedPairGraph.from_scores(
+                    nodes, dict.fromkeys(edges, 1.0)))
 
     register_similarity("F_url_tokens")(SimilarityFunction(
         "F_url_tokens", "URL tokens", "jaccard",

@@ -16,7 +16,6 @@ from repro.graph.components import UnionFind, connected_components
 from repro.graph.star import star_cluster
 from repro.graph.transitive import transitive_closure_clusters
 from repro.graph.correlation import correlation_cluster
-from repro.graph.multigraph import DecisionMultiGraph
 from repro.graph.validation import (
     is_partition,
     is_union_of_cliques,
@@ -32,7 +31,6 @@ __all__ = [
     "transitive_closure_clusters",
     "star_cluster",
     "correlation_cluster",
-    "DecisionMultiGraph",
     "is_partition",
     "is_union_of_cliques",
     "missing_clique_edges",

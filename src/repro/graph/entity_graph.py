@@ -5,22 +5,22 @@ every unordered page pair carries the similarity value reported by one
 function.  ``DecisionGraph`` is an unweighted graph ``G_Dj`` whose edges
 assert "same person" after a decision criterion has been applied.
 
-Both come in two forms.  The **vector form** is what the scoring
-backends emit and the decision layers sweep: one value (or one edge
-flag) per pair in a :class:`PairLayout`'s fixed order — ascending block
-positions ``(i, j)``, ``i < j`` — held as a ``list`` (the ``python``
-backend) or a float64 array (``numpy``).  The **mapping form** keys
-pairs by canonical :data:`PairKey`; graphs built by hand or edited pair
-by pair use it.  ``weights`` / ``pairs()`` / ``edges`` read either form,
-so callers that think in pair keys keep working; a vector graph builds
-its ``weights`` dict only when asked, and counts it
-(:attr:`WeightedPairGraph.dict_views`).
+Both store one thing: a :class:`PairLayout` — the block's pairs in a
+fixed order, ascending block positions ``(i, j)``, ``i < j`` — and one
+vector over it: a value per pair (a ``list`` from the ``python``
+backend, a float64 array from ``numpy``), or the entry indices that are
+edges.  The scoring backends emit them and the decision layers sweep
+them.  Graphs are immutable, so their vectors may be shared; a graph
+built by hand goes through :meth:`WeightedPairGraph.from_scores` or
+:meth:`DecisionGraph.from_pairs`.  ``weights`` / ``pairs()`` / ``edges``
+read a graph by canonical :data:`PairKey`; ``weights`` builds its dict
+only when asked, and counts it (:attr:`WeightedPairGraph.dict_views`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 PairKey = tuple[str, str]
@@ -148,11 +148,12 @@ class PairLayout:
     @classmethod
     def of(cls, nodes: Sequence[str],
            keys: Iterable[PairKey]) -> tuple["PairLayout", list[int]]:
-        """The layout holding ``keys`` over ``nodes``, and each key's
-        entry index.
+        """The layout holding ``keys`` (either order) over ``nodes``, and
+        each key's entry index; repeated pairs share an entry.
 
         Raises:
-            ValueError: for a key naming a page outside ``nodes``.
+            ValueError: for a key naming a page outside ``nodes``, or a
+                self-pair.
         """
         nodes = list(nodes)
         index = {node: position for position, node in enumerate(nodes)}
@@ -164,8 +165,10 @@ class PairLayout:
                 raise ValueError(
                     f"pair ({left!r}, {right!r}) names a page outside the "
                     f"graph's nodes")
+            if i == j:
+                raise ValueError(f"self-pair not allowed: {left!r}")
             placed.append(pair_position(min(i, j), max(i, j), n_nodes))
-        ordered = sorted(placed)
+        ordered = sorted(set(placed))
         if len(ordered) == n_nodes * (n_nodes - 1) // 2:
             layout = cls(nodes)
         else:
@@ -175,74 +178,57 @@ class PairLayout:
 
 
 class WeightedPairGraph:
-    """Weighted graph over one block's pages.
+    """Weighted graph over one block's pages: one similarity value per
+    entry of a :class:`PairLayout`.
 
     Args:
-        nodes: page ids in block order.
-        weights: mapping form — similarity value per canonical pair key
-            (held by reference).  A *complete* graph stores every pair;
-            sparse instances are permitted (e.g. after blocking) and
-            missing pairs read as 0.0.
-        values: vector form — one value per entry of ``layout`` (default:
-            every pair of ``nodes``, held by reference); a vector graph
-            is read-only, so its values may be shared.
-        layout: the :class:`PairLayout` ``values`` follow.
+        nodes: page ids in block order (the layout's, when one is given).
+        values: one value per entry of ``layout``, held by reference and
+            never written — so a cache, a layer and a combination result
+            may share them.  Default: no pairs.
+        layout: the :class:`PairLayout` ``values`` follow (default:
+            every pair of ``nodes``).  A pair the layout does not hold
+            is *absent* and reads as 0.0; a stored 0.0 is a stored pair.
     """
 
-    #: Mapping views built from vector graphs, process-wide.  The
+    #: Mapping views built by :attr:`weights`, process-wide.  The
     #: default fit → predict path builds none.
     dict_views = 0
 
-    def __init__(self, nodes: Iterable[str],
-                 weights: dict[PairKey, float] | None = None, *,
+    def __init__(self, nodes: Iterable[str], *,
                  values: Sequence[float] | None = None,
                  layout: PairLayout | None = None):
         if values is None:
-            self.nodes = list(nodes)
-            self._weights = {} if weights is None else weights
-            self._layout = None
-        else:
-            self._layout = layout if layout is not None else PairLayout(nodes)
-            self.nodes = self._layout.nodes
-            self._weights = None
+            layout, values = PairLayout(nodes, []), []
+        self._layout = layout if layout is not None else PairLayout(nodes)
+        self.nodes = self._layout.nodes
         self._values = values
         self._view = None
 
     @classmethod
     def from_scores(cls, nodes: Iterable[str],
-                    scores: dict[PairKey, float]) -> "WeightedPairGraph":
-        """Build from precomputed scores (keys must be canonical)."""
-        return cls(nodes=list(nodes), weights=dict(scores))
-
-    def vector(self) -> tuple[PairLayout, Sequence[float]]:
-        """The graph as (layout, values).  A mapping-form graph is laid
-        out afresh on every call (its dict may have changed).
+                    scores: Mapping[PairKey, float]) -> "WeightedPairGraph":
+        """The graph holding exactly the pairs of ``scores`` (either key
+        order), laid out in block order.
 
         Raises:
-            ValueError: when a stored pair names a page outside ``nodes``.
+            ValueError: for a pair naming a page outside ``nodes``, or a
+                self-pair.
         """
-        if self._layout is not None:
-            return self._layout, self._values
-        layout, entries = PairLayout.of(self.nodes, self._weights)
-        values = [0.0] * len(entries)
-        for entry, value in zip(entries, self._weights.values()):
+        layout, entries = PairLayout.of(nodes, scores)
+        values = [0.0] * len(layout)
+        for entry, value in zip(entries, scores.values()):
             values[entry] = value
-        return layout, values
+        return cls(layout.nodes, layout=layout, values=values)
 
-    def copy(self) -> "WeightedPairGraph":
-        """An independent graph with the same pairs.  A vector graph's
-        copy shares its layout and values, which never change."""
-        if self._weights is not None:
-            return WeightedPairGraph(self.nodes, weights=dict(self._weights))
-        return WeightedPairGraph(self.nodes, layout=self._layout,
-                                 values=self._values)
+    def vector(self) -> tuple[PairLayout, Sequence[float]]:
+        """The graph as (layout, values)."""
+        return self._layout, self._values
 
     @property
-    def weights(self):
-        """Similarity value per canonical pair key.  On a vector graph a
-        read-only view, built on first read."""
-        if self._weights is not None:
-            return self._weights
+    def weights(self) -> Mapping[PairKey, float]:
+        """Similarity value per canonical pair key: a read-only view,
+        built on first read and counted in :attr:`dict_views`."""
         if self._view is None:
             WeightedPairGraph.dict_views += 1
             self._view = MappingProxyType(dict(self.pairs()))
@@ -250,40 +236,18 @@ class WeightedPairGraph:
 
     def weight(self, left: str, right: str) -> float:
         """Similarity of a pair (0.0 when absent)."""
-        if self._weights is not None:
-            return self._weights.get(pair_key(left, right), 0.0)
         entry, = self._layout.locate([(left, right)])
         return 0.0 if entry < 0 else float(self._values[entry])
 
-    def set_weight(self, left: str, right: str, value: float) -> None:
-        """Record a pair similarity.
-
-        Raises:
-            TypeError: on a vector graph, which is read-only — its values
-                may be shared with a cache or another layer.  Edit a
-                mapping-form graph instead, e.g. ``WeightedPairGraph(
-                graph.nodes, weights=dict(graph.pairs()))``.
-        """
-        if self._weights is None:
-            raise TypeError("a vector graph is read-only; edit a "
-                            "mapping-form copy instead")
-        self._weights[pair_key(left, right)] = value
-
     def pairs(self) -> Iterator[tuple[PairKey, float]]:
-        """All stored (pair, weight) items."""
-        if self._weights is not None:
-            return iter(self._weights.items())
+        """All stored (pair, weight) items, in layout order."""
         return zip(self._layout.keys(), as_list(self._values))
 
     def n_pairs(self) -> int:
-        if self._weights is not None:
-            return len(self._weights)
         return len(self._values)
 
     def values(self) -> list[float]:
         """All similarity values (for region fitting and diagnostics)."""
-        if self._weights is not None:
-            return list(self._weights.values())
         return list(as_list(self._values))
 
     def is_complete(self) -> bool:
@@ -308,89 +272,58 @@ class WeightedPairGraph:
 
 
 class DecisionGraph:
-    """Unweighted same-person decision graph ``G_Dj`` over one block.
+    """Unweighted same-person decision graph ``G_Dj`` over one block: the
+    entries of a :class:`PairLayout` that are edges.
 
     Args:
-        nodes: page ids in block order.
-        edges: set form — canonical pair keys of the edges.
-        layout, linked: vector form — the ascending entry indices of
-            ``layout`` that are edges.  Reading :attr:`edges` turns the
-            graph into its set form, so edits go through the set.
+        nodes: page ids in block order (the layout's, when one is given).
+        layout: the pairs ``linked`` indexes (default: every pair of
+            ``nodes``).
+        linked: the ascending entry indices of ``layout`` that are
+            edges, held by reference and never written.  Default: none.
     """
 
-    def __init__(self, nodes: Iterable[str],
-                 edges: set[PairKey] | None = None, *,
+    def __init__(self, nodes: Iterable[str], *,
                  layout: PairLayout | None = None,
                  linked: Sequence[int] | None = None):
         if linked is None:
-            self.nodes = list(nodes)
-            self._edges = set() if edges is None else edges
-            self._layout = None
-        else:
-            self.nodes = layout.nodes
-            self._edges = None
-            self._layout = layout
+            layout, linked = PairLayout(nodes, []), []
+        self._layout = layout if layout is not None else PairLayout(nodes)
+        self.nodes = self._layout.nodes
         self._linked = linked
+        self._edges = None
 
     @classmethod
     def from_pairs(cls, nodes: Iterable[str],
                    pairs: Iterable[PairKey]) -> "DecisionGraph":
-        """Build from an iterable of canonical pair keys."""
-        return cls(nodes=list(nodes), edges=set(pairs))
+        """The graph whose edges are ``pairs`` (either key order).
 
-    def vector(self) -> tuple[PairLayout, Sequence[int]] | None:
-        """(layout, linked entry indices) of a vector graph, else ``None``."""
-        if self._edges is not None:
-            return None
+        Raises:
+            ValueError: for a pair naming a page outside ``nodes``, or a
+                self-pair.
+        """
+        layout, _ = PairLayout.of(nodes, pairs)
+        return cls(layout.nodes, layout=layout,
+                   linked=list(range(len(layout))))
+
+    def vector(self) -> tuple[PairLayout, Sequence[int]]:
+        """The graph as (layout, linked entry indices)."""
         return self._layout, self._linked
 
-    def copy(self) -> "DecisionGraph":
-        """An independent graph with the same edges."""
-        if self._edges is not None:
-            return DecisionGraph(self.nodes, set(self._edges))
-        return DecisionGraph(self.nodes, layout=self._layout,
-                             linked=self._linked)
-
     @property
-    def edges(self) -> set[PairKey]:
+    def edges(self) -> frozenset[PairKey]:
+        """Canonical pair keys of the edges, built on first read."""
         if self._edges is None:
             keys = self._layout.keys()
-            self._edges = {keys[entry] for entry in as_list(self._linked)}
-            self._layout = self._linked = None
+            self._edges = frozenset(
+                keys[entry] for entry in as_list(self._linked))
         return self._edges
-
-    @edges.setter
-    def edges(self, edges: set[PairKey]) -> None:
-        self._edges = edges
-        self._layout = self._linked = None
 
     def has_edge(self, left: str, right: str) -> bool:
         return pair_key(left, right) in self.edges
 
-    def add_edge(self, left: str, right: str) -> None:
-        self.edges.add(pair_key(left, right))
-
-    def remove_edge(self, left: str, right: str) -> None:
-        self.edges.discard(pair_key(left, right))
-
     def n_edges(self) -> int:
-        if self._edges is None:
-            return len(self._linked)
-        return len(self._edges)
-
-    def degree(self, node: str) -> int:
-        """Number of decision edges incident to ``node``."""
-        return sum(1 for pair in self.edges if node in pair)
-
-    def neighbors(self, node: str) -> set[str]:
-        """Nodes directly linked to ``node``."""
-        found = set()
-        for left, right in self.edges:
-            if left == node:
-                found.add(right)
-            elif right == node:
-                found.add(left)
-        return found
+        return len(self._linked)
 
     def adjacency(self) -> dict[str, set[str]]:
         """Full adjacency map (nodes with no edges map to empty sets)."""

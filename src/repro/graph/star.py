@@ -14,6 +14,8 @@ the damage of isolated false-positive edges.
 
 from __future__ import annotations
 
+from math import fsum
+
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph, pair_key
 
 
@@ -34,8 +36,10 @@ def star_cluster(graph: DecisionGraph,
     def degree(node: str) -> float:
         if weights is None:
             return float(len(adjacency[node]))
-        return sum(weights.weights.get(pair_key(node, other), 0.0)
-                   for other in adjacency[node])
+        # fsum is exact, so the set's iteration order cannot move the
+        # last ulp — and with it the (degree, node) tie-break.
+        return fsum(weights.weights.get(pair_key(node, other), 0.0)
+                    for other in adjacency[node])
 
     # Sort once by (degree, node) descending; the greedy cover scans this
     # order and skips already-assigned nodes, which is equivalent to

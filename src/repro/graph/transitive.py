@@ -16,13 +16,10 @@ def transitive_closure_clusters(graph: DecisionGraph) -> list[set[str]]:
     """Cluster a decision graph by transitive closure.
 
     Returns the connected components as the entity partition; pages with
-    no decision edges become singleton entities.  A vector graph is
-    closed over its entry indices, without building its edge set.
+    no decision edges become singleton entities.  The graph is closed
+    over its entry indices, without building its edge set.
     """
-    vector = graph.vector()
-    if vector is None:
-        return connected_components(graph.nodes, graph.edges)
-    layout, linked = vector
+    layout, linked = graph.vector()
     earlier, later = layout.ends()
     linked = as_list(linked)
     nodes = layout.nodes

@@ -52,10 +52,8 @@ def missing_clique_edges(graph: DecisionGraph) -> set[tuple[str, str]]:
 def graph_from_clusters(nodes: Iterable[str],
                         clusters: list[set[str]]) -> DecisionGraph:
     """The (clique-union) decision graph induced by a partition."""
-    graph = DecisionGraph(nodes=list(nodes))
-    for cluster in clusters:
-        members = sorted(cluster)
-        for i, left in enumerate(members):
-            for right in members[i + 1:]:
-                graph.edges.add(pair_key(left, right))
-    return graph
+    return DecisionGraph.from_pairs(nodes, [
+        (left, right)
+        for members in map(sorted, clusters)
+        for i, left in enumerate(members)
+        for right in members[i + 1:]])

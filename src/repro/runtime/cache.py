@@ -9,9 +9,11 @@ The quadratic pairwise-similarity step is the pipeline's dominant cost.
 
 Where hits actually occur: repeated serving of a hot block through
 ``ResolverModel.predict_block`` / ``evaluate_block`` (the second and
-later serves cost zero similarity computations — the benchmark's
-``serving_cache_hit_rate`` case), and any caller that keeps one cache
-across several ``batched_similarity_graphs`` calls for the same block.
+later serves cost zero similarity computations, as
+``test_serving_twice_halves_the_miss_rate`` in
+``tests/runtime/test_backend_cache.py`` pins), and any caller that keeps
+one cache across several ``batched_similarity_graphs`` calls for the
+same block.
 The *collection* passes intentionally do not accumulate entries: every
 block task (:mod:`repro.runtime.tasks`) scores through a transient cache
 of its own, used for pair-granular accounting (feeding
@@ -122,21 +124,20 @@ class SimilarityCache:
         """Stored similarity graph for one function, or ``None`` on miss.
 
         A hit counts every stored pair as served-from-cache.  The caller
-        receives a copy (a vector graph's copy shares its read-only
-        values), so downstream edits can never corrupt cached values.
+        receives the stored graph itself: graphs are immutable, so no
+        caller can corrupt a cached value.
         """
         graph = self._graphs.get(fingerprint, {}).get(function_name)
         if graph is None:
             return None
         self.pair_hits += graph.n_pairs()
-        return graph.copy()
+        return graph
 
     def put_graph(self, fingerprint: BlockFingerprint, function_name: str,
                   graph: "WeightedPairGraph") -> None:
         """Store one function's freshly computed similarity graph."""
         self.pair_misses += graph.n_pairs()
-        self._graphs.setdefault(fingerprint, {})[function_name] = \
-            graph.copy()
+        self._graphs.setdefault(fingerprint, {})[function_name] = graph
 
     # -- lifecycle -------------------------------------------------------
 

@@ -147,7 +147,9 @@ class ScoringBackend(ABC):
             :class:`~repro.graph.entity_graph.PairLayout` (``list``
             values from ``python``, float64 arrays from ``numpy``),
             which the decision layers sweep without building a dict
-            (:mod:`repro.core.sweeps`); a mapping-form graph works too.
+            (:mod:`repro.core.sweeps`).  A custom backend may return any
+            :class:`~repro.graph.entity_graph.WeightedPairGraph`, e.g.
+            one built with ``WeightedPairGraph.from_scores``.
         """
 
     def block_scores(

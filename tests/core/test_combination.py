@@ -11,7 +11,7 @@ from repro.core.combination import (
 )
 from repro.core.decisions import ThresholdDecision
 from repro.core.labels import TrainingSample
-from repro.graph.entity_graph import DecisionGraph
+from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 
 NODES = ["a", "b", "c"]
 
@@ -24,7 +24,7 @@ def make_layer(function_name, edges, probabilities, graph_accuracy,
         function_name=function_name,
         criterion_name="threshold",
         graph=graph,
-        probabilities=probabilities,
+        probabilities=WeightedPairGraph.from_scores(NODES, probabilities),
         fitted=fitted,
         graph_accuracy=graph_accuracy,
     )
@@ -51,19 +51,14 @@ class TestBestGraphSelector:
         result = BestGraphSelector().combine([first, second], make_training())
         assert result.chosen_layer == "F1/threshold"
 
-    def test_result_is_copy(self):
+    def test_result_shares_the_chosen_layer_graphs(self):
+        # Graphs are immutable, so the result hands out the layer's own.
         layer = make_layer("F1", [("a", "b")], {("a", "b"): 0.9}, 0.7)
         result = BestGraphSelector().combine([layer], make_training())
-        result.graph.edges.clear()
-        assert layer.graph.edges == {("a", "b")}
-
-    def test_result_probabilities_are_a_copy(self):
-        probabilities = {("a", "b"): 0.9}
-        layer = make_layer("F1", [("a", "b")], probabilities, 0.7)
-        result = BestGraphSelector().combine([layer], make_training())
-        result.probabilities.set_weight("a", "b", 0.1)
-        assert probabilities == {("a", "b"): 0.9}
-        assert layer.probabilities == {("a", "b"): 0.9}
+        assert result.graph is layer.graph
+        assert result.probabilities is layer.probability_graph
+        assert result.graph.edges == frozenset({("a", "b")})
+        assert dict(result.probabilities.pairs()) == {("a", "b"): 0.9}
 
     def test_empty_layers_raise(self):
         with pytest.raises(ValueError, match="zero decision layers"):

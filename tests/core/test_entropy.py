@@ -62,17 +62,13 @@ class TestFeatureAvailability:
 
 class TestValueEntropy:
     def test_constant_values_zero_entropy(self):
-        graph = WeightedPairGraph(nodes=["a", "b", "c"])
-        graph.set_weight("a", "b", 0.5)
-        graph.set_weight("a", "c", 0.5)
-        graph.set_weight("b", "c", 0.5)
+        graph = WeightedPairGraph.from_scores(["a", "b", "c"], {
+            ("a", "b"): 0.5, ("a", "c"): 0.5, ("b", "c"): 0.5})
         assert value_entropy(graph) == 0.0
 
     def test_spread_values_positive_entropy(self):
-        graph = WeightedPairGraph(nodes=["a", "b", "c"])
-        graph.set_weight("a", "b", 0.05)
-        graph.set_weight("a", "c", 0.55)
-        graph.set_weight("b", "c", 0.95)
+        graph = WeightedPairGraph.from_scores(["a", "b", "c"], {
+            ("a", "b"): 0.05, ("a", "c"): 0.55, ("b", "c"): 0.95})
         assert value_entropy(graph) == pytest.approx(math.log2(3))
 
     def test_empty_graph(self):

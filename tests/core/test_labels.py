@@ -28,9 +28,8 @@ class TestTrainingSample:
         assert TrainingSample.from_pairs([]).link_prior() == 0.5
 
     def test_labeled_values_join(self):
-        graph = WeightedPairGraph(nodes=["a", "b", "c"])
-        graph.set_weight("a", "b", 0.9)
-        graph.set_weight("a", "c", 0.2)
+        graph = WeightedPairGraph.from_scores(
+            ["a", "b", "c"], {("a", "b"): 0.9, ("a", "c"): 0.2})
         # ("b","c") missing -> reads 0.0
         values = sample().labeled_values(graph)
         assert values == [(0.9, True), (0.2, False), (0.0, False)]

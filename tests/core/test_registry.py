@@ -126,6 +126,42 @@ class TestEndToEndPlugins:
         prediction = model.predict(small_block, graphs=block_graphs)
         assert prediction.chosen_layer == "F8/threshold"
 
+    def test_module_docstring_plugin_runs(self, small_block, pipeline,
+                                          monkeypatch):
+        """The "complete, runnable plugin module" in
+        ``repro.core.registry``'s docstring runs as written, and a model
+        fitted with its ``union`` combiner and ``F_url_tokens`` function
+        predicts."""
+        import textwrap
+
+        import repro.core.registry as registry
+        from repro.graph.transitive import transitive_closure_clusters
+        from repro.graph.validation import is_partition
+
+        marker = "runnable plugin module::"
+        start = registry.__doc__.index(marker) + len(marker)
+        end = registry.__doc__.index("\nThen ``ResolverConfig", start)
+        source = textwrap.dedent(registry.__doc__[start:end])
+        for plugged in (COMBINERS, SIMILARITIES):
+            monkeypatch.setattr(plugged, "_entries", dict(plugged._entries))
+        exec(compile(source, "repro.core.registry docstring", "exec"), {})
+
+        config = ResolverConfig(combiner="union",
+                                function_names=("F8", "F_url_tokens"),
+                                criteria=("threshold",))
+        model = EntityResolver(config).fit(small_block, training_seed=0,
+                                           pipeline=pipeline)
+        prediction = model.predict(small_block, pipeline=pipeline)
+        combination = prediction.combination
+        assert is_partition([set(c) for c in prediction.predicted],
+                            small_block.page_ids())
+        assert set(combination.probabilities.values()) <= {1.0}
+        assert (set(dict(combination.probabilities.pairs()))
+                == combination.graph.edges)
+        assert ({frozenset(c) for c in prediction.predicted}
+                == {frozenset(c) for c in
+                    transitive_closure_clusters(combination.graph)})
+
     def test_documented_averaging_combiner_resolves(self, small_block,
                                                     block_graphs):
         """The README's custom-combiner pattern (the runnable version is

@@ -5,10 +5,7 @@ from repro.graph.entity_graph import WeightedPairGraph
 
 
 def graph_from(nodes, probabilities):
-    graph = WeightedPairGraph(nodes=list(nodes))
-    for (left, right), probability in probabilities.items():
-        graph.set_weight(left, right, probability)
-    return graph
+    return WeightedPairGraph.from_scores(nodes, probabilities)
 
 
 class TestCorrelationCluster:

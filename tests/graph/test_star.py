@@ -1,5 +1,10 @@
 """Star clustering tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.graph.star import star_cluster
 from repro.graph.validation import is_partition
@@ -49,11 +54,9 @@ class TestStarCluster:
         graph = DecisionGraph.from_pairs(
             ["a", "b", "c", "d"],
             [("a", "b"), ("a", "d"), ("b", "c"), ("c", "d")])
-        weights = WeightedPairGraph(nodes=["a", "b", "c", "d"])
-        weights.set_weight("a", "b", 0.1)
-        weights.set_weight("a", "d", 0.1)
-        weights.set_weight("b", "c", 0.9)
-        weights.set_weight("c", "d", 0.9)
+        weights = WeightedPairGraph.from_scores(["a", "b", "c", "d"], {
+            ("a", "b"): 0.1, ("a", "d"): 0.1,
+            ("b", "c"): 0.9, ("c", "d"): 0.9})
         clusters = star_cluster(graph, weights=weights)
         by_node = {node: frozenset(c) for c in clusters for node in c}
         assert by_node["c"] == frozenset({"b", "c", "d"})
@@ -64,6 +67,35 @@ class TestStarCluster:
             ["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
         clusters = star_cluster(graph)
         assert len(clusters) == 1
+
+
+#: "a" and "b" have the same weighted degree, 0.6: "a" as 0.1 + 0.5,
+#: "b" as 0.1 + 0.2 + 0.3 — which a left fold gives as 0.6 or as
+#: 0.6000000000000001 depending on the order it meets the three terms.
+TIE_SCRIPT = """
+from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
+from repro.graph.star import star_cluster
+scores = {("a", "b"): 0.1, ("a", "x"): 0.5, ("b", "p"): 0.2, ("b", "q"): 0.3}
+nodes = ["a", "b", "p", "q", "x"]
+clusters = star_cluster(DecisionGraph.from_pairs(nodes, scores),
+                        weights=WeightedPairGraph.from_scores(nodes, scores))
+print(sorted(sorted(cluster) for cluster in clusters))
+"""
+
+
+class TestStarTieBreak:
+    def test_equal_weighted_degrees_break_ties_by_name(self):
+        """Weighted degrees fold in a fixed order, so under every string
+        hash seed the tie holds and the name picks "a" as the center."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = set()
+        for seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": src}
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", TIE_SCRIPT], env=env,
+                capture_output=True, text=True, check=True).stdout.strip())
+        assert outputs == {"[['a', 'b', 'x'], ['p'], ['q']]"}
 
 
 class TestStarInResolver:

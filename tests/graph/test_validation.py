@@ -45,8 +45,9 @@ class TestCliqueChecks:
     def test_closing_the_edges_fixes_it(self):
         graph = DecisionGraph.from_pairs(
             ["a", "b", "c"], [("a", "b"), ("b", "c")])
-        graph.edges |= missing_clique_edges(graph)
-        assert is_union_of_cliques(graph)
+        closed = DecisionGraph.from_pairs(
+            graph.nodes, graph.edges | missing_clique_edges(graph))
+        assert is_union_of_cliques(closed)
 
 
 class TestGraphFromClusters:

@@ -2,8 +2,21 @@
 
 import pytest
 
+from repro.baselines import (
+    AgglomerativeBaseline,
+    ClusteringSelectionBaseline,
+    DynamicSelectionBaseline,
+    MajorityVoteBaseline,
+    OracleBestFunctionBaseline,
+    SwooshBaseline,
+    TrainedBestFunctionBaseline,
+    WeightedVoteBaseline,
+)
 from repro.core import EntityResolver, ResolverConfig
+from repro.core.clusterers import cluster_combination
+from repro.core.combination import build_combiner
 from repro.core.labels import TrainingSample
+from repro.core.registry import CLUSTERERS, COMBINERS
 from repro.corpus.datasets import custom_dataset
 from repro.corpus.documents import NameCollection, WebPage
 from repro.corpus.generator import GeneratorConfig
@@ -92,6 +105,75 @@ class TestDegenerateInputs:
             fitted = criterion.fit(data)
             assert fitted.decide(0.5) in (True, False)
             assert 0.0 <= fitted.link_probability(0.5) <= 1.0
+
+
+class TestDegenerateBlocks:
+    """Blocks of 0, 1 and 2 pages with an empty training sample: empty
+    pair layouts, no labels and no edges reach every combiner, clusterer
+    and baseline, which must still return a partition of the block."""
+
+    #: Every baseline, built from the block's features.
+    BASELINES = {
+        "trained_best_function": lambda _: TrainedBestFunctionBaseline(),
+        "oracle_best_function": lambda _: OracleBestFunctionBaseline(),
+        "majority_vote": lambda _: MajorityVoteBaseline(),
+        "weighted_vote": lambda _: WeightedVoteBaseline(),
+        "dynamic_selection": lambda _: DynamicSelectionBaseline(),
+        "clustering_selection": lambda _: ClusteringSelectionBaseline(),
+        "agglomerative": lambda _: AgglomerativeBaseline(),
+        "swoosh": SwooshBaseline,
+    }
+
+    @pytest.fixture(params=["python", "numpy"])
+    def backend(self, request):
+        if request.param == "numpy":
+            pytest.importorskip("numpy")
+        return request.param
+
+    def block_and_graphs(self, n_pages, backend):
+        pages = [
+            WebPage(doc_id=f"x/{i}", query_name="Jane Roe",
+                    url=f"http://a.org/{i}", title="t",
+                    text=f"Jane Roe page {i} about chemistry",
+                    person_id="p0")
+            for i in range(n_pages)
+        ]
+        block = NameCollection(query_name="Jane Roe", pages=pages)
+        pipeline = ExtractionPipeline(first_names=["Jane"],
+                                      known_surnames=["Roe"])
+        features = pipeline.extract_block(block)
+        graphs = batched_similarity_graphs(block, features,
+                                           default_functions(),
+                                           backend=backend)
+        return block, features, graphs
+
+    @pytest.mark.parametrize("n_pages", [0, 1, 2])
+    @pytest.mark.parametrize("combiner", COMBINERS.names())
+    @pytest.mark.parametrize("clusterer", CLUSTERERS.names())
+    def test_every_combiner_and_clusterer(self, n_pages, combiner,
+                                          clusterer, backend):
+        block, _, graphs = self.block_and_graphs(n_pages, backend)
+        training = TrainingSample.from_pairs([])
+        resolver = EntityResolver(ResolverConfig(backend=backend))
+        combine = build_combiner(combiner)
+        fitted = combine.combine(resolver.build_layers(graphs, training),
+                                 training)
+        applied = combine.apply(resolver.build_layers(graphs, training),
+                                combine.fit_params(fitted))
+        for result in (fitted, applied):
+            clusters = cluster_combination(clusterer, result)
+            assert is_partition([set(c) for c in clusters],
+                                block.page_ids())
+
+    @pytest.mark.parametrize("n_pages", [0, 1, 2])
+    @pytest.mark.parametrize("baseline", sorted(BASELINES))
+    def test_every_baseline(self, n_pages, baseline, backend):
+        block, features, graphs = self.block_and_graphs(n_pages, backend)
+        built = self.BASELINES[baseline](features)
+        assert built.name == baseline
+        clustering = built.resolve_block(block, graphs,
+                                         TrainingSample.from_pairs([]))
+        assert is_partition([set(c) for c in clustering], block.page_ids())
 
 
 class TestTrainingSampleEdge:

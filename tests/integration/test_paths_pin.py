@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -129,7 +128,6 @@ def test_every_path_matches_its_pin(pinned, backend):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(REPO_ROOT / "src"))
     payload = build_pins("python")
     assert payload == build_pins("numpy"), "backends disagree"
     PIN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -48,17 +48,16 @@ class UnionCombiner(Combiner):
         return self.apply(layers, {})
 
     def apply(self, layers, params):
-        nodes = list(layers[0].graph.nodes)
+        nodes = layers[0].graph.nodes
         probabilities = {}
         for layer in layers:
-            for pair, probability in layer.probabilities.items():
+            for pair, probability in layer.probability_graph.pairs():
                 probabilities[pair] = max(probability,
                                           probabilities.get(pair, 0.0))
         edges = set().union(*(layer.graph.edges for layer in layers))
         return CombinationResult(
-            graph=DecisionGraph(nodes=nodes, edges=edges),
-            probabilities=WeightedPairGraph(nodes=nodes,
-                                            weights=probabilities))
+            graph=DecisionGraph.from_pairs(nodes, edges),
+            probabilities=WeightedPairGraph.from_scores(nodes, probabilities))
 
 
 COMBINERS = ("best_graph", "weighted_average", "majority", "union_test")

@@ -75,22 +75,21 @@ def probes_for(fitted: FittedDecision, extra):
 
 def seed_loop(decisions, graph):
     """The seed's eager application: one scalar call per pair."""
-    results = [(DecisionGraph(nodes=list(graph.nodes)), {})
-               for _ in decisions]
+    results = [([], {}) for _ in decisions]
     for pair, value in graph.pairs():
-        for decision, (decision_graph, probabilities) in zip(decisions,
-                                                             results):
+        for decision, (edges, probabilities) in zip(decisions, results):
             probabilities[pair] = decision.link_probability(value)
             if decision.decide(value):
-                decision_graph.edges.add(pair)
-    return results
+                edges.append(pair)
+    return [(DecisionGraph.from_pairs(graph.nodes, edges), probabilities)
+            for edges, probabilities in results]
 
 
 def graph_over(values):
     nodes = [f"p{index:03d}" for index in range(len(values) + 1)]
     weights = {(nodes[0], node): value
                for node, value in zip(nodes[1:], values)}
-    return WeightedPairGraph(nodes=nodes, weights=weights)
+    return WeightedPairGraph.from_scores(nodes, weights)
 
 
 def decided(fitted, graph):
@@ -165,7 +164,7 @@ class TestBulkDecisions:
     def test_an_empty_graph_yields_empty_layers(self):
         for criterion in build_criteria(CRITERIA, k=10):
             fitted = criterion.fit([(0.2, False), (0.8, True)])
-            graph = WeightedPairGraph(nodes=["a"], weights={})
+            graph = WeightedPairGraph(["a"])
             assert decided(fitted, graph) == (set(), {})
 
 
@@ -275,7 +274,8 @@ class TestBlockSweep:
         except ImportError:
             pass
         keys = [pair_key(nodes[i], nodes[j]) for i, j in held]
-        references = [WeightedPairGraph(nodes, weights=dict(zip(keys, column)))
+        references = [WeightedPairGraph.from_scores(nodes,
+                                                    dict(zip(keys, column)))
                       for column in columns]
 
         # The seed: (value, label) joins by dict lookup, each decision

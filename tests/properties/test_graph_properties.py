@@ -68,11 +68,9 @@ probability_strategy = st.floats(min_value=0.0, max_value=1.0)
 
 @st.composite
 def probability_graphs(draw):
-    graph = WeightedPairGraph(nodes=list(NODES))
-    for i, left in enumerate(NODES):
-        for right in NODES[i + 1:]:
-            graph.weights[pair_key(left, right)] = draw(probability_strategy)
-    return graph
+    return WeightedPairGraph.from_scores(NODES, {
+        pair_key(left, right): draw(probability_strategy)
+        for i, left in enumerate(NODES) for right in NODES[i + 1:]})
 
 
 class TestCorrelationProperties:

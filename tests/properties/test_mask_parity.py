@@ -255,10 +255,10 @@ class TestMaskedScoringParity:
 
     @settings(max_examples=10, deadline=None)
     @given(record_inputs())
-    def test_default_burst_reads_mapping_form_graphs(self, inputs):
-        """The default ``rectangle`` reads a backend's graphs whatever
-        their form: bursts from the ``python`` backend's vector graphs
-        and from a backend emitting mapping-form graphs both equal the
+    def test_default_burst_reads_graphs_built_from_scores(self, inputs):
+        """The default ``rectangle`` reads a backend's graphs however they
+        were built: bursts from the ``python`` backend's graphs and from
+        a backend building its graphs with ``from_scores`` both equal the
         dense sweep byte for byte."""
         resident, arriving, _, features = inputs
         battery = default_functions()
@@ -267,13 +267,13 @@ class TestMaskedScoringParity:
         dense = PYTHON.block_scores(list(reversed(arriving)) + resident,
                                     features, battery)
 
-        class MappingBackend(PythonBackend):
+        class ScoresBackend(PythonBackend):
             def block_graphs(self, ids, features, functions, mask=None):
-                return {name: WeightedPairGraph(ids, weights=weights)
-                        for name, weights in PYTHON.block_scores(
+                return {name: WeightedPairGraph.from_scores(ids, scores)
+                        for name, scores in PYTHON.block_scores(
                             ids, features, functions, mask=mask).items()}
 
-        for backend in (PYTHON, MappingBackend()):
+        for backend in (PYTHON, ScoresBackend()):
             rows = backend.rectangle(
                 battery, [features[doc_id] for doc_id in resident],
                 [features[doc_id] for doc_id in arriving]).rows

@@ -113,8 +113,9 @@ class TestBatchedDecisions:
             expected_edges, expected_probabilities = decided(
                 fitted_layer.fitted, graph)
             assert layer.graph.edges == expected_edges
-            assert layer.probabilities == expected_probabilities
-            assert list(layer.probabilities) == list(expected_probabilities)
+            probabilities = dict(layer.probability_graph.pairs())
+            assert probabilities == expected_probabilities
+            assert list(probabilities) == list(expected_probabilities)
 
     def test_decided_edges_and_probabilities_match_scalar_rules(
             self, small_block, block_graphs):

@@ -47,7 +47,7 @@ class TestAccounting:
                    pair_key("b", "c"): 1.0}
         assert cache.get_graph(fingerprint, "F8") is None
         cache.put_graph(fingerprint, "F8",
-                        WeightedPairGraph(["a", "b", "c"], weights=weights))
+                        WeightedPairGraph.from_scores(["a", "b", "c"], weights))
         assert cache.pair_misses == 3
         assert cache.pair_hits == 0
 
@@ -56,37 +56,25 @@ class TestAccounting:
         assert cache.pair_hits == 3
         assert cache.stats().hit_rate == 0.5
 
-    def test_get_returns_copy_mutation_cannot_corrupt_cache(self):
-        cache = SimilarityCache()
-        fingerprint = ("Alice", ("a", "b"))
-        cache.put_graph(fingerprint, "F8", WeightedPairGraph(
-            ["a", "b"], weights={pair_key("a", "b"): 0.5}))
-        served = cache.get_graph(fingerprint, "F8")
-        served.weights[pair_key("a", "b")] = 999.0
-        assert cache.get_graph(fingerprint, "F8").weights == {
-            pair_key("a", "b"): 0.5}
-
-    def test_a_served_vector_graph_cannot_corrupt_the_cache(self):
+    def test_a_served_graph_is_the_stored_immutable_graph(self):
         cache = SimilarityCache()
         fingerprint = ("Alice", ("a", "b", "c"))
         stored = {pair_key("a", "b"): 0.5, pair_key("a", "c"): 0.25,
                   pair_key("b", "c"): 1.0}
-        cache.put_graph(fingerprint, "F8", WeightedPairGraph(
-            ["a", "b", "c"], values=[0.5, 0.25, 1.0]))
+        graph = WeightedPairGraph(["a", "b", "c"], values=[0.5, 0.25, 1.0])
+        cache.put_graph(fingerprint, "F8", graph)
         served = cache.get_graph(fingerprint, "F8")
-        with pytest.raises(TypeError, match="read-only"):
-            served.set_weight("a", "b", 999.0)
+        assert served is graph
+        assert not hasattr(served, "set_weight")
         with pytest.raises(TypeError):
             served.weights[pair_key("a", "b")] = 999.0
-        edited = WeightedPairGraph(served.nodes, weights=dict(served.pairs()))
-        edited.set_weight("a", "b", 999.0)
         assert dict(cache.get_graph(fingerprint, "F8").pairs()) == stored
 
     def test_unknown_function_is_a_miss_even_for_known_block(self):
         cache = SimilarityCache()
         fingerprint = ("Alice", ("a", "b"))
-        cache.put_graph(fingerprint, "F8", WeightedPairGraph(
-            ["a", "b"], weights={pair_key("a", "b"): 0.5}))
+        cache.put_graph(fingerprint, "F8", WeightedPairGraph.from_scores(
+            ["a", "b"], {pair_key("a", "b"): 0.5}))
         assert cache.get_graph(fingerprint, "F9") is None
 
     def test_features_memo_counts_hits_and_computes_once(self, small_block,
@@ -119,8 +107,8 @@ class TestLifecycle:
 
     def test_clear_evicts_everything_but_keeps_counters(self):
         cache = SimilarityCache()
-        cache.put_graph(("Alice", ("a", "b")), "F8", WeightedPairGraph(
-            ["a", "b"], weights={pair_key("a", "b"): 0.5}))
+        cache.put_graph(("Alice", ("a", "b")), "F8", WeightedPairGraph.from_scores(
+            ["a", "b"], {pair_key("a", "b"): 0.5}))
         cache.get_graph(("Alice", ("a", "b")), "F8")
         cache.clear()
         assert len(cache) == 0

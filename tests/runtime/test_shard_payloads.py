@@ -136,10 +136,9 @@ class TestGraphRoundTrip:
     @TRANSPORTS
     def test_graphs_rebuild_in_stored_order(self, prefer_shm):
         graphs = {
-            "F1": WeightedPairGraph(
-                nodes=["a", "b", "c"],
-                weights={("a", "c"): 0.5, ("a", "b"): 0.25}),
-            "F2": WeightedPairGraph(nodes=["x"], weights={}),
+            "F1": WeightedPairGraph.from_scores(
+                ["a", "b", "c"], {("a", "c"): 0.5, ("a", "b"): 0.25}),
+            "F2": WeightedPairGraph(["x"]),
         }
         copy = shipped(graphs, prefer_shm)
         assert list(copy) == ["F1", "F2"]
@@ -151,11 +150,10 @@ class TestGraphRoundTrip:
     @TRANSPORTS
     def test_non_string_nodes_roundtrip(self, prefer_shm):
         """The pickled format carries any hashable node id."""
-        graph = WeightedPairGraph(nodes=["a", 3],
-                                  weights={("a", 3): 0.5})
+        graph = WeightedPairGraph.from_scores([7, 3], {(3, 7): 0.5})
         copy = shipped({"F1": graph}, prefer_shm)["F1"]
-        assert copy.nodes == ["a", 3]
-        assert copy.weights == {("a", 3): 0.5}
+        assert copy.nodes == [7, 3]
+        assert copy.weights == {(3, 7): 0.5}
 
 
 class TestBlockShardRoundTrip:

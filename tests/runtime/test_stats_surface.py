@@ -166,8 +166,8 @@ class TestCacheStats:
     def test_snapshot_after_lookups(self):
         cache = SimilarityCache()
         key = ("Alice", ("a", "b"), None)
-        cache.put_graph(key, "F1", WeightedPairGraph(
-            ["a", "b"], weights={("a", "b"): 0.5}))
+        cache.put_graph(key, "F1", WeightedPairGraph.from_scores(
+            ["a", "b"], {("a", "b"): 0.5}))
         assert cache.get_graph(key, "F1").weights == {("a", "b"): 0.5}
         assert cache.get_graph(key, "F2") is None
         cache.clear()
