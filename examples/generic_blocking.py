@@ -11,8 +11,9 @@ This example shows the general path end to end:
    co-referent pairs) against reduction ratio (fraction of pairs
    pruned).
 2. **Candidate-driven resolution** — fit and evaluate with
-   ``ResolverConfig(blocker="token")``: the pipeline's ``block`` stage
-   partitions the blocker's candidate pairs into connected components,
+   ``ResolverConfig(blocker="token")``: the collection pass's blocking
+   step (``repro.blocking.block_collection``) partitions the blocker's
+   candidate pairs into connected components,
    and every downstream quadratic step scores only candidate pairs
    (the per-block masks flow through similarity, runtime tasks and
    serving).

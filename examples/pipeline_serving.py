@@ -1,14 +1,12 @@
 #!/usr/bin/env python
-"""Compose a custom stage plan, fit, save — then serve online traffic.
+"""Fit on the head of the crawl, save — then serve online traffic.
 
-Demonstrates the pipeline redesign end to end:
+Demonstrates the batch → online hand-off end to end:
 
-1. **Composition** — register a custom blocking stage with
-   ``@register_stage`` and compose a fit plan from registry names
-   (``Pipeline.from_names``).  The custom blocker caps every block at
-   its first 40 pages — a cheap "index only the head of the crawl"
-   policy — and flows through extraction, similarity and fitting
-   without touching any of them.
+1. **Fitting** — index only the head of the crawl: build a
+   ``DocumentCollection`` of each name's first 40 pages and pass it to
+   ``EntityResolver.fit``.  The collection pass blocks it, fits one task
+   per block, and reports one ``RunStats`` record (``model.fit_stats``).
 2. **Serving** — save the fitted model, reopen it in a (simulated)
    serving process via ``ResolutionSession.open``, warm the session
    with each name's initial crawl, and stream 100 simulated single-page
@@ -22,45 +20,29 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import EntityResolver, Pipeline, ResolverConfig, www05_like
-from repro.core.registry import register_stage
-from repro.corpus.documents import NameCollection
-from repro.pipeline import Blocks, Corpus, ResolutionSession, Stage
+from repro import EntityResolver, ResolverConfig, www05_like
+from repro.corpus.documents import DocumentCollection, NameCollection
+from repro.pipeline import ResolutionSession
 
-HEAD = 40          # pages per block the custom stage keeps
+HEAD = 40          # pages per name the fitted index covers
 REQUESTS = 100     # simulated single-page requests to serve
-
-
-@register_stage("head_blocks")
-class HeadBlockingStage(Stage):
-    """Block by query name, keeping only each name's first pages."""
-
-    name = "head_blocks"
-    consumes = Corpus
-    produces = Blocks
-
-    def run(self, corpus, ctx):
-        blocks = [NameCollection(query_name=block.query_name,
-                                 pages=list(block.pages)[:HEAD])
-                  for block in corpus.collection]
-        return Blocks(blocks=blocks, source=corpus.collection)
 
 
 def main() -> None:
     dataset = www05_like(seed=1, pages_per_name=60)
     pipeline = EntityResolver(ResolverConfig()).pipeline_for(dataset)
 
-    print("=== 1. fit through a custom plan ==============================")
-    plan = Pipeline.from_names(
-        ["head_blocks", "extract", "similarity", "fit"], name="head-fit")
-    print(plan.explain())
-    model = EntityResolver(ResolverConfig()).fit(dataset, training_seed=0,
-                                                 plan=plan)
-    print(f"\nfitted {len(model.blocks)} blocks on the first {HEAD} pages "
+    print("=== 1. fit on the head of the crawl ===========================")
+    head = DocumentCollection(
+        name=f"{dataset.name}-head",
+        collections=[NameCollection(query_name=block.query_name,
+                                    pages=list(block.pages)[:HEAD])
+                     for block in dataset],
+        metadata=dict(dataset.metadata))
+    model = EntityResolver(ResolverConfig()).fit(head, training_seed=0)
+    print(f"fitted {len(model.blocks)} blocks on the first {HEAD} pages "
           f"of each name")
-    for entry in model.fit_stage_stats:
-        print(f"  {entry.stage:<12} {entry.seconds:8.3f}s "
-              f"({entry.consumes} -> {entry.produces})")
+    print(model.fit_stats.summary())
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Smoke test: generate a tiny dataset, fit a resolver model, predict with
 # it (labels unused), and score the predictions — serially and through
-# the process-pool executor (--workers 2), which must agree.  Inspect
-# the stage plans (pipeline explain) and run the online serving demo
-# loop (serve), serially and through the concurrent ServingEngine
+# the process-pool executor (--workers 2), which must agree.  Run the
+# online serving demo loop (serve), serially and through the concurrent
+# ServingEngine
 # (serve --threads 4, with a mid-stream hot swap).  Exercise the
 # generic blocking path (--blocker token) with serial/parallel fit
 # parity.  Round-trip a streamed scale corpus (generate --dataset scale
@@ -30,12 +30,13 @@ if grep -rnE "session\._[a-z]|ResolutionSession\._" src/repro/serving; then
     echo "serving/ reaches into ResolutionSession privates" >&2; exit 1
 fi
 
-echo "== pipeline/ schedules nothing itself =="
-# Stages build block payloads and hand them to run_block_tasks; a stage
-# that asks whether the executor is serial is growing a second copy of
-# a task body.
-if grep -rnE "is_serial|_run_serial|_run_parallel" src/repro/pipeline; then
-    echo "pipeline/ forks on the schedule again" >&2; exit 1
+echo "== the drivers schedule nothing themselves =="
+# fit and predict build block payloads and hand them to run_pass; a
+# driver or the session asking whether the executor is serial is
+# growing a second copy of a task body.
+if grep -rnE "is_serial|_run_serial|_run_parallel" src/repro/pipeline \
+        src/repro/core; then
+    echo "a driver forks on the schedule again" >&2; exit 1
 fi
 
 echo "== one clock reader =="
@@ -71,6 +72,17 @@ if grep -rnE 'def (set_weight|add_edge|remove_edge)\b|@edges\.setter|class Decis
     echo "a second graph form in src/repro" >&2; exit 1
 fi
 
+echo "== one collection pass =="
+# fit and predict / evaluate block the collection and fan its blocks
+# out through run_pass, one driver and one RunStats per pass; a stage
+# class, a plan, a stage registry or a plan= parameter is a second
+# driver around them.
+if [ -e src/repro/pipeline/stages.py ] \
+        || grep -rnE 'class (Pipeline|Stage)\b|PipelineContext|StageStats|register_stage|STAGES =|plan=None' \
+        src/repro; then
+    echo "a stage-plan layer in src/repro" >&2; exit 1
+fi
+
 echo "== one wire format =="
 # A worker reads one pickled shard; a plane codec, a float32 backend, a
 # shard knob or a zombie list of open segments is a second format.
@@ -104,11 +116,6 @@ run predict --in "$workdir/data.json" --model "$workdir/model.json"
 
 echo "== predict --evaluate =="
 run predict --in "$workdir/data.json" --model "$workdir/model.json" --evaluate
-
-echo "== pipeline explain =="
-run pipeline explain | grep -q "Corpus" || {
-    echo "pipeline explain did not print the artifact chain" >&2; exit 1; }
-run pipeline explain
 
 echo "== serve (ResolutionSession demo loop) =="
 run serve --in "$workdir/data.json" --model "$workdir/model.json" \

@@ -11,8 +11,9 @@ Quickstart — fit once on labels, predict on unlabeled pages::
     print(model.evaluate(dataset).mean_report().fp)
     model.save("resolver.json")                # reuse without refitting
 
-Both passes run over composable stage plans (:mod:`repro.pipeline`);
-serve online single-page traffic with
+Each pass blocks the collection and fans one task per block out
+through an executor (serial or a process pool, bit-identical); serve
+online single-page traffic with
 :class:`~repro.pipeline.session.ResolutionSession` (models never
 serialize an extraction pipeline — supply one for raw pages)::
 
@@ -23,25 +24,21 @@ serialize an extraction pipeline — supply one for raw pages)::
     pages = dataset.by_name("William Cohen").without_labels().pages
     assignments = session.resolve(list(pages))  # incremental, per request
 
-See README.md for the fit → save → predict lifecycle, the stage/plan
-API and the registry extension points.
+See README.md for the fit → save → predict lifecycle, the collection
+passes and the registry extension points.
 """
 
 from repro.corpus import weps2_like, www05_like
 from repro.core import EntityResolver, ResolverConfig, ResolverModel
-from repro.pipeline import Pipeline, fit_plan, predict_plan
 from repro.pipeline.session import ResolutionSession
 
 __version__ = "1.2.0"
 
 __all__ = [
     "EntityResolver",
-    "Pipeline",
     "ResolutionSession",
     "ResolverConfig",
     "ResolverModel",
-    "fit_plan",
-    "predict_plan",
     "www05_like",
     "weps2_like",
     "__version__",

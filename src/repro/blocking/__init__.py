@@ -12,6 +12,7 @@ from repro.blocking.base import (
     Blocker,
     BlockingResult,
     CandidateMask,
+    block_collection,
     blocks_from_candidates,
 )
 from repro.blocking.name_blocking import QueryNameBlocker
@@ -25,5 +26,6 @@ __all__ = [
     "QueryNameBlocker",
     "TokenBlocker",
     "SortedNeighborhoodBlocker",
+    "block_collection",
     "blocks_from_candidates",
 ]

@@ -12,7 +12,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.corpus.documents import NameCollection, WebPage
+from repro.corpus.documents import DocumentCollection, NameCollection, WebPage
 from repro.graph.components import UnionFind
 from repro.graph.entity_graph import PairKey, pair_key
 
@@ -119,10 +119,10 @@ def blocks_from_candidates(
     with an empty mask.  Deterministic: block order follows the first
     appearance of each component in ``pages``.
 
-    This is how the pipeline's ``block`` stage turns an arbitrary
-    registered blocker's pair set into the per-block units every later
-    stage schedules; the masks then restrict similarity scoring to
-    candidate pairs (see :mod:`repro.similarity.backends`).
+    This is how :func:`block_collection` turns an arbitrary registered
+    blocker's pair set into the per-block units a collection pass fans
+    out; the masks then restrict similarity scoring to candidate pairs
+    (see :mod:`repro.similarity.backends`).
     """
     page_list = list(pages)
     candidate_pairs = list(candidate_pairs)
@@ -151,3 +151,32 @@ def blocks_from_candidates(
         blocks.append(NameCollection(query_name=query_name, pages=members))
         masks[query_name] = frozenset(component_masks.get(root, ()))
     return blocks, masks
+
+
+def block_collection(
+    collection: DocumentCollection,
+    blocker: str,
+) -> tuple[list[NameCollection], dict[str, CandidateMask]]:
+    """The comparison units of a collection pass, and their masks.
+
+    Pairs are only ever formed within a block, which is what makes the
+    rest of a pass embarrassingly parallel.  The default
+    ``"query_name"`` blocker is the paper's scheme (§IV-C): the corpus's
+    own per-name blocks, no candidate masks (the dense fast path).  Any
+    other name in :data:`~repro.core.registry.BLOCKERS` runs over the
+    corpus's page universe, and its candidate pairs are partitioned into
+    connected components (:func:`blocks_from_candidates`), one masked
+    block each.
+
+    Raises:
+        ValueError: for a blocker name that is not registered.
+    """
+    if blocker == "query_name":
+        return list(collection), {}
+    # Imported here: the registry's package imports the core, which
+    # imports this module.
+    from repro.core.registry import BLOCKERS
+
+    pages = list(collection.all_pages())
+    result = BLOCKERS.get(blocker)().block(pages)
+    return blocks_from_candidates(pages, result.candidate_pairs)

@@ -9,7 +9,6 @@ Subcommands::
     python -m repro.cli predict  --model model.json [--in data.json]
     python -m repro.cli serve    --model model.json [--requests 20] \
         [--threads 4 --swap-model model2.json]
-    python -m repro.cli pipeline explain [--column C10]
     python -m repro.cli resolve  --dataset www05 [--in data.json]
     python -m repro.cli figure1  [--function F3] [--name Cohen]
     python -m repro.cli figure2 | figure3
@@ -18,9 +17,9 @@ Subcommands::
 
 ``fit`` consumes ground-truth labels once and writes a reusable JSON
 model; ``predict`` loads that model and resolves pages *without reading
-labels* (add ``--evaluate`` to also score against labels when present).
-``pipeline explain`` prints the stage plans a configuration resolves to
-(artifact types included); ``serve`` demos the online request path — it
+labels* (add ``--evaluate`` to also score against labels when present);
+both print the pass's engine stats line.  ``serve`` demos the online
+request path — it
 loads a model once and streams simulated single-page requests through a
 :class:`~repro.pipeline.session.ResolutionSession`; with ``--threads N``
 (N > 1) or ``--swap-model`` it serves the same stream through the
@@ -203,14 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="second fitted model hot-swapped in halfway "
                             "through the request stream (engine mode)")
 
-    pipeline_cmd = commands.add_parser(
-        "pipeline", help="inspect the resolver's stage plans")
-    pipeline_cmd.add_argument("action", choices=("explain",),
-                              help="'explain' prints the resolved plans "
-                                   "with artifact types")
-    pipeline_cmd.add_argument("--column", default="default",
-                              help="Table II column preset, or 'default'")
-
     resolve = commands.add_parser("resolve", help="run Algorithm 1")
     resolve.add_argument("--dataset", choices=("www05", "weps2"),
                          default="www05")
@@ -285,13 +276,6 @@ def _print_stats(stats) -> None:
         print(stats.summary())
 
 
-def _print_stage_stats(stage_stats) -> None:
-    """Per-stage timing line (skipped when a path ran no plan)."""
-    if stage_stats:
-        from repro.pipeline.stage import format_stage_stats
-        print(format_stage_stats(stage_stats))
-
-
 def _seeds(args: argparse.Namespace, context: ExperimentContext) -> list[int]:
     return context.seeds(n_runs=args.runs, base_seed=0)
 
@@ -355,7 +339,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             collection, training_seed=args.train_seed, executor=executor)
     model.save(args.model)
     _print_stats(model.fit_stats)
-    _print_stage_stats(model.fit_stage_stats)
     rows = [[surname(name), len(fitted.layers), fitted.n_training,
              fitted.combiner_params.get("chosen_layer", "-")]
             for name, fitted in model.blocks.items()]
@@ -397,7 +380,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
             mean = resolution.mean_report()
             print(f"mean Fp = {mean.fp:.4f}, F = {mean.f1:.4f}")
             _print_stats(resolution.stats)
-            _print_stage_stats(resolution.stage_stats)
         else:
             try:
                 prediction = model.predict(collection,
@@ -413,24 +395,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
             print(format_table(["name", "pages", "entities", "layer"], rows,
                                title="Predictions (ground truth unused)"))
             _print_stats(prediction.stats)
-            _print_stage_stats(prediction.stage_stats)
-    return 0
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.pipeline.plan import fit_plan, predict_plan
-
-    config = (ResolverConfig() if args.column == "default"
-              else table2_config(args.column))
-    print(f"stage plans for config: column={args.column}, "
-          f"combiner={config.combiner!r}, clusterer={config.clusterer!r}, "
-          f"functions={len(config.function_names)}")
-    print()
-    print(fit_plan(config).explain())
-    print()
-    print(predict_plan(config).explain())
-    print()
-    print(predict_plan(config, evaluate=True).explain())
     return 0
 
 
@@ -658,7 +622,6 @@ _COMMANDS = {
     "fit": cmd_fit,
     "predict": cmd_predict,
     "serve": cmd_serve,
-    "pipeline": cmd_pipeline,
     "resolve": cmd_resolve,
     "figure1": cmd_figure1,
     "figure2": cmd_figure2,

@@ -21,7 +21,6 @@ from repro.core.registry import (
     CRITERIA,
     SAMPLING_MODES,
     SIMILARITIES,
-    STAGES,
     Registry,
     register_blocker,
     register_clusterer,
@@ -29,7 +28,6 @@ from repro.core.registry import (
     register_criterion,
     register_sampling_mode,
     register_similarity,
-    register_stage,
 )
 from repro.core.thresholds import LearnedThreshold, learn_threshold
 from repro.core.regions import (
@@ -124,12 +122,10 @@ __all__ = [
     "CLUSTERERS",
     "SIMILARITIES",
     "SAMPLING_MODES",
-    "STAGES",
     "register_blocker",
     "register_combiner",
     "register_criterion",
     "register_clusterer",
     "register_similarity",
     "register_sampling_mode",
-    "register_stage",
 ]

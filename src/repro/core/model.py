@@ -20,6 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.blocking.base import block_collection
 from repro.core.clusterers import cluster_combination
 from repro.core.combination import (
     CombinationResult,
@@ -43,9 +44,9 @@ from repro.graph.entity_graph import WeightedPairGraph
 from repro.metrics.clusterings import Clustering, clustering_from_assignments
 from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.runtime.cache import SimilarityCache
-from repro.runtime.executor import BlockExecutor
-from repro.runtime.stats import RunStats
-from repro.runtime.tasks import block_graphs
+from repro.runtime.executor import BlockExecutor, executor_from_config
+from repro.runtime.stats import RunStats, clock
+from repro.runtime.tasks import PredictBlockTask, block_graphs, run_pass
 from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import functions_subset
 
@@ -77,6 +78,38 @@ def resolve_extraction_pipeline(
         int(seed), **{key: int(value) for key, value in sizes.items()})
     return ExtractionPipeline.from_vocabulary(
         vocabulary, query_names=collection.query_names())
+
+
+def ship_blocks(
+    collection: DocumentCollection,
+    blocks: Sequence[NameCollection],
+    masks: dict[str, frozenset],
+    config: ResolverConfig,
+    pipeline: ExtractionPipeline | None,
+    graphs_by_name: dict[str, dict[str, WeightedPairGraph]] | None,
+) -> tuple[list[dict], ExtractionPipeline | None]:
+    """What every collection task ships for each of ``blocks``.
+
+    One dict of task fields per block: the config, the block, its
+    candidate mask, and either the caller's precomputed graphs or the
+    extraction pipeline to compute them with.  The pipeline is resolved
+    from ``collection`` metadata only when some block has no graphs, so
+    graphs covering every block never need one.  Also returns that
+    pipeline (``None`` when nothing needed it), for the fitted model.
+
+    Raises:
+        ValueError: when a block needs extracting and no pipeline was
+            given and ``collection`` has no vocabulary metadata.
+    """
+    shipped = []
+    for block in blocks:
+        graphs = (graphs_by_name or {}).get(block.query_name)
+        if graphs is None and pipeline is None:
+            pipeline = resolve_extraction_pipeline(collection)
+        shipped.append(dict(config=config, block=block, graphs=graphs,
+                            pipeline=None if graphs is not None else pipeline,
+                            mask=masks.get(block.query_name)))
+    return shipped, pipeline
 
 
 @dataclass(frozen=True)
@@ -236,15 +269,11 @@ class CollectionPrediction:
         stats: the engine's :class:`~repro.runtime.stats.RunStats` for the
             pass that produced these predictions (``None`` for results
             assembled outside the collection paths).
-        stage_stats: per-stage :class:`~repro.pipeline.stage.StageStats`
-            of the plan run that produced these predictions (``None``
-            outside the collection paths).
     """
 
     dataset: str
     blocks: list[BlockPrediction]
     stats: RunStats | None = None
-    stage_stats: list | None = None
 
     def __post_init__(self) -> None:
         self._index: tuple[int, dict[str, int]] | None = None
@@ -287,15 +316,11 @@ class CollectionResolution:
         stats: the engine's :class:`~repro.runtime.stats.RunStats` for the
             pass that produced these resolutions (``None`` for results
             assembled outside the collection paths).
-        stage_stats: per-stage :class:`~repro.pipeline.stage.StageStats`
-            of the plan run that produced these resolutions (``None``
-            outside the collection paths).
     """
 
     dataset: str
     blocks: list[BlockResolution]
     stats: RunStats | None = None
-    stage_stats: list | None = None
 
     def __post_init__(self) -> None:
         self._index: tuple[int, dict[str, int]] | None = None
@@ -371,9 +396,6 @@ class ResolverModel:
         #: RunStats of the fit pass that produced this model (set by
         #: collection fitting; None for hand-assembled or loaded models).
         self.fit_stats: RunStats | None = None
-        #: per-stage StageStats of the fit plan run (set by collection
-        #: fitting; None for hand-assembled or loaded models).
-        self.fit_stage_stats: list | None = None
 
     def block_names(self) -> list[str]:
         """Names the model holds fitted state for, in fit order."""
@@ -500,9 +522,9 @@ class ResolverModel:
     ) -> BlockPrediction:
         """Resolve one block with explicitly supplied fitted state.
 
-        The core of :meth:`predict_block`, exposed for pipeline stages
-        and custom schedulers that resolve fitted state themselves (the
-        cluster stage serves each block through this method).  The
+        The core of :meth:`predict_block`, exposed for custom schedulers
+        that resolve fitted state themselves (a collection pass's predict
+        task serves each block through this method).  The
         fitted state need not live in ``self.blocks``.  A candidate
         ``mask`` restricts the similarity computation when graphs are
         computed here (callers supplying ``graphs`` pre-masked pass
@@ -544,29 +566,31 @@ class ResolverModel:
         graphs_by_name: dict[str, dict[str, WeightedPairGraph]] | None = None,
         model_block: str | None = None,
         executor: BlockExecutor | None = None,
-        plan=None,
     ) -> CollectionPrediction:
         """Resolve every block of an unlabeled dataset.
 
-        The extraction pipeline is resolved lazily: blocks covered by
-        ``graphs_by_name`` never need one.  Names the model was never
-        fitted on fall back to ``model_block``'s fitted state when given
-        (fitted names always use their own state).
+        The collection is blocked by the config's blocker, then served
+        one predict task per block.  The extraction pipeline is resolved
+        lazily: blocks covered by ``graphs_by_name`` never need one.
+        Names the model was never fitted on fall back to
+        ``model_block``'s fitted state when given (fitted names always
+        use their own state).
 
-        The pass is a thin driver over a stage plan (default:
-        :func:`~repro.pipeline.plan.predict_plan`; override via
-        ``plan=``).  Blocks are scheduled through ``executor`` (default:
-        the backend the model's config selects); parallel backends
-        produce the same predictions as serial execution, and the pass's
-        :class:`~repro.runtime.stats.RunStats` and per-stage
-        :class:`~repro.pipeline.stage.StageStats` are attached to the
+        Blocks are scheduled through ``executor`` (default: the backend
+        the model's config selects); parallel backends produce the same
+        predictions as serial execution, and the pass's
+        :class:`~repro.runtime.stats.RunStats` is attached to the
         result.
+
+        Raises:
+            KeyError: when a block has no fitted state and no
+                ``model_block`` — before any block is served.
         """
-        blocks, stats, stage_stats = self._run_collection(
+        blocks, stats = self._run_collection(
             collection, pipeline, graphs_by_name, model_block, executor,
-            evaluate=False, plan=plan)
+            evaluate=False)
         return CollectionPrediction(dataset=collection.name, blocks=blocks,
-                                    stats=stats, stage_stats=stage_stats)
+                                    stats=stats)
 
     # -- evaluate --------------------------------------------------------
 
@@ -622,19 +646,17 @@ class ResolverModel:
         graphs_by_name: dict[str, dict[str, WeightedPairGraph]] | None = None,
         model_block: str | None = None,
         executor: BlockExecutor | None = None,
-        plan=None,
     ) -> CollectionResolution:
         """Predict a labeled dataset and score every block.
 
-        ``model_block`` serves unfitted names, ``executor`` schedules
-        blocks, and ``plan`` overrides the stage plan as in
-        :meth:`predict_collection`.
+        ``model_block`` serves unfitted names and ``executor`` schedules
+        blocks, as in :meth:`predict_collection`.
         """
-        blocks, stats, stage_stats = self._run_collection(
+        blocks, stats = self._run_collection(
             collection, pipeline, graphs_by_name, model_block, executor,
-            evaluate=True, plan=plan)
+            evaluate=True)
         return CollectionResolution(dataset=collection.name, blocks=blocks,
-                                    stats=stats, stage_stats=stage_stats)
+                                    stats=stats)
 
     # -- collection scheduling -------------------------------------------
 
@@ -646,33 +668,31 @@ class ResolverModel:
         model_block: str | None,
         executor: BlockExecutor | None,
         evaluate: bool,
-        plan=None,
-    ) -> tuple[list, RunStats, list]:
-        """Serve every block through a stage plan; results in block order.
+    ) -> tuple[list, RunStats]:
+        """Serve every block; results in block order, and the pass's stats.
 
-        The default :func:`~repro.pipeline.plan.predict_plan` runs
-        ``block → extract → similarity → decide → cluster``; a custom
-        ``plan`` producing a
-        :class:`~repro.pipeline.artifacts.Resolution` swaps any stage.
-        Returns the block results, the engine pass's
-        :class:`~repro.runtime.stats.RunStats`, and the per-stage
-        :class:`~repro.pipeline.stage.StageStats` records.
+        Every block's fitted state (with the ``model_block`` fallback)
+        is resolved before the fan-out, so a missing one fails before
+        any block is served.  The fitted blocks ship as they are:
+        pickling leaves a fit-time hand-off behind, and the inline
+        schedule gets to consume it.
         """
-        from repro.pipeline.artifacts import Resolution
-        from repro.pipeline.plan import predict_plan, run_pass
-
-        resolution, stats, ctx = run_pass(
-            plan or predict_plan(self.config, evaluate=evaluate), collection,
-            Resolution, self.config, "evaluate" if evaluate else "predict",
-            executor=executor,
-            model=self,
-            extraction=pipeline or self.pipeline,
-            graphs_by_name=graphs_by_name,
-            model_block=model_block,
-            evaluate=evaluate,
-        )
+        started = clock()
+        blocks, masks = block_collection(collection, self.config.blocker)
+        fitted = [self._fitted_for(
+            block.query_name if block.query_name in self.blocks
+            else model_block or block.query_name) for block in blocks]
+        shipped, _ = ship_blocks(collection, blocks, masks, self.config,
+                                 pipeline or self.pipeline, graphs_by_name)
+        payloads = [PredictBlockTask(fitted=state, evaluate=evaluate,
+                                     **fields)
+                    for state, fields in zip(fitted, shipped)]
+        results, stats = run_pass(
+            executor or executor_from_config(self.config), "predict",
+            "evaluate" if evaluate else "predict", payloads,
+            started=started, close=executor is None)
         self.release_fit_caches()
-        return resolution.results, stats, list(ctx.stage_stats)
+        return [result for _, result in results], stats
 
     # -- persistence -----------------------------------------------------
 

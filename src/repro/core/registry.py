@@ -97,10 +97,6 @@ _BUILTIN_MODULES = (
     "repro.blocking.name_blocking",
     "repro.blocking.token_blocking",
     "repro.blocking.sorted_neighborhood",
-    # The pipeline package keeps its module-level imports outside
-    # repro.core (stage bodies import core lazily), so loading it here
-    # cannot re-enter a partially imported core module.
-    "repro.pipeline.stages",
 )
 
 _builtins_loaded = False
@@ -254,14 +250,9 @@ EXECUTORS = Registry("executor")
 
 #: name -> no-arg-constructible :class:`~repro.blocking.base.Blocker`
 #: subclass generating candidate pairs; ``ResolverConfig.blocker``
-#: selects one and the pipeline's ``block`` stage builds it.
+#: selects one and :func:`~repro.blocking.base.block_collection` builds
+#: it at the start of every collection pass.
 BLOCKERS = Registry("blocker")
-
-#: name -> no-arg-constructible :class:`~repro.pipeline.stage.Stage`
-#: subclass; plans are composed from these by
-#: :func:`repro.pipeline.plan.Pipeline.from_names` and the default-plan
-#: builders.
-STAGES = Registry("pipeline stage")
 
 
 def register_combiner(name: str | None = None, replace: bool = False):
@@ -309,21 +300,9 @@ def register_blocker(name: str | None = None, replace: bool = False):
     """Class decorator registering a no-arg-constructible blocker.
 
     Registered blockers become valid ``ResolverConfig(blocker=...)``
-    values; the pipeline's ``block`` stage resolves the configured name
-    through :data:`BLOCKERS` and drives the whole resolution pass off
-    the blocker's candidate pairs (see :mod:`repro.blocking.base` and
+    values; :func:`~repro.blocking.base.block_collection` resolves the
+    configured name through :data:`BLOCKERS` and drives the whole
+    collection pass off the blocker's candidate pairs (see :mod:`repro.blocking.base` and
     ``docs/blocking.md``).
     """
     return BLOCKERS.register(name, replace=replace)
-
-
-def register_stage(name: str | None = None, replace: bool = False):
-    """Class decorator registering a no-arg-constructible pipeline stage.
-
-    Registered stages are addressable by name in
-    :meth:`~repro.pipeline.plan.Pipeline.from_names`; registering with
-    ``replace=True`` under a built-in name (``"block"``, ``"extract"``,
-    ``"similarity"``, ``"fit"``, ``"decide"``, ``"cluster"``) swaps that
-    stage in every default plan built afterwards.
-    """
-    return STAGES.register(name, replace=replace)

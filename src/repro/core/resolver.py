@@ -21,6 +21,7 @@ predictions against ground truth.
 
 from __future__ import annotations
 
+from repro.blocking.base import block_collection
 from repro.core.combination import (
     DecisionLayer,
     build_combiner,
@@ -34,6 +35,7 @@ from repro.core.model import (
     FittedLayer,
     ResolverModel,
     resolve_extraction_pipeline,
+    ship_blocks,
 )
 from repro.core.sweeps import BlockSweep
 from repro.corpus.documents import DocumentCollection, NameCollection
@@ -41,8 +43,9 @@ from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.ml.sampling import sample_training_pairs
-from repro.runtime.executor import BlockExecutor
-from repro.runtime.tasks import block_graphs
+from repro.runtime.executor import BlockExecutor, executor_from_config
+from repro.runtime.stats import clock
+from repro.runtime.tasks import FitBlockTask, block_graphs, run_pass
 from repro.similarity.functions import functions_subset
 
 __all__ = ["EntityResolver"]
@@ -91,7 +94,6 @@ class EntityResolver:
         graphs: dict[str, WeightedPairGraph] | None = None,
         graphs_by_name: dict[str, dict[str, WeightedPairGraph]] | None = None,
         executor: BlockExecutor | None = None,
-        plan=None,
     ) -> ResolverModel:
         """Learn decision criteria and combination parameters from labels.
 
@@ -102,12 +104,10 @@ class EntityResolver:
         :class:`~repro.core.model.ResolverModel` predicts without labels
         and serializes with ``save``/``load``.
 
-        Collection fitting is a thin driver over a stage plan (see
-        :mod:`repro.pipeline`): the default
-        :func:`~repro.pipeline.plan.fit_plan` runs ``block → extract →
-        similarity → fit``, and a custom ``plan=`` swaps any stage
-        without touching this method.  The run's per-stage timings land
-        on the returned model's ``fit_stage_stats``.
+        Collection fitting blocks the collection with the config's
+        blocker (:func:`~repro.blocking.base.block_collection`), then
+        fans one fit task per block out through the executor
+        (:func:`~repro.runtime.tasks.run_pass`).
 
         Fitting on graphs the caller supplied (``graphs=`` /
         ``graphs_by_name=``) also seeds a one-shot per-block layer cache
@@ -133,10 +133,6 @@ class EntityResolver:
                 Serial and parallel fitting produce identical models; the
                 pass's :class:`~repro.runtime.stats.RunStats` lands on
                 the returned model's ``fit_stats``.
-            plan: a custom :class:`~repro.pipeline.plan.Pipeline`
-                producing a :class:`~repro.pipeline.artifacts.Decisions`
-                artifact (collection fitting only; default:
-                :func:`~repro.pipeline.plan.fit_plan`).
 
         Raises:
             ValueError: when a block's similarity graphs cannot be
@@ -167,21 +163,19 @@ class EntityResolver:
             raise ValueError(
                 "features/graphs apply to single-block fitting; "
                 "pass graphs_by_name= for a collection")
-        from repro.pipeline.artifacts import Decisions
-        from repro.pipeline.plan import fit_plan, run_pass
-
-        decisions, stats, ctx = run_pass(
-            plan or fit_plan(self.config), data, Decisions, self.config,
-            "fit",
-            executor=executor,
-            extraction=pipeline or self._pipeline,
-            graphs_by_name=graphs_by_name,
-            training_seed=training_seed,
-        )
-        model = ResolverModel(config=self.config, blocks=decisions.fitted,
-                              pipeline=ctx.extraction)
+        started = clock()
+        blocks, masks = block_collection(data, self.config.blocker)
+        shipped, extraction = ship_blocks(
+            data, blocks, masks, self.config, pipeline or self._pipeline,
+            graphs_by_name)
+        payloads = [FitBlockTask(training_seed=training_seed, **fields)
+                    for fields in shipped]
+        results, stats = run_pass(
+            executor or executor_from_config(self.config), "fit", "fit",
+            payloads, started=started, close=executor is None)
+        model = ResolverModel(config=self.config, blocks=dict(results),
+                              pipeline=extraction)
         model.fit_stats = stats
-        model.fit_stage_stats = list(ctx.stage_stats)
         return model
 
     def fit_block(self, block: NameCollection,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from repro.corpus.documents import DocumentCollection, NameCollection, WebPage
@@ -49,7 +50,10 @@ def load_collection(path: str | Path) -> DocumentCollection:
     everything else is parsed as a single JSON document.
 
     Raises:
-        ValueError: if the file was written by an incompatible version.
+        ValueError: naming ``path`` (and for JSONL the line) when the
+            file is not UTF-8 JSON (e.g. truncated) or a page record
+            lacks a field or carries an unknown one; also when the file
+            was written by an incompatible version.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
@@ -59,12 +63,12 @@ def load_collection(path: str | Path) -> DocumentCollection:
             collections=list(iter_blocks_jsonl(path)),
             metadata=header.get("metadata", {}),
         )
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    with open(path, "rb") as handle:
+        payload = _parse(handle.read(), path)
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported collection format version: {version!r}")
-    collections = [_block_from_payload(block_data)
+    collections = [_block_from_payload(block_data, path)
                    for block_data in payload["collections"]]
     return DocumentCollection(
         name=payload["name"],
@@ -99,11 +103,37 @@ def save_blocks_jsonl(blocks: Iterable[NameCollection], path: str | Path,
 
 def read_jsonl_header(path: str | Path) -> dict:
     """Parse and validate the header line of a JSONL collection file."""
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
+    with open(path, "rb") as handle:
+        return _jsonl_header(handle.readline(), path)
+
+
+def iter_blocks_jsonl(path: str | Path) -> Iterator[NameCollection]:
+    """Yield the blocks of a JSONL collection lazily, in file order.
+
+    Raises:
+        ValueError: as :func:`load_collection`, naming the 1-based line.
+    """
+    with open(path, "rb") as handle:
+        _jsonl_header(handle.readline(), path)
+        for number, line in enumerate(handle, start=2):
+            if line.strip():
+                where = f"{path}, line {number}"
+                yield _block_from_payload(_parse(line, where), where)
+
+
+def _parse(raw: bytes, where) -> object:
+    """``raw`` as UTF-8 JSON; a ``ValueError`` naming ``where`` if not."""
     try:
-        header = json.loads(first) if first.strip() else {}
-    except json.JSONDecodeError:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ValueError(
+            f"{where}: not a readable collection file ({error})") from None
+
+
+def _jsonl_header(first: bytes, path) -> dict:
+    try:
+        header = json.loads(first.decode("utf-8")) if first.strip() else {}
+    except (UnicodeDecodeError, json.JSONDecodeError):
         header = {}
     if not isinstance(header, dict) or header.get("kind") != _JSONL_KIND:
         raise ValueError(f"{path} is not a block-per-line JSONL collection")
@@ -111,22 +141,6 @@ def read_jsonl_header(path: str | Path) -> dict:
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported collection format version: {version!r}")
     return header
-
-
-def iter_blocks_jsonl(path: str | Path) -> Iterator[NameCollection]:
-    """Yield the blocks of a JSONL collection lazily, in file order."""
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        header = json.loads(first) if first.strip() else {}
-        if not isinstance(header, dict) or header.get("kind") != _JSONL_KIND:
-            raise ValueError(f"{path} is not a block-per-line JSONL collection")
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported collection format version: "
-                f"{header.get('format_version')!r}")
-        for line in handle:
-            if line.strip():
-                yield _block_from_payload(json.loads(line))
 
 
 def _block_to_payload(block: NameCollection) -> dict:
@@ -146,6 +160,21 @@ def _block_to_payload(block: NameCollection) -> dict:
     }
 
 
-def _block_from_payload(block_data: dict) -> NameCollection:
-    pages = [WebPage(**page_data) for page_data in block_data["pages"]]
-    return NameCollection(query_name=block_data["query_name"], pages=pages)
+_PAGE_FIELDS = frozenset(field.name for field in fields(WebPage))
+_REQUIRED_PAGE_FIELDS = frozenset(
+    field.name for field in fields(WebPage) if field.default is MISSING)
+
+
+def _block_from_payload(block_data: dict, where) -> NameCollection:
+    query_name = block_data["query_name"]
+    pages = []
+    for index, page_data in enumerate(block_data["pages"]):
+        unknown = sorted(page_data.keys() - _PAGE_FIELDS)
+        missing = sorted(_REQUIRED_PAGE_FIELDS - page_data.keys())
+        if unknown or missing:
+            problem = (f"missing field {missing[0]!r}" if missing
+                       else f"unknown field {unknown[0]!r}")
+            raise ValueError(f"{where}: block {query_name!r}, page {index}: "
+                             f"{problem}")
+        pages.append(WebPage(**page_data))
+    return NameCollection(query_name=query_name, pages=pages)

@@ -31,8 +31,8 @@ from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.ml.sampling import sample_training_pairs, training_runs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.executor import BlockExecutor, executor_for_workers
-from repro.runtime.stats import RunStats, Timer
-from repro.runtime.tasks import PrepareBlockTask, run_block_tasks
+from repro.runtime.stats import RunStats
+from repro.runtime.tasks import PrepareBlockTask, run_pass
 from repro.similarity.functions import default_functions
 
 
@@ -96,32 +96,19 @@ class ExperimentContext:
             raise ValueError(
                 "a retained prepare cache requires serial execution; "
                 "parallel workers fill transient per-process caches")
-        stats = RunStats.for_executor("prepare", executor)
-        features_by_name = {}
-        graphs_by_name = {}
         payloads = [PrepareBlockTask(pipeline=pipeline, block=block,
                                      functions=tuple(functions),
                                      backend=backend, cache=cache)
                     for block in collection]
-        with Timer() as timer:
-            try:
-                for name, features, graphs, task_stats in run_block_tasks(
-                        executor, "prepare", payloads,
-                        weights=[len(block) for block in collection],
-                        stats=stats):
-                    features_by_name[name] = features
-                    graphs_by_name[name] = graphs
-                    stats.add_task(task_stats)
-            finally:
-                # The pool is ours only if we built it from `workers=`;
-                # caller-provided executors stay open for reuse.
-                if owns_executor:
-                    executor.close()
-        stats.wall_seconds = timer.seconds
-        stats.finish_executor(executor)
+        # The pool is ours only if we built it from `workers=`;
+        # caller-provided executors stay open for reuse.
+        results, stats = run_pass(executor, "prepare", "prepare", payloads,
+                                  close=owns_executor)
         return cls(collection=collection,
-                   features_by_name=features_by_name,
-                   graphs_by_name=graphs_by_name,
+                   features_by_name={name: features
+                                     for name, features, _ in results},
+                   graphs_by_name={name: graphs
+                                   for name, _, graphs in results},
                    stats=stats)
 
     def seeds(self, n_runs: int = 5, base_seed: int = 0) -> list[int]:
@@ -136,22 +123,12 @@ class RunResult:
     Attributes:
         stats: aggregated engine stats across the runs (fit + evaluate
             passes), when the strategy ran through the engine.
-        stage_seconds: aggregated per-stage wall time across the runs'
-            plan executions (``stage name -> seconds``), when the
-            strategy ran through stage plans.
     """
 
     label: str
     #: one entry per run: query name -> metric report
     per_seed_reports: list[dict[str, MetricReport]] = field(default_factory=list)
     stats: RunStats | None = None
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-
-    def add_stage_stats(self, stage_stats) -> None:
-        """Fold one plan run's per-stage timings into the aggregate."""
-        for entry in stage_stats or []:
-            self.stage_seconds[entry.stage] = (
-                self.stage_seconds.get(entry.stage, 0.0) + entry.seconds)
 
     def names(self) -> list[str]:
         return list(self.per_seed_reports[0]) if self.per_seed_reports else []
@@ -180,8 +157,7 @@ def run_config(context: ExperimentContext, config: ResolverConfig,
     Each run fits a fresh :class:`~repro.core.model.ResolverModel` on its
     training draw, then evaluates the model's (label-free) predictions —
     the same fit → predict → score split the serving API uses.  Both
-    passes are stage-plan executions; their per-stage timings accumulate
-    on the result's ``stage_seconds`` alongside the merged engine stats.
+    passes' engine stats merge into the result's ``stats``.
     ``executor`` (default: the config's) schedules the per-block work of
     both passes; when the config selects a parallel backend, one
     persistent pool is built here and reused by every seed's fit and
@@ -211,8 +187,6 @@ def run_config(context: ExperimentContext, config: ResolverConfig,
                 result.stats = (
                     stats if result.stats is None
                     else result.stats.merged(stats, phase="protocol"))
-            result.add_stage_stats(model.fit_stage_stats)
-            result.add_stage_stats(resolution.stage_stats)
     finally:
         if owns_executor:
             executor.close()

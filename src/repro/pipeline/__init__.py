@@ -1,59 +1,11 @@
-"""Composable stage pipeline and the online serving facade.
+"""The online serving facade.
 
-The package splits the paper's monolithic flow into typed, swappable
-stages (see :mod:`repro.pipeline.stages`), composes them into plans
-(:mod:`repro.pipeline.plan`), and serves single-page online traffic
-through :class:`~repro.pipeline.session.ResolutionSession`.
-
-Importing this package registers the built-in stages in
-:data:`repro.core.registry.STAGES` (the registry also loads them lazily
-on first read, so plans resolve even without an explicit import).
-
-``ResolutionSession`` is exported lazily: the registry's built-in
-loading may import this package while ``repro.core`` modules are still
-initializing, and the session module depends on them at import time.
+:class:`~repro.pipeline.session.ResolutionSession` serves single-page
+online traffic against a fitted model; the batch passes over a whole
+collection are ``EntityResolver.fit`` and ``ResolverModel.predict`` /
+``evaluate`` (see ``docs/pipeline.md``).
 """
 
-from repro.pipeline import stages as _stages  # registers the built-ins
-from repro.pipeline.artifacts import (
-    Blocks,
-    Corpus,
-    Decisions,
-    FeatureSet,
-    Resolution,
-    SimilarityGraphs,
-)
-from repro.pipeline.plan import Pipeline, PlanError, fit_plan, predict_plan
-from repro.pipeline.stage import (
-    PipelineContext,
-    Stage,
-    StageStats,
-    format_stage_stats,
-)
+from repro.pipeline.session import ResolutionSession, SessionStats
 
-__all__ = [
-    "Blocks",
-    "Corpus",
-    "Decisions",
-    "FeatureSet",
-    "Pipeline",
-    "PipelineContext",
-    "PlanError",
-    "Resolution",
-    "ResolutionSession",
-    "SessionStats",
-    "SimilarityGraphs",
-    "Stage",
-    "StageStats",
-    "fit_plan",
-    "format_stage_stats",
-    "predict_plan",
-]
-
-
-def __getattr__(name: str):
-    if name in ("ResolutionSession", "SessionStats"):
-        from repro.pipeline import session
-
-        return getattr(session, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["ResolutionSession", "SessionStats"]

@@ -56,8 +56,7 @@ Two phases serve every page: :meth:`ResolutionSession.admit`
 ``resolve`` runs one after the other; the threaded
 :class:`~repro.serving.engine.ServingEngine` schedules the same two.
 
-``repro pipeline explain`` shows the batch plans; ``repro serve`` runs a
-demo loop over this class.
+``repro serve`` runs a demo loop over this class.
 """
 
 from __future__ import annotations

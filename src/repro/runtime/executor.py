@@ -21,7 +21,7 @@ selected by ``ResolverConfig.executor`` / ``workers`` or the CLI's
   determinism guarantee.
 
 The process pool forks **once** per executor instance and is reused by
-every subsequent ``run`` call — pipeline stages sharing one executor
+every subsequent ``run`` call — collection passes sharing one executor
 share one fork wave (:attr:`ProcessPoolBlockExecutor.fork_waves` counts
 them; the runtime bench asserts one wave per run).  Payloads are
 dispatched as *chunks* — contiguous slices in payload order, or, when
@@ -225,9 +225,9 @@ class ProcessPoolBlockExecutor(BlockExecutor):
 
     The pool is created **once**, on the first parallel ``run``, and
     reused by every later call — an executor threaded through a whole
-    fit/predict run pays exactly one fork wave for all of its pipeline
-    stages (:attr:`fork_waves` counts waves; worker state like loaded
-    registries and attached shards amortizes across stages).  ``close``
+    fit/predict run pays exactly one fork wave for all of its passes
+    (:attr:`fork_waves` counts waves; worker state like loaded
+    registries and attached shards amortizes across passes).  ``close``
     (or context-manager exit, or garbage collection) shuts the pool
     down; a run that raises shuts it down eagerly so no orphaned
     workers outlive the failure.

@@ -3,10 +3,9 @@
 :data:`clock` is the one clock every measurement reads (:class:`Timer`
 measures a block with it); :func:`rate` is the zero-safe ratio behind
 every hit rate and mean; :class:`LatencyReservoir` keeps bounded request
-latencies with their total.  :class:`StatsRecord` is the base of the six
+latencies with their total.  :class:`StatsRecord` is the base of the five
 stats records — :class:`TaskStats` and :class:`RunStats` here,
 :class:`~repro.runtime.cache.CacheStats`,
-:class:`~repro.pipeline.stage.StageStats`,
 :class:`~repro.pipeline.session.SessionStats` and
 :class:`~repro.serving.engine.EngineStats` — whose fields stay plain
 attributes, so a reader polls a live record without a call.
@@ -241,8 +240,8 @@ class RunStats(StatsRecord):
             this and ``available_cores`` means a cpuset/container limit.
         cpuset_limited: ``available_cores < host_cores``.
         fork_waves: worker-pool creations this pass caused (0 for
-            serial; a persistent pool shared across stages reports 1 on
-            the first stage and 0 on the rest).
+            serial; a persistent pool shared across passes reports 1 on
+            the first pass and 0 on the rest).
         wall_seconds: end-to-end wall time of the pass.
         n_blocks: number of blocks scheduled.
         pairs_scored: pairwise similarity values actually computed (cache
@@ -290,7 +289,7 @@ class RunStats(StatsRecord):
         Duck-typed over any :class:`~repro.runtime.executor.BlockExecutor`:
         serial backends lack ``effective_workers``/``fork_waves`` and
         report 1 effective worker, 0 fork waves.  ``fork_waves`` captures
-        the executor's *current* wave count; stages that reuse a
+        the executor's *current* wave count; passes that reuse a
         persistent pool subtract their starting count to report only the
         waves they caused (see ``finish_executor``).
         """

@@ -6,7 +6,9 @@ a payload dataclass and a module-level task function here, and these
 bodies are the only code that works on a block in a collection pass:
 :func:`run_block_tasks` runs them inline for a serial executor and in
 pool workers for a parallel one, so which process runs a unit changes
-nothing but the schedule.  Process-pool workers can only run
+nothing but the schedule.  :func:`run_pass` wraps one such fan-out in
+the pass's :class:`~repro.runtime.stats.RunStats`; ``prepare``, ``fit``
+and ``predict`` / ``evaluate`` all go through it.  Process-pool workers can only run
 module-level functions over picklable payloads, and cannot touch the
 parent's caches or counters — which is why every task measures itself
 and returns a :class:`~repro.runtime.stats.TaskStats` alongside its
@@ -32,7 +34,7 @@ from repro.corpus.documents import NameCollection
 from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
-from repro.runtime.stats import TaskStats, Timer, clock
+from repro.runtime.stats import RunStats, TaskStats, Timer, clock
 from repro.similarity.base import SimilarityFunction, read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -41,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.extraction.pipeline import ExtractionPipeline
     from repro.graph.entity_graph import WeightedPairGraph
     from repro.runtime.executor import BlockExecutor
-    from repro.runtime.stats import RunStats
 
 
 def block_graphs(
@@ -147,10 +148,7 @@ class FitBlockTask:
     graphs: dict[str, "WeightedPairGraph"] | None
     pipeline: "ExtractionPipeline | None"
     training_seed: int
-    #: materialized features from an eager extraction stage (skips
-    #: in-worker extraction when graphs are absent).
-    features: dict | None = None
-    #: candidate-pair mask from the blocking stage (``None``: dense).
+    #: candidate-pair mask from blocking (``None``: dense).
     mask: frozenset | None = None
 
 
@@ -172,7 +170,6 @@ def run_fit_block(
     resolver = EntityResolver(payload.config)
     graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
                           resolver.functions, cache,
-                          features=payload.features,
                           backend=payload.config.backend,
                           mask=payload.mask)
     fitted = resolver.fit_block(payload.block, graphs,
@@ -194,10 +191,7 @@ class PredictBlockTask:
     graphs: dict[str, "WeightedPairGraph"] | None
     pipeline: "ExtractionPipeline | None"
     evaluate: bool
-    #: materialized features from an eager extraction stage (skips
-    #: in-worker extraction when graphs are absent).
-    features: dict | None = None
-    #: candidate-pair mask from the blocking stage (``None``: dense).
+    #: candidate-pair mask from blocking (``None``: dense).
     mask: frozenset | None = None
 
 
@@ -220,7 +214,6 @@ def run_predict_block(
     model = ResolverModel(config=payload.config, blocks={})
     graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
                           model.scoring_functions(payload.fitted), cache,
-                          features=payload.features,
                           backend=payload.config.backend,
                           mask=payload.mask)
     serve = model.evaluate_fitted if payload.evaluate else model.predict_fitted
@@ -276,7 +269,7 @@ def run_sharded_block(task: ShardedBlockTask) -> Any:
 def run_block_tasks(executor: "BlockExecutor", kind: str,
                     payloads: Sequence[Any],
                     weights: Sequence[int] | None = None,
-                    stats: "RunStats | None" = None) -> list[Any]:
+                    stats: RunStats | None = None) -> list[Any]:
     """Run one fan-out of block tasks, results in payload order.
 
     The scheduling entry point of every collection pass.  Serial
@@ -304,3 +297,39 @@ def run_block_tasks(executor: "BlockExecutor", kind: str,
         sharded = [ShardedBlockTask(handle=handle, index=index)
                    for index in range(len(payloads))]
         return executor.run(run_sharded_block, sharded, weights=weights)
+
+
+def run_pass(executor: "BlockExecutor", kind: str, phase: str,
+             payloads: Sequence[Any], started: float | None = None,
+             close: bool = False) -> tuple[list[tuple], RunStats]:
+    """One collection pass's fan-out and its one stats record.
+
+    Runs a ``kind`` task per payload through :func:`run_block_tasks`,
+    weighted by block page count, and folds every task's
+    :class:`~repro.runtime.stats.TaskStats` into a ``phase``
+    :class:`~repro.runtime.stats.RunStats`.  Returns each task's result
+    without its stats (``(query_name, ...)`` tuples, in payload order)
+    and the record.
+
+    ``wall_seconds`` runs from ``started`` (a :data:`clock` reading;
+    default: now), so a driver that blocked the collection first counts
+    blocking too.  ``close=True`` hands the executor over: it is closed
+    once the fan-out ends, inside the wall clock, raise or not — the
+    drivers pass it for an executor they built, never for a caller's.
+    """
+    started = clock() if started is None else started
+    stats = RunStats.for_executor(phase, executor)
+    results = []
+    try:
+        for *result, task_stats in run_block_tasks(
+                executor, kind, payloads,
+                weights=[len(payload.block) for payload in payloads],
+                stats=stats):
+            results.append(tuple(result))
+            stats.add_task(task_stats)
+    finally:
+        if close:
+            executor.close()
+    stats.wall_seconds = clock() - started
+    stats.finish_executor(executor)
+    return results, stats

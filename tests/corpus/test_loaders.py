@@ -1,6 +1,7 @@
 """Serialization round-trip tests."""
 
 import json
+import re
 
 import pytest
 
@@ -127,3 +128,60 @@ class TestJsonlRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="block-per-line"):
             read_jsonl_header(path)
+
+
+class TestMalformedFiles:
+    """A malformed corpus file fails with a ValueError naming the file."""
+
+    @staticmethod
+    def names(path, *parts):
+        return re.escape(str(path)) + ".*" + ".*".join(
+            re.escape(part) for part in parts)
+
+    def test_truncated_json_names_the_path(self, small_dataset, tmp_path):
+        path = tmp_path / "dataset.json"
+        save_collection(small_dataset, path)
+        path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(ValueError, match=self.names(path)):
+            load_collection(path)
+
+    def test_non_utf8_bytes_name_the_path(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        path.write_bytes(b'{"format_version": 1, "name": "\xff\xfe"}')
+        with pytest.raises(ValueError, match=self.names(path)):
+            load_collection(path)
+
+    @pytest.mark.parametrize("drop, add, problem", [
+        ("url", None, "missing field 'url'"),
+        (None, "author", "unknown field 'author'"),
+    ])
+    def test_bad_page_key_names_path_block_and_field(
+            self, small_dataset, tmp_path, drop, add, problem):
+        path = tmp_path / "dataset.json"
+        save_collection(small_dataset, path)
+        payload = json.loads(path.read_text())
+        page = payload["collections"][1]["pages"][2]
+        if drop:
+            del page[drop]
+        if add:
+            page[add] = "x"
+        path.write_text(json.dumps(payload))
+        block = small_dataset.collections[1].query_name
+        with pytest.raises(ValueError, match=self.names(
+                path, f"block {block!r}", "page 2", problem)):
+            load_collection(path)
+
+    def test_truncated_jsonl_line_names_path_and_line(self, small_dataset,
+                                                      tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        save_blocks_jsonl(small_dataset.collections, path, name="x")
+        lines = path.read_bytes().splitlines(keepends=True)
+        # Header is line 1; truncate the second block, on line 3.
+        lines[2] = lines[2][:50] + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError, match=self.names(path, "line 3")):
+            load_collection(path)
+        blocks = iter_blocks_jsonl(path)
+        next(blocks)
+        with pytest.raises(ValueError, match=self.names(path, "line 3")):
+            next(blocks)

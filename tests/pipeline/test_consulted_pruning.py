@@ -3,7 +3,7 @@ nowhere but in the pair counts.
 
 The oracle is the unpruned pass spelled out by hand: score the whole
 battery, build every fitted layer, ``combiner.apply`` them all, cluster.
-Every label-free path (model predict, the cluster stage serial and across
+Every label-free path (model predict, the collection pass serial and across
 worker processes, the incremental bootstrap) must reproduce it exactly
 for every combiner, on both backends, dense and under a candidate mask.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.blocking.base import block_collection
 from repro.core.clusterers import cluster_combination
 from repro.core.combination import (
     Combiner,
@@ -30,9 +31,6 @@ from repro.core.registry import register_combiner
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import www05_like
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
-from repro.pipeline.artifacts import Corpus
-from repro.pipeline.stage import PipelineContext
-from repro.pipeline.stages import BlockingStage
 from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.executor import executor_for_workers
 from repro.similarity.functions import functions_subset
@@ -110,8 +108,7 @@ def without_stored_winner(model: ResolverModel) -> ResolverModel:
 def unpruned_oracle(model: ResolverModel, dataset):
     """Per block name: (partition, combination) of the unpruned pass."""
     config = model.config
-    ctx = PipelineContext(config=config, executor=executor_for_workers(1))
-    blocks = BlockingStage().run(Corpus(collection=dataset), ctx)
+    blocks, masks = block_collection(dataset, config.blocker)
     combiner = build_combiner(config.combiner)
     battery = functions_subset(config.function_names)
     oracle = {}
@@ -119,7 +116,7 @@ def unpruned_oracle(model: ResolverModel, dataset):
         fitted = model.blocks[block.query_name]
         graphs = batched_similarity_graphs(
             block, model.pipeline.extract_block(block), battery,
-            backend=config.backend, mask=blocks.mask_for(block.query_name))
+            backend=config.backend, mask=masks.get(block.query_name))
         combination = combiner.apply(
             build_decision_layers(fitted.layers, graphs),
             fitted.combiner_params)

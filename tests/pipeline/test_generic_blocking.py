@@ -8,18 +8,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro.blocking.base import Blocker, BlockingResult, pairs_within
+from repro.blocking.base import (
+    Blocker,
+    BlockingResult,
+    block_collection,
+    pairs_within,
+)
 from repro.blocking.token_blocking import TokenBlocker
 from repro.core.config import ResolverConfig
 from repro.core.registry import BLOCKERS, register_blocker
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import www05_like
 from repro.extraction.tokenizer import page_tokens
-from repro.pipeline.artifacts import Blocks, Corpus
-from repro.pipeline.plan import fit_plan
 from repro.pipeline.session import ResolutionSession
-from repro.pipeline.stage import PipelineContext
-from repro.pipeline.stages import BlockingStage
 from repro.runtime.executor import executor_for_workers
 from repro.serving.engine import ServingEngine
 
@@ -49,7 +50,7 @@ class TestBlockerRegistry:
         del payload["blocker"]
         assert ResolverConfig.from_dict(payload).blocker == "query_name"
 
-    def test_custom_blocker_registers_and_drives_the_stage(self, dataset):
+    def test_custom_blocker_registers_and_drives_blocking(self, dataset):
         @register_blocker("per_person_test", replace=True)
         class PerPersonBlocker(Blocker):
             """Oracle blocker: candidates = true co-referent pairs."""
@@ -67,28 +68,22 @@ class TestBlockerRegistry:
                     result.candidate_pairs.update(pairs_within(ids))
                 return result
 
-        config = ResolverConfig(blocker="per_person_test")
-        ctx = PipelineContext(config=config,
-                              executor=executor_for_workers(1))
-        blocks = BlockingStage().run(Corpus(collection=dataset), ctx)
-        assert isinstance(blocks, Blocks)
+        blocks, masks = block_collection(dataset, "per_person_test")
         # The oracle blocker yields one component per real person.
         n_persons = len({page.person_id for page in dataset.all_pages()})
         assert len(blocks) == n_persons
         for block in blocks:
-            mask = blocks.mask_for(block.query_name)
-            assert mask is not None and len(mask) == \
-                len(block) * (len(block) - 1) // 2
+            mask = masks[block.query_name]
+            assert len(mask) == len(block) * (len(block) - 1) // 2
 
 
 class TestQueryNamePathUnchanged:
-    def test_default_stage_emits_dense_per_name_blocks(self, dataset):
-        ctx = PipelineContext(config=ResolverConfig(),
-                              executor=executor_for_workers(1))
-        blocks = BlockingStage().run(Corpus(collection=dataset), ctx)
-        assert blocks.names() == dataset.query_names()
-        assert blocks.masks == {}
-        assert all(blocks.mask_for(name) is None for name in blocks.names())
+    def test_default_blocker_emits_dense_per_name_blocks(self, dataset):
+        blocks, masks = block_collection(dataset,
+                                         ResolverConfig().blocker)
+        assert [block.query_name for block in blocks] == \
+            dataset.query_names()
+        assert masks == {}
 
 
 class TestGenericFitPredict:
@@ -144,14 +139,11 @@ class TestGenericFitPredict:
             == [sorted(tuple(sorted(c)) for c in entry.predicted)
                 for entry in reference.blocks]
 
-    def test_fit_plan_blocks_carry_masks(self, dataset):
+    def test_generic_blocks_carry_masks(self, dataset):
         config = ResolverConfig(blocker="token")
-        ctx = PipelineContext(config=config,
-                              executor=executor_for_workers(1))
-        plan = fit_plan(config)
-        blocks = plan.stages[0].run(Corpus(collection=dataset), ctx)
-        assert blocks.masks
-        total_candidates = sum(len(mask) for mask in blocks.masks.values())
+        blocks, masks = block_collection(dataset, config.blocker)
+        assert masks.keys() == {block.query_name for block in blocks}
+        total_candidates = sum(len(mask) for mask in masks.values())
         assert total_candidates > 0
         # Masked graphs downstream carry candidate edges only: RunStats
         # pair accounting equals the candidate count per function.

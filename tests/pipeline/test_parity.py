@@ -1,23 +1,29 @@
-"""Staged fit/predict must be bit-identical to the pre-pipeline path.
+"""Collection fit/predict must be bit-identical to the per-block loops.
 
-The acceptance bar of the pipeline redesign: rehosting the monolithic
-collection loops onto stage plans changes *structure*, never *values*.
-These tests replicate the pre-redesign loops inline (the same way the
-runtime benchmark keeps a seed-path replica) and compare every
-observable output — fitted state, predictions, combination
-probabilities and metric reports — for serial and ``--workers 2``
-execution at several training seeds.
+The drivers block the collection and fan one task per block out; that
+structure must never change *values*.  These tests replicate the plain
+per-block loops inline (the same way the runtime benchmark keeps a
+seed-path replica) and compare every observable output — fitted state,
+predictions, combination probabilities and metric reports — for serial
+and ``--workers 2`` execution at several training seeds.  A checked-in
+pin then freezes the passes under every registered blocker, and three
+driver contracts close the file.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import ResolverConfig
 from repro.core.model import ResolverModel
 from repro.core.resolver import EntityResolver
+from repro.corpus.documents import DocumentCollection
 from repro.experiments.runner import ExperimentContext
-from repro.runtime.executor import ProcessPoolBlockExecutor
+from repro.runtime.executor import ProcessPoolBlockExecutor, SerialExecutor
 
 SEEDS = [0, 1]
 
@@ -149,13 +155,6 @@ class TestPredictParity:
 # both match the one pin.  Regenerate after an *intentional* change with::
 #
 #     PYTHONPATH=src python tests/pipeline/test_parity.py
-
-import hashlib  # noqa: E402
-import json  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from repro.corpus.documents import DocumentCollection  # noqa: E402
-from repro.runtime.executor import SerialExecutor  # noqa: E402
 
 PASSES_PIN = (Path(__file__).resolve().parents[1] / "data" / "golden"
               / "passes_golden.json")

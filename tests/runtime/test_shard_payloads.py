@@ -193,8 +193,7 @@ class TestBlockShardRoundTrip:
         block = small_dataset.collections[0]
         payload = PredictBlockTask(
             config=config, fitted=model.blocks[block.query_name],
-            block=block, graphs=None, pipeline=None, evaluate=False,
-            features=pipeline.extract_block(block))
+            block=block, graphs=None, pipeline=pipeline, evaluate=False)
         inline = run_predict_block(payload)
         with ShardStore(prefer_shared_memory=prefer_shm) as store:
             handle = store.publish(

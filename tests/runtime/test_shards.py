@@ -170,17 +170,17 @@ class TestShardedDispatch:
             assert results[0][2] == os.getpid()
             assert executor.fork_waves == 0
 
-    def test_features_predict_fanout_equals_inline(self, small_dataset,
+    def test_pipeline_predict_fanout_equals_inline(self, small_dataset,
                                                    pipeline):
-        """A predict fan-out carrying features, attached by workers
-        forked before the publish, gives the inline run's predictions."""
+        """A predict fan-out carrying the extraction pipeline, attached
+        by workers forked before the publish, gives the inline run's
+        predictions."""
         config = ResolverConfig()
         model = EntityResolver(config).fit(small_dataset, training_seed=0,
                                            pipeline=pipeline)
         payloads = [PredictBlockTask(
             config=config, fitted=model.blocks[block.query_name],
-            block=block, graphs=None, pipeline=None, evaluate=False,
-            features=pipeline.extract_block(block))
+            block=block, graphs=None, pipeline=pipeline, evaluate=False)
             for block in small_dataset]
         inline = run_block_tasks(SerialExecutor(), "predict", payloads)
         stats = RunStats(phase="predict")

@@ -1,7 +1,7 @@
-"""The public surface of the six stats records, pinned.
+"""The public surface of the five stats records, pinned.
 
-``RunStats``, ``TaskStats``, ``StageStats``, ``CacheStats``,
-``SessionStats`` and ``EngineStats`` are read by the CLI, the examples,
+``RunStats``, ``TaskStats``, ``CacheStats``, ``SessionStats`` and
+``EngineStats`` are read by the CLI, the examples,
 the benchmark harness and callers' dashboards.  Each is built here from
 fixed values and pinned on what a reader can see: its public attribute
 names (data fields and derived properties alike), its ``to_dict()`` key
@@ -19,7 +19,6 @@ import pytest
 
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.pipeline.session import SessionStats
-from repro.pipeline.stage import StageStats, format_stage_stats
 from repro.runtime.cache import CacheStats, SimilarityCache
 from repro.runtime.stats import RunStats, TaskStats
 from repro.serving.engine import EngineStats
@@ -79,8 +78,6 @@ class TestPublicAttributes:
         (TaskStats, {"query_name", "seconds", "pairs_scored", "cache_hits",
                      "cache_misses", "attach_unpickle_seconds"}),
         (RunStats, RUN_FIELDS | {"requested_workers", "cache_hit_rate"}),
-        (StageStats, {"stage", "seconds", "consumes", "produces",
-                      "run_stats"}),
         (CacheStats, {"pair_hits", "pair_misses", "feature_hits",
                       "feature_misses", "n_blocks", "hit_rate"}),
         (SessionStats, LATENCY_VIEW | {
@@ -135,27 +132,6 @@ class TestRunStats:
         }
         assert first.per_block_seconds == {"Alice": 0.5, "Bob": 0.25}
         assert first.merged(other).phase == "fit"
-
-
-class TestStageStats:
-    def test_to_dict_nests_the_run(self):
-        entry = StageStats(stage="fit", seconds=0.5,
-                           consumes="SimilarityGraphs", produces="Decisions",
-                           run_stats=run_stats())
-        payload = entry.to_dict()
-        assert set(payload) == {"stage", "seconds", "consumes", "produces",
-                                "run_stats"}
-        assert payload["run_stats"] == run_stats().to_dict()
-        bare = StageStats(stage="block", seconds=0.25, consumes="Corpus",
-                          produces="Blocks")
-        assert bare.to_dict()["run_stats"] is None
-
-    def test_format_line(self):
-        entries = [StageStats("block", 0.25, "Corpus", "Blocks"),
-                   StageStats("fit", 0.5, "SimilarityGraphs", "Decisions")]
-        assert format_stage_stats(entries) == \
-            "stages: block 0.250s | fit 0.500s"
-        assert format_stage_stats([]) == "stages: <none>"
 
 
 class TestCacheStats:
