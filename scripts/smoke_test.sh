@@ -30,13 +30,13 @@ if grep -rnE "session\._[a-z]|ResolutionSession\._" src/repro/serving; then
     echo "serving/ reaches into ResolutionSession privates" >&2; exit 1
 fi
 
-echo "== the drivers schedule nothing themselves =="
+echo "== the passes schedule nothing themselves =="
 # fit and predict build block payloads and hand them to run_pass; a
-# driver or the session asking whether the executor is serial is
+# pass or the session asking whether the executor is serial is
 # growing a second copy of a task body.
 if grep -rnE "is_serial|_run_serial|_run_parallel" src/repro/pipeline \
         src/repro/core; then
-    echo "a driver forks on the schedule again" >&2; exit 1
+    echo "a collection pass forks on the schedule again" >&2; exit 1
 fi
 
 echo "== one clock reader =="
@@ -74,9 +74,9 @@ fi
 
 echo "== one collection pass =="
 # fit and predict / evaluate block the collection and fan its blocks
-# out through run_pass, one driver and one RunStats per pass; a stage
+# out through run_pass, one function and one RunStats per pass; a stage
 # class, a plan, a stage registry or a plan= parameter is a second
-# driver around them.
+# layer around them.
 if [ -e src/repro/pipeline/stages.py ] \
         || grep -rnE 'class (Pipeline|Stage)\b|PipelineContext|StageStats|register_stage|STAGES =|plan=None' \
         src/repro; then

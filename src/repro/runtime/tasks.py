@@ -312,10 +312,10 @@ def run_pass(executor: "BlockExecutor", kind: str, phase: str,
     and the record.
 
     ``wall_seconds`` runs from ``started`` (a :data:`clock` reading;
-    default: now), so a driver that blocked the collection first counts
+    default: now), so a pass that blocked the collection first counts
     blocking too.  ``close=True`` hands the executor over: it is closed
     once the fan-out ends, inside the wall clock, raise or not — the
-    drivers pass it for an executor they built, never for a caller's.
+    passes set it for an executor they built, never for a caller's.
     """
     started = clock() if started is None else started
     stats = RunStats.for_executor(phase, executor)

@@ -1,13 +1,13 @@
 """Collection fit/predict must be bit-identical to the per-block loops.
 
-The drivers block the collection and fan one task per block out; that
+Each pass blocks the collection and fans one task per block out; that
 structure must never change *values*.  These tests replicate the plain
 per-block loops inline (the same way the runtime benchmark keeps a
 seed-path replica) and compare every observable output — fitted state,
 predictions, combination probabilities and metric reports — for serial
 and ``--workers 2`` execution at several training seeds.  A checked-in
 pin then freezes the passes under every registered blocker, and three
-driver contracts close the file.
+contracts of the passes close the file.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class SpyExecutor(SerialExecutor):
         self.closes += 1
 
 
-class TestDriverContracts:
+class TestPassContracts:
     def test_unfitted_name_raises_before_any_task(self, small_dataset):
         fitted_on = DocumentCollection(
             name="subset", collections=list(small_dataset)[:2],
