@@ -86,6 +86,26 @@ class TestQueryNamePathUnchanged:
         assert masks == {}
 
 
+class TestBlockCollection:
+    def test_unknown_blocker_rejected(self, dataset):
+        with pytest.raises(ValueError, match="known blockers"):
+            block_collection(dataset, "no_such_blocker")
+
+    @pytest.mark.parametrize("blocker", ["token", "sorted_neighborhood"])
+    def test_generic_blocks_partition_the_pages(self, dataset, blocker):
+        """Every page lands in exactly one block, and a block's mask
+        pairs only its own pages."""
+        blocks, masks = block_collection(dataset, blocker)
+        placed = [page.doc_id for block in blocks for page in block.pages]
+        assert sorted(placed) == sorted(
+            page.doc_id for page in dataset.all_pages())
+        assert len(set(placed)) == len(placed)
+        for block in blocks:
+            members = {page.doc_id for page in block.pages}
+            assert all(left in members and right in members
+                       for left, right in masks[block.query_name])
+
+
 class TestGenericFitPredict:
     @pytest.fixture(scope="class")
     def token_model(self, dataset):
