@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from repro.corpus.documents import NameCollection
 from repro.graph.entity_graph import PairKey, pair_key
@@ -39,12 +41,27 @@ def all_labeled_pairs(block: NameCollection) -> list[LabeledPair]:
 
 def _sample_pair_mode(block: NameCollection, fraction: float,
                       rng: random.Random) -> list[LabeledPair]:
-    """``"pairs"`` mode: sample a fraction of the labeled page pairs."""
-    pairs = all_labeled_pairs(block)
-    sample_size = max(1, math.ceil(fraction * len(pairs)))
-    if sample_size >= len(pairs):
-        return pairs
-    return rng.sample(pairs, sample_size)
+    """``"pairs"`` mode: sample a fraction of the labeled page pairs.
+
+    Draws pair *indices* into :func:`all_labeled_pairs`' order and
+    builds only the chosen pairs: ``rng.sample`` picks the same indices
+    from ``range(n_pairs)`` as from the list itself, so the sample is
+    that of ``rng.sample(all_labeled_pairs(block), k)``.
+    """
+    ids = block.page_ids()
+    n_pairs = len(ids) * (len(ids) - 1) // 2
+    sample_size = max(1, math.ceil(fraction * n_pairs))
+    if sample_size >= n_pairs:
+        return all_labeled_pairs(block)
+    # Row i's pairs (i, i+1..n-1) start at index starts[i].
+    starts = list(accumulate(range(len(ids) - 1, 0, -1), initial=0))
+    truth = block.ground_truth()
+    pairs: list[LabeledPair] = []
+    for index in rng.sample(range(n_pairs), sample_size):
+        i = bisect_right(starts, index) - 1
+        left, right = ids[i], ids[i + 1 + index - starts[i]]
+        pairs.append((pair_key(left, right), truth[left] == truth[right]))
+    return pairs
 
 
 def _sample_document_mode(block: NameCollection, fraction: float,

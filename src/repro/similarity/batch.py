@@ -20,12 +20,14 @@ sums).  Instead:
   the Pearson scorers merge their unions sorted.  Block vocabularies
   here are sorted the same way, so "ascending key" equals "ascending
   column".
-* **Sequential column folds.**  Pairwise dot products and Pearson
-  accumulators are folded column by column (``acc += column term``),
-  which performs, per pair, the exact float-operation sequence of the
-  scalar loop.  Implicit-zero columns contribute exact no-ops
-  (``x + ±0.0 == x``), so folding the full vocabulary equals folding
-  each pair's sparse intersection/union.
+* **Sequential row folds.**  The pairwise dot product — the one float
+  fold F1 and F8–F10 share — is folded per left row: that row's own
+  nonzero columns, ascending, times every right row's values there,
+  summed with one sequential ``np.add.accumulate`` down the column
+  axis.  Per pair that is the exact float-operation sequence
+  of the scalar loop over the sorted intersection; the columns it skips
+  would contribute exact no-ops (``x + ±0.0 == x``), so the result
+  equals folding the full vocabulary.
 * **Scalar per-page inputs.**  Per-page moments the scalar scorers
   derive themselves (norms, value sums) are the *same scalar folds*,
   over the page's whole entry in dict order, broadcast — so their bits
@@ -90,9 +92,9 @@ from repro.similarity.urls import domain_similarity, parse_url
 __all__ = ["BlockState", "Kernel", "ResidentRecord", "kernel_for",
            "recorded_family"]
 
-#: Columns folded per vectorized step.  Folding stays sequential per
-#: column (exactness); chunking only amortizes Python-loop overhead and
-#: keeps the per-step tensors cache-resident.
+#: Vocabulary columns per step of :func:`_weighted_jaccard_matrix`'s
+#: integer minimum sum: bounds its broadcast tensor at
+#: O(rectangle · _CHUNK) and keeps it cache-resident.
 _CHUNK = 32
 
 
@@ -524,26 +526,46 @@ class BlockState:
 
 def _pair_dot_fold(left: np.ndarray, right: np.ndarray,
                    live: np.ndarray) -> np.ndarray:
-    """Left × right dot products via a sequential ascending-column fold
-    over the ``live`` columns.
+    """Left × right dot products, one sequential fold per left row over
+    the ``live`` columns that row holds.
 
-    Per pair this performs ``acc += left[i, d] * right[j, d]`` for ``d``
-    ascending — exactly the scalar ``dot``'s fold over the sorted
-    intersection, with implicit zeros as exact no-ops.  Dropping the
-    columns :meth:`BlockState._live` rules out, like folding them,
-    leaves every read pair's operation sequence unchanged.
+    Per left row: gather its nonzero live columns in ascending position
+    (ascending key, the fold order), multiply them by every right row's
+    values there, and fold down the column axis with one
+    ``np.add.accumulate`` — sequential by definition — keeping its last
+    row.  Per pair that is ``acc += left[i, d] * right[j, d]`` for ``d``
+    ascending: exactly the scalar ``dot``'s fold over the sorted
+    intersection.  The columns left out (the row's zeros, and those
+    :meth:`BlockState._live` rules out) only drop exact no-op steps.
+    ``np.add.reduce`` is not used: it sums pairwise for some shapes.
+
+    The fold starts at the first product rather than at ``0.0``, so a
+    pair whose products are all zero could end at ``-0.0``; the final
+    ``+= 0.0`` gives the scalar fold's ``+0.0`` and changes no other
+    value.  On the square (``left is right``) each row folds only
+    the columns ``j >= i`` and the rest is mirrored: multiplication is
+    commutative, so the mirror is exact.
     """
     acc = np.zeros((len(left), len(right)))
-    if not acc.size or not live.any():
-        return acc
     symmetric = left is right
-    left = np.ascontiguousarray(left[:, live].T)
-    right = left if symmetric else np.ascontiguousarray(right[:, live].T)
-    for start in range(0, len(left), _CHUNK):
-        terms = (left[start:start + _CHUNK, :, None]
-                 * right[start:start + _CHUNK, None, :])
-        for term in terms:
-            acc += term
+    left = left[:, live]
+    terms = np.ascontiguousarray((left if symmetric else right[:, live]).T)
+    # Row-major, so each row's columns come out ascending.
+    owners, columns = np.nonzero(left)
+    weights = left[owners, columns][:, None]
+    ends = np.searchsorted(owners, np.arange(1, len(left) + 1)).tolist()
+    start = 0
+    for row, end in enumerate(ends):
+        if end > start:
+            first = row if symmetric else 0
+            products = terms[columns[start:end], first:]
+            products *= weights[start:end]
+            acc[row, first:] = np.add.accumulate(products, out=products)[-1]
+        start = end
+    if symmetric:
+        lower = np.tril_indices(len(acc), -1)
+        acc[lower] = acc.T[lower]
+    acc += 0.0
     return acc
 
 

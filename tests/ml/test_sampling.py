@@ -1,7 +1,11 @@
 """Training-sample selection tests."""
 
+import math
+import random
+
 import pytest
 
+from repro.corpus.documents import NameCollection
 from repro.ml.sampling import (
     all_labeled_pairs,
     sample_training_pairs,
@@ -66,6 +70,25 @@ class TestSampleTrainingPairs:
     def test_unknown_mode_raises(self, small_block):
         with pytest.raises(ValueError, match="unknown sampling mode"):
             sample_training_pairs(small_block, fraction=0.1, mode="nope")
+
+
+class TestPairModeDrawsIndices:
+    """``"pairs"`` mode builds only the sampled pairs, and its sample is
+    the one ``rng.sample`` draws from the full list of labeled pairs."""
+
+    @pytest.mark.parametrize("n_pages", [0, 1, 2, 3, 7, 30])
+    @pytest.mark.parametrize("fraction", [0.05, 0.1, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_same_sample_as_the_full_list(self, small_block, n_pages,
+                                          fraction, seed):
+        block = NameCollection(small_block.query_name,
+                               small_block.pages[:n_pages])
+        pairs = all_labeled_pairs(block)
+        size = max(1, math.ceil(fraction * len(pairs)))
+        expected = (pairs if size >= len(pairs)
+                    else random.Random(seed).sample(pairs, size))
+        assert sample_training_pairs(block, fraction=fraction,
+                                     seed=seed) == expected
 
 
 class TestTrainingRuns:

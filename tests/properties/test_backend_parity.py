@@ -9,16 +9,23 @@ counterexample is a reproducible (seed, pages, noise) triple.
 
 from __future__ import annotations
 
+import random
 import struct
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ResolverConfig
+from repro.core.model import ResolverModel
 from repro.core.resolver import EntityResolver
-from repro.corpus.datasets import custom_dataset
+from repro.corpus.datasets import custom_dataset, www05_like
+from repro.corpus.documents import NameCollection
 from repro.corpus.generator import GeneratorConfig
+from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
+from repro.serving import ServingEngine, verify_serial_equivalence
 from repro.similarity.backends import NumpyBackend, PythonBackend
 from repro.similarity.batch import _pairwise_path_distances
 from repro.similarity.extended import full_battery
@@ -41,6 +48,16 @@ def assert_weights_bit_identical(reference, candidate):
             (key, value, candidate[key])
 
 
+def assert_scores_bit_identical(ids, features, mask=None):
+    """The whole F1–F14 battery, ``python`` ≡ ``numpy`` byte for byte."""
+    battery = full_battery()
+    reference = PYTHON.block_scores(ids, features, battery, mask=mask)
+    candidate = NUMPY.block_scores(ids, features, battery, mask=mask)
+    assert reference.keys() == candidate.keys()
+    for name in reference:
+        assert_weights_bit_identical(reference[name], candidate[name])
+
+
 def generated_block(seed: int, pages: int, alpha: float):
     config = GeneratorConfig(pages_per_name=pages, max_clusters=3,
                              cluster_size_alpha=alpha, vocabulary_seed=7)
@@ -61,13 +78,7 @@ class TestScoreMatrixParity:
     def test_full_battery_matrices_bit_identical(self, inputs):
         seed, pages, alpha = inputs
         block, features = generated_block(seed, pages, alpha)
-        ids = block.page_ids()
-        battery = full_battery()
-        reference = PYTHON.block_scores(ids, features, battery)
-        candidate = NUMPY.block_scores(ids, features, battery)
-        assert reference.keys() == candidate.keys()
-        for name in reference:
-            assert_weights_bit_identical(reference[name], candidate[name])
+        assert_scores_bit_identical(block.page_ids(), features)
 
     @settings(max_examples=10, deadline=None)
     @given(block_inputs)
@@ -98,6 +109,96 @@ class TestScoreMatrixParity:
             candidate = NUMPY.pair_scores(function, new, others)
             assert [bits(value) for value in reference] == \
                 [bits(value) for value in candidate], function.name
+
+
+class TestBenchmarkShapes:
+    """The benchmark's deep shapes: 52-page blocks and bursts of 8 onto
+    100 residents, where a row holds dozens of shared terms and a long
+    dot fold would show any reassociation in its last bits."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        """One 108-page name, extracted, with a model fitted on its
+        first 30 pages that consults every function."""
+        collection = www05_like(seed=5, pages_per_name=108,
+                                names=["William Cohen"])
+        block = collection.collections[0]
+        pipeline = EntityResolver(ResolverConfig()).pipeline_for(collection)
+        features = pipeline.extract_block(block)
+        head = NameCollection(block.query_name, block.pages[:30])
+        model = EntityResolver(ResolverConfig(
+            combiner="weighted_average", backend="python")).fit(
+            head, training_seed=0, features=features)
+        return block, features, model
+
+    def test_a_52_page_block_dense_and_masked(self, deep):
+        block, features, _ = deep
+        ids = block.page_ids()[:52]
+        assert_scores_bit_identical(ids, features)
+        rng = random.Random(0)
+        mask = frozenset(pair_key(left, right)
+                         for i, left in enumerate(ids)
+                         for right in ids[i + 1:] if rng.random() < 0.4)
+        assert_scores_bit_identical(ids, features, mask)
+
+    def test_a_burst_of_8_onto_100_residents(self, deep):
+        block, features, model = deep
+        residents, arriving = block.pages[:100], block.pages[100:108]
+
+        def serve(backend):
+            engine = ServingEngine(
+                ResolverModel(replace(model.config, backend=backend),
+                              model.blocks),
+                record_journal=True)
+            bootstrap = engine.resolve(residents, features=features)
+            futures = [engine.submit(page, features=features)
+                       for page in arriving]
+            engine.flush()
+            assert engine.stats.coalesced_batches == 1
+            report = verify_serial_equivalence(engine)
+            assert report["identical"], report["diffs"]
+            return (bootstrap, [future.result() for future in futures],
+                    engine.clusters(block.query_name))
+
+        assert serve("python") == serve("numpy")
+
+
+class TestOddPages:
+    """A page with empty title and text, a page with no URL and a
+    ~100k-token page in one block: both backends fit and evaluate it,
+    to the same bits."""
+
+    @pytest.fixture(scope="class")
+    def odd(self):
+        config = GeneratorConfig(pages_per_name=12, max_clusters=3,
+                                 vocabulary_seed=7)
+        collection = custom_dataset(["Ada Wong"], seed=3, config=config,
+                                    cluster_counts={"Ada Wong": 3})
+        pages = collection.collections[0].pages
+        pages[1] = replace(pages[1], title="", text="")
+        pages[2] = replace(pages[2], url="")
+        words = pages[3].text.split()
+        pages[3] = replace(pages[3], text=" ".join(
+            words * (100_000 // len(words) + 1)))
+        return collection
+
+    def test_scores_bit_identical(self, odd):
+        block = odd.collections[0]
+        pipeline = EntityResolver(ResolverConfig()).pipeline_for(odd)
+        features = pipeline.extract_block(block)
+        assert features[block.pages[3].doc_id].n_tokens >= 100_000
+        assert_scores_bit_identical(block.page_ids(), features)
+
+    def test_fit_and_evaluate_on_both_backends(self, odd):
+        def resolve(backend):
+            model = EntityResolver(ResolverConfig(backend=backend)).fit(
+                odd, training_seed=0)
+            entry = model.evaluate_collection(odd).blocks[0]
+            return (sorted(tuple(sorted(cluster))
+                           for cluster in entry.predicted),
+                    bits(entry.report.fp), bits(entry.report.f1))
+
+        assert resolve("python") == resolve("numpy")
 
 
 class TestClusteringParity:
