@@ -15,14 +15,26 @@ and commit the updated ``tests/data/golden/similarity_golden.json``
 together with the change that motivated it (see ``docs/testing.md``).
 JSON serializes floats via ``repr``, which round-trips ``float``
 exactly, so the stored values are bit-precise.
+
+To compare instead of write::
+
+    PYTHONPATH=src python scripts/regenerate_goldens.py --check
+
+rebuilds the payload with each available backend (``numpy`` only where
+it imports), prints the drifted values per function and exits non-zero
+on any drift.  It writes nothing and needs neither pytest nor, on the
+``python`` backend, numpy — so a bare interpreter can check itself.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -121,6 +133,53 @@ def build_golden_pinned(backend: str = "python") -> dict:
     return json.loads(result.stdout)
 
 
+def drift(stored: dict, rebuilt: dict) -> Counter:
+    """Values of ``rebuilt`` whose bits differ from ``stored``, counted
+    per function (a missing or extra pair counts too), plus
+    ``resolution`` for each differing clustering or metric."""
+    def bits(value: float) -> bytes:
+        return struct.pack("<d", value)
+
+    counts: Counter = Counter()
+    for block, per_function in stored["graphs"].items():
+        fresh_block = rebuilt["graphs"].get(block, {})
+        for function in per_function.keys() | fresh_block.keys():
+            old = {(left, right): bits(value) for left, right, value
+                   in per_function.get(function, ())}
+            new = {(left, right): bits(value) for left, right, value
+                   in fresh_block.get(function, ())}
+            counts[function] += sum(old.get(pair) != new.get(pair)
+                                    for pair in old.keys() | new.keys())
+    for block, old in stored["resolution"].items():
+        new = rebuilt["resolution"].get(block, {})
+        counts["resolution"] += old.get("clusters") != new.get("clusters")
+        counts["resolution"] += sum(
+            metric not in new or bits(old[metric]) != bits(new[metric])
+            for metric in ("fp", "f1", "rand"))
+    counts["resolution"] += len(rebuilt["resolution"].keys()
+                                - stored["resolution"].keys())
+    return counts
+
+
+def check() -> int:
+    """Compare every available backend's rebuild with the stored
+    fixture; 1 on any drift."""
+    stored = json.loads(GOLDEN_PATH.read_text())
+    backends = ["python"]
+    if importlib.util.find_spec("numpy") is not None:
+        backends.append("numpy")
+    drifted = False
+    for backend in backends:
+        counts = drift(stored, build_golden_pinned(backend))
+        total = sum(counts.values())
+        drifted |= total > 0
+        listed = ", ".join(f"{name} {count}" for name, count
+                           in sorted(counts.items()) if count)
+        print(f"{backend} (Python {sys.version.split()[0]}): "
+              f"{total} drifted" + (f" — {listed}" if listed else ""))
+    return 1 if drifted else 0
+
+
 def main() -> None:
     payload = build_golden_pinned()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -135,5 +194,7 @@ def main() -> None:
 if __name__ == "__main__":
     if len(sys.argv) >= 3 and sys.argv[1] == "--emit":
         json.dump(build_golden(sys.argv[2]), sys.stdout)
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     else:
         main()

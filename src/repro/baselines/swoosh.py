@@ -22,6 +22,7 @@ from repro.core.labels import TrainingSample
 from repro.core.thresholds import learn_threshold
 from repro.corpus.documents import NameCollection
 from repro.extraction.features import PageFeatures
+from repro.folds import left_sum
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.metrics.clusterings import Clustering
 from repro.similarity.base import SimilarityFunction
@@ -47,7 +48,7 @@ def merge_features(left: PageFeatures, right: PageFeatures) -> PageFeatures:
     for vector in (left.concept_vector, right.concept_vector):
         for key, value in vector.items():
             concept_vector[key] = concept_vector.get(key, 0.0) + value / 2.0
-    total = sum(concept_vector.values())
+    total = left_sum(concept_vector.values())
     if total > 0:
         concept_vector = {k: v / total for k, v in concept_vector.items()}
 

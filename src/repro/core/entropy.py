@@ -34,6 +34,7 @@ from repro.core.labels import TrainingSample
 from repro.core.regions import Regions
 from repro.core.thresholds import learn_threshold
 from repro.extraction.features import PageFeatures
+from repro.folds import left_sum
 from repro.graph.entity_graph import WeightedPairGraph
 
 #: PageFeatures attributes that can be "missing" on a page.
@@ -49,10 +50,10 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
     Raises:
         ValueError: if the distribution does not sum to ~1.
     """
-    total = sum(probabilities)
+    total = left_sum(probabilities)
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    entropy = -sum(p * math.log2(p) for p in probabilities if p > 0.0)
+    entropy = -left_sum(p * math.log2(p) for p in probabilities if p > 0.0)
     return max(0.0, entropy)  # avoid -0.0 for degenerate distributions
 
 
@@ -155,5 +156,6 @@ class EntropyWeightedCombiner(Combiner):
             weights.append(gain + 1e-6)
         combined = average_probabilities(layers, weights)
         threshold = learn_threshold(training.labeled_values(combined))
-        return thresholded_result(combined, threshold.threshold,
-                                  diagnostics={"total_gain": sum(weights)})
+        return thresholded_result(
+            combined, threshold.threshold,
+            diagnostics={"total_gain": left_sum(weights)})

@@ -38,6 +38,7 @@ from repro.core.model import (
 from repro.core.resolver import EntityResolver
 from repro.corpus.documents import NameCollection
 from repro.extraction.features import PageFeatures
+from repro.folds import left_sum
 from repro.metrics.clusterings import Clustering
 from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity.backends import Rectangle, resolve_backend
@@ -338,7 +339,7 @@ class IncrementalResolver:
             layer = state.chosen_layer
             return list(layer.fitted.link_probabilities(
                 scores[layer.function_name]))
-        total = sum(state.layer_weights)
+        total = left_sum(state.layer_weights)
         probabilities = []
         for column in zip(*(layer.fitted.link_probabilities(
                 scores[layer.function_name]) for layer in state.layers)):

@@ -37,6 +37,7 @@ from itertools import chain, compress, repeat
 from operator import add, eq, mul
 
 from repro.core.regions import EqualWidthRegions, KMeansRegions, ThresholdRegions
+from repro.folds import left_sum
 from repro.graph.entity_graph import DecisionGraph, PairLayout, as_list
 
 
@@ -80,7 +81,7 @@ class ListRoute:
                 weights: Sequence[float]) -> list[float]:
         """``Σ_l w_l · v_l / Σ_l w_l`` per entry, folded left in layer
         order."""
-        total = sum(weights)
+        total = left_sum(weights)
         numerators = [0.0] * len(vectors[0])
         for vector, weight in zip(vectors, weights):
             numerators = list(map(add, numerators,
@@ -184,7 +185,7 @@ class NumpyRoute:
         return np.where(entries >= 0, taken, 0.0).tolist()
 
     def average(self, vectors, weights: Sequence[float]):
-        total = sum(weights)
+        total = left_sum(weights)
         numerators = self.np.zeros(len(vectors[0]))
         for vector, weight in zip(vectors, weights):
             numerators = numerators + weight * self.vector(vector)

@@ -46,6 +46,7 @@ from repro.corpus.vocabulary import (
     build_vocabulary,
     vocabulary_sizes,
 )
+from repro.folds import left_sum
 
 #: Valid :attr:`GeneratorConfig.seeding` schemes.
 SEEDING_SCHEMES = ("sequential", "independent")
@@ -284,7 +285,7 @@ def _zipf_cluster_sizes(rng: random.Random, n_pages: int, n_clusters: int,
         raise ValueError(f"cannot split {n_pages} pages into {n_clusters} clusters")
     weights = [1.0 / (rank ** alpha) for rank in range(1, n_clusters + 1)]
     rng.shuffle(weights)
-    total = sum(weights)
+    total = left_sum(weights)
     sizes = [1] * n_clusters
     remaining = n_pages - n_clusters
     # Largest-remainder apportionment of the leftover pages.

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.corpus.vocabulary import Vocabulary
+from repro.folds import left_sum
 
 
 @dataclass
@@ -156,7 +157,7 @@ def sample_profile(
     n_concepts = min(n_concepts, len(pools.concepts))
     concept_choices = rng.sample(pools.concepts, n_concepts)
     raw_weights = [rng.uniform(0.5, 2.0) for _ in concept_choices]
-    total = sum(raw_weights)
+    total = left_sum(raw_weights)
     concepts = {c: w / total for c, w in zip(concept_choices, raw_weights)}
 
     organizations = rng.sample(pools.organizations,

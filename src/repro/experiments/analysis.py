@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.core.entropy import feature_availability, value_entropy
 from repro.corpus.datasets import surname
 from repro.experiments.runner import ExperimentContext, RunResult
+from repro.folds import left_sum
 from repro.similarity.functions import ALL_FUNCTION_NAMES
 
 
@@ -80,11 +81,11 @@ def _pearson(xs: list[float], ys: list[float]) -> float:
     n_points = len(xs)
     if n_points < 2:
         return 0.0
-    mean_x = sum(xs) / n_points
-    mean_y = sum(ys) / n_points
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = left_sum(xs) / n_points
+    mean_y = left_sum(ys) / n_points
+    cov = left_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = left_sum((x - mean_x) ** 2 for x in xs)
+    var_y = left_sum((y - mean_y) ** 2 for y in ys)
     if var_x == 0.0 or var_y == 0.0:
         return 0.0
     return cov / (var_x ** 0.5 * var_y ** 0.5)

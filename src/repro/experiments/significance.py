@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.experiments.runner import RunResult
+from repro.folds import left_sum
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def permutation_test(differences: list[float], n_permutations: int = 10_000,
     if not differences:
         raise ValueError("no differences to test")
     rng = random.Random(seed)
-    observed = sum(differences) / len(differences)
+    observed = left_sum(differences) / len(differences)
     at_least_as_large = 0
     for _ in range(n_permutations):
         total = 0.0
@@ -100,8 +101,8 @@ def bootstrap_interval(differences: list[float], n_resamples: int = 10_000,
     n_values = len(differences)
     means = []
     for _ in range(n_resamples):
-        total = sum(differences[rng.randrange(n_values)]
-                    for _ in range(n_values))
+        total = left_sum(differences[rng.randrange(n_values)]
+                         for _ in range(n_values))
         means.append(total / n_values)
     means.sort()
     tail = (1.0 - confidence) / 2.0
@@ -119,7 +120,7 @@ def compare_strategies(result_a: RunResult, result_b: RunResult,
         label_a=result_a.label,
         label_b=result_b.label,
         metric=metric,
-        mean_difference=sum(differences) / len(differences),
+        mean_difference=left_sum(differences) / len(differences),
         p_value=permutation_test(differences, seed=seed),
         ci_low=ci_low,
         ci_high=ci_high,

@@ -3,7 +3,8 @@
 ``ExtractionPipeline`` turns raw :class:`~repro.corpus.documents.WebPage`
 objects into :class:`~repro.extraction.features.PageFeatures`.  Each page
 is read once: one tokenization and one lower-casing feed the dictionary
-NER, the concept spotter and the TF-IDF term counts.  TF-IDF is weighed
+NER, the concept spotter and the TF-IDF term counts (where the NER does
+not run, one pass reads lower-cased tokens).  TF-IDF is weighed
 per blocking unit (one ambiguous name's pages) because that is the
 comparison universe of the paper's pipeline; the per-block statistics
 live in a :class:`BlockContext`, which can keep growing after the batch
@@ -36,7 +37,11 @@ from repro.extraction.features import (
 from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.stopwords import build_stopword_set
 from repro.extraction.tfidf import TfidfVectorizer
-from repro.extraction.tokenizer import lower_all, page_tokens
+from repro.extraction.tokenizer import (
+    lower_all,
+    page_lowered_tokens,
+    page_tokens,
+)
 from repro.similarity.strings import jaro_winkler, name_similarity
 
 
@@ -230,7 +235,7 @@ class ExtractionPipeline:
         """
         if context.reads_tfidf:
             for page in pages:
-                self._join(lower_all(page_tokens(page)), context)
+                self._join(page_lowered_tokens(page), context)
 
     def _join(self, lowered: list[str], context: BlockContext) -> Counter:
         """Count one page's lower-cased tokens into ``context``."""
@@ -247,18 +252,24 @@ class ExtractionPipeline:
         once the whole block has joined (``None``: not read).
 
         The page is tokenised at most once, and only when an extractor
-        that reads tokens runs.
+        that reads tokens runs; without the NER, which reads case, and
+        without ``tokens`` in hand, it is read straight into lower-cased
+        tokens (:func:`~repro.extraction.tokenizer.page_lowered_tokens`).
         """
         ner, concepts, tfidf = (context.reads_ner, context.reads_concepts,
                                 context.reads_tfidf)
         fields: dict[str, object] = {}
         term_counts = None
         if ner or concepts or tfidf:
-            if tokens is None:
-                tokens = page_tokens(page)
-            fields["n_tokens"] = len(tokens)
-            if concepts or tfidf:
-                lowered = lower_all(tokens)
+            if tokens is None and not ner:
+                lowered = page_lowered_tokens(page)
+                fields["n_tokens"] = len(lowered)
+            else:
+                if tokens is None:
+                    tokens = page_tokens(page)
+                fields["n_tokens"] = len(tokens)
+                if concepts or tfidf:
+                    lowered = lower_all(tokens)
             if tfidf:
                 term_counts = self._join(lowered, context)
             if ner:

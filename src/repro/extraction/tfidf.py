@@ -16,6 +16,7 @@ from itertools import repeat
 from operator import mul, truediv
 
 from repro.extraction.tokenizer import lower_all
+from repro.folds import left_sum
 
 
 class _IdfByFrequency(dict):
@@ -89,10 +90,16 @@ class TfidfVectorizer:
 
         The one filtered count both :meth:`observe` and :meth:`weigh`
         read, so a document is filtered once however often it is used.
+        Every token is counted in one pass and then the distinct terms
+        are filtered: the same counts, in the same first-seen order, as
+        counting the kept tokens.
         """
         stopwords, shortest = self.stopwords, self.min_token_length
-        return Counter([token for token in lowered
-                        if len(token) >= shortest and token not in stopwords])
+        counts = Counter(lowered)
+        for term in [term for term in counts
+                     if len(term) < shortest or term in stopwords]:
+            del counts[term]
+        return counts
 
     def observe(self, term_counts: Counter) -> None:
         """Add one document (its :meth:`count_terms`) to the corpus."""
@@ -119,7 +126,7 @@ class TfidfVectorizer:
                 map(term_counts.__getitem__, terms)),
             map(self._idf.__getitem__,
                 map(self._document_frequency.get, terms, repeat(0)))))
-        norm = math.sqrt(sum(map(mul, weights, weights)))
+        norm = math.sqrt(left_sum(map(mul, weights, weights)))
         return dict(zip(terms, map(truediv, weights, repeat(norm))))
 
     def fit(self, documents: Sequence[list[str]]) -> "TfidfVectorizer":

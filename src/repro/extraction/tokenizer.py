@@ -39,6 +39,20 @@ def page_tokens(page) -> list[str]:
     return _TOKEN.findall(f"{page.title}. {page.text}")
 
 
+def page_lowered_tokens(page) -> list[str]:
+    """``lower_all(page_tokens(page))``, for a reader that needs no case.
+
+    ASCII text is lower-cased whole and tokenised in one regex pass:
+    there ``str.lower`` maps letters to letters one to one and leaves
+    everything else alone, so the tokens are the same.  Other text is
+    tokenised first and lowered token by token (:func:`lower_all`).
+    """
+    text = f"{page.title}. {page.text}"
+    if text.isascii():
+        return _TOKEN.findall(text.lower())
+    return lower_all(_TOKEN.findall(text))
+
+
 def lower_all(tokens: list[str]) -> list[str]:
     """``tokens`` lower-cased one by one, positions preserved.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
+from repro.folds import left_sum
 from repro.metrics.bcubed import bcubed_scores
 from repro.metrics.clusterings import Clustering
 from repro.metrics.pairwise import pairwise_scores
@@ -78,7 +79,8 @@ def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
         raise ValueError("cannot average zero reports")
     n_reports = len(reports)
     means = {
-        f.name: sum(getattr(report, f.name) for report in reports) / n_reports
+        f.name: left_sum(getattr(report, f.name) for report in reports)
+        / n_reports
         for f in fields(MetricReport)
     }
     return MetricReport(**means)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+
+from repro.folds import left_sum
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,13 @@ def kmeans_1d(values: Sequence[float], k: int, max_iterations: int = 100) -> KMe
         boundaries = _midpoints(centers)
         # Assign: data is sorted, so clusters are contiguous runs; run i
         # ends at the first value at or past boundary i (never before
-        # run i - 1 ends).  Each run's sum is a sequential left fold —
-        # ``sum()`` may compensate its rounding on newer Pythons.
+        # run i - 1 ends).  Each run's sum is a sequential left fold.
         edges = [0]
         for boundary in boundaries:
             edges.append(max(edges[-1], bisect_left(data, boundary)))
         edges.append(n_values)
         new_centers = [
-            reduce(add, data[start:end], 0.0) / (end - start)
+            left_sum(data[start:end]) / (end - start)
             if end > start else center
             for start, end, center in zip(edges, edges[1:], centers)
         ]

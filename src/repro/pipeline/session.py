@@ -39,10 +39,12 @@ Typical deployment loop::
         assignments = session.resolve(request.pages)
 
 A raw page is read once and extracted for what its slot reads.
-Admission tokenises a raw page and the unit carries the tokens to
-extraction; until the first nameless route, a page whose features the
-request carries is not read at admission (only by that route's
-indexing).  Each slot holds the read set of the fitted state it serves
+Until the first nameless route, admission does not read a named page:
+extraction reads it, for what its slot needs (an F2-only slot reads no
+page text at all), and a page whose features the request carries is
+read only by that route's indexing.  From that route on, admission
+tokenises every page for the index and the unit carries the tokens to
+extraction.  Each slot holds the read set of the fitted state it serves
 (the ``PageFeatures`` fields the functions its combiner consults
 declare — under best-graph selection one function's), and only the
 extractor groups behind those fields run: a TF-IDF slot
@@ -193,8 +195,8 @@ class AdmittedUnit:
     cold: bool
     #: ``page_tokens`` of ``pages``, in order — admission's one pass over
     #: each page's text, handed on to extraction.  An entry is ``None``
-    #: when admission did not read the page: it is named, the request
-    #: carries its features and no nameless page has been routed yet.
+    #: when admission did not read the page: it is named and no
+    #: nameless page has been routed yet (extraction reads it then).
     tokens: list[list[str] | None]
 
 
@@ -384,9 +386,9 @@ class ResolutionSession:
         the LRU bookkeeping (prepared / evicted counts, eviction order)
         happens in admission order — and indexes the pages for nameless
         routing.  Until the session routes its first nameless page, a
-        named page is only queued for the index and read only when
-        extraction will read it, i.e. unless ``features`` carries it;
-        from then on every page is read and indexed here.
+        named page is only queued for the index, not read: extraction
+        reads it, if its slot reads page text and ``features`` does not
+        carry it; from then on every page is read and indexed here.
 
         Not thread-safe: concurrent callers serialise admissions (the
         serving engine holds its admission lock around this call).
@@ -404,13 +406,11 @@ class ResolutionSession:
         """
         # At most one pass over each page's text serves routing, the
         # index and (through the unit) extraction.
-        carried = features or {}
         index_now = self._index_on_admit
         grouped: OrderedDict[str, list[tuple]] = OrderedDict()
         for page in as_page_list(pages):
             if page.query_name and not index_now:
-                tokens = None if page.doc_id in carried else page_tokens(page)
-                keys = None
+                tokens = keys = None
             else:
                 tokens = page_tokens(page)
                 keys = self._token_blocker.token_keys(tokens)

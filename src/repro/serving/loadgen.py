@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.model import ResolverModel
 from repro.corpus.documents import WebPage
 from repro.extraction.features import PageFeatures
+from repro.folds import left_sum
 from repro.runtime.stats import Timer, clock, percentile, rate
 
 __all__ = ["LoadReport", "LoadRequest", "run_load"]
@@ -71,7 +72,7 @@ class LoadReport:
 
     @property
     def mean_seconds(self) -> float:
-        return rate(sum(self.latencies), len(self.latencies))
+        return rate(left_sum(self.latencies), len(self.latencies))
 
     @property
     def p50_seconds(self) -> float:

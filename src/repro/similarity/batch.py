@@ -38,9 +38,10 @@ sums).  Instead:
 
 The Jaro-based string measures (F3, F7) have no kernel and fall back to
 the scalar sweep, memoization intact.  F2 *does* have a block kernel —
-its expensive part is an integer edit distance, exact under any
-implementation, batched here as a pair-vectorized Myers bit-parallel DP
-(see the URL-similarity section below).
+its expensive parts are integer edit distances (page paths, and the
+domain pairs that reach the domain score's edit-distance fallback),
+exact under any implementation, run as the lanes of one Myers
+bit-parallel sweep per block (see the URL-similarity section below).
 
 One record, three layouts
 -------------------------
@@ -78,16 +79,17 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, mul
 
 import numpy as np
 
 from repro.extraction.features import PageFeatures
+from repro.folds import left_sum
 from repro.graph.entity_graph import PairKey, PairLayout, pair_position
 from repro.similarity import extended as _extended
 from repro.similarity import functions as _base
 from repro.similarity.strings import levenshtein
-from repro.similarity.urls import domain_similarity, parse_url
+from repro.similarity.urls import parse_url
 
 __all__ = ["BlockState", "Kernel", "ResidentRecord", "kernel_for",
            "recorded_family"]
@@ -112,8 +114,8 @@ def _moments(kind: str, count: int, values: list | None) -> tuple:
     """
     if kind == "set":
         return count, 0.0, 0.0, 0.0
-    square = sum(value * value for value in values)
-    return count, sum(values), math.sqrt(square), square
+    square = left_sum(map(mul, values, values))
+    return count, left_sum(values), math.sqrt(square), square
 
 
 class _Family:
@@ -672,150 +674,191 @@ def _weighted_jaccard_matrix(state: BlockState, spec: tuple) -> np.ndarray:
 
 # -- URL similarity (integer edit distances vectorize exactly) -------------
 #
-# F2 is a string measure, but its expensive part — the path edit
-# distance — is an *integer*, so any correct Levenshtein implementation
-# is automatically bit-exact; only the final ``0.8·domain + 0.2·path``
-# combination touches floats, with identical operands.  Domain scores
-# repeat across the block's few distinct domains and are computed once
-# with the scalar :func:`~repro.similarity.urls.domain_similarity`
-# (exactly the prepared scorer's memo).  The other string measures (F3,
-# F7: Jaro–Winkler plus name-form logic) do not vectorize and stay on
-# the scalar path.
+# F2 is a string measure, but its expensive parts — the path edit
+# distance of every read pair, and the edit-distance fallback of
+# :func:`~repro.similarity.urls.domain_similarity` for the distinct
+# domain pairs that reach it — are *integers*, so any correct
+# Levenshtein implementation is bit-exact; only the final float
+# combinations touch floats, with the scalar path's operands.  Both sets
+# of distances run as lanes of one bit-parallel Myers sweep per block
+# (:func:`_edit_distances`).  The other string measures (F3, F7:
+# Jaro–Winkler plus name-form logic) do not vectorize and stay on the
+# scalar path.
 
-#: Myers' algorithm below packs one DP column per uint64; longer
-#: patterns (never seen for generated URL paths) fall back to the scalar
-#: implementation pair by pair.
-_MAX_BITPARALLEL_LENGTH = 63
+#: One DP column per uint64 lane: a pattern (the shorter string) of up
+#: to 64 characters is swept; a longer one (never seen for generated
+#: URLs) takes the scalar :func:`~repro.similarity.strings.levenshtein`.
+_WORD = 64
+
+#: Lanes per sweep: bounds the gathered match words at ``_LANES`` words
+#: per text character (a 150-page block has 11 175 page pairs).
+_LANES = 1 << 14
 
 
-def _path_distances(paths: list[str], rows: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-    """Levenshtein distance of ``(paths[i], paths[j])`` per index pair.
+def _edit_distances(strings: list[str], first: np.ndarray,
+                    second: np.ndarray) -> np.ndarray:
+    """Levenshtein distance of ``(strings[first[k]], strings[second[k]])``
+    per lane ``k``, as int64.
 
-    Batched Myers/Hyyrö bit-parallel: one DP column per pair packed in a
-    uint64, all pairs advanced together one text character per step.
+    ``strings`` is meant to be interned: equal ids are distance 0
+    without a lane (a table with repeats is still exact — its equal
+    pairs just take a lane).  A lane with an empty side is the other
+    side's length.  Every other lane runs Myers' bit-parallel algorithm
+    (:func:`_sweep`), with the shorter string as the pattern; lanes
+    are ordered by text length, longest first.
     """
-    lengths = np.asarray([len(path) for path in paths], dtype=np.int64)
-    # Pattern = the shorter side (fewer bits), text = the longer.
-    swap = lengths[rows] > lengths[cols]
-    pattern_idx = np.where(swap, cols, rows)
-    text_idx = np.where(swap, rows, cols)
-    equal = np.asarray([paths[i] == paths[j]
-                        for i, j in zip(rows.tolist(), cols.tolist())],
-                       dtype=bool)
-    pattern_len = lengths[pattern_idx]
-    text_len = lengths[text_idx]
-    scores = np.where(pattern_len == 0, text_len, 0).astype(np.int64)
+    lengths = np.fromiter(map(len, strings), np.int64, len(strings))
+    swap = lengths[first] > lengths[second]
+    pattern = np.where(swap, second, first)
+    text = np.where(swap, first, second)
+    pattern_len, text_len = lengths[pattern], lengths[text]
+    distances = np.where(pattern_len == 0, text_len, 0)
+    swept = (pattern != text) & (pattern_len > 0)
+    overlong = swept & (pattern_len > _WORD)
+    for lane in np.flatnonzero(overlong).tolist():
+        distances[lane] = levenshtein(strings[pattern[lane]],
+                                      strings[text[lane]])
+    lanes = np.flatnonzero(swept & ~overlong)
+    if not lanes.size:
+        return distances
+    lanes = lanes[np.argsort(-text_len[lanes], kind="stable")]
 
-    live = (~equal) & (pattern_len > 0) \
-        & (pattern_len <= _MAX_BITPARALLEL_LENGTH)
-    overlong = (~equal) & (pattern_len > _MAX_BITPARALLEL_LENGTH)
-    for pair in np.flatnonzero(overlong).tolist():
-        scores[pair] = levenshtein(paths[pattern_idx[pair]],
-                                   paths[text_idx[pair]])
+    # Character codes (0 pads a text past its end) and, per string, the
+    # pattern bitmap of each code, built with Python ints.
+    alphabet: dict[str, int] = {}
+    steps = int(text_len[lanes[0]])
+    codes = np.zeros((len(strings), steps), dtype=np.intp)
+    bitmaps = []
+    for row, string in enumerate(strings):
+        row_codes = [alphabet.setdefault(char, len(alphabet) + 1)
+                     for char in string]
+        codes[row, :min(len(string), steps)] = row_codes[:steps]
+        bits: dict[int, int] = {}
+        for offset, code in enumerate(row_codes[:_WORD]):
+            bits[code] = bits.get(code, 0) | (1 << offset)
+        bitmaps.append(bits)
+    table = np.zeros((len(strings), len(alphabet) + 1), dtype=np.uint64)
+    for row, bits in enumerate(bitmaps):
+        table[row, list(bits)] = list(bits.values())
 
-    if live.any():
-        alphabet = {"": 0}
-        for path in paths:
-            for char in path:
-                alphabet.setdefault(char, len(alphabet))
-        max_len = int(lengths.max())
-        codes = np.zeros((len(paths), max_len), dtype=np.int64)
-        for row, path in enumerate(paths):
-            codes[row, :len(path)] = [alphabet[char] for char in path]
-        bitmaps = np.zeros((len(paths), len(alphabet)), dtype=np.uint64)
-        for row, path in enumerate(paths):
-            # Python-int bit sets, one array store per path; only
-            # patterns (at most 63 characters) ever read their bitmaps.
-            bits: dict[int, int] = {}
-            for offset, char in enumerate(path[:_MAX_BITPARALLEL_LENGTH]):
-                code = alphabet[char]
-                bits[code] = bits.get(code, 0) | (1 << offset)
-            bitmaps[row, list(bits)] = list(bits.values())
-
-        p_idx = pattern_idx[live]
-        t_idx = text_idx[live]
-        p_len = pattern_len[live]
-        t_len = text_len[live]
-        one = np.uint64(1)
-        mask = (one << p_len.astype(np.uint64)) - one
-        high = one << (p_len.astype(np.uint64) - one)
-        vp = mask.copy()
-        vn = np.zeros(len(p_idx), dtype=np.uint64)
-        score = p_len.copy()
-        page_bitmaps = bitmaps[p_idx]
-        for step in range(int(t_len.max())):
-            active = step < t_len
-            matches = page_bitmaps[np.arange(len(p_idx)),
-                                   codes[t_idx, step]]
-            diagonal_zero = ((((matches & vp) + vp) & mask) ^ vp) \
-                | matches | vn
-            horizontal_positive = (vn | ~(diagonal_zero | vp)) & mask
-            horizontal_negative = vp & diagonal_zero
-            gained = (horizontal_positive & high) != 0
-            lost = ((horizontal_negative & high) != 0) & ~gained
-            score = score + np.where(active & gained, 1, 0) \
-                - np.where(active & lost, 1, 0)
-            shifted_positive = ((horizontal_positive << one) | one) & mask
-            shifted_negative = (horizontal_negative << one) & mask
-            new_vp = (shifted_negative
-                      | ~(diagonal_zero | shifted_positive)) & mask
-            new_vn = shifted_positive & diagonal_zero
-            vp = np.where(active, new_vp, vp)
-            vn = np.where(active, new_vn, vn)
-        scores[live] = score
-    return scores
-
-
-def _pairwise_path_distances(paths: list[str]) -> np.ndarray:
-    """Levenshtein distance for every unordered path pair (the square,
-    symmetric int64 matrix over :func:`_path_distances`)."""
-    distances = np.zeros((len(paths), len(paths)), dtype=np.int64)
-    rows, cols = np.triu_indices(len(paths), k=1)
-    if rows.size:
-        scores = _path_distances(paths, rows, cols)
-        distances[rows, cols] = scores
-        distances[cols, rows] = scores
+    for start in range(0, len(lanes), _LANES):
+        chunk = lanes[start:start + _LANES]
+        distances[chunk] = _sweep(table, codes, pattern[chunk], text[chunk],
+                                  pattern_len[chunk], text_len[chunk])
     return distances
+
+
+def _sweep(table: np.ndarray, codes: np.ndarray, pattern: np.ndarray,
+           text: np.ndarray, pattern_len: np.ndarray,
+           text_len: np.ndarray) -> np.ndarray:
+    """Myers' bit-parallel Levenshtein (Hyyrö's formulation) over lanes
+    ordered by text length, longest first: one DP column per lane in a
+    uint64, every lane advanced one text character per step.
+
+    * The lanes still running at step ``s`` are a prefix, so a
+      finished lane simply drops off it — no per-step freeze.
+    * Every step's match words (``table`` rows are the strings' pattern
+      bitmaps, ``codes`` their character codes) are gathered once,
+      before the loop.
+    * Nothing is masked to the pattern length: additions carry and
+      left shifts move bits only upward, and every other operation is
+      bitwise, so the bits above a pattern never reach bit ``m - 1`` —
+      the one bit read, per step, for the score.  That is also why a
+      64-character pattern fits its lane.
+    """
+    steps = int(text_len[0])
+    # Row ``s``: every lane's match word for its text's character ``s``.
+    matches = table.ravel()[pattern * table.shape[1]
+                            + codes[text, :steps].T]
+    # Lanes still running at step ``s``: those whose text is longer.
+    running = len(pattern) - np.cumsum(
+        np.bincount(text_len, minlength=steps))[:steps]
+    one = np.uint64(1)
+    high = one << (pattern_len - 1).astype(np.uint64)
+    positive = np.full(len(pattern), ~np.uint64(0))
+    negative = np.zeros(len(pattern), dtype=np.uint64)
+    score = pattern_len.copy()
+    for step, active in enumerate(running.tolist()):
+        positive, negative = positive[:active], negative[:active]
+        match = matches[step, :active]
+        diagonal_zero = (((match & positive) + positive) ^ positive) \
+            | match | negative
+        horizontal_positive = negative | ~(diagonal_zero | positive)
+        horizontal_negative = positive & diagonal_zero
+        top = high[:active]
+        score[:active] += (horizontal_positive & top) != 0
+        score[:active] -= (horizontal_negative & top) != 0
+        horizontal_positive = (horizontal_positive << one) | one
+        positive = (horizontal_negative << one) \
+            | ~(diagonal_zero | horizontal_positive)
+        negative = horizontal_positive & diagonal_zero
+    return score
 
 
 def _url_matrix(state: BlockState) -> np.ndarray:
     """F2 over exactly the pairs the state reads.
 
     Domain scores and path distances are per-pair quantities with no
-    shared fold, so nothing but the read pairs is computed — the
-    distinct (earlier domain, later domain) combinations among them, and
-    one Myers lane per pair — and the values are scattered into the
-    rectangle.
+    shared fold, so nothing but the read pairs is computed: one Myers
+    lane per pair's paths, and one per distinct (earlier domain, later
+    domain) combination among them that reaches ``domain_similarity``'s
+    edit-distance fallback — both in one :func:`_edit_distances` sweep
+    over the block's interned paths and domains — then the values are
+    scattered into the rectangle.  The domain cases mirror
+    ``domain_similarity`` (symmetric, so the order of a combination's
+    members does not matter).
     """
     parsed = [parse_url(url) if url else None for url in state.urls()]
-    domains = [entry.domain if entry is not None else "" for entry in parsed]
-    paths = [entry.path if entry is not None else "" for entry in parsed]
     earlier, later = state.pairs
+    interned: dict[str, int] = {}
+    path_ids = np.asarray(
+        [interned.setdefault(entry.path if entry else "", len(interned))
+         for entry in parsed], dtype=np.intp)
+    # Distinct domains in first-seen order, and per page its index.
+    domain_of: dict[str, int] = {}
+    domain_index = np.asarray(
+        [domain_of.setdefault(entry.domain if entry else "", len(domain_of))
+         for entry in parsed], dtype=np.intp)
+    domains = list(domain_of)
+    combos, combo_of_pair = np.unique(
+        np.minimum(domain_index[earlier], domain_index[later]) * len(domains)
+        + np.maximum(domain_index[earlier], domain_index[later]),
+        return_inverse=True)
+    left, right = np.divmod(combos, len(domains))
+    # ``domain_similarity``'s cases: an empty side, equal domains, a
+    # shared registrable suffix (the last two labels), else the fallback.
+    suffix_of: dict[tuple, int] = {}
+    suffixes = np.asarray(
+        [suffix_of.setdefault(tuple(labels[-2:]), len(suffix_of))
+         if len(labels) >= 2 else -1
+         for labels in (domain.split(".") for domain in domains)],
+        dtype=np.intp)
+    empty = np.asarray([not domain for domain in domains], dtype=bool)
+    empty_side = empty[left] | empty[right]
+    shared = (suffixes[left] == suffixes[right]) & (suffixes[left] >= 0)
+    fallback = ~empty_side & (left != right) & ~shared
+    domain_ids = np.asarray([interned.setdefault(domain, len(interned))
+                             for domain in domains], dtype=np.intp)
 
-    # Scalar domain_similarity once per distinct domain pair, called —
-    # like the dense table always was — with the domain first seen in
-    # the block on the left.
-    distinct = list(dict.fromkeys(domains))
-    column = {domain: index for index, domain in enumerate(distinct)}
-    domain_ids = np.asarray([column[domain] for domain in domains],
-                            dtype=np.int64)
-    domain_earlier, domain_later = domain_ids[earlier], domain_ids[later]
-    first = np.minimum(domain_earlier, domain_later)
-    second = np.maximum(domain_earlier, domain_later)
-    combos, combo_of_pair = np.unique(first * len(distinct) + second,
-                                      return_inverse=True)
-    domain_scores = np.asarray(
-        [domain_similarity(distinct[left], distinct[right])
-         for left, right in (divmod(combo, len(distinct))
-                             for combo in combos.tolist())],
-        dtype=float)[combo_of_pair]
+    strings = list(interned)
+    path_count = len(earlier)
+    distances = _edit_distances(
+        strings,
+        np.concatenate([path_ids[earlier], domain_ids[left[fallback]]]),
+        np.concatenate([path_ids[later], domain_ids[right[fallback]]]))
+    lengths = np.fromiter(map(len, strings), np.int64, len(strings))
 
-    path_lengths = np.asarray([len(path) for path in paths], dtype=np.int64)
-    longest = np.maximum(path_lengths[earlier], path_lengths[later])
-    distances = _path_distances(paths, earlier, later)
+    domain_scores = np.where(empty_side, 0.0,
+                             np.where(left == right, 1.0, 0.8))
+    longest = np.maximum(lengths[domain_ids[left[fallback]]],
+                         lengths[domain_ids[right[fallback]]])
+    domain_scores[fallback] = 0.5 * (1.0 - distances[path_count:] / longest)
+    domain_scores = domain_scores[combo_of_pair]
+
+    longest = np.maximum(lengths[path_ids[earlier]], lengths[path_ids[later]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        path_scores = 1.0 - distances / np.where(longest > 0, longest, 1)
+        path_scores = 1.0 - distances[:path_count] / np.where(
+            longest > 0, longest, 1)
     path_scores = np.where(longest > 0, path_scores, 1.0)
 
     value = 0.8 * domain_scores + (1.0 - 0.8) * path_scores

@@ -23,6 +23,7 @@ partitions.
 from __future__ import annotations
 
 from repro.extraction.features import PageFeatures
+from repro.folds import left_sum
 from repro.similarity.base import PairScorer, SimilarityFunction
 from repro.similarity.measures import (
     cosine,
@@ -211,7 +212,8 @@ def _prepare_f9(features: dict[str, PageFeatures]) -> PairScorer:
     """
     vectors = {doc_id: page.tfidf for doc_id, page in features.items()}
     key_sets = {doc_id: set(vector) for doc_id, vector in vectors.items()}
-    sums = {doc_id: sum(vector.values()) for doc_id, vector in vectors.items()}
+    sums = {doc_id: left_sum(vector.values())
+            for doc_id, vector in vectors.items()}
     squares = {doc_id: norm_squared(vector)
                for doc_id, vector in vectors.items()}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Collection, Set
 
+from repro.folds import left_sum
 from repro.similarity.vectors import SparseVector, dot, norm, norm_squared
 
 
@@ -55,8 +56,8 @@ def pearson_similarity(left: SparseVector, right: SparseVector) -> float:
     if dimension < 2:
         return 0.0
     product = dot(left, right)
-    sum_left = sum(left.values())
-    sum_right = sum(right.values())
+    sum_left = left_sum(left.values())
+    sum_right = left_sum(right.values())
     squared_left = norm_squared(left)
     squared_right = norm_squared(right)
     return pearson_from_moments(product, sum_left, sum_right, squared_left,

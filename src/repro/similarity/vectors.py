@@ -8,6 +8,10 @@ similarity measures need, always iterating over the smaller operand.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul
+
+from repro.folds import left_sum
 
 SparseVector = dict[str, float]
 
@@ -16,24 +20,25 @@ def dot(left: SparseVector, right: SparseVector) -> float:
     """Inner product of two sparse vectors."""
     if len(left) > len(right):
         left, right = right, left
-    return sum(value * right.get(key, 0.0) for key, value in left.items())
+    return left_sum(map(mul, left.values(),
+                        map(right.get, left, repeat(0.0))))
 
 
 def norm(vector: SparseVector) -> float:
     """Euclidean norm."""
-    return math.sqrt(sum(value * value for value in vector.values()))
+    return math.sqrt(left_sum(map(mul, vector.values(), vector.values())))
 
 
 def norm_squared(vector: SparseVector) -> float:
     """Squared Euclidean norm (avoids the sqrt when only ratios matter)."""
-    return sum(value * value for value in vector.values())
+    return left_sum(map(mul, vector.values(), vector.values()))
 
 
 def mean(vector: SparseVector, dimension: int) -> float:
     """Mean over an explicit ``dimension``-sized space (implicit zeros count)."""
     if dimension <= 0:
         raise ValueError("dimension must be positive")
-    return sum(vector.values()) / dimension
+    return left_sum(vector.values()) / dimension
 
 
 def l2_normalize(vector: SparseVector) -> SparseVector:

@@ -13,6 +13,7 @@ import pytest
 
 import repro.blocking.token_blocking as token_blocking
 import repro.extraction.pipeline as extraction_pipeline
+import repro.extraction.tokenizer as tokenizer
 import repro.pipeline.session as pipeline_session
 from repro.core.model import ResolverModel
 from repro.corpus.datasets import www05_like
@@ -87,17 +88,22 @@ def tiny_generator():
 @pytest.fixture()
 def page_reads(monkeypatch):
     """Doc ids of the pages anything tokenises (``page_tokens`` calls from
-    admission, blocking or extraction), in order, from the moment the
-    fixture is requested."""
+    admission, blocking or extraction, and extraction's
+    ``page_lowered_tokens``), in order, from the moment the fixture is
+    requested."""
     reads: list[str] = []
-    page_tokens = extraction_pipeline.page_tokens
 
-    def counting(page):
-        reads.append(page.doc_id)
-        return page_tokens(page)
+    def counting(reader):
+        def read(page):
+            reads.append(page.doc_id)
+            return reader(page)
+        return read
 
+    page_tokens = counting(tokenizer.page_tokens)
     for module in (extraction_pipeline, pipeline_session, token_blocking):
-        monkeypatch.setattr(module, "page_tokens", counting)
+        monkeypatch.setattr(module, "page_tokens", page_tokens)
+    monkeypatch.setattr(extraction_pipeline, "page_lowered_tokens",
+                        counting(tokenizer.page_lowered_tokens))
     return reads
 
 

@@ -121,3 +121,12 @@ class TestRunningStatistics:
         counts = vectorizer.count_terms(["the", "a", "acme", "acme", "labs"])
         assert counts == {"acme": 2, "labs": 1}
         assert vectorizer.weigh(Counter()) == {}
+
+    def test_count_terms_keeps_first_seen_order(self):
+        vectorizer = TfidfVectorizer(stopwords=frozenset({"the", "zeta"}))
+        tokens = ["zeta", "labs", "x", "the", "acme", "labs", "zeta", "x",
+                  "acme", "beta"]
+        counts = vectorizer.count_terms(tokens)
+        expected = Counter([token for token in tokens if len(token) >= 2
+                            and token not in vectorizer.stopwords])
+        assert list(counts.items()) == list(expected.items())

@@ -8,6 +8,7 @@ from repro.extraction.tokenizer import (
     is_initial,
     lower_all,
     lower_tokens,
+    page_lowered_tokens,
     page_tokens,
     sentences,
     tokenize,
@@ -89,6 +90,19 @@ class TestPageTokens:
         # tokens that are not on the page.
         page = self.page("\u0130stanbul", "300 \u212a")
         assert page_tokens(page) == ["stanbul"]
+
+
+class TestPageLoweredTokens:
+    def page(self, title, text):
+        return SimpleNamespace(title=title, text=text)
+
+    def test_equals_lowering_each_token(self):
+        for title, text in [("Acme Labs", "J. O'Neil x-Ray, 3 DOTS."),
+                            ("", ""), ("Title", ""),
+                            ("\u0130stanbul", "300 \u212a and \u00c9cole"),
+                            ("caf\u00e9", "Stra\u00dfe MIXED case")]:
+            page = self.page(title, text)
+            assert page_lowered_tokens(page) == lower_all(page_tokens(page))
 
 
 class TestCapitalizedPositions:

@@ -12,9 +12,12 @@ loudly.  Regenerate intentionally with
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
+import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,6 +92,17 @@ class TestGoldenFixture:
                     f"{backend} backend drifted on {block} metric "
                     f"{metric}: stored {stored[metric]!r}, recomputed "
                     f"{fresh[metric]!r}")
+
+    def test_check_counts_flipped_bits(self, golden):
+        """``regenerate_goldens.py --check`` counts drift per function."""
+        rebuilt = copy.deepcopy(golden)
+        block = next(iter(rebuilt["graphs"]))
+        entry = rebuilt["graphs"][block]["F2"][0]
+        entry[2] = math.nextafter(entry[2], 2.0)
+        rebuilt["resolution"][block]["fp"] += 1.0
+        assert sum(regenerate_goldens.drift(golden, golden).values()) == 0
+        assert regenerate_goldens.drift(golden, rebuilt) == Counter(
+            {"F2": 1, "resolution": 1})
 
     def test_goldens_cover_full_battery(self, golden):
         from repro.similarity.extended import SUBSET_I14

@@ -436,9 +436,10 @@ class TestReadSets:
         served = head + held_out
         assert {key for key, count in calls.items() if count} == ran
         assert all(calls[key] == len(served) for key in ran)
-        # one pass over each page's text — admission's, for the routing
-        # index; an F2 slot's extraction needs none
-        assert page_reads == [page.doc_id for page in served]
+        # one pass over each page's text — extraction's; an F2 slot reads
+        # none at all
+        assert page_reads == ([] if function == "F2"
+                              else [page.doc_id for page in served])
         prepared = session._prepared[base.query_name]
         assert prepared.context.n_pages == (len(served) if function == "F8"
                                             else 0)

@@ -13,6 +13,7 @@ import random
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,14 +24,16 @@ from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import custom_dataset, www05_like
 from repro.corpus.documents import NameCollection
 from repro.corpus.generator import GeneratorConfig
+from repro.extraction.features import PageFeatures
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.serving import ServingEngine, verify_serial_equivalence
 from repro.similarity.backends import NumpyBackend, PythonBackend
-from repro.similarity.batch import _pairwise_path_distances
+from repro.similarity.batch import _LANES, _edit_distances
 from repro.similarity.extended import full_battery
 from repro.similarity.functions import default_functions
 from repro.similarity.strings import levenshtein
+from repro.similarity.urls import url_similarity
 
 PYTHON = PythonBackend()
 NUMPY = NumpyBackend()
@@ -226,14 +229,98 @@ class TestClusteringParity:
         assert resolve("python") == resolve("numpy")
 
 
+#: Domains that are equal, share a registrable suffix, are empty, lack a
+#: dot or are non-ASCII, plus free-form ones that mostly reach
+#: ``domain_similarity``'s edit-distance fallback.
+_DOMAINS = st.sampled_from([
+    "", "example.org", "www.example.org", "people.example.org",
+    "EXAMPLE.org", "exämple.org", "例え.jp", "cs.例え.jp", "localhost",
+    "cs.cmu.edu", "cmu.edu", "a.b", "a..b", "x.org.",
+]) | st.text(alphabet="abé.-", max_size=12)
+_URLS = st.one_of(
+    st.just(""),
+    st.builds("http://{}/{}".format, _DOMAINS,
+              st.text(alphabet="ab/.-é09", max_size=70)),
+    st.builds("https://{}".format, _DOMAINS))
+
+
+def assert_distances(strings, first, second):
+    """``_edit_distances`` over these lanes equals ``levenshtein``."""
+    distances = _edit_distances(strings, np.asarray(first, dtype=np.intp),
+                                np.asarray(second, dtype=np.intp))
+    assert distances.tolist() == [
+        levenshtein(strings[i], strings[j]) for i, j in zip(first, second)]
+
+
 class TestBatchedStringKernels:
+    """F2's one Myers sweep per block, where it can break: lanes of very
+    different lengths, pattern widths at the word's edge, repeated
+    strings, and every ``domain_similarity`` case."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.text(alphabet="ab/.-xz09", max_size=70), max_size=8))
-    def test_pairwise_levenshtein_matches_scalar(self, paths):
-        distances = _pairwise_path_distances(paths)
-        for i, left in enumerate(paths):
-            for j, right in enumerate(paths):
-                if i < j:
-                    expected = levenshtein(left, right)
-                    assert distances[i, j] == expected
-                    assert distances[j, i] == expected
+    @given(st.lists(st.text(alphabet="ab/.-xz09é", max_size=70),
+                    max_size=8))
+    def test_pairwise_levenshtein_matches_scalar(self, strings):
+        first, second = np.triu_indices(len(strings), k=1)
+        assert_distances(strings, first.tolist(), second.tolist())
+        assert_distances(strings, second.tolist(), first.tolist())
+
+    @pytest.mark.parametrize("lengths", [
+        [1, 1, 70], [70, 1, 1], [0, 3, 70, 2, 2], [5, 40, 1, 39, 64, 1],
+    ])
+    def test_lanes_of_very_different_lengths_share_a_sweep(self, lengths):
+        rng = random.Random(len(lengths))
+        strings = ["".join(rng.choice("abc/") for _ in range(length))
+                   for length in lengths]
+        first, second = np.triu_indices(len(strings), k=1)
+        assert_distances(strings, first.tolist(), second.tolist())
+
+    @pytest.mark.parametrize("width", [62, 63, 64, 65])
+    def test_patterns_at_the_word_edge(self, width):
+        rng = random.Random(width)
+        pattern = "".join(rng.choice("ab") for _ in range(width))
+        texts = [pattern[::-1], pattern + "ab", "b" + pattern[1:],
+                 "".join(rng.choice("ab") for _ in range(width + 9)),
+                 pattern[:-1] + ("a" if pattern[-1] == "b" else "b")]
+        strings = [pattern, *texts]
+        lanes = range(1, len(strings))
+        assert_distances(strings, [0] * len(texts), list(lanes))
+        assert_distances(strings, list(lanes), [0] * len(texts))
+
+    def test_more_lanes_than_one_sweep_takes(self):
+        rng = random.Random(7)
+        strings = ["".join(rng.choice("ab/") for _ in range(rng.randint(1, 9)))
+                   for _ in range(190)]
+        first, second = np.triu_indices(len(strings), k=1)
+        assert len(first) > _LANES
+        assert_distances(strings, first.tolist(), second.tolist())
+
+    def test_repeated_strings(self):
+        strings = ["/a/b.html", "/a/b.html", "", "", "/a/c.html",
+                   "/a/b.html"]
+        first, second = np.triu_indices(len(strings), k=1)
+        assert_distances(strings, first.tolist(), second.tolist())
+        assert_distances(strings, [0, 2, 4], [0, 2, 4])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_URLS, min_size=2, max_size=10), st.randoms())
+    def test_f2_matches_url_similarity_dense_and_masked(self, urls, rng):
+        ids = [f"p{index}" for index in range(len(urls))]
+        features = {doc_id: PageFeatures(doc_id=doc_id, url=url)
+                    for doc_id, url in zip(ids, urls)}
+        f2 = [function for function in default_functions()
+              if function.name == "F2"]
+        mask = frozenset(pair_key(left, right)
+                         for i, left in enumerate(ids)
+                         for right in ids[i + 1:] if rng.random() < 0.5)
+        for layout in (None, mask):
+            scores = NUMPY.block_scores(ids, features, f2, mask=layout)["F2"]
+            expected = [(i, j) for i in range(len(ids))
+                        for j in range(i + 1, len(ids))
+                        if layout is None
+                        or pair_key(ids[i], ids[j]) in layout]
+            assert list(scores) == [pair_key(ids[i], ids[j])
+                                    for i, j in expected]
+            for i, j in expected:
+                assert bits(scores[pair_key(ids[i], ids[j])]) == bits(
+                    url_similarity(urls[i], urls[j])), (urls[i], urls[j])
