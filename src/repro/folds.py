@@ -4,26 +4,22 @@ Every float reduction in the package — sparse dot products and norms,
 per-page moments, weight totals, means — adds its terms one after
 another in iteration order.  That is the order the numpy kernels replay
 (:mod:`repro.similarity.batch`) and the order the golden fixtures froze.
-Builtin ``sum`` was that fold until Python 3.12, which made it
-compensate float rounding, so its results can differ in the last bits:
-there :func:`left_sum` is ``reduce(add, values, 0)``; before, it is the
-builtin itself (a C loop, a few microseconds cheaper per hundred terms).
-Both start from the integer ``0`` like ``sum``, so an empty fold is
+Builtin ``sum`` is not that fold on every interpreter: from Python 3.12
+it compensates float rounding, so its results can differ in the last
+bits.  :func:`left_sum` is ``reduce(add, values, 0)`` on every version;
+like ``sum`` it starts from the integer ``0``, so an empty fold is
 ``0``.  Integer sums are exact in any order and stay on the builtin.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable
 from functools import reduce
 from operator import add
 
 __all__ = ["left_sum"]
 
-if sys.version_info >= (3, 12):
-    def left_sum(values: Iterable[float]) -> float:
-        """``values`` added left to right, without compensation."""
-        return reduce(add, values, 0)
-else:
-    left_sum = sum
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, without compensation."""
+    return reduce(add, values, 0)

@@ -690,9 +690,12 @@ def _weighted_jaccard_matrix(state: BlockState, spec: tuple) -> np.ndarray:
 #: URLs) takes the scalar :func:`~repro.similarity.strings.levenshtein`.
 _WORD = 64
 
-#: Lanes per sweep: bounds the gathered match words at ``_LANES`` words
-#: per text character (a 150-page block has 11 175 page pairs).
-_LANES = 1 << 14
+#: Match words per sweep.  A sweep gathers one uint64 per lane and step
+#: of its longest text, so lanes are taken, longest text first, while
+#: their count times that text's length stays within this budget: the
+#: 11 175 page pairs of a 150-page block of 70-character paths are one
+#: sweep, and one long path gets a sweep of few lanes to itself.
+_WORDS = 1 << 20
 
 
 def _edit_distances(strings: list[str], first: np.ndarray,
@@ -723,33 +726,40 @@ def _edit_distances(strings: list[str], first: np.ndarray,
         return distances
     lanes = lanes[np.argsort(-text_len[lanes], kind="stable")]
 
-    # Character codes (0 pads a text past its end) and, per string, the
-    # pattern bitmap of each code, built with Python ints.
+    # Every string's character codes back to back (a string starts at
+    # ``starts[row]``; the longest text's length of padding ends them)
+    # and, per string, the pattern bitmap of each code, built with
+    # Python ints.
     alphabet: dict[str, int] = {}
-    steps = int(text_len[lanes[0]])
-    codes = np.zeros((len(strings), steps), dtype=np.intp)
+    flat: list[int] = []
     bitmaps = []
-    for row, string in enumerate(strings):
+    for string in strings:
         row_codes = [alphabet.setdefault(char, len(alphabet) + 1)
                      for char in string]
-        codes[row, :min(len(string), steps)] = row_codes[:steps]
+        flat += row_codes
         bits: dict[int, int] = {}
         for offset, code in enumerate(row_codes[:_WORD]):
             bits[code] = bits.get(code, 0) | (1 << offset)
         bitmaps.append(bits)
+    codes = np.asarray(flat + [0] * int(text_len[lanes[0]]), dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
     table = np.zeros((len(strings), len(alphabet) + 1), dtype=np.uint64)
     for row, bits in enumerate(bitmaps):
         table[row, list(bits)] = list(bits.values())
 
-    for start in range(0, len(lanes), _LANES):
-        chunk = lanes[start:start + _LANES]
-        distances[chunk] = _sweep(table, codes, pattern[chunk], text[chunk],
-                                  pattern_len[chunk], text_len[chunk])
+    start = 0
+    while start < len(lanes):
+        stop = start + max(1, _WORDS // int(text_len[lanes[start]]))
+        chunk = lanes[start:stop]
+        distances[chunk] = _sweep(table, codes, starts[text[chunk]],
+                                  pattern[chunk], pattern_len[chunk],
+                                  text_len[chunk])
+        start = stop
     return distances
 
 
-def _sweep(table: np.ndarray, codes: np.ndarray, pattern: np.ndarray,
-           text: np.ndarray, pattern_len: np.ndarray,
+def _sweep(table: np.ndarray, codes: np.ndarray, text_start: np.ndarray,
+           pattern: np.ndarray, pattern_len: np.ndarray,
            text_len: np.ndarray) -> np.ndarray:
     """Myers' bit-parallel Levenshtein (Hyyrö's formulation) over lanes
     ordered by text length, longest first: one DP column per lane in a
@@ -758,8 +768,9 @@ def _sweep(table: np.ndarray, codes: np.ndarray, pattern: np.ndarray,
     * The lanes still running at step ``s`` are a prefix, so a
       finished lane simply drops off it — no per-step freeze.
     * Every step's match words (``table`` rows are the strings' pattern
-      bitmaps, ``codes`` their character codes) are gathered once,
-      before the loop.
+      bitmaps; a lane's text is ``codes`` from ``text_start``) are
+      gathered once, before the loop: ``steps × lanes`` words, which
+      the caller keeps within ``_WORDS``.
     * Nothing is masked to the pattern length: additions carry and
       left shifts move bits only upward, and every other operation is
       bitwise, so the bits above a pattern never reach bit ``m - 1`` —
@@ -767,9 +778,12 @@ def _sweep(table: np.ndarray, codes: np.ndarray, pattern: np.ndarray,
       64-character pattern fits its lane.
     """
     steps = int(text_len[0])
-    # Row ``s``: every lane's match word for its text's character ``s``.
-    matches = table.ravel()[pattern * table.shape[1]
-                            + codes[text, :steps].T]
+    # Row ``s``: every lane's match word for its text's character ``s``
+    # (past a text's end the codes are the next string's, never read).
+    words = codes[np.arange(steps)[:, None] + text_start]
+    words += pattern * table.shape[1]
+    matches = table.ravel()[words]
+    del words
     # Lanes still running at step ``s``: those whose text is longer.
     running = len(pattern) - np.cumsum(
         np.bincount(text_len, minlength=steps))[:steps]

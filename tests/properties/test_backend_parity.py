@@ -29,7 +29,8 @@ from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.serving import ServingEngine, verify_serial_equivalence
 from repro.similarity.backends import NumpyBackend, PythonBackend
-from repro.similarity.batch import _LANES, _edit_distances
+import repro.similarity.batch as batch
+from repro.similarity.batch import _edit_distances
 from repro.similarity.extended import full_battery
 from repro.similarity.functions import default_functions
 from repro.similarity.strings import levenshtein
@@ -252,6 +253,20 @@ def assert_distances(strings, first, second):
         levenshtein(strings[i], strings[j]) for i, j in zip(first, second)]
 
 
+def record_sweeps(monkeypatch) -> list[tuple[int, int]]:
+    """``(lanes, steps)`` of every ``_sweep`` from now on."""
+    sweeps: list[tuple[int, int]] = []
+    sweep = batch._sweep
+
+    def recording(table, codes, text_start, pattern, pattern_len, text_len):
+        sweeps.append((len(text_start), int(text_len[0])))
+        return sweep(table, codes, text_start, pattern, pattern_len,
+                     text_len)
+
+    monkeypatch.setattr(batch, "_sweep", recording)
+    return sweeps
+
+
 class TestBatchedStringKernels:
     """F2's one Myers sweep per block, where it can break: lanes of very
     different lengths, pattern widths at the word's edge, repeated
@@ -287,13 +302,35 @@ class TestBatchedStringKernels:
         assert_distances(strings, [0] * len(texts), list(lanes))
         assert_distances(strings, list(lanes), [0] * len(texts))
 
-    def test_more_lanes_than_one_sweep_takes(self):
+    def test_more_lanes_than_one_sweep_takes(self, monkeypatch):
         rng = random.Random(7)
         strings = ["".join(rng.choice("ab/") for _ in range(rng.randint(1, 9)))
                    for _ in range(190)]
+        monkeypatch.setattr(batch, "_WORDS", 64)
+        sweeps = record_sweeps(monkeypatch)
         first, second = np.triu_indices(len(strings), k=1)
-        assert len(first) > _LANES
         assert_distances(strings, first.tolist(), second.tolist())
+        assert len(sweeps) > 1
+
+    @pytest.mark.parametrize("budget", [None, 2500])
+    def test_one_long_path_among_short_ones(self, monkeypatch, budget):
+        """A path of over 1 000 characters (a query string is enough)
+        shares a block with short ones: every sweep gathers at most the
+        word budget — or is one lane — and the distances stay exact."""
+        rng = random.Random(11)
+        strings = ["/" + "".join(rng.choice("ab/") for _ in
+                                 range(rng.randint(0, 12)))
+                   for _ in range(60)]
+        strings[17] = "/search?q=" + "".join(rng.choice("ab&=")
+                                             for _ in range(1200))
+        if budget is not None:
+            monkeypatch.setattr(batch, "_WORDS", budget)
+        sweeps = record_sweeps(monkeypatch)
+        first, second = np.triu_indices(len(strings), k=1)
+        assert_distances(strings, first.tolist(), second.tolist())
+        assert all(lanes * steps <= batch._WORDS or lanes == 1
+                   for lanes, steps in sweeps)
+        assert max(steps for _, steps in sweeps) > 1000
 
     def test_repeated_strings(self):
         strings = ["/a/b.html", "/a/b.html", "", "", "/a/c.html",
