@@ -82,6 +82,7 @@ from itertools import chain
 from operator import attrgetter, mul
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.extraction.features import PageFeatures
 from repro.folds import left_sum
@@ -780,7 +781,7 @@ def _sweep(table: np.ndarray, codes: np.ndarray, text_start: np.ndarray,
     steps = int(text_len[0])
     # Row ``s``: every lane's match word for its text's character ``s``
     # (past a text's end the codes are the next string's, never read).
-    words = codes[np.arange(steps)[:, None] + text_start]
+    words = sliding_window_view(codes, steps)[text_start].T
     words += pattern * table.shape[1]
     matches = table.ravel()[words]
     del words
