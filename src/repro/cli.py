@@ -33,7 +33,8 @@ results — applies to fitting, prediction and context preparation; the
 resolve/figure/table protocol loops stay serial), ``--backend``
 (pairwise-scoring backend for the similarity hot path: ``python`` or
 ``numpy``, bit-identical — applies to fit, predict, serve, resolve and
-context preparation; defaults to ``REPRO_BACKEND``; see
+context preparation; defaults to ``REPRO_BACKEND``, else ``numpy``
+where it is installed; see
 ``docs/performance.md``), ``--blocker`` (candidate-pair generation for
 fit/predict collection passes: ``query_name`` — the paper's per-name
 blocking, the default — or a generic registered blocker such as
@@ -100,8 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pairwise-scoring backend for the similarity "
                              "hot path ('python' or 'numpy'); default: the "
                              "REPRO_BACKEND environment variable, else "
-                             "'python'.  Backends produce bit-identical "
-                             "results — this is purely a speed knob")
+                             "'numpy' where numpy is installed and "
+                             "'python' where it is not.  Backends produce "
+                             "bit-identical results — this is purely a "
+                             "speed knob")
     parser.add_argument("--blocker", default=None,
                         help="candidate-pair blocking for fit/predict "
                              "collection passes ('query_name', 'token', "

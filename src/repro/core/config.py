@@ -59,12 +59,14 @@ class ResolverConfig:
             exists for core-miscounting environments and tests; the
             CLI's ``--oversubscribe`` maps onto it).
         backend: pairwise-scoring backend for the similarity hot path —
-            ``"python"`` (prepared scalar scorers) or ``"numpy"``
-            (vectorized block kernels); see
+            ``"numpy"`` (vectorized block kernels) or ``"python"`` (the
+            plain scalar scorers, the oracle); see
             :mod:`repro.similarity.backends`.  All backends produce
             bit-identical scores, so this is purely a speed knob.
             Defaults to the ``REPRO_BACKEND`` environment variable when
-            set; the CLI's ``--backend`` maps onto it.  A per-process
+            set, else ``"numpy"`` where numpy is installed and
+            ``"python"`` where it is not; the CLI's ``--backend`` maps
+            onto it.  A per-process
             runtime choice: never serialized into saved models (see
             :meth:`to_dict`).
     """

@@ -690,7 +690,8 @@ class ResolverModel:
         results, stats = run_pass(
             executor or executor_from_config(self.config), "predict",
             "evaluate" if evaluate else "predict", payloads,
-            started=started, close=executor is None)
+            started=started, close=executor is None,
+            backend=self.config.backend)
         self.release_fit_caches()
         return [result for _, result in results], stats
 

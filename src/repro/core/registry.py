@@ -59,10 +59,8 @@ imports the plugin module before :meth:`ResolverModel.load`.  Combiners
 must implement ``apply`` (label-free re-combination from stored
 ``fit_params``) for models to serve predictions; see
 :class:`~repro.core.combination.Combiner` for the contract.  Similarity
-functions may additionally carry a ``preparer`` for the batched engine
-path (see :mod:`repro.similarity.base`) — optional, the plain scorer is
-used otherwise — and should declare the ``PageFeatures`` fields they
-read (``reads``; see :func:`register_similarity`).
+functions should declare the ``PageFeatures`` fields they read
+(``reads``; see :func:`register_similarity`).
 
 Executor backends (the ``EXECUTORS`` axis) are factories
 ``(workers: int) -> BlockExecutor``; see :mod:`repro.runtime.executor`
@@ -275,7 +273,7 @@ def register_similarity(name: str | None = None, replace: bool = False):
 
     Label-free passes extract only the ``PageFeatures`` fields the
     functions they score declare, so give a custom function its
-    ``reads`` (the fields its scorer and preparer touch) to let a pass
+    ``reads`` (the fields its scorer touches) to let a pass
     that consults it alone skip the other extractors (the module
     docstring's ``F_url_tokens`` declares ``reads=frozenset({"url"})``).
     Left undeclared (``reads=None``) the function is assumed to read

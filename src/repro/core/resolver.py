@@ -172,7 +172,8 @@ class EntityResolver:
                     for fields in shipped]
         results, stats = run_pass(
             executor or executor_from_config(self.config), "fit", "fit",
-            payloads, started=started, close=executor is None)
+            payloads, started=started, close=executor is None,
+            backend=self.config.backend)
         model = ResolverModel(config=self.config, blocks=dict(results),
                               pipeline=extraction)
         model.fit_stats = stats

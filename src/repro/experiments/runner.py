@@ -103,7 +103,7 @@ class ExperimentContext:
         # The pool is ours only if we built it from `workers=`;
         # caller-provided executors stay open for reuse.
         results, stats = run_pass(executor, "prepare", "prepare", payloads,
-                                  close=owns_executor)
+                                  close=owns_executor, backend=backend)
         return cls(collection=collection,
                    features_by_name={name: features
                                      for name, features, _ in results},

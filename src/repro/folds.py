@@ -9,6 +9,9 @@ it compensates float rounding, so its results can differ in the last
 bits.  :func:`left_sum` is ``reduce(add, values, 0)`` on every version;
 like ``sum`` it starts from the integer ``0``, so an empty fold is
 ``0``.  Integer sums are exact in any order and stay on the builtin.
+The sums that must not depend on order at all — B-cubed scores, star
+clustering's weighted degrees, :func:`~repro.metrics.report.mean_report`
+— use ``math.fsum``, which is exact.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ paper's "average of 5 runs" protocol and its per-dataset aggregation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
-from repro.folds import left_sum
 from repro.metrics.bcubed import bcubed_scores
 from repro.metrics.clusterings import Clustering
 from repro.metrics.pairwise import pairwise_scores
@@ -72,6 +72,10 @@ def evaluate_clustering(predicted: Clustering, truth: Clustering) -> MetricRepor
 def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
     """Field-wise mean of several reports.
 
+    Each field is summed with ``math.fsum``, which is exact, so the
+    mean does not depend on the reports' order (a collection's blocks
+    come in any order).
+
     Raises:
         ValueError: for an empty sequence.
     """
@@ -79,7 +83,7 @@ def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
         raise ValueError("cannot average zero reports")
     n_reports = len(reports)
     means = {
-        f.name: left_sum(getattr(report, f.name) for report in reports)
+        f.name: math.fsum(getattr(report, f.name) for report in reports)
         / n_reports
         for f in fields(MetricReport)
     }

@@ -2,15 +2,13 @@
 
 One pass over a block's page pairs fills every similarity function's
 weighted graph through a pluggable :class:`~repro.similarity.backends.
-ScoringBackend`: the ``python`` backend sweeps the pair grid once with
-each function's *prepared* scorer
-(:meth:`~repro.similarity.base.SimilarityFunction.prepared`) so per-page
-inputs — vector norms, parsed URLs, name forms, key sets — are derived
-once per page instead of once per pair; the ``numpy`` backend fills
-whole score matrices from vectorized block kernels.  Every backend is
-bit-identical to scoring each pair naively, so this path produces
-exactly the graphs the seed loop would; ``tests/runtime/test_batch.py``
-and ``tests/properties/test_backend_parity.py`` enforce it.
+ScoringBackend`: the ``numpy`` backend (the default where numpy is
+installed) fills whole score matrices from vectorized block kernels; the
+``python`` backend, the oracle, sweeps the pair grid once with each
+function's plain scorer.  Every backend is bit-identical to scoring
+each pair naively, so this path produces exactly the graphs the seed
+loop would; ``tests/runtime/test_batch.py`` and
+``tests/properties/test_backend_parity.py`` enforce it.
 
 With a :class:`~repro.runtime.cache.SimilarityCache`, graphs already
 computed for the same (block, function) are reused instead of rescored,
@@ -42,9 +40,8 @@ def batched_similarity_graphs(
     """The weighted graph ``G_w^fi`` for every function.
 
     Identical output to scoring each pair with ``function(left, right)``
-    in a nested loop (the seed implementation), but with per-page input
-    reuse, optional cross-pass caching, and a selectable scoring
-    backend.
+    in a nested loop (the seed implementation), with optional
+    cross-pass caching and a selectable scoring backend.
 
     Args:
         block: the pages to score (the blocking unit).

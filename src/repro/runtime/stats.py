@@ -230,6 +230,8 @@ class RunStats(StatsRecord):
         phase: what the pass did — ``"prepare"``, ``"fit"``, ``"predict"``
             or ``"evaluate"``.
         executor: executor backend name the pass ran under.
+        backend: scoring backend name the pass scored with (see
+            :mod:`repro.similarity.backends`).
         workers: worker count the executor was configured with (what the
             run *requested* — also exposed as ``requested_workers``).
         effective_workers: workers actually scheduled after the core cap
@@ -266,6 +268,7 @@ class RunStats(StatsRecord):
 
     phase: str
     executor: str = "serial"
+    backend: str = ""
     workers: int = field(default=1, metadata=KEEP)
     effective_workers: int = field(default=1, metadata=MAX)
     available_cores: int = field(default=1, metadata=KEEP)
@@ -283,8 +286,10 @@ class RunStats(StatsRecord):
     attach_unpickle_seconds: float = 0.0
 
     @classmethod
-    def for_executor(cls, phase: str, executor) -> "RunStats":
-        """A record pre-filled with an executor's worker accounting.
+    def for_executor(cls, phase: str, executor,
+                     backend: str = "") -> "RunStats":
+        """A record pre-filled with an executor's worker accounting and
+        the scoring ``backend``'s name.
 
         Duck-typed over any :class:`~repro.runtime.executor.BlockExecutor`:
         serial backends lack ``effective_workers``/``fork_waves`` and
@@ -298,6 +303,7 @@ class RunStats(StatsRecord):
         return cls(
             phase=phase,
             executor=executor.name,
+            backend=backend,
             workers=executor.workers,
             effective_workers=getattr(executor, "effective_workers", 1),
             available_cores=report["available_cores"],

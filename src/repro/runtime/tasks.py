@@ -35,6 +35,7 @@ from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.cache import SimilarityCache
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
 from repro.runtime.stats import RunStats, TaskStats, Timer, clock
+from repro.similarity.backends import ScoringBackend, resolve_backend
 from repro.similarity.base import SimilarityFunction, read_fields
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -301,15 +302,18 @@ def run_block_tasks(executor: "BlockExecutor", kind: str,
 
 def run_pass(executor: "BlockExecutor", kind: str, phase: str,
              payloads: Sequence[Any], started: float | None = None,
-             close: bool = False) -> tuple[list[tuple], RunStats]:
+             close: bool = False,
+             backend: "str | ScoringBackend | None" = None,
+             ) -> tuple[list[tuple], RunStats]:
     """One collection pass's fan-out and its one stats record.
 
     Runs a ``kind`` task per payload through :func:`run_block_tasks`,
     weighted by block page count, and folds every task's
     :class:`~repro.runtime.stats.TaskStats` into a ``phase``
-    :class:`~repro.runtime.stats.RunStats`.  Returns each task's result
-    without its stats (``(query_name, ...)`` tuples, in payload order)
-    and the record.
+    :class:`~repro.runtime.stats.RunStats`, which names the scoring
+    ``backend`` the payloads score with (``None``: the ambient default).
+    Returns each task's result without its stats (``(query_name, ...)``
+    tuples, in payload order) and the record.
 
     ``wall_seconds`` runs from ``started`` (a :data:`clock` reading;
     default: now), so a pass that blocked the collection first counts
@@ -318,7 +322,8 @@ def run_pass(executor: "BlockExecutor", kind: str, phase: str,
     passes set it for an executor they built, never for a caller's.
     """
     started = clock() if started is None else started
-    stats = RunStats.for_executor(phase, executor)
+    stats = RunStats.for_executor(phase, executor,
+                                  resolve_backend(backend).name)
     results = []
     try:
         for *result, task_stats in run_block_tasks(

@@ -10,15 +10,17 @@ incremental request path, the :class:`Rectangle` of ``k`` new pages
 against a served block's ``n`` resident ones.  Two built-ins are
 registered in :data:`BACKENDS`:
 
-* ``"python"`` — today's prepared scalar scorers
-  (:meth:`~repro.similarity.base.SimilarityFunction.prepared`), swept
-  once over the pair grid.  Always available; the default.
 * ``"numpy"`` — materializes per-block feature matrices and computes
   whole score matrices in batched vectorized kernels
-  (:mod:`repro.similarity.batch`).  Functions without a kernel — the
-  Jaro-based string measures F3/F7, plus any custom registration — fall
-  back per-function to the scalar sweep (F2's integer edit distances
-  batch exactly, so it has a kernel).
+  (:mod:`repro.similarity.batch`).  The default wherever numpy is
+  installed.  Functions without a kernel — a custom registration, or a
+  built-in name whose scorer was replaced — fall back per-function to
+  the scalar sweep.
+* ``"python"`` — the oracle: each function's plain scorer
+  (:meth:`~repro.similarity.base.SimilarityFunction.__call__`), called
+  once per pair of one sweep over the pair grid.  Always available;
+  the default only on a host without numpy, where it is the slow path
+  (``docs/performance.md`` gives its cost).
 
 **Bit-identity contract.**  Every backend must produce *bit-identical*
 scores to the ``python`` backend: the vectorized kernels replay the
@@ -28,7 +30,7 @@ argument), so serial, parallel and session serving give the same bytes
 regardless of the configured backend.  ``tests/properties/test_backend_parity.py`` and the golden
 fixtures under ``tests/data/golden/`` enforce this at tolerance zero.
 
-Select a backend with ``ResolverConfig(backend="numpy")``, the CLI's
+Select a backend with ``ResolverConfig(backend="python")``, the CLI's
 ``--backend`` flag, or the ``REPRO_BACKEND`` environment variable (the
 config default).  Custom backends register with :func:`register_backend`
 and become valid config values immediately::
@@ -41,6 +43,7 @@ and become valid config values immediately::
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -60,7 +63,6 @@ from repro.similarity.base import SimilarityFunction
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_BACKEND",
     "NumpyBackend",
     "PythonBackend",
     "Rectangle",
@@ -70,8 +72,9 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: The backend used when neither config nor environment select one.
-DEFAULT_BACKEND = "python"
+#: Whether numpy is installed, decided once at import: the ambient
+#: default is ``numpy`` where it is, ``python`` where it is not.
+_HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: A request-path rectangle of at most this many pairs is scored by the
 #: scalar scorers on the ``numpy`` backend (:meth:`NumpyBackend.
@@ -80,13 +83,16 @@ _FEW_CELLS = 8
 
 
 def default_backend() -> str:
-    """The ambient backend name: ``REPRO_BACKEND`` or ``"python"``.
+    """The ambient backend name: ``REPRO_BACKEND`` if set, else
+    ``"numpy"`` when numpy is installed and ``"python"`` when it is not.
 
-    Read at every call (not import) so test harnesses and the CI matrix
-    can flip the whole process with one environment variable;
-    ``ResolverConfig``'s ``backend`` field defaults through this.
+    The variable is read at every call (not import) so test harnesses
+    and the CI matrix can flip the whole process with one environment
+    variable; ``ResolverConfig``'s ``backend`` field defaults through
+    this.
     """
-    return os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
+    return os.environ.get("REPRO_BACKEND",
+                          "numpy" if _HAS_NUMPY else "python")
 
 
 @dataclass
@@ -228,18 +234,16 @@ class ScoringBackend(ABC):
 
 
 class PythonBackend(ScoringBackend):
-    """The scalar reference backend: prepared scorers, one pair sweep.
-
-    This is the seed algorithm with per-page input reuse — the behavior
-    every other backend is defined against.
-    """
+    """The scalar reference backend: each function's plain scorer, once
+    per pair of one sweep — the behavior every other backend is defined
+    against."""
 
     name = "python"
 
     def block_graphs(self, ids, features, functions, mask=None):
         ids = list(ids)
         columns = [[] for _ in functions]
-        scorers = [(column.append, function.prepared(features))
+        scorers = [(column.append, function)
                    for column, function in zip(columns, functions)]
         if mask is not None:
             # Iterate the candidates directly — O(candidates), not
@@ -282,9 +286,10 @@ class NumpyBackend(ScoringBackend):
     :mod:`repro.similarity.batch`) and fills a ``left × right``
     rectangle of (earlier page, later page) scores with the exact-fold
     kernels; dense scoring is the square where both sides are all pages.
-    Functions without a kernel — the Jaro-based F3/F7, or a scorer
-    replaced in the registry — fall back per-function to the scalar
-    sweep, so arbitrary batteries keep working.
+    Every built-in has a kernel; functions without one — a custom
+    registration, or a scorer replaced in the registry — fall back
+    per-function to the scalar sweep, so arbitrary batteries keep
+    working.
 
     Under a candidate-pair ``mask`` the block state keeps the pages that
     appear in a candidate pair, takes ``left`` as the rows that occur as

@@ -15,13 +15,6 @@ from repro.extraction.features import PageFeatures
 
 PairScorer = Callable[[PageFeatures, PageFeatures], float]
 
-#: A preparer turns one block's extracted features into a specialized pair
-#: scorer.  It may precompute per-page inputs (vector norms, parsed URLs,
-#: name forms) once instead of once per pair, and memoize value-level
-#: repeats — but it MUST return bit-identical scores to the plain scorer;
-#: the runtime engine's serial/parallel determinism guarantee rests on it.
-Preparer = Callable[[dict[str, PageFeatures]], PairScorer]
-
 
 @dataclass(frozen=True)
 class SimilarityFunction:
@@ -31,12 +24,10 @@ class SimilarityFunction:
         name: short identifier, e.g. ``"F3"``.
         feature: the page feature compared (paper Table I wording).
         measure: the similarity measure applied (paper Table I wording).
-        scorer: the actual pair function.
-        preparer: optional block-level fast path (see :data:`Preparer`);
-            batched graph construction uses it when present, per-pair
-            callers are unaffected.
-        reads: names of the :class:`PageFeatures` fields the scorer,
-            the preparer and any backend kernel touch (``doc_id`` goes
+        scorer: the actual pair function — the definition every backend
+            reproduces bit for bit.
+        reads: names of the :class:`PageFeatures` fields the scorer
+            and any backend kernel touch (``doc_id`` goes
             without saying).  A label-free pass extracts only what the
             functions it scores read, so a declared set is a promise:
             reading an undeclared field scores empty defaults.  ``None``
@@ -51,7 +42,6 @@ class SimilarityFunction:
     feature: str
     measure: str
     scorer: PairScorer
-    preparer: Preparer | None = None
     reads: frozenset[str] | None = None
 
     def __call__(self, left: PageFeatures, right: PageFeatures) -> float:
@@ -62,27 +52,6 @@ class SimilarityFunction:
         if value > 1.0:
             return 1.0
         return value
-
-    def prepared(self, features: dict[str, PageFeatures]) -> PairScorer:
-        """A scorer specialized to one block's features, clamped to [0, 1].
-
-        Falls back to the plain per-pair scorer when the function has no
-        preparer, so arbitrary registered functions keep working in the
-        batched engine path.  Pages scored through the returned callable
-        must come from ``features`` (preparers index per-page state by
-        ``doc_id``).
-        """
-        scorer = self.preparer(features) if self.preparer else self.scorer
-
-        def clamped(left: PageFeatures, right: PageFeatures) -> float:
-            value = scorer(left, right)
-            if value < 0.0:
-                return 0.0
-            if value > 1.0:
-                return 1.0
-            return value
-
-        return clamped
 
     def __repr__(self) -> str:  # concise in experiment logs
         return f"SimilarityFunction({self.name}: {self.feature} / {self.measure})"

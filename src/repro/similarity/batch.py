@@ -36,12 +36,14 @@ sums).  Instead:
   exact in int64 regardless of order and only meet floats in the final
   division, with identical operands.
 
-The Jaro-based string measures (F3, F7) have no kernel and fall back to
-the scalar sweep, memoization intact.  F2 *does* have a block kernel —
-its expensive parts are integer edit distances (page paths, and the
-domain pairs that reach the domain score's edit-distance fallback),
-exact under any implementation, run as the lanes of one Myers
-bit-parallel sweep per block (see the URL-similarity section below).
+The string measures have block kernels too.  F2's expensive parts are
+integer edit distances (page paths, and the domain pairs that reach the
+domain score's edit-distance fallback), exact under any implementation,
+run as the lanes of one Myers bit-parallel sweep per block (see the
+URL-similarity section below).  The Jaro-based name measures (F3, F7)
+do not vectorize, but a block's names repeat: their kernel scores each
+distinct (earlier name, later name) pair once with the scalar
+:func:`~repro.similarity.strings.name_similarity` and gathers.
 
 One record, three layouts
 -------------------------
@@ -70,7 +72,8 @@ to its own scalar code rather than the stale kernel.
 
 This module imports numpy at module level and is itself imported
 lazily, only by :class:`~repro.similarity.backends.NumpyBackend` — the
-default ``python`` backend never touches numpy.
+``python`` backend, the oracle on hosts without numpy, never touches
+it.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ from repro.folds import left_sum
 from repro.graph.entity_graph import PairKey, PairLayout, pair_position
 from repro.similarity import extended as _extended
 from repro.similarity import functions as _base
-from repro.similarity.strings import levenshtein
+from repro.similarity.strings import levenshtein, name_similarity
 from repro.similarity.urls import parse_url
 
 __all__ = ["BlockState", "Kernel", "ResidentRecord", "kernel_for",
@@ -264,8 +267,8 @@ class _FamilyRecord:
 
 def recorded_family(function) -> tuple[str, str, Callable] | None:
     """``(family, kind, extract)`` of the record ``function``'s kernel
-    reads, or ``None``: it has no kernel, or its kernel reads the pages'
-    URLs (F2)."""
+    reads, or ``None``: it has no kernel, or its kernel reads the pages
+    themselves (F2, F3, F7)."""
     kernel = kernel_for(function)
     return None if kernel is None else kernel.recorded
 
@@ -389,8 +392,8 @@ class BlockState:
         ``right`` rows ``1..k+n-1``, both views; :meth:`burst_rows`
         reads the ``k × (k + n - 1)`` matrices back in add order.  The
         state serves the kernels of the record's families, which fill
-        the whole rectangle; it lists no pairs, so F2's kernel does not
-        run on it.
+        the whole rectangle; it lists no pairs, so the kernels that read
+        the pages (F2, F3, F7) do not run on it.
         """
         k = len(entries)
         state = cls.__new__(cls)
@@ -461,8 +464,8 @@ class BlockState:
 
     @property
     def pages(self) -> list[PageFeatures]:
-        """Materialized pages, built lazily (page records and the F2
-        kernel)."""
+        """Materialized pages, built lazily (page records and the
+        kernels that read pages: F2, F3, F7)."""
         if self._pages is None:
             self._pages = [self._features[doc_id] for doc_id in self.ids]
         return self._pages
@@ -682,9 +685,7 @@ def _weighted_jaccard_matrix(state: BlockState, spec: tuple) -> np.ndarray:
 # Levenshtein implementation is bit-exact; only the final float
 # combinations touch floats, with the scalar path's operands.  Both sets
 # of distances run as lanes of one bit-parallel Myers sweep per block
-# (:func:`_edit_distances`).  The other string measures (F3, F7:
-# Jaro–Winkler plus name-form logic) do not vectorize and stay on the
-# scalar path.
+# (:func:`_edit_distances`).
 
 #: One DP column per uint64 lane: a pattern (the shorter string) of up
 #: to 64 characters is swept; a longer one (never seen for generated
@@ -884,6 +885,37 @@ def _url_matrix(state: BlockState) -> np.ndarray:
     return matrix
 
 
+# -- name similarity (scored once per distinct name pair) -----------------
+
+
+def _name_matrix(state: BlockState, name_of: Callable) -> np.ndarray:
+    """F3 / F7 over exactly the pairs the state reads.
+
+    Jaro–Winkler with name-form rules does not vectorize, but a block
+    holds few distinct names: each page's name is interned, each
+    distinct (earlier name, later name) pair among the read pairs is
+    scored once with the scalar ``name_similarity``, with the sweep's
+    argument order, and the values are gathered into the rectangle,
+    clamped like the function's ``__call__``.
+    """
+    interned: dict[str, int] = {}
+    name_ids = np.asarray([interned.setdefault(name_of(page), len(interned))
+                           for page in state.pages], dtype=np.intp)
+    earlier, later = state.pairs
+    combos, combo_of_pair = np.unique(
+        name_ids[earlier] * len(interned) + name_ids[later],
+        return_inverse=True)
+    names = list(interned)
+    left, right = np.divmod(combos, len(interned))
+    scores = np.asarray([name_similarity(names[first], names[second])
+                         for first, second in zip(left.tolist(),
+                                                  right.tolist())],
+                        dtype=np.float64)
+    matrix = np.zeros(state.shape)
+    matrix[state.cells] = _clamp_unit(scores)[combo_of_pair]
+    return matrix
+
+
 # -- kernel dispatch -------------------------------------------------------
 
 
@@ -899,7 +931,8 @@ class Kernel:
         matrix: block kernel ``(BlockState) -> (left, right) ndarray``.
         recorded: ``(family, kind, extract)`` of the record this
             kernel reads — ``kind`` is ``"vector"``, ``"set"`` or
-            ``"counter"`` — or ``None``: it reads the pages' URLs (F2).
+            ``"counter"`` — or ``None``: it reads the pages themselves
+            (F2's URLs, F3's and F7's names).
     """
 
     name: str
@@ -936,6 +969,10 @@ def _family_kernel(name: str, expected_scorer: Callable, builder,
 _family_kernel("F1", _base._f1, _cosine_matrix, "concept", "vector",
                _concepts)
 _KERNELS["F2"] = Kernel("F2", _base._f2, _url_matrix)
+_KERNELS["F3"] = Kernel("F3", _base._f3, lambda state: _name_matrix(
+    state, attrgetter("most_frequent_name")))
+_KERNELS["F7"] = Kernel("F7", _base._f7, lambda state: _name_matrix(
+    state, attrgetter("closest_name_to_query")))
 _family_kernel("F4", _base._f4, _overlap_matrix, "concept_set", "set")
 _family_kernel("F5", _base._f5, _overlap_matrix, "organizations", "set")
 _family_kernel("F6", _base._f6, _overlap_matrix, "other_persons", "set")
@@ -955,9 +992,8 @@ _family_kernel("F14", _extended._f14, _extended_jaccard_matrix, "concept",
 def kernel_for(function) -> Kernel | None:
     """The vectorized kernel for ``function``, or ``None``.
 
-    ``None`` means "use the scalar path": string measures, custom
-    functions, and built-in names whose scorer was replaced in the
-    registry.
+    ``None`` means "use the scalar path": custom functions, and
+    built-in names whose scorer was replaced in the registry.
     """
     kernel = _KERNELS.get(function.name)
     if kernel is not None and function.scorer is kernel.expected_scorer:

@@ -70,9 +70,8 @@ def pearson_from_moments(product: float, sum_left: float, sum_right: float,
     """Rescaled Pearson correlation from per-pair moments.
 
     The reference definition of the arithmetic shared by the plain
-    scorer, the prepared block scorer
-    (:func:`repro.similarity.functions._prepare_f9`), and — operation
-    for operation, applied elementwise — the vectorized backend kernel
+    scorer and — operation for operation, applied elementwise — the
+    vectorized backend kernel
     (``_pearson_matrix`` in :mod:`repro.similarity.batch`).
     Bit-identity across all of them rests on evaluating exactly this
     expression sequence: **any change here must be mirrored in that

@@ -184,10 +184,10 @@ def name_similarity(left: str, right: str) -> float:
     Compares case-insensitively with Jaro–Winkler, but first gives full
     credit when one form is a sub-form of the other (``"Cohen"`` vs
     ``"J. Cohen"`` vs ``"John Cohen"``), which plain string measures
-    under-score.  Returns 0.0 when either side is empty (no extracted
-    name — missing information).
+    under-score.  Returns 0.0 when either side is empty or whitespace
+    only (no extracted name — missing information).
     """
-    if not left or not right:
+    if not left.strip() or not right.strip():
         return 0.0
     left_lower = left.lower()
     right_lower = right.lower()

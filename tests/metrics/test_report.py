@@ -1,7 +1,10 @@
 """Metric-report bundle tests."""
 
+from itertools import permutations
+
 import pytest
 
+from repro.folds import left_sum
 from repro.metrics.clusterings import Clustering
 from repro.metrics.report import (
     PAPER_METRICS,
@@ -63,3 +66,13 @@ class TestMeanReport:
     def test_as_dict_roundtrip(self):
         report = self.make(0.3)
         assert MetricReport(**report.as_dict()) == report
+
+    def test_mean_does_not_depend_on_report_order(self):
+        """A collection's blocks come in any order; the mean must not
+        move, not even in the last bit, though a left-to-right fold of
+        these values does."""
+        values = [0.1, 0.7, 0.3, 0.9, 0.2]
+        assert len({left_sum(order) for order in permutations(values)}) > 1
+        reports = [self.make(value) for value in values]
+        means = {mean_report(list(order)) for order in permutations(reports)}
+        assert len(means) == 1

@@ -267,10 +267,41 @@ def record_sweeps(monkeypatch) -> list[tuple[int, int]]:
     return sweeps
 
 
+#: Person-name surfaces where the F3 / F7 kernel can break: empty and
+#: whitespace-only names, initials against given names, odd casing and
+#: non-ASCII, plus free-form ones.
+_NAMES = st.sampled_from([
+    "", " ", "\t", " \n ", "J. Cohen", "John Cohen", "j. cohen",
+    "JOHN cohen", "Cohen", "W. Cohen", "William Cohen", "Jürgen Müller",
+    "JÜRGEN müller", "J. Müller", "José Ñúñez", "Ng", "Ada  Wong",
+]) | st.text(alphabet="aJc. éÑ\t", max_size=10)
+
+#: A block's names: one name repeats on most pages (``None`` draws it),
+#: the rest are drawn freely.
+_NAME_BLOCKS = st.tuples(
+    _NAMES, st.lists(st.one_of(st.none(), st.none(), _NAMES),
+                     min_size=2, max_size=12))
+
+
+def name_pages(block) -> list[PageFeatures]:
+    """Pages whose F3 name is ``block``'s and F7 name the next page's."""
+    common, drawn = block
+    names = [common if name is None else name for name in drawn]
+    return [PageFeatures(doc_id=f"p{index}", most_frequent_name=name,
+                         closest_name_to_query=names[index - 1])
+            for index, name in enumerate(names)]
+
+
+def name_functions(*names: str):
+    return [function for function in full_battery()
+            if function.name in ("F3", "F7") + names]
+
+
 class TestBatchedStringKernels:
     """F2's one Myers sweep per block, where it can break: lanes of very
     different lengths, pattern widths at the word's edge, repeated
-    strings, and every ``domain_similarity`` case."""
+    strings, and every ``domain_similarity`` case; and F3 / F7's one
+    score per distinct name pair, against a chain of scalar calls."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.text(alphabet="ab/.-xz09é", max_size=70),
@@ -361,3 +392,47 @@ class TestBatchedStringKernels:
             for i, j in expected:
                 assert bits(scores[pair_key(ids[i], ids[j])]) == bits(
                     url_similarity(urls[i], urls[j])), (urls[i], urls[j])
+
+    @settings(max_examples=80, deadline=None)
+    @given(_NAME_BLOCKS, st.randoms())
+    def test_names_match_scalar_calls_dense_and_masked(self, block, rng):
+        pages = name_pages(block)
+        ids = [page.doc_id for page in pages]
+        features = {page.doc_id: page for page in pages}
+        mask = frozenset(pair_key(left, right)
+                         for i, left in enumerate(ids)
+                         for right in ids[i + 1:] if rng.random() < 0.5)
+        functions = name_functions()
+        for layout in (None, mask):
+            scores = NUMPY.block_scores(ids, features, functions,
+                                        mask=layout)
+            expected = [(i, j) for i in range(len(ids))
+                        for j in range(i + 1, len(ids))
+                        if layout is None
+                        or pair_key(ids[i], ids[j]) in layout]
+            for function in functions:
+                assert list(scores[function.name]) == [
+                    pair_key(ids[i], ids[j]) for i, j in expected]
+                assert [bits(scores[function.name][pair_key(
+                    ids[i], ids[j])]) for i, j in expected] == [
+                    bits(function(pages[i], pages[j])) for i, j in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_NAME_BLOCKS, st.integers(2, 5))
+    def test_names_in_a_burst_match_a_chain_of_adds(self, block, burst):
+        """A ``rectangle`` burst of new pages — next to a record family
+        (F4), so a deep enough burst takes the record route — scores each
+        page as its single add would, ``function(new, other)``."""
+        pages = name_pages(block)
+        burst = min(burst, len(pages) - 1)
+        residents, new = pages[:-burst], pages[-burst:]
+        functions = name_functions("F4")
+        rectangle = NUMPY.rectangle(
+            functions, residents, new,
+            NUMPY.resident_record(functions, residents))
+        for function in functions:
+            assert [[bits(value) for value in row]
+                    for row in rectangle.rows[function.name]] == [
+                [bits(function(page, other))
+                 for other in residents + new[:index]]
+                for index, page in enumerate(new)], function.name

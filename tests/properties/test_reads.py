@@ -5,7 +5,7 @@ it scores declare (``SimilarityFunction.reads``).  That is sound iff
 
 * **parity** — scoring narrowed features gives the bytes whole features
   give, on every backend, dense and masked, however the block was grown;
-* **honesty** — no scorer, preparer, kernel or resident record touches
+* **honesty** — no scorer, kernel or resident record touches
   a field its function does not declare (an under-declaring function
   fails here, not in production as silent zeros);
 * **the guard** — features narrowed past a function raise when scored,
@@ -143,15 +143,14 @@ class TestNarrowedScoresEqualWhole:
 def touched_by(function, features: dict[str, PageFeatures],
                recording) -> set[str]:
     """Every field any scoring surface of ``function`` reads: scalar,
-    prepared, block sweeps, and the request path's rectangle of two new
-    pages over a resident record."""
+    block sweeps, and the request path's rectangle of two new pages over
+    a resident record."""
     touched: set[str] = set()
     pages = {doc_id: recording(page, touched)
              for doc_id, page in features.items()}
     ids = list(pages)
     first, second, *others = pages.values()
     function.scorer(first, second)
-    function.prepared(pages)(first, second)
     for backend in EXACT_BACKENDS:
         scorer = resolve_backend(backend)
         scorer.block_scores(ids, pages, [function])

@@ -45,23 +45,24 @@ class TestBatchedGraphs:
             assert (list(batched[function.name].weights)
                     == list(naive[function.name]))
 
-    def test_prepared_scorers_clamp_like_call(self, small_block,
-                                              block_features):
-        wild = SimilarityFunction(
-            "F_wild", "test", "unclamped", lambda left, right: 7.5,
-            lambda features: (lambda left, right: -7.5))
-        ids = small_block.page_ids()[:2]
-        left, right = block_features[ids[0]], block_features[ids[1]]
-        assert wild(left, right) == 1.0  # plain path clamps high
-        assert wild.prepared(block_features)(left, right) == 0.0  # low
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_custom_scorer_is_swept_clamped(self, small_block,
+                                            block_features, backend):
+        """A custom function has no kernel on any backend: its plain
+        scorer is swept, and every value clamped like ``__call__``."""
+        raw = {}
 
-    def test_function_without_preparer_uses_plain_scorer(self, small_block,
-                                                         block_features):
-        plain = SimilarityFunction(
-            "F_plain", "test", "constant", lambda left, right: 0.25)
+        def unclamped(left, right):
+            value = (-7.5, 0.25, 7.5)[len(raw) % 3]
+            raw[left.doc_id, right.doc_id] = value
+            return value
+
+        wild = SimilarityFunction("F_wild", "test", "unclamped", unclamped)
         graphs = batched_similarity_graphs(small_block, block_features,
-                                           [plain])
-        assert set(graphs["F_plain"].weights.values()) == {0.25}
+                                           [wild], backend=backend)
+        assert set(raw.values()) == {-7.5, 0.25, 7.5}
+        assert list(graphs["F_wild"].weights.values()) == [
+            min(1.0, max(0.0, value)) for value in raw.values()]
 
     def test_cache_hit_skips_scoring_and_reproduces_graphs(self, small_block,
                                                            block_features):

@@ -130,6 +130,31 @@ class TestWorkerAccounting:
         assert payload["fork_waves"] == 1
 
 
+class TestBackendNamed:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_every_pass_names_its_scoring_backend(self, small_dataset,
+                                                  backend):
+        """A stats dump says which backend scored it: fit and evaluate
+        record the configured backend's name."""
+        from repro.core.config import ResolverConfig
+        from repro.core.resolver import EntityResolver
+
+        model = EntityResolver(ResolverConfig(backend=backend)).fit(
+            small_dataset, training_seed=0)
+        resolution = model.evaluate_collection(small_dataset)
+        for stats in (model.fit_stats, resolution.stats):
+            assert stats.backend == backend
+            assert stats.to_dict()["backend"] == backend
+
+    def test_the_ambient_default_is_resolved_to_a_name(self):
+        from repro.runtime.executor import SerialExecutor
+        from repro.runtime.tasks import run_pass
+        from repro.similarity.backends import default_backend
+
+        _, stats = run_pass(SerialExecutor(), "prepare", "prepare", [])
+        assert stats.backend == default_backend()
+
+
 class TestPercentile:
     def test_nearest_rank_returns_observed_samples(self):
         samples = [0.001 * k for k in range(1, 101)]

@@ -24,9 +24,9 @@ from repro.runtime.stats import RunStats, TaskStats
 from repro.serving.engine import EngineStats
 
 RUN_FIELDS = {
-    "phase", "executor", "workers", "effective_workers", "available_cores",
-    "host_cores", "cpuset_limited", "fork_waves", "wall_seconds",
-    "n_blocks", "pairs_scored", "cache_hits", "cache_misses",
+    "phase", "executor", "backend", "workers", "effective_workers",
+    "available_cores", "host_cores", "cpuset_limited", "fork_waves",
+    "wall_seconds", "n_blocks", "pairs_scored", "cache_hits", "cache_misses",
     "per_block_seconds", "shard_bytes_published", "plane_fallback_payloads",
     "attach_unpickle_seconds",
 }
@@ -45,10 +45,11 @@ def public_attributes(cls) -> set[str]:
 
 def run_stats() -> RunStats:
     return RunStats(
-        phase="fit", executor="process", workers=4, effective_workers=2,
-        available_cores=2, host_cores=8, cpuset_limited=True, fork_waves=1,
-        wall_seconds=1.25, n_blocks=3, pairs_scored=90, cache_hits=30,
-        cache_misses=90, per_block_seconds={"Alice": 0.5, "Bob": 0.25},
+        phase="fit", executor="process", backend="numpy", workers=4,
+        effective_workers=2, available_cores=2, host_cores=8,
+        cpuset_limited=True, fork_waves=1, wall_seconds=1.25, n_blocks=3,
+        pairs_scored=90, cache_hits=30, cache_misses=90,
+        per_block_seconds={"Alice": 0.5, "Bob": 0.25},
         shard_bytes_published=4096, plane_fallback_payloads=0,
         attach_unpickle_seconds=0.125)
 
@@ -120,7 +121,8 @@ class TestRunStats:
         first = run_stats()
         combined = first.merged(other, phase="protocol")
         assert combined.to_dict() == {
-            "phase": "protocol", "executor": "process", "workers": 4,
+            "phase": "protocol", "executor": "process",
+            "backend": "numpy", "workers": 4,
             "requested_workers": 4, "effective_workers": 3,
             "available_cores": 2, "host_cores": 8, "cpuset_limited": True,
             "fork_waves": 1, "wall_seconds": 2.0, "n_blocks": 5,

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import ResolverConfig
@@ -15,6 +21,8 @@ from repro.similarity.backends import (
     register_backend,
     resolve_backend,
 )
+
+SOURCE = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestRegistry:
@@ -40,7 +48,7 @@ class TestRegistry:
         assert ResolverConfig().backend == "numpy"
         assert isinstance(resolve_backend(None), NumpyBackend)
         monkeypatch.delenv("REPRO_BACKEND")
-        assert ResolverConfig().backend == "python"
+        assert ResolverConfig().backend == "numpy"  # numpy imports here
 
     def test_config_validates_backend(self):
         with pytest.raises(ValueError, match="scoring backend"):
@@ -78,6 +86,39 @@ class TestRegistry:
 
 
 class TestMissingNumpyFallback:
+    def test_default_is_python_where_numpy_does_not_import(self):
+        """With numpy blocked, the ambient default is the ``python``
+        backend, and a small fit + evaluate runs on it without the
+        missing-numpy warning (that one is for an explicit ``numpy``)."""
+        script = textwrap.dedent("""
+            import sys
+            import warnings
+            sys.modules["numpy"] = None
+            warnings.simplefilter("error", RuntimeWarning)
+            from repro.core.config import ResolverConfig
+            from repro.core.resolver import EntityResolver
+            from repro.corpus.datasets import www05_like
+
+            assert ResolverConfig().backend == "python"
+            collection = www05_like(seed=2, pages_per_name=6,
+                                    names=["William Cohen"])
+            model = EntityResolver(ResolverConfig()).fit(collection)
+            resolution = model.evaluate_collection(collection)
+            assert model.fit_stats.backend == "python"
+            assert resolution.stats.backend == "python"
+            assert "numpy" not in [name for name, module
+                                   in sys.modules.items() if module]
+            print("ok")
+        """)
+        environment = {key: value for key, value in os.environ.items()
+                       if key != "REPRO_BACKEND"}
+        environment["PYTHONPATH"] = str(SOURCE)
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=environment, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
     def test_degrades_to_scalar_backend_when_kernels_unavailable(
             self, monkeypatch):
         """A numpy-less host serving a backend="numpy" model must score
@@ -107,15 +148,17 @@ class TestMissingNumpyFallback:
 
 
 class TestKernelDispatch:
-    def test_string_functions_have_no_full_kernel_path(self):
+    def test_every_builtin_has_a_kernel(self):
         from repro.similarity import batch
-        from repro.similarity.functions import function_by_name
+        from repro.similarity.extended import full_battery
 
-        for name in ("F3", "F7"):
-            assert batch.kernel_for(function_by_name(name)) is None
-        f2 = batch.kernel_for(function_by_name("F2"))
-        # F2's kernel reads the pages: no resident record keeps URLs.
-        assert f2 is not None and f2.recorded is None
+        for function in full_battery():
+            kernel = batch.kernel_for(function)
+            assert kernel is not None, function.name
+            # The string kernels read the pages: no resident record
+            # keeps URLs or names.
+            assert (kernel.recorded is None) == (
+                function.name in ("F2", "F3", "F7")), function.name
 
     def test_replaced_builtin_scorer_disables_kernel(self):
         from repro.similarity import batch

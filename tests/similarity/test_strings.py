@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.extraction.features import PageFeatures
+from repro.similarity.functions import function_by_name
 from repro.similarity.strings import (
     jaro,
     jaro_winkler,
@@ -106,6 +108,20 @@ class TestNameSimilarity:
     def test_empty_is_zero(self):
         assert name_similarity("", "William Cohen") == 0.0
         assert name_similarity("", "") == 0.0
+
+    @pytest.mark.parametrize("left, right", [
+        ("a", " "), ("\t", "John Smith"), (" \n ", " "), ("  ", "")])
+    def test_whitespace_only_is_missing(self, left, right):
+        """A name that strips to nothing is no name (it used to raise
+        IndexError), on either side and through F3 / F7."""
+        assert name_similarity(left, right) == 0.0
+        assert name_similarity(right, left) == 0.0
+        first = PageFeatures(doc_id="a", most_frequent_name=left,
+                             closest_name_to_query=left)
+        second = PageFeatures(doc_id="b", most_frequent_name=right,
+                              closest_name_to_query=right)
+        for name in ("F3", "F7"):
+            assert function_by_name(name)(first, second) == 0.0
 
     def test_symmetric(self):
         pairs = [("Cohen", "William Cohen"), ("W. Cohen", "William Cohen"),
