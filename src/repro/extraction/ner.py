@@ -14,17 +14,14 @@ from scratch:
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, compress, count
 
 from repro.extraction.phrases import PhraseMatcher
-from repro.extraction.tokenizer import (
-    capitalized_positions,
-    is_capitalized,
-    is_initial,
-    tokenize,
-)
+from repro.extraction.tokenizer import is_capitalized, is_initial, tokenize
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,15 @@ class DictionaryNer:
         self._loc_matcher = PhraseMatcher(locations)
         self._first_names = set(first_names)
         self._known_surnames = set(known_surnames)
+        # Every token an entity can start on: a capitalised word that
+        # begins an organisation or location, a first name or a known
+        # surname, or an initial.  Any other token, capitalised or not,
+        # fires no branch of the scan, so it is never visited.
+        self._starters = frozenset([
+            word for word in chain(self._org_matcher.first_words(),
+                                   self._loc_matcher.first_words(),
+                                   self._first_names, self._known_surnames)
+            if word[:1].isupper()]).union(string.ascii_uppercase)
 
     def extract(self, text: str) -> NerResult:
         """Run NER over raw page text."""
@@ -84,14 +90,21 @@ class DictionaryNer:
     def extract_tokens(self, tokens: list[str]) -> NerResult:
         """Run NER over an already tokenized page.
 
-        Every entity starts on a capitalized token, so only those
-        positions are visited.  Matching priority at each: organizations,
-        then locations, then person patterns.  Matched spans are consumed
-        so one token never contributes to two entities.
+        Every entity starts on a capitalized token that begins a
+        gazetteer phrase or a person pattern, so only those positions
+        are visited.  Matching priority at each: organizations, then
+        locations, then person patterns.  Matched spans are consumed so
+        one token never contributes to two entities.
         """
         result = NerResult()
+        if "".join(tokens).isascii():
+            starts = map(self._starters.__contains__, tokens)
+        else:
+            # A one-letter non-ASCII capital ('É') is an initial too; the
+            # tokenizer yields none, so only hand-made tokens get here.
+            starts = map(self._starts_entity, tokens)
         free = 0  # first position no earlier match has consumed
-        for position in capitalized_positions(tokens):
+        for position in compress(count(), starts):
             if position < free:
                 continue
 
@@ -112,6 +125,9 @@ class DictionaryNer:
                 result.persons.append(mention)
                 free = position + consumed
         return result
+
+    def _starts_entity(self, token: str) -> bool:
+        return token in self._starters or is_initial(token)
 
     def _match_person(self, tokens: list[str],
                       position: int) -> tuple[PersonMention | None, int]:

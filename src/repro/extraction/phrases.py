@@ -7,7 +7,8 @@ matcher they share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import compress, count
 
 
 class PhraseMatcher:
@@ -20,29 +21,42 @@ class PhraseMatcher:
     """
 
     def __init__(self, phrases: Iterable[str]):
-        self._index: dict[str, set[tuple[str, ...]]] = {}
-        self.max_len = 1
+        # first word -> (the lengths its phrases have, longest first;
+        # the phrases): a match tries only lengths that exist.
+        self._index: dict[str, tuple[list[int], set[tuple[str, ...]]]] = {}
         for phrase in phrases:
             tokens = tuple(phrase.split())
             if not tokens:
                 continue
-            self._index.setdefault(tokens[0], set()).add(tokens)
-            self.max_len = max(self.max_len, len(tokens))
+            entry = self._index.get(tokens[0])
+            if entry is None:
+                self._index[tokens[0]] = ([len(tokens)], {tokens})
+                continue
+            lengths, group = entry
+            group.add(tokens)
+            if len(tokens) not in lengths:
+                lengths.append(len(tokens))
+                lengths.sort(reverse=True)
 
-    def starts(self, tokens: list[str]) -> list[int]:
-        """Positions whose token begins at least one known phrase."""
-        index = self._index
-        return [position for position, token in enumerate(tokens)
-                if token in index]
+    def first_words(self) -> Iterable[str]:
+        """The words some phrase begins with."""
+        return self._index.keys()
+
+    def starts(self, tokens: list[str]) -> Iterator[int]:
+        """Positions whose token begins at least one known phrase, in
+        order."""
+        return compress(count(), map(self._index.__contains__, tokens))
 
     def match_at(self, tokens: list[str], position: int) -> tuple[str, ...] | None:
         """Longest phrase starting at ``position``, or None."""
-        candidates = self._index.get(tokens[position])
-        if not candidates:
+        entry = self._index.get(tokens[position])
+        if entry is None:
             return None
-        limit = min(self.max_len, len(tokens) - position)
-        for length in range(limit, 0, -1):
-            window = tuple(tokens[position:position + length])
-            if window in candidates:
-                return window
+        lengths, phrases = entry
+        remaining = len(tokens) - position
+        for length in lengths:
+            if length <= remaining:
+                window = tuple(tokens[position:position + length])
+                if window in phrases:
+                    return window
         return None

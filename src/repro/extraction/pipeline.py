@@ -21,9 +21,11 @@ callers from the similarity functions they are about to score
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import compress, repeat
+from operator import eq
 
 from repro.corpus.documents import DocumentCollection, NameCollection, WebPage
 from repro.corpus.vocabulary import Vocabulary
@@ -36,13 +38,15 @@ from repro.extraction.features import (
 )
 from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.stopwords import build_stopword_set
-from repro.extraction.tfidf import TfidfVectorizer
+from repro.extraction.tfidf import TfidfVectorizer, weighs_in_block
 from repro.extraction.tokenizer import (
     lower_all,
     page_lowered_tokens,
     page_tokens,
 )
 from repro.similarity.strings import jaro_winkler, name_similarity
+
+logger = logging.getLogger(__name__)
 
 
 class BlockContext:
@@ -71,7 +75,7 @@ class BlockContext:
 
     __slots__ = ("query_name", "vectorizer", "reads", "reads_ner",
                  "reads_concepts", "reads_tfidf", "_query", "_query_surname",
-                 "_name_scores")
+                 "_name_scores", "_jaro_scores")
 
     def __init__(self, query_name: str, vectorizer: TfidfVectorizer,
                  reads: frozenset[str] | None = None):
@@ -91,9 +95,10 @@ class BlockContext:
                 TFIDF_FIELDS if self.reads_tfidf else ())
         self._query = query_name.lower()
         self._query_surname = "".join(query_name.split()[-1:]).lower()
-        # surface -> (name_similarity, jaro_winkler) against the query:
+        # surface -> name_similarity / jaro_winkler against the query:
         # the same few name forms recur on most pages of a block.
-        self._name_scores: dict[str, tuple[float, float]] = {}
+        self._name_scores: dict[str, float] = {}
+        self._jaro_scores: dict[str, float] = {}
 
     @property
     def n_pages(self) -> int:
@@ -106,23 +111,34 @@ class BlockContext:
 
         Name-aware similarity ranks sub-forms of the query ("Cohen",
         "W. Cohen") above unrelated names; Jaro–Winkler breaks residual
-        ties, then the count, then the surface itself.
+        ties, then the count, then the surface itself.  That is the
+        ``max`` of ``(name_similarity, jaro_winkler, count, surface)``;
+        Jaro–Winkler is computed only for the surfaces tied on the first.
         """
         if len(person_counts) < 2:
             return next(iter(person_counts), "")
-        scores, query = self._name_scores, self._query
+        similarities = list(map(self._name_score, person_counts))
+        top = max(similarities)
+        tied = list(compress(person_counts.items(),
+                             map(eq, similarities, repeat(top))))
+        if len(tied) == 1:
+            return tied[0][0]
+        return max(tied, key=self._tie_break)[0]
 
-        def score(item: tuple[str, int]) -> tuple[float, float, int, str]:
-            surface, count = item
-            similarity = scores.get(surface)
-            if similarity is None:
-                lowered = surface.lower()
-                similarity = scores[surface] = (
-                    name_similarity(lowered, query),
-                    jaro_winkler(lowered, query))
-            return (*similarity, count, surface)
+    def _name_score(self, surface: str) -> float:
+        score = self._name_scores.get(surface)
+        if score is None:
+            score = self._name_scores[surface] = name_similarity(
+                surface.lower(), self._query)
+        return score
 
-        return max(person_counts.items(), key=score)[0]
+    def _tie_break(self, item: tuple[str, int]) -> tuple[float, int, str]:
+        surface, count = item
+        score = self._jaro_scores.get(surface)
+        if score is None:
+            score = self._jaro_scores[surface] = jaro_winkler(
+                surface.lower(), self._query)
+        return score, count, surface
 
     def other_persons(self, persons: list[PersonMention]) -> Counter:
         """Person names on the page that are not the query person (F6)."""
@@ -195,6 +211,12 @@ class ExtractionPipeline:
                       ) -> dict[str, PageFeatures]:
         """Extract features for every page of one name's block.
 
+        The pages' TF-IDF vectors are weighed together once all of them
+        joined (:meth:`~repro.extraction.tfidf.TfidfVectorizer.
+        add_documents`: one numpy pass from
+        :data:`~repro.extraction.tfidf.BLOCK_PASS_MIN_DOCUMENTS` pages,
+        page by page below); a ``DEBUG`` record names the route.
+
         Args:
             block: the pages to extract.
             context: the context of the pages that joined the name's
@@ -214,17 +236,25 @@ class ExtractionPipeline:
         """
         if context is None:
             context = self.block_context(block.query_name, reads)
-        # Every page joins before any is weighed: a page's IDF counts the
-        # whole block, later pages included.
         drafts = [self._draft(page, context, given)
                   for page, given in zip(block.pages, tokens or repeat(None))]
-        weigh = context.vectorizer.weigh
-        features: dict[str, PageFeatures] = {}
-        for draft, term_counts in drafts:
-            if term_counts is not None:
-                draft.tfidf = weigh(term_counts)
-            features[draft.doc_id] = draft
-        return features
+        if context.reads_tfidf:
+            # Every page joins before any is weighed: a page's IDF counts
+            # the whole block, later pages included.
+            vectors = context.vectorizer.add_documents(
+                [lowered for _, lowered in drafts])
+            for (draft, _), vector in zip(drafts, vectors):
+                draft.tfidf = vector
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("extract %(pages)d pages of %(query_name)r for "
+                         "reads %(reads)s: TF-IDF weighed %(route)s", dict(
+                             pages=len(drafts), query_name=block.query_name,
+                             reads=("all" if context.reads is None
+                                    else sorted(context.reads)),
+                             route=("none" if not context.reads_tfidf
+                                    else "block" if weighs_in_block(
+                                        len(drafts)) else "per-page")))
+        return {draft.doc_id: draft for draft, _ in drafts}
 
     def fold(self, pages: Iterable[WebPage], context: BlockContext) -> None:
         """Count ``pages`` into ``context`` without extracting them.
@@ -234,22 +264,17 @@ class ExtractionPipeline:
         does not read ``tfidf`` has nothing to count.
         """
         if context.reads_tfidf:
+            vectorizer = context.vectorizer
             for page in pages:
-                self._join(page_lowered_tokens(page), context)
-
-    def _join(self, lowered: list[str], context: BlockContext) -> Counter:
-        """Count one page's lower-cased tokens into ``context``."""
-        vectorizer = context.vectorizer
-        term_counts = vectorizer.count_terms(lowered)
-        vectorizer.observe(term_counts)
-        return term_counts
+                vectorizer.observe(
+                    vectorizer.count_terms(page_lowered_tokens(page)))
 
     def _draft(self, page: WebPage, context: BlockContext,
                tokens: list[str] | None = None,
-               ) -> tuple[PageFeatures, Counter | None]:
+               ) -> tuple[PageFeatures, list[str] | None]:
         """``page``'s features for the context's read set, bar the
-        TF-IDF vector, plus the term counts the vector is weighed from
-        once the whole block has joined (``None``: not read).
+        TF-IDF vector, plus the lower-cased tokens the vector is weighed
+        from once the whole block is read (``None``: not read).
 
         The page is tokenised at most once, and only when an extractor
         that reads tokens runs; without the NER, which reads case, and
@@ -259,7 +284,7 @@ class ExtractionPipeline:
         ner, concepts, tfidf = (context.reads_ner, context.reads_concepts,
                                 context.reads_tfidf)
         fields: dict[str, object] = {}
-        term_counts = None
+        lowered = None
         if ner or concepts or tfidf:
             if tokens is None and not ner:
                 lowered = page_lowered_tokens(page)
@@ -270,8 +295,6 @@ class ExtractionPipeline:
                 fields["n_tokens"] = len(tokens)
                 if concepts or tfidf:
                     lowered = lower_all(tokens)
-            if tfidf:
-                term_counts = self._join(lowered, context)
             if ner:
                 ner_result = self._ner.extract_tokens(tokens)
                 person_counts = ner_result.person_counts()
@@ -289,7 +312,8 @@ class ExtractionPipeline:
                         concept_counts),
                     concept_set=frozenset(concept_counts))
         return PageFeatures(doc_id=page.doc_id, url=page.url,
-                            reads=context.reads, **fields), term_counts
+                            reads=context.reads, **fields), (
+                                lowered if tfidf else None)
 
     def extract_collection(self, collection: DocumentCollection) -> dict[str, PageFeatures]:
         """Extract features for every page in the dataset (block by block)."""

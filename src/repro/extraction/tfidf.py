@@ -5,6 +5,11 @@ smoothed inverse document frequency, cosine (L2) normalization.  Vectors
 are sparse ``dict[str, float]`` — page vocabularies are small relative to
 the collection vocabulary, and the similarity layer
 (:mod:`repro.similarity.vectors`) operates on sparse dicts throughout.
+
+Documents that join together (:meth:`TfidfVectorizer.add_documents`)
+are weighed one by one (:meth:`TfidfVectorizer.weigh`, the reference)
+or, from :data:`BLOCK_PASS_MIN_DOCUMENTS` of them where numpy is
+installed, in one columnar pass that gives the same floats.
 """
 
 from __future__ import annotations
@@ -12,11 +17,32 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import repeat
-from operator import mul, truediv
+from itertools import chain, compress, count, repeat
+from operator import le, mul, truediv
 
 from repro.extraction.tokenizer import lower_all
 from repro.folds import left_sum
+
+try:
+    import numpy as np
+except ImportError:  # numpy is optional: every call weighs per document
+    np = None
+
+#: A call that adds at least this many documents is weighed in one numpy
+#: pass; fewer are weighed one by one, where the pass's fixed cost (a
+#: dozen array calls) exceeds the per-document Python work it replaces.
+#: Measured on 163-token pages (Python 3.11, numpy 2.4, 2-core host), the
+#: pass costs 1.6x the per-document path at 2 documents, breaks even at
+#: about 8, and costs 0.87-0.90x at 12, 0.83x at 16 and 0.66-0.72x at 52.
+#: 16 keeps a clear margin, and keeps served single pages and small
+#: warm-up batches on the per-document path.
+BLOCK_PASS_MIN_DOCUMENTS = 16
+
+
+def weighs_in_block(n_documents: int) -> bool:
+    """Whether :meth:`TfidfVectorizer.add_documents` weighs a call of
+    ``n_documents`` in one numpy pass."""
+    return np is not None and n_documents >= BLOCK_PASS_MIN_DOCUMENTS
 
 
 class _IdfByFrequency(dict):
@@ -43,6 +69,15 @@ class _LogTermFrequency(dict):
     def __missing__(self, count: int) -> float:
         value = self[count] = 1.0 + math.log(count)
         return value
+
+
+def _table(values: dict, keys):
+    """``values[key]`` for every distinct key in the integer array
+    ``keys``, as an array indexed by key (other slots unset)."""
+    present = np.unique(keys).tolist()
+    table = np.empty(present[-1] + 1)
+    table[present] = list(map(values.__getitem__, present))
+    return table
 
 
 class TfidfVectorizer:
@@ -128,6 +163,78 @@ class TfidfVectorizer:
                 map(self._document_frequency.get, terms, repeat(0)))))
         norm = math.sqrt(left_sum(map(mul, weights, weights)))
         return dict(zip(terms, map(truediv, weights, repeat(norm))))
+
+    def add_documents(self, documents: Sequence[list[str]],
+                      ) -> list[dict[str, float]]:
+        """Add ``documents`` (lower-cased tokens each) to the corpus, then
+        weigh each of them over the grown statistics.
+
+        Every document joins before any is weighed, so each one's IDF
+        counts all of them.  The same vectors as :meth:`observe` on each
+        :meth:`count_terms` and then :meth:`weigh` on each, which is what
+        a call of fewer than :data:`BLOCK_PASS_MIN_DOCUMENTS` does.
+        """
+        if weighs_in_block(len(documents)):
+            return self._add_block(documents)
+        term_counts = list(map(self.count_terms, documents))
+        for counts in term_counts:
+            self.observe(counts)
+        return list(map(self.weigh, term_counts))
+
+    def _add_block(self, documents: Sequence[list[str]],
+                   ) -> list[dict[str, float]]:
+        """:meth:`add_documents` as one columnar numpy pass.
+
+        The kept terms are numbered in sorted order, so (document, term)
+        codes sort into each document's term-sorted entries.  Weights
+        are products of ``math.log`` tables (``np.log`` may differ in
+        the last bit), and each norm folds the squares left to right
+        with ``np.add.accumulate`` over zero-padded rows: the floats
+        :meth:`weigh` computes, one by one.
+        """
+        tokens = list(chain.from_iterable(documents))
+        distinct = set(tokens) - self.stopwords
+        terms = sorted(compress(distinct, map(
+            le, repeat(self.min_token_length), map(len, distinct))))
+        n_terms, n_documents = len(terms), len(documents)
+        numbers = dict(zip(terms, count()))
+        codes = np.fromiter(map(numbers.get, tokens, repeat(n_terms)),
+                            dtype=np.int64, count=len(tokens))
+        owners = np.repeat(np.arange(n_documents, dtype=np.int64),
+                           np.fromiter(map(len, documents), dtype=np.int64,
+                                       count=n_documents))
+        kept = codes < n_terms
+        entries, term_counts = np.unique(
+            owners[kept] * n_terms + codes[kept], return_counts=True)
+        owners, term_ids = np.divmod(entries, n_terms or 1)
+
+        frequencies = self._document_frequency
+        totals = np.fromiter(map(frequencies.get, terms, repeat(0)),
+                             dtype=np.int64, count=n_terms)
+        totals += np.bincount(term_ids, minlength=n_terms)
+        # New terms enter in sorted, not first-seen, order; nothing reads
+        # the table's order, only its counts.
+        dict.update(frequencies, zip(terms, totals.tolist()))
+        self._n_documents += n_documents
+        self._idf = _IdfByFrequency(self._n_documents)
+        if not n_terms:
+            return [{} for _ in documents]
+
+        weights = (_table(self._log_tf, term_counts)[term_counts]
+                   * _table(self._idf, totals)[totals][term_ids])
+        sizes = np.bincount(owners, minlength=n_documents)
+        ends = np.cumsum(sizes)
+        squares = np.zeros((n_documents, int(sizes.max())))
+        squares[owners, np.arange(len(entries)) - (ends - sizes)[owners]] = (
+            weights * weights)
+        norms = np.sqrt(np.add.accumulate(squares, axis=1)[:, -1])
+        keys = np.array(terms, dtype=object)[term_ids].tolist()
+        values = (weights / norms[owners]).tolist()
+        vectors, start = [], 0
+        for end in ends.tolist():
+            vectors.append(dict(zip(keys[start:end], values[start:end])))
+            start = end
+        return vectors
 
     def fit(self, documents: Sequence[list[str]]) -> "TfidfVectorizer":
         """Learn IDF statistics from tokenized documents (any case)."""

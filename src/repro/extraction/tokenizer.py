@@ -68,12 +68,6 @@ def lower_tokens(text: str) -> list[str]:
     return lower_all(tokenize(text))
 
 
-def capitalized_positions(tokens: list[str]) -> list[int]:
-    """Indices of the tokens :func:`is_capitalized` accepts."""
-    return [position for position, token in enumerate(tokens)
-            if token[:1].isupper()]
-
-
 def is_capitalized(token: str) -> bool:
     """True for tokens starting with an uppercase letter."""
     return bool(token) and token[0].isupper()

@@ -157,7 +157,7 @@ class ShardStore:
             return None
         try:
             segment = shared_memory.SharedMemory(create=True, size=len(data))
-        except OSError:  # pragma: no cover - /dev/shm missing or full
+        except OSError:  # /dev/shm missing, denied or full
             return None
         segment.buf[:len(data)] = data
         self._segments.append(("shm", segment))

@@ -1,9 +1,11 @@
 """Extraction pipeline tests (on the generated fixture block)."""
 
+import logging
 from collections import Counter
 
 from repro.corpus.documents import NameCollection, WebPage
 from repro.extraction.pipeline import ExtractionPipeline
+from repro.extraction.tfidf import BLOCK_PASS_MIN_DOCUMENTS
 from repro.extraction.tokenizer import page_tokens
 
 
@@ -80,6 +82,37 @@ class TestHandedTokens:
         assert page_reads == []
         assert all(page.n_tokens == 0 and page.reads == {"url"}
                    for page in features.values())
+
+
+class TestTfidfRouteEvent:
+    """One ``DEBUG`` record per ``extract_block`` call names how its
+    TF-IDF was weighed; nothing is logged at the default level."""
+
+    LOGGER = "repro.extraction.pipeline"
+
+    def routes(self, caplog):
+        return [(record.args["pages"], record.args["route"],
+                 record.args["reads"]) for record in caplog.records
+                if record.name == self.LOGGER]
+
+    def test_each_call_names_its_route(self, pipeline, small_block, caplog):
+        pages = list(small_block.pages)
+        deep = NameCollection(small_block.query_name,
+                              pages=pages[:BLOCK_PASS_MIN_DOCUMENTS])
+        single = NameCollection(small_block.query_name, pages=pages[:1])
+        caplog.set_level(logging.DEBUG, logger=self.LOGGER)
+        pipeline.extract_block(deep)
+        pipeline.extract_block(single, reads=frozenset({"tfidf"}))
+        pipeline.extract_block(deep, reads=frozenset({"url"}))
+        assert self.routes(caplog) == [
+            (BLOCK_PASS_MIN_DOCUMENTS, "block", "all"),
+            (1, "per-page", ["tfidf", "url"]),
+            (BLOCK_PASS_MIN_DOCUMENTS, "none", ["url"])]
+
+    def test_silent_by_default(self, pipeline, small_block, caplog):
+        caplog.set_level(logging.WARNING)
+        pipeline.extract_block(small_block)
+        assert self.routes(caplog) == []
 
 
 class TestExtractCollection:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.extraction import tfidf
 from repro.extraction.tfidf import TfidfVectorizer
 
 
@@ -130,3 +131,45 @@ class TestRunningStatistics:
         expected = Counter([token for token in tokens if len(token) >= 2
                             and token not in vectorizer.stopwords])
         assert list(counts.items()) == list(expected.items())
+
+
+class TestAddDocuments:
+    """The block pass and the per-document weighing give the same floats,
+    the same key order and the same running statistics."""
+
+    @staticmethod
+    def add(monkeypatch, documents, threshold, before=()):
+        monkeypatch.setattr(tfidf, "BLOCK_PASS_MIN_DOCUMENTS", threshold)
+        vectorizer = TfidfVectorizer(stopwords=frozenset({"the", "of"}))
+        vectorizer.fit(before)
+        vectors = vectorizer.add_documents(documents)
+        return vectors, vectorizer
+
+    @pytest.mark.parametrize("before", [(), DOCS])
+    def test_block_pass_equals_per_document_weighing(self, monkeypatch,
+                                                     before):
+        documents = [["alpha", "the", "beta", "alpha", "x"], [],
+                     ["of", "the", "a"], ["gamma", "alpha", "delta"] * 3,
+                     ["zeta", "i\u0307stanbul", "kelvin", "beta"]]
+        per_page, by_page = self.add(monkeypatch, documents, 10**9, before)
+        block, by_block = self.add(monkeypatch, documents, 1, before)
+        assert [list(v.items()) for v in block] == [
+            list(v.items()) for v in per_page]
+        assert [type(v) for v in block] == [dict] * len(documents)
+        assert by_block.n_documents == by_page.n_documents
+        assert (dict(by_block._document_frequency)
+                == dict(by_page._document_frequency))
+        after = ["alpha", "omega"]
+        assert (list(by_block.weigh(by_block.count_terms(after)).items())
+                == list(by_page.weigh(by_page.count_terms(after)).items()))
+
+    def test_block_of_filtered_documents_only(self, monkeypatch):
+        vectors, vectorizer = self.add(monkeypatch, [["the"], ["a", "of"]], 1)
+        assert vectors == [{}, {}] and vectors[0] is not vectors[1]
+        assert vectorizer.n_documents == 2
+        assert vectorizer.vocabulary_size == 0
+
+    def test_threshold_routes_to_the_block_pass(self):
+        assert tfidf.weighs_in_block(tfidf.BLOCK_PASS_MIN_DOCUMENTS)
+        assert not tfidf.weighs_in_block(
+            tfidf.BLOCK_PASS_MIN_DOCUMENTS - 1)

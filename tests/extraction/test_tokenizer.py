@@ -3,7 +3,6 @@
 from types import SimpleNamespace
 
 from repro.extraction.tokenizer import (
-    capitalized_positions,
     is_capitalized,
     is_initial,
     lower_all,
@@ -103,17 +102,6 @@ class TestPageLoweredTokens:
                             ("caf\u00e9", "Stra\u00dfe MIXED case")]:
             page = self.page(title, text)
             assert page_lowered_tokens(page) == lower_all(page_tokens(page))
-
-
-class TestCapitalizedPositions:
-    def test_matches_is_capitalized(self):
-        tokens = ["Acme", "labs", "J", "", "\u00c9cole", "x-Ray", "'s", "B"]
-        assert capitalized_positions(tokens) == [
-            position for position, token in enumerate(tokens)
-            if is_capitalized(token)]
-
-    def test_no_tokens(self):
-        assert capitalized_positions([]) == []
 
 
 class TestPredicates:

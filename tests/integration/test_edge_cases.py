@@ -1,5 +1,7 @@
 """Edge cases and failure injection across the stack."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import (
@@ -194,3 +196,90 @@ class TestTrainingSampleEdge:
         truth = block.ground_truth()
         for (left, right), label in training.pairs:
             assert label == (truth[left] == truth[right])
+
+
+#: What ``surrogateescape`` decoding leaves of undecodable bytes (lone
+#: surrogates), plus NUL and control characters.
+DIRTY = "\udcff\udc80\x00\x01\x1b\x7f"
+
+
+def dirty(page: WebPage) -> WebPage:
+    """``page`` with the characters of :data:`DIRTY` in title and text."""
+    return replace(page, title=f"\udcff{page.title}\x00",
+                   text=DIRTY.join(page.text.split(" ", 4)) + "\udc80\x1b")
+
+
+def cleaned(page: WebPage) -> WebPage:
+    """``page`` with each character of :data:`DIRTY` read as a space."""
+    spaces = str.maketrans(dict.fromkeys(DIRTY, " "))
+    return replace(page, title=page.title.translate(spaces),
+                   text=page.text.translate(spaces))
+
+
+class TestDirtyPageText:
+    """Page text that is not clean UTF-8 reads as if each such character
+    were a space, serves, and survives a save and load."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        dataset, _ = tiny_block(n_pages=8, n_persons=2)
+        return dataset
+
+    @pytest.fixture(scope="class")
+    def tiny_pipeline(self, dataset):
+        return EntityResolver(ResolverConfig()).pipeline_for(dataset)
+
+    def test_extracts_as_spaces(self, dataset, tiny_pipeline):
+        block = dataset.by_name("Max Tiny")
+        dirty_block = NameCollection(block.query_name,
+                                     pages=[dirty(page) for page in block])
+        clean_block = NameCollection(
+            block.query_name, pages=[cleaned(page) for page in dirty_block])
+        assert dirty_block.pages[0].text != clean_block.pages[0].text
+        got = tiny_pipeline.extract_block(dirty_block)
+        expected = tiny_pipeline.extract_block(clean_block)
+        assert got == expected
+        assert [list(page.tfidf.items()) for page in got.values()] == [
+            list(page.tfidf.items()) for page in expected.values()]
+
+    def test_served_page_resolves_and_replays(self, dataset,
+                                               tiny_pipeline):
+        from repro.serving import ServingEngine, verify_serial_equivalence
+
+        model = EntityResolver(ResolverConfig()).fit(
+            dataset, training_seed=0, pipeline=tiny_pipeline)
+        pages = list(dataset.by_name("Max Tiny").pages)
+        assignments = []
+        for page in (dirty(pages[-1]), cleaned(dirty(pages[-1]))):
+            engine = ServingEngine(model, pipeline=tiny_pipeline,
+                                   record_journal=True)
+            engine.resolve(pages[:-1])
+            assignments.append(engine.resolve(page))
+            report = verify_serial_equivalence(engine)
+            assert report["identical"], report["diffs"][:5]
+        assert assignments[0] == assignments[1]
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    def test_round_trips_through_the_loaders(self, dataset, tmp_path,
+                                             suffix):
+        from repro.corpus.documents import DocumentCollection
+        from repro.corpus.loaders import (
+            load_collection,
+            save_blocks_jsonl,
+            save_collection,
+        )
+
+        collection = DocumentCollection(
+            name="dirty", metadata=dataset.metadata, collections=[
+                NameCollection(block.query_name,
+                               pages=[dirty(page) for page in block])
+                for block in dataset])
+        path = tmp_path / f"dirty{suffix}"
+        if suffix == ".json":
+            save_collection(collection, path)
+        else:
+            save_blocks_jsonl(collection, path, name="dirty",
+                              metadata=dataset.metadata)
+        loaded = load_collection(path)
+        assert [block.pages for block in loaded] == [
+            block.pages for block in collection]

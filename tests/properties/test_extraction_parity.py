@@ -21,9 +21,10 @@ from repro.corpus.datasets import scale_corpus, www05_like
 from repro.corpus.documents import NameCollection, WebPage
 from repro.corpus.vocabulary import build_vocabulary
 from repro.extraction.features import PageFeatures
-from repro.extraction.ner import NerResult, PersonMention
+from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.extraction.stopwords import build_stopword_set
+from repro.extraction.tfidf import BLOCK_PASS_MIN_DOCUMENTS
 from repro.extraction.tokenizer import is_capitalized, is_initial, tokenize
 from repro.similarity.strings import jaro_winkler, name_similarity
 
@@ -406,6 +407,11 @@ EDGE_BLOCKS = {
     "stopword_page_among_others": _block(
         ("the", "of and"), ("Jane Roe", "kernel methods course"),
         ("", "")),
+    # Tied on name similarity (0.4 each): Jaro–Winkler ranks the
+    # surface seen second first.
+    "closest_name_ties": _block(
+        ("", "Bob Roe met William Roe, then Bob Roe"),
+        ("Roe", "William Roe and Bob Roe")),
     "duplicate_doc_id": NameCollection(query_name="Jane Roe", pages=[
         WebPage(doc_id="e/0", query_name="Jane Roe", url="u",
                 title="first", text="Jane Roe machine learning"),
@@ -420,3 +426,135 @@ def test_edge_blocks_extract_identically(name):
     assert_identical_features(
         ExtractionPipeline(**GAZETTEERS).extract_block(block),
         SeedPipeline(**GAZETTEERS).extract_block(block))
+
+
+# -- the entity-start scan and the phrase lengths -----------------------------
+#
+# The NER visits only tokens in its starter set and a phrase match tries
+# only the lengths its first word's phrases have.  These inventories put
+# that where it can break: one first word starting phrases of several
+# lengths (some longer than the tokens left), lower-case gazetteer first
+# words, and initials or known surnames as the last token.
+
+WORDS = ["Acme", "acme", "Labs", "labs", "New", "new", "York", "Data",
+         "data", "J", "W", "Roe", "Jane", "Bob", "Cohen", "Institute",
+         "x", "of", "the"]
+
+
+@st.composite
+def inventories(draw):
+    stem = draw(st.sampled_from(WORDS))
+    tails = st.lists(st.sampled_from(WORDS), max_size=6)
+    # The stem begins phrases of several lengths, up to seven words.
+    stem_phrases = [" ".join([stem, *tail])
+                    for tail in draw(st.lists(tails, min_size=1,
+                                              max_size=4))]
+    phrases = st.lists(st.lists(st.sampled_from(WORDS), min_size=1,
+                                max_size=4).map(" ".join), max_size=5)
+    names = st.lists(st.sampled_from(WORDS), max_size=5)
+    organizations = draw(phrases) + stem_phrases
+    locations = draw(phrases)
+    if draw(st.booleans()):
+        locations += stem_phrases
+    return stem, dict(organizations=organizations, locations=locations,
+                      first_names=draw(names), known_surnames=draw(names),
+                      concepts=[phrase.lower() for phrase in draw(phrases)]
+                      + [phrase.lower() for phrase in stem_phrases],
+                      extra_stopwords=["x"])
+
+
+@st.composite
+def inventory_blocks(draw):
+    stem, gazetteers = draw(inventories())
+    words = st.lists(st.sampled_from(WORDS + [stem] * 4), max_size=16)
+    # The last token is often the stem, an initial or a known surname.
+    last = st.sampled_from([stem, "J", "W", "Roe", "Cohen", "Data", ""])
+    pages = [WebPage(doc_id=f"i/{index}", query_name="Jane Roe",
+                     url=f"http://i.org/{index}",
+                     title=" ".join(draw(words)),
+                     text=" ".join(draw(words) + [draw(last)]))
+             for index in range(draw(st.integers(min_value=1,
+                                                 max_value=4)))]
+    return gazetteers, NameCollection(query_name="Jane Roe", pages=pages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inventory_blocks())
+def test_inventory_edges_extract_identically(case):
+    gazetteers, block = case
+    assert_identical_features(
+        ExtractionPipeline(**gazetteers).extract_block(block),
+        SeedPipeline(**gazetteers).extract_block(block))
+
+
+NON_ASCII_TOKENS = ["\u00c9", "\u00e9", "\u0130", "\u03a3", "\u01c5",
+                    "\u212a", "\u00c4", "\u1e9e", "\u00c9cole",
+                    "\u0130stanbul", "Jos\u00e9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(inventories(), st.lists(st.sampled_from(WORDS + NON_ASCII_TOKENS),
+                               max_size=14))
+def test_tokens_with_non_ascii_capitals_extract_identically(inventory,
+                                                            tokens):
+    """``extract_tokens`` is public: a token it is handed may be a
+    one-letter non-ASCII capital, an initial as ``is_initial`` says."""
+    _, gazetteers = inventory
+    del gazetteers["concepts"], gazetteers["extra_stopwords"]
+    for names in ("first_names", "known_surnames"):
+        gazetteers[names] = gazetteers[names] + NON_ASCII_TOKENS[:3]
+    got = DictionaryNer(**gazetteers).extract_tokens(tokens)
+    expected = _SeedNer(**gazetteers).extract_tokens(tokens)
+    assert list(got.organizations.items()) == list(
+        expected.organizations.items())
+    assert list(got.locations.items()) == list(expected.locations.items())
+    assert got.persons == expected.persons
+
+
+# -- the block pass and the per-page weighing ---------------------------------
+
+K = BLOCK_PASS_MIN_DOCUMENTS
+
+
+@pytest.fixture(scope="module")
+def deep_block():
+    collection = www05_like(seed=17, pages_per_name=3 * K + 4,
+                            names=["William Cohen"])
+    fused, seed = pipelines_for(collection)
+    return fused, seed, collection.collections[0]
+
+
+@pytest.mark.parametrize("n_pages", [K - 1, K, K + 1])
+@pytest.mark.parametrize("reads", [None, frozenset({"tfidf"})])
+def test_blocks_around_the_block_pass_threshold(deep_block, n_pages, reads):
+    fused, seed, block = deep_block
+    part = NameCollection(block.query_name, pages=block.pages[:n_pages])
+    got = fused.extract_block(part, reads=reads)
+    expected = seed.extract_block(part)
+    if reads is None:
+        assert_identical_features(got, expected)
+    else:
+        assert list(got) == list(expected)
+        for doc_id, features in got.items():
+            assert (list(features.tfidf.items())
+                    == list(expected[doc_id].tfidf.items()))
+
+
+@pytest.mark.parametrize("sizes", [(K - 1, 1, K + 1, K), (1, K, 2, K + 3)])
+def test_grown_context_crossing_the_threshold(deep_block, sizes):
+    """Calls of either route grow one context; each call's pages weigh as
+    the seed weighs them inside the block of the pages so far."""
+    fused, seed, block = deep_block
+    pages = list(block.pages)
+    context = fused.block_context(block.query_name)
+    start = 0
+    for size in sizes:
+        joined = pages[start:start + size]
+        start += size
+        got = fused.extract_block(
+            NameCollection(block.query_name, pages=joined), context)
+        expected = seed.extract_block(
+            NameCollection(block.query_name, pages=pages[:start]))
+        assert_identical_features(
+            got, {page.doc_id: expected[page.doc_id] for page in joined})
+    assert context.n_pages == start

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -225,3 +226,68 @@ def test_pool_forked_before_first_publish_leaks_no_segment():
         capture_output=True, text=True, timeout=120)
     assert finished.returncode == 0, finished.stderr
     assert "resource_tracker" not in finished.stderr, finished.stderr
+
+
+class TestSharedMemoryDenied:
+    """Where ``/dev/shm`` refuses a segment, shards travel as scratch
+    files: same payloads, and nothing is left once the store closes."""
+
+    @pytest.fixture
+    def denied(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise OSError(13, "Permission denied", "/dev/shm")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        published = []
+        publish_file = ShardStore._publish_file
+
+        def spy(store, shard_id, data):
+            published.append(publish_file(store, shard_id, data))
+            return published[-1]
+
+        monkeypatch.setattr(ShardStore, "_publish_file", spy)
+        return published
+
+    @staticmethod
+    def leftovers():
+        return {name for name in os.listdir(tempfile.gettempdir())
+                if name.startswith("repro-") and name.endswith(".shard")}
+
+    def test_publish_falls_back_to_a_file_and_cleans_up(self, denied):
+        before = self.leftovers()
+        payload = {"values": [1.5, 2.5], "name": "denied"}
+        with ShardStore() as store:
+            handle = store.publish(payload)
+            assert handle.via == "file"
+            assert denied == [handle]
+            shards_module._LOCAL.pop(handle.shard_id)
+            assert load_shard(handle) == payload
+            shards_module._ATTACHED.clear()
+        assert not os.path.exists(handle.location)
+        assert self.leftovers() == before
+
+    def test_parallel_fit_gives_the_serial_partition(self, denied):
+        dataset = repro.www05_like(seed=4, pages_per_name=8,
+                                   names=["William Cohen", "Adam Cheyer",
+                                          "Lynn Voss"])
+        before = self.leftovers()
+        resolver = EntityResolver(ResolverConfig())
+        serial = resolver.fit(dataset, training_seed=0)
+        with ProcessPoolBlockExecutor(workers=2,
+                                      oversubscribe=True) as executor:
+            pooled = resolver.fit(dataset, training_seed=0,
+                                  executor=executor)
+            assert executor.fork_waves == 1
+            assert len(executor._pool._processes) == 2
+        assert pooled.fit_stats.effective_workers == 2
+        assert denied and all(handle.via == "file" for handle in denied)
+
+        def partitions(model):
+            return [(sorted(map(sorted, prediction.predicted)),
+                     prediction.layer_accuracies)
+                    for prediction in map(model.predict_block, dataset)]
+
+        assert partitions(pooled) == partitions(serial)
+        assert self.leftovers() == before

@@ -89,7 +89,14 @@ class TestMissingNumpyFallback:
     def test_default_is_python_where_numpy_does_not_import(self):
         """With numpy blocked, the ambient default is the ``python``
         backend, and a small fit + evaluate runs on it without the
-        missing-numpy warning (that one is for an explicit ``numpy``)."""
+        missing-numpy warning (that one is for an explicit ``numpy``).
+        Extraction weighs a block past the TF-IDF block-pass threshold
+        page by page there, to the block pass's floats."""
+        from repro.core.resolver import EntityResolver
+        from repro.corpus.datasets import www05_like
+        from repro.extraction.tfidf import (BLOCK_PASS_MIN_DOCUMENTS,
+                                            weighs_in_block)
+
         script = textwrap.dedent("""
             import sys
             import warnings
@@ -109,6 +116,17 @@ class TestMissingNumpyFallback:
             assert "numpy" not in [name for name, module
                                    in sys.modules.items() if module]
             print("ok")
+
+            # A block past the block-pass threshold weighs page by page.
+            from repro.extraction.tfidf import (BLOCK_PASS_MIN_DOCUMENTS,
+                                                weighs_in_block)
+            assert not weighs_in_block(BLOCK_PASS_MIN_DOCUMENTS)
+            deep = www05_like(seed=3, pages_per_name=BLOCK_PASS_MIN_DOCUMENTS
+                              + 2, names=["William Cohen"])
+            pipeline = EntityResolver(ResolverConfig()).pipeline_for(deep)
+            features = pipeline.extract_block(deep.collections[0])
+            print(repr([(doc_id, list(page.tfidf.items()))
+                        for doc_id, page in features.items()]))
         """)
         environment = {key: value for key, value in os.environ.items()
                        if key != "REPRO_BACKEND"}
@@ -117,7 +135,15 @@ class TestMissingNumpyFallback:
                               env=environment, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
+        status, per_page = done.stdout.strip().splitlines()
+        assert status == "ok"
+        deep = www05_like(seed=3, pages_per_name=BLOCK_PASS_MIN_DOCUMENTS + 2,
+                          names=["William Cohen"])
+        features = EntityResolver(ResolverConfig()).pipeline_for(
+            deep).extract_block(deep.collections[0])
+        assert weighs_in_block(len(features))
+        assert per_page == repr([(doc_id, list(page.tfidf.items()))
+                                 for doc_id, page in features.items()])
 
     def test_degrades_to_scalar_backend_when_kernels_unavailable(
             self, monkeypatch):
