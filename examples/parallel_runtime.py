@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The block execution engine: parallel fan-out, caching and RunStats.
+"""The block execution engine: parallel fan-out, graph reuse and RunStats.
 
 Demonstrates the runtime layer (``repro.runtime``) end to end:
 
@@ -7,11 +7,11 @@ Demonstrates the runtime layer (``repro.runtime``) end to end:
    on a 4-process pool, with bit-identical metrics (the engine's
    determinism guarantee: merge order is block order, workers inherit the
    parent's hash seed via fork).
-2. **Similarity caching** — a model serving the same block twice computes
-   the quadratic pairwise-similarity step once; ``release_fit_caches``
-   drops the per-block state a long-lived server should not retain.
+2. **Graph reuse** — ``ExperimentContext.prepare`` runs the quadratic
+   pairwise-similarity step once; fit and evaluate passes handed its
+   ``graphs_by_name`` score no pair again.
 3. **Observability** — every pass reports a ``RunStats`` (wall time,
-   pairs scored, cache hit rate, per-block timings).
+   pairs scored, per-block timings).
 
 Run:
     python examples/parallel_runtime.py
@@ -42,21 +42,15 @@ def main() -> None:
     print(f"protocol metrics identical across executors: "
           f"mean Fp = {serial.metric('fp'):.4f}\n")
 
-    print("=== 2. the shared similarity cache ============================")
-    block = dataset.collections[0]
-    resolver = EntityResolver(ResolverConfig())
-    model = resolver.fit(block, training_seed=0,
-                         pipeline=resolver.pipeline_for(dataset))
-    model.release_fit_caches()  # start from a cold cache
-    for attempt in ("cold", "warm"):
-        model.predict_block(block)
-        snapshot = model.cache_stats()
-        print(f"{attempt} predict: {snapshot.pair_misses} pairs computed, "
-              f"{snapshot.pair_hits} served from cache "
-              f"(hit rate {snapshot.hit_rate:.0%})")
-    model.release_fit_caches()
-    print(f"after release_fit_caches: "
-          f"{model.cache_stats().n_blocks} cached blocks\n")
+    print("=== 2. prepared graphs, reused by passing them ================")
+    graphs_by_name = serial_context.graphs_by_name
+    model = EntityResolver(ResolverConfig()).fit(
+        dataset, training_seed=0, graphs_by_name=graphs_by_name)
+    resolution = model.evaluate_collection(dataset,
+                                           graphs_by_name=graphs_by_name)
+    print(f"prepare scored {serial_context.stats.pairs_scored} pairs; "
+          f"fit scored {model.fit_stats.pairs_scored}, "
+          f"evaluate scored {resolution.stats.pairs_scored}\n")
 
     print("=== 3. per-block timings ======================================")
     slowest = sorted(serial_context.stats.per_block_seconds.items(),

@@ -43,7 +43,6 @@ from repro.extraction.pipeline import ExtractionPipeline
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.metrics.clusterings import Clustering, clustering_from_assignments
 from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
-from repro.runtime.cache import SimilarityCache
 from repro.runtime.executor import BlockExecutor, executor_from_config
 from repro.runtime.stats import RunStats, clock
 from repro.runtime.tasks import PredictBlockTask, block_graphs, run_pass
@@ -358,23 +357,20 @@ class ResolverModel:
        :meth:`predict_collection`) resolves pages *without reading
        labels*; ``person_id`` may be absent.  Collection passes are
        scheduled by the runtime engine: the config's executor (or an
-       explicit ``executor=`` argument) runs one task per block, each
-       scoring through a cache of its own — a collection pass never
-       touches the model's
-       :class:`~repro.runtime.cache.SimilarityCache`, which serves
-       repeated single-block calls — and the resulting
-       :class:`~repro.runtime.stats.RunStats` is attached to the returned
-       collection result.  Serial and parallel execution run the same
-       task body, so predictions are bit-identical at fixed seeds.
+       explicit ``executor=`` argument) runs one task per block, and the
+       resulting :class:`~repro.runtime.stats.RunStats` is attached to
+       the returned collection result.  Serial and parallel execution
+       run the same task body, so predictions are bit-identical at fixed
+       seeds.
     4. **evaluate** — :meth:`evaluate` predicts and then scores against
        ground truth (which must be present); it shares every serving code
        path with predict, so reported metrics measure exactly what
        serving would produce.
 
     A long-lived serving process should call :meth:`release_fit_caches`
-    after fit-and-predict bursts: it drops the fit-time layer hand-off
-    and the similarity cache's quadratic per-block state (the collection
-    paths do this automatically).
+    after fit-and-predict bursts: it drops the fit-time layer hand-off's
+    quadratic per-block state (the collection paths do this
+    automatically).
 
     Args:
         config: the resolver configuration fitting ran under.
@@ -392,7 +388,6 @@ class ResolverModel:
         self.pipeline = pipeline
         self._functions = functions_subset(config.function_names)
         self._combiner = build_combiner(config.combiner)
-        self._similarity_cache = SimilarityCache()
         #: RunStats of the fit pass that produced this model (set by
         #: collection fitting; None for hand-assembled or loaded models).
         self.fit_stats: RunStats | None = None
@@ -402,46 +397,18 @@ class ResolverModel:
         return list(self.blocks)
 
     def release_fit_caches(self) -> None:
-        """Drop every block's fit-time layer cache and the similarity cache.
+        """Drop every block's fit-time layer cache.
 
         Fitting on caller-supplied graphs seeds a one-shot cache per
         block so an immediate predict pass over the same graphs reuses
-        the fit-time layers, and single-block serving fills the model's
-        :class:`~repro.runtime.cache.SimilarityCache` with per-block
-        features and pairwise values; both are quadratic in block size.
-        The collection predict/evaluate paths call this afterwards so a
+        the fit-time layers; it is quadratic in block size.  The
+        collection predict/evaluate paths call this afterwards so a
         long-lived process does not retain per-block state for blocks it
         already served.  Call it yourself when keeping a model fitted on
-        supplied graphs alive without predicting, or between serving
-        bursts.  Cache hit/miss counters survive.
+        supplied graphs alive without predicting.
         """
         for fitted in self.blocks.values():
             fitted._layer_cache = None
-        self._similarity_cache.clear()
-
-    def cache_stats(self):
-        """Counter snapshot of the model's similarity cache.
-
-        Returns a :class:`~repro.runtime.cache.CacheStats` — pair/feature
-        hit and miss totals plus the number of currently cached blocks.
-        Counters survive :meth:`release_fit_caches`, so the snapshot
-        reflects the process lifetime, not just the current entries.
-        """
-        return self._similarity_cache.stats()
-
-    def adopt_similarity_cache(self, cache: SimilarityCache) -> None:
-        """Serve predictions from an externally prepared cache.
-
-        Pass the retained cache of an
-        :meth:`~repro.experiments.runner.ExperimentContext.prepare` pass
-        (its ``cache=`` argument) and subsequent default-pipeline
-        ``predict_block``/``predict_fitted`` calls reuse the prepared
-        per-page features and pair weights instead of recomputing them —
-        the prepare-once/serve-many handoff.  The cache is shared, not
-        copied: hits and misses accumulate on the adopted instance, and
-        :meth:`release_fit_caches` clears *its* entries.
-        """
-        self._similarity_cache = cache
 
     def consulted_layers(self, fitted: FittedBlock) -> list[FittedLayer]:
         """The fitted layers the model's combiner reads for ``fitted``
@@ -536,15 +503,9 @@ class ResolverModel:
         ``layer_accuracies`` still reports every fitted layer.
         """
         if graphs is None:
-            # The similarity cache is keyed by block content (and mask)
-            # only, so it must not serve a call that supplies its own
-            # features or pipeline — those may score differently than
-            # the model's defaults that populated the cache.
-            cache = (self._similarity_cache
-                     if features is None and pipeline is None else None)
             graphs = block_graphs(
                 block, None, pipeline or self.pipeline,
-                self.scoring_functions(fitted), cache, features=features,
+                self.scoring_functions(fitted), features=features,
                 backend=self.config.backend, mask=mask)
 
         layers = fitted.decision_layers(self.consulted_layers(fitted), graphs)

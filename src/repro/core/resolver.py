@@ -148,7 +148,7 @@ class EntityResolver:
                     "pass graphs= for a single block")
             supplied = graphs is not None
             graphs = block_graphs(data, graphs, pipeline or self._pipeline,
-                                  self._functions, None, features=features,
+                                  self._functions, features=features,
                                   backend=self.config.backend)
             fitted = self.fit_block(data, graphs, training_seed)
             if not supplied:

@@ -29,7 +29,6 @@ from repro.graph.entity_graph import WeightedPairGraph
 from repro.metrics.clusterings import clustering_from_assignments
 from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.ml.sampling import sample_training_pairs, training_runs
-from repro.runtime.cache import SimilarityCache
 from repro.runtime.executor import BlockExecutor, executor_for_workers
 from repro.runtime.stats import RunStats
 from repro.runtime.tasks import PrepareBlockTask, run_pass
@@ -57,8 +56,7 @@ class ExperimentContext:
                 workers: int = 1,
                 oversubscribe: bool = False,
                 executor: BlockExecutor | None = None,
-                backend: str | None = None,
-                cache: SimilarityCache | None = None) -> "ExperimentContext":
+                backend: str | None = None) -> "ExperimentContext":
         """Run extraction and the quadratic similarity step once.
 
         All ten Table I functions are computed by default so every
@@ -77,14 +75,10 @@ class ExperimentContext:
         backend for the quadratic step (``None``: ambient default;
         bit-identical either way).
 
-        Every block is scored through a transient cache of its task's
-        own, so the pass keeps one block's quadratic state at a time
-        beyond the graphs it returns.  Pass an external ``cache``
-        (serial only) to *retain* the prepared features and pair
-        weights instead — hand it to
-        :meth:`~repro.core.model.ResolverModel.adopt_similarity_cache`
-        and subsequent predict calls serve from the prepared state
-        rather than recomputing the quadratic step.
+        The returned ``graphs_by_name`` are the reuse path: pass them to
+        :meth:`~repro.core.resolver.EntityResolver.fit` and to
+        :meth:`~repro.core.model.ResolverModel.evaluate_collection`, and
+        neither pass scores a pair again.
         """
         if pipeline is None:
             pipeline = EntityResolver(ResolverConfig()).pipeline_for(collection)
@@ -92,13 +86,9 @@ class ExperimentContext:
         owns_executor = executor is None
         executor = executor or executor_for_workers(
             workers, oversubscribe=oversubscribe)
-        if cache is not None and not executor.is_serial:
-            raise ValueError(
-                "a retained prepare cache requires serial execution; "
-                "parallel workers fill transient per-process caches")
         payloads = [PrepareBlockTask(pipeline=pipeline, block=block,
                                      functions=tuple(functions),
-                                     backend=backend, cache=cache)
+                                     backend=backend)
                     for block in collection]
         # The pool is ours only if we built it from `workers=`;
         # caller-provided executors stay open for reuse.

@@ -184,7 +184,7 @@ class WeightedPairGraph:
     Args:
         nodes: page ids in block order (the layout's, when one is given).
         values: one value per entry of ``layout``, held by reference and
-            never written — so a cache, a layer and a combination result
+            never written — so a caller, a layer and a combination result
             may share them.  Default: no pairs.
         layout: the :class:`PairLayout` ``values`` follow (default:
             every pair of ``nodes``).  A pair the layout does not hold

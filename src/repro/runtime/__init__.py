@@ -1,17 +1,15 @@
 """The block execution engine.
 
 Schedules per-block work (fitting, prediction, context preparation)
-through pluggable :class:`~repro.runtime.executor.BlockExecutor` backends,
-shares the quadratic pairwise-similarity step through a
-:class:`~repro.runtime.cache.SimilarityCache`, and reports every pass as
-a :class:`~repro.runtime.stats.RunStats` record.
+through pluggable :class:`~repro.runtime.executor.BlockExecutor` backends
+and reports every pass as a :class:`~repro.runtime.stats.RunStats`
+record.
 
 See ``docs/architecture.md`` for where this layer sits in the pipeline
 and ``docs/performance.md`` for tuning guidance.
 """
 
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.cache import CacheStats, SimilarityCache, block_fingerprint
 from repro.runtime.executor import (
     BlockExecutor,
     DegradedParallelismWarning,
@@ -29,18 +27,15 @@ from repro.runtime.stats import RunStats, TaskStats
 
 __all__ = [
     "BlockExecutor",
-    "CacheStats",
     "DegradedParallelismWarning",
     "ProcessPoolBlockExecutor",
     "RunStats",
     "SerialExecutor",
     "ShardHandle",
     "ShardStore",
-    "SimilarityCache",
     "TaskStats",
     "available_cores",
     "batched_similarity_graphs",
-    "block_fingerprint",
     "build_executor",
     "core_report",
     "executor_for_workers",

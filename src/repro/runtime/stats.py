@@ -3,9 +3,8 @@
 :data:`clock` is the one clock every measurement reads (:class:`Timer`
 measures a block with it); :func:`rate` is the zero-safe ratio behind
 every hit rate and mean; :class:`LatencyReservoir` keeps bounded request
-latencies with their total.  :class:`StatsRecord` is the base of the five
+latencies with their total.  :class:`StatsRecord` is the base of the four
 stats records — :class:`TaskStats` and :class:`RunStats` here,
-:class:`~repro.runtime.cache.CacheStats`,
 :class:`~repro.pipeline.session.SessionStats` and
 :class:`~repro.serving.engine.EngineStats` — whose fields stay plain
 attributes, so a reader polls a live record without a call.
@@ -207,7 +206,7 @@ class StatsRecord:
 class TaskStats(StatsRecord):
     """Cost of one block-level task, reported by executor workers.
 
-    Worker processes cannot update the parent's caches or counters, so
+    Worker processes cannot update the parent's counters, so
     each task measures itself and the scheduling side aggregates the
     results into a :class:`RunStats`.
     """
@@ -215,8 +214,6 @@ class TaskStats(StatsRecord):
     query_name: str
     seconds: float = 0.0
     pairs_scored: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: time this task spent resolving its shard — segment attach and
     #: unpickle (0.0 on cache hits and for serial/local execution).
     attach_unpickle_seconds: float = 0.0
@@ -246,10 +243,8 @@ class RunStats(StatsRecord):
             the first pass and 0 on the rest).
         wall_seconds: end-to-end wall time of the pass.
         n_blocks: number of blocks scheduled.
-        pairs_scored: pairwise similarity values actually computed (cache
-            misses; reused values count as hits instead).
-        cache_hits: pair values served from a :class:`SimilarityCache`.
-        cache_misses: pair values that had to be computed.
+        pairs_scored: pairwise similarity values the pass computed
+            (graphs a caller supplied count none).
         per_block_seconds: wall time per query name (in the parallel
             backends this is each task's own clock, so the sum can exceed
             ``wall_seconds``).
@@ -264,7 +259,7 @@ class RunStats(StatsRecord):
             holds the fan-out's shard).
     """
 
-    derived = ("requested_workers", "cache_hit_rate")
+    derived = ("requested_workers",)
 
     phase: str
     executor: str = "serial"
@@ -278,8 +273,6 @@ class RunStats(StatsRecord):
     wall_seconds: float = 0.0
     n_blocks: int = 0
     pairs_scored: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     per_block_seconds: dict[str, float] = field(default_factory=dict)
     shard_bytes_published: int = 0
     plane_fallback_payloads: int = 0
@@ -327,17 +320,10 @@ class RunStats(StatsRecord):
         """Alias for ``workers`` — the count the run asked for."""
         return self.workers
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of pair lookups served from cache (0.0 when unused)."""
-        return rate(self.cache_hits, self.cache_hits + self.cache_misses)
-
     def add_task(self, task: TaskStats) -> None:
         """Fold one block task's numbers into the aggregate."""
         self.n_blocks += 1
         self.pairs_scored += task.pairs_scored
-        self.cache_hits += task.cache_hits
-        self.cache_misses += task.cache_misses
         self.attach_unpickle_seconds += task.attach_unpickle_seconds
         self.per_block_seconds[task.query_name] = (
             self.per_block_seconds.get(task.query_name, 0.0) + task.seconds)
@@ -350,8 +336,7 @@ class RunStats(StatsRecord):
         return (f"[{self.phase}] {self.n_blocks} blocks in "
                 f"{self.wall_seconds:.2f}s via {self.executor}"
                 f"({workers}); "
-                f"{self.pairs_scored} pairs scored, "
-                f"cache hit rate {self.cache_hit_rate:.0%}")
+                f"{self.pairs_scored} pairs scored")
 
 
 def _latency_percentile(q: int) -> property:

@@ -10,7 +10,7 @@ nothing but the schedule.  :func:`run_pass` wraps one such fan-out in
 the pass's :class:`~repro.runtime.stats.RunStats`; ``prepare``, ``fit``
 and ``predict`` / ``evaluate`` all go through it.  Process-pool workers can only run
 module-level functions over picklable payloads, and cannot touch the
-parent's caches or counters — which is why every task measures itself
+parent's counters — which is why every task measures itself
 and returns a :class:`~repro.runtime.stats.TaskStats` alongside its
 result, under both schedules.
 
@@ -27,12 +27,10 @@ unpickles the shard once per fan-out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.corpus.documents import NameCollection
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.cache import SimilarityCache
 from repro.runtime.shards import ShardHandle, ShardStore, load_shard
 from repro.runtime.stats import RunStats, TaskStats, Timer, clock
 from repro.similarity.backends import ScoringBackend, resolve_backend
@@ -51,7 +49,6 @@ def block_graphs(
     graphs: dict[str, "WeightedPairGraph"] | None,
     pipeline: "ExtractionPipeline | None",
     functions: Sequence[SimilarityFunction],
-    cache: SimilarityCache | None,
     features: dict | None = None,
     backend: str | None = None,
     mask: frozenset | None = None,
@@ -63,11 +60,9 @@ def block_graphs(
     it); else supplied ``features`` are scored; else the block is
     extracted with ``pipeline`` first — for the fields ``functions``
     read between them (:func:`~repro.similarity.base.read_fields`), so a
-    pass that scores one function runs one extractor group.  Extraction
-    and scoring go through ``cache`` when one is given (pair-granular
-    accounting, and reuse across calls that share it), and honor the
-    block's candidate ``mask``: a masked block's graphs carry candidate
-    edges only.
+    pass that scores one function runs one extractor group.  Scoring
+    honors the block's candidate ``mask``: a masked block's graphs carry
+    candidate edges only.
 
     Raises:
         ValueError: when neither graphs, features nor a pipeline are
@@ -80,30 +75,23 @@ def block_graphs(
             raise ValueError(
                 f"block {block.query_name!r} has neither precomputed graphs, "
                 f"features, nor a pipeline to extract with")
-        reads = read_fields(functions)
-        extract = partial(pipeline.extract_block, reads=reads)
-        features = (extract(block) if cache is None
-                    else cache.features_for(block, extract, reads))
-    return batched_similarity_graphs(block, features, functions, cache=cache,
+        features = pipeline.extract_block(block,
+                                          reads=read_fields(functions))
+    return batched_similarity_graphs(block, features, functions,
                                      backend=backend, mask=mask)
 
 
-def _task_stats(query_name: str, started: float, cache: SimilarityCache,
-                before: tuple[int, int] = (0, 0),
+def _task_stats(query_name: str, started: float,
+                scored: dict[str, "WeightedPairGraph"] | None,
                 attach_seconds: float = 0.0) -> TaskStats:
     """One block task's cost record: wall time since ``started``, the
-    shard ``attach_seconds`` spent before it, and what it scored through
-    ``cache`` since the cache's ``(pair_hits, pair_misses)`` read
-    ``before`` (default: a cache the task created) — a delta, so a cache
-    shared across tasks (a retained prepare cache) is attributed block
-    by block."""
-    misses = cache.pair_misses - before[1]
+    shard ``attach_seconds`` spent before it, and the pairs of the
+    graphs the task ``scored`` itself (``None``: it was handed them)."""
     return TaskStats(
         query_name=query_name,
         seconds=clock() - started,
-        pairs_scored=misses,
-        cache_hits=cache.pair_hits - before[0],
-        cache_misses=misses,
+        pairs_scored=sum(graph.n_pairs()
+                         for graph in (scored or {}).values()),
         attach_unpickle_seconds=attach_seconds,
     )
 
@@ -117,10 +105,6 @@ class PrepareBlockTask:
     functions: tuple[SimilarityFunction, ...]
     #: scoring-backend name (``None``: the worker's ambient default).
     backend: str | None = None
-    #: a cache that outlives the task and keeps the block's entries (the
-    #: prepare-once / serve-many hand-off).  Inline schedule only: a
-    #: worker process would fill a copy.  ``None``: a transient one.
-    cache: SimilarityCache | None = None
 
 
 def run_prepare_block(
@@ -128,14 +112,11 @@ def run_prepare_block(
 ) -> tuple[str, Any, Any, TaskStats]:
     """One block of :meth:`ExperimentContext.prepare`."""
     started = clock()
-    cache = SimilarityCache() if payload.cache is None else payload.cache
-    before = (cache.pair_hits, cache.pair_misses)
-    features = cache.features_for(payload.block,
-                                  payload.pipeline.extract_block)
+    features = payload.pipeline.extract_block(payload.block)
     graphs = batched_similarity_graphs(payload.block, features,
-                                       payload.functions, cache=cache,
+                                       payload.functions,
                                        backend=payload.backend)
-    stats = _task_stats(payload.block.query_name, started, cache, before,
+    stats = _task_stats(payload.block.query_name, started, graphs,
                         attach_seconds)
     return (payload.block.query_name, features, graphs, stats)
 
@@ -167,18 +148,18 @@ def run_fit_block(
     from repro.core.resolver import EntityResolver
 
     started = clock()
-    cache = SimilarityCache()
     resolver = EntityResolver(payload.config)
     graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
-                          resolver.functions, cache,
+                          resolver.functions,
                           backend=payload.config.backend,
                           mask=payload.mask)
     fitted = resolver.fit_block(payload.block, graphs,
                                 training_seed=payload.training_seed)
-    if payload.graphs is None:
+    scored = graphs if payload.graphs is None else None
+    if scored is not None:
         fitted._layer_cache = None
-    stats = _task_stats(payload.block.query_name, started, cache,
-                        attach_seconds=attach_seconds)
+    stats = _task_stats(payload.block.query_name, started, scored,
+                        attach_seconds)
     return (payload.block.query_name, fitted, stats)
 
 
@@ -204,23 +185,21 @@ def run_predict_block(
     Serves the payload block through the shipped fitted state, which
     need not carry the block's name (a ``model_block`` fallback).
     Graphs computed here cover only the functions the combiner consults
-    (:meth:`~repro.core.model.ResolverModel.scoring_functions`), and are
-    scored through a cache of the task's own — a collection pass never
-    touches a long-lived model's cache.
+    (:meth:`~repro.core.model.ResolverModel.scoring_functions`).
     """
     from repro.core.model import ResolverModel
 
     started = clock()
-    cache = SimilarityCache()
     model = ResolverModel(config=payload.config, blocks={})
     graphs = block_graphs(payload.block, payload.graphs, payload.pipeline,
-                          model.scoring_functions(payload.fitted), cache,
+                          model.scoring_functions(payload.fitted),
                           backend=payload.config.backend,
                           mask=payload.mask)
     serve = model.evaluate_fitted if payload.evaluate else model.predict_fitted
     result = serve(payload.fitted, payload.block, graphs=graphs)
-    stats = _task_stats(payload.block.query_name, started, cache,
-                        attach_seconds=attach_seconds)
+    stats = _task_stats(payload.block.query_name, started,
+                        graphs if payload.graphs is None else None,
+                        attach_seconds)
     return (payload.block.query_name, result, stats)
 
 

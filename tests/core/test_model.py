@@ -10,6 +10,7 @@ import pickle
 import pytest
 
 import repro.core.model as model_module
+import repro.runtime.tasks as tasks_module
 from repro.core.config import ResolverConfig
 from repro.core.model import FittedBlock, FittedLayer, ResolverModel
 from repro.core.resolver import EntityResolver
@@ -23,6 +24,27 @@ from repro.graph.validation import is_partition
 from repro.metrics.report import mean_report
 from repro.runtime.batch import batched_similarity_graphs
 from repro.runtime.executor import executor_for_workers
+
+
+class SpyPipeline:
+    """Logs which blocks were extracted through it.
+
+    Module-level, and logging to a file rather than to itself, so the
+    record survives a fan-out (``REPRO_WORKERS=2``): the workers extract
+    through pickled copies.
+    """
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def extract_block(self, target, **kwargs):
+        with open(self.log, "a") as handle:
+            handle.write(target.query_name + "\n")
+        return self.inner.extract_block(target, **kwargs)
+
+    def extracted(self):
+        return sorted(self.log.read_text().splitlines())
 
 
 def strip_labels(block: NameCollection) -> NameCollection:
@@ -178,6 +200,95 @@ class TestPredictUnlabeled:
             assert left.report == right.report
             assert (left.combination.probabilities.weights
                     == right.combination.probabilities.weights)
+
+    def test_explicit_features_take_effect(self, small_block, pipeline,
+                                           block_graphs):
+        """Caller-supplied features are scored even after the block was
+        served from the model's own pipeline."""
+        from repro.extraction.features import PageFeatures
+
+        model = EntityResolver(ResolverConfig()).fit(
+            small_block, graphs=dict(block_graphs), pipeline=pipeline)
+        model.predict_block(small_block)
+        blank = {doc_id: PageFeatures(doc_id=doc_id)
+                 for doc_id in small_block.page_ids()}
+        prediction = model.predict_block(small_block, features=blank)
+        # Blank features carry no evidence: every similarity is 0, so no
+        # pair links and every page is its own entity.
+        assert prediction.n_entities() == len(small_block)
+
+    def test_collection_pass_extracts_through_an_explicit_pipeline(
+            self, small_dataset, tmp_path):
+        resolver = EntityResolver(ResolverConfig())
+        model = resolver.fit(small_dataset, training_seed=0)
+        model.predict_block(small_dataset.collections[0])
+        spy = SpyPipeline(resolver.pipeline_for(small_dataset),
+                          tmp_path / "extracted.log")
+        model.predict_collection(small_dataset, pipeline=spy)
+        assert spy.extracted() == sorted(small_dataset.query_names())
+
+    def test_release_fit_caches_drops_every_layer_cache(
+            self, small_block, pipeline, block_graphs):
+        model = EntityResolver(ResolverConfig()).fit(
+            small_block, graphs=dict(block_graphs), pipeline=pipeline)
+        assert all(fitted._layer_cache is not None
+                   for fitted in model.blocks.values())
+        model.release_fit_caches()
+        assert all(fitted._layer_cache is None
+                   for fitted in model.blocks.values())
+
+    @pytest.mark.parametrize("evaluate", [False, True],
+                             ids=["predict", "evaluate"])
+    def test_collection_paths_release_quadratic_state(self, small_dataset,
+                                                      evaluate):
+        """A model fitted on supplied graphs holds a hand-off per block;
+        a collection pass that computes its own graphs never consumes
+        it, and still drops it."""
+        graphs = ExperimentContext.prepare(small_dataset).graphs_by_name
+        model = EntityResolver(ResolverConfig()).fit(
+            small_dataset, training_seed=0, graphs_by_name=graphs,
+            executor=executor_for_workers(1))
+        assert all(fitted._layer_cache is not None
+                   for fitted in model.blocks.values())
+        if evaluate:
+            model.evaluate_collection(small_dataset)
+        else:
+            model.predict_collection(small_dataset.without_labels())
+        assert all(fitted._layer_cache is None
+                   for fitted in model.blocks.values())
+
+    def test_explicit_pipeline_takes_effect_for_a_block(self, small_dataset,
+                                                        tmp_path):
+        """A block served once through the model's pipeline is extracted
+        through an explicit one the next time, to the same prediction."""
+        resolver = EntityResolver(ResolverConfig())
+        model = resolver.fit(small_dataset, training_seed=0)
+        block = small_dataset.collections[0]
+        default = model.predict_block(block)
+        spy = SpyPipeline(resolver.pipeline_for(small_dataset),
+                          tmp_path / "extracted.log")
+        explicit = model.predict_block(block, pipeline=spy)
+        assert spy.extracted() == [block.query_name]
+        assert explicit.predicted == default.predicted
+
+    def test_second_predict_scores_again_and_agrees(self, small_block,
+                                                    pipeline, block_graphs,
+                                                    monkeypatch):
+        model = EntityResolver(ResolverConfig()).fit(
+            small_block, graphs=dict(block_graphs), pipeline=pipeline)
+        model.release_fit_caches()
+        scored = []
+        score = tasks_module.batched_similarity_graphs
+        monkeypatch.setattr(
+            tasks_module, "batched_similarity_graphs",
+            lambda *args, **kwargs: scored.append(args[0].query_name)
+            or score(*args, **kwargs))
+        first = model.predict_block(small_block)
+        second = model.predict_block(small_block)
+        assert scored == [small_block.query_name] * 2
+        assert second.predicted == first.predicted
+        assert (list(second.combination.probabilities.weights.items())
+                == list(first.combination.probabilities.weights.items()))
 
 
 class TestEvaluate:

@@ -12,7 +12,6 @@ from repro.experiments.runner import (
     run_config,
 )
 from repro.metrics.report import MetricReport
-from repro.runtime.cache import SimilarityCache
 
 
 @pytest.fixture(scope="module")
@@ -29,28 +28,19 @@ class TestExperimentContext:
         for graphs in context.graphs_by_name.values():
             assert set(graphs) == {f"F{i}" for i in range(1, 11)}
 
-    def test_retained_cache_serves_an_adopting_model(self, context,
-                                                     small_dataset, pipeline):
-        """prepare(cache=) → adopt_similarity_cache → predict_block: the
-        prepared features and pair weights are served, nothing is
-        extracted or scored a second time."""
-        cache = SimilarityCache()
-        prepared = ExperimentContext.prepare(small_dataset, pipeline=pipeline,
-                                             cache=cache)
-        assert len(cache) == len(small_dataset)
-        # One cache shared by every block task, attributed block by block.
-        assert prepared.stats.pairs_scored == cache.pair_misses
-        assert prepared.stats.pairs_scored == context.stats.pairs_scored
-
-        model = EntityResolver(ResolverConfig(), pipeline=pipeline).fit(
-            small_dataset, training_seed=0,
-            graphs_by_name=prepared.graphs_by_name)
-        model.adopt_similarity_cache(cache)
-        scored, extracted = cache.pair_misses, cache.feature_misses
-        for block in small_dataset:
-            model.predict_block(block)
-        assert (cache.pair_misses, cache.feature_misses) == (scored, extracted)
-        assert cache.pair_hits > 0
+    def test_prepared_graphs_are_reused_by_passing_them(self, context,
+                                                        small_dataset):
+        """prepare → fit + evaluate over ``graphs_by_name``: the passes
+        score no pair a second time."""
+        assert context.stats.pairs_scored > 0
+        graphs = context.graphs_by_name
+        model = EntityResolver(ResolverConfig()).fit(
+            small_dataset, training_seed=0, graphs_by_name=graphs)
+        resolution = model.evaluate_collection(small_dataset,
+                                               graphs_by_name=graphs)
+        assert model.fit_stats.pairs_scored == 0
+        assert resolution.stats.pairs_scored == 0
+        assert resolution.stats.n_blocks == len(small_dataset)
 
     def test_seeds_protocol(self, context):
         seeds = context.seeds(n_runs=5, base_seed=0)

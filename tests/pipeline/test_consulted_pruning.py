@@ -195,7 +195,7 @@ class TestOnlyConsultedFunctionsAreScored:
 
     def test_best_graph_scores_one_function(self, dataset, fitted_models):
         model = fitted_models("best_graph", "numpy", "query_name")
-        model.release_fit_caches()  # cached pairs are hits, not scored
+        model.release_fit_caches()  # a hand-off would be reused, not scored
         prediction = model.predict(dataset.without_labels())
         assert prediction.stats.pairs_scored == self.n_pairs(dataset)
 

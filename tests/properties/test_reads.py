@@ -9,7 +9,8 @@ it scores declare (``SimilarityFunction.reads``).  That is sound iff
   a field its function does not declare (an under-declaring function
   fails here, not in production as silent zeros);
 * **the guard** — features narrowed past a function raise when scored,
-  and the feature cache never serves them to a wider request.
+  and a block served under one read set is served under another exactly
+  as a fresh model serves it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.core.config import ResolverConfig
 from repro.core.incremental import IncrementalResolver
+from repro.core.model import ResolverModel
 from repro.core.resolver import EntityResolver
 from repro.corpus.documents import NameCollection
 from repro.extraction.features import (
@@ -30,7 +32,6 @@ from repro.extraction.features import (
 )
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.cache import SimilarityCache
 from repro.similarity.backends import resolve_backend
 from repro.similarity.base import read_fields, require_covered
 from repro.similarity.extended import (
@@ -209,18 +210,6 @@ class TestNarrowedFeaturesFailLoudly:
         with pytest.raises(ValueError, match="F5"):
             require_covered(tfidf_only.values(), [f5])
 
-    def test_a_cached_graph_needs_no_features(self, small_block, tfidf_only,
-                                              block_features):
-        """The guard is on what gets *scored*: weights already in the
-        cache are served whatever the features hold."""
-        f5 = extended_function_by_name("F5")
-        cache = SimilarityCache()
-        scored = batched_similarity_graphs(small_block, block_features, [f5],
-                                           cache=cache)
-        served = batched_similarity_graphs(small_block, tfidf_only, [f5],
-                                           cache=cache)
-        assert served["F5"].weights == scored["F5"].weights
-
     def test_the_request_path_raises_too(self, fitted_f5, tfidf_only,
                                          block_features, small_block):
         config, fitted = fitted_f5
@@ -241,60 +230,55 @@ class TestNarrowedFeaturesFailLoudly:
                 refused()
         assert ids[1] not in resolver
 
+    def test_supplied_graphs_need_no_features(self, fitted_f5, tfidf_only,
+                                              block_features, block_graphs,
+                                              small_block):
+        """The guard is on what gets *scored*: a predict over supplied
+        graphs reads no features, whatever they hold."""
+        config, fitted = fitted_f5
+        model = ResolverModel(config, {small_block.query_name: fitted})
+        with pytest.raises(ValueError, match="extracted for"):
+            model.predict_fitted(fitted, small_block, features=tfidf_only)
+        served = model.predict_fitted(fitted, small_block,
+                                      features=tfidf_only,
+                                      graphs=block_graphs)
+        whole = model.predict_fitted(fitted, small_block,
+                                     features=block_features)
+        assert served.predicted == whole.predicted
+        assert (list(served.combination.probabilities.weights.items())
+                == list(whole.combination.probabilities.weights.items()))
+
     @pytest.fixture(scope="class")
     def fitted_f5(self, small_block, block_graphs, consulting):
         model = consulting(EntityResolver(ResolverConfig()).fit(
             small_block, training_seed=0, graphs=block_graphs), "F5")
         return model.config, model.blocks[small_block.query_name]
 
-    def test_cache_never_serves_a_narrower_entry(self, pipeline,
-                                                 small_block):
-        cache = SimilarityCache()
-        asked: list = []
-
-        def extract(reads):
-            def compute(block):
-                asked.append(reads)
-                return pipeline.extract_block(block, reads=reads)
-            return compute, reads
-
-        tfidf, orgs = frozenset({"tfidf"}), frozenset({"organizations"})
-        narrow = cache.features_for(small_block, *extract(tfidf))
-        assert cache.features_for(small_block, *extract(tfidf)) is narrow
-        other = cache.features_for(small_block, *extract(orgs))
-        assert other is not narrow
-        # one group's entry serves the group's other fields
-        assert cache.features_for(
-            small_block, *extract(frozenset({"locations"}))) is other
-        whole = cache.features_for(small_block, *extract(None))
-        assert whole is not narrow and whole is not other
-        assert all(page.reads is None for page in whole.values())
-        assert asked == [tfidf, orgs, None]
-        assert (cache.feature_misses, cache.feature_hits) == (3, 2)
-        # and a whole entry serves everyone after it
-        fresh = SimilarityCache()
-        whole = fresh.features_for(small_block, *extract(None))
-        assert fresh.features_for(small_block, *extract(tfidf)) is whole
-        assert len(fresh) == 1
-
-    def test_model_block_fallback_widens_the_model_cache(self, small_dataset,
-                                                         pipeline):
+    @pytest.mark.parametrize("fallback_first", [False, True],
+                             ids=["own-then-fallback", "fallback-then-own"])
+    def test_a_narrower_earlier_serve_changes_no_prediction(
+            self, small_dataset, pipeline, fallback_first):
         """The same block served through its own fitted state (F2: reads
-        the URL) and then through another name's (a TF-IDF measure) must
-        not be scored over the first call's narrowed features."""
-        model = EntityResolver(ResolverConfig()).fit(
-            small_dataset, training_seed=0, pipeline=pipeline)
+        the URL) and through another name's (a TF-IDF measure), in either
+        order, predicts exactly what a fresh model predicts for each."""
+        resolver = EntityResolver(ResolverConfig())
+        model = resolver.fit(small_dataset, training_seed=0,
+                             pipeline=pipeline)
         reads = {name: read_fields(model.scoring_functions(fitted))
                  for name, fitted in model.blocks.items()}
         own, other = "Lynn Voss", "William Cohen"
         assert reads[own] == {"url"} and reads[other] == {"tfidf"}
         block = small_dataset.by_name(own)
-        model.predict_block(block)
-        through_other = model.predict_block(block, model_block=other)
-        assert model.cache_stats().feature_misses == 2
-        untouched = EntityResolver(ResolverConfig()).fit(
-            small_dataset, training_seed=0, pipeline=pipeline)
-        expected = untouched.predict_block(block, model_block=other)
-        assert through_other.predicted == expected.predicted
-        assert (list(through_other.combination.probabilities.weights.items())
-                == list(expected.combination.probabilities.weights.items()))
+        serves = [other, None] if fallback_first else [None, other]
+        served = {model_block: model.predict_block(block,
+                                                   model_block=model_block)
+                  for model_block in serves}
+        for model_block, prediction in served.items():
+            untouched = resolver.fit(small_dataset, training_seed=0,
+                                     pipeline=pipeline)
+            expected = untouched.predict_block(block,
+                                               model_block=model_block)
+            assert prediction.predicted == expected.predicted
+            assert (list(prediction.combination.probabilities.weights.items())
+                    == list(expected.combination.probabilities.weights
+                            .items()))

@@ -9,7 +9,6 @@ from repro.core.model import build_decision_layers
 from repro.core.sweeps import BlockSweep
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.cache import SimilarityCache
 from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import default_functions
 
@@ -63,21 +62,6 @@ class TestBatchedGraphs:
         assert set(raw.values()) == {-7.5, 0.25, 7.5}
         assert list(graphs["F_wild"].weights.values()) == [
             min(1.0, max(0.0, value)) for value in raw.values()]
-
-    def test_cache_hit_skips_scoring_and_reproduces_graphs(self, small_block,
-                                                           block_features):
-        functions = default_functions()[:3]
-        cache = SimilarityCache()
-        first = batched_similarity_graphs(small_block, block_features,
-                                          functions, cache=cache)
-        misses = cache.pair_misses
-        second = batched_similarity_graphs(small_block, block_features,
-                                           functions, cache=cache)
-        assert cache.pair_misses == misses  # nothing rescored
-        assert cache.pair_hits == misses
-        for function in functions:
-            assert (second[function.name].weights
-                    == first[function.name].weights)
 
     def test_fresh_graphs_match_the_shared_fixture(self, small_block,
                                                    block_features,

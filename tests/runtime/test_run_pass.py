@@ -59,13 +59,15 @@ class TestRunPass:
         assert all(len(result) == 3 for result in results)
 
     def test_one_record_folds_every_task(self, dataset, payloads):
-        _, stats = run_pass(SerialExecutor(), "prepare", "prepare",
-                            payloads)
+        results, stats = run_pass(SerialExecutor(), "prepare", "prepare",
+                                  payloads)
         assert stats.phase == "prepare"
         assert stats.executor == "serial"
         assert stats.n_blocks == len(payloads)
         assert list(stats.per_block_seconds) == dataset.query_names()
-        assert stats.pairs_scored == stats.cache_misses > 0
+        assert stats.pairs_scored == sum(
+            graph.n_pairs() for _, _, graphs in results
+            for graph in graphs.values()) > 0
         assert stats.shard_bytes_published == 0
         assert stats.fork_waves == 0
 

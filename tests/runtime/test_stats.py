@@ -16,31 +16,24 @@ from repro.runtime.stats import (LatencyReservoir, RunStats, TaskStats,
 class TestRunStats:
     def test_add_task_accumulates(self):
         stats = RunStats(phase="predict", executor="process", workers=4)
-        stats.add_task(TaskStats("Alice", seconds=0.5, pairs_scored=10,
-                                 cache_hits=0, cache_misses=10))
-        stats.add_task(TaskStats("Bob", seconds=0.25, pairs_scored=5,
-                                 cache_hits=5, cache_misses=5))
+        stats.add_task(TaskStats("Alice", seconds=0.5, pairs_scored=10))
+        stats.add_task(TaskStats("Bob", seconds=0.25, pairs_scored=5))
         assert stats.n_blocks == 2
         assert stats.pairs_scored == 15
-        assert stats.cache_hits == 5
         assert stats.per_block_seconds == {"Alice": 0.5, "Bob": 0.25}
-        assert stats.cache_hit_rate == 0.25
-
-    def test_hit_rate_zero_when_unused(self):
-        assert RunStats(phase="fit").cache_hit_rate == 0.0
 
     def test_merged_sums_counters_and_per_block_times(self):
         fit = RunStats(phase="fit", wall_seconds=1.0, n_blocks=2,
-                       pairs_scored=100, cache_hits=0, cache_misses=100,
+                       pairs_scored=100,
                        per_block_seconds={"Alice": 0.6, "Bob": 0.4})
         predict = RunStats(phase="predict", wall_seconds=0.5, n_blocks=2,
-                           pairs_scored=0, cache_hits=100, cache_misses=0,
+                           pairs_scored=0,
                            per_block_seconds={"Alice": 0.3})
         combined = fit.merged(predict, phase="protocol")
         assert combined.phase == "protocol"
         assert combined.wall_seconds == 1.5
         assert combined.pairs_scored == 100
-        assert combined.cache_hit_rate == 0.5
+        assert combined.n_blocks == 4
         assert combined.per_block_seconds == {
             "Alice": pytest.approx(0.9), "Bob": 0.4}
         # Inputs untouched.
@@ -49,20 +42,19 @@ class TestRunStats:
     def test_to_dict_is_json_serializable_and_complete(self):
         stats = RunStats(phase="prepare", executor="process", workers=4,
                          wall_seconds=2.0, n_blocks=3, pairs_scored=30,
-                         cache_hits=10, cache_misses=30,
                          per_block_seconds={"Alice": 1.0})
         payload = json.loads(json.dumps(stats.to_dict()))
         assert payload["phase"] == "prepare"
-        assert payload["cache_hit_rate"] == 0.25
+        assert payload["requested_workers"] == 4
         assert payload["per_block_seconds"] == {"Alice": 1.0}
 
     def test_summary_mentions_the_essentials(self):
         stats = RunStats(phase="fit", executor="process", workers=2,
                          effective_workers=2,
-                         wall_seconds=1.0, n_blocks=5, pairs_scored=50,
-                         cache_hits=50, cache_misses=50)
+                         wall_seconds=1.0, n_blocks=5, pairs_scored=50)
         line = stats.summary()
-        assert "[fit]" in line and "process" in line and "50%" in line
+        assert "[fit]" in line and "process" in line
+        assert "50 pairs scored" in line
 
     def test_summary_shows_degraded_worker_count(self):
         stats = RunStats(phase="fit", executor="process", workers=4,

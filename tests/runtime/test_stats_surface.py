@@ -1,12 +1,11 @@
-"""The public surface of the five stats records, pinned.
+"""The public surface of the four stats records, pinned.
 
-``RunStats``, ``TaskStats``, ``CacheStats``, ``SessionStats`` and
-``EngineStats`` are read by the CLI, the examples,
+``RunStats``, ``TaskStats``, ``SessionStats`` and ``EngineStats`` are
+read by the CLI, the examples,
 the benchmark harness and callers' dashboards.  Each is built here from
 fixed values and pinned on what a reader can see: its public attribute
 names (data fields and derived properties alike), its ``to_dict()`` key
-set where it has one, its exact ``summary()`` line, and — for the cache —
-the counter snapshot a run of lookups leaves behind.  How a record
+set where it has one, and its exact ``summary()`` line.  How a record
 stores or derives a value may change; none of this may.
 """
 
@@ -17,17 +16,15 @@ from dataclasses import fields
 
 import pytest
 
-from repro.graph.entity_graph import WeightedPairGraph
 from repro.pipeline.session import SessionStats
-from repro.runtime.cache import CacheStats, SimilarityCache
 from repro.runtime.stats import RunStats, TaskStats
 from repro.serving.engine import EngineStats
 
 RUN_FIELDS = {
     "phase", "executor", "backend", "workers", "effective_workers",
     "available_cores", "host_cores", "cpuset_limited", "fork_waves",
-    "wall_seconds", "n_blocks", "pairs_scored", "cache_hits", "cache_misses",
-    "per_block_seconds", "shard_bytes_published", "plane_fallback_payloads",
+    "wall_seconds", "n_blocks", "pairs_scored", "per_block_seconds",
+    "shard_bytes_published", "plane_fallback_payloads",
     "attach_unpickle_seconds",
 }
 LATENCY_VIEW = {"seconds_total", "latency", "mean_request_seconds",
@@ -48,8 +45,7 @@ def run_stats() -> RunStats:
         phase="fit", executor="process", backend="numpy", workers=4,
         effective_workers=2, available_cores=2, host_cores=8,
         cpuset_limited=True, fork_waves=1, wall_seconds=1.25, n_blocks=3,
-        pairs_scored=90, cache_hits=30, cache_misses=90,
-        per_block_seconds={"Alice": 0.5, "Bob": 0.25},
+        pairs_scored=90, per_block_seconds={"Alice": 0.5, "Bob": 0.25},
         shard_bytes_published=4096, plane_fallback_payloads=0,
         attach_unpickle_seconds=0.125)
 
@@ -76,11 +72,9 @@ def engine_stats() -> EngineStats:
 
 class TestPublicAttributes:
     @pytest.mark.parametrize("cls, expected", [
-        (TaskStats, {"query_name", "seconds", "pairs_scored", "cache_hits",
-                     "cache_misses", "attach_unpickle_seconds"}),
-        (RunStats, RUN_FIELDS | {"requested_workers", "cache_hit_rate"}),
-        (CacheStats, {"pair_hits", "pair_misses", "feature_hits",
-                      "feature_misses", "n_blocks", "hit_rate"}),
+        (TaskStats, {"query_name", "seconds", "pairs_scored",
+                     "attach_unpickle_seconds"}),
+        (RunStats, RUN_FIELDS | {"requested_workers"}),
         (SessionStats, LATENCY_VIEW | {
             "requests", "pages", "incremental_assignments", "routed_pages",
             "new_entities", "prepared_blocks", "evicted_blocks"}),
@@ -98,24 +92,22 @@ class TestPublicAttributes:
 class TestRunStats:
     def test_to_dict(self):
         payload = run_stats().to_dict()
-        assert set(payload) == RUN_FIELDS | {"requested_workers",
-                                             "cache_hit_rate"}
+        assert set(payload) == RUN_FIELDS | {"requested_workers"}
         assert payload["requested_workers"] == 4
-        assert payload["cache_hit_rate"] == 0.25
         assert payload["per_block_seconds"] == {"Alice": 0.5, "Bob": 0.25}
         assert payload["shard_bytes_published"] == 4096
 
     def test_summary(self):
         assert run_stats().summary() == (
             "[fit] 3 blocks in 1.25s via process(workers=4->2); "
-            "90 pairs scored, cache hit rate 25%")
+            "90 pairs scored")
 
     def test_merged(self):
         other = RunStats(
             phase="predict", executor="serial", workers=1,
             effective_workers=3, available_cores=1, host_cores=1,
             fork_waves=0, wall_seconds=0.75, n_blocks=2, pairs_scored=10,
-            cache_hits=10, cache_misses=10, per_block_seconds={"Bob": 0.5},
+            per_block_seconds={"Bob": 0.5},
             shard_bytes_published=1, plane_fallback_payloads=2,
             attach_unpickle_seconds=0.125)
         first = run_stats()
@@ -126,33 +118,13 @@ class TestRunStats:
             "requested_workers": 4, "effective_workers": 3,
             "available_cores": 2, "host_cores": 8, "cpuset_limited": True,
             "fork_waves": 1, "wall_seconds": 2.0, "n_blocks": 5,
-            "pairs_scored": 100, "cache_hits": 40, "cache_misses": 100,
-            "cache_hit_rate": 40 / 140,
+            "pairs_scored": 100,
             "per_block_seconds": {"Alice": 0.5, "Bob": 0.75},
             "shard_bytes_published": 4097, "plane_fallback_payloads": 2,
             "attach_unpickle_seconds": 0.25,
         }
         assert first.per_block_seconds == {"Alice": 0.5, "Bob": 0.25}
         assert first.merged(other).phase == "fit"
-
-
-class TestCacheStats:
-    def test_hit_rate(self):
-        assert CacheStats(3, 1, 1, 1, 2).hit_rate == 0.75
-        assert CacheStats(0, 0, 0, 0, 0).hit_rate == 0.0
-
-    def test_snapshot_after_lookups(self):
-        cache = SimilarityCache()
-        key = ("Alice", ("a", "b"), None)
-        cache.put_graph(key, "F1", WeightedPairGraph.from_scores(
-            ["a", "b"], {("a", "b"): 0.5}))
-        assert cache.get_graph(key, "F1").weights == {("a", "b"): 0.5}
-        assert cache.get_graph(key, "F2") is None
-        cache.clear()
-        assert cache.stats() == CacheStats(pair_hits=1, pair_misses=1,
-                                           feature_hits=0, feature_misses=0,
-                                           n_blocks=0)
-        assert repr(cache) == "SimilarityCache(0 blocks, hit_rate=50%)"
 
 
 class TestSessionStats:
