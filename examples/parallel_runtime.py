@@ -5,8 +5,8 @@ Demonstrates the runtime layer (``repro.runtime``) end to end:
 
 1. **Executor selection** — the same experiments workload run serially and
    on a 4-process pool, with bit-identical metrics (the engine's
-   determinism guarantee: merge order is block order, workers inherit the
-   parent's hash seed via fork).
+   determinism guarantee: merge order is block order, and no result
+   depends on a worker's string-hash seed).
 2. **Graph reuse** — ``ExperimentContext.prepare`` runs the quadratic
    pairwise-similarity step once; fit and evaluate passes handed its
    ``graphs_by_name`` score no pair again.

@@ -14,7 +14,9 @@ Run from the repo root after an *intentional* numeric change::
 and commit the updated ``tests/data/golden/similarity_golden.json``
 together with the change that motivated it (see ``docs/testing.md``).
 JSON serializes floats via ``repr``, which round-trips ``float``
-exactly, so the stored values are bit-precise.
+exactly, so the stored values are bit-precise.  Nothing in the payload
+depends on the string-hash seed, so it is built in-process under
+whichever seed the interpreter drew.
 
 To compare instead of write::
 
@@ -30,9 +32,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
 import struct
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -112,27 +112,6 @@ def build_golden(backend: str = "python") -> dict:
     }
 
 
-def build_golden_pinned(backend: str = "python") -> dict:
-    """:func:`build_golden` in a ``PYTHONHASHSEED=0`` subprocess.
-
-    Similarity values are hash-seed-independent (canonical folds), but
-    downstream resolution stages may still iterate sets, so the frozen
-    clusterings/metrics are only byte-stable under a pinned hash seed —
-    the same caveat ``scripts/smoke_test.sh`` pins for.  Both
-    regeneration and the regression test build through this helper, so
-    they always compare like with like.  JSON round-trips floats via
-    ``repr``, bit-exactly.
-    """
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "0"
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    result = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--emit", backend],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(result.stdout)
-
-
 def drift(stored: dict, rebuilt: dict) -> Counter:
     """Values of ``rebuilt`` whose bits differ from ``stored``, counted
     per function (a missing or extra pair counts too), plus
@@ -170,7 +149,7 @@ def check() -> int:
         backends.append("numpy")
     drifted = False
     for backend in backends:
-        counts = drift(stored, build_golden_pinned(backend))
+        counts = drift(stored, build_golden(backend))
         total = sum(counts.values())
         drifted |= total > 0
         listed = ", ".join(f"{name} {count}" for name, count
@@ -180,11 +159,15 @@ def check() -> int:
     return 1 if drifted else 0
 
 
+def render(payload: dict) -> str:
+    """The fixture file's text for ``payload``."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def main() -> None:
-    payload = build_golden_pinned()
+    payload = build_golden()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True)
-                           + "\n")
+    GOLDEN_PATH.write_text(render(payload))
     n_values = sum(len(pairs) for block in payload["graphs"].values()
                    for pairs in block.values())
     print(f"wrote {GOLDEN_PATH} ({n_values} frozen similarity values, "
@@ -192,9 +175,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) >= 3 and sys.argv[1] == "--emit":
-        json.dump(build_golden(sys.argv[2]), sys.stdout)
-    elif sys.argv[1:] == ["--check"]:
+    if sys.argv[1:] == ["--check"]:
         sys.exit(check())
     else:
         main()

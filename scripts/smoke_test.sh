@@ -143,18 +143,12 @@ grep -q "^16  *0  " "$workdir/serve_mt.out" || {
     echo "concurrent serve lost requests" >&2; exit 1; }
 
 echo "== fit/predict --workers 2 + --backend numpy (engine parity) =="
-# Comparing fits across *separate interpreter processes* needs a pinned
-# hash seed: downstream stages still iterate sets, and per-process hash
-# randomization can permute float additions in the last ulp.  (Within
-# one process, serial vs parallel vs either scoring backend is
-# bit-identical without this — pool workers fork and inherit the
-# parent's hash seed, and backends share a canonical fold order.)
-( export PYTHONHASHSEED=0
-  run fit --in "$workdir/data.json" --model "$workdir/model_serial.json"
-  run --workers 2 fit --in "$workdir/data.json" \
-      --model "$workdir/model_workers2.json"
-  run --backend numpy fit --in "$workdir/data.json" \
-      --model "$workdir/model_numpy.json" )
+# Each fit runs in its own interpreter under its own string-hash seed.
+run fit --in "$workdir/data.json" --model "$workdir/model_serial.json"
+run --workers 2 fit --in "$workdir/data.json" \
+    --model "$workdir/model_workers2.json"
+run --backend numpy fit --in "$workdir/data.json" \
+    --model "$workdir/model_numpy.json"
 run --workers 2 predict --in "$workdir/data.json" \
     --model "$workdir/model_workers2.json" --evaluate
 run --backend numpy predict --in "$workdir/data.json" \
@@ -179,11 +173,10 @@ echo "== fit/predict --blocker token (generic blocking path) =="
 # scores only candidate pairs; serial and --workers 2 fits must still
 # learn the identical model, and the saved blocker choice must drive
 # the predict pass.
-( export PYTHONHASHSEED=0
-  run --blocker token fit --in "$workdir/data.json" \
-      --model "$workdir/model_token.json"
-  run --blocker token --workers 2 fit --in "$workdir/data.json" \
-      --model "$workdir/model_token_w2.json" )
+run --blocker token fit --in "$workdir/data.json" \
+    --model "$workdir/model_token.json"
+run --blocker token --workers 2 fit --in "$workdir/data.json" \
+    --model "$workdir/model_token_w2.json"
 run predict --in "$workdir/data.json" \
     --model "$workdir/model_token.json" --evaluate
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$workdir" <<'PY'
@@ -199,12 +192,12 @@ assert all(name.startswith("~block:") for name in serial["blocks"]), \
 print("--blocker token fitted state identical across executors")
 PY
 
-echo "== golden fixtures regenerate with no diff =="
+echo "== golden fixtures rebuild with no drift =="
 # The goldens freeze similarity values computed from extracted features;
 # an extraction or scoring change that moves a single bit shows up here
-# as a diff (an intentional one is committed with its change).
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/regenerate_goldens.py
-git diff --exit-code tests/data/golden || {
-    echo "regenerated goldens differ from the committed ones" >&2; exit 1; }
+# as drift against the working-tree fixture (an intentional one is
+# regenerated with its change).  Nothing is written.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python scripts/regenerate_goldens.py --check
 
 echo "smoke test OK"

@@ -34,7 +34,10 @@ def correlation_cluster(
     Returns:
         The entity partition as a list of page-id sets.
     """
-    nodes = list(graph.nodes)
+    # Sorted ids, not block page order: the pivot shuffle and the
+    # local-search sweep then see the same sequence however the block's
+    # pages are ordered.
+    nodes = sorted(graph.nodes)
     if not nodes:
         return []
     agreement = {pair: probability - 0.5 for pair, probability in graph.pairs()}

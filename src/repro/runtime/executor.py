@@ -13,12 +13,12 @@ selected by ``ResolverConfig.executor`` / ``workers`` or the CLI's
 
 * ``"serial"`` — plain in-process loop, the default.
 * ``"process"`` — a **persistent** ``concurrent.futures`` process pool
-  using the **fork** start method.  Fork is required, not merely
-  preferred: workers inherit the parent's string-hash seed, so set/dict
-  iteration orders — and therefore every float accumulation order —
-  match the serial path exactly.  On platforms without fork the backend
-  degrades to an in-process loop rather than silently losing the
-  determinism guarantee.
+  using the **fork** start method: the cheapest start, and workers
+  inherit plugins registered at run time (a custom similarity function,
+  task kind or clusterer).  Results do not depend on the start method —
+  a spawned worker draws its own string-hash seed and returns the same
+  bits.  On platforms without fork the backend degrades to an
+  in-process loop, so run-time registrations stay visible.
 
 The process pool forks **once** per executor instance and is reused by
 every subsequent ``run`` call — collection passes sharing one executor
@@ -327,8 +327,8 @@ class ProcessPoolBlockExecutor(BlockExecutor):
             return [task(payloads[0])]
         context = _fork_context()
         if context is None:  # pragma: no cover - non-fork platforms
-            # Without fork, children would re-randomize string hashing and
-            # the bit-identical guarantee breaks; degrade to in-process.
+            # Spawned children would not see plugins registered at run
+            # time; degrade to in-process.
             self._warn_degraded("fork start method unavailable")
             return [task(payload) for payload in payloads]
         pool = self._ensure_pool(context)

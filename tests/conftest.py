@@ -7,10 +7,16 @@ on training seeds, so every test can reuse them.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from collections.abc import Sequence
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.blocking.token_blocking as token_blocking
 import repro.extraction.pipeline as extraction_pipeline
 import repro.extraction.tokenizer as tokenizer
@@ -75,6 +81,31 @@ def fit_evaluate():
     def run(resolver, data, training_seed=0, **inputs):
         model = resolver.fit(data, training_seed=training_seed, **inputs)
         return model.evaluate(data, **inputs)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def under_hash_seeds():
+    """``run(script, seeds)``: the set of what ``python -c script`` prints
+    under each string-hash seed in ``seeds``, one process per seed, with
+    this ``repro`` on the path.  One element means the output does not
+    depend on the hash seed.  The only place a test sets
+    ``PYTHONHASHSEED``: fixed, distinct seeds make the comparison the
+    same on every run instead of a random draw."""
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+
+    def run(script: str, seeds: Sequence[int],
+            timeout: float = 120) -> set[str]:
+        assert len(set(seeds)) == len(seeds) > 1, seeds
+        outputs = set()
+        for seed in seeds:
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": source_root}
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=timeout).stdout)
+        return outputs
 
     return run
 

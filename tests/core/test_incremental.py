@@ -1,12 +1,7 @@
 """Incremental resolver tests."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
 from repro.core import EntityResolver, ResolverConfig
 from repro.core.incremental import IncrementalResolver
 from repro.corpus.documents import NameCollection
@@ -205,16 +200,9 @@ for page in block.pages:
 """
 
 
-def test_assignments_do_not_depend_on_the_hash_seed():
+def test_assignments_do_not_depend_on_the_hash_seed(under_hash_seeds):
     """Four processes with different string-hash orders print the same
     ``repr`` of every assignment: a cluster's mean link probability is
     exactly rounded, whatever order its members are summed in."""
-    source_root = os.path.dirname(os.path.dirname(repro.__file__))
-    printed = set()
-    for seed in ("1", "2", "3", "4"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": source_root}
-        printed.add(subprocess.run(
-            [sys.executable, "-c", _STREAM_SCRIPT], env=env, check=True,
-            capture_output=True, text=True, timeout=120).stdout)
+    printed = under_hash_seeds(_STREAM_SCRIPT, [1, 2, 3, 4])
     assert len(printed) == 1, printed

@@ -1,7 +1,10 @@
 """Correlation clustering tests."""
 
+import random
+
 from repro.graph.correlation import correlation_cluster, objective
 from repro.graph.entity_graph import WeightedPairGraph
+from repro.metrics.clusterings import Clustering
 
 
 def graph_from(nodes, probabilities):
@@ -39,14 +42,30 @@ class TestCorrelationCluster:
         assert correlation_cluster(WeightedPairGraph(nodes=[]), seed=0) == []
 
     def test_partition_property(self):
+        rng = random.Random(2)
         nodes = [f"n{i}" for i in range(12)]
         probabilities = {}
         for i, left in enumerate(nodes):
             for right in nodes[i + 1:]:
-                probabilities[(left, right)] = (hash((left, right)) % 100) / 100.0
+                probabilities[(left, right)] = rng.randrange(100) / 100.0
         clusters = correlation_cluster(graph_from(nodes, probabilities), seed=2)
         flattened = sorted(node for cluster in clusters for node in cluster)
         assert flattened == sorted(nodes)
+
+    def test_node_order_is_not_an_input(self):
+        """The same pair weights over the nodes listed in another order
+        give the same partition: pivots and sweeps run over sorted ids."""
+        rng = random.Random(0)
+        nodes = [f"n{i:02d}" for i in range(16)]
+        probabilities = {(left, right): rng.random()
+                         for i, left in enumerate(nodes)
+                         for right in nodes[i + 1:]}
+        for seed in range(4):
+            forward = correlation_cluster(graph_from(nodes, probabilities),
+                                          seed=seed)
+            backward = correlation_cluster(
+                graph_from(nodes[::-1], probabilities), seed=seed)
+            assert Clustering(forward) == Clustering(backward), seed
 
     def test_deterministic_given_seed(self):
         nodes = [f"n{i}" for i in range(10)]

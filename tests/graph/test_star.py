@@ -1,10 +1,5 @@
 """Star clustering tests."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.graph.star import star_cluster
 from repro.graph.validation import is_partition
@@ -84,18 +79,12 @@ print(sorted(sorted(cluster) for cluster in clusters))
 
 
 class TestStarTieBreak:
-    def test_equal_weighted_degrees_break_ties_by_name(self):
+    def test_equal_weighted_degrees_break_ties_by_name(self,
+                                                       under_hash_seeds):
         """Weighted degrees fold in a fixed order, so under every string
         hash seed the tie holds and the name picks "a" as the center."""
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        outputs = set()
-        for seed in range(8):
-            env = {**os.environ, "PYTHONHASHSEED": str(seed),
-                   "PYTHONPATH": src}
-            outputs.add(subprocess.run(
-                [sys.executable, "-c", TIE_SCRIPT], env=env,
-                capture_output=True, text=True, check=True).stdout.strip())
-        assert outputs == {"[['a', 'b', 'x'], ['p'], ['q']]"}
+        assert under_hash_seeds(TIE_SCRIPT, range(8)) == {
+            "[['a', 'b', 'x'], ['p'], ['q']]\n"}
 
 
 class TestStarInResolver:

@@ -26,12 +26,24 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden" / \
     "similarity_golden.json"
 
-_spec = importlib.util.spec_from_file_location(
-    "regenerate_goldens", REPO_ROOT / "scripts" / "regenerate_goldens.py")
+SCRIPT_PATH = REPO_ROOT / "scripts" / "regenerate_goldens.py"
+
+_spec = importlib.util.spec_from_file_location("regenerate_goldens",
+                                               SCRIPT_PATH)
 regenerate_goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate_goldens)
 
 BACKENDS = ("python", "numpy")
+
+#: Prints the golden payload rebuilt with one backend as the fixture
+#: file's text.
+_REBUILD_SCRIPT = """
+import importlib.util
+spec = importlib.util.spec_from_file_location("regenerate_goldens", {path!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(module.render(module.build_golden({backend!r})), end="")
+"""
 
 
 def bits(value: float) -> bytes:
@@ -48,14 +60,8 @@ def golden():
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def recomputed(request):
-    """The golden payload rebuilt from scratch with one backend.
-
-    Built in a ``PYTHONHASHSEED=0`` subprocess like the stored fixture
-    was: similarity values are hash-independent, but the resolution
-    stages' set iteration is only byte-stable under a pinned seed.
-    """
-    return request.param, regenerate_goldens.build_golden_pinned(
-        request.param)
+    """The golden payload rebuilt from scratch with one backend."""
+    return request.param, regenerate_goldens.build_golden(request.param)
 
 
 class TestGoldenFixture:
@@ -92,6 +98,16 @@ class TestGoldenFixture:
                     f"{backend} backend drifted on {block} metric "
                     f"{metric}: stored {stored[metric]!r}, recomputed "
                     f"{fresh[metric]!r}")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rebuilt_fixture_does_not_depend_on_the_hash_seed(
+            self, backend, under_hash_seeds):
+        """Two processes under two fixed, distinct string-hash seeds (the
+        stored fixture was written under a third) print the stored
+        fixture byte for byte."""
+        assert under_hash_seeds(
+            _REBUILD_SCRIPT.format(path=str(SCRIPT_PATH), backend=backend),
+            [1, 2]) == {GOLDEN_PATH.read_text()}
 
     def test_check_counts_flipped_bits(self, golden):
         """``regenerate_goldens.py --check`` counts drift per function."""

@@ -1,12 +1,7 @@
 """B-cubed metric tests."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
 from repro.metrics.bcubed import bcubed_scores
 from repro.metrics.clusterings import Clustering
 
@@ -65,15 +60,8 @@ print(repr((scores.precision, scores.recall, scores.f1)))
 """
 
 
-def test_scores_do_not_depend_on_the_hash_seed():
+def test_scores_do_not_depend_on_the_hash_seed(under_hash_seeds):
     """Two processes with different string-hash orders print the same
     ``repr``: the fold over the item set is exactly rounded."""
-    source_root = os.path.dirname(os.path.dirname(repro.__file__))
-    printed = set()
-    for seed in ("1", "2", "3", "4"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": source_root}
-        printed.add(subprocess.run(
-            [sys.executable, "-c", _SCORE_SCRIPT], env=env, check=True,
-            capture_output=True, text=True, timeout=60).stdout)
+    printed = under_hash_seeds(_SCORE_SCRIPT, [1, 2, 3, 4], timeout=60)
     assert len(printed) == 1, printed

@@ -16,7 +16,7 @@ import pytest
 
 from repro.runtime import shards as shards_module
 from repro.runtime.executor import ProcessPoolBlockExecutor, SerialExecutor
-from repro.runtime.shards import ShardStore, load_shard
+from repro.runtime.shards import load_shard
 from repro.runtime.tasks import TASK_KINDS, run_block_tasks
 
 #: The test process: it never kills itself, only its forked workers do.
@@ -50,20 +50,6 @@ def payloads(request, tmp_path):
 def executor():
     with ProcessPoolBlockExecutor(workers=2, oversubscribe=True) as pool:
         yield pool
-
-
-@pytest.fixture
-def published(monkeypatch):
-    """Every shard handle published during the test."""
-    handles = []
-    publish = ShardStore.publish
-
-    def spy(store, payload, label="shard"):
-        handles.append(publish(store, payload, label=label))
-        return handles[-1]
-
-    monkeypatch.setattr(ShardStore, "publish", spy)
-    return handles
 
 
 @pytest.fixture
