@@ -310,21 +310,6 @@ class IncrementalResolver:
         self._require_fitted()
         return list(self._state.functions)
 
-    def link_probability(self, new: PageFeatures,
-                         existing: PageFeatures) -> float:
-        """Combined link probability of (new page, existing page).
-
-        Raises:
-            RuntimeError: before :meth:`fit`.
-            ValueError: when either page's features leave out a field
-                the consulted functions read.
-        """
-        self._require_fitted()
-        require_covered((new, existing), self._state.functions.values())
-        return self._link_probabilities({
-            name: self._backend.pair_scores(function, new, [existing])
-            for name, function in self._state.functions.items()})[0]
-
     def _link_probabilities(
             self, scores: dict[str, list[float]]) -> list[float]:
         """Combined link probabilities from each function's scores.

@@ -56,9 +56,6 @@ class TrainingSample:
         """
         return BlockSweep(self).labeled_values(graph)
 
-    def pair_keys(self) -> set[PairKey]:
-        return {pair for pair, _ in self.pairs}
-
     def label_of(self, pair: PairKey) -> bool:
         """Ground-truth label of a sampled pair.
 

@@ -334,6 +334,9 @@ class ProcessPoolBlockExecutor(BlockExecutor):
         pool = self._ensure_pool(context)
         chunks = pack_chunks(n, math.ceil(n / self.chunksize(n)),
                              weights=weights)
+        # Bound before the ``try``: a pool broken while idle (a worker
+        # killed between runs) raises from the first ``submit``.
+        futures = []
         try:
             futures = [pool.submit(_run_chunk, task,
                                    [payloads[index] for index in chunk])

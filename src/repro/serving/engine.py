@@ -216,6 +216,8 @@ class ServingEngine:
         self._snapshot = ModelSnapshot.create(
             1, model, pipeline=pipeline, max_blocks=max_blocks,
             model_block=model_block)
+        #: Generation number -> snapshot: every generation while the
+        #: journal is on (replay reads them), else only the live one.
         self.snapshots: "OrderedDict[int, ModelSnapshot]" = OrderedDict(
             {1: self._snapshot})
         self.stats = EngineStats()
@@ -298,6 +300,10 @@ class ServingEngine:
                 max_blocks=self.max_blocks, model_block=self.model_block)
             with Timer() as stall, self._admission:
                 self._snapshot = replacement
+                if self.journal is None:
+                    # Only replay reads past generations; without a
+                    # journal each dies with its last in-flight request.
+                    self.snapshots.clear()
                 self.snapshots[replacement.version] = replacement
         self.stats.fold(swaps=1, swap_stall_seconds=stall.seconds)
         return replacement

@@ -13,7 +13,6 @@ from repro.similarity.backends import (
     BACKENDS,
     ScoringBackend,
     default_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.similarity.base import SimilarityFunction
@@ -47,7 +46,6 @@ __all__ = [
     "BACKENDS",
     "ScoringBackend",
     "default_backend",
-    "register_backend",
     "resolve_backend",
     "SimilarityFunction",
     "cosine",

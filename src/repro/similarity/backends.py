@@ -32,13 +32,9 @@ fixtures under ``tests/data/golden/`` enforce this at tolerance zero.
 
 Select a backend with ``ResolverConfig(backend="python")``, the CLI's
 ``--backend`` flag, or the ``REPRO_BACKEND`` environment variable (the
-config default).  Custom backends register with :func:`register_backend`
-and become valid config values immediately::
-
-    @register_backend("mine")
-    class MyBackend(ScoringBackend):
-        name = "mine"
-        ...
+config default).  The two built-ins are the only backends; a test
+substitutes a :class:`ScoringBackend` of its own through
+``BACKENDS._entries``.
 """
 
 from __future__ import annotations
@@ -55,8 +51,6 @@ from repro.graph.entity_graph import (
     PairKey,
     PairLayout,
     WeightedPairGraph,
-    as_list,
-    pair_key,
     pair_position,
 )
 from repro.similarity.base import SimilarityFunction
@@ -68,7 +62,6 @@ __all__ = [
     "Rectangle",
     "ScoringBackend",
     "default_backend",
-    "register_backend",
     "resolve_backend",
 ]
 
@@ -158,34 +151,6 @@ class ScoringBackend(ABC):
             one built with ``WeightedPairGraph.from_scores``.
         """
 
-    def block_scores(
-        self,
-        ids: Sequence[str],
-        features: dict[str, PageFeatures],
-        functions: Sequence[SimilarityFunction],
-        mask: "frozenset[PairKey] | None" = None,
-    ) -> dict[str, dict[PairKey, float]]:
-        """:meth:`block_graphs` read as ``function name -> {pair_key:
-        score}``, each dict in the graph's pair order — a view for
-        callers that think in pair keys, not an extension point."""
-        return {name: dict(graph.pairs()) for name, graph in
-                self.block_graphs(ids, features, functions,
-                                  mask=mask).items()}
-
-    @abstractmethod
-    def pair_scores(
-        self,
-        function: SimilarityFunction,
-        new: PageFeatures,
-        others: Sequence[PageFeatures],
-    ) -> list[float]:
-        """One page against many — the incremental request path.
-
-        Scores ``(new, other)`` for every entry of ``others`` under
-        ``function``, clamped to [0, 1] exactly like
-        ``function(new, other)``.
-        """
-
     def resident_record(self, functions: Sequence[SimilarityFunction],
                         residents: Sequence[PageFeatures]):
         """A record of the ``residents``' inputs to ``functions`` that
@@ -199,35 +164,14 @@ class ScoringBackend(ABC):
         """``pages`` against ``residents`` and each other, in add order
         — the incremental request path, one page or a burst.
 
-        Every score must be bit-identical to ``function(new, other)``
-        with the new page on the left, as a chain of single adds scores
-        it.  This default, which every backend without a record uses,
-        asks :meth:`pair_scores` for one page and one masked
-        :meth:`block_graphs` call for a burst, laid out in **reverse add
-        order**: each new page takes an earlier block position than
-        every page it is scored against, so the sweep's earlier-page-
-        on-the-left argument order is the sequential one even for an
-        argument-order-asymmetric function (F9's fold can differ in the
-        last ulp).
+        This default is the definition: ``function(page, other)`` for
+        each new page, against the residents and then the earlier new
+        pages — exactly the calls a chain of single adds makes.  A
+        backend that overrides it must return the same bits.
         """
-        if len(pages) == 1:
-            return Rectangle({function.name: [self.pair_scores(
-                function, pages[0], residents)] for function in functions})
-        keys = [pair_key(page.doc_id, other.doc_id)
-                for index, page in enumerate(pages)
-                for other in residents + pages[:index]]
-        graphs = self.block_graphs(
-            [page.doc_id for page in reversed(pages)]
-            + [page.doc_id for page in residents],
-            {page.doc_id: page for page in residents + pages}, functions,
-            mask=frozenset(keys))
-        rows = {}
-        for name, graph in graphs.items():
-            layout, values = graph.vector()
-            scores = map(as_list(values).__getitem__, layout.locate(keys))
-            rows[name] = [[next(scores) for _ in range(len(residents) + index)]
-                          for index in range(len(pages))]
-        return Rectangle(rows)
+        return Rectangle({function.name: [
+            [function(page, other) for other in residents + pages[:index]]
+            for index, page in enumerate(pages)] for function in functions})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -274,9 +218,6 @@ class PythonBackend(ScoringBackend):
                                                  values=column)
                 for function, column in zip(functions, columns)}
 
-    def pair_scores(self, function, new, others):
-        return [function(new, other) for other in others]
-
 
 class NumpyBackend(ScoringBackend):
     """Vectorized backend: per-block feature matrices, batched kernels.
@@ -307,12 +248,12 @@ class NumpyBackend(ScoringBackend):
     from the record, never from its dicts again, and needs no mask:
     :meth:`~repro.similarity.batch.BlockState.burst` lays the
     ``k × (n + k - 1)`` rectangle out directly, over the burst's own
-    keys.  :meth:`pair_scores` is the one-page case over a record of
-    ``others``.  A rectangle of at most ``_FEW_CELLS`` pairs (a single
-    add on a shallow block) costs less through the scalar scorers than
-    numpy's per-call overhead; functions with no record family (F2, F3,
-    F7, custom) keep the default path.  See ``docs/performance.md`` for
-    when each backend wins.
+    keys, and lists its pairs so the page kernels (F2, F3, F7) run on
+    it too.  A rectangle of at most ``_FEW_CELLS`` pairs (a single add
+    on a shallow block) costs less through the scalar scorers than
+    numpy's per-call overhead, and so does one page under a page
+    kernel; functions without a kernel (custom) are always scalar.  See
+    ``docs/performance.md`` for when each backend wins.
 
     The backend registers unconditionally so config validation (and
     loading a model fitted elsewhere with ``backend="numpy"``) works on
@@ -367,14 +308,6 @@ class NumpyBackend(ScoringBackend):
         return {function.name: graphs[function.name]
                 for function in functions}
 
-    def pair_scores(self, function, new, others):
-        others = list(others)
-        record = self.resident_record([function], others)
-        if record is None:
-            return _PYTHON.pair_scores(function, new, others)
-        return self.rectangle([function], others, [new],
-                              record).rows[function.name][0]
-
     def resident_record(self, functions, residents):
         batch = self._kernels()
         if batch is None or not any(map(batch.recorded_family, functions)):
@@ -382,28 +315,32 @@ class NumpyBackend(ScoringBackend):
         return batch.ResidentRecord(functions, residents)
 
     def rectangle(self, functions, residents, pages, record=None):
-        """Functions whose kernel reads a record family (every kernel
-        but F2's) score on one :meth:`~repro.similarity.batch.
-        BlockState.burst` state over ``record``; the rest (F2, F3, F7,
-        custom) take the default path — their scalar scorer for one
-        page, the masked block sweep for a burst."""
-        if record is None:
-            return super().rectangle(functions, residents, pages)
-        if len(pages) * (len(residents) + len(pages) - 1) <= _FEW_CELLS:
+        """Two routes.  The scalar definition (the base method) scores a
+        rectangle of at most ``_FEW_CELLS`` pairs, a single page under
+        a kernel that reads the pages (F2, F3, F7) and every function
+        without a kernel; one :meth:`~repro.similarity.batch.BlockState.
+        burst` state scores the rest, reading the residents' inputs from
+        ``record`` where the caller keeps one."""
+        batch = self._kernels()
+        if (batch is None or len(pages) * (len(residents) + len(pages) - 1)
+                <= _FEW_CELLS):
             # Too few pairs to pay numpy's fixed cost: the scalar
             # scorers, and the record walks these pages once they are
             # read as residents.
-            return _PYTHON.rectangle(functions, residents, pages)
-        batch = self._kernels()
-        recorded = [function for function in functions
-                    if batch.recorded_family(function) is not None]
-        rest = [function for function in functions
-                if batch.recorded_family(function) is None]
-        rows = super().rectangle(rest, residents, pages).rows if rest else {}
-        entries = [record.entry(page) for page in pages]
-        state = batch.BlockState.burst(record, entries, len(residents))
-        for function in recorded:
-            rows[function.name] = state.burst_rows(batch.kernel_for(function))
+            return super().rectangle(functions, residents, pages)
+        scalar, burst = [], []
+        for function in functions:
+            kernel = batch.kernel_for(function)
+            if kernel is None or (len(pages) == 1 and not kernel.recorded):
+                scalar.append(function)
+            else:
+                burst.append((function.name, kernel))
+        rows = super().rectangle(scalar, residents, pages).rows
+        entries = None if record is None else list(map(record.entry, pages))
+        if burst:
+            state = batch.BlockState.burst(record, entries, pages, residents)
+            for name, kernel in burst:
+                rows[name] = state.burst_rows(kernel)
         return Rectangle(rows, entries)
 
 
@@ -414,24 +351,6 @@ BACKENDS = Registry("scoring backend")
 _PYTHON = PythonBackend()
 BACKENDS._entries.setdefault("python", _PYTHON)
 BACKENDS._entries.setdefault("numpy", NumpyBackend())
-
-
-def register_backend(name: str | None = None, replace: bool = False):
-    """Decorator registering a :class:`ScoringBackend` class or instance.
-
-    Classes are instantiated once at registration (backends are
-    stateless singletons).
-    """
-    def decorate(entry):
-        instance = entry() if isinstance(entry, type) else entry
-        key = name or getattr(instance, "name", None)
-        if not key or key == ScoringBackend.name:
-            raise ValueError(
-                f"cannot infer a scoring backend name for {entry!r}; set a "
-                f"class-level `name` or pass register_backend(name=...)")
-        BACKENDS.add(key, instance, replace=replace)
-        return entry
-    return decorate
 
 
 def resolve_backend(backend: "str | ScoringBackend | None") -> ScoringBackend:

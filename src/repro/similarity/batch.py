@@ -81,6 +81,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, mul
 
@@ -327,12 +328,13 @@ class BlockState:
       the dense sweep's row-major order;
     * **a burst** of ``k`` new pages against ``n`` resident ones — the
       ``k × (n + k - 1)`` rectangle :meth:`burst` lays out by
-      construction, no mask and no pair layout.
+      construction, its pairs listed but no mask and no pair layout.
 
-    :meth:`family` reads one record per family — the resident record on
-    a burst, else a record of the pages — and stacks the layout's
-    rows over its columns: every key for the square, the keys held on
-    both sides for a mask, the burst's own keys for a burst.  A key
+    :meth:`family` reads one record per family — the resident record of
+    a burst that has one, else a record of the pages — and stacks the
+    layout's rows over its columns: every key for the square, the keys
+    held on both sides for a mask (or a record-less burst), the burst's
+    own keys for a burst on a record.  A key
     absent from a whole side is zero for one member of every pair read:
     dropping it, like dropping pages, only removes fold steps that are
     exact no-ops for every surviving pair, so each entry's
@@ -376,47 +378,64 @@ class BlockState:
         #: ``layout``'s order; ``cells`` are the same pairs as rectangle
         #: coordinates.
         self.pairs = (earlier, later)
-        self._bind(ids, features)
+        self._bind([features[doc_id] for doc_id in ids])
 
     @classmethod
-    def burst(cls, record: ResidentRecord, entries: list[dict],
-              residents: int) -> "BlockState":
+    def burst(cls, record: ResidentRecord | None, entries: list[dict] | None,
+              pages: list[PageFeatures],
+              residents: list[PageFeatures]) -> "BlockState":
         """The rectangle a chain of single adds scores, as one state.
 
-        Rows are the ``k`` new pages (``entries``, given in add order)
-        in **reverse** add order, then ``record``'s ``residents`` rows:
-        every new page sits before all the pages it is scored against —
-        the residents and the pages added before it — so each read cell
-        is (earlier row, later row) with the new page on the left, its
-        single add's argument order.  ``left`` is rows ``0..k-1`` and
-        ``right`` rows ``1..k+n-1``, both views; :meth:`burst_rows`
-        reads the ``k × (k + n - 1)`` matrices back in add order.  The
-        state serves the kernels of the record's families, which fill
-        the whole rectangle; it lists no pairs, so the kernels that read
-        the pages (F2, F3, F7) do not run on it.
+        Rows are the ``k`` new ``pages`` (given in add order, with their
+        record ``entries``) in **reverse** add order, then the ``n``
+        ``residents`` — ``record``'s rows: every new page sits before all
+        the pages it is scored against — the residents and the pages
+        added before it — so each read cell is (earlier row, later row)
+        with the new page on the left, its single add's argument order.
+        ``left`` is rows ``0..k-1`` and ``right`` rows ``1..k+n-1``, both
+        views; the read pairs are the upper triangle of that ``k × (k +
+        n - 1)`` rectangle (right row past left row), so the record
+        kernels fill it whole and the page kernels (F2, F3, F7) score
+        its cells.  :meth:`burst_rows` reads it back in add order.
         """
-        k = len(entries)
+        k = len(pages)
         state = cls.__new__(cls)
         state.square = False
         state.left = np.arange(k, dtype=np.intp)
-        state.right = np.arange(1, k + residents, dtype=np.intp)
-        state.pairs = state.cells = state.layout = None
-        state._bind([], None)
+        state.right = np.arange(1, k + len(residents), dtype=np.intp)
+        state.layout = None
+        state._bind(pages[::-1] + residents)
         state._burst = True
         state._record = record
-        state._entries = entries[::-1]
+        state._entries = None if entries is None else entries[::-1]
         return state
 
-    def _bind(self, ids: list[str], features) -> None:
+    def _bind(self, pages: list[PageFeatures]) -> None:
         """The state every layout shares: rows, inputs, family caches."""
-        self.ids = ids
+        self.pages = pages
         self._burst = False
         self._record: ResidentRecord | None = None
         self._entries: list[dict] | None = None
-        self._features = features
-        self._pages: list[PageFeatures] | None = None
         self._families: dict[str, _Family] = {}
         self._dots: dict[str, np.ndarray] = {}
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """A burst's read cells, built on first read (only the page
+        kernels read them): the upper triangle of its rectangle.  The
+        block layouts set theirs, and :attr:`pairs`, up front."""
+        return np.triu_indices(len(self.left), 0, len(self.right))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """A burst's read pairs as (earlier row, later row)."""
+        left, right = self.cells
+        return left, right + 1
+
+    @property
+    def ids(self) -> list[str]:
+        """Row doc ids."""
+        return [page.doc_id for page in self.pages]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -461,14 +480,6 @@ class BlockState:
         rows = kernel.matrix(self).tolist()
         return [rows[row][k - 1:] + rows[row][row:k - 1][::-1]
                 for row in range(k - 1, -1, -1)]
-
-    @property
-    def pages(self) -> list[PageFeatures]:
-        """Materialized pages, built lazily (page records and the
-        kernels that read pages: F2, F3, F7)."""
-        if self._pages is None:
-            self._pages = [self._features[doc_id] for doc_id in self.ids]
-        return self._pages
 
     def urls(self) -> list[str]:
         """Page URLs in row order."""

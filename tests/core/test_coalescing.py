@@ -25,7 +25,6 @@ from repro.core.model import ResolverModel
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import www05_like
 from repro.corpus.documents import NameCollection
-from repro.graph.entity_graph import pair_key
 from repro.pipeline.session import ResolutionSession
 from repro.serving import ServingEngine, verify_serial_equivalence
 from repro.similarity.extended import SUBSET_I14
@@ -371,7 +370,7 @@ class TestSweepCost:
     @pytest.fixture()
     def weighted(self, small_block, block_features):
         """Weighted averaging over the functions whose inputs a record
-        keeps (F2, F3 and F7 read the pages, through the masked sweep)."""
+        keeps (F2, F3 and F7 read the pages themselves)."""
         model = EntityResolver(ResolverConfig(
             backend="numpy", combiner="weighted_average",
             function_names=("F1", "F4", "F5", "F6", "F8", "F9", "F10"))).fit(
@@ -398,11 +397,12 @@ class TestSweepCost:
             states.append(build(cls, *args, **kwargs))
             return states[-1]
 
-        # batch.py builds no pair keys at all (block states carry a
-        # PairLayout), so only the backend's key builder needs a spy.
-        keys = []
-        monkeypatch.setattr(backends, "pair_key", lambda *pair: keys.append(
-            pair) or pair_key(*pair))
+        swept = []
+        block_graphs = backends.NumpyBackend.block_graphs
+        monkeypatch.setattr(
+            backends.NumpyBackend, "block_graphs",
+            lambda self, *args, **kwargs: swept.append(args)
+            or block_graphs(self, *args, **kwargs))
         monkeypatch.setattr(batch.BlockState, "burst", classmethod(spy))
         burst = incremental.score_burst(tail_features)
         [state] = states
@@ -410,7 +410,10 @@ class TestSweepCost:
 
         assert state.left.size == k
         assert state.right.size == n + k - 1
-        assert keys == []  # the layout is known: no pair keys, no mask
+        assert swept == []  # the layout is known: no mask, no sweep
+        # The read pairs: each new page against every later row.
+        assert state.pairs[0].size == k * (n + k - 1) - k * (k - 1) // 2
+        assert (state.pairs[1] > state.pairs[0]).all()
         assert all(len(rows) == k and [len(row) for row in rows]
                    == list(range(n, n + k))
                    for rows in burst.rectangle.rows.values())
@@ -432,22 +435,22 @@ class TestSweepCost:
                                         monkeypatch):
         """F13's entity counts come from the resident record like every
         other kernel family's: a k = 8 burst on a whole-battery model
-        (less the page readers F2, F3, F7) sweeps no masked block."""
+        sweeps no masked block — the page readers F2, F3 and F7 run on
+        the burst state too."""
         pytest.importorskip("numpy")
         from repro.similarity.backends import NumpyBackend
 
-        names = tuple(name for name in SUBSET_I14
-                      if name not in ("F2", "F3", "F7"))
         model = EntityResolver(ResolverConfig(
             backend="numpy", combiner="weighted_average",
-            function_names=names)).fit(small_block, training_seed=0,
+            function_names=SUBSET_I14)).fit(small_block, training_seed=0,
                                        features=block_features)
         pages = [block_features[page.doc_id] for page in small_block.pages]
         resident = {page.doc_id: page for page in pages[:20]}
         incremental = IncrementalResolver.from_fitted(
             model.config, model.blocks[small_block.query_name], resident,
             [[doc_id] for doc_id in resident])
-        assert "F13" in incremental.scoring_function_names()
+        assert {"F2", "F3", "F7", "F13"} <= set(
+            incremental.scoring_function_names())
 
         swept = []
         block_graphs = NumpyBackend.block_graphs

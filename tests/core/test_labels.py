@@ -34,9 +34,6 @@ class TestTrainingSample:
         values = sample().labeled_values(graph)
         assert values == [(0.9, True), (0.2, False), (0.0, False)]
 
-    def test_pair_keys(self):
-        assert sample().pair_keys() == {("a", "b"), ("a", "c"), ("b", "c")}
-
     def test_label_of(self):
         training = sample()
         assert training.label_of(("a", "b")) is True

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.serving import ServingEngine, verify_serial_equivalence
 from repro.similarity.backends import NumpyBackend, PythonBackend
+import repro.similarity.backends as backends
 import repro.similarity.batch as batch
 from repro.similarity.batch import _edit_distances
 from repro.similarity.extended import full_battery
@@ -45,6 +47,13 @@ def bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def block_scores(backend, ids, features, functions, mask=None):
+    """Every function's graph as ``{pair_key: score}``, in pair order."""
+    return {name: dict(graph.pairs()) for name, graph in
+            backend.block_graphs(ids, features, functions,
+                                 mask=mask).items()}
+
+
 def assert_weights_bit_identical(reference, candidate):
     assert list(reference.keys()) == list(candidate.keys())
     for key, value in reference.items():
@@ -55,8 +64,8 @@ def assert_weights_bit_identical(reference, candidate):
 def assert_scores_bit_identical(ids, features, mask=None):
     """The whole F1–F14 battery, ``python`` ≡ ``numpy`` byte for byte."""
     battery = full_battery()
-    reference = PYTHON.block_scores(ids, features, battery, mask=mask)
-    candidate = NUMPY.block_scores(ids, features, battery, mask=mask)
+    reference = block_scores(PYTHON, ids, features, battery, mask=mask)
+    candidate = block_scores(NUMPY, ids, features, battery, mask=mask)
     assert reference.keys() == candidate.keys()
     for name in reference:
         assert_weights_bit_identical(reference[name], candidate[name])
@@ -107,12 +116,14 @@ class TestScoreMatrixParity:
         seed, pages, alpha = inputs
         block, features = generated_block(seed, pages, alpha)
         pages_list = [features[doc_id] for doc_id in block.page_ids()]
-        new, others = pages_list[0], pages_list[1:]
-        for function in full_battery():
-            reference = PYTHON.pair_scores(function, new, others)
-            candidate = NUMPY.pair_scores(function, new, others)
-            assert [bits(value) for value in reference] == \
-                [bits(value) for value in candidate], function.name
+        new, others = pages_list[:1], pages_list[1:]
+        battery = full_battery()
+        reference = PYTHON.rectangle(battery, others, new).rows
+        candidate = NUMPY.rectangle(battery, others, new).rows
+        for function in battery:
+            assert [bits(value) for value in reference[function.name][0]] \
+                == [bits(value) for value in candidate[function.name][0]], \
+                function.name
 
 
 class TestBenchmarkShapes:
@@ -292,6 +303,21 @@ def name_pages(block) -> list[PageFeatures]:
             for index, name in enumerate(names)]
 
 
+def assert_burst_is_a_chain(functions, residents, new):
+    """``NUMPY.rectangle`` of ``new`` on ``residents`` — over a resident
+    record where the functions read one, and over none — is the scalar
+    chain of adds, byte for byte, whatever its size."""
+    for record in (NUMPY.resident_record(functions, residents), None):
+        with mock.patch.object(backends, "_FEW_CELLS", 0):
+            rectangle = NUMPY.rectangle(functions, residents, new, record)
+        for function in functions:
+            assert [[bits(value) for value in row]
+                    for row in rectangle.rows[function.name]] == [
+                [bits(function(page, other))
+                 for other in residents + new[:index]]
+                for index, page in enumerate(new)], function.name
+
+
 def name_functions(*names: str):
     return [function for function in full_battery()
             if function.name in ("F3", "F7") + names]
@@ -372,7 +398,7 @@ class TestBatchedStringKernels:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_URLS, min_size=2, max_size=10), st.randoms())
-    def test_f2_matches_url_similarity_dense_and_masked(self, urls, rng):
+    def test_f2_matches_url_similarity_dense_masked_and_burst(self, urls, rng):
         ids = [f"p{index}" for index in range(len(urls))]
         features = {doc_id: PageFeatures(doc_id=doc_id, url=url)
                     for doc_id, url in zip(ids, urls)}
@@ -382,7 +408,8 @@ class TestBatchedStringKernels:
                          for i, left in enumerate(ids)
                          for right in ids[i + 1:] if rng.random() < 0.5)
         for layout in (None, mask):
-            scores = NUMPY.block_scores(ids, features, f2, mask=layout)["F2"]
+            scores = block_scores(NUMPY, ids, features, f2,
+                                  mask=layout)["F2"]
             expected = [(i, j) for i in range(len(ids))
                         for j in range(i + 1, len(ids))
                         if layout is None
@@ -392,6 +419,8 @@ class TestBatchedStringKernels:
             for i, j in expected:
                 assert bits(scores[pair_key(ids[i], ids[j])]) == bits(
                     url_similarity(urls[i], urls[j])), (urls[i], urls[j])
+        pages = [features[doc_id] for doc_id in ids]
+        assert_burst_is_a_chain(f2, pages[:1], pages[1:])
 
     @settings(max_examples=80, deadline=None)
     @given(_NAME_BLOCKS, st.randoms())
@@ -404,8 +433,8 @@ class TestBatchedStringKernels:
                          for right in ids[i + 1:] if rng.random() < 0.5)
         functions = name_functions()
         for layout in (None, mask):
-            scores = NUMPY.block_scores(ids, features, functions,
-                                        mask=layout)
+            scores = block_scores(NUMPY, ids, features, functions,
+                                  mask=layout)
             expected = [(i, j) for i in range(len(ids))
                         for j in range(i + 1, len(ids))
                         if layout is None
@@ -420,19 +449,11 @@ class TestBatchedStringKernels:
     @settings(max_examples=60, deadline=None)
     @given(_NAME_BLOCKS, st.integers(2, 5))
     def test_names_in_a_burst_match_a_chain_of_adds(self, block, burst):
-        """A ``rectangle`` burst of new pages — next to a record family
-        (F4), so a deep enough burst takes the record route — scores each
-        page as its single add would, ``function(new, other)``."""
+        """A ``rectangle`` burst of new pages — alone, and next to a
+        record family (F4) — scores each page on the burst state as its
+        single add would, ``function(new, other)``."""
         pages = name_pages(block)
         burst = min(burst, len(pages) - 1)
         residents, new = pages[:-burst], pages[-burst:]
-        functions = name_functions("F4")
-        rectangle = NUMPY.rectangle(
-            functions, residents, new,
-            NUMPY.resident_record(functions, residents))
-        for function in functions:
-            assert [[bits(value) for value in row]
-                    for row in rectangle.rows[function.name]] == [
-                [bits(function(page, other))
-                 for other in residents + new[:index]]
-                for index, page in enumerate(new)], function.name
+        for functions in (name_functions(), name_functions("F4")):
+            assert_burst_is_a_chain(functions, residents, new)

@@ -8,9 +8,9 @@ restricted to the candidate pairs — in the dense sweep's pair order.
 Tolerance is zero everywhere.
 
 Three mask shapes are drawn: an arbitrary subset of the block's pairs
-(a blocker's output), the request-coalescing layout (``k`` new pages in
-reverse add order, each against every resident page and the new pages
-added before it) and a one-sided mask (few left rows against many right
+(a blocker's output), the coalescing shape (``k`` new pages in reverse
+add order, each against every resident page and the new pages added
+before it) and a one-sided mask (few left rows against many right
 rows) — the numpy kernels fill a ``left × right`` rectangle, so the
 shapes that make it narrow are the ones worth pinning.  The request
 path lays the coalescing rectangle out with no mask at all, over a
@@ -35,7 +35,7 @@ from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import custom_dataset
 from repro.corpus.generator import GeneratorConfig
-from repro.graph.entity_graph import WeightedPairGraph, pair_key
+from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity import backends
 from repro.similarity.backends import NumpyBackend, PythonBackend
@@ -81,8 +81,8 @@ def masked_inputs(draw):
 
 @st.composite
 def burst_inputs(draw):
-    """The coalescing sweep's block: the last ``k`` pages arrive on the
-    rest, laid out in reverse add order."""
+    """A block masked in the burst shape: the last ``k`` pages arrive on
+    the rest, laid out in reverse add order."""
     seed = draw(st.integers(0, 10_000))
     pages = draw(st.integers(2, 10))
     block, features = generated_block(seed, pages)
@@ -189,13 +189,20 @@ def assert_same_stack(first, other):
                 == getattr(other, moment).tobytes()), moment
 
 
+def block_scores(backend, ids, features, functions, mask=None):
+    """Every function's graph as ``{pair_key: score}``, in pair order."""
+    return {name: dict(graph.pairs()) for name, graph in
+            backend.block_graphs(ids, features, functions,
+                                 mask=mask).items()}
+
+
 def assert_masked_parity(ids, features, mask):
     """masked ≡ dense-restricted ≡ ``python`` backend, byte for byte and
     in the dense sweep's pair order, over the whole F1–F14 battery."""
     battery = full_battery()
-    dense = PYTHON.block_scores(ids, features, battery)
-    masked_python = PYTHON.block_scores(ids, features, battery, mask=mask)
-    masked_numpy = NUMPY.block_scores(ids, features, battery, mask=mask)
+    dense = block_scores(PYTHON, ids, features, battery)
+    masked_python = block_scores(PYTHON, ids, features, battery, mask=mask)
+    masked_numpy = block_scores(NUMPY, ids, features, battery, mask=mask)
     assert dense.keys() == masked_python.keys() == masked_numpy.keys()
     for name in dense:
         # Exactly the candidate pairs, in the dense sweep's order.
@@ -231,59 +238,31 @@ class TestMaskedScoringParity:
         """Every burst row from the resident record — each page walked
         once, whether it was resident when the record was made, joined
         after, or arrives now — equals the dense sweep byte for byte,
-        however small the rectangle."""
+        however small the rectangle; so does the definition's (the
+        ``python`` backend's)."""
         resident, arriving, made, features = inputs
         battery = full_battery()
-        dense = PYTHON.block_scores(list(reversed(arriving)) + resident,
-                                    features, battery)
+        dense = block_scores(PYTHON, list(reversed(arriving)) + resident,
+                             features, battery)
         record = NUMPY.resident_record(
             battery, [features[doc_id] for doc_id in resident[:made]])
         for doc_id in resident[made:]:
             page = features[doc_id]
             record.append(page, record.entry(page))
         with mock.patch.object(backends, "_FEW_CELLS", 0):
-            rectangle = NUMPY.rectangle(
+            rectangles = [backend.rectangle(
                 battery, [features[doc_id] for doc_id in resident],
                 [features[doc_id] for doc_id in arriving], record)
-        assert rectangle.rows.keys() == dense.keys()
-        for name, rows in rectangle.rows.items():
-            for index, new in enumerate(arriving):
-                expected = [dense[name][pair_key(new, other)]
-                            for other in resident + arriving[:index]]
-                assert ([bits(value) for value in rows[index]]
-                        == [bits(value) for value in expected]), (name, index)
-
-    @settings(max_examples=10, deadline=None)
-    @given(record_inputs())
-    def test_default_burst_reads_graphs_built_from_scores(self, inputs):
-        """The default ``rectangle`` reads a backend's graphs however they
-        were built: bursts from the ``python`` backend's graphs and from
-        a backend building its graphs with ``from_scores`` both equal the
-        dense sweep byte for byte."""
-        resident, arriving, _, features = inputs
-        battery = default_functions()
-        if len(arriving) < 2:  # one page takes pair_scores, not a sweep
-            resident, arriving = resident[:-1], resident[-1:] + arriving
-        dense = PYTHON.block_scores(list(reversed(arriving)) + resident,
-                                    features, battery)
-
-        class ScoresBackend(PythonBackend):
-            def block_graphs(self, ids, features, functions, mask=None):
-                return {name: WeightedPairGraph.from_scores(ids, scores)
-                        for name, scores in PYTHON.block_scores(
-                            ids, features, functions, mask=mask).items()}
-
-        for backend in (PYTHON, ScoresBackend()):
-            rows = backend.rectangle(
-                battery, [features[doc_id] for doc_id in resident],
-                [features[doc_id] for doc_id in arriving]).rows
-            for name, table in rows.items():
+                for backend, record in ((NUMPY, record), (PYTHON, None))]
+        for rectangle in rectangles:
+            assert rectangle.rows.keys() == dense.keys()
+            for name, rows in rectangle.rows.items():
                 for index, new in enumerate(arriving):
                     expected = [dense[name][pair_key(new, other)]
                                 for other in resident + arriving[:index]]
-                    assert ([bits(value) for value in table[index]]
+                    assert ([bits(value) for value in rows[index]]
                             == [bits(value) for value in expected]), \
-                        (backend, name, index)
+                        (name, index)
 
     @settings(max_examples=8, deadline=None)
     @given(masked_inputs())
@@ -307,9 +286,9 @@ class TestMaskedScoringParity:
                          for i, left in enumerate(ids)
                          for right in ids[i + 1:])
         battery = full_battery()
-        dense = PYTHON.block_scores(ids, features, battery)
+        dense = block_scores(PYTHON, ids, features, battery)
         for backend in (PYTHON, NUMPY):
-            masked = backend.block_scores(ids, features, battery, mask=full)
+            masked = block_scores(backend, ids, features, battery, mask=full)
             for name in dense:
                 assert list(masked[name]) == list(dense[name])
                 for key, value in dense[name].items():
@@ -321,8 +300,8 @@ class TestMaskedScoringParity:
         block, features = generated_block(seed, pages)
         ids = block.page_ids()
         for backend in (PYTHON, NUMPY):
-            scores = backend.block_scores(ids, features, full_battery(),
-                                          mask=frozenset())
+            scores = block_scores(backend, ids, features, full_battery(),
+                                  mask=frozenset())
             assert all(weights == {} for weights in scores.values())
 
 

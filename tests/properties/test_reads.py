@@ -144,8 +144,8 @@ class TestNarrowedScoresEqualWhole:
 def touched_by(function, features: dict[str, PageFeatures],
                recording) -> set[str]:
     """Every field any scoring surface of ``function`` reads: scalar,
-    block sweeps, and the request path's rectangle of two new pages over
-    a resident record."""
+    block sweeps, and the request path's rectangles of one and of two
+    new pages over a resident record."""
     touched: set[str] = set()
     pages = {doc_id: recording(page, touched)
              for doc_id, page in features.items()}
@@ -154,12 +154,12 @@ def touched_by(function, features: dict[str, PageFeatures],
     function.scorer(first, second)
     for backend in EXACT_BACKENDS:
         scorer = resolve_backend(backend)
-        scorer.block_scores(ids, pages, [function])
-        scorer.block_scores(ids, pages, [function],
+        scorer.block_graphs(ids, pages, [function])
+        scorer.block_graphs(ids, pages, [function],
                             mask=every_third_pair(ids))
-        scorer.pair_scores(function, first, others)
-        scorer.rectangle([function], others, [first, second],
-                         scorer.resident_record([function], others))
+        for new in ([first], [first, second]):
+            scorer.rectangle([function], others, new,
+                             scorer.resident_record([function], others))
     return touched - {"doc_id"}
 
 
@@ -222,10 +222,9 @@ class TestNarrowedFeaturesFailLoudly:
         resolver.add_page(block_features[ids[0]])
         for refused in (
                 lambda: resolver.add_page(tfidf_only[ids[1]]),
+                lambda: resolver.score_burst([tfidf_only[ids[1]]]),
                 lambda: resolver.score_burst(
-                    [block_features[ids[1]], tfidf_only[ids[2]]]),
-                lambda: resolver.link_probability(tfidf_only[ids[1]],
-                                                  block_features[ids[0]])):
+                    [block_features[ids[1]], tfidf_only[ids[2]]])):
             with pytest.raises(ValueError, match="extracted for"):
                 refused()
         assert ids[1] not in resolver

@@ -69,6 +69,13 @@ def shipped(payload, prefer_shm: bool):
     return copy
 
 
+def block_scores(backend, ids, features, functions, mask=None):
+    """Every function's graph as ``{pair_key: score}``, in pair order."""
+    return {name: dict(graph.pairs()) for name, graph in
+            backend.block_graphs(ids, features, functions,
+                                 mask=mask).items()}
+
+
 def assert_same_bits(reference, candidate):
     assert reference.keys() == candidate.keys()
     for name in reference:
@@ -92,8 +99,8 @@ class TestShardBitIdentity:
         ids = block.page_ids()
         battery = full_battery()
         assert_same_bits(
-            NUMPY.block_scores(ids, features, battery),
-            NUMPY.block_scores(ids, shipped(features, prefer_shm), battery))
+            block_scores(NUMPY, ids, features, battery),
+            block_scores(NUMPY, ids, shipped(features, prefer_shm), battery))
 
     @TRANSPORTS
     @settings(max_examples=6, deadline=None)
@@ -105,8 +112,9 @@ class TestShardBitIdentity:
         ids = block.page_ids()
         battery = full_battery()
         assert_same_bits(
-            PYTHON.block_scores(ids, features, battery),
-            PYTHON.block_scores(ids, shipped(features, prefer_shm), battery))
+            block_scores(PYTHON, ids, features, battery),
+            block_scores(PYTHON, ids, shipped(features, prefer_shm),
+                         battery))
 
     @TRANSPORTS
     @settings(max_examples=6, deadline=None)
@@ -128,8 +136,8 @@ class TestShardBitIdentity:
         copy = shipped(features, prefer_shm)
         for mask in (square, rectangle):
             assert_same_bits(
-                NUMPY.block_scores(ids, features, battery, mask=mask),
-                NUMPY.block_scores(ids, copy, battery, mask=mask))
+                block_scores(NUMPY, ids, features, battery, mask=mask),
+                block_scores(NUMPY, ids, copy, battery, mask=mask))
 
 
 class TestUnpickledObjectBitIdentity:

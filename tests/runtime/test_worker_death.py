@@ -1,4 +1,5 @@
-"""A pool worker killed with SIGKILL at the start, middle or end of a fan-out.
+"""A pool worker killed with SIGKILL at the start, middle or end of a
+fan-out, or while the pool idles between two.
 
 The run raises ``BrokenProcessPool`` at once, leaves no worker process
 and no published shard behind, and the next run on the same executor
@@ -10,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -95,4 +97,46 @@ def test_run_block_tasks_raises_cleans_up_and_recovers(executor, payloads,
 
     assert run_block_tasks(executor, die_kind, payloads) == run_block_tasks(
         SerialExecutor(), die_kind, payloads)
+    assert executor.fork_waves == 2
+
+
+def _square_body(payload, attach_seconds=0.0):
+    return payload * payload
+
+
+@pytest.fixture
+def square_kind():
+    TASK_KINDS["square"] = _square_body
+    yield "square"
+    TASK_KINDS.pop("square", None)
+
+
+def test_a_worker_killed_while_the_pool_idles(executor, published,
+                                              square_kind):
+    """A worker that dies between two runs (say, OOM-killed while the
+    caller does other work) breaks the pool before the next run submits
+    anything: that run raises ``BrokenProcessPool``, leaves no worker or
+    shard behind, and the run after it forks afresh."""
+    payloads = list(range(8))
+    expected = run_block_tasks(SerialExecutor(), square_kind, payloads)
+    assert run_block_tasks(executor, square_kind, payloads) == expected
+    pool = executor._pool
+    before = set(multiprocessing.active_children()) - set(
+        pool._processes.values())
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._broken:  # the pool notices the death on its own
+        assert time.monotonic() < deadline, "the pool never broke"
+        time.sleep(0.01)
+
+    with pytest.raises(BrokenProcessPool):
+        run_block_tasks(executor, square_kind, payloads)
+    assert_no_worker_left(before)
+    for handle in published:
+        assert handle.shard_id not in shards_module._LOCAL
+        with pytest.raises(OSError):
+            load_shard(handle)
+    assert executor.fork_waves == 1
+
+    assert run_block_tasks(executor, square_kind, payloads) == expected
     assert executor.fork_waves == 2

@@ -8,9 +8,11 @@ Concurrency is exercised separately in ``test_concurrency.py``.
 
 from __future__ import annotations
 
+import gc
 import logging
 import random
 import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -174,20 +176,26 @@ class TestValidation:
 
 
 class _CountingBackend(ScoringBackend):
-    """Delegates to ``inner``, counting the whole-block sweeps."""
+    """Delegates to ``inner``, counting whole-block sweeps and request-
+    path rectangles."""
 
     name = "counting-test"
 
     def __init__(self, inner):
         self.inner = inner
         self.block_calls = 0
+        self.rectangles = []
 
     def block_graphs(self, ids, features, functions, mask=None):
         self.block_calls += 1
         return self.inner.block_graphs(ids, features, functions, mask=mask)
 
-    def pair_scores(self, function, new, others):
-        return self.inner.pair_scores(function, new, others)
+    def resident_record(self, functions, residents):
+        return self.inner.resident_record(functions, residents)
+
+    def rectangle(self, functions, residents, pages, record=None):
+        self.rectangles.append(len(pages))
+        return self.inner.rectangle(functions, residents, pages, record)
 
 
 class TestBatchOfOne:
@@ -204,16 +212,17 @@ class TestBatchOfOne:
         pages = list(small_block.pages)
         feats = {p.doc_id: all_features[p.doc_id] for p in pages}
         engine.resolve(pages[:10], features=feats)
-        counting.block_calls = 0
+        counting.block_calls, counting.rectangles = 0, []
         engine.resolve(pages[10], features=feats)
-        assert counting.block_calls == 0
+        assert counting.rectangles == [1]
         assert engine.stats.coalesced_batches == 0
-        # two queued pages are a batch: one sweep
+        # two queued pages are a batch: one rectangle
         futures = [engine.submit(page, features=feats)
                    for page in pages[11:13]]
         engine.flush()
         assert all(future.result(timeout=5) for future in futures)
-        assert counting.block_calls == 1
+        assert counting.rectangles == [1, 2]
+        assert counting.block_calls == 0
         assert engine.stats.coalesced_batches == 1
 
 
@@ -516,6 +525,23 @@ class TestSwap:
         report = verify_serial_equivalence(engine)
         assert report["identical"], report["diffs"]
         assert report["versions"] == [1, 2]
+
+    def test_without_a_journal_a_swapped_out_session_is_freed(
+            self, serving_model, second_model, pipeline, small_block,
+            all_features):
+        """Only replay reads past generations: without a journal the
+        engine keeps the live snapshot alone, so an old session (and its
+        prepared blocks) dies once nothing in flight pins it."""
+        engine = ServingEngine(serving_model, pipeline=pipeline)
+        pages = list(small_block.pages)
+        feats = {p.doc_id: all_features[p.doc_id] for p in pages}
+        engine.resolve(pages[:10], features=feats)
+        first = weakref.ref(engine.snapshot.session)
+        for _ in range(3):
+            engine.swap(second_model)
+        assert list(engine.snapshots) == [4]
+        gc.collect()
+        assert first() is None
 
     def test_swap_inherits_pipeline_when_not_given(self, engine,
                                                    second_model):

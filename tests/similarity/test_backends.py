@@ -18,11 +18,16 @@ from repro.similarity.backends import (
     PythonBackend,
     ScoringBackend,
     default_backend,
-    register_backend,
     resolve_backend,
 )
 
 SOURCE = Path(__file__).resolve().parents[2] / "src"
+
+
+def block_scores(backend, ids, features, functions):
+    """Every function's graph as ``{pair_key: score}``."""
+    return {name: dict(graph.pairs()) for name, graph in
+            backend.block_graphs(ids, features, functions).items()}
 
 
 class TestRegistry:
@@ -66,7 +71,10 @@ class TestRegistry:
         explicit = dict(payload, backend="numpy")
         assert ResolverConfig.from_dict(explicit).backend == "numpy"
 
-    def test_register_custom_backend(self):
+    def test_substituted_backend_is_a_config_value(self, monkeypatch):
+        """A backend implementing only ``block_graphs`` (``rectangle``
+        has its definition) is a valid config value once it sits in the
+        registry — how tests substitute a fake."""
         class EchoBackend(ScoringBackend):
             name = "echo-test"
 
@@ -74,15 +82,9 @@ class TestRegistry:
                 return {function.name: WeightedPairGraph(ids)
                         for function in functions}
 
-            def pair_scores(self, function, new, others):
-                return [0.0 for _ in others]
-
-        register_backend()(EchoBackend)
-        try:
-            assert isinstance(resolve_backend("echo-test"), EchoBackend)
-            assert ResolverConfig(backend="echo-test").backend == "echo-test"
-        finally:
-            del BACKENDS._entries["echo-test"]
+        monkeypatch.setitem(BACKENDS._entries, "echo-test", EchoBackend())
+        assert isinstance(resolve_backend("echo-test"), EchoBackend)
+        assert ResolverConfig(backend="echo-test").backend == "echo-test"
 
 
 class TestMissingNumpyFallback:
@@ -161,16 +163,16 @@ class TestMissingNumpyFallback:
 
         backend = NumpyBackend()
         monkeypatch.setattr(NumpyBackend, "_kernels", lambda self: None)
-        scores = backend.block_scores(block.page_ids(), features,
-                                      default_functions())
-        reference = PythonBackend().block_scores(block.page_ids(), features,
-                                                 default_functions())
+        scores = block_scores(backend, block.page_ids(), features,
+                              default_functions())
+        reference = block_scores(PythonBackend(), block.page_ids(), features,
+                                 default_functions())
         assert scores == reference
         pages = list(features.values())
-        assert backend.pair_scores(default_functions()[0], pages[0],
-                                   pages[1:]) == \
-            PythonBackend().pair_scores(default_functions()[0], pages[0],
-                                        pages[1:])
+        for new in ([pages[0]], pages[:3]):
+            assert backend.rectangle(default_functions(), pages[3:],
+                                     new) == \
+                PythonBackend().rectangle(default_functions(), pages[3:], new)
 
 
 class TestKernelDispatch:
@@ -207,8 +209,8 @@ class TestKernelDispatch:
         features = pipeline.extract_block(block)
         constant = SimilarityFunction("F_const", "nothing", "constant",
                                       lambda left, right: 0.25)
-        scores = NumpyBackend().block_scores(block.page_ids(), features,
-                                             [constant])
+        scores = block_scores(NumpyBackend(), block.page_ids(), features,
+                              [constant])
         n = len(block.pages)
         assert len(scores["F_const"]) == n * (n - 1) // 2
         assert set(scores["F_const"].values()) == {0.25}
