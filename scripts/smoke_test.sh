@@ -63,6 +63,16 @@ if grep -nE 'def from_plane|def from_record|class _(Vector|Set|Counter)Family' \
     exit 1
 fi
 
+echo "== extraction hands arrays, not kernel types =="
+# Extraction returns PageFeatures and, from a TF-IDF block pass, plain
+# arrays (BlockFeatures.tfidf_rows) that the kernels read; extraction/
+# importing the kernels or the backends turns the layering around.
+if grep -rnE '^\s*(from|import)\s+repro\.similarity\.(batch|backends)\b|^\s*from\s+repro\.similarity\s+import\s.*\b(batch|backends)\b' \
+        src/repro/extraction; then
+    echo "extraction/ imports repro.similarity.batch or .backends" >&2
+    exit 1
+fi
+
 echo "== one graph form =="
 # A similarity or decision graph is a layout and one vector over it; a
 # mutator, an edge setter, a multigraph or a layer-probability setter

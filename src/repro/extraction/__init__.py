@@ -14,7 +14,7 @@ from repro.extraction.stopwords import STOPWORDS, is_stopword
 from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.concepts import ConceptExtractor
 from repro.extraction.tfidf import TfidfVectorizer
-from repro.extraction.features import PageFeatures
+from repro.extraction.features import BlockFeatures, PageFeatures
 from repro.extraction.pipeline import BlockContext, ExtractionPipeline
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "ConceptExtractor",
     "TfidfVectorizer",
     "PageFeatures",
+    "BlockFeatures",
     "BlockContext",
     "ExtractionPipeline",
 ]

@@ -13,12 +13,20 @@ extract_block`'s ``reads``).  The fields come in the groups one
 extractor fills together (:data:`NER_FIELDS`, :data:`CONCEPT_FIELDS`,
 :data:`TFIDF_FIELDS`; ``url`` is copied from the page), and a narrowed
 bundle records which it holds in :attr:`PageFeatures.reads`.
+
+:meth:`~repro.extraction.pipeline.ExtractionPipeline.extract_block`
+returns a :class:`BlockFeatures`: the bundles by doc id, plus the
+TF-IDF block pass's flat rows when that pass ran.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.extraction.tfidf import TfidfRows
 
 #: Fields the dictionary NER (plus name ranking) fills from a page's tokens.
 NER_FIELDS = frozenset({"most_frequent_name", "closest_name_to_query",
@@ -84,3 +92,31 @@ class PageFeatures:
         if isinstance(value, str):
             return bool(value)
         return len(value) > 0
+
+
+class BlockFeatures(dict):
+    """``doc_id -> PageFeatures`` of one extracted block, and the rows
+    its TF-IDF vectors were made from.
+
+    A plain mapping to every reader.  ``tfidf_rows`` is the
+    :class:`~repro.extraction.tfidf.TfidfRows` of the block's TF-IDF
+    pass (``None``: the vectors were weighed page by page, or not at
+    all), so a scorer can stack the block's TF-IDF family from arrays
+    instead of walking the dicts.  The rows describe the dicts the pass
+    made, not the mapping: a reader uses them only for pages whose
+    ``tfidf`` is one of those very dicts, so a page replaced or added
+    since is walked as usual.
+
+    The rows live as long as the mapping, never on a
+    :class:`PageFeatures`, and do not travel: a copy or a pickle of the
+    mapping is a plain ``dict``.
+    """
+
+    __slots__ = ("tfidf_rows",)
+
+    def __init__(self, features=(), tfidf_rows: "TfidfRows | None" = None):
+        super().__init__(features)
+        self.tfidf_rows = tfidf_rows
+
+    def __reduce__(self):
+        return dict, (dict(self),)

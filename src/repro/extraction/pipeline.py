@@ -34,11 +34,12 @@ from repro.extraction.features import (
     CONCEPT_FIELDS,
     NER_FIELDS,
     TFIDF_FIELDS,
+    BlockFeatures,
     PageFeatures,
 )
 from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.stopwords import build_stopword_set
-from repro.extraction.tfidf import TfidfVectorizer, weighs_in_block
+from repro.extraction.tfidf import TfidfVectorizer
 from repro.extraction.tokenizer import (
     lower_all,
     page_lowered_tokens,
@@ -208,14 +209,16 @@ class ExtractionPipeline:
                       context: BlockContext | None = None,
                       reads: frozenset[str] | None = None,
                       tokens: Sequence[list[str]] | None = None,
-                      ) -> dict[str, PageFeatures]:
+                      ) -> BlockFeatures:
         """Extract features for every page of one name's block.
 
         The pages' TF-IDF vectors are weighed together once all of them
         joined (:meth:`~repro.extraction.tfidf.TfidfVectorizer.
         add_documents`: one numpy pass from
         :data:`~repro.extraction.tfidf.BLOCK_PASS_MIN_DOCUMENTS` pages,
-        page by page below); a ``DEBUG`` record names the route.
+        page by page below); a ``DEBUG`` record names the route.  The
+        returned mapping carries the pass's rows
+        (:attr:`~repro.extraction.features.BlockFeatures.tfidf_rows`).
 
         Args:
             block: the pages to extract.
@@ -238,10 +241,11 @@ class ExtractionPipeline:
             context = self.block_context(block.query_name, reads)
         drafts = [self._draft(page, context, given)
                   for page, given in zip(block.pages, tokens or repeat(None))]
+        rows = None
         if context.reads_tfidf:
             # Every page joins before any is weighed: a page's IDF counts
             # the whole block, later pages included.
-            vectors = context.vectorizer.add_documents(
+            vectors, rows = context.vectorizer.add_documents(
                 [lowered for _, lowered in drafts])
             for (draft, _), vector in zip(drafts, vectors):
                 draft.tfidf = vector
@@ -252,9 +256,10 @@ class ExtractionPipeline:
                              reads=("all" if context.reads is None
                                     else sorted(context.reads)),
                              route=("none" if not context.reads_tfidf
-                                    else "block" if weighs_in_block(
-                                        len(drafts)) else "per-page")))
-        return {draft.doc_id: draft for draft, _ in drafts}
+                                    else "block" if rows is not None
+                                    else "per-page")))
+        return BlockFeatures({draft.doc_id: draft for draft, _ in drafts},
+                             rows)
 
     def fold(self, pages: Iterable[WebPage], context: BlockContext) -> None:
         """Count ``pages`` into ``context`` without extracting them.

@@ -9,7 +9,9 @@ the collection vocabulary, and the similarity layer
 Documents that join together (:meth:`TfidfVectorizer.add_documents`)
 are weighed one by one (:meth:`TfidfVectorizer.weigh`, the reference)
 or, from :data:`BLOCK_PASS_MIN_DOCUMENTS` of them where numpy is
-installed, in one columnar pass that gives the same floats.
+installed, in one columnar pass that gives the same floats.  The pass
+also hands back its vectors as flat arrays (:class:`TfidfRows`), so a
+scorer that stacks vectors into matrices need not walk the dicts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import le, mul, truediv
 
@@ -43,6 +46,40 @@ def weighs_in_block(n_documents: int) -> bool:
     """Whether :meth:`TfidfVectorizer.add_documents` weighs a call of
     ``n_documents`` in one numpy pass."""
     return np is not None and n_documents >= BLOCK_PASS_MIN_DOCUMENTS
+
+
+@dataclass(frozen=True, eq=False)
+class TfidfRows:
+    """One block pass's vectors as flat rows: the arrays the vectors'
+    dicts were made from.
+
+    Entries run document by document, in the pass's document order, and
+    within a document in ascending term order — each dict's iteration
+    order.  A value is the very float its dict holds.
+
+    Attributes:
+        terms: the kept terms of the pass's documents, sorted; an
+            entry's column is its term's index here.
+        sizes: per document, its number of entries (int64).
+        columns: per entry, its column (int64).
+        values: per entry, its weight (float64).
+        vectors: the dicts made from these rows, in document order —
+            the objects themselves, so a reader can tell a vector the
+            pass made from an equal one made elsewhere.
+    """
+
+    terms: list[str]
+    sizes: "np.ndarray"
+    columns: "np.ndarray"
+    values: "np.ndarray"
+    vectors: list[dict[str, float]]
+
+    def rows_of(self, vectors: Iterable[dict]) -> list[int] | None:
+        """Each of ``vectors``' document index, or ``None`` when one is
+        not a dict this pass made (identity, not equality)."""
+        row_of = {id(vector): row for row, vector in enumerate(self.vectors)}
+        rows = list(map(row_of.get, map(id, vectors)))
+        return None if None in rows else rows
 
 
 class _IdfByFrequency(dict):
@@ -165,7 +202,7 @@ class TfidfVectorizer:
         return dict(zip(terms, map(truediv, weights, repeat(norm))))
 
     def add_documents(self, documents: Sequence[list[str]],
-                      ) -> list[dict[str, float]]:
+                      ) -> tuple[list[dict[str, float]], TfidfRows | None]:
         """Add ``documents`` (lower-cased tokens each) to the corpus, then
         weigh each of them over the grown statistics.
 
@@ -173,16 +210,20 @@ class TfidfVectorizer:
         counts all of them.  The same vectors as :meth:`observe` on each
         :meth:`count_terms` and then :meth:`weigh` on each, which is what
         a call of fewer than :data:`BLOCK_PASS_MIN_DOCUMENTS` does.
+
+        Returns:
+            the vectors, in document order, and the block pass's
+            :class:`TfidfRows` of them (``None``: weighed one by one).
         """
         if weighs_in_block(len(documents)):
-            return self._add_block(documents)
+            rows = self._add_block(documents)
+            return rows.vectors, rows
         term_counts = list(map(self.count_terms, documents))
         for counts in term_counts:
             self.observe(counts)
-        return list(map(self.weigh, term_counts))
+        return list(map(self.weigh, term_counts)), None
 
-    def _add_block(self, documents: Sequence[list[str]],
-                   ) -> list[dict[str, float]]:
+    def _add_block(self, documents: Sequence[list[str]]) -> TfidfRows:
         """:meth:`add_documents` as one columnar numpy pass.
 
         The kept terms are numbered in sorted order, so (document, term)
@@ -190,7 +231,8 @@ class TfidfVectorizer:
         are products of ``math.log`` tables (``np.log`` may differ in
         the last bit), and each norm folds the squares left to right
         with ``np.add.accumulate`` over zero-padded rows: the floats
-        :meth:`weigh` computes, one by one.
+        :meth:`weigh` computes, one by one.  Returns the pass's rows,
+        which hold the vectors' dicts.
         """
         tokens = list(chain.from_iterable(documents))
         distinct = set(tokens) - self.stopwords
@@ -218,7 +260,8 @@ class TfidfVectorizer:
         self._n_documents += n_documents
         self._idf = _IdfByFrequency(self._n_documents)
         if not n_terms:
-            return [{} for _ in documents]
+            return TfidfRows(terms, np.zeros(n_documents, dtype=np.int64),
+                             term_ids, np.zeros(0), [{} for _ in documents])
 
         weights = (_table(self._log_tf, term_counts)[term_counts]
                    * _table(self._idf, totals)[totals][term_ids])
@@ -228,13 +271,14 @@ class TfidfVectorizer:
         squares[owners, np.arange(len(entries)) - (ends - sizes)[owners]] = (
             weights * weights)
         norms = np.sqrt(np.add.accumulate(squares, axis=1)[:, -1])
+        unit = weights / norms[owners]
         keys = np.array(terms, dtype=object)[term_ids].tolist()
-        values = (weights / norms[owners]).tolist()
+        values = unit.tolist()
         vectors, start = [], 0
         for end in ends.tolist():
             vectors.append(dict(zip(keys[start:end], values[start:end])))
             start = end
-        return vectors
+        return TfidfRows(terms, sizes, term_ids, unit, vectors)
 
     def fit(self, documents: Sequence[list[str]]) -> "TfidfVectorizer":
         """Learn IDF statistics from tokenized documents (any case)."""

@@ -51,18 +51,22 @@ One record, three layouts
 Every kernel input comes from one place: a :class:`_FamilyRecord` per
 family (the vectors of F1, F8–F10, F12, F14; the sets of F4–F6, F11;
 F13's entity counter), rows of flat (column, value) entries plus each
-row's moments.  A record gets its rows from pages (one walk per page,
-keys interned in an append-only vocabulary), or by appending as a
-served page joins.  A :class:`BlockState` picks which record to read
-and its layout picks the rows and columns to stack — the dense square, a
-candidate mask, or a burst of ``k`` new pages on a served block's
-``n`` residents (:meth:`BlockState.burst`: the ``k × (n + k - 1)``
-rectangle with the new pages in reverse add order on the left, so
-every score is ``scorer(new, other)`` exactly as a chain of single
-adds calls it).  Columns are always stacked in ascending key order —
-the fold order above — so the interned order never reaches a score.
-A served block keeps its record (:class:`ResidentRecord`): each page's
-dicts are walked once, and a burst walks only its own pages.
+row's moments.  A record gets its rows from pages (keys interned in an
+append-only vocabulary: a vector family walks each page's dict, a set
+or counter family walks its pending pages together), by appending as a
+served page joins, or — a batch block's TF-IDF family — from the rows
+extraction's block pass already built (:meth:`_FamilyRecord.hand`: no
+dict walked, no key interned).  A :class:`BlockState` picks which
+record to read and its layout picks the rows and columns to stack —
+the dense square, a candidate mask, or a burst of ``k`` new pages on a
+served block's ``n`` residents (:meth:`BlockState.burst`: the
+``k × (n + k - 1)`` rectangle with the new pages in reverse add order
+on the left, so every score is ``scorer(new, other)`` exactly as a
+chain of single adds calls it).  Columns are always stacked in
+ascending key order — the fold order above — so the interned order
+never reaches a score.  A served block keeps its record
+(:class:`ResidentRecord`): each page's dicts are walked once, and a
+burst walks only its own pages.
 
 Kernels are dispatched per :class:`~repro.similarity.base.
 SimilarityFunction` by :func:`kernel_for`, which also checks the
@@ -78,17 +82,19 @@ it.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, repeat
 from operator import attrgetter, mul
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.extraction.features import PageFeatures
+from repro.extraction.features import BlockFeatures, PageFeatures
+from repro.extraction.tfidf import TfidfRows
 from repro.folds import left_sum
 from repro.graph.entity_graph import PairKey, PairLayout, pair_position
 from repro.similarity import extended as _extended
@@ -103,6 +109,8 @@ __all__ = ["BlockState", "Kernel", "ResidentRecord", "kernel_for",
 #: integer minimum sum: bounds its broadcast tensor at
 #: O(rectangle · _CHUNK) and keeps it cache-resident.
 _CHUNK = 32
+
+logger = logging.getLogger(__name__)
 
 
 # -- one family's dense inputs ---------------------------------------------
@@ -161,10 +169,12 @@ class _FamilyRecord:
 
     Rows are kept flat — per entry its column id, its value and the row
     that owns it — plus one :func:`_moments` row per row.  A record gets
-    its rows from pages (``pages``), one :meth:`entry` walk each, or by
-    :meth:`append`, as a served page joins.  Keys are interned in
-    first-seen order into an append-only vocabulary, so an id names a
-    key and is never a fold position.
+    its rows from pages (``pages``: one :meth:`entry` walk each for a
+    vector family, one :meth:`_walk` of them all for a set or counter
+    family), by :meth:`append`, as a served page joins, or by
+    :meth:`hand` from a TF-IDF block pass's rows.  Keys are interned
+    into an append-only vocabulary, so an id names a key and is never a
+    fold position.
 
     :meth:`family` stacks the rows over the columns a layout reads, in
     ascending key order — the scalar fold order.
@@ -174,7 +184,7 @@ class _FamilyRecord:
                  pages: Sequence[PageFeatures] = ()):
         self.kind = kind  # "vector", "set" or "counter"
         self.extract = extract
-        self.column_of: dict = {}
+        self._column_of: dict | None = {}
         #: ``(page, entry or None)`` of the rows joined since the last
         #: read; a page that joined with no entry is walked then.
         self._joined: list[tuple] = [(page, None) for page in pages]
@@ -184,6 +194,57 @@ class _FamilyRecord:
             0, dtype=np.int64 if kind == "counter" else np.float64)
         self.owners = np.zeros(0, dtype=np.intp)
         self.moments = np.zeros((0, 4))
+
+    @property
+    def column_of(self) -> dict:
+        """Key -> column id; for handed keys (:meth:`hand`), built on
+        first read."""
+        if self._column_of is None:
+            self._column_of = dict(zip(self.keys, count()))
+        return self._column_of
+
+    def hand(self, handed: TfidfRows, picked: list[int]) -> None:
+        """Take rows ``picked`` of a TF-IDF block pass's ``handed`` rows
+        as this empty vector record's rows, in that order — the rows a
+        walk of those pages' vectors would give, with no dict walked.
+
+        The handed terms the picked rows hold become the keys (already
+        in ascending order) and their columns the ids.  The moments are
+        :func:`_moments`' folds for all rows at once: each row's values
+        in the handed order (its dict's), after a ``0.0`` —
+        ``left_sum``'s start — and zero-padded to a common width, added
+        by one sequential ``np.add.accumulate`` along the row.  A sum
+        that starts at ``+0.0`` is never ``-0.0``, so the padding adds
+        exact no-op steps, and ``np.sqrt`` rounds like ``math.sqrt``.
+        """
+        picked = np.asarray(picked, dtype=np.intp)
+        starts = (np.cumsum(handed.sizes) - handed.sizes)[picked]
+        sizes = handed.sizes[picked]
+        firsts = np.cumsum(sizes) - sizes
+        # Entry positions of the picked rows, row after row.
+        taken = np.arange(int(sizes.sum())) + np.repeat(starts - firsts,
+                                                        sizes)
+        keys, columns = handed.terms, handed.columns[taken]
+        held = np.zeros(len(keys), dtype=bool)
+        held[columns] = True
+        if not held.all():
+            # The picked rows' keys only, as a walk of their pages holds.
+            kept = np.flatnonzero(held)
+            keys = [keys[index] for index in kept.tolist()]
+            columns = np.searchsorted(kept, columns)
+        self.keys = keys
+        self._column_of = None
+        self.owners = np.repeat(np.arange(len(picked)), sizes)
+        self.columns = columns
+        self.values = handed.values[taken]
+        padded = np.zeros((len(picked), int(sizes.max(initial=0)) + 1))
+        padded[self.owners, np.arange(len(taken)) - firsts[self.owners]
+               + 1] = self.values
+        sums = np.add.accumulate(padded, axis=1)[:, -1]
+        padded *= padded
+        squares = np.add.accumulate(padded, axis=1)[:, -1]
+        self.moments = np.column_stack([sizes, sums, np.sqrt(squares),
+                                        squares])
 
     def entry(self, page: PageFeatures) -> tuple:
         """``page``'s interned columns, values (``None`` for a set) and
@@ -217,13 +278,47 @@ class _FamilyRecord:
         moments = np.asarray([entry[2] for entry in entries], dtype=float)
         return rows, columns, values, moments
 
+    def _walk(self, pages: list[PageFeatures]):
+        """:meth:`_flat` of ``pages``' entries, walked together: one set
+        difference interns the new keys, one ``map`` reads the columns
+        and one ``fromiter`` the values; moments stay :func:`_moments`
+        per row.  For set and counter families, where it costs no more
+        than :meth:`entry` at one page."""
+        data = list(map(self.extract, pages))
+        column_of = self.column_of
+        fresh = set().union(*data).difference(column_of)
+        if fresh:
+            start = len(self.keys)
+            column_of.update(zip(fresh, count(start)))
+            self.keys.extend(fresh)
+        sizes = list(map(len, data))
+        total = sum(sizes)
+        rows = np.repeat(np.arange(len(data)), sizes)
+        columns = np.fromiter(map(column_of.__getitem__,
+                                  chain.from_iterable(data)), np.intp, total)
+        values = None
+        if self.kind == "set":
+            moments = [_moments("set", size, None) for size in sizes]
+        else:
+            counts = list(map(list, map(dict.values, data)))
+            values = np.fromiter(chain.from_iterable(counts), np.int64, total)
+            moments = list(map(_moments, repeat(self.kind), sizes, counts))
+        return rows, columns, values, np.asarray(moments, dtype=float)
+
     def _fold(self) -> None:
-        """Fold in the rows joined since the last read."""
+        """Fold in the rows joined since the last read: set and counter
+        pages walked together when none came with its entry, else one
+        :meth:`entry` per page."""
         if not self._joined:
             return
-        rows, columns, values, moments = self._flat([
-            self.entry(page) if entry is None else entry
-            for page, entry in self._joined])
+        if self.kind != "vector" and all(
+                entry is None for _, entry in self._joined):
+            rows, columns, values, moments = self._walk(
+                [page for page, _ in self._joined])
+        else:
+            rows, columns, values, moments = self._flat([
+                self.entry(page) if entry is None else entry
+                for page, entry in self._joined])
         self.owners = np.concatenate([self.owners, rows + len(self.moments)])
         self.columns = np.concatenate([self.columns, columns])
         if values is not None:
@@ -379,6 +474,8 @@ class BlockState:
         #: coordinates.
         self.pairs = (earlier, later)
         self._bind([features[doc_id] for doc_id in ids])
+        if isinstance(features, BlockFeatures):
+            self._tfidf_rows = features.tfidf_rows
 
     @classmethod
     def burst(cls, record: ResidentRecord | None, entries: list[dict] | None,
@@ -418,6 +515,9 @@ class BlockState:
         self._entries: list[dict] | None = None
         self._families: dict[str, _Family] = {}
         self._dots: dict[str, np.ndarray] = {}
+        #: The TF-IDF block pass's rows of the features the state was
+        #: made from (``None``: none were handed).
+        self._tfidf_rows: TfidfRows | None = None
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -497,13 +597,27 @@ class BlockState:
             record = self._record.families[name]
             new = [entry[name] for entry in self._entries]
             ids = set().union(*(entry[0] for entry in new))
+            route = "resident record"
         else:
-            record = _FamilyRecord(kind, extract, self.pages)
+            picked = None
+            if name == "tfidf" and self._tfidf_rows is not None:
+                picked = self._tfidf_rows.rows_of(
+                    page.tfidf for page in self.pages)
+            if picked is None:
+                record = _FamilyRecord(kind, extract, self.pages)
+                route = "dict walk"
+            else:
+                record = _FamilyRecord(kind, extract)
+                record.hand(self._tfidf_rows, picked)
+                route = "handed rows"
             if not self.square:
                 ids = np.flatnonzero(record.held(self.left)
                                      & record.held(self.right)).tolist()
         family = record.family(ids, new)
         self._families[name] = family
+        if name == "tfidf" and logger.isEnabledFor(logging.DEBUG):
+            logger.debug("tfidf family of %(rows)d rows from %(route)s",
+                         dict(rows=len(family.nnz), route=route))
         return family
 
     def pair_dot(self, spec: tuple) -> np.ndarray:

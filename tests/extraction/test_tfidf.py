@@ -142,7 +142,7 @@ class TestAddDocuments:
         monkeypatch.setattr(tfidf, "BLOCK_PASS_MIN_DOCUMENTS", threshold)
         vectorizer = TfidfVectorizer(stopwords=frozenset({"the", "of"}))
         vectorizer.fit(before)
-        vectors = vectorizer.add_documents(documents)
+        vectors, _ = vectorizer.add_documents(documents)
         return vectors, vectorizer
 
     @pytest.mark.parametrize("before", [(), DOCS])

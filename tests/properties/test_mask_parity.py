@@ -35,6 +35,7 @@ from repro.core.config import ResolverConfig
 from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import custom_dataset
 from repro.corpus.generator import GeneratorConfig
+from repro.folds import left_sum
 from repro.graph.entity_graph import pair_key
 from repro.runtime.batch import batched_similarity_graphs
 from repro.similarity import backends
@@ -165,7 +166,7 @@ def assert_whole_entry_moments(family, kind, extract, pages):
     assert family.nnz.tolist() == [len(entry) for entry in data]
     if kind == "set":
         return
-    expected = [[sum(entry.values()) for entry in data]]
+    expected = [[left_sum(entry.values()) for entry in data]]
     actual = [family.sums]
     if kind == "vector":
         expected += [[norm(entry) for entry in data],
