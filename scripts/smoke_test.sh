@@ -7,7 +7,8 @@
 # (serve --threads 4, with a mid-stream hot swap).  Exercise the
 # generic blocking path (--blocker token) with serial/parallel fit
 # parity.  Round-trip a streamed scale corpus (generate --dataset scale
-# -> jsonl -> fit -> predict).  Regenerate the golden fixtures and fail
+# -> jsonl -> fit -> predict).  Check a model fitted under a process
+# config saves no schedule and no per-layer threshold.  Regenerate the golden fixtures and fail
 # on any diff.  Exercises the full fit -> save -> predict -> serve
 # lifecycle plus the execution engine through the CLI in under a minute.
 #
@@ -200,6 +201,29 @@ assert serial["blocks"] == parallel["blocks"], \
 assert all(name.startswith("~block:") for name in serial["blocks"]), \
     "token blocking did not produce synthetic candidate components"
 print("--blocker token fitted state identical across executors")
+PY
+
+echo "== a saved model carries no schedule and one decision rule =="
+# Fitted through the library under a process config: the schedule is a
+# runtime choice (never saved), and a threshold layer is its region
+# profile alone (no second, threshold, rule beside it).
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$workdir" <<'PY'
+import json, sys
+from repro.core.config import ResolverConfig
+from repro.core.resolver import EntityResolver
+from repro.corpus.loaders import load_collection
+path = sys.argv[1] + "/model_process.json"
+collection = load_collection(sys.argv[1] + "/data.json")
+config = ResolverConfig(executor="process", workers=2)
+EntityResolver(config).fit(collection, training_seed=0).save(path)
+payload = json.load(open(path))
+leaked = {"executor", "workers", "oversubscribe"} & payload["config"].keys()
+assert not leaked, f"saved config carries runtime keys: {sorted(leaked)}"
+assert not any("threshold" in layer["fitted"]
+               for block in payload["blocks"].values()
+               for layer in block["layers"]), \
+    "a saved layer carries a threshold beside its profile"
+print("saved model: no runtime config key, no per-layer threshold")
 PY
 
 echo "== golden fixtures rebuild with no drift =="

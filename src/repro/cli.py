@@ -91,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "figure/table protocol loops stay serial); "
                              "default 1 = serial; parallel runs are "
                              "bit-identical to serial")
-    parser.add_argument("--oversubscribe", action="store_true",
-                        help="let --workers exceed the host's core count "
-                             "(normally the worker count is capped at "
-                             "the cores the scheduling affinity grants; "
-                             "useful when the environment mis-reports "
-                             "cores)")
     parser.add_argument("--backend", default=None,
                         help="pairwise-scoring backend for the similarity "
                              "hot path ('python' or 'numpy'); default: the "
@@ -248,8 +242,7 @@ def _context(args: argparse.Namespace, which: str | None = None,
         collection = _dataset(args, which)
     return ExperimentContext.prepare(
         collection,
-        workers=getattr(args, "workers", 1),
-        oversubscribe=getattr(args, "oversubscribe", False),
+        workers=args.workers,
         backend=getattr(args, "backend", None))
 
 
@@ -333,11 +326,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     collection = _load_or_generate(args)
     config = _apply_overrides(ResolverConfig() if args.column == "default"
                             else table2_config(args.column), args)
-    # --workers is a runtime choice of *this* process, passed as an
-    # explicit executor so it is never baked into the saved artifact — a
-    # model fitted with --workers 4 must not make later loaders fan out.
-    with executor_for_workers(args.workers,
-                              oversubscribe=args.oversubscribe) as executor:
+    # --workers is a runtime choice of *this* process; no saved model
+    # carries a schedule, so loaders of a --workers 4 fit stay serial.
+    with executor_for_workers(args.workers) as executor:
         model = EntityResolver(config).fit(
             collection, training_seed=args.train_seed, executor=executor)
     model.save(args.model)
@@ -357,8 +348,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # serving pass; the saved artifact is untouched.
     model.config = _apply_overrides(model.config, args)
     collection = _load_or_generate(args)
-    with executor_for_workers(args.workers,
-                              oversubscribe=args.oversubscribe) as executor:
+    with executor_for_workers(args.workers) as executor:
         if args.evaluate:
             unlabeled = [page.doc_id for page in collection.all_pages()
                          if page.person_id is None]
@@ -638,6 +628,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        print(f"cannot {args.command}: workers must be >= 1, got "
+              f"{args.workers}", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args)
 
 

@@ -9,7 +9,6 @@ from repro.core.registry import (
     CLUSTERERS,
     COMBINERS,
     CRITERIA,
-    EXECUTORS,
     SAMPLING_MODES,
     SIMILARITIES,
 )
@@ -50,14 +49,10 @@ class ResolverConfig:
             ``"serial"`` (default) or ``"process"``
             (see :mod:`repro.runtime.executor`).  Serial and parallel
             backends produce bit-identical results at fixed seeds.
-        workers: worker count for parallel executors (ignored by
-            ``"serial"``); the CLI's ``--workers N`` maps onto these two
-            fields.
-        oversubscribe: let parallel executors schedule more workers than
-            the host has cores (default off: block work is CPU-bound, so
-            oversubscription normally just adds overhead — the knob
-            exists for core-miscounting environments and tests; the
-            CLI's ``--oversubscribe`` maps onto it).
+        workers: worker count for the ``"process"`` executor (ignored by
+            ``"serial"``).  Like ``backend``, these two are runtime
+            choices of the current process: never serialized into saved
+            models (see :meth:`to_dict`).
         backend: pairwise-scoring backend for the similarity hot path —
             ``"numpy"`` (vectorized block kernels) or ``"python"`` (the
             plain scalar scorers, the oracle); see
@@ -82,7 +77,6 @@ class ResolverConfig:
     blocker: str = "query_name"
     executor: str = "serial"
     workers: int = 1
-    oversubscribe: bool = False
     backend: str = field(default_factory=default_backend)
 
     def __post_init__(self) -> None:
@@ -101,7 +95,9 @@ class ResolverConfig:
         CLUSTERERS.validate(self.clusterer)
         SAMPLING_MODES.validate(self.sampling_mode)
         BLOCKERS.validate(self.blocker)
-        EXECUTORS.validate(self.executor)
+        if self.executor not in ("process", "serial"):
+            raise ValueError(f"unknown executor: {self.executor!r}; "
+                             f"known executors are: process, serial")
         BACKENDS.validate(self.backend)
         if not 0.0 < self.training_fraction <= 1.0:
             raise ValueError(
@@ -112,12 +108,14 @@ class ResolverConfig:
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable snapshot (tuples become lists).
 
-        ``backend`` is deliberately *not* serialized: like the CLI's
-        ``--workers``, it is a runtime choice of the current process —
-        backends are bit-identical, so baking the fitting host's choice
-        into the artifact would only make saved models
-        environment-dependent.  Loaders resolve it from their own
-        ambient default (``REPRO_BACKEND`` / ``--backend``); a payload
+        ``backend``, ``executor`` and ``workers`` are deliberately *not*
+        serialized: they are runtime choices of the current process —
+        backends and schedules are bit-identical, so baking the fitting
+        host's choice into the artifact would only make saved models
+        environment-dependent (a model fitted on a process pool would
+        fork one in every process that loads it).  Loaders resolve them
+        from their own ambient defaults (``REPRO_BACKEND`` /
+        ``--backend``, ``REPRO_WORKERS`` / ``--workers``); a payload
         that does carry an explicit ``"backend"`` key is still honored
         by :meth:`from_dict`.
         """
@@ -131,17 +129,15 @@ class ResolverConfig:
             "sampling_mode": self.sampling_mode,
             "correlation_seed": self.correlation_seed,
             "blocker": self.blocker,
-            "executor": self.executor,
-            "workers": self.workers,
-            "oversubscribe": self.oversubscribe,
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "ResolverConfig":
         """Rebuild (and re-validate) a config saved by :meth:`to_dict`.
 
-        Runtime fields default when absent, so models saved before the
-        execution engine existed still load.
+        ``executor``, ``workers`` and ``oversubscribe`` keys, which
+        older files carry, are ignored: a saved model never chooses its
+        loader's schedule.
         """
         return cls(
             function_names=tuple(payload["function_names"]),
@@ -153,9 +149,6 @@ class ResolverConfig:
             sampling_mode=str(payload["sampling_mode"]),
             correlation_seed=int(payload["correlation_seed"]),
             blocker=str(payload.get("blocker", "query_name")),
-            executor=str(payload.get("executor", "serial")),
-            workers=int(payload.get("workers", 1)),
-            oversubscribe=bool(payload.get("oversubscribe", False)),
             backend=str(payload.get("backend") or default_backend()),
         )
 

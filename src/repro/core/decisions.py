@@ -9,8 +9,11 @@ same-person decision plus a link-probability estimate.  The paper studies:
   k-means regions), estimate per-region link accuracy, and side with the
   region majority (the C columns).
 
-Both expose the same fitted interface, because a threshold is just a
-two-region partition whose region accuracies are learned the same way.
+Both fit to the same thing, a :class:`RegionAccuracyProfile`, because a
+threshold is just a two-region partition whose region accuracies are
+learned the same way: the profile's majority rule over
+``ThresholdRegions(t)`` links exactly the values ``>= t`` (see
+:class:`ThresholdDecision`), so there is one decision rule.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, replace
 
 from repro.core.accuracy import RegionAccuracyProfile, overall_accuracy
 from repro.core.registry import CRITERIA, register_criterion
-from repro.core.regions import ThresholdRegions, fit_regions
-from repro.core.thresholds import LearnedThreshold, learn_threshold
+from repro.core.regions import Regions, ThresholdRegions, fit_regions
+from repro.core.thresholds import learn_threshold
 
 
 @dataclass(frozen=True)
@@ -31,21 +34,18 @@ class FittedDecision:
 
     Attributes:
         criterion_name: e.g. ``"threshold"`` or ``"kmeans"``.
-        profile: the per-region accuracy profile backing probabilities.
-        threshold: the learned threshold (``None`` for region criteria).
+        profile: the per-region accuracy profile behind both decisions
+            and probabilities.
         training_accuracy: fraction of correct decisions on the training
             sample — the paper's acc(G_Dj), used for combining.
     """
 
     criterion_name: str
     profile: RegionAccuracyProfile
-    threshold: LearnedThreshold | None
     training_accuracy: float
 
     def decide(self, value: float) -> bool:
         """Binary same-person decision for a similarity value."""
-        if self.threshold is not None:
-            return self.threshold.decide(value)
         return self.profile.decide(value)
 
     def link_probability(self, value: float) -> float:
@@ -60,8 +60,6 @@ class FittedDecision:
         at fit time are indexed from C-level loops, with outcomes
         identical to the scalar methods value by value.
         """
-        if self.threshold is not None:
-            return map(float(self.threshold.threshold).__le__, values)
         return self.profile.decide_all(values)
 
     def link_probabilities(self, values: Collection[float]) -> Iterable[float]:
@@ -73,20 +71,17 @@ class FittedDecision:
         return {
             "criterion_name": self.criterion_name,
             "profile": self.profile.to_dict(),
-            "threshold": (None if self.threshold is None
-                          else self.threshold.to_dict()),
             "training_accuracy": self.training_accuracy,
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "FittedDecision":
-        """Rebuild a fitted decision saved by :meth:`to_dict`."""
-        threshold_payload = payload["threshold"]
+        """Rebuild a fitted decision saved by :meth:`to_dict` (the
+        ``"threshold"`` key of older files is ignored: the profile
+        decides)."""
         return cls(
             criterion_name=str(payload["criterion_name"]),
             profile=RegionAccuracyProfile.from_dict(payload["profile"]),
-            threshold=(None if threshold_payload is None
-                       else LearnedThreshold.from_dict(threshold_payload)),
             training_accuracy=float(payload["training_accuracy"]),
         )
 
@@ -101,12 +96,14 @@ class DecisionCriterion(ABC):
         """Fit on training (similarity value, is-link) pairs."""
 
 
-def _fitted(criterion_name: str, profile: RegionAccuracyProfile,
-            threshold: LearnedThreshold | None,
+def _fitted(criterion_name: str, regions: Regions,
             labeled_values: Sequence[tuple[float, bool]]) -> FittedDecision:
-    """The fitted decision, scored on the sample it was fitted on."""
-    fitted = FittedDecision(criterion_name=criterion_name, profile=profile,
-                            threshold=threshold, training_accuracy=0.0)
+    """The decision over ``regions``, scored on the sample it was fitted
+    on."""
+    fitted = FittedDecision(
+        criterion_name=criterion_name,
+        profile=RegionAccuracyProfile(regions, labeled_values),
+        training_accuracy=0.0)
     if not labeled_values:
         return fitted
     values, labels = zip(*labeled_values)
@@ -116,15 +113,24 @@ def _fitted(criterion_name: str, profile: RegionAccuracyProfile,
 
 
 class ThresholdDecision(DecisionCriterion):
-    """Link iff value ≥ the accuracy-maximizing learned threshold."""
+    """Link iff value ≥ the accuracy-maximizing learned threshold ``t``.
+
+    The fitted decision is the region profile over
+    ``ThresholdRegions(t)``, and its majority rule is that threshold
+    rule: ties in :func:`learn_threshold` go to the higher threshold, so
+    the sample holds more links than non-links at or above ``t`` and no
+    more links than non-links below it — the Laplace-smoothed accuracy
+    is > 0.5 exactly on ``[t, 1]``.  The one-region ``ALWAYS_LINK``
+    (more links than non-links) and ``NEVER_LINK`` (no more) cases
+    follow the same way.
+    """
 
     name = "threshold"
 
     def fit(self, labeled_values: Sequence[tuple[float, bool]]) -> FittedDecision:
-        threshold = learn_threshold(labeled_values)
-        regions = ThresholdRegions(threshold.threshold)
-        return _fitted(self.name, RegionAccuracyProfile(regions, labeled_values),
-                       threshold, labeled_values)
+        threshold = learn_threshold(labeled_values).threshold
+        return _fitted(self.name, ThresholdRegions(threshold),
+                       labeled_values)
 
 
 class RegionAccuracyDecision(DecisionCriterion):
@@ -149,8 +155,7 @@ class RegionAccuracyDecision(DecisionCriterion):
             regions = ThresholdRegions(threshold=1.1)
         else:
             regions = fit_regions(self.method, values, k=self.k)
-        return _fitted(self.name, RegionAccuracyProfile(regions, labeled_values),
-                       None, labeled_values)
+        return _fitted(self.name, regions, labeled_values)
 
 
 @register_criterion("threshold")

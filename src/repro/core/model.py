@@ -49,8 +49,10 @@ from repro.runtime.tasks import PredictBlockTask, block_graphs, run_pass
 from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import functions_subset
 
-#: On-disk model format version.
-MODEL_FORMAT_VERSION = 1
+#: On-disk model format version.  Version 1 files also carry runtime
+#: config keys and per-layer thresholds; :meth:`ResolverModel.load`
+#: reads them and ignores those keys.
+MODEL_FORMAT_VERSION = 2
 
 
 def resolve_extraction_pipeline(
@@ -348,11 +350,13 @@ class ResolverModel:
     2. **save / load** — :meth:`save` writes the fitted state as a single
        JSON document; :meth:`load` rebuilds it in any process.  Custom
        registry backends named by the stored config (combiner, clusterer,
-       similarity functions, executor) must have their modules imported
+       similarity functions, blocker) must have their modules imported
        before :meth:`load` — see :mod:`repro.core.registry` for the
        plugin walkthrough.  The extraction pipeline is deliberately *not*
        serialized: re-supply it at load time, or rely on collection
-       vocabulary metadata.
+       vocabulary metadata.  Nor is the schedule: a loaded model's
+       config is serial unless ``REPRO_WORKERS`` or an ``executor=``
+       argument says otherwise.
     3. **predict** — :meth:`predict` (and :meth:`predict_block` /
        :meth:`predict_collection`) resolves pages *without reading
        labels*; ``person_id`` may be absent.  Collection passes are
@@ -689,7 +693,7 @@ class ResolverModel:
                 raise ValueError(
                     f"{path}: not a readable model file ({error})") from None
         version = payload.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
+        if version not in (1, MODEL_FORMAT_VERSION):
             raise ValueError(
                 f"unsupported model format version: {version!r}")
         config = ResolverConfig.from_dict(payload["config"])

@@ -1,11 +1,12 @@
 """Plugin registries for the resolver's pluggable backends.
 
-The framework has six extension axes — combiners (§IV-B), decision
-criteria (§IV-A), clusterers (§IV-C), similarity functions (Table I),
-block executors (the runtime engine) and blockers (candidate-pair
-generation, the §IV-C footnote's general setting) — plus the
-training-sampling mode of the evaluation protocol.  Each axis is a
-:class:`Registry`: a named map
+The framework has six registry axes: five extension points — combiners
+(§IV-B), decision criteria (§IV-A), clusterers (§IV-C), similarity
+functions (Table I) and blockers (candidate-pair generation, the §IV-C
+footnote's general setting) — plus the training-sampling mode of the
+evaluation protocol.  How blocks are scheduled is not an axis: it is a
+per-process runtime choice (:mod:`repro.runtime.executor`).  Each axis
+is a :class:`Registry`: a named map
 from config strings to factories, so new backends register themselves
 instead of editing if-chains in ``repro.core``.
 
@@ -62,13 +63,9 @@ must implement ``apply`` (label-free re-combination from stored
 functions should declare the ``PageFeatures`` fields they read
 (``reads``; see :func:`register_similarity`).
 
-Executor backends (the ``EXECUTORS`` axis) are factories
-``(workers: int) -> BlockExecutor``; see :mod:`repro.runtime.executor`
-for the scheduling contract and determinism requirements.
-
 The built-in backends live in ordinary modules (``repro.core.combination``,
 ``repro.core.decisions``, ``repro.core.clusterers``,
-``repro.runtime.executor``, ``repro.similarity.functions``/``extended``,
+``repro.blocking``, ``repro.similarity.functions``/``extended``,
 ``repro.ml.sampling``) and are loaded lazily on first registry read, which
 keeps this module import-cycle free: it depends on nothing inside
 ``repro``.
@@ -89,7 +86,6 @@ _BUILTIN_MODULES = (
     "repro.core.decisions",
     "repro.core.combination",
     "repro.core.clusterers",
-    "repro.runtime.executor",
     # Blockers live outside repro.core and only import data-model
     # packages (corpus, graph, extraction) plus this module.
     "repro.blocking.name_blocking",
@@ -242,10 +238,6 @@ SIMILARITIES = Registry("similarity function")
 #: name -> callable ``(block, fraction, rng) -> list[LabeledPair]``.
 SAMPLING_MODES = Registry("sampling mode")
 
-#: name -> factory ``(workers: int) ->
-#: :class:`~repro.runtime.executor.BlockExecutor`` scheduling block tasks.
-EXECUTORS = Registry("executor")
-
 #: name -> no-arg-constructible :class:`~repro.blocking.base.Blocker`
 #: subclass generating candidate pairs; ``ResolverConfig.blocker``
 #: selects one and :func:`~repro.blocking.base.block_collection` builds
@@ -287,11 +279,6 @@ def register_similarity(name: str | None = None, replace: bool = False):
 def register_sampling_mode(name: str | None = None, replace: bool = False):
     """Decorator registering a training-sampling mode."""
     return SAMPLING_MODES.register(name, replace=replace)
-
-
-def register_executor(name: str | None = None, replace: bool = False):
-    """Decorator registering a block-executor factory ``(workers) -> BlockExecutor``."""
-    return EXECUTORS.register(name, replace=replace)
 
 
 def register_blocker(name: str | None = None, replace: bool = False):

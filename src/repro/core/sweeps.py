@@ -50,8 +50,6 @@ class ListRoute:
     def decide(self, fitted, values: list[float], memo: dict) -> list[bool]:
         """``fitted``'s decision of every value (equal-width bins are
         assigned once per graph, in ``memo``)."""
-        if fitted.threshold is not None:
-            return list(fitted.decide_all(values))
         regions = fitted.profile.regions
         if type(regions) is EqualWidthRegions:
             key = ("equal_width", regions.n_bins)
@@ -159,8 +157,6 @@ class NumpyRoute:
         return memo["clipped"]
 
     def decide(self, fitted, values, memo: dict):
-        if fitted.threshold is not None:
-            return values >= fitted.threshold.threshold
         profile = fitted.profile
         links = self.np.asarray(profile.links, dtype=bool)
         return links[self._regions(profile.regions, values, memo)]

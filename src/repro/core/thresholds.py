@@ -32,23 +32,6 @@ class LearnedThreshold:
     def decide(self, value: float) -> bool:
         return value >= self.threshold
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable snapshot (exact float round-trip)."""
-        return {
-            "threshold": self.threshold,
-            "training_accuracy": self.training_accuracy,
-            "n_training": self.n_training,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "LearnedThreshold":
-        """Rebuild a threshold saved by :meth:`to_dict`."""
-        return cls(
-            threshold=float(payload["threshold"]),
-            training_accuracy=float(payload["training_accuracy"]),
-            n_training=int(payload["n_training"]),
-        )
-
 
 def learn_threshold(labeled_values: Sequence[tuple[float, bool]]) -> LearnedThreshold:
     """Fit the accuracy-maximizing threshold on (value, label) pairs.

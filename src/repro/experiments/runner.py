@@ -54,7 +54,6 @@ class ExperimentContext:
                 pipeline: ExtractionPipeline | None = None,
                 functions: list | None = None,
                 workers: int = 1,
-                oversubscribe: bool = False,
                 executor: BlockExecutor | None = None,
                 backend: str | None = None) -> "ExperimentContext":
         """Run extraction and the quadratic similarity step once.
@@ -69,10 +68,8 @@ class ExperimentContext:
         work out to a process pool; results are merged in block order and
         are identical to a serial run.  A pool built here from
         ``workers=`` is closed before returning; an explicit ``executor``
-        stays open for the caller to reuse (and close).
-        ``oversubscribe`` lifts the worker-count core cap
-        (see :class:`~repro.runtime.executor.ProcessPoolBlockExecutor`).  ``backend`` selects the scoring
-        backend for the quadratic step (``None``: ambient default;
+        stays open for the caller to reuse (and close).  ``backend``
+        selects the scoring backend for the quadratic step (``None``: ambient default;
         bit-identical either way).
 
         The returned ``graphs_by_name`` are the reuse path: pass them to
@@ -84,8 +81,7 @@ class ExperimentContext:
             pipeline = EntityResolver(ResolverConfig()).pipeline_for(collection)
         functions = functions if functions is not None else default_functions()
         owns_executor = executor is None
-        executor = executor or executor_for_workers(
-            workers, oversubscribe=oversubscribe)
+        executor = executor or executor_for_workers(workers)
         payloads = [PrepareBlockTask(pipeline=pipeline, block=block,
                                      functions=tuple(functions),
                                      backend=backend)

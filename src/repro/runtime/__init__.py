@@ -1,9 +1,9 @@
 """The block execution engine.
 
 Schedules per-block work (fitting, prediction, context preparation)
-through pluggable :class:`~repro.runtime.executor.BlockExecutor` backends
-and reports every pass as a :class:`~repro.runtime.stats.RunStats`
-record.
+through a :class:`~repro.runtime.executor.BlockExecutor` (serial or a
+process pool) and reports every pass as a
+:class:`~repro.runtime.stats.RunStats` record.
 
 See ``docs/architecture.md`` for where this layer sits in the pipeline
 and ``docs/performance.md`` for tuning guidance.
@@ -16,7 +16,6 @@ from repro.runtime.executor import (
     ProcessPoolBlockExecutor,
     SerialExecutor,
     available_cores,
-    build_executor,
     core_report,
     executor_for_workers,
     executor_from_config,
@@ -36,7 +35,6 @@ __all__ = [
     "TaskStats",
     "available_cores",
     "batched_similarity_graphs",
-    "build_executor",
     "core_report",
     "executor_for_workers",
     "executor_from_config",

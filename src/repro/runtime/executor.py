@@ -7,9 +7,12 @@ over a sequence of payloads and returns results *in payload order*, which
 is what keeps parallel runs bit-identical to serial ones — merge order
 never depends on completion order.
 
-Backends register in :data:`repro.core.registry.EXECUTORS` and are
-selected by ``ResolverConfig.executor`` / ``workers`` or the CLI's
-``--workers``:
+There are two backends, and one constructor picks between them:
+:func:`executor_for_workers` builds the serial loop for one worker and
+a process pool for more.  :func:`executor_from_config` maps a
+``ResolverConfig``'s ``executor`` / ``workers`` (and the
+``REPRO_WORKERS`` environment default) onto that count; the CLI's
+``--workers`` calls the constructor directly.
 
 * ``"serial"`` — plain in-process loop, the default.
 * ``"process"`` — a **persistent** ``concurrent.futures`` process pool
@@ -22,11 +25,11 @@ selected by ``ResolverConfig.executor`` / ``workers`` or the CLI's
 
 The process pool forks **once** per executor instance and is reused by
 every subsequent ``run`` call — collection passes sharing one executor
-share one fork wave (:attr:`ProcessPoolBlockExecutor.fork_waves` counts
-them; the runtime bench asserts one wave per run).  Payloads are
-dispatched as *chunks* — contiguous slices in payload order, or, when
-the caller supplies per-payload ``weights``, largest-first bins packed
-so one giant namesake block cannot serialize the tail of the schedule.
+share one fork wave (:attr:`BlockExecutor.fork_waves` counts them).
+Payloads are dispatched as *chunks* — contiguous slices in payload
+order, or, when the caller supplies per-payload ``weights``,
+largest-first bins packed so one giant namesake block cannot serialize
+the tail of the schedule.
 
 Worker accounting is honest: ``effective_workers`` is the requested
 count capped at :func:`available_cores`, and when the cap degrades a
@@ -35,10 +38,6 @@ parallel request all the way to serial execution a
 losing its parallelism.  :func:`core_report` additionally records when
 the scheduling affinity (`sched_getaffinity`, e.g. a container cpuset)
 grants fewer cores than the host physically has.
-
-New backends (e.g. a cluster scheduler) plug in with
-:func:`~repro.core.registry.register_executor`; see the registry module's
-walkthrough.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
-from repro.core.registry import register_executor
 from repro.runtime.shards import share_tracker
 
 #: A block task: a module-level (picklable) function of one payload.
@@ -74,11 +72,14 @@ class BlockExecutor(ABC):
     """Schedules independent block-level tasks.
 
     Attributes:
-        name: the registry/config string of the backend.
+        name: the config string of the backend.
         workers: configured worker count (1 for serial).
+        fork_waves: worker-pool creations over the executor's lifetime
+            (0 for in-process backends).
     """
 
     name: str = "?"
+    fork_waves: int = 0
 
     def __init__(self, workers: int = 1):
         if workers < 1:
@@ -86,9 +87,14 @@ class BlockExecutor(ABC):
         self.workers = workers
 
     @property
+    def effective_workers(self) -> int:
+        """Workers actually scheduled (the configured count here)."""
+        return self.workers
+
+    @property
     def is_serial(self) -> bool:
         """True when tasks run in the calling process, one at a time."""
-        return self.workers <= 1
+        return self.effective_workers <= 1
 
     @abstractmethod
     def run(self, task: BlockTask, payloads: Sequence[Any],
@@ -116,7 +122,6 @@ class BlockExecutor(ABC):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-@register_executor("serial")
 class SerialExecutor(BlockExecutor):
     """Run every task inline, in payload order (the reference backend)."""
 
@@ -164,7 +169,10 @@ def core_report() -> dict[str, object]:
 
     Payloads have one wire format, so the report carries no payload
     knob; the runtime's only knobs are ``REPRO_WORKERS``
-    (:func:`env_default_workers`) and ``REPRO_BACKEND``.
+    (:func:`executor_from_config`) and ``REPRO_BACKEND``.  Nothing lifts
+    the core cap outside the tests' ``ProcessPoolBlockExecutor(
+    oversubscribe=True)`` seam (the ``oversubscribe`` config field and
+    ``--oversubscribe`` flag were deleted).
     """
     available = available_cores()
     host = host_cores()
@@ -219,7 +227,6 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-@register_executor("process")
 class ProcessPoolBlockExecutor(BlockExecutor):
     """Fan block tasks out to a persistent pool of forked workers.
 
@@ -241,7 +248,8 @@ class ProcessPoolBlockExecutor(BlockExecutor):
     Block tasks are CPU-bound, so scheduling more workers than the host
     has cores only adds pickling and context-switch overhead; the
     effective worker count is therefore capped at the core count unless
-    ``oversubscribe=True``.  When the cap leaves a single effective
+    ``oversubscribe=True`` (the seam tests use to force a real pool on
+    a one-core host).  When the cap leaves a single effective
     worker (a one-core host), :attr:`is_serial` turns true, callers take
     their serial fast path, and a :class:`DegradedParallelismWarning`
     fires once so ``--workers 4`` never silently means serial.
@@ -252,8 +260,6 @@ class ProcessPoolBlockExecutor(BlockExecutor):
     def __init__(self, workers: int = 2, oversubscribe: bool = False):
         super().__init__(workers=workers)
         self.oversubscribe = oversubscribe
-        #: Pool creations over this executor's lifetime (fork waves).
-        self.fork_waves = 0
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer = None
         self._warned = False
@@ -264,10 +270,6 @@ class ProcessPoolBlockExecutor(BlockExecutor):
         if self.oversubscribe:
             return self.workers
         return min(self.workers, available_cores())
-
-    @property
-    def is_serial(self) -> bool:
-        return self.effective_workers <= 1
 
     def chunksize(self, n_payloads: int) -> int:
         """Payloads per dispatch chunk for an ``n_payloads`` fan-out.
@@ -355,68 +357,32 @@ class ProcessPoolBlockExecutor(BlockExecutor):
         return results
 
 
-def env_default_workers() -> int | None:
-    """The ``REPRO_WORKERS`` ambient worker count, or ``None`` if unset.
-
-    Like ``REPRO_BACKEND``, a per-process runtime default: it widens
-    config-driven executor selection (:func:`executor_from_config`)
-    without ever being serialized into models or configs.  Invalid
-    values read as unset.
-    """
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
-def build_executor(name: str = "serial", workers: int = 1,
-                   oversubscribe: bool = False) -> BlockExecutor:
-    """Instantiate a registered executor backend.
-
-    ``oversubscribe`` is forwarded to backends that accept it (the
-    process pool's core-cap override) and ignored by the rest.
+def executor_for_workers(workers: int) -> BlockExecutor:
+    """The executor for a ``--workers N`` request: the serial loop for
+    one worker, a process pool for more.
 
     Raises:
-        ValueError: for unknown backend names (lists the known ones).
+        ValueError: for ``workers < 1``.
     """
-    from repro.core.registry import EXECUTORS
-    factory = EXECUTORS.get(name)
-    if oversubscribe:
-        try:
-            return factory(workers=workers, oversubscribe=True)
-        except TypeError:
-            pass
-    return factory(workers=workers)
-
-
-def executor_for_workers(workers: int,
-                         oversubscribe: bool = False) -> BlockExecutor:
-    """The natural backend for a ``--workers N`` request."""
-    if workers <= 1:
-        return build_executor("serial", workers=1)
-    return build_executor("process", workers=workers,
-                          oversubscribe=oversubscribe)
+    if workers == 1:
+        return SerialExecutor()
+    return ProcessPoolBlockExecutor(workers=workers)
 
 
 def executor_from_config(config) -> BlockExecutor:
     """The executor a :class:`~repro.core.config.ResolverConfig` selects.
 
-    A config left at its serial defaults additionally honors the
-    ``REPRO_WORKERS`` environment default, so a whole process can be
-    switched to parallel collection passes without touching configs or
-    saved models (parallel execution is bit-identical, making this a
-    pure speed knob like ``REPRO_BACKEND``).
+    A ``"process"`` config runs its ``workers`` (serially at 1).  A
+    ``"serial"`` config runs the ``REPRO_WORKERS`` environment variable's
+    count instead, when set, so a whole process can be switched to parallel
+    collection passes without touching configs (parallel execution is
+    bit-identical, making this a pure speed knob like ``REPRO_BACKEND``).
+    A value that is not an integer >= 1 reads as unset.
     """
-    workers = config.workers
-    name = config.executor
-    oversubscribe = getattr(config, "oversubscribe", False)
-    if name == "serial" and workers <= 1:
-        ambient = env_default_workers()
-        if ambient is not None and ambient > 1:
-            return build_executor("process", workers=ambient,
-                                  oversubscribe=oversubscribe)
-    return build_executor(name, workers=workers, oversubscribe=oversubscribe)
+    if config.executor == "process":
+        return executor_for_workers(config.workers)
+    try:
+        ambient = int(os.environ.get("REPRO_WORKERS", ""))
+    except ValueError:
+        ambient = 1
+    return executor_for_workers(max(ambient, 1))

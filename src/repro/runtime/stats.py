@@ -230,7 +230,7 @@ class RunStats(StatsRecord):
         backend: scoring backend name the pass scored with (see
             :mod:`repro.similarity.backends`).
         workers: worker count the executor was configured with (what the
-            run *requested* — also exposed as ``requested_workers``).
+            run *requested*).
         effective_workers: workers actually scheduled after the core cap
             (1 for serial backends; honest accounting means this can be
             smaller than ``workers`` and the record says so).
@@ -259,8 +259,6 @@ class RunStats(StatsRecord):
             holds the fan-out's shard).
     """
 
-    derived = ("requested_workers",)
-
     phase: str
     executor: str = "serial"
     backend: str = ""
@@ -281,15 +279,13 @@ class RunStats(StatsRecord):
     @classmethod
     def for_executor(cls, phase: str, executor,
                      backend: str = "") -> "RunStats":
-        """A record pre-filled with an executor's worker accounting and
-        the scoring ``backend``'s name.
+        """A record pre-filled with a
+        :class:`~repro.runtime.executor.BlockExecutor`'s worker
+        accounting and the scoring ``backend``'s name.
 
-        Duck-typed over any :class:`~repro.runtime.executor.BlockExecutor`:
-        serial backends lack ``effective_workers``/``fork_waves`` and
-        report 1 effective worker, 0 fork waves.  ``fork_waves`` captures
-        the executor's *current* wave count; passes that reuse a
-        persistent pool subtract their starting count to report only the
-        waves they caused (see ``finish_executor``).
+        ``fork_waves`` captures the executor's *current* wave count;
+        passes that reuse a persistent pool subtract their starting count
+        to report only the waves they caused (see ``finish_executor``).
         """
         from repro.runtime.executor import core_report
         report = core_report()
@@ -298,11 +294,11 @@ class RunStats(StatsRecord):
             executor=executor.name,
             backend=backend,
             workers=executor.workers,
-            effective_workers=getattr(executor, "effective_workers", 1),
+            effective_workers=executor.effective_workers,
             available_cores=report["available_cores"],
             host_cores=report["host_cores"],
             cpuset_limited=report["cpuset_limited"],
-            fork_waves=getattr(executor, "fork_waves", 0),
+            fork_waves=executor.fork_waves,
         )
 
     def finish_executor(self, executor) -> None:
@@ -312,13 +308,7 @@ class RunStats(StatsRecord):
         count *before* the pass; the difference to the executor's count
         now is how many fork waves this pass itself triggered.
         """
-        self.fork_waves = (getattr(executor, "fork_waves", 0)
-                           - self.fork_waves)
-
-    @property
-    def requested_workers(self) -> int:
-        """Alias for ``workers`` — the count the run asked for."""
-        return self.workers
+        self.fork_waves = executor.fork_waves - self.fork_waves
 
     def add_task(self, task: TaskStats) -> None:
         """Fold one block task's numbers into the aggregate."""

@@ -195,7 +195,7 @@ class TestMaskedGraphSemantics:
         from repro.core.combination import thresholded_result
         from repro.core.thresholds import ALWAYS_LINK
         fitted = ThresholdDecision().fit([(0.5, True), (0.9, True)])
-        assert fitted.threshold.threshold == ALWAYS_LINK
+        assert fitted.profile.regions.threshold == ALWAYS_LINK
         layers = self.layers(vector, fitted)
         for layer in layers:
             assert layer.graph.edges == set(self.STORED)

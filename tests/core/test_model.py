@@ -23,7 +23,7 @@ from repro.experiments.runner import ExperimentContext
 from repro.graph.validation import is_partition
 from repro.metrics.report import mean_report
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.executor import executor_for_workers
+from repro.runtime.executor import ProcessPoolBlockExecutor, executor_for_workers
 
 
 class SpyPipeline:
@@ -190,7 +190,8 @@ class TestPredictUnlabeled:
         reference = resolver.fit(small_dataset, training_seed=0).evaluate(
             small_dataset)
         graphs = ExperimentContext.prepare(small_dataset).graphs_by_name
-        with executor_for_workers(workers, oversubscribe=True) as executor:
+        with (ProcessPoolBlockExecutor(workers=2, oversubscribe=True)
+              if workers == 2 else executor_for_workers(1)) as executor:
             model = resolver.fit(small_dataset, training_seed=0,
                                  graphs_by_name=graphs, executor=executor)
             handed = model.evaluate_collection(
@@ -357,12 +358,29 @@ class TestSaveLoad:
             ResolverModel.load(path)
 
     def test_rejects_an_older_format_version(self, tmp_path):
-        assert model_module.MODEL_FORMAT_VERSION == 1
+        assert model_module.MODEL_FORMAT_VERSION == 2
         path = tmp_path / "model.json"
         path.write_text('{"format_version": 0, "config": {}, "blocks": {}}')
         with pytest.raises(ValueError,
                            match="unsupported model format version: 0"):
             ResolverModel.load(path)
+
+    def test_a_loaded_model_never_inherits_the_fit_schedule(
+            self, small_dataset, tmp_path, monkeypatch):
+        """A model fitted on a process pool saves no schedule: loading it
+        and predicting runs serially, with no fork wave (format-1 files
+        made that predict fork a pool of the fitting config's size)."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        config = ResolverConfig(function_names=("F8",), executor="process",
+                                workers=2)
+        model = EntityResolver(config).fit(small_dataset, training_seed=0)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = ResolverModel.load(path)
+        stats = loaded.predict(small_dataset.without_labels()).stats
+        assert (stats.executor, stats.workers, stats.fork_waves) \
+            == ("serial", 1, 0)
+        assert "via serial(workers=1)" in stats.summary()
 
     def test_a_truncated_model_file_names_its_path(self, fitted, tmp_path):
         _, model, _ = fitted

@@ -68,10 +68,19 @@ class TestCommands:
         assert main(FAST + ["--workers", "2", "fit", "--in", str(data),
                             "--model", str(model)]) == 0
         payload = json.loads(model.read_text())
-        assert payload["config"]["executor"] == "serial"
-        assert payload["config"]["workers"] == 1
+        assert not {"executor", "workers", "oversubscribe"} \
+            & payload["config"].keys()
         captured = capsys.readouterr()
         assert "process" in captured.out  # the fit itself reported the pool
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_invalid_workers_rejected(self, tmp_path, capsys, workers):
+        assert main(FAST + ["--workers", workers, "fit",
+                            "--in", str(tmp_path / "data.json"),
+                            "--model", str(tmp_path / "model.json")]) == 2
+        assert f"workers must be >= 1, got {workers}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
     def test_fit_with_blocker_saves_it_and_drives_predict(self, tmp_path,
                                                           capsys):

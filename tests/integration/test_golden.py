@@ -125,3 +125,52 @@ class TestGoldenFixture:
 
         for per_function in golden["graphs"].values():
             assert set(per_function) == set(SUBSET_I14)
+
+
+MODEL_V1_PATH = REPO_ROOT / "tests" / "data" / "golden" / "model_v1.json"
+
+
+class TestFormatOneModel:
+    """``model_v1.json`` is the golden corpus's model as format-1 code
+    (commit 5b37565) saved it: fitted with ``training_seed`` 0 under
+    ``ResolverConfig(executor="process", workers=2, oversubscribe=True)``,
+    so its config carries those runtime keys and every layer its
+    ``threshold``.  Loading ignores both."""
+
+    def test_the_file_carries_the_dropped_keys(self):
+        payload = json.loads(MODEL_V1_PATH.read_text())
+        assert payload["format_version"] == 1
+        assert {"executor", "workers", "oversubscribe"} \
+            <= payload["config"].keys()
+        assert all("threshold" in layer["fitted"]
+                   for block in payload["blocks"].values()
+                   for layer in block["layers"])
+
+    def test_loads_as_a_fresh_fit_and_resolves_serially(self, golden,
+                                                         monkeypatch):
+        from repro.core.config import ResolverConfig
+        from repro.core.model import ResolverModel
+        from repro.core.resolver import EntityResolver
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        collection = regenerate_goldens.golden_collection()
+        loaded = ResolverModel.load(MODEL_V1_PATH)
+        assert (loaded.config.executor, loaded.config.workers) \
+            == ("serial", 1)
+        fresh = EntityResolver(ResolverConfig()).fit(collection,
+                                                     training_seed=0)
+        for name, block in fresh.blocks.items():
+            assert [layer.fitted.to_dict() for layer in block.layers] == [
+                layer.fitted.to_dict()
+                for layer in loaded.blocks[name].layers]
+
+        resolution = loaded.evaluate_collection(collection)
+        assert (resolution.stats.executor, resolution.stats.fork_waves) \
+            == ("serial", 0)
+        for entry in resolution.blocks:
+            stored = golden["resolution"][entry.query_name]
+            assert sorted(sorted(cluster) for cluster in entry.predicted) \
+                == stored["clusters"]
+            for metric in ("fp", "f1", "rand"):
+                assert bits(getattr(entry.report, metric)) \
+                    == bits(stored[metric])

@@ -32,7 +32,7 @@ from repro.core.resolver import EntityResolver
 from repro.corpus.datasets import www05_like
 from repro.graph.entity_graph import DecisionGraph, WeightedPairGraph
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.executor import executor_for_workers
+from repro.runtime.executor import ProcessPoolBlockExecutor
 from repro.similarity.functions import functions_subset
 
 
@@ -72,7 +72,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def workers():
     # Oversubscribed: a genuine two-process pool even on one core.
-    executor = executor_for_workers(2, oversubscribe=True)
+    executor = ProcessPoolBlockExecutor(workers=2, oversubscribe=True)
     yield executor
     executor.close()
 

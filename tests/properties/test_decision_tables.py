@@ -18,13 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.accuracy import RegionAccuracyProfile
+from repro.core.accuracy import RegionAccuracyProfile, RegionStats
 from repro.core.combination import average_probabilities, undecided_layer
-from repro.core.decisions import FittedDecision, build_criteria
+from repro.core.decisions import (
+    FittedDecision,
+    ThresholdDecision,
+    build_criteria,
+)
 from repro.core.labels import TrainingSample
 from repro.core.regions import Regions, ThresholdRegions
 from repro.core.sweeps import BlockSweep
-from repro.core.thresholds import ALWAYS_LINK, NEVER_LINK, LearnedThreshold
+from repro.core.thresholds import ALWAYS_LINK, NEVER_LINK, learn_threshold
 from repro.graph.components import UnionFind
 from repro.graph.entity_graph import (
     DecisionGraph,
@@ -68,8 +72,6 @@ def probes_for(fitted: FittedDecision, extra):
     for region in range(regions.n_regions):
         for bound in regions.bounds(region):
             probes.extend(around(bound))
-    if fitted.threshold is not None:
-        probes.extend(around(fitted.threshold.threshold))
     return probes
 
 
@@ -138,7 +140,7 @@ class TestBulkDecisions:
         fitted = FittedDecision(
             criterion_name="halves",
             profile=RegionAccuracyProfile(HalvesRegions(), data),
-            threshold=None, training_accuracy=0.0)
+            training_accuracy=0.0)
         assert_bulk_matches_scalar(fitted, probes_for(fitted, extra))
 
     @given(labeled, st.integers(min_value=1, max_value=12))
@@ -168,6 +170,26 @@ class TestBulkDecisions:
             assert decided(fitted, graph) == (set(), {})
 
 
+class TestThresholdRule:
+    @settings(max_examples=200)
+    @given(labeled, st.lists(unit, max_size=20))
+    def test_the_profile_decides_as_the_learned_threshold(self, data,
+                                                          extra):
+        """The fitted threshold decision is its region profile alone, and
+        that profile links a value in [0, 1] iff it reaches the learned
+        threshold — on the sample, at the boundary and anywhere else."""
+        threshold = learn_threshold(data).threshold
+        fitted = ThresholdDecision().fit(data)
+        probes = [0.0, 1.0, *extra, *(value for value, _ in data)]
+        if 0.0 <= threshold <= 1.0:
+            probes.extend(value for value in around(threshold)
+                          if 0.0 <= value <= 1.0)
+        for value in probes:
+            assert fitted.decide(value) == (value >= threshold)
+        assert list(fitted.decide_all(probes)) == [
+            value >= threshold for value in probes]
+
+
 class TestKMeansAssign:
     @given(st.lists(unit, min_size=0, max_size=12).map(sorted), anywhere)
     def test_bisect_is_the_seed_binary_search(self, boundaries, value):
@@ -187,12 +209,16 @@ class TestKMeansAssign:
 
 def fixed_threshold(name, threshold, labeled_values):
     """A threshold decision that is not learned: ``ALWAYS_LINK`` links
-    every stored pair, ``NEVER_LINK`` none."""
+    every stored pair, ``NEVER_LINK`` none — the one region's accuracy
+    is 1.0 or 0.0, whatever the sample says."""
+    accuracy = float(threshold == ALWAYS_LINK)
+    stats = RegionStats(n_pairs=len(labeled_values),
+                        n_links=sum(label for _, label in labeled_values),
+                        accuracy=accuracy)
     return FittedDecision(
         criterion_name=name,
-        profile=RegionAccuracyProfile(ThresholdRegions(threshold),
-                                      labeled_values),
-        threshold=LearnedThreshold(threshold, 0.0, len(labeled_values)),
+        profile=RegionAccuracyProfile.from_stats(
+            ThresholdRegions(threshold), [stats], prior=accuracy),
         training_accuracy=0.0)
 
 
@@ -289,7 +315,7 @@ class TestBlockSweep:
             fitted.append(FittedDecision(
                 criterion_name="halves",
                 profile=RegionAccuracyProfile(HalvesRegions(), labeled),
-                threshold=None, training_accuracy=0.0))
+                training_accuracy=0.0))
             fitted.append(fixed_threshold("always", ALWAYS_LINK, labeled))
             fitted.append(fixed_threshold("never", NEVER_LINK, labeled))
             for decision, (decision_graph, probabilities) in zip(

@@ -1,4 +1,4 @@
-"""Block executor backends and their registry wiring."""
+"""Block executor backends and how a config or a worker count picks one."""
 
 from __future__ import annotations
 
@@ -8,16 +8,13 @@ import os
 import pytest
 
 from repro.core.config import ResolverConfig
-from repro.core.registry import EXECUTORS
 from repro.runtime.executor import (
     CHUNKS_PER_WORKER,
     DegradedParallelismWarning,
     ProcessPoolBlockExecutor,
     SerialExecutor,
     available_cores,
-    build_executor,
     core_report,
-    env_default_workers,
     executor_for_workers,
     executor_from_config,
     host_cores,
@@ -40,31 +37,28 @@ def _fail_on_negative(value: int) -> int:
     return value
 
 
-class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        assert "serial" in EXECUTORS
-        assert "process" in EXECUTORS
-
-    def test_build_executor_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="serial"):
-            build_executor("distributed")
-
+class TestConfig:
     def test_config_validates_executor_and_workers(self):
-        with pytest.raises(ValueError, match="unknown executor"):
+        with pytest.raises(ValueError, match="unknown executor: 'warp-drive'"
+                                             "; known executors are: "
+                                             "process, serial"):
             ResolverConfig(executor="warp-drive")
         with pytest.raises(ValueError, match="workers"):
             ResolverConfig(workers=0)
 
-    def test_config_roundtrips_runtime_fields(self):
-        config = ResolverConfig(executor="process", workers=3)
-        rebuilt = ResolverConfig.from_dict(config.to_dict())
-        assert (rebuilt.executor, rebuilt.workers) == ("process", 3)
-
-    def test_config_defaults_runtime_fields_for_old_payloads(self):
-        payload = ResolverConfig().to_dict()
-        del payload["executor"]
-        del payload["workers"]
+    def test_saved_config_carries_no_runtime_field(self):
+        payload = ResolverConfig(executor="process", workers=3).to_dict()
+        assert not {"executor", "workers", "oversubscribe",
+                    "backend"} & set(payload)
         rebuilt = ResolverConfig.from_dict(payload)
+        assert (rebuilt.executor, rebuilt.workers) == ("serial", 1)
+
+    def test_config_ignores_runtime_fields_of_old_payloads(self):
+        payload = {**ResolverConfig().to_dict(), "executor": "process",
+                   "workers": 3, "oversubscribe": True}
+        rebuilt = ResolverConfig.from_dict(payload)
+        assert rebuilt == ResolverConfig.from_dict(
+            ResolverConfig().to_dict())
         assert (rebuilt.executor, rebuilt.workers) == ("serial", 1)
 
 
@@ -273,17 +267,19 @@ class TestCoreReport:
 
 
 class TestEnvWorkers:
-    def test_env_default_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert env_default_workers() is None
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        assert env_default_workers() is None
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert env_default_workers() == 3
-        monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-        assert env_default_workers() is None
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert env_default_workers() is None
+    @pytest.mark.parametrize("raw, workers", [
+        (None, 1), ("", 1), ("3", 3), (" 3 ", 3), ("not-a-number", 1),
+        ("0", 1), ("-2", 1)])
+    def test_env_default_parsing(self, monkeypatch, raw, workers):
+        """An unset, empty, non-integer or non-positive value reads as
+        unset: the serial default."""
+        if raw is None:
+            monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_WORKERS", raw)
+        executor = executor_from_config(ResolverConfig())
+        assert executor.workers == workers
+        assert executor.name == ("serial" if workers == 1 else "process")
 
     def test_serial_config_widens_to_env_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
@@ -301,44 +297,26 @@ class TestEnvWorkers:
         assert executor_from_config(ResolverConfig()).name == "serial"
 
 
-class TestOversubscribeThreading:
-    def test_build_executor_threads_the_knob(self):
-        executor = build_executor("process", workers=4096, oversubscribe=True)
-        assert executor.effective_workers == 4096
-
-    def test_build_executor_ignores_knob_for_serial(self):
-        assert build_executor("serial", oversubscribe=True).name == "serial"
-
-    def test_executor_for_workers_threads_the_knob(self):
-        executor = executor_for_workers(4096, oversubscribe=True)
-        assert executor.effective_workers == 4096
-
-    def test_config_oversubscribe_reaches_the_pool(self):
-        config = ResolverConfig(executor="process", workers=4096,
-                                oversubscribe=True)
-        assert executor_from_config(config).effective_workers == 4096
-
-    def test_config_roundtrips_oversubscribe(self):
-        config = ResolverConfig(oversubscribe=True)
-        assert ResolverConfig.from_dict(config.to_dict()).oversubscribe
-        payload = ResolverConfig().to_dict()
-        del payload["oversubscribe"]
-        assert not ResolverConfig.from_dict(payload).oversubscribe
-
-
 class TestSelection:
     def test_executor_for_workers_picks_backend(self):
         assert executor_for_workers(1).name == "serial"
         parallel = executor_for_workers(4)
         assert (parallel.name, parallel.workers) == ("process", 4)
 
-    def test_custom_backend_registers_and_builds(self):
-        class RecordingExecutor(SerialExecutor):
-            name = "recording"
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_executor_for_workers_rejects_nonpositive(self, workers):
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            executor_for_workers(workers)
 
-        EXECUTORS.add("recording", RecordingExecutor)
-        try:
-            assert isinstance(build_executor("recording"), RecordingExecutor)
-            ResolverConfig(executor="recording")  # validates
-        finally:
-            EXECUTORS._entries.pop("recording", None)
+    def test_process_config_of_one_worker_runs_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "7")
+        executor = executor_from_config(
+            ResolverConfig(executor="process", workers=1))
+        assert (executor.name, executor.workers) == ("serial", 1)
+
+    def test_serial_backend_reports_its_accounting(self):
+        """Every executor answers the attributes ``RunStats`` reads."""
+        executor = SerialExecutor(workers=4)
+        assert (executor.workers, executor.effective_workers,
+                executor.fork_waves) == (1, 1, 0)
+        assert executor.is_serial

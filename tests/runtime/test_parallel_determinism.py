@@ -180,14 +180,14 @@ class TestPoolAccounting:
                              graphs_by_name=context.graphs_by_name,
                              executor=parallel)
         stats = model.fit_stats
-        assert stats.requested_workers == 2
+        assert stats.workers == 2
         assert stats.effective_workers == 2  # oversubscribed fixture
         assert stats.host_cores >= 1
         assert stats.available_cores >= 1
         assert stats.cpuset_limited == (
             stats.available_cores < stats.host_cores)
         payload = stats.to_dict()
-        for key in ("requested_workers", "effective_workers",
+        for key in ("workers", "effective_workers",
                     "available_cores", "host_cores", "cpuset_limited",
                     "fork_waves"):
             assert key in payload

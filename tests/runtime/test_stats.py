@@ -45,7 +45,7 @@ class TestRunStats:
                          per_block_seconds={"Alice": 1.0})
         payload = json.loads(json.dumps(stats.to_dict()))
         assert payload["phase"] == "prepare"
-        assert payload["requested_workers"] == 4
+        assert payload["workers"] == 4
         assert payload["per_block_seconds"] == {"Alice": 1.0}
 
     def test_summary_mentions_the_essentials(self):
@@ -71,7 +71,6 @@ class TestWorkerAccounting:
         assert stats.phase == "fit"
         assert stats.executor == "process"
         assert stats.workers == 3
-        assert stats.requested_workers == 3
         assert stats.effective_workers == 3
         assert stats.available_cores >= 1
         assert stats.host_cores >= stats.available_cores
@@ -114,7 +113,7 @@ class TestWorkerAccounting:
         payload = RunStats(phase="fit", workers=4, effective_workers=2,
                            available_cores=2, host_cores=8,
                            cpuset_limited=True, fork_waves=1).to_dict()
-        assert payload["requested_workers"] == 4
+        assert payload["workers"] == 4
         assert payload["effective_workers"] == 2
         assert payload["available_cores"] == 2
         assert payload["host_cores"] == 8

@@ -74,7 +74,7 @@ class TestPublicAttributes:
     @pytest.mark.parametrize("cls, expected", [
         (TaskStats, {"query_name", "seconds", "pairs_scored",
                      "attach_unpickle_seconds"}),
-        (RunStats, RUN_FIELDS | {"requested_workers"}),
+        (RunStats, RUN_FIELDS),
         (SessionStats, LATENCY_VIEW | {
             "requests", "pages", "incremental_assignments", "routed_pages",
             "new_entities", "prepared_blocks", "evicted_blocks"}),
@@ -92,8 +92,8 @@ class TestPublicAttributes:
 class TestRunStats:
     def test_to_dict(self):
         payload = run_stats().to_dict()
-        assert set(payload) == RUN_FIELDS | {"requested_workers"}
-        assert payload["requested_workers"] == 4
+        assert set(payload) == RUN_FIELDS
+        assert payload["workers"] == 4
         assert payload["per_block_seconds"] == {"Alice": 0.5, "Bob": 0.25}
         assert payload["shard_bytes_published"] == 4096
 
@@ -115,7 +115,7 @@ class TestRunStats:
         assert combined.to_dict() == {
             "phase": "protocol", "executor": "process",
             "backend": "numpy", "workers": 4,
-            "requested_workers": 4, "effective_workers": 3,
+            "effective_workers": 3,
             "available_cores": 2, "host_cores": 8, "cpuset_limited": True,
             "fork_waves": 1, "wall_seconds": 2.0, "n_blocks": 5,
             "pairs_scored": 100,
