@@ -83,6 +83,16 @@ if grep -rnE 'def (set_weight|add_edge|remove_edge)\b|@edges\.setter|class Decis
     echo "a second graph form in src/repro" >&2; exit 1
 fi
 
+echo "== one union-find =="
+# Closing a graph over node numbers goes through
+# repro.graph.components.integer_roots; an inline parent-list loop
+# anywhere else is a second union-find to keep in step.
+if grep -rn --include='*.py' 'while parent\[' src \
+        | grep -v '^src/repro/graph/components\.py:'; then
+    echo "an inline union-find outside src/repro/graph/components.py" >&2
+    exit 1
+fi
+
 echo "== one collection pass =="
 # fit and predict / evaluate block the collection and fan its blocks
 # out through run_pass, one function and one RunStats per pass; a stage

@@ -17,7 +17,8 @@ by the scoring backend that produced it
 * :class:`ListRoute` — ``list`` vectors (the ``python`` backend, and
   graphs built by hand).  It runs the scalar rules'
   :meth:`~repro.core.decisions.FittedDecision.decide_all` and a
-  union-find per layer; it is the reference and needs no numpy.
+  union-find per layer (:func:`~repro.graph.components.integer_roots`);
+  it is the reference and needs no numpy.
 * :class:`NumpyRoute` — float64 arrays (the ``numpy`` backend).  It
   decides with array compares, ``searchsorted`` on k-means boundaries
   and equal-width bins computed once per graph, and closes all layers
@@ -38,6 +39,7 @@ from operator import add, eq, mul
 
 from repro.core.regions import EqualWidthRegions, KMeansRegions, ThresholdRegions
 from repro.folds import left_sum
+from repro.graph.components import integer_roots
 from repro.graph.entity_graph import DecisionGraph, PairLayout, as_list
 
 
@@ -102,20 +104,9 @@ class ListRoute:
         found = []
         for earlier, later, masks in groups:
             for mask in masks:
-                parent = list(range(n_numbers))
-                for entry in compress(range(len(earlier)), as_list(mask)):
-                    a, b = earlier[entry], later[entry]
-                    while parent[a] != a:
-                        parent[a] = a = parent[parent[a]]
-                    while parent[b] != b:
-                        parent[b] = b = parent[parent[b]]
-                    parent[a] = b
-                roots = []
-                for node in range(n_numbers):
-                    while parent[node] != node:
-                        node = parent[node]
-                    roots.append(node)
-                root = roots.__getitem__
+                mask = as_list(mask)
+                root = integer_roots(n_numbers, compress(earlier, mask),
+                                     compress(later, mask)).__getitem__
                 joined = map(eq, map(root, left), map(root, right))
                 found.append(sum(map(eq, joined, labels)) / len(labels))
         return found

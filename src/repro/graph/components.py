@@ -1,4 +1,9 @@
-"""Union-find and connected components."""
+"""Union-find and connected components.
+
+:func:`integer_roots` is the one union-find over node numbers ``0 …
+n - 1`` (decision graphs on layout positions, the sweep's acc(G_Dj));
+:class:`UnionFind` serves callers whose items are hashable ids.
+"""
 
 from __future__ import annotations
 
@@ -66,3 +71,27 @@ def connected_components(nodes: Iterable[Hashable],
     for left, right in edges:
         forest.union(left, right)
     return forest.groups()
+
+
+def integer_roots(n: int, left: Iterable[int],
+                  right: Iterable[int]) -> list[int]:
+    """Per node ``0 … n - 1``, the smallest node of its component once
+    every ``(left[k], right[k])`` is joined.
+
+    A union hooks the larger root under the smaller, so a parent is
+    never larger than its child: one ascending pass then reads every
+    node's root off its parent's, which is already final.
+    """
+    parent = list(range(n))
+    for a, b in zip(left, right):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    for node in range(n):
+        parent[node] = parent[parent[node]]
+    return parent

@@ -810,7 +810,8 @@ def _weighted_jaccard_matrix(state: BlockState, spec: tuple) -> np.ndarray:
 # Levenshtein implementation is bit-exact; only the final float
 # combinations touch floats, with the scalar path's operands.  Both sets
 # of distances run as lanes of one bit-parallel Myers sweep per block
-# (:func:`_edit_distances`).
+# (:func:`_edit_distances`), whose character codes and pattern bitmaps
+# numpy builds from the joined strings — no Python loop per character.
 
 #: One DP column per uint64 lane: a pattern (the shorter string) of up
 #: to 64 characters is swept; a longer one (never seen for generated
@@ -855,24 +856,23 @@ def _edit_distances(strings: list[str], first: np.ndarray,
 
     # Every string's character codes back to back (a string starts at
     # ``starts[row]``; the longest text's length of padding ends them)
-    # and, per string, the pattern bitmap of each code, built with
-    # Python ints.
-    alphabet: dict[str, int] = {}
-    flat: list[int] = []
-    bitmaps = []
-    for string in strings:
-        row_codes = [alphabet.setdefault(char, len(alphabet) + 1)
-                     for char in string]
-        flat += row_codes
-        bits: dict[int, int] = {}
-        for offset, code in enumerate(row_codes[:_WORD]):
-            bits[code] = bits.get(code, 0) | (1 << offset)
-        bitmaps.append(bits)
-    codes = np.asarray(flat + [0] * int(text_len[lanes[0]]), dtype=np.intp)
+    # and, per string, the pattern bitmap of each code.  Codes number
+    # the distinct code points in ascending order from 1 (0 pads); the
+    # distances are integers, so any numbering is exact.
+    joined = "".join(strings)
+    alphabet, codes = np.unique(
+        np.fromiter(map(ord, joined), np.int64, len(joined)),
+        return_inverse=True)
+    codes += 1
     starts = np.cumsum(lengths) - lengths
+    row = np.repeat(np.arange(len(strings)), lengths)
+    offset = np.arange(len(joined)) - starts[row]
+    in_word = offset < _WORD
     table = np.zeros((len(strings), len(alphabet) + 1), dtype=np.uint64)
-    for row, bits in enumerate(bitmaps):
-        table[row, list(bits)] = list(bits.values())
+    np.bitwise_or.at(table, (row[in_word], codes[in_word]),
+                     np.uint64(1) << offset[in_word].astype(np.uint64))
+    codes = np.concatenate(
+        [codes, np.zeros(int(text_len[lanes[0]]), dtype=codes.dtype)])
 
     start = 0
     while start < len(lanes):

@@ -6,7 +6,6 @@ from repro.extraction.tokenizer import (
     is_capitalized,
     is_initial,
     lower_all,
-    lower_tokens,
     page_lowered_tokens,
     page_tokens,
     sentences,
@@ -52,11 +51,6 @@ class TestSentences:
 
     def test_empty(self):
         assert sentences("  ") == []
-
-
-class TestLowerTokens:
-    def test_lowercases(self):
-        assert lower_tokens("Acme Labs") == ["acme", "labs"]
 
 
 class TestLowerAll:

@@ -252,7 +252,8 @@ _DOMAINS = st.sampled_from([
 _URLS = st.one_of(
     st.just(""),
     st.builds("http://{}/{}".format, _DOMAINS,
-              st.text(alphabet="ab/.-é09", max_size=70)),
+              st.text(alphabet="ab/.-é09\U0001f600\U00010000\ud800",
+                      max_size=70)),
     st.builds("https://{}".format, _DOMAINS))
 
 
@@ -330,8 +331,8 @@ class TestBatchedStringKernels:
     score per distinct name pair, against a chain of scalar calls."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.text(alphabet="ab/.-xz09é", max_size=70),
-                    max_size=8))
+    @given(st.lists(st.text(alphabet="ab/.-xz09é\U0001f600\U0010ffff\udc80",
+                            max_size=70), max_size=8))
     def test_pairwise_levenshtein_matches_scalar(self, strings):
         first, second = np.triu_indices(len(strings), k=1)
         assert_distances(strings, first.tolist(), second.tolist())
