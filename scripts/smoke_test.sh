@@ -84,9 +84,11 @@ if grep -rnE 'def (set_weight|add_edge|remove_edge)\b|@edges\.setter|class Decis
 fi
 
 echo "== one union-find =="
-# Closing a graph over node numbers goes through
+# Closing a graph over node numbers on the list route goes through
 # repro.graph.components.integer_roots; an inline parent-list loop
-# anywhere else is a second union-find to keep in step.
+# anywhere else is a second union-find to keep in step.  A text match:
+# NumpyRoute's batched parent-array closure (core/sweeps.py) is the
+# one other closure, and a loop written differently would pass.
 if grep -rn --include='*.py' 'while parent\[' src \
         | grep -v '^src/repro/graph/components\.py:'; then
     echo "an inline union-find outside src/repro/graph/components.py" >&2

@@ -6,11 +6,11 @@ treated as a name initial and preserved as the bare letter (``"J." -> "J"``).
 
 A token is a match of ``[A-Za-z][A-Za-z'-]*``: the maximal run of ASCII
 letters, apostrophes and hyphens, with its leading apostrophes and
-hyphens stripped.  ASCII text — every generated page — is read without
-the regex: one ``bytes.translate`` blanks every other byte (one table
-keeps case, one also lowers ``A``–``Z``), ``split()`` cuts the runs and
-only a text holding ``'`` or ``-`` strips and drops chunks.  Other text
-takes the regex, :data:`_TOKEN`, which is also the tests' oracle.
+hyphens stripped.  Text is read without a regex: encoded to ASCII with
+every other code point replaced by ``?``, one ``bytes.translate`` blanks
+every byte a token cannot hold (one table keeps case, one also lowers
+``A``–``Z``), ``split()`` cuts the runs and only a text holding ``'`` or
+``-`` strips and drops chunks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import re
 from itertools import repeat
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z'-]*")
 
 _KEPT = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz'-")
 #: Per byte: itself if a token may hold it, else a space.
@@ -29,8 +28,13 @@ _LOWERED = _CASED.lower()
 
 
 def _split(text: str, table: bytes) -> list[str]:
-    """The tokens of ASCII ``text``, its bytes mapped through ``table``."""
-    kept = text.encode("ascii").translate(table).decode("ascii")
+    """The tokens of ``text``, its ASCII bytes mapped through ``table``.
+
+    A token holds ASCII letters only, so any other code point separates
+    tokens: ``"replace"`` encodes each one (a lone surrogate or an
+    astral character too) as one ``?``, which both tables blank.
+    """
+    kept = text.encode("ascii", "replace").translate(table).decode("ascii")
     chunks = kept.split()
     if "'" in kept or "-" in kept:
         return list(filter(None, map(str.lstrip, chunks, repeat("'-"))))
@@ -51,9 +55,7 @@ def tokenize(text: str) -> list[str]:
     >>> tokenize("Prof. J. Cohen works at Acme Labs.")
     ['Prof', 'J', 'Cohen', 'works', 'at', 'Acme', 'Labs']
     """
-    if text.isascii():
-        return _split(text, _CASED)
-    return _TOKEN.findall(text)
+    return _split(text, _CASED)
 
 
 def page_tokens(page) -> list[str]:
@@ -68,15 +70,11 @@ def page_tokens(page) -> list[str]:
 def page_lowered_tokens(page) -> list[str]:
     """``lower_all(page_tokens(page))``, for a reader that needs no case.
 
-    ASCII text is lowered by the translate table itself: there lowering
-    maps letters to letters one to one and leaves everything else alone,
-    so the tokens are the same.  Other text is tokenised first and
-    lowered token by token (:func:`lower_all`).
+    The translate table lowers the text itself: tokens are ASCII, where
+    lowering maps letters to letters one to one and leaves every other
+    byte alone, so the tokens are the same.
     """
-    text = f"{page.title}. {page.text}"
-    if text.isascii():
-        return _split(text, _LOWERED)
-    return lower_all(_TOKEN.findall(text))
+    return _split(f"{page.title}. {page.text}", _LOWERED)
 
 
 def lower_all(tokens: list[str]) -> list[str]:

@@ -1,8 +1,11 @@
 """Union-find and connected components.
 
-:func:`integer_roots` is the one union-find over node numbers ``0 …
-n - 1`` (decision graphs on layout positions, the sweep's acc(G_Dj));
-:class:`UnionFind` serves callers whose items are hashable ids.
+:func:`integer_roots` is the list route's union-find over node numbers
+``0 … n - 1`` (decision graphs on layout positions, the ``python``
+sweep's acc(G_Dj)); its batched counterpart is ``NumpyRoute``'s
+parent-array closure in :mod:`repro.core.sweeps`, which closes every
+layer at once.  :class:`UnionFind` serves callers whose items are
+hashable ids.
 """
 
 from __future__ import annotations
