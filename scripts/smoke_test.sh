@@ -107,11 +107,22 @@ if [ -e src/repro/pipeline/stages.py ] \
 fi
 
 echo "== one wire format =="
-# A worker reads one pickled shard; a plane codec, a float32 backend, a
-# shard knob or a zombie list of open segments is a second format.
+# A worker reads the pickled chunk of payloads the pool's pipe carries;
+# a plane codec, a float32 backend, a shard knob or a zombie list of
+# open segments is a second format.
 if [ -e src/repro/runtime/planes.py ] \
         || grep -rnE 'REPRO_SHARD_|numpy32|PlaneArena|approx32|_ZOMBIES' src; then
     echo "a second payload format in src/" >&2; exit 1
+fi
+
+echo "== the passes publish no shard =="
+# A fan-out ships its blocks through the pool's pipe; the shard store
+# is kept only for the frozen benchmark harness.  A package module that
+# imports it or names ShardStore / load_shard puts shared memory back
+# on the fan-out path.
+if grep -rnE 'repro\.runtime\.shards|from (repro\.runtime|\.) import .*\bshards\b|from \.shards import|\b(ShardStore|load_shard)\b' \
+        src/repro | grep -v '^src/repro/runtime/shards\.py:'; then
+    echo "a package module reaches the shard store" >&2; exit 1
 fi
 
 echo "== generate =="

@@ -45,7 +45,12 @@ from repro.metrics.clusterings import Clustering, clustering_from_assignments
 from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.runtime.executor import BlockExecutor, executor_from_config
 from repro.runtime.stats import RunStats, clock
-from repro.runtime.tasks import PredictBlockTask, block_graphs, run_pass
+from repro.runtime.tasks import (
+    PredictBlockTask,
+    block_graphs,
+    run_pass,
+    run_predict_block,
+)
 from repro.similarity.base import SimilarityFunction
 from repro.similarity.functions import functions_subset
 
@@ -653,7 +658,7 @@ class ResolverModel:
                                      **fields)
                     for state, fields in zip(fitted, shipped)]
         results, stats = run_pass(
-            executor or executor_from_config(self.config), "predict",
+            executor or executor_from_config(self.config), run_predict_block,
             "evaluate" if evaluate else "predict", payloads,
             started=started, close=executor is None,
             backend=self.config.backend)

@@ -45,7 +45,12 @@ from repro.graph.entity_graph import WeightedPairGraph
 from repro.ml.sampling import sample_training_pairs
 from repro.runtime.executor import BlockExecutor, executor_from_config
 from repro.runtime.stats import clock
-from repro.runtime.tasks import FitBlockTask, block_graphs, run_pass
+from repro.runtime.tasks import (
+    FitBlockTask,
+    block_graphs,
+    run_fit_block,
+    run_pass,
+)
 from repro.similarity.functions import functions_subset
 
 __all__ = ["EntityResolver"]
@@ -171,8 +176,8 @@ class EntityResolver:
         payloads = [FitBlockTask(training_seed=training_seed, **fields)
                     for fields in shipped]
         results, stats = run_pass(
-            executor or executor_from_config(self.config), "fit", "fit",
-            payloads, started=started, close=executor is None,
+            executor or executor_from_config(self.config), run_fit_block,
+            "fit", payloads, started=started, close=executor is None,
             backend=self.config.backend)
         model = ResolverModel(config=self.config, blocks=dict(results),
                               pipeline=extraction)

@@ -31,7 +31,7 @@ from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
 from repro.ml.sampling import sample_training_pairs, training_runs
 from repro.runtime.executor import BlockExecutor, executor_for_workers
 from repro.runtime.stats import RunStats
-from repro.runtime.tasks import PrepareBlockTask, run_pass
+from repro.runtime.tasks import PrepareBlockTask, run_pass, run_prepare_block
 from repro.similarity.functions import default_functions
 
 
@@ -88,8 +88,9 @@ class ExperimentContext:
                     for block in collection]
         # The pool is ours only if we built it from `workers=`;
         # caller-provided executors stay open for reuse.
-        results, stats = run_pass(executor, "prepare", "prepare", payloads,
-                                  close=owns_executor, backend=backend)
+        results, stats = run_pass(executor, run_prepare_block, "prepare",
+                                  payloads, close=owns_executor,
+                                  backend=backend)
         return cls(collection=collection,
                    features_by_name={name: features
                                      for name, features, _ in results},

@@ -21,7 +21,6 @@ from repro.runtime.executor import (
     executor_from_config,
     host_cores,
 )
-from repro.runtime.shards import ShardHandle, ShardStore, load_shard
 from repro.runtime.stats import RunStats, TaskStats
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "ProcessPoolBlockExecutor",
     "RunStats",
     "SerialExecutor",
-    "ShardHandle",
-    "ShardStore",
     "TaskStats",
     "available_cores",
     "batched_similarity_graphs",
@@ -39,5 +36,4 @@ __all__ = [
     "executor_for_workers",
     "executor_from_config",
     "host_cores",
-    "load_shard",
 ]

@@ -17,8 +17,8 @@ a process pool for more.  :func:`executor_from_config` maps a
 * ``"serial"`` — plain in-process loop, the default.
 * ``"process"`` — a **persistent** ``concurrent.futures`` process pool
   using the **fork** start method: the cheapest start, and workers
-  inherit plugins registered at run time (a custom similarity function,
-  task kind or clusterer).  Results do not depend on the start method —
+  inherit plugins registered at run time (a custom similarity function
+  or clusterer).  Results do not depend on the start method —
   a spawned worker draws its own string-hash seed and returns the same
   bits.  On platforms without fork the backend degrades to an
   in-process loop, so run-time registrations stay visible.
@@ -26,10 +26,15 @@ a process pool for more.  :func:`executor_from_config` maps a
 The process pool forks **once** per executor instance and is reused by
 every subsequent ``run`` call — collection passes sharing one executor
 share one fork wave (:attr:`BlockExecutor.fork_waves` counts them).
-Payloads are dispatched as *chunks* — contiguous slices in payload
-order, or, when the caller supplies per-payload ``weights``,
-largest-first bins packed so one giant namesake block cannot serialize
-the tail of the schedule.
+Payloads are dispatched as *chunks* through the pool's own pipe —
+contiguous slices in payload order, or, when the caller supplies
+per-payload ``weights``, largest-first bins packed so one giant namesake
+block cannot serialize the tail of the schedule.  A chunk is one
+pickle, made in the calling process: what its payloads share (a config,
+an extraction pipeline) crosses once per chunk, a payload that cannot
+pickle raises in the caller, and a worker unpickles only the chunks it
+runs.  Nothing is published beside the pipe — no shared-memory segment,
+no scratch file.
 
 Worker accounting is honest: ``effective_workers`` is the requested
 count capped at :func:`available_cores`, and when the cap degrades a
@@ -46,14 +51,13 @@ import heapq
 import math
 import multiprocessing
 import os
+import pickle
 import warnings
 import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
-
-from repro.runtime.shards import share_tracker
 
 #: A block task: a module-level (picklable) function of one payload.
 BlockTask = Callable[[Any], Any]
@@ -218,8 +222,10 @@ def pack_chunks(n: int, n_chunks: int,
     return packed
 
 
-def _run_chunk(task: BlockTask, payloads: list[Any]) -> list[Any]:
-    """Worker body: one dispatch chunk, results in chunk order."""
+def _run_chunk(chunk: bytes) -> list[Any]:
+    """Worker body: one pickled ``(task, payloads)`` dispatch chunk,
+    results in chunk order."""
+    task, payloads = pickle.loads(chunk)
     return [task(payload) for payload in payloads]
 
 
@@ -233,8 +239,8 @@ class ProcessPoolBlockExecutor(BlockExecutor):
     The pool is created **once**, on the first parallel ``run``, and
     reused by every later call — an executor threaded through a whole
     fit/predict run pays exactly one fork wave for all of its passes
-    (:attr:`fork_waves` counts waves; worker state like loaded
-    registries and attached shards amortizes across passes).  ``close``
+    (:attr:`fork_waves` counts waves; worker state like imported
+    modules and loaded registries amortizes across passes).  ``close``
     (or context-manager exit, or garbage collection) shuts the pool
     down; a run that raises shuts it down eagerly so no orphaned
     workers outlive the failure.
@@ -298,7 +304,6 @@ class ProcessPoolBlockExecutor(BlockExecutor):
                      context: multiprocessing.context.BaseContext,
                      ) -> ProcessPoolExecutor:
         if self._pool is None:
-            share_tracker()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.effective_workers, mp_context=context)
             self.fork_waves += 1
@@ -340,9 +345,13 @@ class ProcessPoolBlockExecutor(BlockExecutor):
         # killed between runs) raises from the first ``submit``.
         futures = []
         try:
-            futures = [pool.submit(_run_chunk, task,
-                                   [payloads[index] for index in chunk])
-                       for chunk in chunks]
+            for chunk in chunks:
+                # Pickled here rather than in the pool's feeder thread: a
+                # chunk that cannot pickle then raises in the caller, and
+                # the pool still shuts down (after a feeder-thread pickling
+                # error, ProcessPoolExecutor.shutdown can wait forever).
+                futures.append(pool.submit(_run_chunk, pickle.dumps(
+                    (task, [payloads[index] for index in chunk]))))
             results: list[Any] = [None] * n
             for chunk, future in zip(chunks, futures):
                 for index, value in zip(chunk, future.result()):

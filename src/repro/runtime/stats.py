@@ -214,9 +214,6 @@ class TaskStats(StatsRecord):
     query_name: str
     seconds: float = 0.0
     pairs_scored: int = 0
-    #: time this task spent resolving its shard — segment attach and
-    #: unpickle (0.0 on cache hits and for serial/local execution).
-    attach_unpickle_seconds: float = 0.0
 
 
 @dataclass
@@ -248,15 +245,14 @@ class RunStats(StatsRecord):
         per_block_seconds: wall time per query name (in the parallel
             backends this is each task's own clock, so the sum can exceed
             ``wall_seconds``).
-        shard_bytes_published: total segment bytes this pass published
-            (the pickled payload list; 0 for serial passes).
+        shard_bytes_published: always 0.  A pass ships its payloads
+            through the pool's pipe and publishes no shard; the field
+            stays only because the frozen benchmark harness
+            (``bench/layers.py``) reads it.
         plane_fallback_payloads: always 0.  Payloads have one wire
-            format, the pickled shard, so nothing can fall back; the
+            format, the pickled chunk, so nothing can fall back; the
             field stays only because the frozen benchmark harness
             (``bench/layers.py``) reads it.
-        attach_unpickle_seconds: summed worker time spent attaching
-            segments and unpickling shards (near zero once a worker
-            holds the fan-out's shard).
     """
 
     phase: str
@@ -274,7 +270,6 @@ class RunStats(StatsRecord):
     per_block_seconds: dict[str, float] = field(default_factory=dict)
     shard_bytes_published: int = 0
     plane_fallback_payloads: int = 0
-    attach_unpickle_seconds: float = 0.0
 
     @classmethod
     def for_executor(cls, phase: str, executor,
@@ -314,7 +309,6 @@ class RunStats(StatsRecord):
         """Fold one block task's numbers into the aggregate."""
         self.n_blocks += 1
         self.pairs_scored += task.pairs_scored
-        self.attach_unpickle_seconds += task.attach_unpickle_seconds
         self.per_block_seconds[task.query_name] = (
             self.per_block_seconds.get(task.query_name, 0.0) + task.seconds)
 

@@ -18,10 +18,12 @@ result, under both schedules.
 imports the runtime package, so importing it back at module level would
 cycle.
 
-For parallel executors :func:`run_block_tasks` pickles the whole
-payload list **once** into a shared-memory shard and dispatches
-:class:`ShardedBlockTask` descriptors of a few dozen bytes; a worker
-unpickles the shard once per fan-out.
+A parallel fan-out ships its payloads through the pool's own pipe, in
+the executor's weighted chunks
+(:func:`~repro.runtime.executor.pack_chunks`): a chunk is one pickle,
+so what its payloads share — the config, the extraction pipeline —
+crosses once per chunk, and a worker unpickles only the chunks it runs.
+The task body itself pickles by reference.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.corpus.documents import NameCollection
 from repro.runtime.batch import batched_similarity_graphs
-from repro.runtime.shards import ShardHandle, ShardStore, load_shard
-from repro.runtime.stats import RunStats, TaskStats, Timer, clock
+from repro.runtime.stats import RunStats, TaskStats, clock
 from repro.similarity.backends import ScoringBackend, resolve_backend
 from repro.similarity.base import SimilarityFunction, read_fields
 
@@ -82,17 +83,15 @@ def block_graphs(
 
 
 def _task_stats(query_name: str, started: float,
-                scored: dict[str, "WeightedPairGraph"] | None,
-                attach_seconds: float = 0.0) -> TaskStats:
-    """One block task's cost record: wall time since ``started``, the
-    shard ``attach_seconds`` spent before it, and the pairs of the
-    graphs the task ``scored`` itself (``None``: it was handed them)."""
+                scored: dict[str, "WeightedPairGraph"] | None) -> TaskStats:
+    """One block task's cost record: wall time since ``started`` and the
+    pairs of the graphs the task ``scored`` itself (``None``: it was
+    handed them)."""
     return TaskStats(
         query_name=query_name,
         seconds=clock() - started,
         pairs_scored=sum(graph.n_pairs()
                          for graph in (scored or {}).values()),
-        attach_unpickle_seconds=attach_seconds,
     )
 
 
@@ -108,7 +107,7 @@ class PrepareBlockTask:
 
 
 def run_prepare_block(
-    payload: PrepareBlockTask, attach_seconds: float = 0.0,
+    payload: PrepareBlockTask,
 ) -> tuple[str, Any, Any, TaskStats]:
     """One block of :meth:`ExperimentContext.prepare`."""
     started = clock()
@@ -116,8 +115,7 @@ def run_prepare_block(
     graphs = batched_similarity_graphs(payload.block, features,
                                        payload.functions,
                                        backend=payload.backend)
-    stats = _task_stats(payload.block.query_name, started, graphs,
-                        attach_seconds)
+    stats = _task_stats(payload.block.query_name, started, graphs)
     return (payload.block.query_name, features, graphs, stats)
 
 
@@ -134,9 +132,7 @@ class FitBlockTask:
     mask: frozenset | None = None
 
 
-def run_fit_block(
-    payload: FitBlockTask, attach_seconds: float = 0.0,
-) -> tuple[str, Any, TaskStats]:
+def run_fit_block(payload: FitBlockTask) -> tuple[str, Any, TaskStats]:
     """One block of a collection :meth:`EntityResolver.fit`.
 
     The fitted block keeps its fit-time layer hand-off only when the
@@ -158,8 +154,7 @@ def run_fit_block(
     scored = graphs if payload.graphs is None else None
     if scored is not None:
         fitted._layer_cache = None
-    stats = _task_stats(payload.block.query_name, started, scored,
-                        attach_seconds)
+    stats = _task_stats(payload.block.query_name, started, scored)
     return (payload.block.query_name, fitted, stats)
 
 
@@ -178,7 +173,7 @@ class PredictBlockTask:
 
 
 def run_predict_block(
-    payload: PredictBlockTask, attach_seconds: float = 0.0,
+    payload: PredictBlockTask,
 ) -> tuple[str, Any, TaskStats]:
     """One block of a collection predict / evaluate pass.
 
@@ -198,95 +193,32 @@ def run_predict_block(
     serve = model.evaluate_fitted if payload.evaluate else model.predict_fitted
     result = serve(payload.fitted, payload.block, graphs=graphs)
     stats = _task_stats(payload.block.query_name, started,
-                        graphs if payload.graphs is None else None,
-                        attach_seconds)
+                        graphs if payload.graphs is None else None)
     return (payload.block.query_name, result, stats)
 
 
-#: Task kinds dispatchable through a shard (name -> worker body, called
-#: as ``body(payload, attach_seconds)``).
-TASK_KINDS: dict[str, Callable[[Any, float], Any]] = {
-    "prepare": run_prepare_block,
-    "fit": run_fit_block,
-    "predict": run_predict_block,
-}
-
-
-@dataclass(frozen=True)
-class BlockShard:
-    """One fan-out's full payload list, published as a single shard.
-
-    Pickling the list in one buffer lets the pickle memo deduplicate
-    everything the payloads share — the config, the extraction pipeline,
-    the similarity functions — so shared state crosses the process
-    boundary exactly once per run instead of once per block.
-    """
-
-    kind: str
-    payloads: tuple
-
-
-@dataclass(frozen=True)
-class ShardedBlockTask:
-    """A few-dozen-byte descriptor of one task inside a published shard."""
-
-    handle: ShardHandle
-    index: int
-
-
-def run_sharded_block(task: ShardedBlockTask) -> Any:
-    """Worker body: resolve the shard (cached per process) and run one task.
-
-    The time spent resolving the shard — attach and unpickle; near zero
-    on cache hits — is handed to the task body, which records it on its
-    :class:`TaskStats` so the scheduling side can report it.
-    """
-    with Timer() as attach:
-        shard: BlockShard = load_shard(task.handle)
-    return TASK_KINDS[shard.kind](shard.payloads[task.index], attach.seconds)
-
-
-def run_block_tasks(executor: "BlockExecutor", kind: str,
-                    payloads: Sequence[Any],
-                    weights: Sequence[int] | None = None,
-                    stats: RunStats | None = None) -> list[Any]:
+def run_block_tasks(executor: "BlockExecutor",
+                    body: Callable[[Any], Any], payloads: Sequence[Any],
+                    weights: Sequence[int] | None = None) -> list[Any]:
     """Run one fan-out of block tasks, results in payload order.
 
-    The scheduling entry point of every collection pass.  Serial
-    executors run the task bodies inline, in payload order — no shard is
-    published, so degraded and single-payload paths never touch shared
-    memory.  Parallel executors get the shard treatment: the payload
-    list is published once (:class:`BlockShard`), tasks shrink to
-    :class:`ShardedBlockTask` descriptors, and ``weights`` (per-payload
-    cost, e.g. block page counts) drives largest-first chunk packing.
-    Results are identical to ``executor.run(task, payloads)`` in value
-    and order.
-
-    ``stats`` (a :class:`~repro.runtime.stats.RunStats`) receives the
-    published shard bytes.
+    The scheduling entry point of every collection pass: ``body`` (a
+    module-level task function) over every payload, inline for a serial
+    executor and in the pool's chunks for a parallel one, ``weights``
+    (per-payload cost, e.g. block page counts) driving largest-first
+    chunk packing.
     """
-    task = TASK_KINDS[kind]
-    if len(payloads) <= 1 or executor.is_serial:
-        return executor.run(task, payloads, weights=weights)
-    with ShardStore() as store:
-        handle = store.publish(BlockShard(kind=kind,
-                                          payloads=tuple(payloads)),
-                               label=kind)
-        if stats is not None:
-            stats.shard_bytes_published += handle.nbytes
-        sharded = [ShardedBlockTask(handle=handle, index=index)
-                   for index in range(len(payloads))]
-        return executor.run(run_sharded_block, sharded, weights=weights)
+    return executor.run(body, payloads, weights=weights)
 
 
-def run_pass(executor: "BlockExecutor", kind: str, phase: str,
-             payloads: Sequence[Any], started: float | None = None,
-             close: bool = False,
+def run_pass(executor: "BlockExecutor", body: Callable[[Any], Any],
+             phase: str, payloads: Sequence[Any],
+             started: float | None = None, close: bool = False,
              backend: "str | ScoringBackend | None" = None,
              ) -> tuple[list[tuple], RunStats]:
     """One collection pass's fan-out and its one stats record.
 
-    Runs a ``kind`` task per payload through :func:`run_block_tasks`,
+    Runs the task ``body`` per payload through :func:`run_block_tasks`,
     weighted by block page count, and folds every task's
     :class:`~repro.runtime.stats.TaskStats` into a ``phase``
     :class:`~repro.runtime.stats.RunStats`, which names the scoring
@@ -306,9 +238,8 @@ def run_pass(executor: "BlockExecutor", kind: str, phase: str,
     results = []
     try:
         for *result, task_stats in run_block_tasks(
-                executor, kind, payloads,
-                weights=[len(payload.block) for payload in payloads],
-                stats=stats):
+                executor, body, payloads,
+                weights=[len(payload.block) for payload in payloads]):
             results.append(tuple(result))
             stats.add_task(task_stats)
     finally:

@@ -60,7 +60,7 @@ from repro.extraction.features import PageFeatures
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.metrics.clusterings import Clustering
 from repro.pipeline.session import AdmittedUnit, as_page_list
-from repro.runtime.stats import (HIDDEN, MAX, LatencyReservoir, LatencyView,
+from repro.runtime.stats import (HIDDEN, LatencyReservoir, LatencyView,
                                  StatsRecord, Timer, clock, rate)
 from repro.serving.snapshot import ModelSnapshot
 
@@ -105,13 +105,13 @@ class EngineStats(LatencyView, StatsRecord):
     scoring_batches: int = 0
     coalesced_batches: int = 0
     coalesced_pages: int = 0
-    max_batch_pages: int = field(default=0, metadata=MAX)
+    max_batch_pages: int = 0
     bootstraps: int = 0
     lru_hits: int = field(default=0, metadata=HIDDEN)
     lru_misses: int = field(default=0, metadata=HIDDEN)
     swaps: int = 0
     swap_stall_seconds: float = 0.0
-    max_inflight: int = field(default=0, metadata=MAX)
+    max_inflight: int = 0
     latency: LatencyReservoir = field(default_factory=LatencyReservoir,
                                       metadata=HIDDEN)
 

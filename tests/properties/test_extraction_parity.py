@@ -11,6 +11,7 @@ fixes the float folds of the similarity layer downstream.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -25,7 +26,7 @@ from repro.extraction.ner import DictionaryNer, NerResult, PersonMention
 from repro.extraction.pipeline import ExtractionPipeline
 from repro.extraction.stopwords import build_stopword_set
 from repro.extraction.tfidf import BLOCK_PASS_MIN_DOCUMENTS
-from repro.extraction.tokenizer import is_capitalized, is_initial, tokenize
+from repro.extraction.tokenizer import is_capitalized, is_initial
 from repro.similarity.strings import jaro_winkler, name_similarity
 
 ORDERED_FIELDS = ("tfidf", "concept_vector", "organizations",
@@ -33,6 +34,11 @@ ORDERED_FIELDS = ("tfidf", "concept_vector", "organizations",
 
 
 # -- the seed implementation (reference) --------------------------------------
+
+#: The seed tokeniser, frozen here: the reference must not call the
+#: ``tokenize`` it is checking, or both would change together.
+_SEED_TOKEN = re.compile(r"[A-Za-z][A-Za-z'-]*")
+
 
 class _SeedPhraseMatcher:
     def __init__(self, phrases):
@@ -237,7 +243,7 @@ class SeedPipeline(ExtractionPipeline):
         self._stopwords = build_stopword_set(extra_stopwords)
 
     def extract_block(self, block):
-        token_lists = [tokenize(f"{page.title}. {page.text}")
+        token_lists = [_SEED_TOKEN.findall(f"{page.title}. {page.text}")
                        for page in block.pages]
         vectorizer = _SeedTfidf(stopwords=self._stopwords)
         vectorizer.fit(token_lists)

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.shards import ShardStore
-
 
 @pytest.fixture
-def published(monkeypatch):
-    """Every shard handle published during the test."""
-    handles = []
-    publish = ShardStore.publish
+def shared_memory_calls(monkeypatch):
+    """Refuse every shared-memory segment and record each attempt.
 
-    def spy(store, payload, label="shard"):
-        handles.append(publish(store, payload, label=label))
-        return handles[-1]
+    A pass ships its payloads through the pool's pipe, so it makes no
+    attempt: the list stays empty.  Workers forked afterwards inherit
+    the refusal, so a segment asked for in one fails its task.
+    """
+    from multiprocessing import shared_memory
 
-    monkeypatch.setattr(ShardStore, "publish", spy)
-    return handles
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise OSError(13, "Permission denied", "/dev/shm")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    return calls

@@ -153,6 +153,30 @@ class TestPersistentPool:
         assert executor.fork_waves == 2
         executor.close()
 
+    @pytest.mark.parametrize("where", ["task", "first", "last"])
+    def test_unpicklable_chunk_raises_and_shuts_the_pool_down(self, where):
+        """A chunk is pickled in the caller, so a task or payload that
+        cannot pickle raises there — before any chunk is submitted, or
+        after the earlier chunks were — and no worker is left behind (a
+        pickling error in the pool's feeder thread can leave the pool's
+        shutdown waiting forever)."""
+        import multiprocessing
+        import pickle
+
+        task, payloads = _square, list(range(8))
+        if where == "task":
+            task = lambda value: value  # noqa: E731 - cannot pickle
+        else:
+            payloads[0 if where == "first" else -1] = lambda: 3
+        executor = ProcessPoolBlockExecutor(workers=2, oversubscribe=True)
+        before = set(multiprocessing.active_children())
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            executor.run(task, payloads)
+        assert executor._pool is None
+        assert set(multiprocessing.active_children()) <= before
+        assert executor.run(_square, [1, 2, 3]) == [1, 4, 9]
+        executor.close()
+
     def test_workers_beyond_payload_count_still_correct(self):
         with ProcessPoolBlockExecutor(workers=8,
                                       oversubscribe=True) as executor:

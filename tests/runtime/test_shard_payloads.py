@@ -1,11 +1,12 @@
-"""What crosses a shard: payload round trips over both transports.
+"""What crosses the pool's pipe: payloads and results, round-tripped.
 
-A worker reads one wire format — the fan-out's payload list pickled
-into a shared-memory segment, or into a scratch file where shared memory
-is missing.  These tests publish real payloads (feature dicts, graphs,
-block shards), drop the publisher's registry entry so the load takes
-the worker's attach path, and check that the copy is the original:
-equal values, the same dict iteration order, the same types.
+A parallel fan-out ships its payloads, and its workers return their
+results, as pickles through the process pool's own pipe
+(``pickle.dumps`` at the default protocol, as the pool's queues do).
+These tests send real payloads (feature dicts, graphs, task payloads)
+and real task results through that round trip and check that the copy
+is the original: equal values, the same dict iteration order, the same
+types.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ from repro.core.resolver import EntityResolver
 from repro.extraction.features import PageFeatures
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.runtime import shards as shards_module
-from repro.runtime.shards import ShardStore, load_shard
+from repro.runtime.shards import ShardStore
 from repro.runtime.tasks import (
-    BlockShard,
+    FitBlockTask,
     PredictBlockTask,
-    ShardedBlockTask,
+    PrepareBlockTask,
+    run_fit_block,
     run_predict_block,
-    run_sharded_block,
+    run_prepare_block,
 )
 from repro.similarity.batch import BlockState, _top_tfidf
-from repro.similarity.extended import _entity_context
-
-TRANSPORTS = pytest.mark.parametrize("prefer_shm", [True, False],
-                                     ids=["shm", "file"])
+from repro.similarity.extended import _entity_context, full_battery
 
 
 def make_page(index: int, reads=None) -> PageFeatures:
@@ -65,15 +64,9 @@ def make_features(count: int = 8) -> dict[str, PageFeatures]:
     return {f"doc-{index}": make_page(index) for index in range(count)}
 
 
-def shipped(payload, prefer_shm: bool):
-    """Publish ``payload`` and read it back the way a worker forked
-    before the publish does; the store is closed before returning."""
-    with ShardStore(prefer_shared_memory=prefer_shm) as store:
-        handle = store.publish(payload, label="payload")
-        assert handle.via == ("shm" if prefer_shm else "file")
-        shards_module._LOCAL.pop(handle.shard_id)
-        copy = load_shard(handle)
-        shards_module._ATTACHED.clear()
+def shipped(payload):
+    """``payload`` as a worker reads it: pickled and unpickled once."""
+    copy = pickle.loads(pickle.dumps(payload))
     assert copy is not payload
     return copy
 
@@ -89,39 +82,34 @@ def assert_pages_identical(original: PageFeatures, rebuilt: PageFeatures):
 
 
 class TestFeatureRoundTrip:
-    @TRANSPORTS
-    def test_features_roundtrip_through_shard(self, prefer_shm):
+    def test_features_roundtrip(self):
         features = make_features()
-        copy = shipped(features, prefer_shm)
+        copy = shipped(features)
         assert list(copy) == list(features)
         for doc_id in features:
             assert_pages_identical(features[doc_id], copy[doc_id])
 
-    @TRANSPORTS
-    def test_narrowed_bundle_keeps_its_read_set(self, prefer_shm):
+    def test_narrowed_bundle_keeps_its_read_set(self):
         """A bundle extracted for a read set must still refuse the fields
         it does not hold after the crossing."""
         narrowed = make_page(3, reads=frozenset({"tfidf"}))
-        copy = shipped({"doc-3": narrowed}, prefer_shm)["doc-3"]
+        copy = shipped({"doc-3": narrowed})["doc-3"]
         assert copy.reads == frozenset({"tfidf"})
         assert copy.covers(frozenset({"tfidf"}))
         assert not copy.covers(frozenset({"concept_vector"}))
         assert not copy.covers(None)
 
-    @TRANSPORTS
-    def test_dict_subclass_payload_keeps_its_type(self, prefer_shm):
+    def test_dict_subclass_payload_keeps_its_type(self):
         features = FeatureDict(make_features(3))
-        copy = shipped(features, prefer_shm)
+        copy = shipped(features)
         assert type(copy) is FeatureDict
         assert list(copy) == list(features)
 
-    @TRANSPORTS
-    def test_derived_families_match_over_unpickled_features(self,
-                                                            prefer_shm):
+    def test_derived_families_match_over_unpickled_features(self):
         """Families a worker derives from its copy (the F12 top-TF-IDF
         vector, the F13 entity context) stack to the same bytes."""
         features = make_features(6)
-        copy = shipped(features, prefer_shm)
+        copy = shipped(features)
         ids = list(features)
         for spec in (("top_tfidf", "vector", _top_tfidf),
                      ("entity_context", "counter", _entity_context),
@@ -133,60 +121,44 @@ class TestFeatureRoundTrip:
 
 
 class TestGraphRoundTrip:
-    @TRANSPORTS
-    def test_graphs_rebuild_in_stored_order(self, prefer_shm):
+    def test_graphs_rebuild_in_stored_order(self):
         graphs = {
             "F1": WeightedPairGraph.from_scores(
                 ["a", "b", "c"], {("a", "c"): 0.5, ("a", "b"): 0.25}),
             "F2": WeightedPairGraph(["x"]),
         }
-        copy = shipped(graphs, prefer_shm)
+        copy = shipped(graphs)
         assert list(copy) == ["F1", "F2"]
         for name, graph in graphs.items():
             assert copy[name].nodes == graph.nodes
             assert copy[name].weights == graph.weights
             assert list(copy[name].weights) == list(graph.weights)
 
-    @TRANSPORTS
-    def test_non_string_nodes_roundtrip(self, prefer_shm):
+    def test_non_string_nodes_roundtrip(self):
         """The pickled format carries any hashable node id."""
         graph = WeightedPairGraph.from_scores([7, 3], {(3, 7): 0.5})
-        copy = shipped({"F1": graph}, prefer_shm)["F1"]
+        copy = shipped({"F1": graph})["F1"]
         assert copy.nodes == [7, 3]
         assert copy.weights == {(3, 7): 0.5}
 
 
-class TestBlockShardRoundTrip:
-    @TRANSPORTS
-    def test_shared_state_crosses_once(self, prefer_shm):
-        """The pickle memo deduplicates what the payloads share: the
-        worker's copies share one config object again."""
+class TestChunkRoundTrip:
+    def test_shared_state_crosses_once(self):
+        """A chunk is one pickle, whose memo deduplicates what its
+        payloads share: the worker's copies share one config again."""
         config = ResolverConfig()
-        shard = BlockShard(kind="predict",
-                           payloads=({"config": config, "index": 0},
-                                     {"config": config, "index": 1}))
-        copy = shipped(shard, prefer_shm)
-        assert copy.kind == "predict"
-        assert [payload["index"] for payload in copy.payloads] == [0, 1]
-        first, second = (payload["config"] for payload in copy.payloads)
+        chunk = [{"config": config, "index": 0},
+                 {"config": config, "index": 1}]
+        copy = shipped(chunk)
+        assert [payload["index"] for payload in copy] == [0, 1]
+        first, second = (payload["config"] for payload in copy)
         assert first is second
         assert first == config
 
-    @TRANSPORTS
-    def test_handle_nbytes_is_the_pickle_length(self, prefer_shm):
-        payload = BlockShard(kind="fit",
-                             payloads=tuple(make_features(4).values()))
-        with ShardStore(prefer_shared_memory=prefer_shm) as store:
-            handle = store.publish(payload)
-        assert handle.nbytes == len(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-    @TRANSPORTS
-    def test_predict_task_from_segment_matches_inline(self, prefer_shm,
-                                                      small_dataset,
-                                                      pipeline):
-        """The worker body over an attached shard predicts what the
-        inline body predicts over the original payload."""
+    def test_predict_task_over_a_shipped_payload_matches_inline(
+            self, small_dataset, pipeline):
+        """The task body over the worker's copy of a payload predicts
+        what it predicts over the original."""
         config = ResolverConfig()
         model = EntityResolver(config).fit(small_dataset, training_seed=0,
                                            pipeline=pipeline)
@@ -195,23 +167,61 @@ class TestBlockShardRoundTrip:
             config=config, fitted=model.blocks[block.query_name],
             block=block, graphs=None, pipeline=pipeline, evaluate=False)
         inline = run_predict_block(payload)
-        with ShardStore(prefer_shared_memory=prefer_shm) as store:
-            handle = store.publish(
-                BlockShard(kind="predict", payloads=(payload,)))
-            shards_module._LOCAL.pop(handle.shard_id)
-            result = run_sharded_block(ShardedBlockTask(handle=handle,
-                                                        index=0))
-            shards_module._ATTACHED.clear()
+        result = shipped(run_predict_block(shipped(payload)))
         assert result[:2] == inline[:2]
 
-    @TRANSPORTS
-    def test_stale_handle_cannot_attach_after_close(self, prefer_shm):
-        store = ShardStore(prefer_shared_memory=prefer_shm)
-        handle = store.publish({"gone": True})
-        store.close()
-        with pytest.raises((FileNotFoundError, OSError)):
-            load_shard(handle)
-        assert handle.shard_id not in shards_module._ATTACHED
+
+class TestResultReturnTrip:
+    """A worker's result crosses back the same way, and the caller keeps
+    it: prepared graphs feed the later passes, fitted state the model."""
+
+    def test_prepared_features_and_graphs_return_bit_identical(
+            self, small_dataset, pipeline):
+        block = small_dataset.collections[0]
+        payload = PrepareBlockTask(pipeline=pipeline, block=block,
+                                   functions=tuple(full_battery()),
+                                   backend="numpy")
+        name, features, graphs, _ = run_prepare_block(payload)
+        copy_name, copy_features, copy_graphs, _ = shipped(
+            run_prepare_block(shipped(payload)))
+        assert copy_name == name
+        assert list(copy_features) == list(features)
+        for doc_id, page in features.items():
+            assert_pages_identical(page, copy_features[doc_id])
+        assert list(copy_graphs) == list(graphs)
+        for function, graph in graphs.items():
+            layout, values = graph.vector()
+            copy_layout, copy_values = copy_graphs[function].vector()
+            assert copy_layout.keys() == layout.keys()
+            assert type(copy_values) is type(values)
+            assert (np.asarray(copy_values).tobytes()
+                    == np.asarray(values).tobytes())
+
+    def test_evaluated_block_returns_unchanged(self, small_dataset,
+                                              pipeline):
+        config = ResolverConfig()
+        model = EntityResolver(config).fit(small_dataset, training_seed=0,
+                                           pipeline=pipeline)
+        block = small_dataset.collections[0]
+        payload = PredictBlockTask(
+            config=config, fitted=model.blocks[block.query_name],
+            block=block, graphs=None, pipeline=pipeline, evaluate=True)
+        name, resolution, _ = run_predict_block(payload)
+        copy_name, copy_resolution, _ = shipped(run_predict_block(
+            shipped(payload)))
+        assert copy_name == name
+        assert copy_resolution == resolution
+        assert copy_resolution.report == resolution.report
+
+    def test_fitted_state_returns_unchanged(self, small_dataset, pipeline):
+        block = small_dataset.collections[0]
+        payload = FitBlockTask(config=ResolverConfig(), block=block,
+                               graphs=None, pipeline=pipeline,
+                               training_seed=0)
+        name, fitted, _ = run_fit_block(payload)
+        copy_name, copy_fitted, _ = shipped(run_fit_block(shipped(payload)))
+        assert copy_name == name
+        assert copy_fitted.to_dict() == fitted.to_dict()
 
 
 def test_unpicklable_payload_publishes_nothing():

@@ -139,10 +139,11 @@ class TestBackendNamed:
 
     def test_the_ambient_default_is_resolved_to_a_name(self):
         from repro.runtime.executor import SerialExecutor
-        from repro.runtime.tasks import run_pass
+        from repro.runtime.tasks import run_pass, run_prepare_block
         from repro.similarity.backends import default_backend
 
-        _, stats = run_pass(SerialExecutor(), "prepare", "prepare", [])
+        _, stats = run_pass(SerialExecutor(), run_prepare_block, "prepare",
+                            [])
         assert stats.backend == default_backend()
 
 

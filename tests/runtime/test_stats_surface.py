@@ -25,7 +25,6 @@ RUN_FIELDS = {
     "available_cores", "host_cores", "cpuset_limited", "fork_waves",
     "wall_seconds", "n_blocks", "pairs_scored", "per_block_seconds",
     "shard_bytes_published", "plane_fallback_payloads",
-    "attach_unpickle_seconds",
 }
 LATENCY_VIEW = {"seconds_total", "latency", "mean_request_seconds",
                 "p50_request_seconds", "p95_request_seconds",
@@ -46,8 +45,7 @@ def run_stats() -> RunStats:
         effective_workers=2, available_cores=2, host_cores=8,
         cpuset_limited=True, fork_waves=1, wall_seconds=1.25, n_blocks=3,
         pairs_scored=90, per_block_seconds={"Alice": 0.5, "Bob": 0.25},
-        shard_bytes_published=4096, plane_fallback_payloads=0,
-        attach_unpickle_seconds=0.125)
+        shard_bytes_published=4096, plane_fallback_payloads=0)
 
 
 def session_stats() -> SessionStats:
@@ -72,8 +70,7 @@ def engine_stats() -> EngineStats:
 
 class TestPublicAttributes:
     @pytest.mark.parametrize("cls, expected", [
-        (TaskStats, {"query_name", "seconds", "pairs_scored",
-                     "attach_unpickle_seconds"}),
+        (TaskStats, {"query_name", "seconds", "pairs_scored"}),
         (RunStats, RUN_FIELDS),
         (SessionStats, LATENCY_VIEW | {
             "requests", "pages", "incremental_assignments", "routed_pages",
@@ -108,8 +105,7 @@ class TestRunStats:
             effective_workers=3, available_cores=1, host_cores=1,
             fork_waves=0, wall_seconds=0.75, n_blocks=2, pairs_scored=10,
             per_block_seconds={"Bob": 0.5},
-            shard_bytes_published=1, plane_fallback_payloads=2,
-            attach_unpickle_seconds=0.125)
+            shard_bytes_published=1, plane_fallback_payloads=2)
         first = run_stats()
         combined = first.merged(other, phase="protocol")
         assert combined.to_dict() == {
@@ -121,7 +117,6 @@ class TestRunStats:
             "pairs_scored": 100,
             "per_block_seconds": {"Alice": 0.5, "Bob": 0.75},
             "shard_bytes_published": 4097, "plane_fallback_payloads": 2,
-            "attach_unpickle_seconds": 0.25,
         }
         assert first.per_block_seconds == {"Alice": 0.5, "Bob": 0.25}
         assert first.merged(other).phase == "fit"

@@ -2,8 +2,9 @@
 fan-out, or while the pool idles between two.
 
 The run raises ``BrokenProcessPool`` at once, leaves no worker process
-and no published shard behind, and the next run on the same executor
-forks a fresh pool and returns what a serial run returns.
+behind and never asks for a shared-memory segment, and the next run on
+the same executor forks a fresh pool and returns what a serial run
+returns.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.runtime import shards as shards_module
 from repro.runtime.executor import ProcessPoolBlockExecutor, SerialExecutor
-from repro.runtime.shards import load_shard
-from repro.runtime.tasks import TASK_KINDS, run_block_tasks
+from repro.runtime.tasks import run_block_tasks
 
 #: The test process: it never kills itself, only its forked workers do.
 _HOST_PID = os.getpid()
@@ -36,10 +35,6 @@ def _square_or_die(payload):
     return value * value
 
 
-def _square_or_die_body(payload, attach_seconds=0.0):
-    return _square_or_die(payload)
-
-
 @pytest.fixture(params=[0, 3, 7], ids=["first", "middle", "last"])
 def payloads(request, tmp_path):
     """Eight payloads; the worker running the first, a middle or the
@@ -52,13 +47,6 @@ def payloads(request, tmp_path):
 def executor():
     with ProcessPoolBlockExecutor(workers=2, oversubscribe=True) as pool:
         yield pool
-
-
-@pytest.fixture
-def die_kind():
-    TASK_KINDS["square_or_die"] = _square_or_die_body
-    yield "square_or_die"
-    TASK_KINDS.pop("square_or_die", None)
 
 
 def assert_no_worker_left(before):
@@ -81,45 +69,34 @@ def test_executor_run_raises_cleans_up_and_recovers(executor, payloads,
     assert executor.fork_waves == 2
 
 
-def test_run_block_tasks_raises_cleans_up_and_recovers(executor, payloads,
-                                                       published, die_kind,
-                                                       tmp_path):
+def test_run_block_tasks_raises_cleans_up_and_recovers(
+        executor, payloads, shared_memory_calls, tmp_path):
     before = set(multiprocessing.active_children())
     with pytest.raises(BrokenProcessPool):
-        run_block_tasks(executor, die_kind, payloads)
+        run_block_tasks(executor, _square_or_die, payloads)
     assert (tmp_path / "killed").exists()
     assert_no_worker_left(before)
-    (handle,) = published
-    assert handle.shard_id not in shards_module._LOCAL
-    with pytest.raises(OSError):
-        load_shard(handle)  # the segment or file is unlinked
     assert executor.fork_waves == 1
 
-    assert run_block_tasks(executor, die_kind, payloads) == run_block_tasks(
-        SerialExecutor(), die_kind, payloads)
+    assert run_block_tasks(executor, _square_or_die, payloads) == \
+        run_block_tasks(SerialExecutor(), _square_or_die, payloads)
     assert executor.fork_waves == 2
+    assert shared_memory_calls == []
 
 
-def _square_body(payload, attach_seconds=0.0):
+def _square(payload):
     return payload * payload
 
 
-@pytest.fixture
-def square_kind():
-    TASK_KINDS["square"] = _square_body
-    yield "square"
-    TASK_KINDS.pop("square", None)
-
-
-def test_a_worker_killed_while_the_pool_idles(executor, published,
-                                              square_kind):
+def test_a_worker_killed_while_the_pool_idles(executor,
+                                              shared_memory_calls):
     """A worker that dies between two runs (say, OOM-killed while the
     caller does other work) breaks the pool before the next run submits
-    anything: that run raises ``BrokenProcessPool``, leaves no worker or
-    shard behind, and the run after it forks afresh."""
+    anything: that run raises ``BrokenProcessPool``, leaves no worker
+    behind, and the run after it forks afresh."""
     payloads = list(range(8))
-    expected = run_block_tasks(SerialExecutor(), square_kind, payloads)
-    assert run_block_tasks(executor, square_kind, payloads) == expected
+    expected = run_block_tasks(SerialExecutor(), _square, payloads)
+    assert run_block_tasks(executor, _square, payloads) == expected
     pool = executor._pool
     before = set(multiprocessing.active_children()) - set(
         pool._processes.values())
@@ -130,13 +107,10 @@ def test_a_worker_killed_while_the_pool_idles(executor, published,
         time.sleep(0.01)
 
     with pytest.raises(BrokenProcessPool):
-        run_block_tasks(executor, square_kind, payloads)
+        run_block_tasks(executor, _square, payloads)
     assert_no_worker_left(before)
-    for handle in published:
-        assert handle.shard_id not in shards_module._LOCAL
-        with pytest.raises(OSError):
-            load_shard(handle)
     assert executor.fork_waves == 1
 
-    assert run_block_tasks(executor, square_kind, payloads) == expected
+    assert run_block_tasks(executor, _square, payloads) == expected
     assert executor.fork_waves == 2
+    assert shared_memory_calls == []
