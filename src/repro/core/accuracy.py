@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress
-from operator import eq
+from operator import eq, itemgetter
 
 from repro.core.regions import Regions, regions_from_dict
 
@@ -37,6 +37,12 @@ class RegionAccuracyProfile:
 
     Empty regions fall back to the overall training link prior — the best
     available estimate when a region was never observed.
+
+    A profile keeps its regions, the prior and three tuples in region
+    order — training pair counts, link counts and estimated accuracies —
+    plus the majority decision derived from the accuracies.  Neither
+    fitting nor loading builds an object per region;
+    :meth:`region_stats` builds a :class:`RegionStats` when it is read.
     """
 
     def __init__(self, regions: Regions,
@@ -47,28 +53,37 @@ class RegionAccuracyProfile:
         assigned = list(regions.assign_all(values))
         linked = list(compress(assigned, labels))
         # Integer counts per region: one C-level count pass each.
-        counts = list(map(assigned.count, range(regions.n_regions)))
-        links = list(map(linked.count, range(regions.n_regions)))
+        n_pairs = tuple(map(assigned.count, range(regions.n_regions)))
+        n_links = tuple(map(linked.count, range(regions.n_regions)))
 
         total = len(labeled_values)
-        total_links = len(linked)
-        self._prior = (total_links + smoothing) / (total + 2 * smoothing)
+        self._prior = (len(linked) + smoothing) / (total + 2 * smoothing)
+        accuracies = tuple(
+            self._prior if pairs == 0
+            else (links + smoothing) / (pairs + 2 * smoothing)
+            for pairs, links in zip(n_pairs, n_links))
+        self._compile(n_pairs, n_links, accuracies)
 
-        stats = []
-        for region in range(regions.n_regions):
-            if counts[region] == 0:
-                accuracy = self._prior
-            else:
-                accuracy = (links[region] + smoothing) / (counts[region] + 2 * smoothing)
-            stats.append(RegionStats(
-                n_pairs=counts[region], n_links=links[region], accuracy=accuracy))
-        self._compile(stats)
-
-    def _compile(self, stats: Sequence[RegionStats]) -> None:
+    def _compile(self, n_pairs: tuple[int, ...], n_links: tuple[int, ...],
+                 accuracies: tuple[float, ...]) -> None:
         """Freeze the per-region lookup tables every query indexes."""
-        self._stats = list(stats)
-        self._accuracies = tuple(entry.accuracy for entry in stats)
-        self._links = tuple(accuracy > 0.5 for accuracy in self._accuracies)
+        self._n_pairs = n_pairs
+        self._n_links = n_links
+        self._accuracies = accuracies
+        self._links = tuple(accuracy > 0.5 for accuracy in accuracies)
+
+    @classmethod
+    def _restore(cls, regions: Regions, n_pairs: tuple[int, ...],
+                 n_links: tuple[int, ...], accuracies: tuple[float, ...],
+                 prior: float) -> "RegionAccuracyProfile":
+        if len(n_pairs) != regions.n_regions:
+            raise ValueError(
+                f"expected {regions.n_regions} region stats, got {len(n_pairs)}")
+        profile = cls.__new__(cls)
+        profile.regions = regions
+        profile._prior = prior
+        profile._compile(n_pairs, n_links, accuracies)
+        return profile
 
     @classmethod
     def from_stats(cls, regions: Regions, stats: Sequence[RegionStats],
@@ -80,14 +95,10 @@ class RegionAccuracyProfile:
         Raises:
             ValueError: when ``stats`` does not cover every region.
         """
-        if len(stats) != regions.n_regions:
-            raise ValueError(
-                f"expected {regions.n_regions} region stats, got {len(stats)}")
-        profile = cls.__new__(cls)
-        profile.regions = regions
-        profile._prior = prior
-        profile._compile(stats)
-        return profile
+        return cls._restore(regions,
+                            tuple(entry.n_pairs for entry in stats),
+                            tuple(entry.n_links for entry in stats),
+                            tuple(entry.accuracy for entry in stats), prior)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable snapshot of the fitted profile."""
@@ -95,22 +106,26 @@ class RegionAccuracyProfile:
             "regions": self.regions.to_dict(),
             "prior": self._prior,
             "stats": [
-                {"n_pairs": s.n_pairs, "n_links": s.n_links,
-                 "accuracy": s.accuracy}
-                for s in self._stats
+                {"n_pairs": pairs, "n_links": links, "accuracy": accuracy}
+                for pairs, links, accuracy in zip(
+                    self._n_pairs, self._n_links, self._accuracies)
             ],
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "RegionAccuracyProfile":
-        """Rebuild a profile saved by :meth:`to_dict`."""
-        stats = [
-            RegionStats(n_pairs=int(s["n_pairs"]), n_links=int(s["n_links"]),
-                        accuracy=float(s["accuracy"]))
-            for s in payload["stats"]
-        ]
-        return cls.from_stats(regions_from_dict(payload["regions"]), stats,
-                              prior=float(payload["prior"]))
+        """Rebuild a profile saved by :meth:`to_dict`.
+
+        Raises:
+            ValueError: when ``stats`` does not cover every region.
+        """
+        stats = payload["stats"]
+        return cls._restore(
+            regions_from_dict(payload["regions"]),
+            tuple(map(int, map(itemgetter("n_pairs"), stats))),
+            tuple(map(int, map(itemgetter("n_links"), stats))),
+            tuple(map(float, map(itemgetter("accuracy"), stats))),
+            prior=float(payload["prior"]))
 
     @property
     def n_regions(self) -> int:
@@ -131,8 +146,17 @@ class RegionAccuracyProfile:
         """Smoothed overall link fraction of the training sample."""
         return self._prior
 
+    @property
+    def n_correct(self) -> int:
+        """Training pairs the majority rule decides correctly: the links
+        of every linking region plus the non-links of every other one."""
+        return sum(links if link else pairs - links for pairs, links, link
+                   in zip(self._n_pairs, self._n_links, self._links))
+
     def region_stats(self, region: int) -> RegionStats:
-        return self._stats[region]
+        return RegionStats(n_pairs=self._n_pairs[region],
+                           n_links=self._n_links[region],
+                           accuracy=self._accuracies[region])
 
     def region_accuracy(self, region: int) -> float:
         """Estimated P(link | region)."""
@@ -160,7 +184,7 @@ class RegionAccuracyProfile:
         series = []
         for region in range(self.n_regions):
             low, high = self.regions.bounds(region)
-            series.append((low, high, self._stats[region].accuracy))
+            series.append((low, high, self._accuracies[region]))
         return series
 
 

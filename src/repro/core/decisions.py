@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Collection, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.core.accuracy import RegionAccuracyProfile, overall_accuracy
+from repro.core.accuracy import RegionAccuracyProfile
 from repro.core.registry import CRITERIA, register_criterion
 from repro.core.regions import Regions, ThresholdRegions, fit_regions
 from repro.core.thresholds import learn_threshold
@@ -99,17 +99,13 @@ class DecisionCriterion(ABC):
 def _fitted(criterion_name: str, regions: Regions,
             labeled_values: Sequence[tuple[float, bool]]) -> FittedDecision:
     """The decision over ``regions``, scored on the sample it was fitted
-    on."""
-    fitted = FittedDecision(
-        criterion_name=criterion_name,
-        profile=RegionAccuracyProfile(regions, labeled_values),
-        training_accuracy=0.0)
-    if not labeled_values:
-        return fitted
-    values, labels = zip(*labeled_values)
-    decisions = list(fitted.decide_all(values))
-    return replace(fitted,
-                   training_accuracy=overall_accuracy(decisions, labels))
+    on: the profile's counts give how many pairs its majority rule
+    decides correctly, the same integer ``overall_accuracy`` counts."""
+    profile = RegionAccuracyProfile(regions, labeled_values)
+    return FittedDecision(
+        criterion_name=criterion_name, profile=profile,
+        training_accuracy=(profile.n_correct / len(labeled_values)
+                           if labeled_values else 0.0))
 
 
 class ThresholdDecision(DecisionCriterion):

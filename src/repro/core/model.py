@@ -37,9 +37,9 @@ from repro.corpus.documents import (
     NameCollection,
     find_by_query_name,
 )
-from repro.corpus.vocabulary import build_vocabulary
+from repro.corpus.vocabulary import draw_categories
 from repro.extraction.features import PageFeatures
-from repro.extraction.pipeline import ExtractionPipeline
+from repro.extraction.pipeline import GAZETTEERS, ExtractionPipeline
 from repro.graph.entity_graph import WeightedPairGraph
 from repro.metrics.clusterings import Clustering, clustering_from_assignments
 from repro.metrics.report import MetricReport, evaluate_clustering, mean_report
@@ -77,13 +77,14 @@ def resolve_extraction_pipeline(
         raise ValueError(
             "collection has no vocabulary metadata; pass an ExtractionPipeline")
     # Scale corpora record non-default lexicon sizes (see
-    # repro.corpus.vocabulary.vocabulary_sizes) so the exact vocabulary —
-    # and therefore the NER gazetteers — is reconstructible from disk.
+    # repro.corpus.vocabulary.vocabulary_sizes) so the exact gazetteers
+    # are reconstructible from disk; only those categories are drawn.
     sizes = collection.metadata.get("vocabulary_sizes") or {}
-    vocabulary = build_vocabulary(
-        int(seed), **{key: int(value) for key, value in sizes.items()})
-    return ExtractionPipeline.from_vocabulary(
-        vocabulary, query_names=collection.query_names())
+    gazetteers = draw_categories(
+        int(seed), GAZETTEERS,
+        {key: int(value) for key, value in sizes.items()})
+    return ExtractionPipeline.from_gazetteers(
+        gazetteers, query_names=collection.query_names())
 
 
 def ship_blocks(

@@ -6,12 +6,21 @@ domains) are drawn from a :class:`Vocabulary` built deterministically from an
 integer seed.  The same vocabularies double as the gazetteers used by the
 dictionary-based NER in :mod:`repro.extraction.ner`, mirroring the paper's
 use of dictionary-based named entity recognition.
+
+Each of the eight categories draws from its own sub-seed of one master
+RNG, so :func:`draw_categories` can draw any subset of them word for
+word.  An extraction pipeline rebuilt from corpus metadata draws only
+the four gazetteers it reads — concepts, organizations, first names and
+locations (780 words at the default sizes, of 3 650) — never the
+content, general, surname or domain lists.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
@@ -19,19 +28,19 @@ _ONSETS = [c + v for c in _CONSONANTS for v in _VOWELS]
 _CODAS = ["n", "r", "s", "l", "m", "t", "k", ""]
 
 
-def _make_word(rng: random.Random, min_syllables: int = 2, max_syllables: int = 4) -> str:
-    """Build a pronounceable lowercase pseudo-word from syllables."""
-    n_syllables = rng.randint(min_syllables, max_syllables)
-    syllables = [rng.choice(_ONSETS) for _ in range(n_syllables)]
-    return "".join(syllables) + rng.choice(_CODAS)
+def _make_unique_words(rng: random.Random, count: int, min_syllables: int = 2,
+                       max_syllables: int = 4) -> list[str]:
+    """Generate ``count`` distinct pronounceable lowercase pseudo-words.
 
-
-def _make_unique_words(rng: random.Random, count: int, **kwargs) -> list[str]:
-    """Generate ``count`` distinct pseudo-words."""
+    Each word draws its syllable count, then one onset per syllable, then
+    a coda; a repeat is drawn and dropped.
+    """
+    randint, choice = rng.randint, rng.choice
     words: list[str] = []
     seen: set[str] = set()
     while len(words) < count:
-        word = _make_word(rng, **kwargs)
+        word = "".join(map(choice, repeat(
+            _ONSETS, randint(min_syllables, max_syllables)))) + choice(_CODAS)
         if word not in seen:
             seen.add(word)
             words.append(word)
@@ -105,17 +114,78 @@ DEFAULT_VOCABULARY_SIZES = {
     "n_domains": 160,
 }
 
-#: Maps each size keyword to the Vocabulary list it controls.
-_SIZE_FIELDS = {
-    "n_content_words": "content_words",
-    "n_general_words": "general_words",
-    "n_concepts": "concepts",
-    "n_organizations": "organizations",
-    "n_first_names": "first_names",
-    "n_last_names": "last_names",
-    "n_locations": "locations",
-    "n_domains": "domains",
+
+def _plain_words(min_syllables: int, max_syllables: int):
+    """A draw routine of distinct lowercase pseudo-words."""
+    def draw(rng: random.Random, count: int) -> list[str]:
+        return _make_unique_words(rng, count, min_syllables=min_syllables,
+                                  max_syllables=max_syllables)
+    return draw
+
+
+def _capitalized_words(min_syllables: int, max_syllables: int):
+    """A draw routine of distinct capitalized pseudo-words (names)."""
+    def draw(rng: random.Random, count: int) -> list[str]:
+        return [word.capitalize() for word in _make_unique_words(
+            rng, count, min_syllables=min_syllables,
+            max_syllables=max_syllables)]
+    return draw
+
+
+def _draw_concepts(rng: random.Random, count: int) -> list[str]:
+    return [f"{mod} {rng.choice(_CONCEPT_HEADS)}"
+            for mod in _make_unique_words(rng, count)]
+
+
+def _draw_organizations(rng: random.Random, count: int) -> list[str]:
+    return [f"{stem.capitalize()} {rng.choice(_ORG_SUFFIXES)}"
+            for stem in _make_unique_words(rng, count)]
+
+
+def _draw_domains(rng: random.Random, count: int) -> list[str]:
+    return [stem + rng.choice(_DOMAIN_TLDS)
+            for stem in _make_unique_words(rng, count)]
+
+
+#: Every category in the order the master RNG hands out sub-seeds:
+#: Vocabulary field -> (size keyword, draw routine).
+_CATEGORIES = {
+    "content_words": ("n_content_words", _plain_words(2, 4)),
+    "general_words": ("n_general_words", _plain_words(1, 2)),
+    "concepts": ("n_concepts", _draw_concepts),
+    "organizations": ("n_organizations", _draw_organizations),
+    "first_names": ("n_first_names", _capitalized_words(2, 2)),
+    "last_names": ("n_last_names", _capitalized_words(2, 3)),
+    "locations": ("n_locations", _capitalized_words(2, 3)),
+    "domains": ("n_domains", _draw_domains),
 }
+
+
+def draw_categories(seed: int, fields: Iterable[str],
+                    sizes: Mapping[str, int] | None = None,
+                    ) -> dict[str, list[str]]:
+    """Draw only ``fields`` of ``build_vocabulary(seed, **sizes)``.
+
+    The master RNG hands out all eight sub-seeds as it always does, and
+    each requested category then runs its own draw, so every list is
+    word for word the one :func:`build_vocabulary` returns.  Sizes of
+    categories not drawn are accepted and ignored.
+
+    Raises:
+        TypeError: for a size keyword :func:`build_vocabulary` lacks.
+    """
+    sizes = dict(sizes or {})
+    unknown = sizes.keys() - DEFAULT_VOCABULARY_SIZES.keys()
+    if unknown:
+        raise TypeError(f"unknown vocabulary sizes: {sorted(unknown)}")
+    master = random.Random(seed)
+    sub_seeds = {name: master.randrange(2**31) for name in _CATEGORIES}
+    drawn = {}
+    for name in fields:
+        keyword, draw = _CATEGORIES[name]
+        drawn[name] = draw(random.Random(sub_seeds[name]),
+                            sizes.get(keyword, DEFAULT_VOCABULARY_SIZES[keyword]))
+    return drawn
 
 
 def vocabulary_sizes(vocabulary: Vocabulary) -> dict[str, int]:
@@ -127,9 +197,9 @@ def vocabulary_sizes(vocabulary: Vocabulary) -> dict[str, int]:
     legacy corpus metadata stays unchanged.
     """
     return {
-        keyword: len(getattr(vocabulary, attr))
-        for keyword, attr in _SIZE_FIELDS.items()
-        if len(getattr(vocabulary, attr)) != DEFAULT_VOCABULARY_SIZES[keyword]
+        keyword: len(getattr(vocabulary, name))
+        for name, (keyword, _) in _CATEGORIES.items()
+        if len(getattr(vocabulary, name)) != DEFAULT_VOCABULARY_SIZES[keyword]
     }
 
 
@@ -149,47 +219,9 @@ def build_vocabulary(
     Every category is sampled from an independent sub-seeded RNG so that
     enlarging one category does not perturb the others.
     """
-    master = random.Random(seed)
-    seeds = {name: master.randrange(2**31) for name in (
-        "content", "general", "concepts", "orgs", "first", "last", "loc", "dom")}
-
-    content_rng = random.Random(seeds["content"])
-    content_words = _make_unique_words(content_rng, n_content_words)
-
-    general_rng = random.Random(seeds["general"])
-    general_words = _make_unique_words(general_rng, n_general_words, min_syllables=1, max_syllables=2)
-
-    concept_rng = random.Random(seeds["concepts"])
-    concept_mods = _make_unique_words(concept_rng, n_concepts)
-    concepts = [f"{mod} {concept_rng.choice(_CONCEPT_HEADS)}" for mod in concept_mods]
-
-    org_rng = random.Random(seeds["orgs"])
-    org_stems = _make_unique_words(org_rng, n_organizations)
-    organizations = [
-        f"{stem.capitalize()} {org_rng.choice(_ORG_SUFFIXES)}" for stem in org_stems
-    ]
-
-    first_rng = random.Random(seeds["first"])
-    first_names = [w.capitalize() for w in _make_unique_words(first_rng, n_first_names, min_syllables=2, max_syllables=2)]
-
-    last_rng = random.Random(seeds["last"])
-    last_names = [w.capitalize() for w in _make_unique_words(last_rng, n_last_names, min_syllables=2, max_syllables=3)]
-
-    loc_rng = random.Random(seeds["loc"])
-    locations = [w.capitalize() for w in _make_unique_words(loc_rng, n_locations, min_syllables=2, max_syllables=3)]
-
-    dom_rng = random.Random(seeds["dom"])
-    domain_stems = _make_unique_words(dom_rng, n_domains)
-    domains = [stem + dom_rng.choice(_DOMAIN_TLDS) for stem in domain_stems]
-
-    return Vocabulary(
-        content_words=content_words,
-        general_words=general_words,
-        concepts=concepts,
-        organizations=organizations,
-        first_names=first_names,
-        last_names=last_names,
-        locations=locations,
-        domains=domains,
-        seed=seed,
-    )
+    sizes = dict(
+        n_content_words=n_content_words, n_general_words=n_general_words,
+        n_concepts=n_concepts, n_organizations=n_organizations,
+        n_first_names=n_first_names, n_last_names=n_last_names,
+        n_locations=n_locations, n_domains=n_domains)
+    return Vocabulary(**draw_categories(seed, _CATEGORIES, sizes), seed=seed)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress, repeat
 from operator import eq
 
@@ -148,6 +148,11 @@ class BlockContext:
                         if mention.last.lower() != query_surname])
 
 
+#: The :class:`~repro.corpus.vocabulary.Vocabulary` categories a pipeline
+#: reads; every other category only ever appears on generated pages.
+GAZETTEERS = ("concepts", "organizations", "first_names", "locations")
+
+
 class ExtractionPipeline:
     """Extracts :class:`PageFeatures` from pages.
 
@@ -187,15 +192,25 @@ class ExtractionPipeline:
         This mirrors the paper's dictionary-based NER: the dictionaries are
         the same inventories the (synthetic) web uses.
         """
+        return cls.from_gazetteers(
+            {name: getattr(vocabulary, name) for name in GAZETTEERS},
+            query_names)
+
+    @classmethod
+    def from_gazetteers(cls, gazetteers: Mapping[str, Iterable[str]],
+                        query_names: Iterable[str] = ()) -> "ExtractionPipeline":
+        """:meth:`from_vocabulary` given only the :data:`GAZETTEERS`
+        categories (Vocabulary field name -> words)."""
+        query_names = list(query_names)
         surnames = {name.split()[-1] for name in query_names}
-        first_names = set(vocabulary.first_names)
+        first_names = set(gazetteers["first_names"])
         first_names.update(name.split()[0] for name in query_names if " " in name)
         return cls(
-            organizations=vocabulary.organizations,
-            locations=vocabulary.locations,
+            organizations=gazetteers["organizations"],
+            locations=gazetteers["locations"],
             first_names=first_names,
             known_surnames=surnames,
-            concepts=vocabulary.concepts,
+            concepts=gazetteers["concepts"],
         )
 
     def block_context(self, query_name: str,

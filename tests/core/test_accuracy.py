@@ -1,9 +1,18 @@
 """Region-accuracy estimation tests."""
 
-import pytest
+import json
 
-from repro.core.accuracy import RegionAccuracyProfile, overall_accuracy
-from repro.core.regions import EqualWidthRegions
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.core.accuracy import (
+    RegionAccuracyProfile,
+    RegionStats,
+    overall_accuracy,
+)
+from repro.core.decisions import _fitted, build_criteria
+from repro.core.regions import EqualWidthRegions, ThresholdRegions
 
 
 def profile_from(data, n_bins=10, smoothing=0.0):
@@ -69,6 +78,102 @@ class TestRegionAccuracyProfile:
         assert profile.decide(0.05)
         assert not profile.decide(0.5)
         assert profile.decide(0.95)
+
+
+class TestProfileTables:
+    """What a profile keeps, reads back and writes, pinned value by
+    value: bins 0, 2 and 3 of four see pairs, bin 1 falls back to the
+    prior (3 links + 1) / (4 pairs + 2)."""
+
+    DATA = [(0.05, True), (0.06, False), (0.55, True), (0.95, True)]
+    STATS = [RegionStats(2, 1, 0.5), RegionStats(0, 0, 2 / 3),
+             RegionStats(1, 1, 2 / 3), RegionStats(1, 1, 2 / 3)]
+
+    @pytest.fixture
+    def profile(self):
+        return profile_from(self.DATA, n_bins=4, smoothing=1.0)
+
+    def test_region_stats(self, profile):
+        assert [profile.region_stats(region) for region in range(4)] \
+            == self.STATS
+        assert profile.prior == 2 / 3
+        assert profile.links == (False, True, True, True)
+
+    def test_accuracy_series(self, profile):
+        assert profile.accuracy_series() == [
+            (0.0, 0.25, 0.5), (0.25, 0.5, 2 / 3), (0.5, 0.75, 2 / 3),
+            (0.75, 1.0, 2 / 3)]
+
+    def test_to_dict(self, profile):
+        assert profile.to_dict() == {
+            "regions": {"type": "equal_width", "n_bins": 4},
+            "prior": 2 / 3,
+            "stats": [{"n_pairs": entry.n_pairs, "n_links": entry.n_links,
+                       "accuracy": entry.accuracy} for entry in self.STATS],
+        }
+
+    def test_dict_round_trip(self, profile):
+        payload = json.loads(json.dumps(profile.to_dict()))
+        rebuilt = RegionAccuracyProfile.from_dict(payload)
+        assert rebuilt.to_dict() == profile.to_dict()
+        assert rebuilt.links == profile.links
+        assert rebuilt.n_correct == profile.n_correct == 3
+
+    def test_from_stats(self, profile):
+        rebuilt = RegionAccuracyProfile.from_stats(
+            EqualWidthRegions(4), self.STATS, prior=2 / 3)
+        assert rebuilt.to_dict() == profile.to_dict()
+        assert rebuilt.accuracy_series() == profile.accuracy_series()
+        assert [rebuilt.decide(value) for value, _ in self.DATA] \
+            == [profile.decide(value) for value, _ in self.DATA]
+
+    def test_stats_short_of_the_regions_are_refused(self, profile):
+        with pytest.raises(ValueError, match="expected 4 region stats, got 3"):
+            RegionAccuracyProfile.from_stats(EqualWidthRegions(4),
+                                             self.STATS[:3], prior=0.5)
+        payload = profile.to_dict()
+        payload["stats"].pop()
+        with pytest.raises(ValueError, match="expected 4 region stats, got 3"):
+            RegionAccuracyProfile.from_dict(payload)
+
+
+samples = st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()),
+                   max_size=40)
+
+
+class TestTrainingAccuracy:
+    """A fitted decision's training accuracy comes from the profile's
+    counts; it is the float :func:`overall_accuracy` gives its
+    decisions."""
+
+    @given(samples, st.sampled_from(["threshold", "equal_width", "kmeans"]))
+    @example([], "threshold")
+    @example([], "kmeans")
+    @example([(0.2, True), (0.9, True)], "equal_width")
+    @example([(0.2, False), (0.9, False)], "kmeans")
+    @example([(0.5, True)] * 3 + [(0.5, False)] * 2, "kmeans")
+    def test_counts_score_like_overall_accuracy(self, data, criterion):
+        fitted = build_criteria([criterion], k=10)[0].fit(data)
+        if not data:
+            assert fitted.training_accuracy == 0.0
+            return
+        values, labels = zip(*data)
+        assert fitted.training_accuracy == overall_accuracy(
+            list(fitted.decide_all(values)), labels)
+
+    @given(samples)
+    @example([])
+    @example([(0.3, True), (0.7, True)])
+    @example([(0.3, False), (0.7, False)])
+    def test_a_single_region(self, data):
+        fitted = _fitted("threshold", ThresholdRegions(1.1), data)
+        assert fitted.profile.n_regions == 1
+        if not data:
+            assert fitted.training_accuracy == 0.0
+            return
+        values, labels = zip(*data)
+        assert fitted.training_accuracy == overall_accuracy(
+            list(fitted.decide_all(values)), labels)
 
 
 class TestOverallAccuracy:

@@ -5,7 +5,11 @@ matches the legacy labeled workflow, save/load round-trips bit-identical
 predictions, and registry-registered backends work end to end.
 """
 
+import hashlib
+import importlib.util
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +397,46 @@ class TestSaveLoad:
             ResolverModel.load(path)
         assert str(path) in str(raised.value)
         assert not isinstance(raised.value, model_module.json.JSONDecodeError)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "regenerate_goldens",
+    Path(__file__).resolve().parents[2] / "scripts" / "regenerate_goldens.py")
+regenerate_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate_goldens)
+
+
+class TestGoldenModelFile:
+    """The golden corpus's fitted model, as a file."""
+
+    #: sha256 of the saved model (35 916 bytes); the file format and
+    #: every fitted number it holds are pinned by it.
+    SHA256 = "7dc094cc90b747268138101eabbec11d7e44378d3f47a247d8e12466aa88635f"
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model = EntityResolver(ResolverConfig()).fit(
+            regenerate_goldens.golden_collection(), training_seed=0)
+        path = tmp_path_factory.mktemp("golden") / "model.json"
+        model.save(path)
+        return path
+
+    def test_saves_the_pinned_bytes(self, saved):
+        assert hashlib.sha256(saved.read_bytes()).hexdigest() == self.SHA256
+
+    def test_load_and_save_round_trip(self, saved, tmp_path):
+        again = tmp_path / "again.json"
+        ResolverModel.load(saved).save(again)
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_stats_short_of_the_regions_are_refused(self, saved, tmp_path):
+        payload = json.loads(saved.read_text())
+        block = next(iter(payload["blocks"].values()))
+        block["layers"][0]["fitted"]["profile"]["stats"].pop()
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="region stats"):
+            ResolverModel.load(path)
 
 
 class TestFittedBlockSerialization:
